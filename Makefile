@@ -1,5 +1,5 @@
-# Developer entry points. `make check` is the pre-commit gate: vet, build,
-# and the race-detector suite over the packages that fan work across
+# Developer entry points. `make check` is the pre-commit gate: gofmt, vet,
+# build, and the race-detector suite over the packages that fan work across
 # goroutines (eval experiment generators, the pooled SSIM comparer, the
 # parallel cutoff preprocessing, and the live runtime stack: wall clock,
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
@@ -8,9 +8,13 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff smoke loadtest
+.PHONY: check fmt vet build test race bench bench-e2e bench-diff smoke loadtest
 
-check: vet build race
+check: fmt vet build race
+
+# Fails, listing the files, when any Go file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -27,16 +31,24 @@ race:
 		./internal/cache/... ./internal/prefetch/... ./internal/obs/... \
 		./internal/par/... ./internal/render/... ./internal/loadgen/... \
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
-		./internal/netsim/...
+		./internal/netsim/... ./internal/world/...
 
 # End-to-end smoke: build both binaries, run a short live session over a
 # real socket on localhost, and check the client printed a report.
 smoke:
 	./scripts/smoke.sh
 
-# Hot-path micro-benchmarks (ssim comparer, render LUT, codec, parallel helper).
+# Hot-path micro-benchmarks (ssim comparer, panorama ray-cast and its column
+# gather, codec).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/codec/...
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/world/... ./internal/codec/...
+
+# The repository's benchmark (BENCHMARK.json): five workloads against the
+# real server, end-to-end metrics, then a traced run with per-layer metrics
+# (~4 min). Pass flags with ARGS, e.g.
+#   make bench-e2e ARGS="--workload cold_scatter --seed 1 --seconds 10 --trace 0"
+bench-e2e:
+	bash bench/run.sh $(ARGS)
 
 # Multi-player load harness against an in-process server: throughput,
 # latency percentiles, and the frame-store hit mix at a glance.

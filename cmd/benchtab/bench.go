@@ -92,8 +92,8 @@ func measure(name string, fn func(b *testing.B)) microBench {
 }
 
 // runMicroBenches exercises the allocation-free hot paths: the pooled SSIM
-// comparer, the renderer's ray-direction LUT (against the inline-trig
-// fallback), the codec round trip, and the per-frame transport codec
+// comparer, the panorama ray-cast, the codec round trip, and the per-frame
+// transport codec
 // (which carries the span-v2 trace context, so any per-frame allocation
 // creep there shows up in the bench-diff gate).
 func runMicroBenches() ([]microBench, error) {
@@ -107,17 +107,16 @@ func runMicroBenches() ([]microBench, error) {
 	}
 	g := games.Build(spec)
 	cfg := render.Config{W: 256, H: 128, Parallel: 1}
-	lut := render.New(g.Scene, cfg)
-	noLUT := &render.Renderer{Scene: g.Scene, Cfg: cfg}
+	rend := render.New(g.Scene, cfg)
 	eye := g.Scene.EyeAt(g.Scene.Bounds.Center())
-	pano := lut.Panorama(eye, 0, math.Inf(1), nil)
+	pano := rend.Panorama(eye, 0, math.Inf(1), nil)
 	stream := codec.Encode(pano, codec.DefaultCRF)
 
 	// Delta fixtures mirror the server's canonical-reference rule: the
 	// residual is coded between decoded reconstructions of two renders one
 	// walk step apart, the realistic delta-path input.
 	eye2 := g.Scene.EyeAt(g.Scene.Bounds.Center().Add(geom.V2(0.3, 0.1)))
-	pano2 := lut.Panorama(eye2, 0, math.Inf(1), nil)
+	pano2 := rend.Panorama(eye2, 0, math.Inf(1), nil)
 	ref, err := codec.Decode(stream)
 	if err != nil {
 		return nil, err
@@ -137,16 +136,12 @@ func runMicroBenches() ([]microBench, error) {
 				}
 			}
 		}),
+		// Row name kept from when the renderer had a direction LUT, so
+		// bench-diff can still pair it with the recorded BENCH_n.json rows.
 		measure("render.Panorama/lut", func(bb *testing.B) {
 			bb.ReportAllocs()
 			for i := 0; i < bb.N; i++ {
-				lut.ReleaseGray(lut.Panorama(eye, 0, math.Inf(1), nil))
-			}
-		}),
-		measure("render.Panorama/no-lut", func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				noLUT.ReleaseGray(noLUT.Panorama(eye, 0, math.Inf(1), nil))
+				rend.ReleaseGray(rend.Panorama(eye, 0, math.Inf(1), nil))
 			}
 		}),
 		measure("codec.Encode/256x128", func(bb *testing.B) {
@@ -195,7 +190,7 @@ func runMicroBenches() ([]microBench, error) {
 		measure("render.Reproject/256x128", func(bb *testing.B) {
 			bb.ReportAllocs()
 			for i := 0; i < bb.N; i++ {
-				lut.ReleaseGray(lut.Reproject(pano, eye, eye2, 60))
+				rend.ReleaseGray(rend.Reproject(pano, eye, eye2, 60))
 			}
 		}),
 		measure("transport.FrameRequest/roundtrip", func(bb *testing.B) {

@@ -41,15 +41,15 @@ type SLO struct {
 	// lastSec is the second of the newest observation; gauges are
 	// refreshed when an observation crosses into a new second, so the hot
 	// path pays the O(window) sums at most once per second.
-	lastSec    int64
-	lastWarnS  int64
-	nowMs      func() float64
-	logger     *slog.Logger
-	burnShort  *Gauge // milli-units (burn 1.0 → 1000)
-	burnLong   *Gauge
-	frames     *Counter
-	badFrames  *Counter
-	fastBurns  *Counter
+	lastSec   int64
+	lastWarnS int64
+	nowMs     func() float64
+	logger    *slog.Logger
+	burnShort *Gauge // milli-units (burn 1.0 → 1000)
+	burnLong  *Gauge
+	frames    *Counter
+	badFrames *Counter
+	fastBurns *Counter
 }
 
 type sloBucket struct {

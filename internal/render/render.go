@@ -36,7 +36,7 @@ func DefaultConfig() Config { return Config{W: 256, H: 128} }
 
 // Renderer renders frames of one scene. It is safe for concurrent use: all
 // per-call scratch state is checked out of internal freelists, and the
-// direction LUT is read-only after New.
+// projection tables are read-only once built.
 //
 // The render hot path is allocation-free at steady state when callers
 // return finished frames with ReleaseGray/ReleaseFrame: output buffers,
@@ -47,18 +47,15 @@ type Renderer struct {
 	Scene *world.Scene
 	Cfg   Config
 
-	// dirs and pitches are the per-pixel ray directions and per-row pitch
-	// angles of the equirectangular projection, precomputed once per
-	// renderer: W and H are fixed, so the yaw/pitch trig is identical for
-	// every frame. dirs is nil when the resolution exceeds maxLUTPixels (or
-	// when the Renderer was built as a bare literal); render falls back to
-	// computing the same values inline.
-	dirs    []geom.Vec3
-	pitches []float64
+	// proj holds the trig of the equirectangular projection, which depends
+	// only on W and H. It is built on first use, so a Renderer written as a
+	// bare literal works like one from New.
+	projOnce sync.Once
+	proj     projection
 
-	// pool fans row bands across persistent workers (tile-parallel
-	// rendering: bands write disjoint rows, so output is deterministic for
-	// any worker count). It is created lazily on the first render that
+	// pool fans column bands across persistent workers (tile-parallel
+	// rendering: bands write disjoint columns, so output is deterministic
+	// for any worker count). It is created lazily on the first render that
 	// resolves to more than one worker, so a bare-literal Renderer and a
 	// sequential config never own goroutines.
 	poolOnce sync.Once
@@ -70,65 +67,52 @@ type Renderer struct {
 	mu        sync.Mutex
 	freeGrays []*img.Gray
 	freeMasks [][]bool
-	freeJobs  []*renderJob
+	freeJobs  []*castJob
 	freeQs    []*world.Query
 
 	// lowRes caches reduced-resolution child renderers by divisor (see
-	// LowRes). Children share the scene but own their LUTs and pools.
+	// LowRes). Children share the scene but own their tables and pools.
 	lowRes map[int]*Renderer
 }
-
-// maxLUTPixels caps the direction table's memory (24 B/pixel); beyond ~2M
-// pixels the table stops fitting in cache and per-frame trig is cheaper than
-// the standing allocation.
-const maxLUTPixels = 1 << 21
 
 // New creates a renderer for the scene.
 func New(s *world.Scene, cfg Config) *Renderer {
 	if cfg.W <= 0 || cfg.H <= 0 {
 		cfg = DefaultConfig()
 	}
-	r := &Renderer{Scene: s, Cfg: cfg}
-	r.buildLUT()
-	return r
+	return &Renderer{Scene: s, Cfg: cfg}
 }
 
-// buildLUT precomputes the projection tables. The arithmetic matches the
-// inline fallback exactly, so frames are bit-identical with or without it.
-func (r *Renderer) buildLUT() {
-	w, h := r.Cfg.W, r.Cfg.H
-	if w*h > maxLUTPixels {
-		return
-	}
-	r.pitches = make([]float64, h)
-	r.dirs = make([]geom.Vec3, w*h)
-	for y := 0; y < h; y++ {
-		pitch := math.Pi/2 - math.Pi*(float64(y)+0.5)/float64(h)
-		r.pitches[y] = pitch
-		cp, sp := math.Cos(pitch), math.Sin(pitch)
+// projection is the per-row and per-column trig of the equirectangular
+// mapping: row y looks at pitch pi/2 - pi*(y+0.5)/H, column x at yaw
+// -pi + 2*pi*(x+0.5)/W, and pixel (x, y) along
+// (cos[y]*sinYaw[x], sin[y], cos[y]*cosYaw[x]).
+type projection struct {
+	cos, sin, tan  []float64 // of the row's pitch
+	sky            []uint8   // skyShade of the row's pitch
+	sinYaw, cosYaw []float64 // of the column's yaw
+}
+
+// projection returns the renderer's tables, building them on first use.
+func (r *Renderer) projection() *projection {
+	r.projOnce.Do(func() {
+		w, h := r.Cfg.W, r.Cfg.H
+		p := &r.proj
+		p.cos, p.sin, p.tan = make([]float64, h), make([]float64, h), make([]float64, h)
+		p.sinYaw, p.cosYaw = make([]float64, w), make([]float64, w)
+		p.sky = make([]uint8, h)
+		for y := 0; y < h; y++ {
+			pitch := math.Pi/2 - math.Pi*(float64(y)+0.5)/float64(h)
+			p.cos[y], p.sin[y] = math.Cos(pitch), math.Sin(pitch)
+			p.tan[y] = p.sin[y] / p.cos[y]
+			p.sky[y] = skyShade(pitch)
+		}
 		for x := 0; x < w; x++ {
 			yaw := -math.Pi + 2*math.Pi*(float64(x)+0.5)/float64(w)
-			r.dirs[y*w+x] = geom.V3(cp*math.Sin(yaw), sp, cp*math.Cos(yaw))
+			p.sinYaw[x], p.cosYaw[x] = math.Sin(yaw), math.Cos(yaw)
 		}
-	}
-}
-
-// pitchAt returns the pitch angle of row y.
-func (r *Renderer) pitchAt(y int) float64 {
-	if r.pitches != nil {
-		return r.pitches[y]
-	}
-	return math.Pi/2 - math.Pi*(float64(y)+0.5)/float64(r.Cfg.H)
-}
-
-// rowDirs returns the precomputed ray directions of row y, or nil when the
-// renderer has no LUT.
-func (r *Renderer) rowDirs(y int) []geom.Vec3 {
-	if r.dirs == nil {
-		return nil
-	}
-	w := r.Cfg.W
-	return r.dirs[y*w : (y+1)*w]
+	})
+	return &r.proj
 }
 
 // Frame is a rendered panorama. Mask, when non-nil, flags the pixels that
@@ -153,8 +137,9 @@ var sunDir = geom.V3(0.4, 0.8, 0.45).Norm()
 // Callers done with the frame may hand it back via ReleaseGray to keep the
 // render path allocation-free; keeping it indefinitely is also fine.
 func (r *Renderer) Panorama(eye geom.Vec3, tMin, tMax float64, dynamics []world.Object) *img.Gray {
-	f := r.render(eye, tMin, tMax, dynamics, false)
-	return f.Gray
+	out := r.getGray()
+	r.cast(castJob{out: out, dynamics: dynamics}, eye, tMin, tMax, 0, r.Cfg.H)
+	return out
 }
 
 // NearFrame renders the near-BE frame: hits with t < cutoff, with a
@@ -162,129 +147,15 @@ func (r *Renderer) Panorama(eye geom.Vec3, tMin, tMax float64, dynamics []world.
 // mobile GPU together with FI. Callers done with the frame may hand it
 // back via ReleaseFrame.
 func (r *Renderer) NearFrame(eye geom.Vec3, cutoff float64, dynamics []world.Object) Frame {
-	return r.render(eye, 0, cutoff, dynamics, true)
+	f := Frame{Gray: r.getGray(), Mask: r.getMask()}
+	r.cast(castJob{out: f.Gray, mask: f.Mask, dynamics: dynamics}, eye, 0, cutoff, 0, r.Cfg.H)
+	return f
 }
 
 // GroundTruth renders the reference frame used for visual-quality scoring:
 // the full scene plus dynamics, no clipping, no codec in the path.
 func (r *Renderer) GroundTruth(eye geom.Vec3, dynamics []world.Object) *img.Gray {
 	return r.Panorama(eye, 0, math.Inf(1), dynamics)
-}
-
-// bandsPerWorker oversubscribes row bands relative to workers so the
-// atomic work counter can balance uneven band costs (a band full of near
-// geometry ray-casts against more of the scene than a sky band).
-const bandsPerWorker = 4
-
-// renderJob is the pooled fan-out state of one render call: Run(b) renders
-// band b's rows into disjoint slices of the shared output, so bands never
-// contend and the frame is byte-identical for any worker count.
-type renderJob struct {
-	r        *Renderer
-	eye      geom.Vec3
-	tMin     float64
-	tMax     float64
-	dynamics []world.Object
-	out      *img.Gray
-	mask     []bool
-	pixAngle float64
-	bands    int
-	// rowLo/rowHi restrict the render to panorama rows [rowLo, rowHi);
-	// out holds only those rows (row rowLo lands at out.Pix[0]). A full
-	// render is rowLo=0, rowHi=H, which reproduces the original indexing
-	// bit for bit. PanoramaBand uses a narrower window to ray-cast the
-	// ground-truth sample band that validates reprojected frames.
-	rowLo, rowHi int
-}
-
-// Run implements par.Job: render the rows of band b.
-func (j *renderJob) Run(b int) {
-	rows := j.rowHi - j.rowLo
-	y0 := j.rowLo + b*rows/j.bands
-	y1 := j.rowLo + (b+1)*rows/j.bands
-	q := j.r.getQuery()
-	for y := y0; y < y1; y++ {
-		j.renderRow(q, y)
-	}
-	j.r.putQuery(q)
-}
-
-// renderRow ray-casts one output row.
-func (j *renderJob) renderRow(q *world.Query, y int) {
-	r, w := j.r, j.r.Cfg.W
-	pitch := r.pitchAt(y)
-	rowDirs := r.rowDirs(y)
-	var cp, sp float64
-	if rowDirs == nil {
-		cp, sp = math.Cos(pitch), math.Sin(pitch)
-	}
-	for x := 0; x < w; x++ {
-		var dir geom.Vec3
-		if rowDirs != nil {
-			dir = rowDirs[x]
-		} else {
-			yaw := -math.Pi + 2*math.Pi*(float64(x)+0.5)/float64(w)
-			dir = geom.V3(cp*math.Sin(yaw), sp, cp*math.Cos(yaw))
-		}
-		ray := geom.Ray{Origin: j.eye, Direction: dir}
-
-		hit, ok := r.Scene.Intersect(q, ray, j.tMin, j.tMax)
-		// Dynamics are few; test them brute force.
-		for di := range j.dynamics {
-			limit := j.tMax
-			if ok {
-				limit = hit.T
-			}
-			if t, dok := j.dynamics[di].IntersectFrom(ray, j.tMin); dok && t < limit {
-				hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
-				ok = true
-			}
-		}
-
-		idx := (y-j.rowLo)*w + x
-		if !ok {
-			j.out.Pix[idx] = skyShade(pitch)
-			continue
-		}
-		if j.mask != nil {
-			j.mask[idx] = true
-		}
-		j.out.Pix[idx] = shade(hit, dir, j.pixAngle)
-	}
-}
-
-func (r *Renderer) render(eye geom.Vec3, tMin, tMax float64, dynamics []world.Object, masked bool) Frame {
-	w, h := r.Cfg.W, r.Cfg.H
-	out := r.getGray()
-	var mask []bool
-	if masked {
-		mask = r.getMask()
-	}
-
-	workers := par.Workers(r.Cfg.Parallel)
-	if workers > h {
-		workers = h
-	}
-	bands := workers * bandsPerWorker
-	if bands > h {
-		bands = h
-	}
-
-	j := r.getJob()
-	*j = renderJob{
-		r: r, eye: eye, tMin: tMin, tMax: tMax, dynamics: dynamics,
-		out: out, mask: mask,
-		// pixAngle is the angular width of one pixel; surface patterns are
-		// area-filtered against it (see shade).
-		pixAngle: 2 * math.Pi / float64(w),
-		bands:    bands,
-		rowLo:    0,
-		rowHi:    h,
-	}
-	r.renderPool(workers).Run(bands, j)
-	*j = renderJob{} // drop references before pooling
-	r.putJob(j)
-	return Frame{Gray: out, Mask: mask}
 }
 
 // PanoramaBand renders only panorama rows [rowLo, rowHi) of the frame
@@ -294,41 +165,114 @@ func (r *Renderer) render(eye geom.Vec3, tMin, tMax float64, dynamics []world.Ob
 // SSIM-validate a synthesized frame before serving it. The band raster is
 // not pooled (its size varies); it is garbage for the collector.
 func (r *Renderer) PanoramaBand(eye geom.Vec3, tMin, tMax float64, dynamics []world.Object, rowLo, rowHi int) *img.Gray {
-	w, h := r.Cfg.W, r.Cfg.H
-	if rowLo < 0 {
-		rowLo = 0
-	}
-	if rowHi > h {
-		rowHi = h
-	}
+	rowLo, rowHi = max(rowLo, 0), min(rowHi, r.Cfg.H)
 	if rowHi <= rowLo {
-		return img.NewGray(w, 0)
+		return img.NewGray(r.Cfg.W, 0)
 	}
-	rows := rowHi - rowLo
-	out := img.NewGray(w, rows)
-
-	workers := par.Workers(r.Cfg.Parallel)
-	if workers > rows {
-		workers = rows
-	}
-	bands := workers * bandsPerWorker
-	if bands > rows {
-		bands = rows
-	}
-
-	j := r.getJob()
-	*j = renderJob{
-		r: r, eye: eye, tMin: tMin, tMax: tMax, dynamics: dynamics,
-		out:      out,
-		pixAngle: 2 * math.Pi / float64(w),
-		bands:    bands,
-		rowLo:    rowLo,
-		rowHi:    rowHi,
-	}
-	r.renderPool(workers).Run(bands, j)
-	*j = renderJob{}
-	r.putJob(j)
+	out := img.NewGray(r.Cfg.W, rowHi-rowLo)
+	r.cast(castJob{out: out, dynamics: dynamics}, eye, tMin, tMax, rowLo, rowHi)
 	return out
+}
+
+// bandsPerWorker oversubscribes bands relative to workers so the atomic
+// work counter can balance uneven band costs (a band looking down a street
+// ray-casts against more of the scene than one facing a wall).
+const bandsPerWorker = 4
+
+// fanout resolves the configured parallelism for n independent strips
+// (columns of a ray-cast, rows of a warp) into a worker and a band count.
+func (r *Renderer) fanout(n int) (workers, bands int) {
+	workers = min(par.Workers(r.Cfg.Parallel), n)
+	return workers, min(workers*bandsPerWorker, n)
+}
+
+// castJob is the pooled fan-out state of one ray-cast: Run(b) casts band
+// b's columns into disjoint pixels of the shared output, so bands never
+// contend and the frame is byte-identical for any worker count. Every
+// frame kind is this one loop; the output fields select the shader.
+type castJob struct {
+	r *Renderer
+	// col is the column geometry every column of the cast shares (eye,
+	// row tables, row window, distance window). Row col.RowLo lands at
+	// out.Pix[0]: out holds only the rows of the window.
+	col      world.Column
+	dynamics []world.Object
+	// out and the optional hit mask receive luma; rgb, when set, receives
+	// colour instead.
+	out      *img.Gray
+	mask     []bool
+	rgb      *img.RGB
+	pixAngle float64
+	bands    int
+}
+
+// cast runs j over rows [rowLo, rowHi) of every column on the worker pool.
+func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, rowHi int) {
+	p := r.projection()
+	workers, bands := r.fanout(r.Cfg.W)
+	j.r, j.bands = r, bands
+	j.col = world.Column{
+		Eye: eye, Tan: p.tan, Cos: p.cos,
+		RowLo: rowLo, RowHi: rowHi, TMin: tMin, TMax: tMax,
+	}
+	// pixAngle is the angular width of one pixel; surface patterns are
+	// area-filtered against it (see shade).
+	j.pixAngle = 2 * math.Pi / float64(r.Cfg.W)
+
+	pj := r.getJob()
+	*pj = j
+	r.renderPool(workers).Run(bands, pj)
+	*pj = castJob{} // drop references before pooling
+	r.putJob(pj)
+}
+
+// Run implements par.Job: cast the columns of band b. Each column gathers
+// its candidate objects with one walk of the scene index, then every row
+// of the column is answered from them (world.GatherColumn).
+func (j *castJob) Run(b int) {
+	r, p, w := j.r, &j.r.proj, j.r.Cfg.W
+	q := r.getQuery()
+	col := j.col
+	for x := b * w / j.bands; x < (b+1)*w/j.bands; x++ {
+		col.SinYaw, col.CosYaw = p.sinYaw[x], p.cosYaw[x]
+		r.Scene.GatherColumn(q, &col)
+		for y := col.RowLo; y < col.RowHi; y++ {
+			cp := p.cos[y]
+			dir := geom.V3(cp*col.SinYaw, p.sin[y], cp*col.CosYaw)
+			ray := geom.Ray{Origin: col.Eye, Direction: dir}
+
+			hit, ok := r.Scene.IntersectColumn(q, y, ray)
+			// Dynamics are few; test them brute force.
+			for di := range j.dynamics {
+				limit := col.TMax
+				if ok {
+					limit = hit.T
+				}
+				if t, dok := j.dynamics[di].IntersectFrom(ray, col.TMin); dok && t < limit {
+					hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
+					ok = true
+				}
+			}
+
+			idx := (y-col.RowLo)*w + x
+			switch {
+			case j.rgb != nil:
+				cr, cg, cb := skyRGB(p.sin[y])
+				if ok {
+					cr, cg, cb = shadeRGB(hit, dir, j.pixAngle)
+				}
+				j.rgb.Set(x, y, cr, cg, cb)
+			case !ok:
+				j.out.Pix[idx] = p.sky[y]
+			default:
+				if j.mask != nil {
+					j.mask[idx] = true
+				}
+				j.out.Pix[idx] = shade(hit, dir, j.pixAngle)
+			}
+		}
+	}
+	r.putQuery(q)
 }
 
 // renderPool returns the renderer's worker pool, creating it on first use
@@ -482,7 +426,7 @@ func (r *Renderer) ReleaseFrame(f Frame) {
 	r.mu.Unlock()
 }
 
-func (r *Renderer) getJob() *renderJob {
+func (r *Renderer) getJob() *castJob {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n := len(r.freeJobs); n > 0 {
@@ -490,10 +434,10 @@ func (r *Renderer) getJob() *renderJob {
 		r.freeJobs = r.freeJobs[:n-1]
 		return j
 	}
-	return &renderJob{}
+	return &castJob{}
 }
 
-func (r *Renderer) putJob(j *renderJob) {
+func (r *Renderer) putJob(j *castJob) {
 	r.mu.Lock()
 	r.freeJobs = append(r.freeJobs, j)
 	r.mu.Unlock()

@@ -53,31 +53,6 @@ func BenchmarkNearFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkPanoramaLUT / BenchmarkPanoramaNoLUT isolate the direction-LUT
-// win: identical scene and view, with the second renderer built as a bare
-// literal so buildLUT never runs and every pixel recomputes its yaw/pitch
-// trig.
-func BenchmarkPanoramaLUT(b *testing.B) {
-	r := benchScene(300)
-	eye := r.Scene.EyeAt(r.Scene.Bounds.Center())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ReleaseGray(r.Panorama(eye, 0, math.Inf(1), nil))
-	}
-}
-
-func BenchmarkPanoramaNoLUT(b *testing.B) {
-	withLUT := benchScene(300)
-	r := &Renderer{Scene: withLUT.Scene, Cfg: withLUT.Cfg}
-	eye := r.Scene.EyeAt(r.Scene.Bounds.Center())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ReleaseGray(r.Panorama(eye, 0, math.Inf(1), nil))
-	}
-}
-
 func BenchmarkMerge(b *testing.B) {
 	r := benchScene(100)
 	eye := r.Scene.EyeAt(r.Scene.Bounds.Center())

@@ -52,38 +52,38 @@ func TestPanoramaDimensions(t *testing.T) {
 	}
 }
 
-func TestLUTMatchesInlineTrig(t *testing.T) {
-	// The direction LUT must not change a single pixel: a renderer built as
-	// a bare literal (no LUT) and one built by New (LUT) render identical
-	// frames, masks included.
+func TestBareLiteralRendererMatchesNew(t *testing.T) {
+	// The projection tables are built on first use, so a renderer written
+	// as a bare literal renders the frames one from New does, masks and
+	// colour included.
 	s := denseScene(31, 120)
 	cfg := Config{W: 96, H: 48}
-	withLUT := New(s, cfg)
-	if withLUT.dirs == nil {
-		t.Fatal("expected LUT at experiment resolution")
-	}
-	noLUT := &Renderer{Scene: s, Cfg: cfg}
+	built := New(s, cfg)
+	bare := &Renderer{Scene: s, Cfg: cfg}
 	eye := s.EyeAt(geom.V2(55, 62))
-	a := withLUT.Panorama(eye, 0, math.Inf(1), nil)
-	b := noLUT.Panorama(eye, 0, math.Inf(1), nil)
+	a := built.Panorama(eye, 0, math.Inf(1), nil)
+	b := bare.Panorama(eye, 0, math.Inf(1), nil)
 	for i := range a.Pix {
 		if a.Pix[i] != b.Pix[i] {
-			t.Fatalf("pixel %d differs with LUT: %d vs %d", i, a.Pix[i], b.Pix[i])
+			t.Fatalf("pixel %d differs: %d vs %d", i, a.Pix[i], b.Pix[i])
 		}
 	}
-	fa := withLUT.NearFrame(eye, 8, nil)
-	fb := noLUT.NearFrame(eye, 8, nil)
+	fa := built.NearFrame(eye, 8, nil)
+	fb := bare.NearFrame(eye, 8, nil)
 	for i := range fa.Mask {
 		if fa.Mask[i] != fb.Mask[i] || fa.Gray.Pix[i] != fb.Gray.Pix[i] {
-			t.Fatalf("near frame differs with LUT at %d", i)
+			t.Fatalf("near frame differs at %d", i)
 		}
 	}
-	ra := withLUT.PanoramaRGB(eye, 0, math.Inf(1), nil)
-	rb := noLUT.PanoramaRGB(eye, 0, math.Inf(1), nil)
+	ra := built.PanoramaRGB(eye, 0, math.Inf(1), nil)
+	rb := bare.PanoramaRGB(eye, 0, math.Inf(1), nil)
 	for i := range ra.Pix {
 		if ra.Pix[i] != rb.Pix[i] {
-			t.Fatalf("RGB differs with LUT at %d", i)
+			t.Fatalf("RGB differs at %d", i)
 		}
+	}
+	if w := bare.Reproject(b, eye, eye, 20); w == nil || w.Pix[0] != b.Pix[0] {
+		t.Fatal("bare-literal renderer cannot reproject")
 	}
 }
 

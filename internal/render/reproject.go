@@ -17,7 +17,6 @@ import (
 
 	"coterie/internal/geom"
 	"coterie/internal/img"
-	"coterie/internal/par"
 )
 
 // reprojectJob warps row bands of the output panorama in parallel on the
@@ -39,21 +38,11 @@ func (j *reprojectJob) Run(b int) {
 	y0 := b * h / j.bands
 	y1 := (b + 1) * h / j.bands
 	fw, fh := float64(w), float64(h)
+	p := j.r.projection()
 	for y := y0; y < y1; y++ {
-		pitch := j.r.pitchAt(y)
-		rowDirs := j.r.rowDirs(y)
-		var cp, sp float64
-		if rowDirs == nil {
-			cp, sp = math.Cos(pitch), math.Sin(pitch)
-		}
+		cp, sp := p.cos[y], p.sin[y]
 		for x := 0; x < w; x++ {
-			var dir geom.Vec3
-			if rowDirs != nil {
-				dir = rowDirs[x]
-			} else {
-				yaw := -math.Pi + 2*math.Pi*(float64(x)+0.5)/fw
-				dir = geom.V3(cp*math.Sin(yaw), sp, cp*math.Cos(yaw))
-			}
+			dir := geom.V3(cp*p.sinYaw[x], sp, cp*p.cosYaw[x])
 			// The world point this output pixel assumes, on the constant-
 			// depth shell, then the direction it subtends from the source
 			// eye. With fromEye == toEye this is dir itself and the lookup
@@ -133,15 +122,7 @@ func (r *Renderer) Reproject(pano *img.Gray, fromEye, toEye geom.Vec3, depth flo
 	}
 	out := r.getGray()
 
-	workers := par.Workers(r.Cfg.Parallel)
-	if workers > h {
-		workers = h
-	}
-	bands := workers * bandsPerWorker
-	if bands > h {
-		bands = h
-	}
-
+	workers, bands := r.fanout(h)
 	j := &reprojectJob{
 		r: r, src: pano, out: out,
 		fromEye: fromEye, toEye: toEye, depth: depth,

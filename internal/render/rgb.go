@@ -5,100 +5,27 @@ import (
 
 	"coterie/internal/geom"
 	"coterie/internal/img"
-	"coterie/internal/par"
 	"coterie/internal/world"
 )
 
 // Colour rendering. The experiments run on luma frames (SSIM and the codec
 // operate on luminance); the RGB path exists for inspection — screenshots,
 // the examples' PPM output — and shares the luma path's geometry, shading
-// structure, distance-window semantics and tile-parallel fan-out. It is a
-// cold path, so its output is not pooled.
-
-// rgbJob is the fan-out state of one colour render; Run(b) renders band
-// b's rows, mirroring renderJob.
-type rgbJob struct {
-	r        *Renderer
-	eye      geom.Vec3
-	tMin     float64
-	tMax     float64
-	dynamics []world.Object
-	out      *img.RGB
-	pixAngle float64
-	bands    int
-}
-
-// Run implements par.Job.
-func (j *rgbJob) Run(b int) {
-	r, w, h := j.r, j.r.Cfg.W, j.r.Cfg.H
-	y0 := b * h / j.bands
-	y1 := (b + 1) * h / j.bands
-	q := r.getQuery()
-	defer r.putQuery(q)
-	for y := y0; y < y1; y++ {
-		pitch := r.pitchAt(y)
-		rowDirs := r.rowDirs(y)
-		var cp, sp float64
-		if rowDirs == nil {
-			cp, sp = math.Cos(pitch), math.Sin(pitch)
-		}
-		for x := 0; x < w; x++ {
-			var dir geom.Vec3
-			if rowDirs != nil {
-				dir = rowDirs[x]
-			} else {
-				yaw := -math.Pi + 2*math.Pi*(float64(x)+0.5)/float64(w)
-				dir = geom.V3(cp*math.Sin(yaw), sp, cp*math.Cos(yaw))
-			}
-			ray := geom.Ray{Origin: j.eye, Direction: dir}
-
-			hit, ok := r.Scene.Intersect(q, ray, j.tMin, j.tMax)
-			for di := range j.dynamics {
-				limit := j.tMax
-				if ok {
-					limit = hit.T
-				}
-				if t, dok := j.dynamics[di].IntersectFrom(ray, j.tMin); dok && t < limit {
-					hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
-					ok = true
-				}
-			}
-			if !ok {
-				sr, sg, sb := skyRGB(pitch)
-				j.out.Set(x, y, sr, sg, sb)
-				continue
-			}
-			cr, cg, cb := shadeRGB(hit, dir, j.pixAngle)
-			j.out.Set(x, y, cr, cg, cb)
-		}
-	}
-}
+// structure, distance-window semantics and ray-cast loop (castJob), differing
+// only in the shader. It is a cold path, so its output is not pooled.
 
 // PanoramaRGB renders an opaque 360-degree colour frame with hits
 // restricted to [tMin, tMax); pixels without a hit show the sky.
 func (r *Renderer) PanoramaRGB(eye geom.Vec3, tMin, tMax float64, dynamics []world.Object) *img.RGB {
-	w, h := r.Cfg.W, r.Cfg.H
-	out := img.NewRGB(w, h)
-
-	workers := par.Workers(r.Cfg.Parallel)
-	if workers > h {
-		workers = h
-	}
-	bands := workers * bandsPerWorker
-	if bands > h {
-		bands = h
-	}
-	j := &rgbJob{
-		r: r, eye: eye, tMin: tMin, tMax: tMax, dynamics: dynamics,
-		out: out, pixAngle: 2 * math.Pi / float64(w), bands: bands,
-	}
-	r.renderPool(workers).Run(bands, j)
+	out := img.NewRGB(r.Cfg.W, r.Cfg.H)
+	r.cast(castJob{rgb: out, dynamics: dynamics}, eye, tMin, tMax, 0, r.Cfg.H)
 	return out
 }
 
-// skyRGB is a blue-to-pale gradient with the same luminance as skyShade.
-func skyRGB(pitch float64) (uint8, uint8, uint8) {
-	t := math.Max(0, math.Sin(pitch)) // 0 at horizon, 1 at zenith
+// skyRGB is a blue-to-pale gradient with the same luminance as skyShade;
+// sinPitch is the sine of the view pitch.
+func skyRGB(sinPitch float64) (uint8, uint8, uint8) {
+	t := math.Max(0, sinPitch) // 0 at horizon, 1 at zenith
 	r := 200 - 90*t
 	g := 212 - 60*t
 	b := 235 - 10*t

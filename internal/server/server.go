@@ -128,7 +128,7 @@ type serverObs struct {
 	sessionErrors  *obs.Counter
 	sessionsActive *obs.Gauge
 	renderMs       *obs.Histogram
-	udpDatagrams *obs.Counter
+	udpDatagrams   *obs.Counter
 	// Malformed / stale / overflow drops are split so the datagram frame
 	// path is debuggable from /metrics: a parse failure, a frame behind
 	// the delivery window, and a reassembly-cap eviction are three very
@@ -196,40 +196,40 @@ func (s *Server) Instrument(r *obs.Registry) {
 		return
 	}
 	s.obs = serverObs{
-		framesServed:   r.Counter("server.frames_served"),
-		framesRendered: r.Counter("server.frames_rendered"),
-		frameStoreHits: r.Counter("server.frame_store_hits"),
-		renderShared:   r.Counter("server.renders_shared"),
-		bytesSent:      r.Counter("server.frame_bytes_sent"),
-		fiSyncs:        r.Counter("server.fi_syncs"),
-		sessionsTotal:  r.Counter("server.sessions_total"),
-		sessionErrors:  r.Counter("server.session_errors"),
-		sessionsActive: r.Gauge("server.sessions_active"),
-		renderMs:       r.Histogram("server.render_ms"),
-		udpDatagrams:   r.Counter("server.udp.datagrams"),
+		framesServed:        r.Counter("server.frames_served"),
+		framesRendered:      r.Counter("server.frames_rendered"),
+		frameStoreHits:      r.Counter("server.frame_store_hits"),
+		renderShared:        r.Counter("server.renders_shared"),
+		bytesSent:           r.Counter("server.frame_bytes_sent"),
+		fiSyncs:             r.Counter("server.fi_syncs"),
+		sessionsTotal:       r.Counter("server.sessions_total"),
+		sessionErrors:       r.Counter("server.session_errors"),
+		sessionsActive:      r.Gauge("server.sessions_active"),
+		renderMs:            r.Histogram("server.render_ms"),
+		udpDatagrams:        r.Counter("server.udp.datagrams"),
 		udpDroppedMalformed: r.Counter("server.udp.dropped_malformed"),
 		udpDroppedStale:     r.Counter("server.udp.dropped_stale"),
 		udpDroppedOverflow:  r.Counter("server.udp.dropped_overflow"),
-		udpBytesIn:     r.Counter("server.udp.bytes_in"),
-		udpBytesOut:    r.Counter("server.udp.bytes_out"),
-		pushFrames:     r.Counter("server.udp.push_frames"),
-		pushBytes:      r.Counter("server.udp.push_bytes"),
-		pushSkips:      r.Counter("server.udp.push_skips"),
-		udpFrameReqs:   r.Counter("server.udp.frame_reqs"),
-		udpRetransmits: r.Counter("server.udp.retransmits"),
-		udpNacks:       r.Counter("server.udp.nacks"),
-		deltaFrames:    r.Counter("server.delta_frames"),
-		deltaSaved:     r.Counter("server.delta_bytes_saved"),
-		reprojHits:     r.Counter("server.reproject_hits"),
-		reprojRejects:  r.Counter("server.reproject_rejects"),
-		degradeStale:   r.Counter("server.degrade_stale"),
-		degradeReproj:  r.Counter("server.degrade_reproject"),
-		degradeLowres:  r.Counter("server.degrade_lowres"),
-		lowresRejects:  r.Counter("server.lowres_rejects"),
-		deadlineMet:    r.Counter("server.deadline_met"),
-		deadlineMisses: r.Counter("server.deadline_misses"),
-		deadlineMissMs: r.Histogram("server.deadline_miss_ms"),
-		udpSendErrors:  r.Counter("server.udp_send_errors"),
+		udpBytesIn:          r.Counter("server.udp.bytes_in"),
+		udpBytesOut:         r.Counter("server.udp.bytes_out"),
+		pushFrames:          r.Counter("server.udp.push_frames"),
+		pushBytes:           r.Counter("server.udp.push_bytes"),
+		pushSkips:           r.Counter("server.udp.push_skips"),
+		udpFrameReqs:        r.Counter("server.udp.frame_reqs"),
+		udpRetransmits:      r.Counter("server.udp.retransmits"),
+		udpNacks:            r.Counter("server.udp.nacks"),
+		deltaFrames:         r.Counter("server.delta_frames"),
+		deltaSaved:          r.Counter("server.delta_bytes_saved"),
+		reprojHits:          r.Counter("server.reproject_hits"),
+		reprojRejects:       r.Counter("server.reproject_rejects"),
+		degradeStale:        r.Counter("server.degrade_stale"),
+		degradeReproj:       r.Counter("server.degrade_reproject"),
+		degradeLowres:       r.Counter("server.degrade_lowres"),
+		lowresRejects:       r.Counter("server.lowres_rejects"),
+		deadlineMet:         r.Counter("server.deadline_met"),
+		deadlineMisses:      r.Counter("server.deadline_misses"),
+		deadlineMissMs:      r.Histogram("server.deadline_miss_ms"),
+		udpSendErrors:       r.Counter("server.udp_send_errors"),
 
 		peerFrames:       r.Counter("server.peer_frames"),
 		peerFailovers:    r.Counter("server.peer_failovers"),
@@ -883,15 +883,15 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			sendMs := wallMs()
 			if traceID != 0 {
 				s.obs.trace.Record(&obs.FrameSpan{
-					Player:    int(req.Player),
-					TraceID:   traceID,
-					Hop:       2,
-					StartMs:   recvMs,
-					DisplayMs: sendMs,
-					FetchMs:   sendMs - recvMs,
-					QueueMs:   stg.QueueMs,
-					RenderMs:  stg.RenderMs,
-					EncodeMs:  stg.EncodeMs,
+					Player:      int(req.Player),
+					TraceID:     traceID,
+					Hop:         2,
+					StartMs:     recvMs,
+					DisplayMs:   sendMs,
+					FetchMs:     sendMs - recvMs,
+					QueueMs:     stg.QueueMs,
+					RenderMs:    stg.RenderMs,
+					EncodeMs:    stg.EncodeMs,
 					DegradeRung: uint8(rung),
 				})
 			}

@@ -393,8 +393,8 @@ type partial struct {
 	total   int
 	cnt     int
 	crc     uint32
-	fecK    int               // sender's FEC group size (0 = none seen yet)
-	chunks  [][]byte          // by index; nil = missing
+	fecK    int      // sender's FEC group size (0 = none seen yet)
+	chunks  [][]byte // by index; nil = missing
 	have    int
 	parity  map[uint16][]byte // by FEC group index
 	firstAt float64

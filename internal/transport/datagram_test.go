@@ -277,7 +277,7 @@ func TestReassemblerProperty(t *testing.T) {
 		r := NewReassembler(ReassemblerConfig{MaxFrames: 8})
 		frames := map[frameKey][]byte{}
 		var wire [][]byte
-		nFrames := 1 + rng.Intn 	(6)
+		nFrames := 1 + rng.Intn(6)
 		for seq := 0; seq < nFrames; seq++ {
 			data := testFrame(rng, 1+rng.Intn(5*ChunkPayload))
 			meta := FrameMeta{StreamID: uint32(trial % 3), FrameSeq: uint32(seq)}

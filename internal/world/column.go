@@ -1,0 +1,266 @@
+package world
+
+import (
+	"math"
+
+	"coterie/internal/geom"
+)
+
+// Column-coherent traversal. All rays of one equirectangular panorama column
+// share a yaw, so their XZ projections are one 2-D ray and the per-ray DDA of
+// index.intersect would walk the same cells for each of them. GatherColumn
+// walks those cells once and IntersectColumn answers each row from the
+// gathered candidates, returning what Scene.Intersect returns for that ray:
+//
+//   - candidates are kept in the order the per-ray walk first meets them
+//     (cell order along the ray, list order inside a cell), so the strict
+//     `t < best` comparison breaks ties the same way;
+//   - a candidate is dropped, or skipped for a row, only when no ray of the
+//     column (of that row) can hit it inside the window, judged from its own
+//     extents with the slack below — never from the extent of the cell that
+//     lists it, since a clamped border cell also lists objects that overhang
+//     Scene.Bounds and are hit far outside it;
+//   - a row stops at the first candidate whose cell is entered at or beyond
+//     its best hit so far (or its window end), which is the per-cell rule of
+//     index.intersect expressed in horizontal distance.
+
+// Column is the geometry the rays of one panorama column share.
+type Column struct {
+	Eye            geom.Vec3
+	SinYaw, CosYaw float64 // unit XZ direction (SinYaw, CosYaw)
+	// Tan and Cos hold tan(pitch) and cos(pitch) per panorama row, top to
+	// bottom: pitch falls strictly from near +90 to near -90 degrees. Row
+	// y's ray direction is (Cos[y]*SinYaw, sin(pitch), Cos[y]*CosYaw).
+	Tan, Cos []float64
+	// RowLo, RowHi select the rows [RowLo, RowHi) that will be cast.
+	RowLo, RowHi int
+	// TMin, TMax is the hit-distance window, as in Scene.Intersect.
+	TMin, TMax float64
+}
+
+// candidate is one object some ray of the gathered column may hit.
+type candidate struct {
+	obj *Object
+	// entry is the horizontal distance at which the walk enters the first
+	// cell listing the object (0 for the eye's own cell).
+	entry float64
+	// lo, hi is the inclusive row interval whose rays can reach the object's
+	// vertical extent over its footprint; restLo, restHi bound the intervals
+	// of this and every later candidate, so a row outside them is finished.
+	lo, hi         int32
+	restLo, restHi int32
+}
+
+// Slack of the gather-time culls. Every bound is widened by it, so rounding
+// in the bounds can only keep a candidate that a ray then misses, never drop
+// one that a ray hits. spanEps is metres of horizontal distance, relEps is
+// relative.
+const (
+	spanEps = 1e-9
+	relEps  = 1e-9
+)
+
+// GatherColumn walks the index once along the column's horizontal direction
+// and leaves the column's candidates in q for IntersectColumn.
+func (s *Scene) GatherColumn(q *Query, col *Column) {
+	q.col = *col
+	q.cands = q.cands[:0]
+	if len(s.Objects) == 0 {
+		return
+	}
+	ix := s.index
+	stamp := q.nextStamp()
+
+	// 2-D DDA as in index.intersect, with a unit direction: parameters are
+	// horizontal distances from the eye.
+	ox := col.Eye.X - ix.bounds.MinX
+	oz := col.Eye.Z - ix.bounds.MinZ
+	c, rr := ix.cellOf(col.Eye.X, col.Eye.Z)
+	stepC, tMaxX, tDeltaX := ddaAxis(ox, col.SinYaw, c, ix.cellSize)
+	stepR, tMaxZ, tDeltaZ := ddaAxis(oz, col.CosYaw, rr, ix.cellSize)
+
+	entry := 0.0
+	for {
+		for _, oi := range ix.cells[rr*ix.cols+c] {
+			if q.visit[oi] == stamp {
+				continue
+			}
+			q.visit[oi] = stamp
+			q.consider(&s.Objects[oi], entry)
+		}
+		// A cell entered at horizontal distance d is entered at ray distance
+		// d/cos(pitch) >= d, so past TMax every row's walk has ended.
+		entry = math.Min(tMaxX, tMaxZ)
+		if entry >= col.TMax {
+			break
+		}
+		if tMaxX < tMaxZ {
+			tMaxX += tDeltaX
+			c += stepC
+			if c < 0 || c >= ix.cols {
+				break
+			}
+		} else {
+			tMaxZ += tDeltaZ
+			rr += stepR
+			if rr < 0 || rr >= ix.rows {
+				break
+			}
+		}
+	}
+
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for i := len(q.cands) - 1; i >= 0; i-- {
+		cd := &q.cands[i]
+		lo, hi = min(lo, cd.lo), max(hi, cd.hi)
+		cd.restLo, cd.restHi = lo, hi
+	}
+}
+
+// consider appends o as a candidate unless no ray of the column can hit it
+// inside the window.
+func (q *Query) consider(o *Object, entry float64) {
+	col := &q.col
+	// Horizontal span [s0, s1] over which the 2-D ray is above the object's
+	// XZ footprint, and the object's vertical extent relative to the eye.
+	var s0, s1, up, down float64
+	switch o.Kind {
+	case KindSphere:
+		ocx, ocz := col.Eye.X-o.Center.X, col.Eye.Z-o.Center.Z
+		b := ocx*col.SinYaw + ocz*col.CosYaw
+		cc := ocx*ocx + ocz*ocz - o.Radius*o.Radius
+		disc := b*b - cc
+		if disc < -relEps*(b*b+math.Abs(cc)) {
+			return
+		}
+		sq := math.Sqrt(math.Max(disc, 0))
+		s0, s1 = -b-sq, -b+sq
+		up, down = o.Center.Y+o.Radius-col.Eye.Y, o.Center.Y-o.Radius-col.Eye.Y
+	default:
+		s0, s1 = math.Inf(-1), math.Inf(1)
+		if !clipSlab(&s0, &s1, col.Eye.X, col.SinYaw, o.Center.X-o.Half.X, o.Center.X+o.Half.X) ||
+			!clipSlab(&s0, &s1, col.Eye.Z, col.CosYaw, o.Center.Z-o.Half.Z, o.Center.Z+o.Half.Z) {
+			return
+		}
+		up, down = o.Center.Y+o.Half.Y-col.Eye.Y, o.Center.Y-o.Half.Y-col.Eye.Y
+	}
+	if s1 < -spanEps {
+		return // behind the eye for every row
+	}
+	s0 = math.Max(s0-spanEps, 0)
+	s1 += 2 * spanEps
+
+	// Distance window: every point of the object above the span lies
+	// between these (squared) distances from the eye.
+	vNear := math.Max(0, math.Max(down, -up))
+	vFar := math.Max(math.Abs(up), math.Abs(down))
+	if s1*s1+vFar*vFar < col.TMin*col.TMin*(1-relEps) || s0*s0+vNear*vNear > col.TMax*col.TMax*(1+relEps) {
+		return
+	}
+
+	// Rows: the ray of a row is at height s*tan(pitch) above the eye at
+	// horizontal distance s, so it meets [down, up] somewhere in [s0, s1]
+	// only if tan(pitch) lies in [tanLo, tanHi].
+	tanHi, tanLo := math.Inf(1), math.Inf(-1)
+	if up < 0 {
+		tanHi = up / s1
+	} else if s0 > 0 {
+		tanHi = up / s0
+	}
+	if down > 0 {
+		tanLo = down / s1
+	} else if s0 > 0 {
+		tanLo = down / s0
+	}
+	tanHi += relEps * (1 + math.Abs(tanHi))
+	tanLo -= relEps * (1 + math.Abs(tanLo))
+	// Tan falls with the row index: lo is the first row at or below tanHi,
+	// hi the last row above tanLo.
+	rows := col.Tan[col.RowLo:col.RowHi]
+	lo := col.RowLo + firstAtMost(rows, tanHi)
+	hi := col.RowLo + firstAtMost(rows, tanLo) - 1
+	if lo > hi {
+		return
+	}
+	q.cands = append(q.cands, candidate{obj: o, entry: entry, lo: int32(lo), hi: int32(hi)})
+}
+
+// clipSlab narrows [*s0, *s1] to where o + s*d lies in [lo, hi] and reports
+// whether, within spanEps, anything is left.
+func clipSlab(s0, s1 *float64, o, d, lo, hi float64) bool {
+	if d == 0 {
+		return o >= lo && o <= hi
+	}
+	a, b := (lo-o)/d, (hi-o)/d
+	if a > b {
+		a, b = b, a
+	}
+	*s0, *s1 = math.Max(*s0, a), math.Min(*s1, b)
+	return *s0 <= *s1+spanEps
+}
+
+// firstAtMost returns the first index of the strictly decreasing tan whose
+// value is <= v, len(tan) if there is none.
+func firstAtMost(tan []float64, v float64) int {
+	lo, hi := 0, len(tan)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if tan[mid] <= v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// IntersectColumn is Scene.Intersect for the ray r of row `row` of the column
+// last gathered into q: nearest hit with distance in the column's
+// [TMin, TMax) among scene objects and the ground plane.
+func (s *Scene) IntersectColumn(q *Query, row int, r geom.Ray) (Hit, bool) {
+	col := &q.col
+	best := Hit{T: col.TMax}
+	found := false
+	if r.Direction.Y < 0 {
+		t := -r.Origin.Y / r.Direction.Y
+		if t >= col.TMin && t < best.T {
+			best = Hit{T: t, Object: nil, Point: r.At(t)}
+			found = true
+		}
+	}
+
+	// reach is the horizontal distance of the best hit so far (initially of
+	// the window end). As in index.intersect the rule is applied on entering
+	// a cell: objects first listed in a cell entered at or beyond reach
+	// cannot be nearer.
+	var obj *Object
+	bestT := best.T
+	cos := col.Cos[row]
+	reach := bestT * cos
+	cell := 0.0 // entry distance of the cell being tested
+	y := int32(row)
+	for i := range q.cands {
+		cd := &q.cands[i]
+		if y < cd.restLo || y > cd.restHi {
+			break
+		}
+		if cd.entry != cell {
+			if cd.entry >= reach {
+				break
+			}
+			cell = cd.entry
+		}
+		if y < cd.lo || y > cd.hi {
+			continue
+		}
+		if t, ok := cd.obj.IntersectFrom(r, col.TMin); ok && t < bestT {
+			obj, bestT = cd.obj, t
+			reach = t * cos
+		}
+	}
+	if obj != nil {
+		best = Hit{T: bestT, Object: obj, Point: r.At(bestT)}
+		found = true
+	}
+	return best, found
+}

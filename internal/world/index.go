@@ -24,11 +24,16 @@ type index struct {
 }
 
 // Query carries the scratch state for spatial queries against one Scene.
-// A Query is cheap (one uint32 per object) but not safe for concurrent use;
-// create one per goroutine with Scene.NewQuery.
+// A Query is cheap (one uint32 per object, plus the candidates of the last
+// gathered column) but not safe for concurrent use; create one per goroutine
+// with Scene.NewQuery.
 type Query struct {
 	visit []uint32
 	stamp uint32
+
+	// State of the column last gathered by GatherColumn (column.go).
+	col   Column
+	cands []candidate
 }
 
 // NewQuery returns scratch state for queries against this scene.
@@ -140,30 +145,8 @@ func (ix *index) intersect(q *Query, r geom.Ray, tMin, tMax float64) (*Object, f
 		return best, bestT, found
 	}
 
-	stepC, stepR := 1, 1
-	var tMaxX, tMaxZ, tDeltaX, tDeltaZ float64
-	if dx > 0 {
-		tMaxX = ((float64(c)+1)*ix.cellSize - ox) / dx
-		tDeltaX = ix.cellSize / dx
-	} else if dx < 0 {
-		stepC = -1
-		tMaxX = (float64(c)*ix.cellSize - ox) / dx
-		tDeltaX = -ix.cellSize / dx
-	} else {
-		tMaxX = math.Inf(1)
-		tDeltaX = math.Inf(1)
-	}
-	if dz > 0 {
-		tMaxZ = ((float64(rr)+1)*ix.cellSize - oz) / dz
-		tDeltaZ = ix.cellSize / dz
-	} else if dz < 0 {
-		stepR = -1
-		tMaxZ = (float64(rr)*ix.cellSize - oz) / dz
-		tDeltaZ = -ix.cellSize / dz
-	} else {
-		tMaxZ = math.Inf(1)
-		tDeltaZ = math.Inf(1)
-	}
+	stepC, tMaxX, tDeltaX := ddaAxis(ox, dx, c, ix.cellSize)
+	stepR, tMaxZ, tDeltaZ := ddaAxis(oz, dz, rr, ix.cellSize)
 
 	for {
 		testCell(c, rr)
@@ -190,6 +173,18 @@ func (ix *index) intersect(q *Query, r geom.Ray, tMin, tMax float64) (*Object, f
 			}
 		}
 	}
+}
+
+// ddaAxis sets up one axis of the 2-D DDA: step direction, parameter of the
+// first cell boundary crossed, and parameter distance between boundaries.
+func ddaAxis(o, d float64, cell int, size float64) (step int, tMax, tDelta float64) {
+	switch {
+	case d > 0:
+		return 1, ((float64(cell)+1)*size - o) / d, size / d
+	case d < 0:
+		return -1, (float64(cell)*size - o) / d, -size / d
+	}
+	return 1, math.Inf(1), math.Inf(1)
 }
 
 // forEachInDisc calls fn once per object whose XZ footprint intersects the

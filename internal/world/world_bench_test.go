@@ -72,3 +72,28 @@ func BenchmarkNearSetSignature(b *testing.B) {
 		s.NearSetSignature(q, p, 10)
 	}
 }
+
+// BenchmarkGatherColumn is the per-column cost of the panorama ray-cast's
+// one index walk: gather the candidates of a 128-row column over the whole
+// world, from scattered eyes and yaws. A 256-wide frame pays it 256 times.
+func BenchmarkGatherColumn(b *testing.B) {
+	s := benchWorld(2000)
+	q := s.NewQuery()
+	const rows = 128
+	tan, cos, _ := columnRows(rows)
+	rng := rand.New(rand.NewSource(9))
+	cols := make([]Column, 256)
+	for i := range cols {
+		yaw := rng.Float64() * 2 * math.Pi
+		cols[i] = Column{
+			Eye:    geom.V3(rng.Float64()*200, EyeHeight, rng.Float64()*200),
+			SinYaw: math.Sin(yaw), CosYaw: math.Cos(yaw),
+			Tan: tan, Cos: cos, RowHi: rows, TMin: 8, TMax: math.Inf(1),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.GatherColumn(q, &cols[i%len(cols)])
+	}
+}
