@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the pre-commit gate: gofmt, vet,
-# build, and the race-detector suite over the packages that fan work across
+# build, the core-count matrix over the frame-serving packages, and the
+# race-detector suite over the packages that fan work across
 # goroutines (eval experiment generators, the pooled SSIM comparer, the
 # parallel cutoff preprocessing, and the live runtime stack: wall clock,
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
@@ -8,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-e2e bench-diff smoke loadtest
+.PHONY: check fmt vet build test test-procs race bench bench-e2e bench-diff smoke loadtest
 
-check: fmt vet build race
+check: fmt vet build test-procs race
 
 # Fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
@@ -24,6 +25,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Core-count matrix: frame bytes are a pure function of the grid point, so
+# the frame-serving packages must pass on 1, 2 and all cores. -count=1
+# because the test cache does not key on GOMAXPROCS.
+test-procs:
+	@for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -un); do \
+		echo "GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/render/... \
+			./internal/sched/... ./internal/cluster/... || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./internal/eval/... ./internal/ssim/... ./internal/cutoff/... \

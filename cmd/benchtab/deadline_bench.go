@@ -27,11 +27,9 @@ type deadlineRow struct {
 	// Errors counts shed requests (admission control; sched-on only).
 	Errors int64 `json:"errors"`
 	// The degrade-rung mix of what was served: exact renders, stale
-	// similar frames, deadline reprojections, low-res upscales.
-	RungExact     int64 `json:"rung_exact"`
-	RungStale     int64 `json:"rung_stale"`
-	RungReproject int64 `json:"rung_reproject"`
-	RungLowRes    int64 `json:"rung_lowres"`
+	// similar frames.
+	RungExact int64 `json:"rung_exact"`
+	RungStale int64 `json:"rung_stale"`
 }
 
 // deadlineAB is the deadline-scheduling bench section: the same walk load
@@ -125,22 +123,20 @@ func runDeadlineAB(quick bool) (*deadlineAB, error) {
 				return nil, fmt.Errorf("%dp: %w", players, err)
 			}
 			row := deadlineRow{
-				Players:       players,
-				Sched:         sched,
-				FramesPerSec:  rep.FramesPerSec,
-				P50Ms:         rep.P50Ms,
-				P99Ms:         rep.P99Ms,
-				Compliance:    rep.DeadlineCompliance,
-				Errors:        rep.Errors,
-				RungExact:     rep.RungExact,
-				RungStale:     rep.RungStale,
-				RungReproject: rep.RungReproject,
-				RungLowRes:    rep.RungLowRes,
+				Players:      players,
+				Sched:        sched,
+				FramesPerSec: rep.FramesPerSec,
+				P50Ms:        rep.P50Ms,
+				P99Ms:        rep.P99Ms,
+				Compliance:   rep.DeadlineCompliance,
+				Errors:       rep.Errors,
+				RungExact:    rep.RungExact,
+				RungStale:    rep.RungStale,
 			}
 			rows = append(rows, row)
-			fmt.Printf("[deadline-ab: %2d players sched=%-5v  p99 %7.2f ms  within-budget %5.1f%%  rungs %d/%d/%d/%d  %d shed]\n",
+			fmt.Printf("[deadline-ab: %2d players sched=%-5v  p99 %7.2f ms  within-budget %5.1f%%  rungs %d/%d  %d shed]\n",
 				players, sched, row.P99Ms, 100*row.Compliance,
-				row.RungExact, row.RungStale, row.RungReproject, row.RungLowRes, row.Errors)
+				row.RungExact, row.RungStale, row.Errors)
 		}
 		return rows, nil
 	}

@@ -46,7 +46,7 @@ func main() {
 	storeBudget := flag.Int64("store-budget", 0, "frame store byte budget with LRU eviction (0 = unbounded)")
 	renderWorkers := flag.Int("render-workers", 0, "tile-parallel render workers per frame (0 = GOMAXPROCS)")
 	sched := flag.Bool("sched", true, "EDF deadline scheduling and admission control on the render path")
-	degrade := flag.Bool("degrade", true, "quality-degrade ladder for deadline-pressed requests (stale/reproject/low-res)")
+	degrade := flag.Bool("degrade", true, "quality-degrade ladder for deadline-pressed requests: serve a cached frame within the leaf's similarity threshold (the stale rung) instead of queueing a render")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent renders before queuing (0 = one per schedulable core)")
 	prerender := flag.Float64("prerender", 0, "warm up frames within this radius (m) of the spawn before serving")
 	stride := flag.Int("prerender-stride", 16, "grid stride for prerendering (1 = every point)")

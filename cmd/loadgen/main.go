@@ -122,8 +122,7 @@ func main() {
 	}
 	fmt.Printf("  deadline    %.1f%% of frames within %.1f ms budget\n",
 		100*rep.DeadlineCompliance, budgetMs)
-	fmt.Printf("  rungs       %d exact, %d stale, %d reproject, %d lowres\n",
-		rep.RungExact, rep.RungStale, rep.RungReproject, rep.RungLowRes)
+	fmt.Printf("  rungs       %d exact, %d stale\n", rep.RungExact, rep.RungStale)
 	if rep.PeerFrames > 0 || rep.FailoverFrames > 0 {
 		fmt.Printf("  cluster     %d peer-fetched, %d failover re-renders\n",
 			rep.PeerFrames, rep.FailoverFrames)

@@ -142,11 +142,9 @@ type Report struct {
 	DeadlineMs         float64 `json:"deadline_ms"`
 	DeadlineCompliance float64 `json:"deadline_compliance"`
 	// Degrade-rung mix of the successful fetches (see transport.DegradeRung):
-	// exact, stale-but-similar, reprojected-under-pressure, low-res upscaled.
-	RungExact     int64 `json:"rung_exact"`
-	RungStale     int64 `json:"rung_stale"`
-	RungReproject int64 `json:"rung_reproject"`
-	RungLowRes    int64 `json:"rung_lowres"`
+	// exact, stale-but-similar.
+	RungExact int64 `json:"rung_exact"`
+	RungStale int64 `json:"rung_stale"`
 	// Origin mix (see transport.FrameOrigin): PeerFrames were answered by
 	// the grid point's owner over the cluster peer hop, FailoverFrames
 	// were re-rendered locally because the owner was down or the hop was
@@ -186,7 +184,7 @@ type playerStats struct {
 	frames, errors, bytes int64
 	hits, joins, renders  int64
 	deltas                int64
-	rungs                 [4]int64
+	rungs                 [2]int64
 	peer, failover        int64
 	udpFetches, tcpFalls  int64
 	udp                   *server.UDPStats // end-of-run channel snapshot
@@ -266,8 +264,6 @@ func Run(cfg Config) (Report, error) {
 		rep.DeltaFrames += st.deltas
 		rep.RungExact += st.rungs[transport.RungExact]
 		rep.RungStale += st.rungs[transport.RungStale]
-		rep.RungReproject += st.rungs[transport.RungReproject]
-		rep.RungLowRes += st.rungs[transport.RungLowRes]
 		rep.PeerFrames += st.peer
 		rep.FailoverFrames += st.failover
 		rep.UDPFetches += st.udpFetches

@@ -132,7 +132,7 @@ func TestRunWithDeadline(t *testing.T) {
 		t.Errorf("DeadlineMs = %v, want 16.7", rep.DeadlineMs)
 	}
 	// Every successful fetch lands on exactly one rung.
-	if got := rep.RungExact + rep.RungStale + rep.RungReproject + rep.RungLowRes; got != rep.Frames {
+	if got := rep.RungExact + rep.RungStale; got != rep.Frames {
 		t.Errorf("rung mix %d != %d frames", got, rep.Frames)
 	}
 	if rep.DeadlineCompliance < 0 || rep.DeadlineCompliance > 1 {

@@ -60,15 +60,13 @@ type PlayerQoE struct {
 	MeanFrameMs float64 `json:"mean_frame_ms"`
 	MaxFrameMs  float64 `json:"max_frame_ms"`
 	// DegradedRatio is the fraction of window frames whose delivering
-	// fetch was served off a quality-degrade rung (rung > 0); the Rung*
-	// counts break the degraded frames down by rung. Every rung is
-	// SSIM-bounded (≥ 0.90 against the true frame), so this measures how
-	// often deadline pressure traded exactness for latency, not visible
-	// quality loss.
+	// fetch was served off the quality-degrade ladder's stale rung
+	// (rung 1, the only rung below exact); RungStale counts those frames.
+	// The rung is SSIM-bounded (≥ 0.90 against the true frame), so this
+	// measures how often deadline pressure traded exactness for latency,
+	// not visible quality loss.
 	DegradedRatio float64 `json:"degraded_ratio"`
 	RungStale     int     `json:"rung_stale"`
-	RungReproject int     `json:"rung_reproject"`
-	RungLowRes    int     `json:"rung_lowres"`
 	// PeerServedRatio is the fraction of window frames whose delivering
 	// fetch was answered from a cluster peer (origin 1); PeerFrames and
 	// FailoverFrames count the origin-1 and origin-2 frames. All zero
@@ -167,8 +165,6 @@ type accQoE struct {
 	compliant  int
 	hits       int
 	rungStale  int
-	rungReproj int
-	rungLowRes int
 	peer       int
 	failover   int
 	frameSum   float64
@@ -194,13 +190,8 @@ func (a *accQoE) add(ps []FrameSpan, budget float64) {
 		if sp.CacheHit {
 			a.hits++
 		}
-		switch sp.DegradeRung {
-		case 1:
+		if sp.DegradeRung == 1 {
 			a.rungStale++
-		case 2:
-			a.rungReproj++
-		case 3:
-			a.rungLowRes++
 		}
 		switch sp.Origin {
 		case 1:
@@ -232,8 +223,8 @@ func (a *accQoE) finish(player int) PlayerQoE {
 	q.MissedVsyncRatio = float64(a.missed) / float64(a.frames)
 	q.BudgetComplianceRatio = float64(a.compliant) / float64(a.frames)
 	q.CacheHitRate = float64(a.hits) / float64(a.frames)
-	q.RungStale, q.RungReproject, q.RungLowRes = a.rungStale, a.rungReproj, a.rungLowRes
-	q.DegradedRatio = float64(a.rungStale+a.rungReproj+a.rungLowRes) / float64(a.frames)
+	q.RungStale = a.rungStale
+	q.DegradedRatio = float64(a.rungStale) / float64(a.frames)
 	q.PeerFrames, q.FailoverFrames = a.peer, a.failover
 	q.PeerServedRatio = float64(a.peer) / float64(a.frames)
 	if a.frames > 1 && a.lastMs > a.firstMs {

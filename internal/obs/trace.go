@@ -65,9 +65,8 @@ type FrameSpan struct {
 	// delta-coded against a reference this client already held.
 	DeltaFrame bool `json:"delta_frame"`
 	// DegradeRung is the quality-degrade rung of the delivering fetch
-	// (transport.DegradeRung values: 0 exact, 1 stale-similar, 2
-	// reprojected-under-pressure, 3 low-res upscaled). Always 0 on cache
-	// hits and on backends without a deadline scheduler.
+	// (transport.DegradeRung values: 0 exact, 1 stale-similar). Always 0
+	// on cache hits and on backends without a deadline scheduler.
 	DegradeRung uint8 `json:"degrade_rung"`
 	// Origin is where the serving node got the delivering fetch's bytes
 	// (transport.FrameOrigin values: 0 local, 1 fetched from the grid

@@ -69,10 +69,6 @@ type Renderer struct {
 	freeMasks [][]bool
 	freeJobs  []*castJob
 	freeQs    []*world.Query
-
-	// lowRes caches reduced-resolution child renderers by divisor (see
-	// LowRes). Children share the scene but own their tables and pools.
-	lowRes map[int]*Renderer
 }
 
 // New creates a renderer for the scene.
@@ -160,10 +156,10 @@ func (r *Renderer) GroundTruth(eye geom.Vec3, dynamics []world.Object) *img.Gray
 
 // PanoramaBand renders only panorama rows [rowLo, rowHi) of the frame
 // Panorama would produce, returning a W x (rowHi-rowLo) raster whose rows
-// match the full render byte for byte. The reprojection path uses it to
-// ray-cast a thin ground-truth stripe — a fraction of a full render — to
-// SSIM-validate a synthesized frame before serving it. The band raster is
-// not pooled (its size varies); it is garbage for the collector.
+// match the full render byte for byte: a thin ground-truth stripe, at a
+// fraction of a full render's cost, to SSIM-validate a reprojected frame
+// against. The band raster is not pooled (its size varies); it is garbage
+// for the collector.
 func (r *Renderer) PanoramaBand(eye geom.Vec3, tMin, tMax float64, dynamics []world.Object, rowLo, rowHi int) *img.Gray {
 	rowLo, rowHi = max(rowLo, 0), min(rowHi, r.Cfg.H)
 	if rowHi <= rowLo {
@@ -286,91 +282,10 @@ func (r *Renderer) renderPool(workers int) *par.Pool {
 	return r.pool
 }
 
-// Close stops the renderer's worker pool, if one was started, along with
-// any low-resolution child renderers'. The renderer remains usable
-// afterwards — renders simply run sequentially. Close must not race
-// in-flight renders.
-func (r *Renderer) Close() {
-	r.pool.Close()
-	r.mu.Lock()
-	children := make([]*Renderer, 0, len(r.lowRes))
-	for _, lr := range r.lowRes {
-		children = append(children, lr)
-	}
-	r.mu.Unlock()
-	for _, lr := range children {
-		lr.Close()
-	}
-}
-
-// LowRes returns a renderer of the same scene at 1/factor resolution per
-// axis (so 1/factor² of the rays), created on first use and cached. The
-// server's quality-degrade ladder renders through it when a deadline
-// cannot afford a full-resolution ray-cast, then upscales the result
-// with UpscaleToFull. factor < 2 or a resolution too small to divide
-// returns nil.
-func (r *Renderer) LowRes(factor int) *Renderer {
-	if factor < 2 {
-		return nil
-	}
-	w, h := r.Cfg.W/factor, r.Cfg.H/factor
-	if w < 2 || h < 2 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if lr, ok := r.lowRes[factor]; ok {
-		return lr
-	}
-	cfg := r.Cfg
-	cfg.W, cfg.H = w, h
-	lr := New(r.Scene, cfg)
-	if r.lowRes == nil {
-		r.lowRes = make(map[int]*Renderer)
-	}
-	r.lowRes[factor] = lr
-	return lr
-}
-
-// UpscaleToFull bilinearly upscales src to this renderer's full
-// resolution, wrapping horizontally (the equirectangular yaw seam is
-// continuous) and clamping vertically. The result comes from the
-// renderer's buffer pool — release it with ReleaseGray like a Panorama.
-func (r *Renderer) UpscaleToFull(src *img.Gray) *img.Gray {
-	w, h := r.Cfg.W, r.Cfg.H
-	out := r.getGray()
-	sw, sh := src.W, src.H
-	sx := float64(sw) / float64(w)
-	sy := float64(sh) / float64(h)
-	for y := 0; y < h; y++ {
-		// Sample at pixel centres in source space.
-		fy := (float64(y)+0.5)*sy - 0.5
-		y0 := int(math.Floor(fy))
-		ty := fy - float64(y0)
-		y1 := y0 + 1
-		if y0 < 0 {
-			y0 = 0
-		}
-		if y1 > sh-1 {
-			y1 = sh - 1
-		}
-		row0 := src.Pix[y0*sw : (y0+1)*sw]
-		row1 := src.Pix[y1*sw : (y1+1)*sw]
-		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
-			x0 := int(math.Floor(fx))
-			tx := fx - float64(x0)
-			x1 := x0 + 1
-			// Wrap in yaw: column -1 is the last column, column sw is the first.
-			x0w := ((x0 % sw) + sw) % sw
-			x1w := ((x1 % sw) + sw) % sw
-			top := float64(row0[x0w])*(1-tx) + float64(row0[x1w])*tx
-			bot := float64(row1[x0w])*(1-tx) + float64(row1[x1w])*tx
-			out.Pix[y*w+x] = uint8(top*(1-ty) + bot*ty + 0.5)
-		}
-	}
-	return out
-}
+// Close stops the renderer's worker pool, if one was started. The
+// renderer remains usable afterwards — renders simply run sequentially.
+// Close must not race in-flight renders.
+func (r *Renderer) Close() { r.pool.Close() }
 
 // getGray checks an output buffer out of the freelist, or allocates one.
 // Every pixel of a render is written (sky or shade), so reused buffers

@@ -324,61 +324,3 @@ func TestGroundTruthMatchesUnclippedPanorama(t *testing.T) {
 		}
 	}
 }
-
-// TestLowResRenderer: the child renderer is cached per factor, renders at
-// the divided resolution, and refuses degenerate configurations.
-func TestLowResRenderer(t *testing.T) {
-	s := denseScene(11, 60)
-	r := New(s, Config{W: 64, H: 32})
-	lr := r.LowRes(2)
-	if lr == nil {
-		t.Fatal("LowRes(2) returned nil for a divisible config")
-	}
-	if lr != r.LowRes(2) {
-		t.Error("LowRes(2) not cached: second call returned a different renderer")
-	}
-	g := lr.Panorama(s.EyeAt(geom.V2(60, 60)), 0, math.Inf(1), nil)
-	if g.W != 32 || g.H != 16 {
-		t.Fatalf("low-res dims %dx%d, want 32x16", g.W, g.H)
-	}
-	lr.ReleaseGray(g)
-	if r.LowRes(1) != nil {
-		t.Error("LowRes(1) should be nil (no reduction)")
-	}
-	if New(s, Config{W: 4, H: 2}).LowRes(2) != nil {
-		t.Error("LowRes on a too-small renderer should be nil")
-	}
-}
-
-// TestUpscaleToFull: upscaling a low-res render approximates the full
-// render (high SSIM on this mostly smooth content), lands at full
-// resolution, and wraps the yaw seam instead of clamping it.
-func TestUpscaleToFull(t *testing.T) {
-	s := denseScene(12, 60)
-	r := New(s, Config{W: 128, H: 64})
-	eye := s.EyeAt(geom.V2(60, 60))
-	full := r.Panorama(eye, 0, math.Inf(1), nil)
-	small := r.LowRes(2).Panorama(eye, 0, math.Inf(1), nil)
-	up := r.UpscaleToFull(small)
-	if up.W != 128 || up.H != 64 {
-		t.Fatalf("upscaled dims %dx%d, want 128x64", up.W, up.H)
-	}
-	score, err := ssim.Mean(full, up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score < 0.8 {
-		t.Fatalf("upscale SSIM %.3f vs full render, want >= 0.8", score)
-	}
-	// Seam continuity: the first and last columns sample across the yaw
-	// wrap; neither may diverge from the full render more than interior
-	// columns do on average.
-	var seamErr, midErr float64
-	for y := 0; y < up.H; y++ {
-		seamErr += math.Abs(float64(up.Pix[y*up.W]) - float64(full.Pix[y*full.W]))
-		midErr += math.Abs(float64(up.Pix[y*up.W+up.W/2]) - float64(full.Pix[y*full.W+full.W/2]))
-	}
-	if seamErr > 4*midErr+255 {
-		t.Fatalf("yaw seam error %.0f far exceeds interior error %.0f: wrap broken", seamErr, midErr)
-	}
-}

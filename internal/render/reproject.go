@@ -1,15 +1,15 @@
 // Reprojection synthesis: warp a panorama rendered at one eye position
 // into the panorama a nearby eye position would see, without ray-casting
-// the scene again. This is the render-side dual of the delta codec — the
-// codec stops re-sending what the client already holds, reprojection
-// stops re-rendering what the server already rendered. The image-space
-// warp follows the split-rendering literature (PAPERS.md): each output
-// ray is intersected with a constant-depth shell around the source eye,
-// and the shell point is looked up in the source panorama. Far geometry
+// the scene again. The image-space warp follows the split-rendering
+// literature (PAPERS.md): each output ray is intersected with a
+// constant-depth shell around the source eye, and the shell point is
+// looked up in the source panorama. Far geometry
 // (which is all a far-BE frame contains) moves slowly with viewpoint, so
 // the constant-depth approximation holds exactly where Coterie's frame
-// similarity argument holds; the server SSIM-checks the result against a
-// ray-cast ground-truth band before trusting it (server.tryReproject).
+// similarity argument holds. Nothing on the server warps frames (a served
+// frame is a pure function of its grid point); Reproject is a library
+// function for a client-side warp between server keyframes, and a caller
+// that needs a quality bound checks the result against a PanoramaBand.
 package render
 
 import (

@@ -13,8 +13,7 @@
 // time. The scheduler also keeps an EWMA of the full-render cost so
 // callers can ask, before committing to a render, whether a deadline is
 // already at risk (AtRisk) — the trigger for the server's quality
-// degrade ladder — and so a granted slot can be flagged Rushed when the
-// remaining budget no longer covers a full render.
+// degrade ladder.
 //
 // The scheduler owns no goroutines: a releasing slot hands directly to
 // the minimum-deadline waiter, so an idle scheduler costs one mutex.
@@ -65,16 +64,6 @@ const (
 	// resolution-dependent jitter without lagging load shifts.
 	costEWMAWeight = 0.2
 )
-
-// Info describes a granted slot.
-type Info struct {
-	// QueueMs is how long the caller waited for the slot.
-	QueueMs float64
-	// Rushed reports that, at grant time, the remaining budget to the
-	// request's deadline no longer covered an estimated full render —
-	// the caller should degrade if it can.
-	Rushed bool
-}
 
 // Scheduler is an EDF slot gate. The zero value is not usable; call New.
 type Scheduler struct {
@@ -188,7 +177,7 @@ func (s *Scheduler) QueueDepth() int {
 }
 
 // ObserveCost folds one measured full-render cost (ms) into the EWMA
-// that backs AtRisk and Rushed.
+// that backs AtRisk.
 func (s *Scheduler) ObserveCost(ms float64) {
 	if ms <= 0 {
 		return
@@ -259,12 +248,12 @@ func (s *Scheduler) AtRisk(nowMs, deadlineMs float64) bool {
 }
 
 // Acquire blocks until a render slot is granted (in EDF order among
-// waiters) and returns slot info, or sheds immediately (ok=false, no
-// slot held) when the queue is at its admission bound. deadlineMs is
-// the request's absolute wall-clock deadline in ms; <=0 means none —
-// such requests sort after all deadline traffic and are never Rushed.
-// Every ok=true return must be paired with Release.
-func (s *Scheduler) Acquire(deadlineMs float64) (Info, bool) {
+// waiters) and returns how long the caller waited for it, or sheds
+// immediately (ok=false, no slot held) when the queue is at its
+// admission bound. deadlineMs is the request's absolute wall-clock
+// deadline in ms; <=0 means none — such requests sort after all deadline
+// traffic. Every ok=true return must be paired with Release.
+func (s *Scheduler) Acquire(deadlineMs float64) (queueMs float64, ok bool) {
 	dl := deadlineMs
 	if dl <= 0 {
 		dl = math.Inf(1)
@@ -272,14 +261,13 @@ func (s *Scheduler) Acquire(deadlineMs float64) (Info, bool) {
 	s.mu.Lock()
 	if s.running < s.workers && s.waiters.Len() == 0 {
 		s.running++
-		rushed := s.rushedLocked(deadlineMs)
 		s.mu.Unlock()
-		return Info{Rushed: rushed}, true
+		return 0, true
 	}
 	if s.waiters.Len() >= s.maxQ {
 		s.mu.Unlock()
 		s.sheds.Inc()
-		return Info{}, false
+		return 0, false
 	}
 	s.seq++
 	w := &waiter{deadline: dl, seq: s.seq, ready: make(chan struct{})}
@@ -289,32 +277,19 @@ func (s *Scheduler) Acquire(deadlineMs float64) (Info, bool) {
 
 	start := time.Now()
 	<-w.ready
-	queueMs := float64(time.Since(start)) / float64(time.Millisecond)
+	queueMs = float64(time.Since(start)) / float64(time.Millisecond)
 	s.wait.Observe(queueMs)
-
-	s.mu.Lock()
-	rushed := s.rushedLocked(deadlineMs)
-	s.mu.Unlock()
-	return Info{QueueMs: queueMs, Rushed: rushed}, true
+	return queueMs, true
 }
 
-// rushedLocked: with the slot granted, does an estimated full render
-// still fit before the deadline?
-func (s *Scheduler) rushedLocked(deadlineMs float64) bool {
-	if deadlineMs <= 0 {
-		return false
-	}
-	return wallMs()+s.costMs > deadlineMs
-}
-
-// Release returns a slot. fullCostMs, when >0, is the measured cost of
-// the full render+encode the slot performed and feeds the cost EWMA
-// (pass 0 for degraded or failed work, which is not representative).
-// The slot hands directly to the minimum-deadline waiter, if any.
-func (s *Scheduler) Release(fullCostMs float64) {
+// Release returns a slot. costMs, when >0, is the measured cost of the
+// render+encode the slot performed and feeds the cost EWMA (pass 0 for
+// failed work, which is not representative). The slot hands directly to
+// the minimum-deadline waiter, if any.
+func (s *Scheduler) Release(costMs float64) {
 	s.mu.Lock()
-	if fullCostMs > 0 {
-		s.costMs += costEWMAWeight * (fullCostMs - s.costMs)
+	if costMs > 0 {
+		s.costMs += costEWMAWeight * (costMs - s.costMs)
 	}
 	if s.waiters.Len() > 0 && s.running <= s.workers {
 		w := heap.Pop(&s.waiters).(*waiter)
@@ -326,10 +301,7 @@ func (s *Scheduler) Release(fullCostMs float64) {
 	s.mu.Unlock()
 }
 
-// wallMs is the scheduler's wall clock: Unix milliseconds as float, the
-// same epoch and unit the transport's deadline field carries.
-func wallMs() float64 { return float64(time.Now().UnixNano()) / 1e6 }
-
-// NowMs exposes the scheduler's wall clock for callers that need to
-// compare against the same epoch (tests, deadline stamping).
-func NowMs() float64 { return wallMs() }
+// NowMs is the wall clock deadlines are expressed in: Unix milliseconds
+// as float, the same epoch and unit the transport's deadline field
+// carries.
+func NowMs() float64 { return float64(time.Now().UnixNano()) / 1e6 }

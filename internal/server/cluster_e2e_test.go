@@ -22,11 +22,10 @@ type clusterNode struct {
 }
 
 // startCluster runs n live servers on loopback listeners joined into one
-// static cluster. Reprojection is disabled on every node so a full
-// ray-cast is the only render path — the determinism the byte-identity
-// assertions lean on (reprojection output depends on each node's pano
-// cache history). The health loop is not started: down-marking is
-// purely passive (fetch failures), which keeps the tests deterministic.
+// static cluster, each in the production configuration: the byte-identity
+// assertions lean on a frame being a pure function of its grid point on
+// every node. The health loop is not started: down-marking is purely
+// passive (fetch failures), which keeps the tests deterministic.
 func startCluster(t *testing.T, n int) []*clusterNode {
 	t.Helper()
 	env := poolEnv(t)
@@ -43,7 +42,6 @@ func startCluster(t *testing.T, n int) []*clusterNode {
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
 		srv := New(env)
-		srv.SetReprojectEnabled(false)
 		srv.DrainTimeout = 200 * time.Millisecond
 		reg := obs.NewRegistry()
 		srv.Instrument(reg)

@@ -2,62 +2,55 @@ package server
 
 import (
 	"errors"
-	"math"
 	"sync"
 
 	"coterie/internal/codec"
-	"coterie/internal/cutoff"
 	"coterie/internal/geom"
 	"coterie/internal/img"
-	"coterie/internal/ssim"
 	"coterie/internal/transport"
 )
 
 // This file is the server side of the similarity-aware frame path: delta
-// coding against frames the client provably holds (stop re-sending) and
-// reprojection synthesis from frames the server recently rendered (stop
-// re-rendering). Both exploit the paper's core observation that nearby
-// frames are highly similar, and both are gated by the SSIM machinery
-// already calibrated per leaf region: a reference qualifies for delta
-// coding when it sits within the leaf's DistThresh (the distance below
-// which SSIM ≥ ssim.GoodThreshold by construction, §4.4), and a
-// reprojected frame is served only after an SSIM check against a
-// ray-cast ground-truth band clears the same bar.
+// coding against frames the client provably holds (stop re-sending what
+// the client already has). It exploits the paper's core observation that
+// nearby frames are highly similar, gated by the SSIM machinery already
+// calibrated per leaf region: a reference qualifies for delta coding when
+// it sits within the leaf's DistThresh (the distance below which SSIM ≥
+// ssim.GoodThreshold by construction, §4.4).
 //
-// Reference identity is (grid point, store sequence number), never grid
-// point alone: reprojection makes a re-render of the same point
-// non-byte-identical, so a delta must name the exact bytes the client
-// decoded. Only intra-served frames become references (the client's
-// reconstruction of a delta frame is one quantisation step removed from
-// the server's, and chaining deltas would compound that drift).
+// Reference identity is the grid point: a frame's bytes are a pure
+// function of its point, so the point names exactly the bytes the client
+// decoded, however often the store evicted and re-rendered it since. Only
+// intra-served frames become references (the client's reconstruction of a
+// delta frame is one quantisation step removed from the server's, and
+// chaining deltas would compound that drift).
 
-// maxHeldRefs bounds the per-session holdings map. Forgetting a held
+// maxHeldRefs bounds the per-session holdings set. Forgetting a held
 // reference is always safe — the server just loses a delta opportunity —
 // so overflow drops the oldest.
 const maxHeldRefs = 64
 
-// sessionRefs tracks which (point, seq) frames one client provably holds.
+// sessionRefs tracks which grid points' frames one client provably holds.
 // Single-goroutine use by the session loop; no locking.
 type sessionRefs struct {
-	held  map[geom.GridPoint]uint64
+	held  map[geom.GridPoint]struct{}
 	order []geom.GridPoint // promotion order; may hold stale points
 
 	// pending is the intra frame sent in the latest reply. It is promoted
 	// to held when the next client message arrives: the protocol is
 	// synchronous request/reply, so message N+1 proves reply N was read.
-	pendingPt  geom.GridPoint
-	pendingSeq uint64
+	pending    geom.GridPoint
 	hasPending bool
 }
 
 func newSessionRefs() *sessionRefs {
-	return &sessionRefs{held: make(map[geom.GridPoint]uint64)}
+	return &sessionRefs{held: make(map[geom.GridPoint]struct{})}
 }
 
 // setPending records the intra frame just served; it overwrites any
 // unpromoted predecessor (one reply is outstanding at a time).
-func (sr *sessionRefs) setPending(pt geom.GridPoint, seq uint64) {
-	sr.pendingPt, sr.pendingSeq, sr.hasPending = pt, seq, true
+func (sr *sessionRefs) setPending(pt geom.GridPoint) {
+	sr.pending, sr.hasPending = pt, true
 }
 
 // promote moves the pending frame into the holdings. Called on every
@@ -67,10 +60,10 @@ func (sr *sessionRefs) promote() {
 		return
 	}
 	sr.hasPending = false
-	if _, ok := sr.held[sr.pendingPt]; !ok {
-		sr.order = append(sr.order, sr.pendingPt)
+	if _, ok := sr.held[sr.pending]; !ok {
+		sr.order = append(sr.order, sr.pending)
+		sr.held[sr.pending] = struct{}{}
 	}
-	sr.held[sr.pendingPt] = sr.pendingSeq
 	for len(sr.held) > maxHeldRefs && len(sr.order) > 0 {
 		victim := sr.order[0]
 		sr.order = sr.order[1:]
@@ -82,80 +75,75 @@ func (sr *sessionRefs) promote() {
 func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 	for _, pt := range pts {
 		delete(sr.held, pt)
-		if sr.hasPending && pt == sr.pendingPt {
+		if sr.hasPending && pt == sr.pending {
 			sr.hasPending = false
 		}
 	}
 }
 
 // frameForSession serves one frame request inside a session: the intra
-// frame from the store, re-coded as a delta against the best reference
-// the client holds whenever that wins bytes. Intra serves register the
-// frame as the session's next pending reference; delta serves do not
-// (delta frames never become references).
+// frame from frameFor, re-coded as a delta against the best reference the
+// client holds whenever that wins bytes. Intra serves register the frame
+// as the session's next pending reference; delta serves do not (delta
+// frames never become references).
 //
-// deadlineMs (absolute server wall ms; <=0 none) arms the degrade
-// ladder. Before committing to the render path, a deadline the
-// scheduler projects as already at risk is served from the stale rung
-// when a calibrated substitute is cached (a store hit needs no such
-// rescue — it is the substitute); the same fallback rescues a request
-// shed by admission control. Stale and low-res serves bypass the delta
-// path and never become references: their bytes are not the render of
-// pt a later delta would have to name.
-func (s *Server) frameForSession(pt geom.GridPoint, deadlineMs float64, traceID uint64, sr *sessionRefs) (data []byte, kind transport.FrameEncoding, ref geom.GridPoint, rung transport.DegradeRung, origin transport.FrameOrigin, stg frameStages, err error) {
-	if deadlineMs > 0 && !s.schedOff.Load() && !s.degradeOff.Load() &&
-		s.sched.AtRisk(wallMs(), deadlineMs) {
-		if stale, refPt, seq, ok := s.staleFor(pt); ok {
-			if refPt == pt {
+// req.deadlineMs arms the degrade ladder. Before committing to the render
+// path, a deadline the scheduler projects as already at risk is served
+// from the stale rung when a calibrated substitute is cached (a store hit
+// needs no such rescue — it is the substitute); the same fallback rescues
+// a request shed by admission control. Stale serves bypass the delta path
+// and never become references: their bytes are not the render of req.pt a
+// later delta would have to name.
+func (s *Server) frameForSession(req frameReq, sr *sessionRefs) (frameResult, error) {
+	if req.deadlineMs > 0 && !s.schedOff.Load() && !s.degradeOff.Load() &&
+		s.sched.AtRisk(wallMs(), req.deadlineMs) {
+		if stale, refPt, ok := s.staleFor(req.pt); ok {
+			if refPt == req.pt {
 				// The exact frame is cached: serve it as the store hit it is
 				// and let the delta path shrink it as usual.
 				s.obs.frameStoreHits.Inc()
-				return s.deltaOrIntra(pt, seq, stale, sr, transport.RungExact, transport.OriginLocal, stg)
+				return s.deltaOrIntra(frameResult{data: stale}, req.pt, sr), nil
 			}
 			s.obs.degradeStale.Inc()
-			return stale, transport.FrameIntra, geom.GridPoint{}, transport.RungStale, transport.OriginLocal, stg, nil
+			return frameResult{data: stale, rung: transport.RungStale}, nil
 		}
 	}
-	intra, _, seq, rung, origin, fstg, err := s.frameForStaged(pt, deadlineMs, traceID)
-	stg = fstg
+	res, err := s.frameFor(req)
 	if err != nil {
 		if errors.Is(err, errOverloaded) && !s.degradeOff.Load() {
-			if stale, refPt, _, ok := s.staleFor(pt); ok && refPt != pt {
+			if stale, refPt, ok := s.staleFor(req.pt); ok && refPt != req.pt {
 				s.obs.degradeStale.Inc()
-				return stale, transport.FrameIntra, geom.GridPoint{}, transport.RungStale, transport.OriginLocal, stg, nil
+				return frameResult{data: stale, rung: transport.RungStale, stages: res.stages}, nil
 			}
 		}
-		return nil, transport.FrameIntra, geom.GridPoint{}, transport.RungExact, origin, stg, err
+		return res, err
 	}
-	if rung == transport.RungLowRes {
-		// Transient frame: seq is 0, it is not in the store, and it must not
-		// become a delta reference — serve the bytes as-is.
-		return intra, transport.FrameIntra, geom.GridPoint{}, rung, origin, stg, nil
-	}
-	return s.deltaOrIntra(pt, seq, intra, sr, rung, origin, stg)
+	return s.deltaOrIntra(res, req.pt, sr), nil
 }
 
-// deltaOrIntra finishes a store-backed serve (rung 0 or 2): delta-code
-// against the session's best held reference when that wins bytes, else
-// serve intra and register the frame as the next pending reference.
-func (s *Server) deltaOrIntra(pt geom.GridPoint, seq uint64, intra []byte, sr *sessionRefs, rung transport.DegradeRung, origin transport.FrameOrigin, stg frameStages) ([]byte, transport.FrameEncoding, geom.GridPoint, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
+// deltaOrIntra finishes an exact serve of pt's intra frame (res.data):
+// delta-code it against the session's best held reference when that wins
+// bytes, else serve it intra and register it as the next pending
+// reference.
+func (s *Server) deltaOrIntra(res frameResult, pt geom.GridPoint, sr *sessionRefs) frameResult {
 	if !s.deltaOff.Load() {
-		if d, refPt, ok := s.deltaFor(pt, seq, intra, sr); ok {
+		if d, refPt, ok := s.deltaFor(pt, res.data, sr); ok {
 			s.obs.deltaFrames.Inc()
-			s.obs.deltaSaved.Add(int64(len(intra) - len(d)))
-			return d, transport.FrameDelta, refPt, rung, origin, stg, nil
+			s.obs.deltaSaved.Add(int64(len(res.data) - len(d)))
+			res.data, res.kind, res.ref = d, transport.FrameDelta, refPt
+			return res
 		}
 	}
-	sr.setPending(pt, seq)
-	return intra, transport.FrameIntra, geom.GridPoint{}, rung, origin, stg, nil
+	sr.setPending(pt)
+	return res
 }
 
-// deltaFor tries to produce a delta encoding of frame (pt, seq) against
-// the session's best held reference: the nearest held point in the same
+// deltaFor tries to produce a delta encoding of pt's frame against the
+// session's best held reference: the nearest held point in the same
 // cutoff leaf within the leaf's SSIM-calibrated distance threshold. It
 // reports ok=false when no reference qualifies, the reference bytes are
 // no longer reconstructible, or the delta does not beat the intra size.
-func (s *Server) deltaFor(pt geom.GridPoint, seq uint64, intra []byte, sr *sessionRefs) ([]byte, geom.GridPoint, bool) {
+func (s *Server) deltaFor(pt geom.GridPoint, intra []byte, sr *sessionRefs) ([]byte, geom.GridPoint, bool) {
 	if len(sr.held) == 0 {
 		return nil, geom.GridPoint{}, false
 	}
@@ -168,30 +156,34 @@ func (s *Server) deltaFor(pt geom.GridPoint, seq uint64, intra []byte, sr *sessi
 	// Best reference: nearest held frame whose similarity the cutoff map
 	// vouches for (same leaf, within DistThresh). Holding pt itself is the
 	// ideal case — the re-request costs a skip map and nothing else.
+	// Equidistant references tie-break on (J, I), so the served reference,
+	// kind and bytes do not depend on map iteration order.
 	var refPt geom.GridPoint
-	var refSeq uint64
 	bestDist := leaf.DistThresh + 1
-	for hp, hs := range sr.held {
+	for hp := range sr.held {
 		d := grid.Dist(pt, hp)
-		if d > leaf.DistThresh || d >= bestDist {
+		if d > leaf.DistThresh || d > bestDist {
+			continue
+		}
+		if d == bestDist && !(hp.J < refPt.J || (hp.J == refPt.J && hp.I < refPt.I)) {
 			continue
 		}
 		if s.env.Map.LeafAt(grid.Pos(hp)) != leaf {
 			continue
 		}
-		refPt, refSeq, bestDist = hp, hs, d
+		refPt, bestDist = hp, d
 	}
 	if bestDist > leaf.DistThresh {
 		return nil, geom.GridPoint{}, false
 	}
-	if d, ok := s.store.delta(pt, seq, refPt, refSeq); ok {
+	if d, ok := s.store.delta(pt, refPt); ok {
 		return d, refPt, true
 	}
-	cur := s.reconFor(pt, seq, intra)
+	cur := s.reconFor(pt, intra)
 	if cur == nil {
 		return nil, geom.GridPoint{}, false
 	}
-	refRecon := s.reconFor(refPt, refSeq, nil)
+	refRecon := s.reconFor(refPt, nil)
 	if refRecon == nil {
 		return nil, geom.GridPoint{}, false
 	}
@@ -199,24 +191,24 @@ func (s *Server) deltaFor(pt geom.GridPoint, seq uint64, intra []byte, sr *sessi
 	if d == nil || len(d) >= len(intra) {
 		return nil, geom.GridPoint{}, false
 	}
-	s.store.putDelta(pt, seq, refPt, refSeq, d)
+	s.store.putDelta(pt, refPt, d)
 	return d, refPt, true
 }
 
-// reconFor returns the decoded reconstruction of frame (pt, seq) — the
-// raster a client that decoded those exact bytes holds. intra, when
-// non-nil, is the frame's known encoded bytes; otherwise they are peeked
-// from the store and must still carry the same sequence number (a
-// re-rendered frame is different bytes, so a stale sequence returns nil
-// and the caller falls back to intra coding). The raster is owned by the
-// pano cache; callers must not mutate or release it.
-func (s *Server) reconFor(pt geom.GridPoint, seq uint64, intra []byte) *img.Gray {
-	if g, gotSeq, ok := s.panos.get(pt); ok && gotSeq == seq && g != nil {
+// reconFor returns the decoded reconstruction of pt's frame — the raster
+// a client that decoded it holds. intra, when non-nil, is the frame's
+// known encoded bytes; otherwise they are peeked from the store, never
+// rendered: a reference the store no longer holds (and the pano cache
+// never did) returns nil and the caller falls back to intra coding. The
+// raster is owned by the pano cache; callers must not mutate or release
+// it.
+func (s *Server) reconFor(pt geom.GridPoint, intra []byte) *img.Gray {
+	if g, ok := s.panos.get(pt); ok {
 		return g
 	}
 	if intra == nil {
-		data, gotSeq, ok := s.store.peek(pt)
-		if !ok || gotSeq != seq {
+		data, ok := s.store.peek(pt)
+		if !ok {
 			return nil
 		}
 		intra = data
@@ -225,93 +217,20 @@ func (s *Server) reconFor(pt geom.GridPoint, seq uint64, intra []byte) *img.Gray
 	if err != nil {
 		return nil
 	}
-	s.panos.put(pt, seq, g, nil)
+	s.panos.put(pt, g)
 	return g
 }
 
-// reprojDepth is the constant-depth shell the warp assumes, derived from
-// the leaf's cutoff radius: far-BE content starts at the cutoff, so a
-// small multiple of it is a serviceable depth proxy, bounded to keep the
-// parallax model sane in tiny and huge leaves.
-func reprojDepth(leaf *cutoff.Region) float64 {
-	d := 8 * leaf.Radius
-	if d < 20 {
-		d = 20
-	}
-	if d > 200 {
-		d = 200
-	}
-	return d
-}
-
-// tryReproject attempts to synthesize the panorama at pt by warping a
-// nearby frame's cached clean raster (the pre-encode ray-cast pixels, not
-// the codec reconstruction: the warped frame is encoded afresh, so
-// sourcing it from a CRF-lossy decode would compound codec loss and the
-// verification below would charge that loss against the warp). The result
-// is verified against a ray-cast ground-truth band; nil means no source
-// qualified or the check failed, and the caller falls back to a full
-// render. The returned raster is renderer-owned, exactly like Panorama's.
-func (s *Server) tryReproject(pt geom.GridPoint, pos geom.Vec2, leaf *cutoff.Region) *img.Gray {
-	grid := s.env.Game.Scene.Grid
-	srcPt, src, ok := s.panos.nearest(pt, grid, func(cand geom.GridPoint) bool {
-		d := grid.Dist(pt, cand)
-		return d > 0 && d <= leaf.DistThresh && s.env.Map.LeafAt(grid.Pos(cand)) == leaf
-	})
-	if !ok {
-		return nil
-	}
-	scene := s.env.Game.Scene
-	rp := s.env.Renderer.Reproject(src, scene.EyeAt(grid.Pos(srcPt)), scene.EyeAt(pos), reprojDepth(leaf))
-	if rp == nil {
-		return nil
-	}
-	if !s.verifyReproject(rp, pos, leaf) {
-		s.obs.reprojRejects.Inc()
-		s.env.Renderer.ReleaseGray(rp)
-		return nil
-	}
-	s.obs.reprojHits.Inc()
-	return rp
-}
-
-// verifyReproject ray-casts a horizontal sample band of the true frame
-// and accepts the reprojection iff the band's SSIM clears the paper's
-// "good" bar. The band is centred on the horizon, where parallax error
-// concentrates (poles barely move under translation); its height trades
-// verification cost against coverage.
-func (s *Server) verifyReproject(rp *img.Gray, pos geom.Vec2, leaf *cutoff.Region) bool {
-	w, h := rp.W, rp.H
-	band := h / 8
-	if band < 16 {
-		band = 16
-	}
-	if band > h {
-		band = h
-	}
-	y0 := (h - band) / 2
-	gt := s.env.Renderer.PanoramaBand(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil, y0, y0+band)
-	// Rows are contiguous, so the reprojected band is a sub-slice view.
-	view := &img.Gray{W: w, H: band, Pix: rp.Pix[y0*w : (y0+band)*w]}
-	score, err := ssim.Mean(gt, view)
-	return err == nil && score >= ssim.GoodThreshold
-}
-
 // defaultPanoCacheCap bounds the decoded-frame cache. At the default
-// 256x128 resolution this is 4 MB worst case (two rasters per entry);
-// entries are dropped LRU.
+// 256x128 resolution this is 2 MB worst case; entries are dropped LRU.
 const defaultPanoCacheCap = 64
 
-// panoCache is a small LRU map of frame rasters keyed by grid point,
-// shared by all sessions. Each entry carries up to two views of the same
-// render: recon, the codec reconstruction (what a client that decoded the
-// frame holds — the delta path's reference raster), and clean, the
-// pre-encode ray-cast pixels (the reprojection path's warp source; nil
-// for frames that were themselves reprojection-served, so warp error
-// never chains through generations of synthesis). Entries are immutable
-// once inserted and never returned to the raster pools — a session may
-// still be reading an entry after its eviction, so evicted rasters are
-// left to the garbage collector.
+// panoCache is a small LRU map, keyed by grid point and shared by all
+// sessions, of frames' codec reconstructions: what a client that decoded
+// the frame holds, the rasters the delta path encodes residuals between.
+// Entries are immutable once inserted and never returned to the raster
+// pools — a session may still be reading an entry after its eviction, so
+// evicted rasters are left to the garbage collector.
 type panoCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -322,9 +241,7 @@ type panoCache struct {
 
 type panoEntry struct {
 	pt         geom.GridPoint
-	seq        uint64
 	recon      *img.Gray
-	clean      *img.Gray
 	prev, next *panoEntry
 }
 
@@ -332,46 +249,30 @@ func newPanoCache(cap int) *panoCache {
 	return &panoCache{cap: cap, entries: make(map[geom.GridPoint]*panoEntry)}
 }
 
-// get returns the cached reconstruction of pt and its sequence number.
-// The raster is shared and must not be mutated or released; it may be nil
-// when only the clean raster is cached for the point.
-func (p *panoCache) get(pt geom.GridPoint) (*img.Gray, uint64, bool) {
+// get returns the cached reconstruction of pt. The raster is shared and
+// must not be mutated or released.
+func (p *panoCache) get(pt geom.GridPoint) (*img.Gray, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[pt]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	p.touch(e)
-	return e.recon, e.seq, true
+	return e.recon, true
 }
 
-// put inserts the rasters of render (pt, seq); either may be nil. The
-// cache takes ownership; the caller must not release them afterwards. A
-// same-sequence put merges with what is already cached (a later reconFor
-// decode must not clobber the clean raster stored at render time); a new
-// sequence replaces the entry outright.
-func (p *panoCache) put(pt geom.GridPoint, seq uint64, recon, clean *img.Gray) {
-	if recon == nil && clean == nil {
-		return
-	}
+// put inserts the reconstruction of pt's frame. The cache takes ownership;
+// the caller must not release it afterwards.
+func (p *panoCache) put(pt geom.GridPoint, recon *img.Gray) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e, ok := p.entries[pt]; ok {
-		if e.seq != seq {
-			e.seq, e.recon, e.clean = seq, recon, clean
-		} else {
-			if recon != nil {
-				e.recon = recon
-			}
-			if clean != nil {
-				e.clean = clean
-			}
-		}
+		e.recon = recon
 		p.touch(e)
 		return
 	}
-	e := &panoEntry{pt: pt, seq: seq, recon: recon, clean: clean}
+	e := &panoEntry{pt: pt, recon: recon}
 	p.entries[pt] = e
 	p.pushFront(e)
 	for len(p.entries) > p.cap && p.tail != nil {
@@ -379,31 +280,6 @@ func (p *panoCache) put(pt geom.GridPoint, seq uint64, recon, clean *img.Gray) {
 		p.unlink(v)
 		delete(p.entries, v.pt)
 	}
-}
-
-// nearest returns the cached point closest to pt (by grid distance) that
-// carries a clean raster and is accepted by keep, scanning the whole
-// cache (it is small by construction). Equidistant candidates tie-break
-// on (J, I) so the warp source — and therefore the served bytes — do not
-// depend on map iteration order. The raster is shared; see get.
-func (p *panoCache) nearest(pt geom.GridPoint, grid geom.Grid, keep func(geom.GridPoint) bool) (geom.GridPoint, *img.Gray, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var bestPt geom.GridPoint
-	var bestG *img.Gray
-	bestDist := 0.0
-	for cand, e := range p.entries {
-		if e.clean == nil || !keep(cand) {
-			continue
-		}
-		d := grid.Dist(pt, cand)
-		better := bestG == nil || d < bestDist ||
-			(d == bestDist && (cand.J < bestPt.J || (cand.J == bestPt.J && cand.I < bestPt.I)))
-		if better {
-			bestPt, bestG, bestDist = cand, e.clean, d
-		}
-	}
-	return bestPt, bestG, bestG != nil
 }
 
 func (p *panoCache) touch(e *panoEntry) {

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"errors"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -13,13 +12,12 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
-	"coterie/internal/ssim"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
 
 // startInstrumentedServer is startServer plus a registry, for tests that
-// assert on the delta/reprojection instruments.
+// assert on the delta instruments.
 func startInstrumentedServer(t *testing.T) (*Server, *obs.Registry, string) {
 	t.Helper()
 	srv := New(poolEnv(t))
@@ -189,53 +187,48 @@ func TestSessionDeltaToggle(t *testing.T) {
 }
 
 // TestStoreDeltaCache covers the encoded-delta cache riding on store
-// entries: lookups are keyed by the full (point, seq, refPoint, refSeq)
-// identity, stale sequences are dropped, the per-entry FIFO stays bounded,
-// and delta bytes are charged to (and reclaimed from) the byte budget.
+// entries: lookups are keyed by (point, reference point), a put against a
+// non-resident entry is dropped, the per-entry FIFO stays bounded, and
+// delta bytes are charged to (and reclaimed from) the byte budget.
 func TestStoreDeltaCache(t *testing.T) {
 	st := newFrameStore(1)
 	pt := geom.GridPoint{I: 1, J: 2}
-	_, _, ok, c, leader := st.lookup(pt)
+	_, ok, c, leader := st.lookup(pt)
 	if ok || !leader {
 		t.Fatal("expected to lead the first render")
 	}
-	frame := make([]byte, 100)
-	seq := st.complete(pt, c, frame, nil, true)
-	if seq == 0 {
-		t.Fatal("completed render got no sequence number")
-	}
+	st.complete(pt, c, make([]byte, 100), nil)
 
 	ref := geom.GridPoint{I: 1, J: 3}
-	d1 := make([]byte, 10)
-	st.putDelta(pt, seq, ref, 7, d1)
-	if got, ok := st.delta(pt, seq, ref, 7); !ok || len(got) != 10 {
+	st.putDelta(pt, ref, make([]byte, 10))
+	if got, ok := st.delta(pt, ref); !ok || len(got) != 10 {
 		t.Fatalf("cached delta lookup = %v,%v", got, ok)
 	}
-	if _, ok := st.delta(pt, seq, ref, 8); ok {
-		t.Fatal("delta matched a different reference sequence")
+	if _, ok := st.delta(pt, geom.GridPoint{I: 1, J: 4}); ok {
+		t.Fatal("delta matched a different reference")
 	}
-	if _, ok := st.delta(pt, seq+1, ref, 7); ok {
-		t.Fatal("delta matched a stale frame sequence")
+	if _, ok := st.delta(ref, pt); ok {
+		t.Fatal("delta matched a never-stored frame")
 	}
 	if st.Bytes() != 110 {
 		t.Fatalf("store bytes %d, want frame 100 + delta 10", st.Bytes())
 	}
 
-	// A stale put (the entry re-rendered since the caller read it) must be
-	// dropped without touching accounting.
-	st.putDelta(pt, seq+1, ref, 9, make([]byte, 50))
+	// A put against an entry the store does not hold (evicted since the
+	// caller read it) must be dropped without touching accounting.
+	st.putDelta(ref, pt, make([]byte, 50))
 	if st.Bytes() != 110 {
-		t.Fatalf("stale putDelta changed accounting: %d bytes", st.Bytes())
+		t.Fatalf("putDelta on a non-resident entry changed accounting: %d bytes", st.Bytes())
 	}
 
 	// Fill past the FIFO bound: the oldest delta is replaced.
 	for i := 0; i < maxDeltasPerEntry; i++ {
-		st.putDelta(pt, seq, geom.GridPoint{I: 10 + i}, 1, make([]byte, 10))
+		st.putDelta(pt, geom.GridPoint{I: 10 + i}, make([]byte, 10))
 	}
-	if _, ok := st.delta(pt, seq, ref, 7); ok {
+	if _, ok := st.delta(pt, ref); ok {
 		t.Fatal("oldest delta survived FIFO replacement")
 	}
-	if _, ok := st.delta(pt, seq, geom.GridPoint{I: 10 + maxDeltasPerEntry - 1}, 1); !ok {
+	if _, ok := st.delta(pt, geom.GridPoint{I: 10 + maxDeltasPerEntry - 1}); !ok {
 		t.Fatal("newest delta missing after FIFO replacement")
 	}
 	if want := int64(100 + 10*maxDeltasPerEntry); st.Bytes() != want {
@@ -248,105 +241,8 @@ func TestStoreDeltaCache(t *testing.T) {
 	if st.Bytes() != 0 || st.Len() != 0 {
 		t.Fatalf("after eviction: %d bytes / %d entries", st.Bytes(), st.Len())
 	}
-	if _, ok := st.delta(pt, seq, geom.GridPoint{I: 10}, 1); ok {
+	if _, ok := st.delta(pt, geom.GridPoint{I: 10}); ok {
 		t.Fatal("delta survived its entry's eviction")
-	}
-}
-
-// TestReprojectServeVerifiedOrFallback is the property test of the
-// reprojection fallback rule: walking away from a cached frame, every
-// request is either served a reprojection that passes the horizon-band
-// SSIM check against ray-cast ground truth, or falls back (returns nil)
-// with the reject counter accounting for every verification failure.
-// Close to the source the warp must actually succeed — the path cannot be
-// vacuously "all fallback".
-func TestReprojectServeVerifiedOrFallback(t *testing.T) {
-	srv, reg, _ := startInstrumentedServer(t)
-	scene := srv.env.Game.Scene
-	grid := scene.Grid
-	spawn := grid.Snap(srv.env.Game.Spawn)
-	if _, err := srv.FrameFor(spawn); err != nil {
-		t.Fatal(err)
-	}
-
-	served, fell := 0, 0
-	for di := 1; di <= 20; di += 2 {
-		pt := geom.GridPoint{I: spawn.I + di, J: spawn.J}
-		if !grid.In(pt) {
-			continue
-		}
-		pos := grid.Pos(pt)
-		leaf := srv.env.Map.LeafAt(pos)
-		if leaf == nil {
-			continue
-		}
-		rp := srv.tryReproject(pt, pos, leaf)
-		if rp == nil {
-			fell++
-			continue
-		}
-		served++
-		// Re-verify independently against a full ray-cast render: the band
-		// the server checked must hold on re-computation, and the whole
-		// frame must stay close to the good bar (the band is chosen where
-		// parallax error concentrates, so it bounds the rest).
-		gt := srv.env.Renderer.Panorama(scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
-		full, err := ssim.Mean(rp, gt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full < ssim.GoodThreshold-0.05 {
-			t.Errorf("served reprojection at d=%d has full-frame SSIM %.4f", di, full)
-		}
-		if !srv.verifyReproject(rp, pos, leaf) {
-			t.Errorf("served reprojection at d=%d fails re-verification", di)
-		}
-		srv.env.Renderer.ReleaseGray(rp)
-	}
-	if served == 0 {
-		t.Fatal("no reprojection was ever served — the path is vacuous")
-	}
-	snap := reg.Snapshot()
-	if hits := snap.Counters["server.reproject_hits"]; hits != int64(served) {
-		t.Errorf("server.reproject_hits = %d, served %d", hits, served)
-	}
-	if rejects := snap.Counters["server.reproject_rejects"]; rejects > int64(fell) {
-		t.Errorf("server.reproject_rejects = %d exceeds fallbacks %d", rejects, fell)
-	}
-	t.Logf("reprojection: %d served, %d fell back (rejects %d)",
-		served, fell, reg.Snapshot().Counters["server.reproject_rejects"])
-}
-
-// TestReprojectToggle pins SetReprojectEnabled: disabled, every miss
-// ray-casts in full and the reprojection counters stay at zero even with
-// a perfect source cached; enabled, the next adjacent miss consults the
-// reprojector exactly once.
-func TestReprojectToggle(t *testing.T) {
-	srv, reg, _ := startInstrumentedServer(t)
-	srv.SetReprojectEnabled(false)
-	grid := srv.env.Game.Scene.Grid
-	spawn := grid.Snap(srv.env.Game.Spawn)
-	if _, err := srv.FrameFor(spawn); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.FrameFor(geom.GridPoint{I: spawn.I + 1, J: spawn.J}); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if n := snap.Counters["server.reproject_hits"] + snap.Counters["server.reproject_rejects"]; n != 0 {
-		t.Fatalf("reprojection consulted %d times while disabled", n)
-	}
-	if _, rendered := srv.Stats(); rendered != 2 {
-		t.Fatalf("rendered %d frames, want 2 full renders", rendered)
-	}
-
-	srv.SetReprojectEnabled(true)
-	if _, err := srv.FrameFor(geom.GridPoint{I: spawn.I, J: spawn.J + 1}); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if n := snap.Counters["server.reproject_hits"] + snap.Counters["server.reproject_rejects"]; n != 1 {
-		t.Fatalf("reprojection consulted %d times after re-enable, want 1", n)
 	}
 }
 
@@ -428,7 +324,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 					dl = wallMs() + 16.7
 				}
 				sr.promote()
-				data, _, _, _, _, _, err := srv.frameForSession(pt, dl, 0, sr)
+				res, err := srv.frameForSession(frameReq{pt: pt, deadlineMs: dl}, sr)
 				if err != nil {
 					if errors.Is(err, errOverloaded) {
 						continue
@@ -436,7 +332,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 					t.Errorf("session %d iter %d: %v", p, i, err)
 					return
 				}
-				if len(data) == 0 {
+				if len(res.data) == 0 {
 					t.Errorf("session %d iter %d: empty frame", p, i)
 					return
 				}
@@ -446,4 +342,43 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 	sessions.Wait()
 	close(stop)
 	churn.Wait()
+}
+
+// TestDeltaReferenceTieBreak pins the choice between equidistant held
+// references: the served Ref (and with it the reply's kind and bytes) must
+// not depend on map iteration order, so fresh sessions holding the same
+// two references — one grid step either side of the requested point —
+// always delta against the (J, I)-smaller one.
+func TestDeltaReferenceTieBreak(t *testing.T) {
+	srv := New(poolEnv(t))
+	grid := srv.env.Game.Scene.Grid
+	pt := grid.Snap(srv.env.Game.Spawn)
+	lo, hi := geom.GridPoint{I: pt.I - 1, J: pt.J}, geom.GridPoint{I: pt.I + 1, J: pt.J}
+	leaf := srv.env.Map.LeafAt(grid.Pos(pt))
+	for _, ref := range []geom.GridPoint{lo, hi} {
+		if d := grid.Dist(pt, ref); d > leaf.DistThresh || srv.env.Map.LeafAt(grid.Pos(ref)) != leaf {
+			t.Fatalf("reference %v does not qualify (dist %v, thresh %v): pick another fixture", ref, d, leaf.DistThresh)
+		}
+		if _, err := srv.FrameFor(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	intra, err := srv.FrameFor(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		sr := newSessionRefs()
+		for _, ref := range []geom.GridPoint{hi, lo} {
+			sr.setPending(ref)
+			sr.promote()
+		}
+		_, ref, ok := srv.deltaFor(pt, intra, sr)
+		if !ok {
+			t.Fatal("no delta against an adjacent held reference: the tie-break is untested")
+		}
+		if ref != lo {
+			t.Fatalf("session %d: delta reference %v, want %v", i, ref, lo)
+		}
+	}
 }

@@ -3,20 +3,18 @@ package server
 import (
 	"math"
 
-	"coterie/internal/cutoff"
 	"coterie/internal/geom"
-	"coterie/internal/img"
 )
 
-// This file is the quality-degrade ladder: the frames the server serves
+// This file is the quality-degrade ladder: the frame the server serves
 // when a request's deadline can no longer afford the frame it asked for.
-// Every rung stays inside the paper's similarity bound — SSIM ≥
-// ssim.GoodThreshold against the true frame — either by construction
-// (rung 1 serves a cached frame within the leaf's calibrated DistThresh,
-// the distance below which SSIM ≥ 0.90 by §4.4) or by measurement
-// (rungs 2 and 3 are verified against a ray-cast ground-truth band
-// before being served). The ladder degrades latency into similarity,
-// never into visible quality below the bar.
+// The ladder is exact → stale: the one rung below an exact frame is a
+// cached frame within the leaf's calibrated DistThresh, the distance
+// below which SSIM ≥ ssim.GoodThreshold against the true frame by
+// construction (§4.4) — the substitution the paper's client cache already
+// makes. The ladder degrades latency into similarity, never into visible
+// quality below the bar, and never synthesizes pixels: every served frame
+// is the exact render of some grid point.
 
 // maxStaleRadius bounds the ring scan for a stale substitute, in grid
 // steps. DistThresh rarely exceeds a few steps in calibrated maps; the
@@ -24,24 +22,17 @@ import (
 // store sweep.
 const maxStaleRadius = 6
 
-// degradeLowResFactor is the resolution divisor for rung-3 renders: half
-// resolution per axis quarters the ray count, cutting render cost ~4×
-// while the upscale's blur stays within the SSIM bar for the smooth
-// far-background content the far-BE layer carries (verified per frame
-// regardless).
-const degradeLowResFactor = 2
-
 // staleFor looks for a cached frame the similarity calibration vouches
 // for as a stand-in for pt: a stored frame within the leaf's DistThresh,
 // nearest first. It never triggers or joins a render (peek only) — the
 // whole point is serving without queueing. The scan walks Chebyshev
 // rings outward so the common case (pt itself, or an immediate
 // neighbour on the client's walking path) exits early.
-func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint, seq uint64, ok bool) {
+func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint, ok bool) {
 	grid := s.env.Game.Scene.Grid
 	leaf := s.env.Map.LeafAt(grid.Pos(pt))
 	if leaf == nil {
-		return nil, geom.GridPoint{}, 0, false
+		return nil, geom.GridPoint{}, false
 	}
 	maxR := int(math.Ceil(leaf.DistThresh / grid.Step))
 	if maxR > maxStaleRadius {
@@ -50,7 +41,6 @@ func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint,
 	for r := 0; r <= maxR; r++ {
 		var bestData []byte
 		var bestPt geom.GridPoint
-		var bestSeq uint64
 		bestDist := leaf.DistThresh + 1
 		for _, cand := range chebyshevRing(pt, r) {
 			if !grid.In(cand) {
@@ -63,15 +53,15 @@ func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint,
 			if r > 0 && s.env.Map.LeafAt(grid.Pos(cand)) != leaf {
 				continue
 			}
-			if data, seq, hit := s.store.peek(cand); hit {
-				bestData, bestPt, bestSeq, bestDist = data, cand, seq, d
+			if data, hit := s.store.peek(cand); hit {
+				bestData, bestPt, bestDist = data, cand, d
 			}
 		}
 		if bestData != nil {
-			return bestData, bestPt, bestSeq, true
+			return bestData, bestPt, true
 		}
 	}
-	return nil, geom.GridPoint{}, 0, false
+	return nil, geom.GridPoint{}, false
 }
 
 // chebyshevRing returns the grid points at Chebyshev distance r from pt
@@ -92,26 +82,4 @@ func chebyshevRing(pt geom.GridPoint, r int) []geom.GridPoint {
 			geom.GridPoint{I: pt.I + r, J: pt.J + dj})
 	}
 	return ring
-}
-
-// tryLowRes is the ladder's last rung: render the panorama at reduced
-// resolution, upscale to full size, and verify the result against the
-// same ray-cast ground-truth band the reprojection path uses. nil means
-// the upscale failed verification (scene content too sharp for the
-// blur) and the caller falls back to a full render. The returned raster
-// is renderer-owned, exactly like Panorama's.
-func (s *Server) tryLowRes(pos geom.Vec2, leaf *cutoff.Region) *img.Gray {
-	lr := s.env.Renderer.LowRes(degradeLowResFactor)
-	if lr == nil {
-		return nil
-	}
-	small := lr.Panorama(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
-	up := s.env.Renderer.UpscaleToFull(small)
-	lr.ReleaseGray(small)
-	if !s.verifyReproject(up, pos, leaf) {
-		s.obs.lowresRejects.Inc()
-		s.env.Renderer.ReleaseGray(up)
-		return nil
-	}
-	return up
 }

@@ -45,14 +45,14 @@ func (s *Server) PrerenderRegion(region geom.Rect, strideSteps, workers int) (Pr
 			I: lo.I + (k%cols)*strideSteps,
 			J: lo.J + (k/cols)*strideSteps,
 		}
-		data, fresh, err := s.frameFor(pt)
+		res, err := s.frameFor(frameReq{pt: pt})
 		if err != nil {
 			return err
 		}
 		points.Add(1)
-		if fresh {
+		if res.rendered {
 			rendered.Add(1)
-			bytes.Add(int64(len(data)))
+			bytes.Add(int64(len(res.data)))
 		}
 		return nil
 	})

@@ -77,8 +77,8 @@ type udpSession struct {
 	lastFill float64 // seconds
 	nackEWMA float64
 
-	// Recently pushed points -> store seq, with FIFO eviction.
-	pushed    map[geom.GridPoint]uint64
+	// Recently pushed points, with FIFO eviction.
+	pushed    map[geom.GridPoint]struct{}
 	pushedLog []geom.GridPoint
 
 	sent [sentRing]sentFrame
@@ -128,7 +128,7 @@ func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64
 				// Stream ids only need to differ between sessions the
 				// same client multiplexes; player+1 keeps 0 invalid.
 				streamID: uint32(sub.Player) + 1,
-				pushed:   make(map[geom.GridPoint]uint64),
+				pushed:   make(map[geom.GridPoint]struct{}),
 				lastFill: nowMs / 1000,
 			}
 			u.sub[key] = sess
@@ -206,19 +206,19 @@ func (s *Server) notePush(u *udpServe, sess *udpSession, st fisync.State, nowMs 
 		sess.tokens = pushBurst
 	}
 
-	data, seq, ok := s.store.peek(pt)
+	data, ok := s.store.peek(pt)
 	if !ok {
 		return // nothing store-resident: the client's own fetch will render it
 	}
-	if prev, dup := sess.pushed[pt]; dup && prev == seq {
-		return // already pushed this exact frame version
+	if _, dup := sess.pushed[pt]; dup {
+		return // already pushed this point's frame
 	}
 	if sess.tokens < 1 {
 		s.obs.pushSkips.Inc()
 		return
 	}
 	sess.tokens--
-	sess.pushed[pt] = seq
+	sess.pushed[pt] = struct{}{}
 	sess.pushedLog = append(sess.pushedLog, pt)
 	if len(sess.pushedLog) > pushedLRU {
 		delete(sess.pushed, sess.pushedLog[0])
@@ -258,8 +258,8 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 	}
 }
 
-// serveUDPReq answers a client's UDP frame request through the staged
-// serve path on a bounded worker pool. When the pool is full the request
+// serveUDPReq answers a client's UDP frame request through frameFor on a
+// bounded worker pool. When the pool is full the request
 // is dropped: the client's short UDP budget expires and it falls back to
 // TCP, which is exactly the overload behaviour we want.
 func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
@@ -276,11 +276,11 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 	s.obs.udpFrameReqs.Inc()
 	go func() {
 		defer func() { <-u.sem }()
-		data, _, _, _, _, _, err := s.frameForStaged(req.Point, 0, 0)
+		res, err := s.frameFor(frameReq{pt: req.Point})
 		if err != nil {
 			return // client falls back to TCP
 		}
-		s.sendFrame(u, sess, req.Point, data, 0)
+		s.sendFrame(u, sess, req.Point, res.data, 0)
 	}()
 }
 

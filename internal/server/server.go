@@ -23,7 +23,6 @@ import (
 	"coterie/internal/core"
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
-	"coterie/internal/img"
 	"coterie/internal/obs"
 	"coterie/internal/sched"
 	"coterie/internal/transport"
@@ -52,15 +51,13 @@ type Server struct {
 
 	// panos caches the decoded reconstruction of recently rendered frames
 	// (what a client that decoded the served bytes sees). The delta path
-	// encodes residuals between reconstructions, and the reprojection path
-	// warps them into nearby viewpoints instead of re-rendering.
+	// encodes residuals between reconstructions.
 	panos *panoCache
 
-	// deltaOff / reprojOff disable the delta and reprojection paths; the
-	// zero value (both enabled) is the production configuration. Inverted
-	// so the zero-valued Server keeps today's defaults.
-	deltaOff  atomic.Bool
-	reprojOff atomic.Bool
+	// deltaOff disables the delta path; the zero value (enabled) is the
+	// production configuration. Inverted so the zero-valued Server keeps
+	// today's defaults.
+	deltaOff atomic.Bool
 
 	// sched gates every render leader: an EDF queue with a concurrency
 	// knee (SetMaxInflight) and admission control, so a request whose
@@ -68,8 +65,8 @@ type Server struct {
 	// traffic instead of queueing FIFO behind it. schedOff bypasses the
 	// gate entirely (the pre-scheduler serve path, for A/B runs and the
 	// byte-identity tests); degradeOff keeps the scheduler but disables
-	// the quality ladder, so at-risk requests render in full and simply
-	// miss. Both inverted so the zero-valued Server has them enabled.
+	// the quality ladder, so at-risk requests render and simply miss.
+	// Both inverted so the zero-valued Server has them enabled.
 	sched      *sched.Scheduler
 	schedOff   atomic.Bool
 	degradeOff atomic.Bool
@@ -149,14 +146,9 @@ type serverObs struct {
 	udpNacks       *obs.Counter
 	deltaFrames    *obs.Counter
 	deltaSaved     *obs.Counter
-	reprojHits     *obs.Counter
-	reprojRejects  *obs.Counter
 
 	// Deadline scheduling and the quality-degrade ladder.
 	degradeStale   *obs.Counter
-	degradeReproj  *obs.Counter
-	degradeLowres  *obs.Counter
-	lowresRejects  *obs.Counter
 	deadlineMet    *obs.Counter
 	deadlineMisses *obs.Counter
 	deadlineMissMs *obs.Histogram
@@ -220,12 +212,7 @@ func (s *Server) Instrument(r *obs.Registry) {
 		udpNacks:            r.Counter("server.udp.nacks"),
 		deltaFrames:         r.Counter("server.delta_frames"),
 		deltaSaved:          r.Counter("server.delta_bytes_saved"),
-		reprojHits:          r.Counter("server.reproject_hits"),
-		reprojRejects:       r.Counter("server.reproject_rejects"),
 		degradeStale:        r.Counter("server.degrade_stale"),
-		degradeReproj:       r.Counter("server.degrade_reproject"),
-		degradeLowres:       r.Counter("server.degrade_lowres"),
-		lowresRejects:       r.Counter("server.lowres_rejects"),
 		deadlineMet:         r.Counter("server.deadline_met"),
 		deadlineMisses:      r.Counter("server.deadline_misses"),
 		deadlineMissMs:      r.Histogram("server.deadline_miss_ms"),
@@ -304,11 +291,6 @@ func New(env *core.Env) *Server {
 // (the bytes-per-frame benchmark) and tests. Safe to call at any time.
 func (s *Server) SetDeltaEnabled(on bool) { s.deltaOff.Store(!on) }
 
-// SetReprojectEnabled toggles reprojection synthesis (enabled by default).
-// With it off every cache miss ray-casts a full panorama. Safe to call at
-// any time.
-func (s *Server) SetReprojectEnabled(on bool) { s.reprojOff.Store(!on) }
-
 // SetSchedEnabled toggles the deadline scheduler (enabled by default).
 // With it off, render leaders run unscheduled and unshed — the
 // pre-scheduler FIFO path, kept for A/B benchmarks and the unloaded
@@ -317,8 +299,8 @@ func (s *Server) SetSchedEnabled(on bool) { s.schedOff.Store(!on) }
 
 // SetDegradeEnabled toggles the quality-degrade ladder (enabled by
 // default). With it off, requests whose deadlines are at risk still
-// render in full (and miss); the scheduler's EDF ordering and admission
-// control stay active. Safe to call at any time.
+// render (and miss); the scheduler's EDF ordering and admission control
+// stay active. Safe to call at any time.
 func (s *Server) SetDegradeEnabled(on bool) { s.degradeOff.Store(!on) }
 
 // SetMaxInflight sets the scheduler's concurrency knee: the number of
@@ -374,68 +356,82 @@ func (s *Server) SetPushContention(f func() float64) {
 // decides whether to retry.
 var errOverloaded = errors.New("overloaded: render queue full")
 
+// frameReq is one frame lookup: the grid point plus the request context
+// the staged pipeline consumes. The zero context (prerender, UDP, tests)
+// is deadline-less and untraced.
+type frameReq struct {
+	pt geom.GridPoint
+	// deadlineMs is the request's absolute wall-clock deadline (<= 0: none).
+	deadlineMs float64
+	// traceID is the distributed trace id of the client request driving
+	// this lookup (obs.TraceID of the request's player and id; 0 untraced).
+	// It is forwarded verbatim across the peer hop and stamped on the hop
+	// span this node records, so the client span, this node's hop span,
+	// and the owner's serve span join on one id.
+	traceID uint64
+	// fromPeer marks a request that already crossed the peer hop; it is
+	// served locally, so a membership disagreement between nodes can never
+	// chain proxy hops into a loop.
+	fromPeer bool
+}
+
+// frameResult is what every serve path — TCP session, UDP request, peer
+// hop, prerender — gets back for a frameReq. frameFor fills data, origin,
+// rendered and stages; kind, ref and rung keep their zero values (intra,
+// none, exact) unless the session layer delta-coded the frame or served a
+// stale substitute.
+type frameResult struct {
+	data     []byte
+	kind     transport.FrameEncoding
+	ref      geom.GridPoint
+	rung     transport.DegradeRung
+	origin   transport.FrameOrigin
+	rendered bool // this call ray-cast and encoded the frame
+	stages   frameStages
+}
+
 // FrameFor returns the encoded far-BE panorama for a grid point,
 // rendering and encoding it on first use.
 func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
-	data, _, err := s.frameFor(pt)
-	return data, err
+	res, err := s.frameFor(frameReq{pt: pt})
+	return res.data, err
 }
 
-// frameFor additionally reports whether this call rendered the frame.
-// Deadline-less: never shed, never degraded.
-func (s *Server) frameFor(pt geom.GridPoint) ([]byte, bool, error) {
-	data, rendered, _, _, _, _, err := s.frameForStaged(pt, 0, 0)
-	return data, rendered, err
-}
-
-// frameForStaged is frameFor plus the stage decomposition for the reply's
-// trace context, the frame's store sequence number (the identity the
-// delta path names references by), and the degrade rung that produced the
-// bytes. Concurrent calls for the same point share one render: the first
-// caller renders (and reports render/encode spans), the rest block on its
-// result (and report the wait as queue time, inheriting its rung), so
-// rendered counts are exact and all callers share one buffer.
+// frameFor is the one frame lookup: store hit, singleflight join, peer
+// fetch or local render. The stored frame is a pure function of the grid
+// point — the exact ray-cast, encoded at the environment's CRF — whatever
+// the request order, worker count or node. Concurrent calls for the same
+// point share one render: the first caller renders (and reports
+// render/encode spans), the rest block on its result (and report the wait
+// as queue time), so rendered counts are exact and all callers share one
+// buffer.
 //
-// deadlineMs is the request's absolute wall-clock deadline (<= 0: none).
 // Render leaders pass through the EDF scheduler: they wait for a slot in
-// deadline order (the wait lands in QueueMs), are shed with errOverloaded
-// when admission control rejects them, and — when the slot arrives with
-// the deadline already at risk — render via the quality-degrade ladder
-// instead of the full ray-cast. Deadline-less callers (prerender, tests,
-// unloaded clients) take the slot gate too but sort last and never
-// degrade, so their output is byte-identical to the unscheduled path.
-// frameForStaged allows the peer hop; the MsgPeerFrameRequest handler
-// calls frameForStagedOpt with allowPeer=false so a membership
-// disagreement between nodes can never chain proxy hops into a loop.
-//
-// traceID is the distributed trace id of the client request driving this
-// lookup (obs.TraceID of the request's player and id; 0 untraced, e.g.
-// prerender). It is forwarded verbatim across the peer hop and stamped on
-// the hop span this node records, so the client span, this node's hop
-// span, and the owner's serve span join on one id.
-func (s *Server) frameForStaged(pt geom.GridPoint, deadlineMs float64, traceID uint64) ([]byte, bool, uint64, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
-	return s.frameForStagedOpt(pt, deadlineMs, traceID, true)
-}
-
-func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceID uint64, allowPeer bool) ([]byte, bool, uint64, transport.DegradeRung, transport.FrameOrigin, frameStages, error) {
-	var stg frameStages
+// deadline order (the wait lands in QueueMs) and are shed with
+// errOverloaded when admission control rejects them. Deadline-less
+// callers take the slot gate too but sort last.
+func (s *Server) frameFor(req frameReq) (frameResult, error) {
+	var res frameResult
+	pt := req.pt
 	if !s.env.Game.Scene.Grid.In(pt) {
-		return nil, false, 0, transport.RungExact, transport.OriginLocal, stg, fmt.Errorf("server: grid point %v outside world", pt)
+		return res, fmt.Errorf("server: grid point %v outside world", pt)
 	}
-	data, seq, ok, c, leader := s.store.lookup(pt)
+	data, ok, c, leader := s.store.lookup(pt)
 	if ok {
 		// A store hit is a local serve even when the bytes were
 		// originally peer-fetched: that is the read-through replication
 		// paying off, and Origin describes this serve, not the history.
 		s.obs.frameStoreHits.Inc()
-		return data, false, seq, transport.RungExact, transport.OriginLocal, stg, nil
+		res.data = data
+		return res, nil
 	}
 	if !leader {
 		s.obs.renderShared.Inc()
 		waitStart := time.Now()
 		<-c.done
-		stg.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
-		return c.data, false, c.seq, c.rung, c.origin, stg, c.err
+		res.stages.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
+		res.data, res.origin = c.data, c.origin
+		return res, c.err
 	}
 
 	// Cluster ownership gate: a leader for a remotely owned point
@@ -443,169 +439,114 @@ func (s *Server) frameForStagedOpt(pt geom.GridPoint, deadlineMs float64, traceI
 	// owner is down or the hop itself is projected past the deadline —
 	// then this node re-renders locally (byte-identical output, counted
 	// as a failover).
-	origin := transport.OriginLocal
 	useSched := !s.schedOff.Load()
-	if cl := s.cluster; cl != nil && allowPeer {
+	if cl := s.cluster; cl != nil && !req.fromPeer {
 		if owner := cl.Owner(pt); owner != cl.Self() {
-			if cl.Up(owner) && !(useSched && s.sched.FetchAtRisk(wallMs(), deadlineMs)) {
-				fetchStartMs := wallMs()
-				reply, err := cl.Fetch(pt, deadlineMs, traceID)
-				if err == nil {
-					hopWallMs := wallMs() - fetchStartMs
-					s.sched.ObserveFetchCost(hopWallMs)
-					s.obs.peerFrames.Inc()
-					// Read-through replication: the owner's bytes enter
-					// this node's store under the normal budget, so the
-					// next request for the point is a local hit. The
-					// owner's stage timings pass through to the caller;
-					// what they do not cover — dial/pool wait plus hop
-					// network transit — is this node's proxy overhead and
-					// is split out as HopMs, so the client's NetMs stays
-					// pure client↔proxy transit.
-					keep := reply.Rung != transport.RungLowRes
-					c.rung, c.origin = reply.Rung, transport.OriginPeer
-					seq = s.store.complete(pt, c, reply.Data, nil, keep)
-					stg.QueueMs += reply.QueueMs
-					stg.RenderMs = reply.RenderMs
-					stg.EncodeMs = reply.EncodeMs
-					stg.HopMs = hopWallMs - (reply.QueueMs + reply.RenderMs + reply.EncodeMs)
-					if stg.HopMs < 0 {
-						// Clock jitter between the two nodes' stage clocks;
-						// never let the hop go negative or the client-side
-						// identity would over-subtract from NetMs.
-						stg.HopMs = 0
-					}
-					if traceID != 0 {
-						s.obs.trace.Record(&obs.FrameSpan{
-							Player:    int(uint8(traceID >> 32)),
-							TraceID:   traceID,
-							Hop:       1,
-							StartMs:   fetchStartMs,
-							DisplayMs: fetchStartMs + hopWallMs,
-							FetchMs:   hopWallMs,
-							HopMs:     stg.HopMs,
-							QueueMs:   reply.QueueMs,
-							RenderMs:  reply.RenderMs,
-							EncodeMs:  reply.EncodeMs,
-							Origin:    uint8(transport.OriginPeer),
-						})
-					}
-					return reply.Data, false, seq, reply.Rung, transport.OriginPeer, stg, nil
+			if cl.Up(owner) && !(useSched && s.sched.FetchAtRisk(wallMs(), req.deadlineMs)) {
+				if s.fetchFromOwner(req, &res) {
+					c.origin = res.origin
+					s.store.complete(pt, c, res.data, nil)
+					return res, nil
 				}
 			}
-			origin = transport.OriginFailover
+			res.origin = transport.OriginFailover
 			s.obs.peerFailovers.Inc()
 		}
 	}
 
-	rushed := false
 	if useSched {
-		info, admitted := s.sched.Acquire(deadlineMs)
+		queueMs, admitted := s.sched.Acquire(req.deadlineMs)
 		if !admitted {
-			err := errOverloaded
-			s.store.complete(pt, c, nil, err, false)
-			return nil, false, 0, transport.RungExact, origin, stg, err
+			s.store.complete(pt, c, nil, errOverloaded)
+			return res, errOverloaded
 		}
-		stg.QueueMs += info.QueueMs
-		rushed = info.Rushed && !s.degradeOff.Load()
+		res.stages.QueueMs += queueMs
 	}
-
-	var err error
-	var clean *img.Gray
-	var rung transport.DegradeRung
-	data, clean, rung, stg.RenderMs, stg.EncodeMs, err = s.render(pt, rushed)
+	data, renderMs, encodeMs, err := s.render(pt)
 	if useSched {
-		// Only full ray-casts (clean raster produced) feed the cost EWMA:
-		// the ladder's projections must estimate a *full* render.
-		fullCost := 0.0
-		if err == nil && clean != nil {
-			fullCost = stg.RenderMs + stg.EncodeMs
-		}
-		s.sched.Release(fullCost)
+		s.sched.Release(renderMs + encodeMs) // zero (no observation) on error
 	}
-	s.obs.renderMs.Observe(stg.RenderMs + stg.EncodeMs)
+	res.stages.RenderMs, res.stages.EncodeMs = renderMs, encodeMs
+	s.obs.renderMs.Observe(renderMs + encodeMs)
 	if err == nil {
 		s.rendered.Add(1)
 		s.obs.framesRendered.Inc()
 	}
-	// Low-res frames are served (and inherited by joiners) but never
-	// stored: a later unloaded request must re-render the exact frame, not
-	// inherit deadline-pressure quality as a rung-0 store hit.
-	keep := rung != transport.RungLowRes
-	c.rung, c.origin = rung, origin
-	seq = s.store.complete(pt, c, data, err, keep)
-	if err == nil && keep && (!s.deltaOff.Load() || !s.reprojOff.Load()) {
-		// Cache both views of the render: the client-visible reconstruction
-		// (the delta path's reference — residuals must be computed against
-		// what the client decoded) and, for full ray-casts, the clean raster
-		// (the reprojection path's warp source — sourcing warps from a lossy
-		// decode would compound codec loss across synthesized frames).
-		recon, derr := codec.Decode(data)
-		if derr != nil {
-			recon = nil
+	c.origin = res.origin
+	s.store.complete(pt, c, data, err)
+	if err == nil && !s.deltaOff.Load() {
+		// Cache the client-visible reconstruction: the delta path computes
+		// residuals against what the client decoded.
+		if recon, derr := codec.Decode(data); derr == nil {
+			s.panos.put(pt, recon)
 		}
-		s.panos.put(pt, seq, recon, clean)
-	} else if clean != nil {
-		s.env.Renderer.ReleaseGray(clean)
 	}
-	return data, err == nil, seq, rung, origin, stg, err
+	res.data, res.rendered = data, err == nil
+	return res, err
 }
 
-// render produces the encoded far-BE panorama for an in-grid point,
-// reporting the render and encode spans separately (wall milliseconds).
-// When a recently rendered nearby frame is cached, the panorama is first
-// attempted as a reprojection of it (SSIM-verified against a ray-cast
-// sample band); only when that fails is the scene ray-cast in full —
-// unless rushed, in which case the remaining ladder rung (a reduced-
-// resolution render upscaled to full size, verified against the same
-// band) is tried before falling back to the full ray-cast.
-//
-// The returned rung tags deadline-pressure degradation: a reprojection
-// that the normal path would have served anyway is RungExact unless
-// rushed forced it to stand in for a render the deadline could not
-// afford.
-//
-// For full ray-casts the pre-encode raster is returned as clean and
-// ownership passes to the caller (it becomes the pano cache's warp
-// source); reprojection- and low-res-served frames return clean == nil
-// so warp error never chains through generations of synthesis.
-func (s *Server) render(pt geom.GridPoint, rushed bool) (data []byte, clean *img.Gray, rung transport.DegradeRung, renderMs, encodeMs float64, err error) {
+// fetchFromOwner proxies req to the grid point's rendezvous owner and, on
+// success, fills res with the owner's bytes and stage timings (origin
+// peer) and reports true; the caller stores the bytes — read-through
+// replication under the normal budget, so the next request for the point
+// is a local hit. The owner's stage timings pass through; what they do not
+// cover — dial/pool wait plus hop network transit — is this node's proxy
+// overhead and is split out as HopMs, so the client's NetMs stays pure
+// client↔proxy transit.
+func (s *Server) fetchFromOwner(req frameReq, res *frameResult) bool {
+	fetchStartMs := wallMs()
+	reply, err := s.cluster.Fetch(req.pt, req.deadlineMs, req.traceID)
+	if err != nil {
+		return false
+	}
+	hopWallMs := wallMs() - fetchStartMs
+	s.sched.ObserveFetchCost(hopWallMs)
+	s.obs.peerFrames.Inc()
+	stg := &res.stages
+	stg.QueueMs += reply.QueueMs
+	stg.RenderMs = reply.RenderMs
+	stg.EncodeMs = reply.EncodeMs
+	// Clock jitter between the two nodes' stage clocks must never let the
+	// hop go negative, or the client-side identity would over-subtract
+	// from NetMs.
+	stg.HopMs = max(0, hopWallMs-(reply.QueueMs+reply.RenderMs+reply.EncodeMs))
+	if req.traceID != 0 {
+		s.obs.trace.Record(&obs.FrameSpan{
+			Player:    int(uint8(req.traceID >> 32)),
+			TraceID:   req.traceID,
+			Hop:       1,
+			StartMs:   fetchStartMs,
+			DisplayMs: fetchStartMs + hopWallMs,
+			FetchMs:   hopWallMs,
+			HopMs:     stg.HopMs,
+			QueueMs:   reply.QueueMs,
+			RenderMs:  reply.RenderMs,
+			EncodeMs:  reply.EncodeMs,
+			Origin:    uint8(transport.OriginPeer),
+		})
+	}
+	res.data, res.origin = reply.Data, transport.OriginPeer
+	return true
+}
+
+// render ray-casts and encodes the far-BE panorama for an in-grid point,
+// reporting the render and encode spans separately (wall milliseconds;
+// both zero on error).
+func (s *Server) render(pt geom.GridPoint) (data []byte, renderMs, encodeMs float64, err error) {
 	pos := s.env.Game.Scene.Grid.Pos(pt)
 	leaf := s.env.Map.LeafAt(pos)
 	if leaf == nil {
-		return nil, nil, transport.RungExact, 0, 0, fmt.Errorf("server: no leaf region at %v", pos)
+		return nil, 0, 0, fmt.Errorf("server: no leaf region at %v", pos)
 	}
 	renderStart := time.Now()
-	var pano *img.Gray
-	synthesized := false // raster came from a pool path and is released post-encode
-	if !s.reprojOff.Load() {
-		if pano = s.tryReproject(pt, pos, leaf); pano != nil {
-			synthesized = true
-			if rushed {
-				rung = transport.RungReproject
-			}
-		}
-	}
-	if pano == nil && rushed {
-		if pano = s.tryLowRes(pos, leaf); pano != nil {
-			synthesized = true
-			rung = transport.RungLowRes
-		}
-	}
-	if pano == nil {
-		pano = s.env.Renderer.Panorama(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
-	}
+	pano := s.env.Renderer.Panorama(s.env.Game.Scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
 	encodeStart := time.Now()
 	data = codec.Encode(pano, s.env.CRF)
-	if synthesized {
-		s.env.Renderer.ReleaseGray(pano) // encoded copy taken; recycle the raster
-	} else {
-		clean = pano // ownership passes to the caller (pano cache)
-	}
+	s.env.Renderer.ReleaseGray(pano) // encoded copy taken; recycle the raster
 	end := time.Now()
 	renderMs = float64(encodeStart.Sub(renderStart)) / float64(time.Millisecond)
 	encodeMs = float64(end.Sub(encodeStart)) / float64(time.Millisecond)
-	return data, clean, rung, renderMs, encodeMs, nil
+	return data, renderMs, encodeMs, nil
 }
 
 // wallMs is the server's trace clock: wall time in unix milliseconds.
@@ -793,44 +734,24 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			if err != nil {
 				return err
 			}
-			traceID := obs.TraceID(req.Player, req.ReqID)
-			data, kind, ref, rung, origin, stg, err := s.frameForSession(req.Point, req.DeadlineMs, traceID, sr)
+			res, err := s.frameForSession(frameReq{
+				pt:         req.Point,
+				deadlineMs: req.DeadlineMs,
+				traceID:    obs.TraceID(req.Player, req.ReqID),
+			}, sr)
 			if err != nil {
 				if err := c.Send(errMsg(err.Error())); err != nil {
 					return err
 				}
 				continue
 			}
-			switch rung {
-			case transport.RungReproject:
-				s.obs.degradeReproj.Inc()
-			case transport.RungLowRes:
-				s.obs.degradeLowres.Inc()
-				// RungStale is counted at the serve site in frameForSession.
-			}
 			s.served.Add(1)
 			s.obs.framesServed.Inc()
-			s.obs.bytesSent.Add(int64(len(data)))
+			s.obs.bytesSent.Add(int64(len(res.data)))
 			st.FramesServed++
-			st.BytesSent += int64(len(data))
+			st.BytesSent += int64(len(res.data))
 			sendMs := wallMs()
-			reply := transport.EncodeFrameReply(transport.FrameReply{
-				Point:        req.Point,
-				ReqID:        req.ReqID,
-				ClientSentMs: req.SentMs,
-				RecvMs:       recvMs,
-				SendMs:       sendMs,
-				QueueMs:      stg.QueueMs,
-				RenderMs:     stg.RenderMs,
-				EncodeMs:     stg.EncodeMs,
-				HopMs:        stg.HopMs,
-				Kind:         kind,
-				Rung:         rung,
-				Origin:       origin,
-				Ref:          ref,
-				Data:         data,
-			})
-			if err := c.Send(transport.Message{Type: transport.MsgFrameReply, Payload: reply}); err != nil {
+			if err := c.Send(frameReplyMsg(transport.MsgFrameReply, req, res, recvMs, sendMs)); err != nil {
 				return err
 			}
 			// Deadline accounting is against the reply's send stamp: network
@@ -849,18 +770,19 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			// quality loss burns the budget exactly like lateness.
 			if s.slo != nil {
 				good := sendMs-recvMs <= s.slo.BudgetMs() &&
-					rung == transport.RungExact &&
-					origin != transport.OriginFailover
+					res.rung == transport.RungExact &&
+					res.origin != transport.OriginFailover
 				s.slo.Observe(good)
 			}
 		case transport.MsgPeerFrameRequest:
 			// Node-to-node hop: a peer that does not own req.Point proxies
 			// its client's request here. Served from the local pipeline
-			// with the peer hop disabled (allowPeer=false), so membership
+			// with the peer hop disabled (fromPeer), so membership
 			// disagreement can never chain hops; the reply is always
-			// intra-coded — delta references are per client session and
-			// do not cross nodes — and carries this node's stage timings
-			// so they survive to the far client's trace.
+			// the exact intra frame — delta references and the stale rung
+			// are per client session and do not cross nodes — and carries
+			// this node's stage timings so they survive to the far
+			// client's trace.
 			recvMs := wallMs()
 			req, err := transport.DecodeFrameRequest(m.Payload)
 			if err != nil {
@@ -870,7 +792,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			// the trace id computed here matches the one the proxy stamped
 			// on its hop span — the two nodes' rings join on it.
 			traceID := obs.TraceID(req.Player, req.ReqID)
-			data, _, _, rung, _, stg, err := s.frameForStagedOpt(req.Point, req.DeadlineMs, traceID, false)
+			res, err := s.frameFor(frameReq{pt: req.Point, deadlineMs: req.DeadlineMs, traceID: traceID, fromPeer: true})
 			if err != nil {
 				if err := c.Send(errMsg(err.Error())); err != nil {
 					return err
@@ -879,37 +801,22 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			}
 			s.obs.peerFramesServed.Inc()
 			st.FramesServed++
-			st.BytesSent += int64(len(data))
+			st.BytesSent += int64(len(res.data))
 			sendMs := wallMs()
 			if traceID != 0 {
 				s.obs.trace.Record(&obs.FrameSpan{
-					Player:      int(req.Player),
-					TraceID:     traceID,
-					Hop:         2,
-					StartMs:     recvMs,
-					DisplayMs:   sendMs,
-					FetchMs:     sendMs - recvMs,
-					QueueMs:     stg.QueueMs,
-					RenderMs:    stg.RenderMs,
-					EncodeMs:    stg.EncodeMs,
-					DegradeRung: uint8(rung),
+					Player:    int(req.Player),
+					TraceID:   traceID,
+					Hop:       2,
+					StartMs:   recvMs,
+					DisplayMs: sendMs,
+					FetchMs:   sendMs - recvMs,
+					QueueMs:   res.stages.QueueMs,
+					RenderMs:  res.stages.RenderMs,
+					EncodeMs:  res.stages.EncodeMs,
 				})
 			}
-			reply := transport.EncodeFrameReply(transport.FrameReply{
-				Point:        req.Point,
-				ReqID:        req.ReqID,
-				ClientSentMs: req.SentMs,
-				RecvMs:       recvMs,
-				SendMs:       sendMs,
-				QueueMs:      stg.QueueMs,
-				RenderMs:     stg.RenderMs,
-				EncodeMs:     stg.EncodeMs,
-				Kind:         transport.FrameIntra,
-				Rung:         rung,
-				Origin:       transport.OriginLocal,
-				Data:         data,
-			})
-			if err := c.Send(transport.Message{Type: transport.MsgPeerFrameReply, Payload: reply}); err != nil {
+			if err := c.Send(frameReplyMsg(transport.MsgPeerFrameReply, req, res, recvMs, sendMs)); err != nil {
 				return err
 			}
 		case transport.MsgEvictNotice:
@@ -942,6 +849,27 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			return fmt.Errorf("server: unexpected message %d", m.Type)
 		}
 	}
+}
+
+// frameReplyMsg frames res as the reply (of the given message type) to req,
+// stamped with the server-side receive and send times.
+func frameReplyMsg(typ transport.MsgType, req transport.FrameRequest, res frameResult, recvMs, sendMs float64) transport.Message {
+	return transport.Message{Type: typ, Payload: transport.EncodeFrameReply(transport.FrameReply{
+		Point:        req.Point,
+		ReqID:        req.ReqID,
+		ClientSentMs: req.SentMs,
+		RecvMs:       recvMs,
+		SendMs:       sendMs,
+		QueueMs:      res.stages.QueueMs,
+		RenderMs:     res.stages.RenderMs,
+		EncodeMs:     res.stages.EncodeMs,
+		HopMs:        res.stages.HopMs,
+		Kind:         res.kind,
+		Rung:         res.rung,
+		Origin:       res.origin,
+		Ref:          res.ref,
+		Data:         res.data,
+	})}
 }
 
 func errMsg(s string) transport.Message {

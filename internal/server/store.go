@@ -27,28 +27,23 @@ const defaultStoreShards = 16
 
 // frameCall is one in-flight render shared by concurrent requesters
 // (singleflight). The leader renders, stores the result, then closes done;
-// joiners block on done and read data/err/seq.
+// joiners block on done and read data/origin/err.
 type frameCall struct {
 	done   chan struct{}
 	data   []byte
-	seq    uint64
-	rung   transport.DegradeRung
 	origin transport.FrameOrigin
 	err    error
 }
 
 // deltaRec is one cached delta encoding of an entry's frame against a
-// reference frame. The key is (refPt, refSeq): a delta is only valid
-// against the exact bytes the client decoded, and reprojection makes
-// re-renders of a point non-identical, so references are named by the
-// store sequence number of the render that produced them — never by grid
-// point alone. The record stays valid after the reference's store entry
-// is evicted (validity depends on what the *client* holds, not the
+// reference frame, keyed by the reference's grid point: a frame's bytes
+// are a pure function of its point, so the point names exactly the bytes
+// the client decoded. The record stays valid after the reference's store
+// entry is evicted (validity depends on what the *client* holds, not the
 // store), but dies with its own entry.
 type deltaRec struct {
-	refPt  geom.GridPoint
-	refSeq uint64
-	data   []byte
+	refPt geom.GridPoint
+	data  []byte
 }
 
 // maxDeltasPerEntry bounds the cached encodings per frame; the oldest is
@@ -58,13 +53,11 @@ type deltaRec struct {
 const maxDeltasPerEntry = 4
 
 // storeEntry is one cached encoded frame, threaded on its shard's LRU
-// list (head is most recent, tail least). seq identifies this exact
-// render (see deltaRec); deltas ride along and are charged to the byte
-// budget with the frame.
+// list (head is most recent, tail least). Deltas ride along and are
+// charged to the byte budget with the frame.
 type storeEntry struct {
 	pt         geom.GridPoint
 	data       []byte
-	seq        uint64
 	deltas     []deltaRec
 	prev, next *storeEntry
 }
@@ -98,8 +91,6 @@ type frameStore struct {
 	bytes     atomic.Int64 // total data bytes across shards
 	budget    atomic.Int64 // byte budget; <= 0 means unbounded
 	evictions atomic.Int64
-	// seq numbers completed renders store-wide; 0 is reserved (no frame).
-	seq atomic.Uint64
 	// cursor round-robins eviction across shards so no one shard's
 	// working set is drained preferentially.
 	cursor atomic.Uint64
@@ -163,72 +154,70 @@ func (st *frameStore) lock(sh *storeShard) {
 // position); an in-flight call to join (leader=false — wait on c.done and
 // read c.data/c.err); or a fresh call this caller now leads (leader=true —
 // render, then finish with complete).
-func (st *frameStore) lookup(pt geom.GridPoint) (data []byte, seq uint64, ok bool, c *frameCall, leader bool) {
+func (st *frameStore) lookup(pt geom.GridPoint) (data []byte, ok bool, c *frameCall, leader bool) {
 	sh := st.shardFor(pt)
 	st.lock(sh)
 	if e, hit := sh.entries[pt]; hit {
 		sh.moveToFront(e)
 		sh.mu.Unlock()
-		return e.data, e.seq, true, nil, false
+		return e.data, true, nil, false
 	}
 	if c, inflight := sh.calls[pt]; inflight {
 		sh.mu.Unlock()
-		return nil, 0, false, c, false
+		return nil, false, c, false
 	}
 	c = &frameCall{done: make(chan struct{})}
 	sh.calls[pt] = c
 	sh.mu.Unlock()
-	return nil, 0, false, c, true
+	return nil, false, c, true
 }
 
-// peek returns the cached frame bytes and sequence for pt without joining
-// or leading a render (the delta path reconstructs references from stored
-// bytes and must never trigger a render — a re-render would produce
-// different bytes than the ones the client decoded).
-func (st *frameStore) peek(pt geom.GridPoint) (data []byte, seq uint64, ok bool) {
+// peek returns the cached frame bytes for pt without joining or leading a
+// render: the stale rung, the push path and the delta path's reference
+// reconstruction serve only what is already resident.
+func (st *frameStore) peek(pt geom.GridPoint) (data []byte, ok bool) {
 	sh := st.shardFor(pt)
 	st.lock(sh)
 	e, hit := sh.entries[pt]
 	if hit {
 		sh.moveToFront(e)
-		data, seq = e.data, e.seq
+		data = e.data
 	}
 	sh.mu.Unlock()
-	return data, seq, hit
+	return data, hit
 }
 
-// delta returns the cached delta encoding of frame (pt, ptSeq) against
-// reference (refPt, refSeq), if one was put earlier and both entries'
-// identities still match.
-func (st *frameStore) delta(pt geom.GridPoint, ptSeq uint64, refPt geom.GridPoint, refSeq uint64) ([]byte, bool) {
+// delta returns the cached delta encoding of pt's frame against refPt's,
+// if one was put earlier and pt's entry is still resident.
+func (st *frameStore) delta(pt, refPt geom.GridPoint) ([]byte, bool) {
 	sh := st.shardFor(pt)
 	st.lock(sh)
 	defer sh.mu.Unlock()
 	e, hit := sh.entries[pt]
-	if !hit || e.seq != ptSeq {
+	if !hit {
 		return nil, false
 	}
 	for i := range e.deltas {
-		if e.deltas[i].refPt == refPt && e.deltas[i].refSeq == refSeq {
+		if e.deltas[i].refPt == refPt {
 			return e.deltas[i].data, true
 		}
 	}
 	return nil, false
 }
 
-// putDelta caches a delta encoding on the entry for (pt, ptSeq); a stale
-// sequence (the entry was evicted and re-rendered since the caller read
-// it) is dropped silently. Delta bytes count against the byte budget.
-func (st *frameStore) putDelta(pt geom.GridPoint, ptSeq uint64, refPt geom.GridPoint, refSeq uint64, data []byte) {
+// putDelta caches a delta encoding on pt's entry; when the entry is not
+// resident (evicted since the caller read it) the delta is dropped
+// silently. Delta bytes count against the byte budget.
+func (st *frameStore) putDelta(pt, refPt geom.GridPoint, data []byte) {
 	sh := st.shardFor(pt)
 	st.lock(sh)
 	e, hit := sh.entries[pt]
-	if !hit || e.seq != ptSeq {
+	if !hit {
 		sh.mu.Unlock()
 		return
 	}
 	for i := range e.deltas {
-		if e.deltas[i].refPt == refPt && e.deltas[i].refSeq == refSeq {
+		if e.deltas[i].refPt == refPt {
 			sh.mu.Unlock()
 			return // already cached by a concurrent session
 		}
@@ -238,7 +227,7 @@ func (st *frameStore) putDelta(pt geom.GridPoint, ptSeq uint64, refPt geom.GridP
 		freed = int64(len(e.deltas[0].data))
 		e.deltas = append(e.deltas[:0], e.deltas[1:]...)
 	}
-	e.deltas = append(e.deltas, deltaRec{refPt: refPt, refSeq: refSeq, data: data})
+	e.deltas = append(e.deltas, deltaRec{refPt: refPt, data: data})
 	sh.mu.Unlock()
 	st.bytes.Add(int64(len(data)) - freed)
 	st.storeBytes.Set(st.bytes.Load())
@@ -246,24 +235,18 @@ func (st *frameStore) putDelta(pt geom.GridPoint, ptSeq uint64, refPt geom.GridP
 }
 
 // complete finishes a call started by lookup: it publishes data/err to the
-// joiners, removes the in-flight marker, and on success — when keep is
-// true — inserts the frame and enforces the byte budget. keep=false
-// (shed calls, transient low-res renders) still publishes to joiners but
-// leaves no store entry and allocates no sequence number, so the bytes
-// can never become a rung-0 hit or a delta reference later. Frames
-// larger than the whole budget are returned to callers but never stored.
-func (st *frameStore) complete(pt geom.GridPoint, c *frameCall, data []byte, err error, keep bool) (seq uint64) {
-	if err == nil && keep {
-		seq = st.seq.Add(1)
-	}
-	c.data, c.seq, c.err = data, seq, err
+// joiners, removes the in-flight marker, and on success inserts the frame
+// and enforces the byte budget. Frames larger than the whole budget are
+// returned to callers but never stored.
+func (st *frameStore) complete(pt geom.GridPoint, c *frameCall, data []byte, err error) {
+	c.data, c.err = data, err
 	sh := st.shardFor(pt)
 	st.lock(sh)
 	delete(sh.calls, pt)
 	budget := st.budget.Load()
-	if err == nil && keep && (budget <= 0 || int64(len(data)) <= budget) {
+	if err == nil && (budget <= 0 || int64(len(data)) <= budget) {
 		if _, dup := sh.entries[pt]; !dup {
-			e := &storeEntry{pt: pt, data: data, seq: seq}
+			e := &storeEntry{pt: pt, data: data}
 			sh.entries[pt] = e
 			sh.pushFront(e)
 			st.bytes.Add(int64(len(data)))
@@ -273,7 +256,6 @@ func (st *frameStore) complete(pt geom.GridPoint, c *frameCall, data []byte, err
 	close(c.done)
 	st.storeBytes.Set(st.bytes.Load())
 	st.enforceBudget()
-	return seq
 }
 
 // SetBudget sets the byte budget (<= 0 means unbounded) and immediately

@@ -15,15 +15,15 @@ import (
 // failing the test if the point was already cached or in flight.
 func storePut(t *testing.T, st *frameStore, pt geom.GridPoint, size int) {
 	t.Helper()
-	_, _, ok, c, leader := st.lookup(pt)
+	_, ok, c, leader := st.lookup(pt)
 	if ok || !leader {
 		t.Fatalf("point %v unexpectedly cached or in flight", pt)
 	}
-	st.complete(pt, c, make([]byte, size), nil, true)
+	st.complete(pt, c, make([]byte, size), nil)
 }
 
 func storeHas(st *frameStore, pt geom.GridPoint) bool {
-	data, _, ok, c, leader := st.lookup(pt)
+	data, ok, c, leader := st.lookup(pt)
 	if ok {
 		_ = data
 		return true
@@ -31,7 +31,7 @@ func storeHas(st *frameStore, pt geom.GridPoint) bool {
 	if leader {
 		// Undo the speculative call so the store has no dangling in-flight
 		// marker.
-		st.complete(pt, c, nil, errors.New("probe"), true)
+		st.complete(pt, c, nil, errors.New("probe"))
 	}
 	return false
 }
@@ -117,13 +117,13 @@ func TestStoreSingleflightPerPoint(t *testing.T) {
 			start.Wait()
 			k := g % len(pts)
 			pt := pts[k]
-			data, _, ok, c, leader := st.lookup(pt)
+			data, ok, c, leader := st.lookup(pt)
 			switch {
 			case ok:
 			case leader:
 				leaders[k].Add(1)
 				data = []byte(fmt.Sprintf("frame-%d", k))
-				st.complete(pt, c, data, nil, true)
+				st.complete(pt, c, data, nil)
 			default:
 				<-c.done
 				data = c.data
@@ -237,7 +237,7 @@ func TestStoreEvictionRacesInFlightDelta(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			pt := geom.GridPoint{I: i % 16, J: (i / 16) % 16}
-			_, _, ok, c, leader := st.lookup(pt)
+			_, ok, c, leader := st.lookup(pt)
 			if ok {
 				continue
 			}
@@ -247,8 +247,8 @@ func TestStoreEvictionRacesInFlightDelta(t *testing.T) {
 			}
 			data := make([]byte, 64)
 			data[0] = byte(i)
-			seq := st.complete(pt, c, data, nil, true)
-			st.putDelta(pt, seq, refPt, 7, []byte{byte(i), 1, 2})
+			st.complete(pt, c, data, nil)
+			st.putDelta(pt, refPt, []byte{byte(i), 1, 2})
 		}
 	}()
 	go func() { // evictor: churn the budget so eviction runs constantly
@@ -267,11 +267,11 @@ func TestStoreEvictionRacesInFlightDelta(t *testing.T) {
 		sum := 0
 		for i := 0; i < iters; i++ {
 			pt := geom.GridPoint{I: i % 16, J: (i / 16) % 16}
-			if data, seq, ok := st.peek(pt); ok {
+			if data, ok := st.peek(pt); ok {
 				for _, b := range data {
 					sum += int(b)
 				}
-				if d, ok := st.delta(pt, seq, refPt, 7); ok {
+				if d, ok := st.delta(pt, refPt); ok {
 					sum += int(d[0])
 				}
 			}

@@ -74,9 +74,9 @@ func TestUDPChannelCloseMidFIRound(t *testing.T) {
 // (push on, no loss) against warmed servers must put byte-identical
 // frames in front of the display pipeline for every grid point both arms
 // visited — and the UDP arm must actually exercise the new path (frames
-// fetched over UDP, pushes reassembled). Delta coding and reprojection
-// are off so both arms serve canonical store bytes, making per-point
-// byte equality exact rather than merely perceptual.
+// fetched over UDP, pushes reassembled). Delta coding is off so both arms
+// serve canonical store bytes, making per-point byte equality exact
+// rather than merely perceptual.
 func TestLoopbackUDPByteIdentity(t *testing.T) {
 	env := poolEnv(t)
 	tr := trace.Generate(env.Game, 2, 7)
@@ -94,12 +94,12 @@ func TestLoopbackUDPByteIdentity(t *testing.T) {
 			UDPFrames: true, Push: true}},
 	}
 	for _, a := range arms {
-		srv, addr := startLiveServer(t)
+		srv := New(env)
 		srv.SetDeltaEnabled(false)
-		srv.SetReprojectEnabled(false)
 		srv.SetPushEnabled(true)
 		a.srvRg = obs.NewRegistry()
 		srv.Instrument(a.srvRg)
+		addr := serveLive(t, srv)
 		warmServer(t, srv, tr)
 
 		a.seen = make(map[geom.GridPoint][]byte)
@@ -166,7 +166,6 @@ func TestLoopbackUDPUnderLoss(t *testing.T) {
 	tr := trace.Generate(env.Game, 2, 7)
 	srv, addr := startLiveServer(t)
 	srv.SetDeltaEnabled(false)
-	srv.SetReprojectEnabled(false)
 	srv.SetPushEnabled(true)
 	warmServer(t, srv, tr)
 

@@ -170,11 +170,9 @@ const (
 )
 
 // DegradeRung tags which rung of the server's quality ladder produced a
-// reply's frame. RungExact is the normal path; the others are served
-// only when the request's deadline is at risk, and every rung is bounded
-// to SSIM ≥ 0.90 against the exact render (a stale frame by the leaf's
-// DistThresh calibration, a reprojection or low-res render by an
-// explicit ray-cast band check).
+// reply's frame. RungExact is the normal path; RungStale is served only
+// when the request's deadline is at risk, and is bounded to SSIM ≥ 0.90
+// against the exact render by the leaf's DistThresh calibration.
 type DegradeRung uint8
 
 const (
@@ -183,12 +181,6 @@ const (
 	// RungStale is a cached frame of a nearby grid point within the
 	// leaf's DistThresh, served in place of rendering the requested one.
 	RungStale
-	// RungReproject is an SSIM-verified constant-depth reprojection from
-	// a cached panorama, forced by deadline pressure.
-	RungReproject
-	// RungLowRes is a reduced-resolution render upscaled to full size and
-	// SSIM-verified; it is served but never cached as an exact frame.
-	RungLowRes
 )
 
 // FrameOrigin tags which node produced a reply's frame bytes inside a
@@ -334,7 +326,7 @@ func DecodeFrameReply(b []byte) (FrameReply, error) {
 	if k := FrameEncoding(b[68]); k > FrameDelta {
 		return FrameReply{}, fmt.Errorf("transport: unknown frame kind %d", b[68])
 	}
-	if g := DegradeRung(b[69]); g > RungLowRes {
+	if g := DegradeRung(b[69]); g > RungStale {
 		return FrameReply{}, fmt.Errorf("transport: unknown degrade rung %d", b[69])
 	}
 	if o := FrameOrigin(b[70]); o > OriginFailover {

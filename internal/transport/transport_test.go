@@ -149,7 +149,7 @@ func TestFrameReplyRoundTrip(t *testing.T) {
 		EncodeMs:     9,
 		HopMs:        1.75,
 		Kind:         FrameDelta,
-		Rung:         RungReproject,
+		Rung:         RungStale,
 		Origin:       OriginPeer,
 		Ref:          geom.GridPoint{I: -6, J: 1<<20 - 1},
 		Data:         []byte{9, 8, 7},
@@ -186,7 +186,7 @@ func TestFrameReplyRejectsUnknownRung(t *testing.T) {
 	// Same pre-payload guard for the degrade-rung byte: a server speaking
 	// a newer quality ladder must fail loudly at the transport layer.
 	full := EncodeFrameReply(FrameReply{ReqID: 1, Data: []byte("frame")})
-	for _, rung := range []byte{byte(RungLowRes) + 1, 0x7F, 0xFF} {
+	for _, rung := range []byte{byte(RungStale) + 1, 0x7F, 0xFF} {
 		forged := append([]byte(nil), full...)
 		forged[69] = rung
 		if _, err := DecodeFrameReply(forged); err == nil {
@@ -194,7 +194,7 @@ func TestFrameReplyRejectsUnknownRung(t *testing.T) {
 		}
 	}
 	// Every defined rung round-trips.
-	for _, rung := range []DegradeRung{RungExact, RungStale, RungReproject, RungLowRes} {
+	for _, rung := range []DegradeRung{RungExact, RungStale} {
 		got, err := DecodeFrameReply(EncodeFrameReply(FrameReply{Rung: rung}))
 		if err != nil || got.Rung != rung {
 			t.Fatalf("rung %d: got %d, err %v", rung, got.Rung, err)

@@ -16,7 +16,8 @@
 # fetch latency, and zero request errors. The 2-process cluster case then
 # scrapes /cluster and /slo mid-session: the fleet view must show both
 # nodes live with sane burn rates, and the loadgen report must embed the
-# fleet section it scraped itself.
+# fleet section it scraped itself. Before any of that, `make test-procs`
+# runs the frame-serving packages' tests on 1, 2 and all cores.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,6 +45,9 @@ http_get() {
     exec 3>&- 3<&-
     printf '%s' "$out"
 }
+
+echo "smoke: frame-serving packages at GOMAXPROCS 1, 2 and nproc..."
+make test-procs
 
 echo "smoke: building binaries..."
 go build -o "$bin/coterie-server" ./cmd/coterie-server
