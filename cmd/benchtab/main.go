@@ -8,8 +8,6 @@
 //	benchtab -exp all                   # everything (minutes)
 //	benchtab -exp all -quick            # reduced sampling (tens of seconds)
 //	benchtab -parallel 4                # cap experiment fan-out at 4 workers
-//	benchtab -bench-json BENCH.json     # record wall-clock + micro-bench JSON
-//	benchtab -exp none -bench-json B.json  # benchmarks only, no experiments
 //
 // Experiments: table1 fig1 fig2 fig3 fig5 fig6 table3 fig7 fig8 table5
 // table6 table7 fig11 table8 table9 fig12 table10 ablations.
@@ -47,7 +45,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced sampling for a fast pass")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	parallel := flag.Int("parallel", 0, "workers per experiment (0 = GOMAXPROCS); results are identical for any value")
-	benchJSON := flag.String("bench-json", "", "write per-experiment wall-clock and micro-benchmark numbers to this JSON file")
 	plotDir := flag.String("plots", "", "also write SVG figures into this directory (fig5, fig7, fig11, fig12)")
 	flag.Parse()
 
@@ -63,9 +60,6 @@ func main() {
 		for _, e := range order {
 			want[e] = true
 		}
-	case "none", "":
-		// Benchmarks only: -exp none -bench-json FILE records the micro
-		// and server-throughput benches without rerunning experiments.
 	default:
 		for _, e := range strings.Split(*expFlag, ",") {
 			want[strings.TrimSpace(e)] = true
@@ -79,7 +73,6 @@ func main() {
 		}
 	}
 
-	var timings []expTiming
 	for _, e := range order {
 		if !want[e] {
 			continue
@@ -90,20 +83,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
-		timings = append(timings, expTiming{Name: e, Seconds: elapsed.Seconds()})
-		fmt.Printf("[%s completed in %v]\n\n", e, elapsed.Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", e, time.Since(start).Round(time.Millisecond))
 	}
 	for e := range want {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", e)
 		os.Exit(2)
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *parallel, *quick, timings); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[bench report written to %s]\n", *benchJSON)
 	}
 }
 

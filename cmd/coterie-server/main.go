@@ -45,9 +45,6 @@ func main() {
 	height := flag.Int("height", 128, "panorama height in pixels")
 	storeBudget := flag.Int64("store-budget", 0, "frame store byte budget with LRU eviction (0 = unbounded)")
 	renderWorkers := flag.Int("render-workers", 0, "tile-parallel render workers per frame (0 = GOMAXPROCS)")
-	sched := flag.Bool("sched", true, "EDF deadline scheduling and admission control on the render path")
-	degrade := flag.Bool("degrade", true, "quality-degrade ladder for deadline-pressed requests: serve a cached frame within the leaf's similarity threshold (the stale rung) instead of queueing a render")
-	maxInflight := flag.Int("max-inflight", 0, "concurrent renders before queuing (0 = one per schedulable core)")
 	prerender := flag.Float64("prerender", 0, "warm up frames within this radius (m) of the spawn before serving")
 	stride := flag.Int("prerender-stride", 16, "grid stride for prerendering (1 = every point)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown wait for in-flight sessions")
@@ -57,8 +54,6 @@ func main() {
 	peerFetchTO := flag.Duration("peer-fetch-timeout", cluster.DefaultFetchTimeout, "cluster peer frame-fetch timeout")
 	clusterAdmin := flag.String("cluster-admin", "", "comma-separated admin addresses of every cluster node (same order as -cluster); enables the /cluster fleet view on the admin endpoint")
 	push := flag.Bool("push", false, "push predicted frames unsolicited over UDP to subscribed clients")
-	pushRate := flag.Int("push-rate", 0, "per-session push token-bucket rate in frames/sec (0 = default)")
-	fecK := flag.Int("fec-k", 0, "XOR-parity FEC group size on the datagram frame path (0 = default)")
 	sloObjective := flag.Float64("slo-objective", obs.DefaultSLOObjective, "SLO: fraction of frames that must be served within the frame budget at full quality")
 	sloWindow := flag.Duration("slo-window", time.Minute, "SLO: short burn-rate window (the long window is 5x this)")
 	flag.Parse()
@@ -85,14 +80,7 @@ func main() {
 	}
 	srv := server.New(env)
 	srv.DrainTimeout = *drain
-	srv.SetSchedEnabled(*sched)
-	srv.SetDegradeEnabled(*degrade)
 	srv.SetPushEnabled(*push)
-	srv.SetPushRate(*pushRate)
-	srv.SetFECK(*fecK)
-	if *maxInflight > 0 {
-		srv.SetMaxInflight(*maxInflight)
-	}
 	if *storeBudget > 0 {
 		srv.SetStoreBudget(*storeBudget)
 		log.Printf("frame store bounded at %.1f MB (LRU eviction)", float64(*storeBudget)/1e6)

@@ -14,14 +14,13 @@ import (
 
 var (
 	envOnce sync.Once
-	envSrv  *server.Server
 	envAddr string
 	envErr  error
 )
 
 // testServer hosts one in-process pool server shared by the package's
 // tests (PrepareEnv dominates test time).
-func testServer(t *testing.T) (*server.Server, string) {
+func testServer(t *testing.T) string {
 	t.Helper()
 	envOnce.Do(func() {
 		spec, err := games.ByName("pool")
@@ -42,21 +41,20 @@ func testServer(t *testing.T) (*server.Server, string) {
 			envErr = err
 			return
 		}
-		srv := server.New(env)
-		go srv.Serve(ln)
-		envSrv, envAddr = srv, ln.Addr().String()
+		go server.New(env).Serve(ln)
+		envAddr = ln.Addr().String()
 	})
 	if envErr != nil {
 		t.Fatal(envErr)
 	}
-	return envSrv, envAddr
+	return envAddr
 }
 
 func TestRunWalk(t *testing.T) {
-	srv, addr := testServer(t)
+	addr := testServer(t)
 	rep, err := Run(Config{
 		Addr: addr, Game: "pool", Players: 4,
-		Duration: 400 * time.Millisecond, Seed: 7, Server: srv,
+		Duration: 400 * time.Millisecond, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,16 +75,13 @@ func TestRunWalk(t *testing.T) {
 	if rep.P50Ms <= 0 || rep.P99Ms < rep.P95Ms || rep.P95Ms < rep.P50Ms {
 		t.Errorf("latency percentiles inconsistent: %+v", rep)
 	}
-	if rep.StoreBytes <= 0 {
-		t.Errorf("in-process run reported store bytes %d", rep.StoreBytes)
-	}
 }
 
 func TestRunStaticIsHitDominated(t *testing.T) {
-	srv, addr := testServer(t)
+	addr := testServer(t)
 	rep, err := Run(Config{
 		Addr: addr, Game: "pool", Players: 2, Pattern: PatternStatic,
-		Duration: 300 * time.Millisecond, Seed: 11, Server: srv,
+		Duration: 300 * time.Millisecond, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +112,10 @@ func TestRunRejectsUnknowns(t *testing.T) {
 }
 
 func TestRunWithDeadline(t *testing.T) {
-	srv, addr := testServer(t)
+	addr := testServer(t)
 	rep, err := Run(Config{
 		Addr: addr, Game: "pool", Players: 4, DeadlineMs: 16.7,
-		Duration: 400 * time.Millisecond, Seed: 13, Server: srv,
+		Duration: 400 * time.Millisecond, Seed: 13,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +141,12 @@ func TestRunWithDeadline(t *testing.T) {
 }
 
 func TestRateThrottling(t *testing.T) {
-	srv, addr := testServer(t)
+	addr := testServer(t)
 	const rate, secs = 20.0, 0.5
 	rep, err := Run(Config{
 		Addr: addr, Game: "pool", Players: 1, Pattern: PatternStatic,
 		Rate: rate, Duration: time.Duration(secs * float64(time.Second)),
-		Seed: 3, Server: srv,
+		Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,10 +183,10 @@ func TestSplitAddrsRoundRobin(t *testing.T) {
 func TestMultiAddrRun(t *testing.T) {
 	// Same server listed twice: the round-robin still has to produce a
 	// working session per player, and a blank Addr list must refuse.
-	srv, addr := testServer(t)
+	addr := testServer(t)
 	rep, err := Run(Config{
 		Addr: addr + " , " + addr, Game: "pool", Players: 2,
-		Duration: 300 * time.Millisecond, Seed: 11, Server: srv,
+		Duration: 300 * time.Millisecond, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +199,5 @@ func TestMultiAddrRun(t *testing.T) {
 	}
 	if _, err := Run(Config{Addr: " , ", Game: "pool"}); err == nil {
 		t.Error("Run with blank address list did not error")
-	}
-	if _, err := Warm(Config{Addr: "", Game: "pool"}, 1); err == nil {
-		t.Error("Warm with blank address list did not error")
 	}
 }

@@ -77,8 +77,8 @@ func (l *DgramLink) Stats() (sent, dropped, reordered int64) {
 
 // Impairer is the live-socket counterpart of DgramLink's loss model: a
 // thread-safe per-datagram drop decision with a seeded generator, so live
-// loopback tests and the loadgen A/B inject reproducible loss without a
-// sim clock. The zero value never drops.
+// loopback sessions inject reproducible loss without a sim clock. The zero
+// value never drops.
 type Impairer struct {
 	mu   sync.Mutex
 	rng  *rand.Rand

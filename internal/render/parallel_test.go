@@ -59,7 +59,7 @@ func TestTileParallelMatchesSequentialAllGames(t *testing.T) {
 // TestPanoramaAllocationFree mirrors transport's TestFrameCodecAllocationFree
 // for the render hot path: with the caller returning frames via
 // ReleaseGray/ReleaseFrame, steady-state Panorama and NearFrame must not
-// allocate — the BENCH_1.json baseline of 7 allocs and 33 KB per op is the
+// allocate — the pre-pooling baseline of 7 allocs and 33 KB per op is the
 // regression this guards against.
 func TestPanoramaAllocationFree(t *testing.T) {
 	s := denseScene(11, 120)

@@ -144,31 +144,6 @@ func (s *Scheduler) Instrument(r *obs.Registry, prefix string) {
 	s.wait = r.Histogram(prefix + ".queue_wait_ms")
 }
 
-// SetWorkers adjusts the concurrency knee at runtime. Raising it grants
-// slots to queued waiters immediately; lowering it takes effect as
-// running work releases.
-func (s *Scheduler) SetWorkers(n int) {
-	if n <= 0 {
-		n = defaultWorkers()
-	}
-	s.mu.Lock()
-	s.workers = n
-	for s.running < s.workers && s.waiters.Len() > 0 {
-		w := heap.Pop(&s.waiters).(*waiter)
-		s.running++
-		close(w.ready)
-	}
-	s.depth.Set(int64(s.waiters.Len()))
-	s.mu.Unlock()
-}
-
-// Workers returns the current concurrency knee.
-func (s *Scheduler) Workers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workers
-}
-
 // QueueDepth returns the number of parked waiters.
 func (s *Scheduler) QueueDepth() int {
 	s.mu.Lock()
@@ -291,7 +266,7 @@ func (s *Scheduler) Release(costMs float64) {
 	if costMs > 0 {
 		s.costMs += costEWMAWeight * (costMs - s.costMs)
 	}
-	if s.waiters.Len() > 0 && s.running <= s.workers {
+	if s.waiters.Len() > 0 {
 		w := heap.Pop(&s.waiters).(*waiter)
 		s.depth.Set(int64(s.waiters.Len()))
 		close(w.ready) // slot transfers: running count unchanged

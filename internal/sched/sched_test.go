@@ -231,35 +231,6 @@ func TestFetchAtRisk(t *testing.T) {
 	}
 }
 
-// TestSetWorkersReleasesWaiters: raising the knee grants parked waiters
-// without any Release.
-func TestSetWorkersReleasesWaiters(t *testing.T) {
-	s := New(Config{Workers: 1})
-	release := hold(t, s)
-	var granted atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Acquire(0)
-			granted.Add(1)
-			// Hold until the test ends so grants are attributable to
-			// SetWorkers, not slot recycling.
-			<-testDone
-			s.Release(0)
-		}()
-	}
-	waitFor(t, func() bool { return s.QueueDepth() == 3 })
-	s.SetWorkers(4)
-	waitFor(t, func() bool { return granted.Load() == 3 })
-	close(testDone)
-	release()
-	wg.Wait()
-}
-
-var testDone = make(chan struct{})
-
 // TestConcurrentChurn hammers Acquire/Release from many goroutines
 // (run under -race) and checks slot accounting ends balanced.
 func TestConcurrentChurn(t *testing.T) {

@@ -91,34 +91,38 @@ func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 // path, a deadline the scheduler projects as already at risk is served
 // from the stale rung when a calibrated substitute is cached (a store hit
 // needs no such rescue — it is the substitute); the same fallback rescues
-// a request shed by admission control. Stale serves bypass the delta path
-// and never become references: their bytes are not the render of req.pt a
-// later delta would have to name.
+// a request shed by admission control.
 func (s *Server) frameForSession(req frameReq, sr *sessionRefs) (frameResult, error) {
-	if req.deadlineMs > 0 && !s.schedOff.Load() && !s.degradeOff.Load() &&
-		s.sched.AtRisk(wallMs(), req.deadlineMs) {
-		if stale, refPt, ok := s.staleFor(req.pt); ok {
-			if refPt == req.pt {
-				// The exact frame is cached: serve it as the store hit it is
-				// and let the delta path shrink it as usual.
-				s.obs.frameStoreHits.Inc()
-				return s.deltaOrIntra(frameResult{data: stale}, req.pt, sr), nil
-			}
-			s.obs.degradeStale.Inc()
-			return frameResult{data: stale, rung: transport.RungStale}, nil
+	if req.deadlineMs > 0 && s.sched.AtRisk(wallMs(), req.deadlineMs) {
+		if res, ok := s.staleRung(req.pt, frameStages{}); ok {
+			return res, nil
 		}
 	}
 	res, err := s.frameFor(req)
-	if err != nil {
-		if errors.Is(err, errOverloaded) && !s.degradeOff.Load() {
-			if stale, refPt, ok := s.staleFor(req.pt); ok && refPt != req.pt {
-				s.obs.degradeStale.Inc()
-				return frameResult{data: stale, rung: transport.RungStale, stages: res.stages}, nil
-			}
+	if errors.Is(err, errOverloaded) {
+		if stale, ok := s.staleRung(req.pt, res.stages); ok {
+			return stale, nil
 		}
+	}
+	if err != nil {
 		return res, err
 	}
 	return s.deltaOrIntra(res, req.pt, sr), nil
+}
+
+// staleRung serves pt off the ladder's stale rung: the stored bytes of the
+// nearest calibrated neighbour, carrying the stages the request already
+// spent. It reports false when nothing qualifies or pt itself is resident
+// (the exact frame is a plain store hit). Stale serves bypass the delta
+// path and never become references: their bytes are not the render of pt a
+// later delta would have to name.
+func (s *Server) staleRung(pt geom.GridPoint, stages frameStages) (frameResult, bool) {
+	stale, refPt, ok := s.staleFor(pt)
+	if !ok || refPt == pt {
+		return frameResult{}, false
+	}
+	s.obs.degradeStale.Inc()
+	return frameResult{data: stale, rung: transport.RungStale, stages: stages}, true
 }
 
 // deltaOrIntra finishes an exact serve of pt's intra frame (res.data):
@@ -126,13 +130,11 @@ func (s *Server) frameForSession(req frameReq, sr *sessionRefs) (frameResult, er
 // bytes, else serve it intra and register it as the next pending
 // reference.
 func (s *Server) deltaOrIntra(res frameResult, pt geom.GridPoint, sr *sessionRefs) frameResult {
-	if !s.deltaOff.Load() {
-		if d, refPt, ok := s.deltaFor(pt, res.data, sr); ok {
-			s.obs.deltaFrames.Inc()
-			s.obs.deltaSaved.Add(int64(len(res.data) - len(d)))
-			res.data, res.kind, res.ref = d, transport.FrameDelta, refPt
-			return res
-		}
+	if d, refPt, ok := s.deltaFor(pt, res.data, sr); ok {
+		s.obs.deltaFrames.Inc()
+		s.obs.deltaSaved.Add(int64(len(res.data) - len(d)))
+		res.data, res.kind, res.ref = d, transport.FrameDelta, refPt
+		return res
 	}
 	sr.setPending(pt)
 	return res

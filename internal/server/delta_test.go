@@ -153,39 +153,6 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	codec.ReleaseGray(ref)
 }
 
-// TestSessionDeltaToggle pins the A/B switch the byte benchmarks rely on:
-// with delta coding disabled every reply is intra even when a perfect
-// reference is held, and re-enabling it restores delta serving within the
-// same session.
-func TestSessionDeltaToggle(t *testing.T) {
-	srv, _, addr := startInstrumentedServer(t)
-	srv.SetDeltaEnabled(false)
-	cl, err := Dial(addr, "pool", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	pt := srv.env.Game.Scene.Grid.Snap(srv.env.Game.Spawn)
-	for i := 0; i < 2; i++ {
-		r, _, _, err := cl.FetchTraced(pt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Kind != transport.FrameIntra {
-			t.Fatalf("fetch %d with delta disabled: kind %d", i, r.Kind)
-		}
-	}
-	srv.SetDeltaEnabled(true)
-	r, _, _, err := cl.FetchTraced(pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind != transport.FrameDelta {
-		t.Fatalf("fetch after re-enable: kind %d, want delta", r.Kind)
-	}
-}
-
 // TestStoreDeltaCache covers the encoded-delta cache riding on store
 // entries: lookups are keyed by (point, reference point), a put against a
 // non-resident entry is dropped, the per-entry FIFO stays bounded, and

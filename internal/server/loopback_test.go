@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"coterie/internal/codec"
 	"coterie/internal/core"
 	"coterie/internal/geom"
+	"coterie/internal/img"
 	"coterie/internal/obs"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
@@ -678,70 +681,65 @@ func TestLoopbackStoreMetrics(t *testing.T) {
 	}
 }
 
-// TestSchedulerByteIdentityUnloaded pins the refactor's core invariant:
-// with nobody else on the server, the staged pipeline (EDF scheduler +
-// degrade ladder) must be invisible — byte-identical frames, same
-// encodings, rung 0 — compared to the scheduler-off path. Two identical
-// warmed servers serve the same single-player request stream, one with the
-// scheduler on (the default), one with it off, and every reply must match
-// byte for byte. The sim backend (which stamps the same deadlines through
-// the shared pipeline) is checked for determinism, and the full live
-// runtime pipeline is replayed against both servers to assert neither arm
-// degrades a single frame when unloaded.
+// TestSchedulerByteIdentityUnloaded pins the staged pipeline's core
+// invariant: with nobody else on the server, the EDF scheduler and the
+// degrade ladder must be invisible — every reply is rung exact, nothing is
+// shed or served stale, and the bytes are canonical, judged against a
+// reference built from the renderer and codec alone (see canonical). The
+// sim backend (which stamps the same deadlines through the shared
+// pipeline) is checked for determinism, and the full live runtime pipeline
+// is replayed against the server to assert it degrades no frame when
+// unloaded.
 func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 	env := poolEnv(t)
 	tr := trace.Generate(env.Game, 2, 11)
 
-	srvOn := New(env)
-	regOn := obs.NewRegistry()
-	srvOn.Instrument(regOn)
-	addrOn := serveLive(t, srvOn)
-	srvOff, addrOff := startLiveServer(t)
-	srvOff.SetSchedEnabled(false)
-	warmServer(t, srvOn, tr)
-	warmServer(t, srvOff, tr)
+	srv := New(env)
+	reg := obs.NewRegistry()
+	srv.Instrument(reg)
+	addr := serveLive(t, srv)
+	warmServer(t, srv, tr)
 
-	// Raw-session byte identity: the same walk, alternating deadline-free
-	// and deadline-stamped fetches, against both arms.
-	clOn, err := Dial(addrOn, "pool", 1)
+	// Raw session: the trace's walk, alternating deadline-free and
+	// deadline-stamped fetches.
+	cl, err := Dial(addr, "pool", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer clOn.Close()
-	clOff, err := Dial(addrOff, "pool", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clOff.Close()
+	defer cl.Close()
+	canon := newCanonical(env)
 	grid := env.Game.Scene.Grid
 	stride := len(tr.Pos)/40 + 1
+	intra, delta := 0, 0
 	for i := 0; i < len(tr.Pos); i += stride {
 		pt := grid.Snap(tr.Pos[i])
-		var dlOn, dlOff float64
+		var dl float64
 		if i%2 == 0 {
-			dlOn, dlOff = wallMs()+100, wallMs()+100
+			dl = wallMs() + 100
 		}
-		rOn, _, _, err := clOn.FetchWithDeadline(pt, dlOn)
+		r, _, _, err := cl.FetchWithDeadline(pt, dl)
 		if err != nil {
-			t.Fatalf("sched-on fetch %v: %v", pt, err)
+			t.Fatalf("fetch %v: %v", pt, err)
 		}
-		rOff, _, _, err := clOff.FetchWithDeadline(pt, dlOff)
-		if err != nil {
-			t.Fatalf("sched-off fetch %v: %v", pt, err)
+		if r.Rung != transport.RungExact {
+			t.Fatalf("point %v: unloaded serve degraded to rung %d", pt, r.Rung)
 		}
-		if rOn.Rung != transport.RungExact || rOff.Rung != transport.RungExact {
-			t.Fatalf("point %v: unloaded serve degraded: rungs %d/%d", pt, rOn.Rung, rOff.Rung)
-		}
-		if rOn.Kind != rOff.Kind || rOn.Ref != rOff.Ref {
-			t.Fatalf("point %v: encodings diverged: kind %d ref %v vs kind %d ref %v",
-				pt, rOn.Kind, rOn.Ref, rOff.Kind, rOff.Ref)
-		}
-		if !bytesEqual(rOn.Data, rOff.Data) {
-			t.Fatalf("point %v: frame bytes diverged (%d vs %d bytes)", pt, len(rOn.Data), len(rOff.Data))
+		switch r.Kind {
+		case transport.FrameIntra:
+			intra++
+			canon.checkIntra(t, pt, r.Data)
+		case transport.FrameDelta:
+			delta++
+			canon.checkDelta(t, pt, r.Ref, r.Data)
+		default:
+			t.Fatalf("point %v: unexpected frame kind %d", pt, r.Kind)
 		}
 	}
-	if n := regOn.Counter("server.degrade_stale").Value() +
-		regOn.Counter("server.sched.sheds").Value(); n != 0 {
+	if intra == 0 || delta == 0 {
+		t.Errorf("walk served %d intra and %d delta replies; both encodings must be exercised", intra, delta)
+	}
+	if n := reg.Counter("server.degrade_stale").Value() +
+		reg.Counter("server.sched.sheds").Value(); n != 0 {
 		t.Errorf("unloaded raw session took %d degrade/shed actions", n)
 	}
 
@@ -767,31 +765,127 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 			sim1.Per[0], sim2.Per[0])
 	}
 
-	// Full live pipeline over both arms: same trace, and neither arm may
-	// degrade a frame on a warmed, unloaded server.
-	for _, arm := range []struct {
-		name string
-		addr string
-	}{{"sched-on", addrOn}, {"sched-off", addrOff}} {
-		live, err := RunLive(env, arm.addr, tr, 0, LiveConfig{
-			Speed:        4,
-			DecodeFrames: true,
-			IdleTimeout:  10 * time.Second,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
-		}
-		if live.Metrics.Frames == 0 || live.Fetches == 0 {
-			t.Fatalf("%s: live session went nowhere: %+v", arm.name, live)
-		}
-		if d := live.Metrics.CacheHitRatio - sim1.Per[0].CacheHitRatio; d < -0.2 || d > 0.2 {
-			t.Errorf("%s: cache hit ratio diverged from sim: %.3f vs %.3f",
-				arm.name, live.Metrics.CacheHitRatio, sim1.Per[0].CacheHitRatio)
-		}
+	// Full live pipeline: same trace, and a warmed, unloaded server may not
+	// degrade a frame.
+	live, err := RunLive(env, addr, tr, 0, LiveConfig{
+		Speed:        4,
+		DecodeFrames: true,
+		IdleTimeout:  10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := regOn.Counter("server.degrade_stale").Value() +
-		regOn.Counter("server.sched.sheds").Value(); n != 0 {
+	if live.Metrics.Frames == 0 || live.Fetches == 0 {
+		t.Fatalf("live session went nowhere: %+v", live)
+	}
+	if d := live.Metrics.CacheHitRatio - sim1.Per[0].CacheHitRatio; d < -0.2 || d > 0.2 {
+		t.Errorf("cache hit ratio diverged from sim: %.3f vs %.3f",
+			live.Metrics.CacheHitRatio, sim1.Per[0].CacheHitRatio)
+	}
+	if n := reg.Counter("server.degrade_stale").Value() +
+		reg.Counter("server.sched.sheds").Value(); n != 0 {
 		t.Errorf("unloaded live pipeline took %d degrade/shed actions", n)
+	}
+}
+
+// canonical is the independent reference the byte-identity tests judge
+// served frames against, built from the renderer and the codec alone: a
+// grid point's frame is its exact far-BE ray-cast encoded at the
+// environment's CRF, and a delta frame is DeltaEncode between two such
+// frames' reconstructions. Memoised per point; single-goroutine use.
+type canonical struct {
+	env    *core.Env
+	frames map[geom.GridPoint][]byte
+	recons map[geom.GridPoint]*img.Gray
+}
+
+func newCanonical(env *core.Env) *canonical {
+	return &canonical{
+		env:    env,
+		frames: make(map[geom.GridPoint][]byte),
+		recons: make(map[geom.GridPoint]*img.Gray),
+	}
+}
+
+// frame returns pt's canonical intra bytes.
+func (c *canonical) frame(t *testing.T, pt geom.GridPoint) []byte {
+	t.Helper()
+	if data, ok := c.frames[pt]; ok {
+		return data
+	}
+	scene := c.env.Game.Scene
+	pos := scene.Grid.Pos(pt)
+	leaf := c.env.Map.LeafAt(pos)
+	if leaf == nil {
+		t.Fatalf("no leaf region at %v", pt)
+	}
+	pano := c.env.Renderer.Panorama(scene.EyeAt(pos), leaf.Radius, math.Inf(1), nil)
+	data := codec.Encode(pano, c.env.CRF)
+	c.frames[pt] = data
+	return data
+}
+
+// recon returns what a client that decoded pt's canonical frame holds.
+func (c *canonical) recon(t *testing.T, pt geom.GridPoint) *img.Gray {
+	t.Helper()
+	if g, ok := c.recons[pt]; ok {
+		return g
+	}
+	g, err := codec.Decode(c.frame(t, pt))
+	if err != nil {
+		t.Fatalf("canonical frame %v does not decode: %v", pt, err)
+	}
+	c.recons[pt] = g
+	return g
+}
+
+// checkIntra asserts data is pt's canonical intra frame, byte for byte.
+func (c *canonical) checkIntra(t *testing.T, pt geom.GridPoint, data []byte) {
+	t.Helper()
+	if want := c.frame(t, pt); !bytesEqual(data, want) {
+		t.Errorf("point %v: served intra bytes (%d) differ from the canonical encode (%d)", pt, len(data), len(want))
+	}
+}
+
+// checkDelta asserts data is pt's frame delta-coded against ref: byte for
+// byte the canonical delta, and decoding against ref's reconstruction to
+// pt's own within the delta path's quantisation error.
+func (c *canonical) checkDelta(t *testing.T, pt, ref geom.GridPoint, data []byte) {
+	t.Helper()
+	cur, refRecon := c.recon(t, pt), c.recon(t, ref)
+	if want := codec.DeltaEncode(cur, refRecon, c.env.CRF); !bytesEqual(data, want) {
+		t.Errorf("point %v: served delta bytes (%d) differ from the canonical delta against %v (%d)", pt, len(data), ref, len(want))
+	}
+	got, err := codec.DeltaDecode(data, refRecon)
+	if err != nil {
+		t.Errorf("point %v: delta against %v does not decode: %v", pt, ref, err)
+		return
+	}
+	defer codec.ReleaseGray(got)
+	if mad, _ := img.MeanAbsDiff(got, cur); mad > 3 {
+		t.Errorf("point %v: delta against %v decodes MAD %.2f away from the point's own reconstruction", pt, ref, mad)
+	}
+}
+
+// checkSink judges a frame a LiveConfig.FrameSink observed, which carries
+// no reply context: intra frames as checkIntra, delta frames as checkDelta
+// against whichever of the points in held (those the session received
+// intra) the delta was coded from.
+func (c *canonical) checkSink(t *testing.T, pt geom.GridPoint, data []byte, held map[geom.GridPoint]bool) {
+	t.Helper()
+	switch codec.Kind(data) {
+	case codec.KindIntra:
+		c.checkIntra(t, pt, data)
+	case codec.KindDelta:
+		for ref := range held {
+			if bytesEqual(data, codec.DeltaEncode(c.recon(t, pt), c.recon(t, ref), c.env.CRF)) {
+				c.checkDelta(t, pt, ref, data)
+				return
+			}
+		}
+		t.Errorf("point %v: delta frame is not the canonical delta against any of the %d frames the session holds", pt, len(held))
+	default:
+		t.Errorf("point %v: unclassifiable frame (%d bytes)", pt, len(data))
 	}
 }
 

@@ -3,7 +3,6 @@ package server
 import (
 	"net"
 	"sync"
-	"time"
 
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
@@ -15,9 +14,8 @@ import (
 // predictor; when the predicted grid point's frame is store-resident, the
 // server slices it onto the UDP socket ahead of the client's request.
 // Pushes are paced by a per-session token bucket whose effective rate
-// backs off with the session's NACK EWMA and with the installed
-// contention signal, so a lossy or saturated link sheds push traffic
-// before it sheds the client's own fetches.
+// backs off with the session's NACK EWMA, so a lossy link sheds push
+// traffic before it sheds the client's own fetches.
 
 const (
 	// pushLookaheadSec matches prefetch.DefaultConfig.LookaheadSec, so
@@ -184,21 +182,9 @@ func (s *Server) notePush(u *udpServe, sess *udpSession, st fisync.State, nowMs 
 		return
 	}
 
-	// Refill the bucket at the effective rate: the configured rate scaled
-	// down by the NACK EWMA (loss backoff) and the contention signal.
-	rate := float64(s.pushRate.Load())
-	if rate <= 0 {
-		rate = defaultPushRate
-	}
-	rate /= 1 + 8*sess.nackEWMA
-	if f := s.pushContention.Load(); f != nil {
-		if c := (*f)(); c > 0 {
-			if c > 1 {
-				c = 1
-			}
-			rate *= 1 - c
-		}
-	}
+	// Refill the bucket at the effective rate: defaultPushRate scaled down
+	// by the NACK EWMA (loss backoff).
+	rate := defaultPushRate / (1 + 8*sess.nackEWMA)
 	nowSec := nowMs / 1000
 	sess.tokens += (nowSec - sess.lastFill) * rate
 	sess.lastFill = nowSec
@@ -245,11 +231,7 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 	sess.sent[seq%sentRing] = sentFrame{seq: seq, meta: meta, data: data}
 	u.mu.Unlock()
 
-	fecK := int(s.fecK.Load())
-	if fecK <= 0 {
-		fecK = transport.DefaultFECGroup
-	}
-	for _, d := range transport.SliceFrame(nil, meta, data, fecK) {
+	for _, d := range transport.SliceFrame(nil, meta, data, transport.DefaultFECGroup) {
 		s.obs.udpBytesOut.Add(int64(len(d)))
 		if _, err := u.pc.WriteTo(d, sess.addr); err != nil {
 			s.obs.udpSendErrors.Inc()
@@ -280,6 +262,11 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 		if err != nil {
 			return // client falls back to TCP
 		}
+		// One served frame per request reply; chunks, retransmits and
+		// pushes (server.udp.push_frames) are not serves.
+		s.served.Add(1)
+		s.obs.framesServed.Inc()
+		s.obs.bytesSent.Add(int64(len(res.data)))
 		s.sendFrame(u, sess, req.Point, res.data, 0)
 	}()
 }
@@ -315,6 +302,3 @@ func (s *Server) serveNack(u *udpServe, addr net.Addr, nack transport.Nack) {
 		}
 	}
 }
-
-// nowMs is the UDP path's wall clock, in milliseconds.
-func nowMs() float64 { return float64(time.Now().UnixNano()) / 1e6 }

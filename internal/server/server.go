@@ -54,22 +54,11 @@ type Server struct {
 	// encodes residuals between reconstructions.
 	panos *panoCache
 
-	// deltaOff disables the delta path; the zero value (enabled) is the
-	// production configuration. Inverted so the zero-valued Server keeps
-	// today's defaults.
-	deltaOff atomic.Bool
-
 	// sched gates every render leader: an EDF queue with a concurrency
-	// knee (SetMaxInflight) and admission control, so a request whose
-	// vsync deadline is imminent overtakes prerender and deadline-less
-	// traffic instead of queueing FIFO behind it. schedOff bypasses the
-	// gate entirely (the pre-scheduler serve path, for A/B runs and the
-	// byte-identity tests); degradeOff keeps the scheduler but disables
-	// the quality ladder, so at-risk requests render and simply miss.
-	// Both inverted so the zero-valued Server has them enabled.
-	sched      *sched.Scheduler
-	schedOff   atomic.Bool
-	degradeOff atomic.Bool
+	// knee (one render per schedulable core) and admission control, so a
+	// request whose vsync deadline is imminent overtakes prerender and
+	// deadline-less traffic instead of queueing FIFO behind it.
+	sched *sched.Scheduler
 
 	// cluster, when set, shards grid-point ownership across nodes: the
 	// staged pipeline proxies requests for remotely owned points to
@@ -81,15 +70,8 @@ type Server struct {
 
 	// pushOn enables trajectory-driven server push on the datagram frame
 	// path (off by default: pushes are opt-in via -push, and only reach
-	// clients that subscribed with the want-push flag). pushRate is the
-	// per-session token-bucket rate in frames/sec (0: default), fecK the
-	// FEC group size for sliced frames (0: transport.DefaultFECGroup).
-	pushOn   atomic.Bool
-	pushRate atomic.Int64
-	fecK     atomic.Int64
-	// pushContention, when set, reports the current network contention
-	// signal in [0,1]; the push pacer scales its rate by (1 - signal).
-	pushContention atomic.Pointer[func() float64]
+	// clients that subscribed with the want-push flag).
+	pushOn atomic.Bool
 
 	mu  sync.Mutex // guards hub
 	hub *fisync.Hub
@@ -286,28 +268,6 @@ func New(env *core.Env) *Server {
 	}
 }
 
-// SetDeltaEnabled toggles delta frame coding (enabled by default). With it
-// off every frame is served intra-coded; the toggle exists for A/B runs
-// (the bytes-per-frame benchmark) and tests. Safe to call at any time.
-func (s *Server) SetDeltaEnabled(on bool) { s.deltaOff.Store(!on) }
-
-// SetSchedEnabled toggles the deadline scheduler (enabled by default).
-// With it off, render leaders run unscheduled and unshed — the
-// pre-scheduler FIFO path, kept for A/B benchmarks and the unloaded
-// byte-identity assertion. Safe to call at any time.
-func (s *Server) SetSchedEnabled(on bool) { s.schedOff.Store(!on) }
-
-// SetDegradeEnabled toggles the quality-degrade ladder (enabled by
-// default). With it off, requests whose deadlines are at risk still
-// render (and miss); the scheduler's EDF ordering and admission control
-// stay active. Safe to call at any time.
-func (s *Server) SetDegradeEnabled(on bool) { s.degradeOff.Store(!on) }
-
-// SetMaxInflight sets the scheduler's concurrency knee: the number of
-// renders allowed to run at once (<= 0 restores the default of one per
-// schedulable core). Safe to call at any time.
-func (s *Server) SetMaxInflight(n int) { s.sched.SetWorkers(n) }
-
 // SetCluster joins the server to a cluster membership view (nil leaves
 // it standalone). Requests for grid points owned by a peer are proxied
 // to the owner and the replies cached locally under the normal store
@@ -327,28 +287,6 @@ func (s *Server) SetSLO(t *obs.SLO) { s.slo = t }
 // with the want-push flag, so legacy FI-only clients never see one. Safe
 // to call at any time.
 func (s *Server) SetPushEnabled(on bool) { s.pushOn.Store(on) }
-
-// SetPushRate sets the per-session push token-bucket rate in frames/sec
-// (<= 0 restores the default). The effective rate backs off with the
-// session's NACK EWMA and the contention signal. Safe to call at any time.
-func (s *Server) SetPushRate(n int) { s.pushRate.Store(int64(n)) }
-
-// SetFECK sets the XOR-parity FEC group size for frames sliced onto the
-// datagram path (<= 0 restores transport.DefaultFECGroup). Safe to call
-// at any time.
-func (s *Server) SetFECK(k int) { s.fecK.Store(int64(k)) }
-
-// SetPushContention installs the network-contention signal the push pacer
-// adapts to: a func reporting utilisation in [0,1] (netsim's measured
-// contention in sim runs). nil disables the scaling. Safe to call at any
-// time.
-func (s *Server) SetPushContention(f func() float64) {
-	if f == nil {
-		s.pushContention.Store(nil)
-		return
-	}
-	s.pushContention.Store(&f)
-}
 
 // errOverloaded is the admission-control rejection: the render queue is
 // past its bound and the degrade ladder found nothing servable. Sessions
@@ -439,10 +377,9 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 	// owner is down or the hop itself is projected past the deadline —
 	// then this node re-renders locally (byte-identical output, counted
 	// as a failover).
-	useSched := !s.schedOff.Load()
 	if cl := s.cluster; cl != nil && !req.fromPeer {
 		if owner := cl.Owner(pt); owner != cl.Self() {
-			if cl.Up(owner) && !(useSched && s.sched.FetchAtRisk(wallMs(), req.deadlineMs)) {
+			if cl.Up(owner) && !s.sched.FetchAtRisk(wallMs(), req.deadlineMs) {
 				if s.fetchFromOwner(req, &res) {
 					c.origin = res.origin
 					s.store.complete(pt, c, res.data, nil)
@@ -454,18 +391,14 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 		}
 	}
 
-	if useSched {
-		queueMs, admitted := s.sched.Acquire(req.deadlineMs)
-		if !admitted {
-			s.store.complete(pt, c, nil, errOverloaded)
-			return res, errOverloaded
-		}
-		res.stages.QueueMs += queueMs
+	queueMs, admitted := s.sched.Acquire(req.deadlineMs)
+	if !admitted {
+		s.store.complete(pt, c, nil, errOverloaded)
+		return res, errOverloaded
 	}
+	res.stages.QueueMs += queueMs
 	data, renderMs, encodeMs, err := s.render(pt)
-	if useSched {
-		s.sched.Release(renderMs + encodeMs) // zero (no observation) on error
-	}
+	s.sched.Release(renderMs + encodeMs) // zero (no observation) on error
 	res.stages.RenderMs, res.stages.EncodeMs = renderMs, encodeMs
 	s.obs.renderMs.Observe(renderMs + encodeMs)
 	if err == nil {
@@ -474,7 +407,7 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 	}
 	c.origin = res.origin
 	s.store.complete(pt, c, data, err)
-	if err == nil && !s.deltaOff.Load() {
+	if err == nil {
 		// Cache the client-visible reconstruction: the delta path computes
 		// residuals against what the client decoded.
 		if recon, derr := codec.Decode(data); derr == nil {

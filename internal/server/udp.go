@@ -42,7 +42,7 @@ func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 		s.obs.udpBytesIn.Add(int64(n))
 		if n != fisync.WireSize {
 			if transport.DgramType(buf[:n]) != 0 {
-				s.handleDgram(u, addr, buf[:n], nowMs())
+				s.handleDgram(u, addr, buf[:n], wallMs())
 			} else {
 				s.obs.udpDroppedMalformed.Inc()
 			}
@@ -84,7 +84,7 @@ func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 			return err
 		}
 		if sess != nil {
-			s.notePush(u, sess, st, nowMs())
+			s.notePush(u, sess, st, wallMs())
 		}
 	}
 }

@@ -34,9 +34,8 @@ type UDPChannel struct {
 	// goroutine; implementations must not block.
 	OnFrame func(pt geom.GridPoint, data []byte, pushed bool)
 
-	// impair, when set, drops received datagrams (loss injection for
-	// tests and the loadgen A/B; loopback sockets do not lose packets on
-	// their own).
+	// impair, when set, drops received datagrams (LiveConfig.LossRate's
+	// loss injection; loopback sockets do not lose packets on their own).
 	impair *netsim.Impairer
 
 	mu      sync.Mutex

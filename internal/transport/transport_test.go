@@ -432,3 +432,54 @@ func TestConnStickyError(t *testing.T) {
 		t.Fatal("error should be sticky")
 	}
 }
+
+// FuzzWireDecoders feeds arbitrary payloads to every TCP and datagram
+// control decoder: malformed input is an error, never a panic, and
+// whatever decodes survives the wire — re-encoded, it decodes again and
+// re-encodes to the same bytes. The encoders write every field verbatim,
+// so that fixed point is value equality, with NaN timestamps compared by
+// bits. The seed corpus is the round-trip tests' messages, so the property
+// runs inside go test.
+func FuzzWireDecoders(f *testing.F) {
+	f.Add(EncodeHello(Hello{Player: 3, Game: "viking"}))
+	f.Add(EncodeFrameRequest(FrameRequest{Player: 1, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 7, SentMs: 123.5, DeadlineMs: 140.2}))
+	f.Add(EncodeFrameReply(FrameReply{
+		Point: geom.GridPoint{I: -5, J: 1 << 20}, ReqID: 42,
+		ClientSentMs: 1000.25, RecvMs: 2000.5, SendMs: 2024.75,
+		QueueMs: 3.5, RenderMs: 12.25, EncodeMs: 9, HopMs: 1.75,
+		Kind: FrameDelta, Rung: RungStale, Origin: OriginPeer,
+		Ref: geom.GridPoint{I: -6, J: 1<<20 - 1}, Data: []byte{9, 8, 7},
+	}))
+	f.Add(EncodeEvictNotice([]geom.GridPoint{{I: 1, J: -2}, {I: 1 << 20, J: 0}}))
+	f.Add(EncodeNack(nil, Nack{StreamID: 1, FrameSeq: 1, Missing: []uint16{0, 1}}))
+	f.Add(EncodeSub(nil, Sub{Player: 7, WantPush: true}))
+	f.Add(EncodeReq(nil, Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88}))
+	f.Add(EncodeFIReply(nil, make([]byte, fiStateLen)))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fuzzRoundTrip(t, "Hello", b, DecodeHello, EncodeHello)
+		fuzzRoundTrip(t, "FrameRequest", b, DecodeFrameRequest, EncodeFrameRequest)
+		fuzzRoundTrip(t, "FrameReply", b, DecodeFrameReply, EncodeFrameReply)
+		fuzzRoundTrip(t, "EvictNotice", b, DecodeEvictNotice, EncodeEvictNotice)
+		fuzzRoundTrip(t, "Nack", b, DecodeNack, func(n Nack) []byte { return EncodeNack(nil, n) })
+		fuzzRoundTrip(t, "Sub", b, DecodeSub, func(s Sub) []byte { return EncodeSub(nil, s) })
+		fuzzRoundTrip(t, "Req", b, DecodeReq, func(r Req) []byte { return EncodeReq(nil, r) })
+		fuzzRoundTrip(t, "FIReply", b, DecodeFIReply, func(s []byte) []byte { return EncodeFIReply(nil, s) })
+	})
+}
+
+// fuzzRoundTrip is FuzzWireDecoders' property for one decoder/encoder pair.
+func fuzzRoundTrip[T any](t *testing.T, name string, b []byte, dec func([]byte) (T, error), enc func(T) []byte) {
+	v, err := dec(b)
+	if err != nil {
+		return
+	}
+	wire := enc(v)
+	v2, err := dec(wire)
+	if err != nil {
+		t.Fatalf("%s: %+v re-encoded to %x, which does not decode: %v", name, v, wire, err)
+	}
+	if again := enc(v2); !bytes.Equal(again, wire) {
+		t.Fatalf("%s: %+v decoded back as %+v (wire %x vs %x)", name, v, v2, wire, again)
+	}
+}
