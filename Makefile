@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test test-procs race bench bench-e2e smoke
+.PHONY: check fmt vet build bench-build test test-procs race bench bench-e2e bench-pairs smoke
 
 check: fmt vet build bench-build test-procs race
 
@@ -57,13 +57,23 @@ smoke:
 	./scripts/smoke.sh
 
 # Hot-path micro-benchmarks (ssim comparer, panorama ray-cast and its column
-# gather, codec).
+# gather, codec kernels and frames, the server's cold miss).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/world/... ./internal/codec/...
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/world/... ./internal/codec/... ./internal/server/...
 
 # The repository's benchmark (BENCHMARK.json): five workloads against the
 # real server, end-to-end metrics, then a traced run with per-layer metrics
-# (~4 min). Pass flags with ARGS, e.g.
+# (~1.5 min). Pass flags with ARGS, e.g.
 #   make bench-e2e ARGS="--workload cold_scatter --seed 1 --seconds 10 --trace 0"
 bench-e2e:
 	bash bench/run.sh $(ARGS)
+
+# Alternating parent / change pairs of one workload, with the summary table
+# a performance claim needs (medians, quartiles, pairs won), e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=cold_scatter SEED=3 N=10
+PARENT ?= HEAD~1
+WORKLOAD ?= cold_scatter
+SEED ?= 1
+N ?= 10
+bench-pairs:
+	./scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)

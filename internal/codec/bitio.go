@@ -1,30 +1,25 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
+	"math/bits"
 )
 
 // bitWriter packs bits most-significant-first into a byte slice.
 type bitWriter struct {
 	buf  []byte
-	cur  uint64
-	nCur uint // bits currently held in cur (< 8)
-}
-
-func (w *bitWriter) writeBit(b uint64) {
-	w.cur = w.cur<<1 | (b & 1)
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, byte(w.cur))
-		w.cur, w.nCur = 0, 0
-	}
+	cur  uint64 // pending bits in the low nCur positions; higher bits are stale
+	nCur uint   // bits currently held in cur (< 8 between calls)
 }
 
 // writeBits writes the low n bits of v, most significant first. n <= 56.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for i := int(n) - 1; i >= 0; i-- {
-		w.writeBit(v >> uint(i))
+	w.cur = w.cur<<n | v&(1<<n-1)
+	w.nCur += n
+	for w.nCur >= 8 {
+		w.nCur -= 8
+		w.buf = append(w.buf, byte(w.cur>>w.nCur))
 	}
 }
 
@@ -51,34 +46,39 @@ func (w *bitWriter) bytes() []byte {
 // bitReader consumes bits most-significant-first from a byte slice.
 type bitReader struct {
 	buf []byte
-	pos int  // byte index
-	bit uint // bits consumed in current byte
+	pos int // bits consumed
 }
 
-var errBitUnderflow = errors.New("codec: bitstream underflow")
+var (
+	errBitUnderflow  = errors.New("codec: bitstream underflow")
+	errMalformedCode = errors.New("codec: malformed exp-golomb code")
+)
 
-func (r *bitReader) readBit() (uint64, error) {
-	if r.pos >= len(r.buf) {
+// remaining is the number of bits left to read.
+func (r *bitReader) remaining() int { return len(r.buf)*8 - r.pos }
+
+// window returns the next bits of the stream left-aligned in a word: at
+// least 57 of them, zero-padded past the end of the buffer.
+func (r *bitReader) window() uint64 {
+	i := r.pos >> 3
+	var w uint64
+	if i+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for k, b := range r.buf[i:] {
+			w |= uint64(b) << (56 - 8*uint(k))
+		}
+	}
+	return w << (uint(r.pos) & 7)
+}
+
+// readBits reads n <= 56 bits, most significant first.
+func (r *bitReader) readBits(n uint) (uint64, error) {
+	if int(n) > r.remaining() {
 		return 0, errBitUnderflow
 	}
-	b := uint64(r.buf[r.pos]>>(7-r.bit)) & 1
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
-		r.pos++
-	}
-	return b, nil
-}
-
-func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | b
-	}
+	v := r.window() >> (64 - n)
+	r.pos += int(n)
 	return v, nil
 }
 
@@ -87,32 +87,32 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 
 func (w *bitWriter) writeUE(v uint32) {
 	x := uint64(v) + 1
-	n := bitLen64(x)
-	// n-1 leading zeros, then the n-bit value.
+	n := uint(bits.Len64(x))
+	// n-1 leading zeros, then the n-bit value: x itself in 2n-1 bits.
+	if 2*n-1 <= 56 {
+		w.writeBits(x, 2*n-1)
+		return
+	}
 	w.writeBits(0, n-1)
 	w.writeBits(x, n)
 }
 
 func (r *bitReader) readUE() (uint32, error) {
-	var zeros uint
-	for {
-		b, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		zeros++
-		if zeros > 32 {
-			return 0, fmt.Errorf("codec: malformed exp-golomb code")
-		}
+	avail := r.remaining()
+	zeros := min(bits.LeadingZeros64(r.window()), avail)
+	if zeros > 32 {
+		return 0, errMalformedCode
 	}
-	rest, err := r.readBits(zeros)
+	if zeros == avail { // the stream ends before the marker bit
+		return 0, errBitUnderflow
+	}
+	// Past the zeros and the marker; as many value bits follow.
+	r.pos += zeros + 1
+	rest, err := r.readBits(uint(zeros))
 	if err != nil {
 		return 0, err
 	}
-	return uint32((uint64(1)<<zeros | rest) - 1), nil
+	return uint32((uint64(1)<<uint(zeros) | rest) - 1), nil
 }
 
 func (w *bitWriter) writeSE(v int32) {
@@ -134,13 +134,4 @@ func (r *bitReader) readSE() (int32, error) {
 		return int32(u/2 + 1), nil
 	}
 	return -int32(u / 2), nil
-}
-
-func bitLen64(x uint64) uint {
-	var n uint
-	for x > 0 {
-		n++
-		x >>= 1
-	}
-	return n
 }

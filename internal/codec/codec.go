@@ -32,6 +32,10 @@ const (
 	versionDelta = 2
 )
 
+// minIntraBlockBits is the cheapest intra block: se(0) for the DC delta and
+// the end-of-block code, one bit each.
+const minIntraBlockBits = 2
+
 // writerPool recycles bitWriters (and, more importantly, their grown byte
 // buffers) across Encode calls: the server pre-encodes every far-BE frame it
 // renders, so this is a per-frame allocation on the pipeline's hot path.
@@ -180,10 +184,14 @@ func Decode(data []byte) (*img.Gray, error) {
 	if w <= 0 || h <= 0 || w > 1<<15 || h > 1<<15 {
 		return nil, fmt.Errorf("codec: implausible dimensions %dx%d", w, h)
 	}
-	g := getGray(w, h)
-
 	bw64 := blocksAcross(w)
 	bh64 := blocksAcross(h)
+	// A dozen header bytes may claim a gigabyte raster: refuse, before
+	// allocating, dimensions the rest of the stream cannot fill.
+	if bw64*bh64 > br.remaining()/minIntraBlockBits {
+		return nil, fmt.Errorf("codec: %dx%d frame in a %d-byte stream", w, h, len(data))
+	}
+	g := getGray(w, h)
 	var coef, pix [64]float64
 	prevDC := int32(0)
 	for by := 0; by < bh64; by++ {
@@ -236,9 +244,29 @@ func decodeAC(br *bitReader, ac []int32) error {
 	}
 }
 
+// interior reports whether the 8x8 block at (x0,y0) lies wholly inside a
+// w x h raster. All but the last block row and column of a frame do (all
+// of them when the size is a multiple of 8), and take the row-slice loops
+// below instead of two edge tests per pixel.
+func interior(w, h, x0, y0 int) bool { return x0+blockSize <= w && y0+blockSize <= h }
+
+// blockRow returns row y of the interior 8x8 block at (x0,y0).
+func blockRow(g *img.Gray, x0, y0, y int) *[blockSize]uint8 {
+	return (*[blockSize]uint8)(g.Pix[(y0+y)*g.W+x0:])
+}
+
 // loadBlock copies an 8x8 block (level-shifted by -128) clamping reads at
 // the image edge by replicating border pixels.
 func loadBlock(g *img.Gray, x0, y0 int, dst *[64]float64) {
+	if interior(g.W, g.H, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			d := (*[blockSize]float64)(dst[y*blockSize:])
+			for x, p := range blockRow(g, x0, y0, y) {
+				d[x] = float64(p) - 128
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy >= g.H {
@@ -254,7 +282,27 @@ func loadBlock(g *img.Gray, x0, y0 int, dst *[64]float64) {
 	}
 }
 
+// clampPixel rounds a reconstructed sample into [0, 255].
+func clampPixel(v float64) uint8 {
+	if v < 0 {
+		v = 0
+	}
+	if v > 255 {
+		v = 255
+	}
+	return uint8(v + 0.5)
+}
+
 func storeBlock(g *img.Gray, x0, y0 int, src *[64]float64) {
+	if interior(g.W, g.H, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			row := blockRow(g, x0, y0, y)
+			for x, v := range (*[blockSize]float64)(src[y*blockSize:]) {
+				row[x] = clampPixel(v + 128)
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy >= g.H {
@@ -265,14 +313,7 @@ func storeBlock(g *img.Gray, x0, y0 int, src *[64]float64) {
 			if sx >= g.W {
 				continue
 			}
-			v := src[y*blockSize+x] + 128
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			g.Pix[sy*g.W+sx] = uint8(v + 0.5)
+			g.Pix[sy*g.W+sx] = clampPixel(src[y*blockSize+x] + 128)
 		}
 	}
 }

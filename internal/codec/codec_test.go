@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,8 +188,10 @@ func TestRoundTripPropertyRandomImages(t *testing.T) {
 
 func TestBitIORoundTrip(t *testing.T) {
 	w := &bitWriter{}
-	values := []uint32{0, 1, 2, 3, 100, 65535, 1 << 20}
-	svalues := []int32{0, -1, 1, -2, 2, 1000, -99999}
+	// 1<<28 - 2 is the longest code written as one word (55 bits), the
+	// next value the first written as zeros + value.
+	values := []uint32{0, 1, 2, 3, 100, 65535, 1 << 20, 1<<28 - 2, 1<<28 - 1, math.MaxUint32}
+	svalues := []int32{0, -1, 1, -2, 2, 1000, -99999, math.MaxInt32, -math.MaxInt32}
 	for _, v := range values {
 		w.writeUE(v)
 	}

@@ -27,54 +27,104 @@ func init() {
 	}
 }
 
+// The kernels below compute every output as the naive triple loop does —
+// s starts at zero and takes s += a * b for the same eight products in the
+// same order — so each float64 is bit-identical to that loop's (the oracle
+// in kernels_test.go). What differs is the loop nest: the eight outputs of
+// a row or column accumulate side by side in eight independent sums, so
+// the FP adds pipeline instead of each waiting out the previous add's
+// latency on one serial chain.
+
 // fdct8x8 computes the forward 8x8 DCT of src into dst (row-major, both 64
 // elements).
 func fdct8x8(src, dst *[64]float64) {
 	var tmp [64]float64
-	// Rows.
+	// Rows: tmp[y][u] = sum over x of src[y][x] * dctCosA[u][x].
 	for y := 0; y < blockSize; y++ {
-		for u := 0; u < blockSize; u++ {
-			var s float64
-			for x := 0; x < blockSize; x++ {
-				s += src[y*blockSize+x] * dctCosA[u][x]
-			}
-			tmp[y*blockSize+u] = s
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for x, a := range (*[blockSize]float64)(src[y*blockSize:]) {
+			s0 += a * dctCosA[0][x]
+			s1 += a * dctCosA[1][x]
+			s2 += a * dctCosA[2][x]
+			s3 += a * dctCosA[3][x]
+			s4 += a * dctCosA[4][x]
+			s5 += a * dctCosA[5][x]
+			s6 += a * dctCosA[6][x]
+			s7 += a * dctCosA[7][x]
 		}
+		t := (*[blockSize]float64)(tmp[y*blockSize:])
+		t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
-	// Columns.
-	for u := 0; u < blockSize; u++ {
-		for v := 0; v < blockSize; v++ {
-			var s float64
-			for y := 0; y < blockSize; y++ {
-				s += tmp[y*blockSize+u] * dctCosA[v][y]
-			}
-			dst[v*blockSize+u] = s
+	// Columns: dst[v][u] = sum over y of tmp[y][u] * dctCosA[v][y].
+	for v := 0; v < blockSize; v++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for y, c := range dctCosA[v] {
+			t := (*[blockSize]float64)(tmp[y*blockSize:])
+			s0 += t[0] * c
+			s1 += t[1] * c
+			s2 += t[2] * c
+			s3 += t[3] * c
+			s4 += t[4] * c
+			s5 += t[5] * c
+			s6 += t[6] * c
+			s7 += t[7] * c
 		}
+		d := (*[blockSize]float64)(dst[v*blockSize:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 }
 
 // idct8x8 computes the inverse 8x8 DCT of src into dst.
 func idct8x8(src, dst *[64]float64) {
-	var tmp [64]float64
-	// Columns.
-	for u := 0; u < blockSize; u++ {
-		for y := 0; y < blockSize; y++ {
-			var s float64
-			for v := 0; v < blockSize; v++ {
-				s += src[v*blockSize+u] * dctCosA[v][y]
+	// Quantised blocks are mostly zero beyond the first few frequencies:
+	// only rows below nv and columns below nu hold a non-zero coefficient.
+	// The rest contribute ±0 products, and a sum that started at +0 is
+	// never -0, so adding ±0 cannot change it: skipping them keeps every
+	// output bit (coefficients are finite, so no 0 * Inf).
+	nv, nu := 0, 0
+	for v := 0; v < blockSize; v++ {
+		for u, a := range (*[blockSize]float64)(src[v*blockSize:]) {
+			if a != 0 {
+				nv = v + 1
+				nu = max(nu, u+1)
 			}
-			tmp[y*blockSize+u] = s
 		}
 	}
-	// Rows.
+	var tmp [64]float64
+	// Columns: tmp[y][u] = sum over v of src[v][u] * dctCosA[v][y].
 	for y := 0; y < blockSize; y++ {
-		for x := 0; x < blockSize; x++ {
-			var s float64
-			for u := 0; u < blockSize; u++ {
-				s += tmp[y*blockSize+u] * dctCosA[u][x]
-			}
-			dst[y*blockSize+x] = s
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for v := range dctCosA[:nv] {
+			c := dctCosA[v][y]
+			r := (*[blockSize]float64)(src[v*blockSize:])
+			s0 += r[0] * c
+			s1 += r[1] * c
+			s2 += r[2] * c
+			s3 += r[3] * c
+			s4 += r[4] * c
+			s5 += r[5] * c
+			s6 += r[6] * c
+			s7 += r[7] * c
 		}
+		t := (*[blockSize]float64)(tmp[y*blockSize:])
+		t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	// Rows: dst[y][x] = sum over u of tmp[y][u] * dctCosA[u][x].
+	for y := 0; y < blockSize; y++ {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for u, a := range (*[blockSize]float64)(tmp[y*blockSize:])[:nu] {
+			c := &dctCosA[u]
+			s0 += a * c[0]
+			s1 += a * c[1]
+			s2 += a * c[2]
+			s3 += a * c[3]
+			s4 += a * c[4]
+			s5 += a * c[5]
+			s6 += a * c[6]
+			s7 += a * c[7]
+		}
+		d := (*[blockSize]float64)(dst[y*blockSize:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 }
 

@@ -118,6 +118,19 @@ func DeltaEncode(cur, ref *img.Gray, crf int) []byte {
 // It reports whether the residual is exactly zero.
 func loadResidualBlock(cur, ref *img.Gray, x0, y0 int, dst *[64]float64) bool {
 	zero := true
+	if interior(cur.W, cur.H, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			d := (*[blockSize]float64)(dst[y*blockSize:])
+			r := blockRow(ref, x0, y0, y)
+			for x, p := range blockRow(cur, x0, y0, y) {
+				d[x] = float64(p) - float64(r[x])
+				if d[x] != 0 {
+					zero = false
+				}
+			}
+		}
+		return zero
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy >= cur.H {
@@ -215,6 +228,15 @@ func DeltaDecode(data []byte, ref *img.Gray) (*img.Gray, error) {
 // addResidualBlock writes ref+residual clamped to [0,255] for the 8x8
 // block at (x0,y0), skipping out-of-bounds padding like storeBlock.
 func addResidualBlock(g, ref *img.Gray, x0, y0 int, res *[64]float64) {
+	if interior(g.W, g.H, x0, y0) {
+		for y := 0; y < blockSize; y++ {
+			row, r := blockRow(g, x0, y0, y), blockRow(ref, x0, y0, y)
+			for x, v := range (*[blockSize]float64)(res[y*blockSize:]) {
+				row[x] = clampPixel(float64(r[x]) + v)
+			}
+		}
+		return
+	}
 	for y := 0; y < blockSize; y++ {
 		sy := y0 + y
 		if sy >= g.H {
@@ -225,14 +247,7 @@ func addResidualBlock(g, ref *img.Gray, x0, y0 int, res *[64]float64) {
 			if sx >= g.W {
 				continue
 			}
-			v := float64(ref.Pix[sy*ref.W+sx]) + res[y*blockSize+x]
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			g.Pix[sy*g.W+sx] = uint8(v + 0.5)
+			g.Pix[sy*g.W+sx] = clampPixel(float64(ref.Pix[sy*ref.W+sx]) + res[y*blockSize+x])
 		}
 	}
 }

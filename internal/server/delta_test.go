@@ -349,3 +349,48 @@ func TestDeltaReferenceTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestReconstructionDecodedOnFirstDeltaUse pins the lazy reconstruction:
+// cold misses leave the reconstruction cache empty (a miss renders and
+// encodes, it never decodes), and the first delta serve of a walk decodes
+// exactly the two rasters it needs and codes between them — the same
+// bytes as DeltaEncode between independently decoded reconstructions.
+func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
+	srv := New(poolEnv(t))
+	grid := srv.env.Game.Scene.Grid
+	spawn := grid.Snap(srv.env.Game.Spawn)
+	for i := 0; i < 12; i++ {
+		if _, err := srv.FrameFor(geom.GridPoint{I: spawn.I + i%4, J: spawn.J + i/4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, rendered := srv.Stats(); rendered != 12 {
+		t.Fatalf("rendered %d frames, want 12 cold misses", rendered)
+	}
+	if n := len(srv.panos.entries); n != 0 {
+		t.Fatalf("%d reconstructions cached after cold misses, want none", n)
+	}
+
+	// A walk on a fresh stretch: the first step is served intra and becomes
+	// the reference, the second is a miss served as a delta against it.
+	ptA := geom.GridPoint{I: spawn.I, J: spawn.J + 5}
+	ptB := geom.GridPoint{I: spawn.I + 1, J: spawn.J + 5}
+	sr := newSessionRefs()
+	first, err := srv.frameForSession(frameReq{pt: ptA}, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr.promote()
+	second, err := srv.frameForSession(frameReq{pt: ptB}, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.kind != transport.FrameIntra || second.kind != transport.FrameDelta || second.ref != ptA || !second.rendered {
+		t.Fatalf("walk served kinds %d, %d (ref %v, rendered %v); want intra, then a rendered delta against %v",
+			first.kind, second.kind, second.ref, second.rendered, ptA)
+	}
+	newCanonical(srv.env).checkDelta(t, ptB, ptA, second.data)
+	if n := len(srv.panos.entries); n != 2 {
+		t.Fatalf("%d reconstructions cached after one delta serve, want the 2 it coded between", n)
+	}
+}

@@ -49,9 +49,10 @@ type Server struct {
 	// point. Budget via SetStoreBudget.
 	store *frameStore
 
-	// panos caches the decoded reconstruction of recently rendered frames
-	// (what a client that decoded the served bytes sees). The delta path
-	// encodes residuals between reconstructions.
+	// panos caches decoded reconstructions (what a client that decoded the
+	// served bytes sees), filled by reconFor the first time the delta path
+	// needs one — never on the miss. The delta path encodes residuals
+	// between reconstructions.
 	panos *panoCache
 
 	// sched gates every render leader: an EDF queue with a concurrency
@@ -407,13 +408,6 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 	}
 	c.origin = res.origin
 	s.store.complete(pt, c, data, err)
-	if err == nil {
-		// Cache the client-visible reconstruction: the delta path computes
-		// residuals against what the client decoded.
-		if recon, derr := codec.Decode(data); derr == nil {
-			s.panos.put(pt, recon)
-		}
-	}
 	res.data, res.rendered = data, err == nil
 	return res, err
 }
