@@ -2,10 +2,49 @@ package eval
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 	"time"
 )
+
+// sectionDigest is the FNV-64a of one "== name ==" section of generateAll's
+// output.
+type sectionDigest struct {
+	name string
+	sum  uint64
+}
+
+var update = flag.Bool("update", false, "print the table for sectionDigests instead of comparing against it")
+
+// sectionDigests pins the paper reproduction: FNV-64a of every section
+// generateAll prints (header line included, wall-clock columns zeroed), in
+// print order. Rule: a PR that changes a digest says, in CHANGES.md, which
+// table moved and why; `go test ./internal/eval -run Deterministic -update`
+// prints the new table. A byte-identical renderer, codec or cache change
+// moves none of them.
+var sectionDigests = []sectionDigest{
+	{"fig1", 0x58ed7f68233f993d},
+	{"fig2", 0xec24d4832cbbb208},
+	{"fig3", 0xc7a2e5892fabcb23},
+	{"fig5", 0xcd9413f5b87d6c62},
+	{"table3", 0x61da6ed27a29e852},
+	{"fig6", 0x2aec58143fea1092},
+	{"fig7", 0x42672201c3ec8e38},
+	{"table5", 0x409c2227700eec6d},
+	{"table6", 0xce842eae09acd775},
+	{"table1", 0xb88a80888f029b4d},
+	{"table7", 0x39dd63a11fbe4f8a},
+	{"fig11", 0x6ad3094d4fa69d09},
+	{"table8", 0xfa17b28f3fa38f80},
+	{"table9", 0x4051ee3e32b2193f},
+	{"fig12", 0xad06b4d8516e1143},
+	{"ablation-replacement", 0x52f5097a5dbb6d0e},
+	{"ablation-overhear", 0xc081223d083a5e62},
+	{"ablation-prefetch", 0xcc563be1593e0717},
+}
 
 // generateAll runs every parallelized experiment generator on a fresh lab
 // with the given worker count and prints the rows into one buffer. The
@@ -165,6 +204,8 @@ func generateAll(t *testing.T, parallel int) []byte {
 // whether it runs on one worker or eight. Work units are enumerated (and
 // all randomness drawn) in a sequential prepass and results land in
 // index-addressed slices, so worker count must never leak into the rows.
+// The same output is then held to sectionDigests, section by section, so
+// the tables themselves cannot move unnoticed either.
 func TestGeneratorsDeterministicAcrossParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every generator twice")
@@ -172,6 +213,7 @@ func TestGeneratorsDeterministicAcrossParallel(t *testing.T) {
 	seq := generateAll(t, 1)
 	par := generateAll(t, 8)
 	if bytes.Equal(seq, par) {
+		checkSectionDigests(t, seq)
 		return
 	}
 	// Locate the first differing line for a useful failure message.
@@ -183,4 +225,31 @@ func TestGeneratorsDeterministicAcrossParallel(t *testing.T) {
 		}
 	}
 	t.Fatalf("output lengths differ: %d vs %d bytes", len(seq), len(par))
+}
+
+// checkSectionDigests splits generateAll's output at its "== name ==" lines
+// and compares each section's FNV-64a with the pinned table.
+func checkSectionDigests(t *testing.T, out []byte) {
+	t.Helper()
+	var got []sectionDigest
+	for _, body := range strings.Split(string(out), "== ")[1:] {
+		name, _, _ := strings.Cut(body, " ==\n")
+		h := fnv.New64a()
+		h.Write([]byte(body))
+		got = append(got, sectionDigest{name, h.Sum64()})
+	}
+	if *update {
+		for _, s := range got {
+			fmt.Printf("\t{%q, %#016x},\n", s.name, s.sum)
+		}
+		return
+	}
+	if len(got) != len(sectionDigests) {
+		t.Fatalf("%d sections printed, %d pinned (run with -update)", len(got), len(sectionDigests))
+	}
+	for i, s := range got {
+		if want := sectionDigests[i]; s != want {
+			t.Errorf("section %s: digest %#016x, pinned %s %#016x", s.name, s.sum, want.name, want.sum)
+		}
+	}
 }

@@ -1,0 +1,84 @@
+package render
+
+import (
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"coterie/internal/games"
+	"coterie/internal/geom"
+	"coterie/internal/world"
+)
+
+// frameDigests pins every frame kind of three games: FNV-64a over the
+// pixels (and near masks) framesDigest renders, computed at the commit
+// before ISSUE 22 made the cast output-sensitive. A renderer change that
+// moves one of them changed frames on the wire — every store, every delta
+// chain and every table of the paper reproduction with it. (Computed on
+// amd64; a port whose compiler fuses multiply-adds may round differently.)
+var frameDigests = map[string]uint64{
+	"viking": 0xf0a9a5d496d8fee9,
+	"pool":   0x9a4012f647391122,
+	"racing": 0xf55ff16be07d27d3,
+}
+
+// framesDigest renders, from 12 eyes scattered over the map, the far BE at
+// three fixed cutoffs (not cutoff.Compute: no map build), the whole BE, the
+// near BE with its mask, a horizon band, a colour frame and a far BE with
+// two avatars (one inside the window, one nearer than it).
+func framesDigest(g *games.Game, workers int) uint64 {
+	r := New(g.Scene, Config{W: 256, H: 128, Parallel: workers})
+	defer r.Close()
+	h := fnv.New64a()
+	maskBytes := make([]byte, 256*128)
+	rng := rand.New(rand.NewSource(22))
+	bd := g.Scene.Bounds
+	inf := math.Inf(1)
+	for i := 0; i < 12; i++ {
+		p := geom.V2(bd.MinX+rng.Float64()*bd.Width(), bd.MinZ+rng.Float64()*bd.Depth())
+		eye := g.Scene.EyeAt(p)
+		for _, tMin := range []float64{3, 12, 25, 0} {
+			f := r.Panorama(eye, tMin, inf, nil)
+			h.Write(f.Pix)
+			r.ReleaseGray(f)
+		}
+		near := r.NearFrame(eye, 12, nil)
+		h.Write(near.Gray.Pix)
+		for k, m := range near.Mask {
+			maskBytes[k] = 0
+			if m {
+				maskBytes[k] = 1
+			}
+		}
+		h.Write(maskBytes)
+		r.ReleaseFrame(near)
+		h.Write(r.PanoramaBand(eye, 12, inf, nil, 50, 78).Pix)
+		h.Write(r.PanoramaRGB(eye, 3, inf, nil).Pix)
+		dyn := []world.Object{
+			g.Avatar(geom.V2(p.X+9.5, p.Z-6.2), 1),
+			g.Avatar(geom.V2(p.X-2.1, p.Z+0.8), 2),
+		}
+		f := r.Panorama(eye, 8, inf, dyn)
+		h.Write(f.Pix)
+		r.ReleaseGray(f)
+	}
+	return h.Sum64()
+}
+
+func TestFramesUnchanged(t *testing.T) {
+	for name, want := range frameDigests {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			g, err := games.BuildByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				if got := framesDigest(g, workers); got != want {
+					t.Errorf("%s, %d workers: frame digest %#016x, pinned %#016x", name, workers, got, want)
+				}
+			}
+		})
+	}
+}

@@ -17,30 +17,52 @@ import (
 // viewpoint's leaf, from eyes scattered over the map. The synthetic
 // BenchmarkPanorama* scenes above are several times cheaper than these and
 // all look from the world centre. One op is one frame; eyes rotate.
+//
+// viking averages two regimes that differ 3x, so it is also split on the
+// leaf radius: viking-sparse (radius > 15 m: ~95 % sky, the median cold
+// miss) and viking-dense (the rest: object pixels and their shading).
 func BenchmarkPanoramaFarGame(b *testing.B) {
-	for _, name := range []string{"viking", "racing", "pool"} {
-		// The cutoff map takes seconds to compute; keep it across the
-		// testing package's b.N escalation.
-		var g *games.Game
-		var m *cutoff.Map
-		b.Run(name, func(b *testing.B) {
-			if m == nil {
+	all := func(float64) bool { return true }
+	type built struct {
+		g *games.Game
+		m *cutoff.Map
+	}
+	// The cutoff map takes seconds to compute; keep it across the testing
+	// package's b.N escalation and across the sub-benchmarks of one game.
+	maps := map[string]built{}
+	for _, bc := range []struct {
+		name, game string
+		keep       func(radius float64) bool
+	}{
+		{"viking", "viking", all},
+		{"viking-sparse", "viking", func(r float64) bool { return r > 15 }},
+		{"viking-dense", "viking", func(r float64) bool { return r <= 15 }},
+		{"racing", "racing", all},
+		{"pool", "pool", all},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			gm, ok := maps[bc.game]
+			if !ok {
 				var err error
-				if g, err = games.BuildByName(name); err != nil {
+				if gm.g, err = games.BuildByName(bc.game); err != nil {
 					b.Fatal(err)
 				}
-				if m, err = cutoff.Compute(g.Scene, device.Pixel2().NearBERenderMs, cutoff.DefaultParams()); err != nil {
+				if gm.m, err = cutoff.Compute(gm.g.Scene, device.Pixel2().NearBERenderMs, cutoff.DefaultParams()); err != nil {
 					b.Fatal(err)
 				}
+				maps[bc.game] = gm
 			}
+			g, m := gm.g, gm.m
 			r := render.New(g.Scene, render.Config{W: 256, H: 128, Parallel: 1})
 			rng := rand.New(rand.NewSource(14))
-			eyes := make([]geom.Vec3, 16)
-			radii := make([]float64, len(eyes))
-			for i := range eyes {
+			var eyes []geom.Vec3
+			var radii []float64
+			for len(eyes) < 16 {
 				bd := g.Scene.Bounds
 				p := geom.V2(bd.MinX+rng.Float64()*bd.Width(), bd.MinZ+rng.Float64()*bd.Depth())
-				eyes[i], radii[i] = g.Scene.EyeAt(p), m.RadiusAt(p)
+				if radius := m.RadiusAt(p); bc.keep(radius) {
+					eyes, radii = append(eyes, g.Scene.EyeAt(p)), append(radii, radius)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -193,6 +193,9 @@ type castJob struct {
 	// out.Pix[0]: out holds only the rows of the window.
 	col      world.Column
 	dynamics []world.Object
+	// groundLo, groundHi are the rows that see the ground inside the
+	// distance window (world.Column.GroundRows): the same for every column.
+	groundLo, groundHi int
 	// out and the optional hit mask receive luma; rgb, when set, receives
 	// colour instead.
 	out      *img.Gray
@@ -208,9 +211,10 @@ func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, row
 	workers, bands := r.fanout(r.Cfg.W)
 	j.r, j.bands = r, bands
 	j.col = world.Column{
-		Eye: eye, Tan: p.tan, Cos: p.cos,
+		Eye: eye, Tan: p.tan, Cos: p.cos, Sin: p.sin,
 		RowLo: rowLo, RowHi: rowHi, TMin: tMin, TMax: tMax,
 	}
+	j.groundLo, j.groundHi = j.col.GroundRows()
 	// pixAngle is the angular width of one pixel; surface patterns are
 	// area-filtered against it (see shade).
 	j.pixAngle = 2 * math.Pi / float64(r.Cfg.W)
@@ -224,29 +228,41 @@ func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, row
 
 // Run implements par.Job: cast the columns of band b. Each column gathers
 // its candidate objects with one walk of the scene index, then every row
-// of the column is answered from them (world.GatherColumn).
+// of the column is answered from them (world.GatherColumn). Only the live
+// rows — the hull of the candidates' rows and of the ground's — build a ray:
+// no other row can hit anything, so it shows the sky. Most of a far-BE
+// panorama is such rows.
 func (j *castJob) Run(b int) {
 	r, p, w := j.r, &j.r.proj, j.r.Cfg.W
 	q := r.getQuery()
 	col := j.col
 	for x := b * w / j.bands; x < (b+1)*w/j.bands; x++ {
 		col.SinYaw, col.CosYaw = p.sinYaw[x], p.cosYaw[x]
-		r.Scene.GatherColumn(q, &col)
+		lo, hi := r.Scene.GatherColumn(q, &col)
+		lo, hi = min(lo, j.groundLo), max(hi, j.groundHi)
+		if len(j.dynamics) > 0 {
+			// Dynamics are few and tested brute force: any row may see one.
+			lo, hi = col.RowLo, col.RowHi
+		}
 		for y := col.RowLo; y < col.RowHi; y++ {
-			cp := p.cos[y]
-			dir := geom.V3(cp*col.SinYaw, p.sin[y], cp*col.CosYaw)
-			ray := geom.Ray{Origin: col.Eye, Direction: dir}
+			var hit world.Hit
+			var dir geom.Vec3
+			ok := false
+			if y >= lo && y < hi {
+				cp := p.cos[y]
+				dir = geom.V3(cp*col.SinYaw, p.sin[y], cp*col.CosYaw)
+				ray := geom.Ray{Origin: col.Eye, Direction: dir}
 
-			hit, ok := r.Scene.IntersectColumn(q, y, ray)
-			// Dynamics are few; test them brute force.
-			for di := range j.dynamics {
-				limit := col.TMax
-				if ok {
-					limit = hit.T
-				}
-				if t, dok := j.dynamics[di].IntersectFrom(ray, col.TMin); dok && t < limit {
-					hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
-					ok = true
+				hit, ok = r.Scene.IntersectColumn(q, y, ray)
+				for di := range j.dynamics {
+					limit := col.TMax
+					if ok {
+						limit = hit.T
+					}
+					if t, dok := j.dynamics[di].IntersectFrom(ray, col.TMin); dok && t < limit {
+						hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
+						ok = true
+					}
 				}
 			}
 
@@ -418,7 +434,7 @@ func shade(h world.Hit, viewDir geom.Vec3, pixAngle float64) uint8 {
 		}
 		// Projected pixel footprint on the ground stretches by the
 		// grazing angle.
-		grazing := math.Max(math.Abs(viewDir.Y), 0.05)
+		grazing := max(math.Abs(viewDir.Y), 0.05)
 		footprint := h.T * pixAngle / grazing
 		blend := filterBlend(period, footprint)
 		base := 0.53 + (checker-0.53)*blend
@@ -435,12 +451,9 @@ func shade(h world.Hit, viewDir geom.Vec3, pixAngle float64) uint8 {
 	// viewpoint produces genuine pixel change on textured surfaces.
 	p := h.Point
 	freq := patternFreq(o)
-	s := math.Sin(p.X*freq+float64(o.Pattern)) * math.Sin(p.Y*freq*1.3+1.7) * math.Sin(p.Z*freq+0.9)
-	tex := 1.0
-	if s > 0 {
+	tex := 0.82
+	if patternPositive(p.X*freq+float64(o.Pattern), p.Y*freq*1.3+1.7, p.Z*freq+0.9) {
 		tex = 1.22
-	} else {
-		tex = 0.82
 	}
 	period := 2 * math.Pi / freq
 	blend := filterBlend(period, h.T*pixAngle)
@@ -450,12 +463,40 @@ func shade(h world.Hit, viewDir geom.Vec3, pixAngle float64) uint8 {
 	} else {
 		tex = 1 + (tex-1)*blend
 		// Fine surface detail (bark, brickwork) resolving only up close.
-		tex += fineDetail(p.X+p.Y, p.Z-p.Y, math.Max(period*0.12, 0.08), h.T*pixAngle) * 0.8
+		tex += fineDetail(p.X+p.Y, p.Z-p.Y, max(period*0.12, 0.08), h.T*pixAngle) * 0.8
 	}
 
 	n := surfaceNormal(h)
-	lambert := 0.55 + 0.45*math.Max(0, n.Dot(sunDir))
+	lambert := 0.55 + 0.45*max(0, n.Dot(sunDir))
 	return clampShade(base * tex * lambert * 255)
+}
+
+// patternPositive reports whether sin(a)*sin(b)*sin(c) > 0, which is all the
+// surface pattern asks of its three sines. sin x is positive exactly when
+// floor(x/pi) is even, so the sign of the product is the parity of the three
+// floors' sum. That is certain whenever every argument keeps clear of the
+// multiples of pi: with |x| < 1e6 the computed x*(1/pi) is within 1e-10 of
+// x/pi, so a fraction in [1e-6, 1-1e-6] puts x at least 3e-6 from a multiple
+// and |sin x| >= 3e-6 — ten orders above math.Sin's error, and the product
+// of three such factors cannot underflow. Anything else (a grazing
+// argument, a huge one, NaN, Inf) takes the three sines.
+func patternPositive(a, b, c float64) bool {
+	na, oka := halfTurns(a)
+	nb, okb := halfTurns(b)
+	nc, okc := halfTurns(c)
+	if oka && okb && okc {
+		return (na+nb+nc)&1 == 0
+	}
+	return math.Sin(a)*math.Sin(b)*math.Sin(c) > 0
+}
+
+// halfTurns returns floor(x/pi) and whether x is inside patternPositive's
+// guard band, where the parity of the floor is the sign of sin x.
+func halfTurns(x float64) (int64, bool) {
+	u := x * (1 / math.Pi)
+	n := math.Floor(u)
+	frac := u - n
+	return int64(n), math.Abs(x) < 1e6 && frac >= 1e-6 && frac <= 1-1e-6
 }
 
 // fineDetail returns a +-0.09 noise texture with the given spatial period,

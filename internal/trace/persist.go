@@ -76,16 +76,18 @@ func Read(r io.Reader) (*Trace, error) {
 	if n > maxTicks {
 		return nil, fmt.Errorf("trace: implausible tick count %d", n)
 	}
-	t := &Trace{PlayerID: int(hdr[0]), Game: string(name), Pos: make([]geom.Vec2, n)}
+	// The count is the file's claim, not yet its content: Pos grows as ticks
+	// are read, so a short file cannot ask for more memory than it fills.
+	t := &Trace{PlayerID: int(hdr[0]), Game: string(name), Pos: make([]geom.Vec2, 0, min(n, 4096))}
 	buf := make([]byte, 8)
-	for i := range t.Pos {
+	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("trace: tick %d: %w", i, err)
 		}
-		t.Pos[i] = geom.V2(
+		t.Pos = append(t.Pos, geom.V2(
 			float64(math.Float32frombits(binary.BigEndian.Uint32(buf[0:4]))),
 			float64(math.Float32frombits(binary.BigEndian.Uint32(buf[4:8]))),
-		)
+		))
 	}
 	return t, nil
 }

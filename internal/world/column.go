@@ -23,15 +23,22 @@ import (
 //   - a row stops at the first candidate whose cell is entered at or beyond
 //     its best hit so far (or its window end), which is the per-cell rule of
 //     index.intersect expressed in horizontal distance.
+//
+// The traversal is also output-sensitive: GatherColumn returns the hull of
+// its candidates' row intervals and Column.GroundRows the rows that see the
+// ground plane. A row outside both is one for which IntersectColumn's loop
+// breaks before testing any object and whose ground test fails, so a caster
+// writes its sky without building the ray.
 
 // Column is the geometry the rays of one panorama column share.
 type Column struct {
 	Eye            geom.Vec3
 	SinYaw, CosYaw float64 // unit XZ direction (SinYaw, CosYaw)
-	// Tan and Cos hold tan(pitch) and cos(pitch) per panorama row, top to
-	// bottom: pitch falls strictly from near +90 to near -90 degrees. Row
-	// y's ray direction is (Cos[y]*SinYaw, sin(pitch), Cos[y]*CosYaw).
-	Tan, Cos []float64
+	// Tan, Cos and Sin hold tan(pitch), cos(pitch) and sin(pitch) per
+	// panorama row, top to bottom: pitch falls strictly from near +90 to
+	// near -90 degrees. Row y's ray starts at Eye with direction
+	// (Cos[y]*SinYaw, Sin[y], Cos[y]*CosYaw). Sin is read by GroundRows only.
+	Tan, Cos, Sin []float64
 	// RowLo, RowHi select the rows [RowLo, RowHi) that will be cast.
 	RowLo, RowHi int
 	// TMin, TMax is the hit-distance window, as in Scene.Intersect.
@@ -49,6 +56,17 @@ type candidate struct {
 	// of this and every later candidate, so a row outside them is finished.
 	lo, hi         int32
 	restLo, restHi int32
+	// box is obj.Bounds() of a box, computed once per column rather than
+	// once per row that tests it.
+	box geom.AABB
+}
+
+// intersectFrom is cd.obj.IntersectFrom(r, tMin).
+func (cd *candidate) intersectFrom(r geom.Ray, tMin float64) (float64, bool) {
+	if cd.obj.Kind == KindSphere {
+		return geom.IntersectSphereFrom(r, cd.obj.Center, cd.obj.Radius, tMin)
+	}
+	return intersectBoxFrom(cd.box, r, tMin)
 }
 
 // Slack of the gather-time culls. Every bound is widened by it, so rounding
@@ -60,13 +78,34 @@ const (
 	relEps  = 1e-9
 )
 
+// GroundRows returns the hull [lo, hi) of the rows of the window whose ray
+// meets the ground plane inside [TMin, TMax): the test IntersectColumn
+// applies, on the same operands. It depends on the eye height, the window
+// and the row alone, so one call serves every column of a panorama. The
+// hull is the accepted set itself, since the hit distance is monotone in
+// the row; without a ground row it is (RowHi, RowLo).
+func (col *Column) GroundRows() (lo, hi int) {
+	lo, hi = col.RowHi, col.RowLo
+	for y := col.RowLo; y < col.RowHi; y++ {
+		if col.Sin[y] < 0 {
+			if t := -col.Eye.Y / col.Sin[y]; t >= col.TMin && t < col.TMax {
+				lo, hi = min(lo, y), y+1
+			}
+		}
+	}
+	return lo, hi
+}
+
 // GatherColumn walks the index once along the column's horizontal direction
-// and leaves the column's candidates in q for IntersectColumn.
-func (s *Scene) GatherColumn(q *Query, col *Column) {
+// and leaves the column's candidates in q for IntersectColumn. It returns
+// the hull [lo, hi) of the candidates' row intervals: IntersectColumn tests
+// no object for a row outside it. Without a candidate it is (RowHi, RowLo),
+// so that min and max union either hull with another.
+func (s *Scene) GatherColumn(q *Query, col *Column) (lo, hi int) {
 	q.col = *col
 	q.cands = q.cands[:0]
 	if len(s.Objects) == 0 {
-		return
+		return col.RowHi, col.RowLo
 	}
 	ix := s.index
 	stamp := q.nextStamp()
@@ -90,7 +129,7 @@ func (s *Scene) GatherColumn(q *Query, col *Column) {
 		}
 		// A cell entered at horizontal distance d is entered at ray distance
 		// d/cos(pitch) >= d, so past TMax every row's walk has ended.
-		entry = math.Min(tMaxX, tMaxZ)
+		entry = min(tMaxX, tMaxZ)
 		if entry >= col.TMax {
 			break
 		}
@@ -109,12 +148,13 @@ func (s *Scene) GatherColumn(q *Query, col *Column) {
 		}
 	}
 
-	lo, hi := int32(math.MaxInt32), int32(-1)
+	restLo, restHi := int32(col.RowHi), int32(col.RowLo-1)
 	for i := len(q.cands) - 1; i >= 0; i-- {
 		cd := &q.cands[i]
-		lo, hi = min(lo, cd.lo), max(hi, cd.hi)
-		cd.restLo, cd.restHi = lo, hi
+		restLo, restHi = min(restLo, cd.lo), max(restHi, cd.hi)
+		cd.restLo, cd.restHi = restLo, restHi
 	}
+	return int(restLo), int(restHi) + 1
 }
 
 // consider appends o as a candidate unless no ray of the column can hit it
@@ -124,6 +164,7 @@ func (q *Query) consider(o *Object, entry float64) {
 	// Horizontal span [s0, s1] over which the 2-D ray is above the object's
 	// XZ footprint, and the object's vertical extent relative to the eye.
 	var s0, s1, up, down float64
+	var box geom.AABB
 	switch o.Kind {
 	case KindSphere:
 		ocx, ocz := col.Eye.X-o.Center.X, col.Eye.Z-o.Center.Z
@@ -133,27 +174,28 @@ func (q *Query) consider(o *Object, entry float64) {
 		if disc < -relEps*(b*b+math.Abs(cc)) {
 			return
 		}
-		sq := math.Sqrt(math.Max(disc, 0))
+		sq := math.Sqrt(max(disc, 0))
 		s0, s1 = -b-sq, -b+sq
 		up, down = o.Center.Y+o.Radius-col.Eye.Y, o.Center.Y-o.Radius-col.Eye.Y
 	default:
+		box = o.Bounds()
 		s0, s1 = math.Inf(-1), math.Inf(1)
-		if !clipSlab(&s0, &s1, col.Eye.X, col.SinYaw, o.Center.X-o.Half.X, o.Center.X+o.Half.X) ||
-			!clipSlab(&s0, &s1, col.Eye.Z, col.CosYaw, o.Center.Z-o.Half.Z, o.Center.Z+o.Half.Z) {
+		if !clipSlab(&s0, &s1, col.Eye.X, col.SinYaw, box.Min.X, box.Max.X) ||
+			!clipSlab(&s0, &s1, col.Eye.Z, col.CosYaw, box.Min.Z, box.Max.Z) {
 			return
 		}
-		up, down = o.Center.Y+o.Half.Y-col.Eye.Y, o.Center.Y-o.Half.Y-col.Eye.Y
+		up, down = box.Max.Y-col.Eye.Y, box.Min.Y-col.Eye.Y
 	}
 	if s1 < -spanEps {
 		return // behind the eye for every row
 	}
-	s0 = math.Max(s0-spanEps, 0)
+	s0 = max(s0-spanEps, 0)
 	s1 += 2 * spanEps
 
 	// Distance window: every point of the object above the span lies
 	// between these (squared) distances from the eye.
-	vNear := math.Max(0, math.Max(down, -up))
-	vFar := math.Max(math.Abs(up), math.Abs(down))
+	vNear := max(0, max(down, -up))
+	vFar := max(math.Abs(up), math.Abs(down))
 	if s1*s1+vFar*vFar < col.TMin*col.TMin*(1-relEps) || s0*s0+vNear*vNear > col.TMax*col.TMax*(1+relEps) {
 		return
 	}
@@ -182,7 +224,7 @@ func (q *Query) consider(o *Object, entry float64) {
 	if lo > hi {
 		return
 	}
-	q.cands = append(q.cands, candidate{obj: o, entry: entry, lo: int32(lo), hi: int32(hi)})
+	q.cands = append(q.cands, candidate{obj: o, box: box, entry: entry, lo: int32(lo), hi: int32(hi)})
 }
 
 // clipSlab narrows [*s0, *s1] to where o + s*d lies in [lo, hi] and reports
@@ -195,7 +237,7 @@ func clipSlab(s0, s1 *float64, o, d, lo, hi float64) bool {
 	if a > b {
 		a, b = b, a
 	}
-	*s0, *s1 = math.Max(*s0, a), math.Min(*s1, b)
+	*s0, *s1 = max(*s0, a), min(*s1, b)
 	return *s0 <= *s1+spanEps
 }
 
@@ -253,7 +295,7 @@ func (s *Scene) IntersectColumn(q *Query, row int, r geom.Ray) (Hit, bool) {
 		if y < cd.lo || y > cd.hi {
 			continue
 		}
-		if t, ok := cd.obj.IntersectFrom(r, col.TMin); ok && t < bestT {
+		if t, ok := cd.intersectFrom(r, col.TMin); ok && t < bestT {
 			obj, bestT = cd.obj, t
 			reach = t * cos
 		}

@@ -43,11 +43,9 @@ func checkColumn(t *testing.T, s *Scene, col Column, sin []float64, beyond func(
 	return n
 }
 
-// Property: the column traversal agrees with the per-ray walk on a random
-// scene of boxes and spheres, some overhanging the bounds, for random eyes,
-// yaws, distance windows and row windows.
-func TestColumnMatchesIntersect(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
+// columnScene is a random scene of boxes and spheres, some overhanging the
+// bounds.
+func columnScene(rng *rand.Rand) *Scene {
 	objs := make([]Object, 160)
 	for i := range objs {
 		c := geom.V3(-6+rng.Float64()*112, rng.Float64()*4, -6+rng.Float64()*112)
@@ -58,27 +56,90 @@ func TestColumnMatchesIntersect(t *testing.T) {
 			objs[i] = Object{ID: i, Kind: KindSphere, Center: c, Triangles: 10, Radius: 0.3 + rng.Float64()*2.5}
 		}
 	}
-	s := New("column", geom.NewRect(100, 100), 0.5, objs, 0)
+	return New("column", geom.NewRect(100, 100), 0.5, objs, 0)
+}
+
+// randomColumn draws an eye, a yaw and, on some trials, a distance window
+// and a row window for an h-row column.
+func randomColumn(rng *rand.Rand, trial, h int, tan, cos, sin []float64) Column {
+	yaw := rng.Float64() * 2 * math.Pi
+	col := Column{
+		Eye:    geom.V3(rng.Float64()*100, 0.3+rng.Float64()*3, rng.Float64()*100),
+		SinYaw: math.Sin(yaw), CosYaw: math.Cos(yaw),
+		Tan: tan, Cos: cos, Sin: sin, RowHi: h, TMax: math.Inf(1),
+	}
+	if trial%2 == 0 {
+		col.TMin = rng.Float64() * 20
+	}
+	if trial%3 == 0 {
+		col.TMax = col.TMin + rng.Float64()*40
+	}
+	if trial%5 == 0 {
+		col.RowLo = rng.Intn(h / 2)
+		col.RowHi = col.RowLo + 1 + rng.Intn(h/2)
+	}
+	return col
+}
+
+// Property: the column traversal agrees with the per-ray walk on a random
+// scene, for random eyes, yaws, distance windows and row windows.
+func TestColumnMatchesIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	s := columnScene(rng)
 	const h = 48
 	tan, cos, sin := columnRows(h)
 	for trial := 0; trial < 400; trial++ {
-		yaw := rng.Float64() * 2 * math.Pi
-		col := Column{
-			Eye:    geom.V3(rng.Float64()*100, 0.3+rng.Float64()*3, rng.Float64()*100),
-			SinYaw: math.Sin(yaw), CosYaw: math.Cos(yaw),
-			Tan: tan, Cos: cos, RowHi: h, TMax: math.Inf(1),
+		checkColumn(t, s, randomColumn(rng, trial, h, tan, cos, sin), sin, func(Hit) bool { return false })
+	}
+}
+
+// Property: a row outside the live interval — the hull of the candidates'
+// rows GatherColumn returns and of Column.GroundRows — hits nothing, so a
+// caster may show its sky without asking; and GroundRows is exactly the set
+// of rows the ground test accepts, not just their hull.
+func TestLiveRowsCoverEveryHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	s := columnScene(rng)
+	q := s.NewQuery()
+	const h = 48
+	tan, cos, sin := columnRows(h)
+	culled, empty := 0, 0
+	for trial := 0; trial < 1500; trial++ {
+		col := randomColumn(rng, trial, h, tan, cos, sin)
+		if trial%7 == 0 {
+			col.Eye.Y = 6 + rng.Float64()*30 // above every object
 		}
-		if trial%2 == 0 {
-			col.TMin = rng.Float64() * 20
+		gLo, gHi := col.GroundRows()
+		if gLo >= gHi {
+			empty++
 		}
-		if trial%3 == 0 {
-			col.TMax = col.TMin + rng.Float64()*40
+		for y := col.RowLo; y < col.RowHi; y++ {
+			hits := false
+			if sin[y] < 0 {
+				tg := -col.Eye.Y / sin[y]
+				hits = tg >= col.TMin && tg < col.TMax
+			}
+			if in := y >= gLo && y < gHi; in != hits {
+				t.Fatalf("eye height %v window [%v,%v) rows [%d,%d): ground rows [%d,%d) but row %d ground hit = %v",
+					col.Eye.Y, col.TMin, col.TMax, col.RowLo, col.RowHi, gLo, gHi, y, hits)
+			}
 		}
-		if trial%5 == 0 {
-			col.RowLo = rng.Intn(h / 2)
-			col.RowHi = col.RowLo + 1 + rng.Intn(h/2)
+		lo, hi := s.GatherColumn(q, &col)
+		lo, hi = min(lo, gLo), max(hi, gHi)
+		for y := col.RowLo; y < col.RowHi; y++ {
+			if y >= lo && y < hi {
+				continue
+			}
+			culled++
+			dir := geom.V3(cos[y]*col.SinYaw, sin[y], cos[y]*col.CosYaw)
+			if hit, ok := s.IntersectColumn(q, y, geom.Ray{Origin: col.Eye, Direction: dir}); ok {
+				t.Fatalf("eye %v yaw (%.4f,%.4f) window [%v,%v): row %d is outside the live rows [%d,%d) but hits %+v",
+					col.Eye, col.SinYaw, col.CosYaw, col.TMin, col.TMax, y, lo, hi, hit)
+			}
 		}
-		checkColumn(t, s, col, sin, func(Hit) bool { return false })
+	}
+	if culled == 0 || empty == 0 {
+		t.Fatalf("%d culled rows, %d columns without a ground row: the property was not exercised", culled, empty)
 	}
 }
 

@@ -78,18 +78,23 @@ func (o *Object) IntersectFrom(r geom.Ray, tMin float64) (float64, bool) {
 	case KindSphere:
 		return geom.IntersectSphereFrom(r, o.Center, o.Radius, tMin)
 	default:
-		t0, t1, ok := o.Bounds().IntersectRaySpan(r)
-		if !ok {
-			return 0, false
-		}
-		if t0 >= tMin {
-			return t0, true
-		}
-		if t1 >= tMin {
-			return t1, true
-		}
+		return intersectBoxFrom(o.Bounds(), r, tMin)
+	}
+}
+
+// intersectBoxFrom is IntersectFrom for a box with bounds b.
+func intersectBoxFrom(b geom.AABB, r geom.Ray, tMin float64) (float64, bool) {
+	t0, t1, ok := b.IntersectRaySpan(r)
+	if !ok {
 		return 0, false
 	}
+	if t0 >= tMin {
+		return t0, true
+	}
+	if t1 >= tMin {
+		return t1, true
+	}
+	return 0, false
 }
 
 // Scene is a virtual game world: its ground-plane bounds, viewpoint grid,

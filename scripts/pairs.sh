@@ -14,6 +14,11 @@
 # metric: each side's median and quartiles, the pairs the change won (ties
 # count for neither) and the parent's own quartile distance — claim a gain
 # only at >= 9/10 pairs won and medians further apart than that distance.
+# Below the summary come two diagnostics from the same runs' `also` lines,
+# cpu_ms_per_frame and frames_per_s (median and quartiles, no bound and no
+# verdict): fetch_p50_ms of two closed-loop players swings +-10 % on a busy
+# host, CPU per frame hardly at all, so it is the steady witness of a
+# compute change.
 # Nothing under bench/ is touched; everything written lands in
 # .bench_build/ (git-ignored).
 set -euo pipefail
@@ -34,11 +39,13 @@ git -C "$root" archive "$ref" | tar -x -C "$parent"
 
 # run SIDE TREE PAIR: one benchmark run; the metrics of its result object
 # (the last stdout line, full precision) are appended to $runs as "PAIR
-# SIDE METRIC VALUE UNIT". A failed output check fails the script (run.sh
-# exits non-zero).
+# SIDE METRIC VALUE UNIT", the two diagnostics as "PAIR SIDE also:METRIC
+# VALUE UNIT". A failed output check fails the script (run.sh exits
+# non-zero).
 run() {
     bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds 10 --trace 0 |
         awk -v side="$1" -v pair="$3" '{ last = $0 }
+            $1 == "also" && ($3 == "cpu_ms_per_frame" || $3 == "frames_per_s") { print pair, side, "also:" $3, $4, $5 }
             END {
                 sub(/.*"metrics":\{/, "", last)
                 n = split(last, kv, /\},?/)
@@ -72,6 +79,16 @@ function sorted(side, m, out,    i, j, t, n) {
     for (i = 2; i <= n; i++) for (j = i; j > 1 && out[j - 1] > out[j]; j--) { t = out[j]; out[j] = out[j - 1]; out[j - 1] = t }
     return n
 }
+# stats prints a label and, for metric m, the unit, the median and quartiles
+# of each side and the relative distance of the medians; the sorted runs of
+# the parent stay in P[1..np].
+function stats(m, label,    nc, pm, cm) {
+    np = sorted("parent", m, P); nc = sorted("change", m, C)
+    pm = quantile(P, np, 0.5); cm = quantile(C, nc, 0.5)
+    printf "%-16s %-5s %12.8g [%10.8g, %10.8g] %12.8g [%10.8g, %10.8g] %+7.1f%%", label, unit[m],
+        pm, quantile(P, np, 0.25), quantile(P, np, 0.75), cm, quantile(C, nc, 0.25), quantile(C, nc, 0.75),
+        pm ? 100 * (cm - pm) / pm : 0
+}
 FNR == NR {
     if ($0 ~ /"bound"/ && match($0, /"name": *"[^"]+"/)) {
         name = substr($0, RSTART, RLENGTH); gsub(/"name": *"|"/, "", name)
@@ -89,17 +106,22 @@ END {
     printf "\n%-16s %-5s %36s %36s %8s %9s %12s\n", "metric", "unit", "parent median [q1, q3]", "change median [q1, q3]", "delta", "pairs won", "parent q3-q1"
     for (k = 1; k <= nm; k++) {
         m = order[k]
-        np = sorted("parent", m, P); nc = sorted("change", m, C)
-        pm = quantile(P, np, 0.5); cm = quantile(C, nc, 0.5)
+        if (m ~ /^also:/) continue
+        stats(m, m)
         won = 0; lost = 0
         for (i = 1; i <= pairs; i++) {
             d = v[i, "change", m] - v[i, "parent", m]
             if (higher[m]) d = -d
             if (d < 0) won++; else if (d > 0) lost++
         }
-        printf "%-16s %-5s %12.8g [%10.8g, %10.8g] %12.8g [%10.8g, %10.8g] %+7.1f%% %5d/%-3d %12.6g", m, unit[m],
-            pm, quantile(P, np, 0.25), quantile(P, np, 0.75), cm, quantile(C, nc, 0.25), quantile(C, nc, 0.75),
-            pm ? 100 * (cm - pm) / pm : 0, won, pairs, quantile(P, np, 0.75) - quantile(P, np, 0.25)
+        printf " %5d/%-3d %12.6g", won, pairs, quantile(P, np, 0.75) - quantile(P, np, 0.25)
         printf "   (%s is better, bound %s, change lost %d)\n", higher[m] ? "higher" : "lower", bound[m], lost
+    }
+    printf "\ndiagnostics (per-layer, no bound, no verdict)\n"
+    for (k = 1; k <= nm; k++) {
+        m = order[k]
+        if (m !~ /^also:/) continue
+        stats(m, substr(m, 6))
+        printf "\n"
     }
 }' "$root/BENCHMARK.json" "$runs"
