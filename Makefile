@@ -40,7 +40,7 @@ test-procs:
 	@for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -un); do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/render/... \
-			./internal/sched/... ./internal/cluster/... || exit 1; \
+			./internal/sched/... ./internal/cluster/... ./internal/lru/... || exit 1; \
 	done
 
 race:
@@ -49,7 +49,7 @@ race:
 		./internal/cache/... ./internal/prefetch/... ./internal/obs/... \
 		./internal/par/... ./internal/render/... ./internal/loadgen/... \
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
-		./internal/netsim/... ./internal/world/...
+		./internal/netsim/... ./internal/world/... ./internal/lru/...
 
 # End-to-end smoke: build both binaries, run a short live session over a
 # real socket on localhost, and check the client printed a report.
@@ -57,9 +57,12 @@ smoke:
 	./scripts/smoke.sh
 
 # Hot-path micro-benchmarks (ssim comparer, panorama ray-cast and its column
-# gather, codec kernels and frames, the server's cold miss).
+# gather, codec kernels and frames, the server's cold miss and store hit).
+# The server package runs at -cpu 1,2: BenchmarkStoreHit/parallel is what
+# the frame store's one lock costs when two cores do nothing but look up.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/world/... ./internal/codec/... ./internal/server/...
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/world/... ./internal/codec/...
+	$(GO) test -bench . -benchmem -run '^$$' -cpu 1,2 ./internal/server/...
 
 # The repository's benchmark (BENCHMARK.json): five workloads against the
 # real server, end-to-end metrics, then a traced run with per-layer metrics

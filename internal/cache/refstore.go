@@ -3,6 +3,7 @@ package cache
 import (
 	"coterie/internal/geom"
 	"coterie/internal/img"
+	"coterie/internal/lru"
 )
 
 // RefStore is the client-side reference cache of the delta frame path: a
@@ -28,30 +29,18 @@ type RefStore struct {
 	// released).
 	onEvict func(pt geom.GridPoint, g *img.Gray, evicted bool)
 
-	entries map[geom.GridPoint]*refEntry
-	// LRU list, most recent at head.
-	head, tail *refEntry
-}
-
-type refEntry struct {
-	pt         geom.GridPoint
-	g          *img.Gray
-	prev, next *refEntry
+	entries lru.Map[geom.GridPoint, *img.Gray]
 }
 
 // NewRefStore creates a reference store with a byte budget (0 or negative
 // disables the store: Put releases immediately and Get always misses).
 // onEvict may be nil.
 func NewRefStore(budget int64, onEvict func(pt geom.GridPoint, g *img.Gray, evicted bool)) *RefStore {
-	return &RefStore{
-		budget:  budget,
-		onEvict: onEvict,
-		entries: make(map[geom.GridPoint]*refEntry),
-	}
+	return &RefStore{budget: budget, onEvict: onEvict}
 }
 
 // Len returns the number of cached references.
-func (s *RefStore) Len() int { return len(s.entries) }
+func (s *RefStore) Len() int { return s.entries.Len() }
 
 // Bytes returns the cached raster bytes.
 func (s *RefStore) Bytes() int64 { return s.bytes }
@@ -60,12 +49,7 @@ func (s *RefStore) Bytes() int64 { return s.bytes }
 // The caller must not release or mutate the returned frame; it stays
 // owned by the store.
 func (s *RefStore) Get(pt geom.GridPoint) (*img.Gray, bool) {
-	e, ok := s.entries[pt]
-	if !ok {
-		return nil, false
-	}
-	s.touch(e)
-	return e.g, true
+	return s.entries.Get(pt)
 }
 
 // Put hands a decoded intra frame to the store, which takes ownership.
@@ -75,6 +59,7 @@ func (s *RefStore) Put(pt geom.GridPoint, g *img.Gray) {
 	if g == nil {
 		return
 	}
+	var out []evicted
 	size := int64(len(g.Pix))
 	if s.budget <= 0 || size > s.budget {
 		// Disabled, or a single frame that could never fit: the point is
@@ -82,41 +67,28 @@ func (s *RefStore) Put(pt geom.GridPoint, g *img.Gray) {
 		// point must go too — keeping it would leave the server believing
 		// the client holds the *new* decode while the store serves the old
 		// one, silently corrupting every delta against it.
-		var out []evicted
-		if e, ok := s.entries[pt]; ok {
-			s.unlink(e)
-			delete(s.entries, pt)
-			s.bytes -= int64(len(e.g.Pix))
-			out = append(out, evicted{pt, e.g, true})
+		if old, ok := s.entries.Remove(pt); ok {
+			s.bytes -= int64(len(old.Pix))
+			out = append(out, evicted{pt, old, true})
 		}
 		out = append(out, evicted{pt, g, true})
-		if s.onEvict != nil {
-			for _, v := range out {
-				s.onEvict(v.pt, v.g, v.evicted)
-			}
-		}
-		return
-	}
-
-	var out []evicted
-	if e, ok := s.entries[pt]; ok {
-		// Same point re-decoded: swap rasters, keep LRU position fresh.
-		out = append(out, evicted{pt, e.g, false})
-		s.bytes += size - int64(len(e.g.Pix))
-		e.g = g
-		s.touch(e)
 	} else {
-		e := &refEntry{pt: pt, g: g}
-		s.entries[pt] = e
-		s.pushFront(e)
+		// A re-decode of a held point swaps rasters and refreshes its LRU
+		// position; the point stays held, so the old raster leaves with
+		// evicted=false.
+		if old, ok := s.entries.Put(pt, g); ok {
+			s.bytes -= int64(len(old.Pix))
+			out = append(out, evicted{pt, old, false})
+		}
 		s.bytes += size
-	}
-	for s.bytes > s.budget && s.tail != nil {
-		v := s.tail
-		s.unlink(v)
-		delete(s.entries, v.pt)
-		s.bytes -= int64(len(v.g.Pix))
-		out = append(out, evicted{v.pt, v.g, true})
+		for s.bytes > s.budget {
+			vpt, v, ok := s.entries.RemoveOldest()
+			if !ok {
+				break
+			}
+			s.bytes -= int64(len(v.Pix))
+			out = append(out, evicted{vpt, v, true})
+		}
 	}
 	if s.onEvict != nil {
 		for _, v := range out {
@@ -129,38 +101,4 @@ type evicted struct {
 	pt      geom.GridPoint
 	g       *img.Gray
 	evicted bool
-}
-
-func (s *RefStore) touch(e *refEntry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *RefStore) pushFront(e *refEntry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *RefStore) unlink(e *refEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

@@ -63,6 +63,29 @@ func DecodeState(buf []byte) (State, []byte, error) {
 	return s, buf[WireSize:], nil
 }
 
+// AppendStates appends the wire form of every state to dst: the payload
+// of an FI reply.
+func AppendStates(dst []byte, states []State) []byte {
+	for _, s := range states {
+		dst = s.Encode(dst)
+	}
+	return dst
+}
+
+// DecodeStates parses a whole FI reply payload, a concatenation of
+// States; a truncated tail is ErrShort.
+func DecodeStates(buf []byte) ([]State, error) {
+	var out []State
+	for len(buf) > 0 {
+		s, rest, err := DecodeState(buf)
+		if err != nil {
+			return nil, err
+		}
+		out, buf = append(out, s), rest
+	}
+	return out, nil
+}
+
 // Hub is the server-side state combiner: it keeps the latest state per
 // player and serves snapshots of everyone else's state.
 type Hub struct {

@@ -26,23 +26,32 @@ func TestDecodeShort(t *testing.T) {
 	if _, _, err := DecodeState(make([]byte, WireSize-1)); err != ErrShort {
 		t.Fatalf("err = %v", err)
 	}
+	// A reply whose last state lost its tail is rejected whole.
+	if got, err := DecodeStates(make([]byte, 2*WireSize-1)); err != ErrShort || got != nil {
+		t.Fatalf("truncated list: %v, err = %v", got, err)
+	}
 }
 
 func TestDecodeStream(t *testing.T) {
-	var buf []byte
+	var want []State
 	for i := 0; i < 3; i++ {
-		buf = State{Player: uint8(i), Seq: uint32(i)}.Encode(buf)
+		want = append(want, State{Player: uint8(i), Seq: uint32(i)})
 	}
-	for i := 0; i < 3; i++ {
-		var s State
-		var err error
-		s, buf, err = DecodeState(buf)
-		if err != nil || s.Player != uint8(i) {
-			t.Fatalf("stream decode %d: %v %v", i, s, err)
+	buf := AppendStates([]byte{0xC7}, want)
+	if len(buf) != 1+3*WireSize {
+		t.Fatalf("AppendStates wrote %d bytes after the prefix", len(buf)-1)
+	}
+	got, err := DecodeStates(buf[1:])
+	if err != nil || len(got) != 3 {
+		t.Fatalf("DecodeStates: %v, %v", got, err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("state %d: got %v, want %v", i, got[i], want[i])
 		}
 	}
-	if len(buf) != 0 {
-		t.Fatal("leftover bytes")
+	if got, err := DecodeStates(nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty reply: %v, %v", got, err)
 	}
 }
 

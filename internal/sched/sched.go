@@ -278,5 +278,7 @@ func (s *Scheduler) Release(costMs float64) {
 
 // NowMs is the wall clock deadlines are expressed in: Unix milliseconds
 // as float, the same epoch and unit the transport's deadline field
-// carries.
+// carries. The server stamps request receipt and reply send with it too,
+// so a client can estimate the clock offset NTP-style from its own wall
+// clock.
 func NowMs() float64 { return float64(time.Now().UnixNano()) / 1e6 }

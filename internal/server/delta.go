@@ -7,6 +7,8 @@ import (
 	"coterie/internal/codec"
 	"coterie/internal/geom"
 	"coterie/internal/img"
+	"coterie/internal/lru"
+	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
@@ -33,8 +35,7 @@ const maxHeldRefs = 64
 // sessionRefs tracks which grid points' frames one client provably holds.
 // Single-goroutine use by the session loop; no locking.
 type sessionRefs struct {
-	held  map[geom.GridPoint]struct{}
-	order []geom.GridPoint // promotion order; may hold stale points
+	held lru.Map[geom.GridPoint, struct{}] // in promotion order
 
 	// pending is the intra frame sent in the latest reply. It is promoted
 	// to held when the next client message arrives: the protocol is
@@ -43,9 +44,7 @@ type sessionRefs struct {
 	hasPending bool
 }
 
-func newSessionRefs() *sessionRefs {
-	return &sessionRefs{held: make(map[geom.GridPoint]struct{})}
-}
+func newSessionRefs() *sessionRefs { return &sessionRefs{} }
 
 // setPending records the intra frame just served; it overwrites any
 // unpromoted predecessor (one reply is outstanding at a time).
@@ -60,21 +59,19 @@ func (sr *sessionRefs) promote() {
 		return
 	}
 	sr.hasPending = false
-	if _, ok := sr.held[sr.pending]; !ok {
-		sr.order = append(sr.order, sr.pending)
-		sr.held[sr.pending] = struct{}{}
+	// Promotion order, not recency: a point promoted again keeps its place.
+	if _, held := sr.held.Peek(sr.pending); !held {
+		sr.held.Put(sr.pending, struct{}{})
 	}
-	for len(sr.held) > maxHeldRefs && len(sr.order) > 0 {
-		victim := sr.order[0]
-		sr.order = sr.order[1:]
-		delete(sr.held, victim)
+	for sr.held.Len() > maxHeldRefs {
+		sr.held.RemoveOldest()
 	}
 }
 
 // drop removes client-evicted points from the holdings.
 func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 	for _, pt := range pts {
-		delete(sr.held, pt)
+		sr.held.Remove(pt)
 		if sr.hasPending && pt == sr.pending {
 			sr.hasPending = false
 		}
@@ -93,7 +90,7 @@ func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 // needs no such rescue — it is the substitute); the same fallback rescues
 // a request shed by admission control.
 func (s *Server) frameForSession(req frameReq, sr *sessionRefs) (frameResult, error) {
-	if req.deadlineMs > 0 && s.sched.AtRisk(wallMs(), req.deadlineMs) {
+	if req.deadlineMs > 0 && s.sched.AtRisk(sched.NowMs(), req.deadlineMs) {
 		if res, ok := s.staleRung(req.pt, frameStages{}); ok {
 			return res, nil
 		}
@@ -146,7 +143,7 @@ func (s *Server) deltaOrIntra(res frameResult, pt geom.GridPoint, sr *sessionRef
 // reports ok=false when no reference qualifies, the reference bytes are
 // no longer reconstructible, or the delta does not beat the intra size.
 func (s *Server) deltaFor(pt geom.GridPoint, intra []byte, sr *sessionRefs) ([]byte, geom.GridPoint, bool) {
-	if len(sr.held) == 0 {
+	if sr.held.Len() == 0 {
 		return nil, geom.GridPoint{}, false
 	}
 	grid := s.env.Game.Scene.Grid
@@ -159,22 +156,22 @@ func (s *Server) deltaFor(pt geom.GridPoint, intra []byte, sr *sessionRefs) ([]b
 	// vouches for (same leaf, within DistThresh). Holding pt itself is the
 	// ideal case — the re-request costs a skip map and nothing else.
 	// Equidistant references tie-break on (J, I), so the served reference,
-	// kind and bytes do not depend on map iteration order.
+	// kind and bytes do not depend on the order the holdings are visited in.
 	var refPt geom.GridPoint
 	bestDist := leaf.DistThresh + 1
-	for hp := range sr.held {
+	sr.held.Each(func(hp geom.GridPoint, _ struct{}) {
 		d := grid.Dist(pt, hp)
 		if d > leaf.DistThresh || d > bestDist {
-			continue
+			return
 		}
 		if d == bestDist && !(hp.J < refPt.J || (hp.J == refPt.J && hp.I < refPt.I)) {
-			continue
+			return
 		}
 		if s.env.Map.LeafAt(grid.Pos(hp)) != leaf {
-			continue
+			return
 		}
 		refPt, bestDist = hp, d
-	}
+	})
 	if bestDist > leaf.DistThresh {
 		return nil, geom.GridPoint{}, false
 	}
@@ -236,32 +233,17 @@ const defaultPanoCacheCap = 64
 type panoCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[geom.GridPoint]*panoEntry
-	head    *panoEntry
-	tail    *panoEntry
+	entries lru.Map[geom.GridPoint, *img.Gray]
 }
 
-type panoEntry struct {
-	pt         geom.GridPoint
-	recon      *img.Gray
-	prev, next *panoEntry
-}
-
-func newPanoCache(cap int) *panoCache {
-	return &panoCache{cap: cap, entries: make(map[geom.GridPoint]*panoEntry)}
-}
+func newPanoCache(cap int) *panoCache { return &panoCache{cap: cap} }
 
 // get returns the cached reconstruction of pt. The raster is shared and
 // must not be mutated or released.
 func (p *panoCache) get(pt geom.GridPoint) (*img.Gray, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.entries[pt]
-	if !ok {
-		return nil, false
-	}
-	p.touch(e)
-	return e.recon, true
+	return p.entries.Get(pt)
 }
 
 // put inserts the reconstruction of pt's frame. The cache takes ownership;
@@ -269,51 +251,8 @@ func (p *panoCache) get(pt geom.GridPoint) (*img.Gray, bool) {
 func (p *panoCache) put(pt geom.GridPoint, recon *img.Gray) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.entries[pt]; ok {
-		e.recon = recon
-		p.touch(e)
-		return
+	p.entries.Put(pt, recon)
+	for p.entries.Len() > p.cap {
+		p.entries.RemoveOldest()
 	}
-	e := &panoEntry{pt: pt, recon: recon}
-	p.entries[pt] = e
-	p.pushFront(e)
-	for len(p.entries) > p.cap && p.tail != nil {
-		v := p.tail
-		p.unlink(v)
-		delete(p.entries, v.pt)
-	}
-}
-
-func (p *panoCache) touch(e *panoEntry) {
-	if p.head == e {
-		return
-	}
-	p.unlink(e)
-	p.pushFront(e)
-}
-
-func (p *panoCache) pushFront(e *panoEntry) {
-	e.prev = nil
-	e.next = p.head
-	if p.head != nil {
-		p.head.prev = e
-	}
-	p.head = e
-	if p.tail == nil {
-		p.tail = e
-	}
-}
-
-func (p *panoCache) unlink(e *panoEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		p.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		p.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

@@ -12,6 +12,7 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
+	"coterie/internal/sched"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
@@ -153,12 +154,54 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	codec.ReleaseGray(ref)
 }
 
+// TestSessionRefsBoundedUnderEvictChurn pins the holdings set against the
+// two defects of its map-plus-order-slice predecessor, whose drop left the
+// point in the order slice: (1) a client whose reference store evicts on
+// every fetch grew that slice by one entry per round for ever — the
+// holdings are now one structure, so an empty set holds nothing; (2) a
+// dropped and re-promoted point kept its old place in line, so the next
+// overflow evicted the session's newest reference ahead of its oldest.
+func TestSessionRefsBoundedUnderEvictChurn(t *testing.T) {
+	sr := newSessionRefs()
+	for i := 0; i < 100000; i++ {
+		pt := geom.GridPoint{I: i % 8}
+		sr.setPending(pt)
+		sr.promote()
+		sr.drop([]geom.GridPoint{pt})
+		if n := sr.held.Len(); n != 0 {
+			t.Fatalf("round %d: %d points held after the client dropped its only reference", i, n)
+		}
+	}
+
+	holds := func(i int) bool {
+		_, ok := sr.held.Peek(geom.GridPoint{I: i})
+		return ok
+	}
+	promote := func(i int) {
+		sr.setPending(geom.GridPoint{I: i})
+		sr.promote()
+	}
+	for i := 0; i < maxHeldRefs; i++ {
+		promote(i)
+	}
+	sr.drop([]geom.GridPoint{{I: 0}})
+	promote(0)           // point 0 is now the newest reference
+	promote(maxHeldRefs) // overflow: the oldest, point 1, must go
+	if sr.held.Len() != maxHeldRefs {
+		t.Fatalf("%d points held, want %d", sr.held.Len(), maxHeldRefs)
+	}
+	if !holds(0) || holds(1) || !holds(2) || !holds(maxHeldRefs) {
+		t.Errorf("overflow after a drop and re-promotion: holds 0 %v, 1 %v, 2 %v, %d %v; want the oldest (1) gone and the rest kept",
+			holds(0), holds(1), holds(2), maxHeldRefs, holds(maxHeldRefs))
+	}
+}
+
 // TestStoreDeltaCache covers the encoded-delta cache riding on store
 // entries: lookups are keyed by (point, reference point), a put against a
 // non-resident entry is dropped, the per-entry FIFO stays bounded, and
 // delta bytes are charged to (and reclaimed from) the byte budget.
 func TestStoreDeltaCache(t *testing.T) {
-	st := newFrameStore(1)
+	st := newFrameStore()
 	pt := geom.GridPoint{I: 1, J: 2}
 	_, ok, c, leader := st.lookup(pt)
 	if ok || !leader {
@@ -288,7 +331,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 				pt := geom.GridPoint{I: spawn.I + (i+p)%3, J: spawn.J + i%2}
 				var dl float64
 				if i%3 == 0 {
-					dl = wallMs() + 16.7
+					dl = sched.NowMs() + 16.7
 				}
 				sr.promote()
 				res, err := srv.frameForSession(frameReq{pt: pt, deadlineMs: dl}, sr)
@@ -367,7 +410,7 @@ func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
 	if _, rendered := srv.Stats(); rendered != 12 {
 		t.Fatalf("rendered %d frames, want 12 cold misses", rendered)
 	}
-	if n := len(srv.panos.entries); n != 0 {
+	if n := srv.panos.entries.Len(); n != 0 {
 		t.Fatalf("%d reconstructions cached after cold misses, want none", n)
 	}
 
@@ -390,7 +433,7 @@ func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
 			first.kind, second.kind, second.ref, second.rendered, ptA)
 	}
 	newCanonical(srv.env).checkDelta(t, ptB, ptA, second.data)
-	if n := len(srv.panos.entries); n != 2 {
+	if n := srv.panos.entries.Len(); n != 2 {
 		t.Fatalf("%d reconstructions cached after one delta serve, want the 2 it coded between", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coterie/internal/geom"
+	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
@@ -35,7 +36,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	past := func() float64 { return wallMs() - 1000 }
+	past := func() float64 { return sched.NowMs() - 1000 }
 	stale := reg.Counter("server.degrade_stale")
 
 	r1, _, _, err := cl.FetchWithDeadline(nb, past())

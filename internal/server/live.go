@@ -17,6 +17,7 @@ import (
 	"coterie/internal/obs"
 	"coterie/internal/prefetch"
 	"coterie/internal/runtime"
+	"coterie/internal/sched"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
@@ -488,7 +489,7 @@ func (s *liveSource) consumeDeadline(nowVirtual float64) float64 {
 		return 0
 	}
 	s.nextDeadlineMs = 0
-	return float64(time.Now().UnixNano())/1e6 + (v-nowVirtual)/s.speed + s.offsetMs
+	return sched.NowMs() + (v-nowVirtual)/s.speed + s.offsetMs
 }
 
 // fetchOnce serialises one request/reply exchange on the connection.

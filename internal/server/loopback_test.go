@@ -14,9 +14,11 @@ import (
 
 	"coterie/internal/codec"
 	"coterie/internal/core"
+	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
+	"coterie/internal/sched"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
@@ -531,6 +533,14 @@ func TestSessionLoopRejectsMalformedInput(t *testing.T) {
 		nc.Write([]byte{byte(transport.MsgFrameRequest), 0, 0, 0, 1, 42})
 		expectSessionClose(t, nc)
 	})
+	t.Run("retired FI sync over TCP", func(t *testing.T) {
+		// FI sync is UDP-only; a well-formed MsgFISync (its wire number
+		// stays reserved) is an unexpected message and ends the session.
+		nc := dialRaw(t, addr)
+		state := fisync.State{Player: 9, Seq: 1}.Encode(nil)
+		nc.Write(append([]byte{byte(transport.MsgFISync), 0, 0, 0, byte(len(state))}, state...))
+		expectSessionClose(t, nc)
+	})
 }
 
 func TestServeContextDrainsOnCancel(t *testing.T) {
@@ -603,13 +613,12 @@ func TestSessionStatsRecorded(t *testing.T) {
 	}
 }
 
-// TestLoopbackStoreMetrics is the e2e check of the sharded store's
+// TestLoopbackStoreMetrics is the e2e check of the frame store's
 // instruments: an instrumented live server under a tight byte budget
 // serves real TCP fetches, and a /metrics scrape of its registry must
-// expose the store's residency (server.store_bytes), its evictions
-// (server.evictions), and its shard lock-wait histogram
-// (server.store_shard_lock_wait_ms) with values consistent with the
-// store's own accounting.
+// expose the store's residency (server.store_bytes) and its evictions
+// (server.evictions) with values consistent with the store's own
+// accounting.
 func TestLoopbackStoreMetrics(t *testing.T) {
 	env := poolEnv(t)
 	reg := obs.NewRegistry()
@@ -630,7 +639,7 @@ func TestLoopbackStoreMetrics(t *testing.T) {
 
 	// Budget two frames, then fetch a row of distinct points so the store
 	// must evict, and re-fetch the last point so the hit path (LRU touch
-	// under the shard lock) runs too.
+	// under the store lock) runs too.
 	spawn := env.Game.Scene.Grid.Snap(env.Game.Spawn)
 	first, err := cl.Fetch(spawn)
 	if err != nil {
@@ -666,9 +675,6 @@ func TestLoopbackStoreMetrics(t *testing.T) {
 	}
 	if c, ok := snap.Counters["server.evictions"]; !ok || c != evictions || c == 0 {
 		t.Errorf("evictions counter = %d (present %v), store reports %d", c, ok, evictions)
-	}
-	if h, ok := snap.Histograms["server.store_shard_lock_wait_ms"]; !ok || h.Count == 0 {
-		t.Errorf("lock-wait histogram count = %d (present %v), want observations", h.Count, ok)
 	}
 	if bytes > srv.store.Budget() {
 		t.Errorf("store %d bytes exceeds budget %d", bytes, srv.store.Budget())
@@ -715,7 +721,7 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 		pt := grid.Snap(tr.Pos[i])
 		var dl float64
 		if i%2 == 0 {
-			dl = wallMs() + 100
+			dl = sched.NowMs() + 100
 		}
 		r, _, _, err := cl.FetchWithDeadline(pt, dl)
 		if err != nil {

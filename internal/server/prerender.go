@@ -12,7 +12,7 @@ import (
 // for all reachable grid points offline (§5.1). Rendering every point of a
 // 24M-point world is unnecessary here (frames are memoised on demand), but
 // warming a region ahead of a session removes first-request latency; this
-// file provides that warm-up. Warmed frames land in the shared sharded
+// file provides that warm-up. Warmed frames land in the shared frame
 // store, so they obey its byte budget: warming more than the budget holds
 // simply cycles the LRU, and store_bytes never exceeds the budget.
 

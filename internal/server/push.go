@@ -6,6 +6,7 @@ import (
 
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
+	"coterie/internal/lru"
 	"coterie/internal/transport"
 )
 
@@ -75,9 +76,8 @@ type udpSession struct {
 	lastFill float64 // seconds
 	nackEWMA float64
 
-	// Recently pushed points, with FIFO eviction.
-	pushed    map[geom.GridPoint]struct{}
-	pushedLog []geom.GridPoint
+	// Recently pushed points, oldest first.
+	pushed lru.Map[geom.GridPoint, struct{}]
 
 	sent [sentRing]sentFrame
 }
@@ -126,7 +126,6 @@ func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64
 				// Stream ids only need to differ between sessions the
 				// same client multiplexes; player+1 keeps 0 invalid.
 				streamID: uint32(sub.Player) + 1,
-				pushed:   make(map[geom.GridPoint]struct{}),
 				lastFill: nowMs / 1000,
 			}
 			u.sub[key] = sess
@@ -196,7 +195,7 @@ func (s *Server) notePush(u *udpServe, sess *udpSession, st fisync.State, nowMs 
 	if !ok {
 		return // nothing store-resident: the client's own fetch will render it
 	}
-	if _, dup := sess.pushed[pt]; dup {
+	if _, dup := sess.pushed.Peek(pt); dup {
 		return // already pushed this point's frame
 	}
 	if sess.tokens < 1 {
@@ -204,11 +203,9 @@ func (s *Server) notePush(u *udpServe, sess *udpSession, st fisync.State, nowMs 
 		return
 	}
 	sess.tokens--
-	sess.pushed[pt] = struct{}{}
-	sess.pushedLog = append(sess.pushedLog, pt)
-	if len(sess.pushedLog) > pushedLRU {
-		delete(sess.pushed, sess.pushedLog[0])
-		sess.pushedLog = sess.pushedLog[1:]
+	sess.pushed.Put(pt, struct{}{})
+	if sess.pushed.Len() > pushedLRU {
+		sess.pushed.RemoveOldest()
 	}
 	s.sendFrame(u, sess, pt, data, transport.DgramFlagPushed)
 	s.obs.pushFrames.Inc()

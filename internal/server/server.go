@@ -44,9 +44,9 @@ type Server struct {
 	// nil means slog.Default(). Set before Serve.
 	Logger *slog.Logger
 
-	// store caches encoded far-BE frames: sharded for concurrent
-	// sessions, byte-bounded with LRU eviction, and singleflight per grid
-	// point. Budget via SetStoreBudget.
+	// store caches encoded far-BE frames: byte-bounded with exact LRU
+	// eviction, and singleflight per grid point. Budget via
+	// SetStoreBudget.
 	store *frameStore
 
 	// panos caches decoded reconstructions (what a client that decoded the
@@ -103,7 +103,6 @@ type serverObs struct {
 	frameStoreHits *obs.Counter
 	renderShared   *obs.Counter
 	bytesSent      *obs.Counter
-	fiSyncs        *obs.Counter
 	sessionsTotal  *obs.Counter
 	sessionErrors  *obs.Counter
 	sessionsActive *obs.Gauge
@@ -176,7 +175,6 @@ func (s *Server) Instrument(r *obs.Registry) {
 		frameStoreHits:      r.Counter("server.frame_store_hits"),
 		renderShared:        r.Counter("server.renders_shared"),
 		bytesSent:           r.Counter("server.frame_bytes_sent"),
-		fiSyncs:             r.Counter("server.fi_syncs"),
 		sessionsTotal:       r.Counter("server.sessions_total"),
 		sessionErrors:       r.Counter("server.session_errors"),
 		sessionsActive:      r.Gauge("server.sessions_active"),
@@ -210,7 +208,6 @@ func (s *Server) Instrument(r *obs.Registry) {
 	s.store.instrument(
 		r.Gauge("server.store_bytes"),
 		r.Counter("server.evictions"),
-		r.Histogram("server.store_shard_lock_wait_ms"),
 	)
 	s.sched.Instrument(r, "server.sched")
 	s.tm = transport.NewMetrics(r, "server.transport")
@@ -252,7 +249,6 @@ type SessionStats struct {
 	Duration     time.Duration
 	FramesServed int64
 	BytesSent    int64
-	FISyncs      int64
 	// Err is the terminal error, empty for a clean MsgBye teardown.
 	Err string
 }
@@ -261,7 +257,7 @@ type SessionStats struct {
 func New(env *core.Env) *Server {
 	return &Server{
 		env:      env,
-		store:    newFrameStore(0),
+		store:    newFrameStore(),
 		panos:    newPanoCache(defaultPanoCacheCap),
 		sched:    sched.New(sched.Config{}),
 		hub:      fisync.NewHub(),
@@ -380,7 +376,7 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 	// as a failover).
 	if cl := s.cluster; cl != nil && !req.fromPeer {
 		if owner := cl.Owner(pt); owner != cl.Self() {
-			if cl.Up(owner) && !s.sched.FetchAtRisk(wallMs(), req.deadlineMs) {
+			if cl.Up(owner) && !s.sched.FetchAtRisk(sched.NowMs(), req.deadlineMs) {
 				if s.fetchFromOwner(req, &res) {
 					c.origin = res.origin
 					s.store.complete(pt, c, res.data, nil)
@@ -421,12 +417,12 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 // overhead and is split out as HopMs, so the client's NetMs stays pure
 // client↔proxy transit.
 func (s *Server) fetchFromOwner(req frameReq, res *frameResult) bool {
-	fetchStartMs := wallMs()
+	fetchStartMs := sched.NowMs()
 	reply, err := s.cluster.Fetch(req.pt, req.deadlineMs, req.traceID)
 	if err != nil {
 		return false
 	}
-	hopWallMs := wallMs() - fetchStartMs
+	hopWallMs := sched.NowMs() - fetchStartMs
 	s.sched.ObserveFetchCost(hopWallMs)
 	s.obs.peerFrames.Inc()
 	stg := &res.stages
@@ -475,11 +471,6 @@ func (s *Server) render(pt geom.GridPoint) (data []byte, renderMs, encodeMs floa
 	encodeMs = float64(end.Sub(encodeStart)) / float64(time.Millisecond)
 	return data, renderMs, encodeMs, nil
 }
-
-// wallMs is the server's trace clock: wall time in unix milliseconds.
-// Request/reply stamps use it so the client can estimate the clock offset
-// NTP-style from its own wall clock.
-func wallMs() float64 { return float64(time.Now().UnixNano()) / 1e6 }
 
 // Stats returns (frames served, frames rendered).
 func (s *Server) Stats() (served, rendered int64) {
@@ -552,7 +543,7 @@ func (s *Server) ServeContext(ctx context.Context, ln net.Listener) error {
 			} else {
 				s.logger().Info("session closed",
 					"remote", st.Remote, "player", st.Player,
-					"frames", st.FramesServed, "fi_syncs", st.FISyncs,
+					"frames", st.FramesServed,
 					"duration", st.Duration.Round(time.Millisecond))
 			}
 		}()
@@ -656,7 +647,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 		sr.promote()
 		switch m.Type {
 		case transport.MsgFrameRequest:
-			recvMs := wallMs()
+			recvMs := sched.NowMs()
 			req, err := transport.DecodeFrameRequest(m.Payload)
 			if err != nil {
 				return err
@@ -677,7 +668,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			s.obs.bytesSent.Add(int64(len(res.data)))
 			st.FramesServed++
 			st.BytesSent += int64(len(res.data))
-			sendMs := wallMs()
+			sendMs := sched.NowMs()
 			if err := c.Send(frameReplyMsg(transport.MsgFrameReply, req, res, recvMs, sendMs)); err != nil {
 				return err
 			}
@@ -710,7 +701,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			// are per client session and do not cross nodes — and carries
 			// this node's stage timings so they survive to the far
 			// client's trace.
-			recvMs := wallMs()
+			recvMs := sched.NowMs()
 			req, err := transport.DecodeFrameRequest(m.Payload)
 			if err != nil {
 				return err
@@ -729,7 +720,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			s.obs.peerFramesServed.Inc()
 			st.FramesServed++
 			st.BytesSent += int64(len(res.data))
-			sendMs := wallMs()
+			sendMs := sched.NowMs()
 			if traceID != 0 {
 				s.obs.trace.Record(&obs.FrameSpan{
 					Player:    int(req.Player),
@@ -752,24 +743,6 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 				return err
 			}
 			sr.drop(pts) // fire-and-forget: no reply
-		case transport.MsgFISync:
-			fst, _, err := fisync.DecodeState(m.Payload)
-			if err != nil {
-				return err
-			}
-			s.mu.Lock()
-			s.hub.Update(fst)
-			others := s.hub.Snapshot(fst.Player)
-			s.mu.Unlock()
-			s.obs.fiSyncs.Inc()
-			st.FISyncs++
-			var payload []byte
-			for _, o := range others {
-				payload = o.Encode(payload)
-			}
-			if err := c.Send(transport.Message{Type: transport.MsgFISync, Payload: payload}); err != nil {
-				return err
-			}
 		case transport.MsgBye:
 			return nil
 		default:
@@ -873,7 +846,7 @@ func (c *Client) FetchTraced(pt geom.GridPoint) (reply transport.FrameReply, sen
 // latency from success latency.
 func (c *Client) FetchWithDeadline(pt geom.GridPoint, deadlineMs float64) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
 	c.reqID++
-	sentMs = wallMs()
+	sentMs = sched.NowMs()
 	req := transport.EncodeFrameRequest(transport.FrameRequest{
 		Player:     c.Player,
 		Point:      pt,
@@ -889,13 +862,13 @@ func (c *Client) FetchWithDeadline(pt geom.GridPoint, deadlineMs float64) (reply
 		return transport.FrameReply{}, 0, 0, err
 	}
 	if m.Type == transport.MsgError {
-		return transport.FrameReply{}, sentMs, wallMs(), &ServerError{Msg: string(m.Payload)}
+		return transport.FrameReply{}, sentMs, sched.NowMs(), &ServerError{Msg: string(m.Payload)}
 	}
 	reply, err = transport.DecodeFrameReply(m.Payload)
 	if err != nil {
 		return transport.FrameReply{}, 0, 0, err
 	}
-	doneMs = wallMs()
+	doneMs = sched.NowMs()
 	return reply, sentMs, doneMs, nil
 }
 
@@ -911,31 +884,6 @@ func (c *Client) EvictNotice(pts []geom.GridPoint) error {
 		Type:    transport.MsgEvictNotice,
 		Payload: transport.EncodeEvictNotice(pts),
 	})
-}
-
-// SyncFI uploads this player's FI state and returns the other players'.
-func (c *Client) SyncFI(st fisync.State) ([]fisync.State, error) {
-	if err := c.conn.Send(transport.Message{Type: transport.MsgFISync, Payload: st.Encode(nil)}); err != nil {
-		return nil, err
-	}
-	m, err := c.conn.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if m.Type != transport.MsgFISync {
-		return nil, fmt.Errorf("unexpected FI reply %d", m.Type)
-	}
-	var out []fisync.State
-	buf := m.Payload
-	for len(buf) > 0 {
-		var s fisync.State
-		s, buf, err = fisync.DecodeState(buf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // Close ends the session with MsgBye so the server records a clean

@@ -7,7 +7,6 @@ import (
 
 	"coterie/internal/codec"
 	"coterie/internal/core"
-	"coterie/internal/fisync"
 	"coterie/internal/games"
 	"coterie/internal/geom"
 	"coterie/internal/render"
@@ -117,31 +116,6 @@ func TestDialWrongGame(t *testing.T) {
 	_, addr := startServer(t)
 	if _, err := Dial(addr, "viking", 1); err == nil {
 		t.Fatal("wrong game accepted")
-	}
-}
-
-func TestFISyncBetweenClients(t *testing.T) {
-	_, addr := startServer(t)
-	c1, err := Dial(addr, "pool", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(addr, "pool", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	if _, err := c1.SyncFI(fisync.State{Player: 1, Seq: 1, Pos: geom.V2(1, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	others, err := c2.SyncFI(fisync.State{Player: 2, Seq: 1, Pos: geom.V2(3, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(others) != 1 || others[0].Player != 1 || others[0].Pos != geom.V2(1, 2) {
-		t.Fatalf("snapshot = %+v", others)
 	}
 }
 

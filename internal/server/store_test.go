@@ -36,11 +36,11 @@ func storeHas(st *frameStore, pt geom.GridPoint) bool {
 	return false
 }
 
-// TestStoreLRUEvictionOrder pins the eviction policy with a single shard,
-// where global order equals LRU order: inserts beyond the budget evict the
-// least recently used point, and a cache hit refreshes recency.
+// TestStoreLRUEvictionOrder pins the eviction policy, exact global LRU:
+// inserts beyond the budget evict the least recently used point, and a
+// cache hit refreshes recency.
 func TestStoreLRUEvictionOrder(t *testing.T) {
-	st := newFrameStore(1)
+	st := newFrameStore()
 	st.SetBudget(300) // three 100-byte frames
 
 	pts := []geom.GridPoint{{I: 0, J: 0}, {I: 1, J: 0}, {I: 2, J: 0}}
@@ -85,7 +85,7 @@ func TestStoreLRUEvictionOrder(t *testing.T) {
 // larger than the entire budget is returned to its requester but never
 // stored (storing it would evict everything and still bust the budget).
 func TestStoreOversizedFrameNotCached(t *testing.T) {
-	st := newFrameStore(1)
+	st := newFrameStore()
 	st.SetBudget(50)
 	pt := geom.GridPoint{I: 9, J: 9}
 	storePut(t, st, pt, 51)
@@ -101,9 +101,9 @@ func TestStoreOversizedFrameNotCached(t *testing.T) {
 // across a handful of points: for each point exactly one caller must lead
 // (and "render"), every joiner must observe the leader's bytes, and the
 // store must end with one entry per point. Run with -race this also
-// checks the shard locking.
+// checks the store's locking.
 func TestStoreSingleflightPerPoint(t *testing.T) {
-	st := newFrameStore(8)
+	st := newFrameStore()
 	var leaders [4]atomic.Int64
 	pts := []geom.GridPoint{{I: 0, J: 0}, {I: 5, J: 3}, {I: 7, J: 7}, {I: 2, J: 9}}
 
@@ -154,9 +154,8 @@ func TestStoreSingleflightPerPoint(t *testing.T) {
 // matches the store's own count.
 func TestStoreInstrumented(t *testing.T) {
 	r := obs.NewRegistry()
-	st := newFrameStore(2)
-	st.instrument(r.Gauge("server.store_bytes"), r.Counter("server.evictions"),
-		r.Histogram("server.store_shard_lock_wait_ms"))
+	st := newFrameStore()
+	st.instrument(r.Gauge("server.store_bytes"), r.Counter("server.evictions"))
 	st.SetBudget(250)
 	for i := 0; i < 5; i++ {
 		storePut(t, st, geom.GridPoint{I: i, J: 0}, 100)
@@ -169,9 +168,6 @@ func TestStoreInstrumented(t *testing.T) {
 	}
 	if c := r.Counter("server.evictions").Value(); c != st.Evictions() || c == 0 {
 		t.Errorf("evictions counter %d, store %d, want equal and nonzero", c, st.Evictions())
-	}
-	if h := r.Histogram("server.store_shard_lock_wait_ms").Count(); h == 0 {
-		t.Error("lock-wait histogram recorded nothing")
 	}
 }
 
@@ -226,7 +222,7 @@ func TestPrerenderRespectsBudget(t *testing.T) {
 // bytes and never mutates a buffer an in-flight delta encoding still
 // reads.
 func TestStoreEvictionRacesInFlightDelta(t *testing.T) {
-	st := newFrameStore(4)
+	st := newFrameStore()
 	st.SetBudget(4 << 10)
 	const iters = 3000
 	refPt := geom.GridPoint{I: -1, J: -1}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"coterie/internal/fisync"
+	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
@@ -42,7 +43,7 @@ func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 		s.obs.udpBytesIn.Add(int64(n))
 		if n != fisync.WireSize {
 			if transport.DgramType(buf[:n]) != 0 {
-				s.handleDgram(u, addr, buf[:n], wallMs())
+				s.handleDgram(u, addr, buf[:n], sched.NowMs())
 			} else {
 				s.obs.udpDroppedMalformed.Inc()
 			}
@@ -62,15 +63,9 @@ func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 		if sess != nil {
 			// Subscribed client: typed reply, so its receive loop can
 			// demux FI replies from frame chunks.
-			states := make([]byte, 0, len(others)*fisync.WireSize)
-			for _, o := range others {
-				states = o.Encode(states)
-			}
-			out = transport.EncodeFIReply(out, states)
+			out = transport.EncodeFIReply(out, fisync.AppendStates(nil, others))
 		} else {
-			for _, o := range others {
-				out = o.Encode(out)
-			}
+			out = fisync.AppendStates(out, others)
 		}
 		s.obs.udpBytesOut.Add(int64(len(out)))
 		if _, err := pc.WriteTo(out, addr); err != nil {
@@ -84,7 +79,7 @@ func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 			return err
 		}
 		if sess != nil {
-			s.notePush(u, sess, st, wallMs())
+			s.notePush(u, sess, st, sched.NowMs())
 		}
 	}
 }
@@ -118,17 +113,7 @@ func (c *FIClient) Sync(st fisync.State, timeout time.Duration) ([]fisync.State,
 	if err != nil {
 		return nil, fmt.Errorf("fisync over UDP: %w", err)
 	}
-	var out []fisync.State
-	rest := c.buf[:n]
-	for len(rest) > 0 {
-		var s fisync.State
-		s, rest, err = fisync.DecodeState(rest)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return fisync.DecodeStates(c.buf[:n])
 }
 
 // Close releases the socket.

@@ -9,6 +9,7 @@ import (
 
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
+	"coterie/internal/lru"
 	"coterie/internal/netsim"
 	"coterie/internal/obs"
 	"coterie/internal/transport"
@@ -49,8 +50,7 @@ type UDPChannel struct {
 	// player who circles the same few grid cells — the walk regime the
 	// whole frame-similarity design targets. Grid-point frames are
 	// immutable, so retention never serves stale bytes.
-	store    map[geom.GridPoint]*storedFrame
-	storeLog []geom.GridPoint
+	store lru.Map[geom.GridPoint, *storedFrame]
 
 	closed   chan struct{}
 	recvDone chan struct{}
@@ -123,7 +123,6 @@ func DialUDP(addr string, player uint8, wantPush bool, reg *obs.Registry) (*UDPC
 		player:   player,
 		reasm:    transport.NewReassembler(transport.ReassemblerConfig{}),
 		waiters:  make(map[geom.GridPoint]chan []byte),
-		store:    make(map[geom.GridPoint]*storedFrame),
 		closed:   make(chan struct{}),
 		recvDone: make(chan struct{}),
 	}
@@ -166,18 +165,7 @@ func (c *UDPChannel) Sync(st fisync.State, timeout time.Duration) ([]fisync.Stat
 	defer t.Stop()
 	select {
 	case payload := <-ch:
-		var out []fisync.State
-		rest := payload
-		for len(rest) > 0 {
-			var s fisync.State
-			var err error
-			s, rest, err = fisync.DecodeState(rest)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s)
-		}
-		return out, nil
+		return fisync.DecodeStates(payload)
 	case <-t.C:
 		c.mu.Lock()
 		c.fiCh = nil
@@ -194,7 +182,7 @@ func (c *UDPChannel) Sync(st fisync.State, timeout time.Duration) ([]fisync.Stat
 // server already pushed is returned immediately without a request.
 func (c *UDPChannel) Fetch(pt geom.GridPoint, budget time.Duration) ([]byte, bool) {
 	c.mu.Lock()
-	if sf, ok := c.store[pt]; ok {
+	if sf, ok := c.store.Peek(pt); ok {
 		c.noteStoredHitLocked(sf)
 		c.mu.Unlock()
 		c.fetchHits.Add(1)
@@ -242,14 +230,12 @@ func (c *UDPChannel) dropWaiter(pt geom.GridPoint) {
 // holds mu); the oldest entry is evicted FIFO past the cap. A duplicate
 // point keeps the first copy (the bytes are identical by construction).
 func (c *UDPChannel) storeLocked(pt geom.GridPoint, data []byte, pushed, credited bool) {
-	if _, dup := c.store[pt]; dup {
+	if _, dup := c.store.Peek(pt); dup {
 		return
 	}
-	c.store[pt] = &storedFrame{data: data, pushed: pushed, credited: credited}
-	c.storeLog = append(c.storeLog, pt)
-	if len(c.storeLog) > udpStoreCap {
-		delete(c.store, c.storeLog[0])
-		c.storeLog = c.storeLog[1:]
+	c.store.Put(pt, &storedFrame{data: data, pushed: pushed, credited: credited})
+	if c.store.Len() > udpStoreCap {
+		c.store.RemoveOldest()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 
 	"coterie/internal/geom"
+	"coterie/internal/lru"
 	"coterie/internal/obs"
 )
 
@@ -408,8 +409,7 @@ type partial struct {
 // its stale/expiry behaviour is deterministic under netsim.
 type Reassembler struct {
 	cfg     ReassemblerConfig
-	frames  map[frameKey]*partial
-	order   []frameKey // insertion order, oldest first
+	frames  lru.Map[frameKey, *partial] // in arrival order of each frame's first datagram
 	streams map[uint32]*streamState
 	stats   ReassemblerStats
 	obs     reasmObs
@@ -446,7 +446,6 @@ func NewReassembler(cfg ReassemblerConfig) *Reassembler {
 	}
 	return &Reassembler{
 		cfg:     cfg,
-		frames:  make(map[frameKey]*partial),
 		streams: make(map[uint32]*streamState),
 	}
 }
@@ -473,19 +472,19 @@ func (r *Reassembler) Instrument(reg *obs.Registry, prefix string) {
 func (r *Reassembler) Stats() ReassemblerStats { return r.stats }
 
 // Pending returns the number of partial frames held.
-func (r *Reassembler) Pending() int { return len(r.frames) }
+func (r *Reassembler) Pending() int { return r.frames.Len() }
 
 // PendingBytes returns the chunk bytes currently buffered.
 func (r *Reassembler) PendingBytes() int {
 	total := 0
-	for _, p := range r.frames {
+	r.frames.Each(func(_ frameKey, p *partial) {
 		for _, c := range p.chunks {
 			total += len(c)
 		}
 		for _, c := range p.parity {
 			total += len(c)
 		}
-	}
+	})
 	return total
 }
 
@@ -554,10 +553,13 @@ func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
 		return nil
 	}
 
-	p := r.frames[key]
+	p, _ := r.frames.Peek(key)
 	if p == nil {
-		for len(r.frames) >= r.cfg.MaxFrames {
-			r.evictOldest()
+		for r.frames.Len() >= r.cfg.MaxFrames {
+			// Abandon the oldest partial to stay within MaxFrames.
+			r.frames.RemoveOldest()
+			r.stats.DroppedOverflow++
+			r.obs.overflow.Inc()
 		}
 		p = &partial{
 			meta:    h.meta,
@@ -569,9 +571,8 @@ func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
 			parity:  make(map[uint16][]byte),
 			firstAt: now,
 		}
-		r.frames[key] = p
-		r.order = append(r.order, key)
-		r.obs.pending.Set(int64(len(r.frames)))
+		r.frames.Put(key, p)
+		r.obs.pending.Set(int64(r.frames.Len()))
 	} else if p.total != h.total || p.cnt != int(h.cnt) || p.crc != h.crc || p.meta.Point != h.meta.Point {
 		// A datagram contradicting the partial it claims to extend: the
 		// peer is confused or hostile either way; believe the first.
@@ -712,7 +713,7 @@ func (r *Reassembler) tryComplete(key frameKey, p *partial) *ReassembledFrame {
 // when the frame is unknown). The slice is freshly allocated and capped
 // at MaxNackChunks, matching what one NACK can carry.
 func (r *Reassembler) Missing(streamID, frameSeq uint32) []uint16 {
-	p := r.frames[frameKey{streamID, frameSeq}]
+	p, _ := r.frames.Peek(frameKey{streamID, frameSeq})
 	if p == nil {
 		return nil
 	}
@@ -743,23 +744,22 @@ type PendingFrame struct {
 // abandon.
 func (r *Reassembler) Stale(now, age float64) []PendingFrame {
 	var out []PendingFrame
-	for _, key := range r.order {
-		p := r.frames[key]
-		if p == nil || now-p.lastAt < age {
-			continue
+	r.frames.Each(func(key frameKey, p *partial) {
+		if now-p.lastAt < age {
+			return
 		}
 		out = append(out, PendingFrame{
 			StreamID: key.stream, FrameSeq: key.seq,
 			Point: p.meta.Point, FirstAt: p.firstAt, LastAt: p.lastAt, Nacks: p.nacks,
 		})
-	}
+	})
 	return out
 }
 
 // NoteNack records that the engine sent a NACK for a partial frame and
 // refreshes its activity time so the next sweep waits a full round trip.
 func (r *Reassembler) NoteNack(streamID, frameSeq uint32, now float64) {
-	if p := r.frames[frameKey{streamID, frameSeq}]; p != nil {
+	if p, _ := r.frames.Peek(frameKey{streamID, frameSeq}); p != nil {
 		p.nacks++
 		p.lastAt = now
 	}
@@ -768,11 +768,9 @@ func (r *Reassembler) NoteNack(streamID, frameSeq uint32, now float64) {
 // Abandon drops a partial frame and frees its buffer (an overflow-class
 // drop: the engine gave up on it).
 func (r *Reassembler) Abandon(streamID, frameSeq uint32) {
-	key := frameKey{streamID, frameSeq}
-	if r.frames[key] == nil {
+	if !r.remove(frameKey{streamID, frameSeq}) {
 		return
 	}
-	r.remove(key)
 	r.stats.DroppedOverflow++
 	r.obs.overflow.Inc()
 }
@@ -781,36 +779,16 @@ func (r *Reassembler) Abandon(streamID, frameSeq uint32) {
 // cue that the sender finished and anything missing was lost, so a NACK
 // should fire now instead of waiting for the gap timer.
 func (r *Reassembler) HasTail(streamID, frameSeq uint32) bool {
-	p := r.frames[frameKey{streamID, frameSeq}]
+	p, _ := r.frames.Peek(frameKey{streamID, frameSeq})
 	return p != nil && p.chunks[p.cnt-1] != nil
 }
 
-// evictOldest abandons the oldest partial to stay within MaxFrames.
-func (r *Reassembler) evictOldest() {
-	for len(r.order) > 0 {
-		key := r.order[0]
-		r.order = r.order[1:]
-		if r.frames[key] != nil {
-			delete(r.frames, key)
-			r.stats.DroppedOverflow++
-			r.obs.overflow.Inc()
-			r.obs.pending.Set(int64(len(r.frames)))
-			return
-		}
-	}
-}
-
 // remove deletes a partial without counting a drop (delivery or abandon
-// bookkeeping happens at the caller).
-func (r *Reassembler) remove(key frameKey) {
-	delete(r.frames, key)
-	for i, k := range r.order {
-		if k == key {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.obs.pending.Set(int64(len(r.frames)))
+// bookkeeping happens at the caller); it reports whether key was held.
+func (r *Reassembler) remove(key frameKey) bool {
+	_, ok := r.frames.Remove(key)
+	r.obs.pending.Set(int64(r.frames.Len()))
+	return ok
 }
 
 func (r *Reassembler) dropMalformed() {

@@ -47,8 +47,9 @@ const (
 	MsgFrameRequest
 	// MsgFrameReply carries an encoded far-BE frame.
 	MsgFrameReply
-	// MsgFISync carries a foreground-interaction state update and returns
-	// the other players' states.
+	// MsgFISync is retired: FI sync runs over UDP only (Server.ServeFIUDP)
+	// and a session that sends it is closed. The wire number stays
+	// reserved so no later message type renumbers.
 	MsgFISync
 	// MsgError carries a server-side error string.
 	MsgError
