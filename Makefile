@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test test-procs race bench bench-e2e bench-pairs smoke
+.PHONY: check fmt vet build bench-build test test-procs race bench bench-e2e bench-pairs smoke loc
 
 check: fmt vet build bench-build test-procs race
 
@@ -34,13 +34,15 @@ test:
 	$(GO) test ./...
 
 # Core-count matrix: frame bytes are a pure function of the grid point, so
-# the frame-serving packages must pass on 1, 2 and all cores. -count=1
-# because the test cache does not key on GOMAXPROCS.
+# the frame-serving packages (and transport, home of the client exchange
+# the peer hop runs on) must pass on 1, 2 and all cores. -count=1 because
+# the test cache does not key on GOMAXPROCS.
 test-procs:
 	@for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -un); do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/render/... \
-			./internal/sched/... ./internal/cluster/... ./internal/lru/... || exit 1; \
+			./internal/sched/... ./internal/cluster/... ./internal/lru/... \
+			./internal/transport/... || exit 1; \
 	done
 
 race:
@@ -80,3 +82,8 @@ SEED ?= 1
 N ?= 10
 bench-pairs:
 	./scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
+
+# Non-test Go lines under internal/, total and per package: the headline
+# number of a simplicity PR.
+loc:
+	./scripts/loc.sh

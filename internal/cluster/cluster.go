@@ -10,7 +10,7 @@ import (
 	"coterie/internal/transport"
 )
 
-// Defaults for the knobs a Config leaves zero.
+// Defaults for the knobs a Config leaves zero, and the one fixed size.
 const (
 	// DefaultHealthInterval is how often the health loop probes each
 	// peer. Probes are one pooled round trip, so a sub-second cadence is
@@ -22,9 +22,9 @@ const (
 	// as down for the request and the caller falls back to rendering
 	// locally.
 	DefaultFetchTimeout = 2 * time.Second
-	// DefaultPoolSize is the idle connection pool per peer. Fetches
-	// beyond it dial extra connections and close them on return.
-	DefaultPoolSize = 4
+	// poolSize is the idle connection pool per peer. Fetches beyond it
+	// dial extra connections and close them on return.
+	poolSize = 4
 )
 
 // Config describes one node's view of a static cluster.
@@ -40,12 +40,11 @@ type Config struct {
 	Game string
 	// DialTimeout bounds peer connection establishment (0: the
 	// transport default). FetchTimeout caps a fetch round trip,
-	// HealthInterval the probe cadence, PoolSize the idle conns per
-	// peer; zero selects the package defaults above.
+	// HealthInterval the probe cadence; zero selects the package defaults
+	// above.
 	DialTimeout    time.Duration
 	FetchTimeout   time.Duration
 	HealthInterval time.Duration
-	PoolSize       int
 }
 
 // clusterObs holds the registry instruments (nil-safe zero values when
@@ -53,22 +52,12 @@ type Config struct {
 type clusterObs struct {
 	fetches     *obs.Counter
 	fetchErrors *obs.Counter
-	fetchShared *obs.Counter
 	fetchMs     *obs.Histogram
 	peersUp     *obs.Gauge
 	downMarks   *obs.Counter
 	probes      *obs.Counter
 	probeFails  *obs.Counter
 	recoveries  *obs.Counter
-}
-
-// fetchCall is one in-flight peer fetch shared by concurrent requesters
-// for the same grid point (singleflight below the store's own — direct
-// Fetch callers outside the store path coalesce here too).
-type fetchCall struct {
-	done  chan struct{}
-	reply transport.FrameReply
-	err   error
 }
 
 // Cluster is one node's membership view plus its peer-fetch clients.
@@ -80,9 +69,6 @@ type Cluster struct {
 	nodes []string
 	peers map[string]*peer
 
-	fetchMu sync.Mutex
-	fetches map[geom.GridPoint]*fetchCall
-
 	obs clusterObs
 
 	stopOnce sync.Once
@@ -93,17 +79,11 @@ type Cluster struct {
 // New validates the membership and builds the node's cluster view. The
 // node list is deduplicated; Self must appear in it.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = transport.DefaultDialTimeout
-	}
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = DefaultFetchTimeout
 	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = DefaultHealthInterval
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = DefaultPoolSize
 	}
 	seen := make(map[string]bool, len(cfg.Nodes))
 	var nodes []string
@@ -123,15 +103,14 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: self %q not in node list %v", cfg.Self, nodes)
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		nodes:   nodes,
-		peers:   make(map[string]*peer, len(nodes)-1),
-		fetches: make(map[geom.GridPoint]*fetchCall),
-		stop:    make(chan struct{}),
+		cfg:   cfg,
+		nodes: nodes,
+		peers: make(map[string]*peer, len(nodes)-1),
+		stop:  make(chan struct{}),
 	}
 	for _, n := range nodes {
 		if n != cfg.Self {
-			c.peers[n] = newPeer(n, cfg, c)
+			c.peers[n] = newPeer(n, c)
 		}
 	}
 	return c, nil
@@ -146,7 +125,6 @@ func (c *Cluster) Instrument(r *obs.Registry) {
 	c.obs = clusterObs{
 		fetches:     r.Counter("cluster.peer_fetches"),
 		fetchErrors: r.Counter("cluster.peer_fetch_errors"),
-		fetchShared: r.Counter("cluster.peer_fetches_shared"),
 		fetchMs:     r.Histogram("cluster.peer_fetch_ms"),
 		peersUp:     r.Gauge("cluster.peers_up"),
 		downMarks:   r.Counter("cluster.down_marks"),
@@ -252,17 +230,17 @@ func (c *Cluster) Close() {
 
 // Fetch proxies a frame request for pt to its owner and returns the
 // owner's reply (always intra-coded; the owner's stage timings ride in
-// the reply so the non-owner can pass them through to its client).
-// Concurrent fetches for the same point coalesce into one round trip.
-// deadlineMs is the client's absolute display deadline (wall ms, <=0
-// none) and propagates to the owner, which schedules and degrades
-// against it exactly as if the client had connected directly.
+// the reply so the non-owner can pass them through to its client). The
+// caller is the leader of the frame store's per-point singleflight, so at
+// most one fetch per point is in flight on a node. deadlineMs is the
+// client's absolute display deadline (wall ms, <=0 none) and propagates to
+// the owner, which schedules against it as if the client had connected
+// directly.
 //
 // traceID is the distributed trace id of the client request driving the
 // fetch (0 untraced): the hop forwards the id's request context verbatim
 // so the owner computes the same id and its serve span joins the
-// caller's. When concurrent fetches coalesce, the hop carries the
-// leader's id; joiners keep their own ids on their own spans.
+// caller's.
 func (c *Cluster) Fetch(pt geom.GridPoint, deadlineMs float64, traceID uint64) (transport.FrameReply, error) {
 	owner := c.Owner(pt)
 	if owner == c.cfg.Self {
@@ -272,29 +250,13 @@ func (c *Cluster) Fetch(pt geom.GridPoint, deadlineMs float64, traceID uint64) (
 	if !p.isUp() {
 		return transport.FrameReply{}, fmt.Errorf("cluster: owner %s of %v is down", owner, pt)
 	}
-
-	c.fetchMu.Lock()
-	if call, inflight := c.fetches[pt]; inflight {
-		c.fetchMu.Unlock()
-		c.obs.fetchShared.Inc()
-		<-call.done
-		return call.reply, call.err
-	}
-	call := &fetchCall{done: make(chan struct{})}
-	c.fetches[pt] = call
-	c.fetchMu.Unlock()
-
 	c.obs.fetches.Inc()
 	start := time.Now()
-	call.reply, call.err = p.fetch(pt, deadlineMs, traceID)
+	reply, err := p.fetch(pt, deadlineMs, traceID)
 	c.obs.fetchMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if call.err != nil {
+	if err != nil {
 		c.obs.fetchErrors.Inc()
+		err = fmt.Errorf("cluster: peer %s: %w", owner, err)
 	}
-
-	c.fetchMu.Lock()
-	delete(c.fetches, pt)
-	c.fetchMu.Unlock()
-	close(call.done)
-	return call.reply, call.err
+	return reply, err
 }

@@ -21,8 +21,7 @@ type fakeOwner struct {
 	game     string
 	requests atomic.Int64
 	lastDL   atomic.Value // float64: DeadlineMs of the last request
-	delay    time.Duration
-	reject   atomic.Bool // answer peer requests with MsgError
+	reject   atomic.Bool  // answer peer requests with MsgError
 	wg       sync.WaitGroup
 
 	mu    sync.Mutex
@@ -85,9 +84,6 @@ func (f *fakeOwner) serve() {
 						}
 						f.requests.Add(1)
 						f.lastDL.Store(req.DeadlineMs)
-						if f.delay > 0 {
-							time.Sleep(f.delay)
-						}
 						if f.reject.Load() {
 							c.Send(transport.Message{Type: transport.MsgError, Payload: []byte("overloaded")})
 							continue
@@ -203,38 +199,6 @@ func TestFetchRoundTripAndDeadlinePropagation(t *testing.T) {
 	}
 }
 
-func TestFetchSingleflight(t *testing.T) {
-	f := newFakeOwner(t, "viking")
-	defer f.close()
-	f.delay = 50 * time.Millisecond
-	c, pt := twoNode(t, f)
-
-	const callers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	datas := make([][]byte, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := c.Fetch(pt, 0, 0)
-			errs[i], datas[i] = err, r.Data
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if string(datas[i]) != string(frameBytes(pt)) {
-			t.Errorf("caller %d: wrong bytes %q", i, datas[i])
-		}
-	}
-	if n := f.requests.Load(); n != 1 {
-		t.Errorf("owner saw %d requests for one point, want 1 (singleflight)", n)
-	}
-}
-
 func TestRemoteErrorKeepsPeerUp(t *testing.T) {
 	f := newFakeOwner(t, "viking")
 	defer f.close()
@@ -242,9 +206,9 @@ func TestRemoteErrorKeepsPeerUp(t *testing.T) {
 	c, pt := twoNode(t, f)
 
 	_, err := c.Fetch(pt, 0, 0)
-	var re *RemoteError
+	var re *transport.RemoteError
 	if !errors.As(err, &re) {
-		t.Fatalf("want *RemoteError, got %v", err)
+		t.Fatalf("want *transport.RemoteError, got %v", err)
 	}
 	if !c.Up(f.addr()) {
 		t.Error("application-level rejection marked the peer down")

@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"fmt"
-	"net"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,22 +16,10 @@ import (
 // and stats; the top of the range keeps it clear of real players.
 const PeerPlayer uint8 = 0xFF
 
-// RemoteError is an application-level rejection from the owner (e.g. an
-// admission-control shed) delivered as MsgError on a healthy peer
-// connection. The connection is reusable and the peer stays up; the
-// caller falls back to rendering locally.
-type RemoteError struct {
-	Addr string
-	Msg  string
-}
-
-func (e *RemoteError) Error() string { return "cluster: peer " + e.Addr + ": " + e.Msg }
-
 // peerConn is one pooled connection to a peer, with its monotonic
 // request-id counter (ids are per connection, like client sessions).
 type peerConn struct {
-	nc    net.Conn
-	c     *transport.Conn
+	*transport.Client
 	reqID uint32
 }
 
@@ -41,11 +28,7 @@ type peerConn struct {
 // fetch failures maintain.
 type peer struct {
 	addr    string
-	game    string
-	dialTO  time.Duration
-	fetchTO time.Duration
-	pool    int
-	cluster *Cluster
+	cluster *Cluster // config (game, timeouts) and instruments
 
 	mu   sync.Mutex
 	idle []*peerConn
@@ -56,15 +39,8 @@ type peer struct {
 	upGauge *obs.Gauge
 }
 
-func newPeer(addr string, cfg Config, c *Cluster) *peer {
-	p := &peer{
-		addr:    addr,
-		game:    cfg.Game,
-		dialTO:  cfg.DialTimeout,
-		fetchTO: cfg.FetchTimeout,
-		pool:    cfg.PoolSize,
-		cluster: c,
-	}
+func newPeer(addr string, c *Cluster) *peer {
+	p := &peer{addr: addr, cluster: c}
 	// Optimistic start: the first fetch or probe corrects the belief.
 	// Starting down would force every node to wait out a health interval
 	// before any peer traffic flows.
@@ -94,8 +70,8 @@ func (p *peer) markUp() {
 	}
 }
 
-// get returns a pooled connection, dialling and performing the hello
-// exchange when the pool is empty.
+// get returns a pooled connection; when the pool is empty it dials and
+// handshakes a new one, both bounded by the dial timeout.
 func (p *peer) get() (*peerConn, error) {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
@@ -106,20 +82,25 @@ func (p *peer) get() (*peerConn, error) {
 		return pc, nil
 	}
 	p.mu.Unlock()
-	return p.dial()
+	cfg := &p.cluster.cfg
+	tc, err := transport.DialClient(p.addr, cfg.DialTimeout, transport.Hello{Player: PeerPlayer, Game: cfg.Game})
+	if err != nil {
+		return nil, err
+	}
+	return &peerConn{Client: tc}, nil
 }
 
 // put returns a healthy connection to the pool, closing it when the
 // pool is full.
 func (p *peer) put(pc *peerConn) {
 	p.mu.Lock()
-	if len(p.idle) < p.pool {
+	if len(p.idle) < poolSize {
 		p.idle = append(p.idle, pc)
 		p.mu.Unlock()
 		return
 	}
 	p.mu.Unlock()
-	pc.nc.Close()
+	pc.Close()
 }
 
 // drain closes all pooled connections.
@@ -129,52 +110,15 @@ func (p *peer) drain() {
 	p.idle = nil
 	p.mu.Unlock()
 	for _, pc := range idle {
-		pc.nc.Close()
+		pc.Close()
 	}
 }
 
-// dial opens and handshakes a new peer connection. The dial and the
-// hello round trip are both bounded so an unreachable or wedged peer
-// fails in bounded time.
-func (p *peer) dial() (*peerConn, error) {
-	nc, err := transport.Dial(p.addr, p.dialTO)
-	if err != nil {
-		return nil, err
-	}
-	if err := nc.SetDeadline(time.Now().Add(p.dialTO)); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	c := transport.NewConn(nc)
-	hello := transport.EncodeHello(transport.Hello{Player: PeerPlayer, Game: p.game})
-	if err := c.Send(transport.Message{Type: transport.MsgHello, Payload: hello}); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	m, err := c.Recv()
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if m.Type == transport.MsgError {
-		nc.Close()
-		return nil, &RemoteError{Addr: p.addr, Msg: string(m.Payload)}
-	}
-	if m.Type != transport.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("cluster: peer %s: unexpected hello reply %d", p.addr, m.Type)
-	}
-	if err := nc.SetDeadline(time.Time{}); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return &peerConn{nc: nc, c: c}, nil
-}
-
-// fetch runs one MsgPeerFrameRequest round trip. Transport failures
-// close the connection and mark the peer down (passively — the health
-// loop will bring it back); application-level rejections (RemoteError)
-// keep both the connection and the peer's up state.
+// fetch runs one MsgPeerFrameRequest round trip, bounded by the fetch
+// timeout. Transport failures close the connection and mark the peer down
+// (passively — the health loop will bring it back); application-level
+// rejections (*transport.RemoteError) keep both the connection and the
+// peer's up state.
 //
 // traceID, when non-zero, is the distributed trace id of the client
 // request being proxied; the hop forwards its request context (player
@@ -188,11 +132,6 @@ func (p *peer) fetch(pt geom.GridPoint, deadlineMs float64, traceID uint64) (tra
 		p.markDown()
 		return transport.FrameReply{}, err
 	}
-	if err := pc.nc.SetDeadline(time.Now().Add(p.fetchTO)); err != nil {
-		pc.nc.Close()
-		p.markDown()
-		return transport.FrameReply{}, err
-	}
 	player, reqID := PeerPlayer, uint32(traceID)
 	if traceID != 0 {
 		player = uint8(traceID >> 32)
@@ -200,47 +139,28 @@ func (p *peer) fetch(pt geom.GridPoint, deadlineMs float64, traceID uint64) (tra
 		pc.reqID++
 		reqID = pc.reqID
 	}
-	req := transport.EncodeFrameRequest(transport.FrameRequest{
-		Player:     player,
-		Point:      pt,
-		ReqID:      reqID,
-		SentMs:     float64(time.Now().UnixNano()) / 1e6,
-		DeadlineMs: deadlineMs,
-	})
-	if err := pc.c.Send(transport.Message{Type: transport.MsgPeerFrameRequest, Payload: req}); err != nil {
-		pc.nc.Close()
+	var reply transport.FrameReply
+	if err = pc.SetDeadline(time.Now().Add(p.cluster.cfg.FetchTimeout)); err == nil {
+		reply, err = pc.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{
+			Player:     player,
+			Point:      pt,
+			ReqID:      reqID,
+			SentMs:     float64(time.Now().UnixNano()) / 1e6,
+			DeadlineMs: deadlineMs,
+		})
+	}
+	var rejected *transport.RemoteError
+	if err != nil && !errors.As(err, &rejected) {
+		pc.Close()
 		p.markDown()
 		return transport.FrameReply{}, err
 	}
-	m, err := pc.c.Recv()
-	if err != nil {
-		pc.nc.Close()
-		p.markDown()
-		return transport.FrameReply{}, err
+	// The exchange completed, so the connection is in step and reusable —
+	// unless its deadline cannot be cleared, which costs only the reuse.
+	if pc.SetDeadline(time.Time{}) == nil {
+		p.put(pc)
+	} else {
+		pc.Close()
 	}
-	if m.Type == transport.MsgError {
-		if derr := pc.nc.SetDeadline(time.Time{}); derr == nil {
-			p.put(pc)
-		} else {
-			pc.nc.Close()
-		}
-		return transport.FrameReply{}, &RemoteError{Addr: p.addr, Msg: string(m.Payload)}
-	}
-	if m.Type != transport.MsgPeerFrameReply {
-		pc.nc.Close()
-		p.markDown()
-		return transport.FrameReply{}, fmt.Errorf("cluster: peer %s: unexpected reply %d", p.addr, m.Type)
-	}
-	reply, err := transport.DecodeFrameReply(m.Payload)
-	if err != nil {
-		pc.nc.Close()
-		p.markDown()
-		return transport.FrameReply{}, err
-	}
-	if err := pc.nc.SetDeadline(time.Time{}); err != nil {
-		pc.nc.Close()
-		return reply, nil // reply is good; only the pooled reuse is lost
-	}
-	p.put(pc)
-	return reply, nil
+	return reply, err
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -345,5 +346,88 @@ func TestClusterTraceIDPropagation(t *testing.T) {
 	}
 	if after := len(a.reg.Trace().Recent(a.reg.Trace().Len())); after != before {
 		t.Errorf("local serve grew the trace ring %d → %d; server spans are for cluster hops only", before, after)
+	}
+}
+
+// TestClusterConcurrentRemoteRequestsOneHop: N clients on the non-owner
+// asking for one cold, remotely owned point at once cost the owner exactly
+// one peer serve — the non-owner's store singleflight elects one leader and
+// only the leader crosses the hop, which is why the cluster needs no
+// coalescing of its own — and all N replies carry the same bytes.
+func TestClusterConcurrentRemoteRequestsOneHop(t *testing.T) {
+	nodes := startCluster(t, 2)
+	a, b := nodes[0], nodes[1]
+	game := poolEnv(t).Game.Spec.Name
+	pt := pointsOwnedBy(t, a.cl, b.addr, 1)[0]
+
+	const clients = 8
+	conns := make([]*Client, clients)
+	for i := range conns {
+		c, err := Dial(a.addr, game, uint8(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	datas := make([][]byte, clients)
+	errs := make([]error, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, c := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			datas[i], errs[i] = c.Fetch(pt)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range conns {
+		if errs[i] != nil {
+			t.Fatalf("client %d: %v", i, errs[i])
+		}
+		if !bytesEqual(datas[i], datas[0]) {
+			t.Errorf("client %d got different bytes than client 0", i)
+		}
+	}
+	if n := b.reg.Snapshot().Counters["server.peer_frames_served"]; n != 1 {
+		t.Errorf("owner's server.peer_frames_served = %d, want 1 (one hop per point per node)", n)
+	}
+	if n := a.reg.Snapshot().Counters["cluster.peer_fetches"]; n != 1 {
+		t.Errorf("non-owner's cluster.peer_fetches = %d, want 1", n)
+	}
+}
+
+// TestClusterUDPRequestCarriesTraceID: a UDP frame request is served with
+// the trace id of its own player and request id, like a TCP request — so
+// when the point is remotely owned, the hop span the proxying node records
+// and the owner's serve span both carry it.
+func TestClusterUDPRequestCarriesTraceID(t *testing.T) {
+	nodes := startCluster(t, 2)
+	a, b := nodes[0], nodes[1]
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	go a.srv.ServeFIUDP(pc)
+
+	ch, err := DialUDP(pc.LocalAddr().String(), 5, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ch.Close()
+	pt := pointsOwnedBy(t, a.cl, b.addr, 1)[0]
+	if _, ok := ch.Fetch(pt, 5*time.Second); !ok {
+		t.Fatal("no UDP reply within the budget")
+	}
+	id := obs.TraceID(5, 1) // the channel's first request
+	if spans := a.reg.Trace().ForTrace(id); len(spans) != 1 || spans[0].Hop != 1 {
+		t.Errorf("proxy node spans for the UDP request's trace id: %+v, want one hop span", spans)
+	}
+	if spans := b.reg.Trace().ForTrace(id); len(spans) != 1 || spans[0].Hop != 2 || spans[0].Player != 5 {
+		t.Errorf("owner node spans for the UDP request's trace id: %+v, want one serve span of player 5", spans)
 	}
 }

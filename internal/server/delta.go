@@ -1,15 +1,12 @@
 package server
 
 import (
-	"errors"
 	"sync"
 
 	"coterie/internal/codec"
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/lru"
-	"coterie/internal/sched"
-	"coterie/internal/transport"
 )
 
 // This file is the server side of the similarity-aware frame path: delta
@@ -76,65 +73,6 @@ func (sr *sessionRefs) drop(pts []geom.GridPoint) {
 			sr.hasPending = false
 		}
 	}
-}
-
-// frameForSession serves one frame request inside a session: the intra
-// frame from frameFor, re-coded as a delta against the best reference the
-// client holds whenever that wins bytes. Intra serves register the frame
-// as the session's next pending reference; delta serves do not (delta
-// frames never become references).
-//
-// req.deadlineMs arms the degrade ladder. Before committing to the render
-// path, a deadline the scheduler projects as already at risk is served
-// from the stale rung when a calibrated substitute is cached (a store hit
-// needs no such rescue — it is the substitute); the same fallback rescues
-// a request shed by admission control.
-func (s *Server) frameForSession(req frameReq, sr *sessionRefs) (frameResult, error) {
-	if req.deadlineMs > 0 && s.sched.AtRisk(sched.NowMs(), req.deadlineMs) {
-		if res, ok := s.staleRung(req.pt, frameStages{}); ok {
-			return res, nil
-		}
-	}
-	res, err := s.frameFor(req)
-	if errors.Is(err, errOverloaded) {
-		if stale, ok := s.staleRung(req.pt, res.stages); ok {
-			return stale, nil
-		}
-	}
-	if err != nil {
-		return res, err
-	}
-	return s.deltaOrIntra(res, req.pt, sr), nil
-}
-
-// staleRung serves pt off the ladder's stale rung: the stored bytes of the
-// nearest calibrated neighbour, carrying the stages the request already
-// spent. It reports false when nothing qualifies or pt itself is resident
-// (the exact frame is a plain store hit). Stale serves bypass the delta
-// path and never become references: their bytes are not the render of pt a
-// later delta would have to name.
-func (s *Server) staleRung(pt geom.GridPoint, stages frameStages) (frameResult, bool) {
-	stale, refPt, ok := s.staleFor(pt)
-	if !ok || refPt == pt {
-		return frameResult{}, false
-	}
-	s.obs.degradeStale.Inc()
-	return frameResult{data: stale, rung: transport.RungStale, stages: stages}, true
-}
-
-// deltaOrIntra finishes an exact serve of pt's intra frame (res.data):
-// delta-code it against the session's best held reference when that wins
-// bytes, else serve it intra and register it as the next pending
-// reference.
-func (s *Server) deltaOrIntra(res frameResult, pt geom.GridPoint, sr *sessionRefs) frameResult {
-	if d, refPt, ok := s.deltaFor(pt, res.data, sr); ok {
-		s.obs.deltaFrames.Inc()
-		s.obs.deltaSaved.Add(int64(len(res.data) - len(d)))
-		res.data, res.kind, res.ref = d, transport.FrameDelta, refPt
-		return res
-	}
-	sr.setPending(pt)
-	return res
 }
 
 // deltaFor tries to produce a delta encoding of pt's frame against the

@@ -334,7 +334,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 					dl = sched.NowMs() + 16.7
 				}
 				sr.promote()
-				res, err := srv.frameForSession(frameReq{pt: pt, deadlineMs: dl}, sr)
+				res, err := srv.serve(frameReq{pt: pt, deadlineMs: dl, refs: sr})
 				if err != nil {
 					if errors.Is(err, errOverloaded) {
 						continue
@@ -342,7 +342,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 					t.Errorf("session %d iter %d: %v", p, i, err)
 					return
 				}
-				if len(res.data) == 0 {
+				if len(res.Data) == 0 {
 					t.Errorf("session %d iter %d: empty frame", p, i)
 					return
 				}
@@ -419,20 +419,20 @@ func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
 	ptA := geom.GridPoint{I: spawn.I, J: spawn.J + 5}
 	ptB := geom.GridPoint{I: spawn.I + 1, J: spawn.J + 5}
 	sr := newSessionRefs()
-	first, err := srv.frameForSession(frameReq{pt: ptA}, sr)
+	first, err := srv.serve(frameReq{pt: ptA, refs: sr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sr.promote()
-	second, err := srv.frameForSession(frameReq{pt: ptB}, sr)
+	second, err := srv.serve(frameReq{pt: ptB, refs: sr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.kind != transport.FrameIntra || second.kind != transport.FrameDelta || second.ref != ptA || !second.rendered {
+	if first.Kind != transport.FrameIntra || second.Kind != transport.FrameDelta || second.Ref != ptA || !second.rendered {
 		t.Fatalf("walk served kinds %d, %d (ref %v, rendered %v); want intra, then a rendered delta against %v",
-			first.kind, second.kind, second.ref, second.rendered, ptA)
+			first.Kind, second.Kind, second.Ref, second.rendered, ptA)
 	}
-	newCanonical(srv.env).checkDelta(t, ptB, ptA, second.data)
+	newCanonical(srv.env).checkDelta(t, ptB, ptA, second.Data)
 	if n := srv.panos.entries.Len(); n != 2 {
 		t.Fatalf("%d reconstructions cached after one delta serve, want the 2 it coded between", n)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"coterie/internal/geom"
+	"coterie/internal/transport"
 )
 
 // This file is the quality-degrade ladder: the frame the server serves
@@ -22,54 +23,54 @@ import (
 // store sweep.
 const maxStaleRadius = 6
 
-// staleFor looks for a cached frame the similarity calibration vouches
-// for as a stand-in for pt: a stored frame within the leaf's DistThresh,
-// nearest first. It never triggers or joins a render (peek only) — the
-// whole point is serving without queueing. The scan walks Chebyshev
-// rings outward so the common case (pt itself, or an immediate
-// neighbour on the client's walking path) exits early.
-func (s *Server) staleFor(pt geom.GridPoint) (data []byte, refPt geom.GridPoint, ok bool) {
+// staleRung serves pt off the stale rung when a cached frame the
+// similarity calibration vouches for can stand in for it — a stored frame
+// of the same leaf within its DistThresh, nearest first: res takes those
+// bytes, keeping the stages the request already spent. It reports false,
+// leaving res alone, when nothing qualifies or pt itself is resident (the
+// exact frame is a plain store hit). It never triggers or joins a render
+// (peek only) — the whole point is serving without queueing — and walks
+// Chebyshev rings outward so the common case (an immediate neighbour on
+// the client's walking path) exits early. Stale serves bypass the delta
+// path and never become references: their bytes are not the render of pt a
+// later delta would have to name.
+func (s *Server) staleRung(pt geom.GridPoint, res *frameResult) bool {
 	grid := s.env.Game.Scene.Grid
 	leaf := s.env.Map.LeafAt(grid.Pos(pt))
 	if leaf == nil {
-		return nil, geom.GridPoint{}, false
+		return false
 	}
-	maxR := int(math.Ceil(leaf.DistThresh / grid.Step))
-	if maxR > maxStaleRadius {
-		maxR = maxStaleRadius
+	if _, resident := s.store.peek(pt); resident {
+		return false
 	}
-	for r := 0; r <= maxR; r++ {
-		var bestData []byte
-		var bestPt geom.GridPoint
+	maxR := min(int(math.Ceil(leaf.DistThresh/grid.Step)), maxStaleRadius)
+	for r := 1; r <= maxR; r++ {
+		var best []byte
 		bestDist := leaf.DistThresh + 1
 		for _, cand := range chebyshevRing(pt, r) {
 			if !grid.In(cand) {
 				continue
 			}
 			d := grid.Dist(pt, cand)
-			if d > leaf.DistThresh || d >= bestDist {
-				continue
-			}
-			if r > 0 && s.env.Map.LeafAt(grid.Pos(cand)) != leaf {
+			if d > leaf.DistThresh || d >= bestDist || s.env.Map.LeafAt(grid.Pos(cand)) != leaf {
 				continue
 			}
 			if data, hit := s.store.peek(cand); hit {
-				bestData, bestPt, bestDist = data, cand, d
+				best, bestDist = data, d
 			}
 		}
-		if bestData != nil {
-			return bestData, bestPt, true
+		if best != nil {
+			s.obs.degradeStale.Inc()
+			res.Data, res.Rung, res.Origin = best, transport.RungStale, transport.OriginLocal
+			return true
 		}
 	}
-	return nil, geom.GridPoint{}, false
+	return false
 }
 
-// chebyshevRing returns the grid points at Chebyshev distance r from pt
-// (just pt itself for r=0).
+// chebyshevRing returns the grid points at Chebyshev distance r >= 1 from
+// pt.
 func chebyshevRing(pt geom.GridPoint, r int) []geom.GridPoint {
-	if r == 0 {
-		return []geom.GridPoint{pt}
-	}
 	ring := make([]geom.GridPoint, 0, 8*r)
 	for di := -r; di <= r; di++ {
 		ring = append(ring,

@@ -28,17 +28,19 @@ import (
 // (liveFISync), and a WallClock in place of the simulator. RunLive is the
 // entry point cmd/coterie-client and the loopback e2e test share.
 
+// Fixed parameters of a live client session.
+const (
+	liveCacheBytes = 512 << 20 // frame cache cap, as in the testbed
+	// liveFITimeout bounds each UDP FI round trip. A lost datagram counts
+	// as a drop and the next frame syncs again.
+	liveFITimeout = 250 * time.Millisecond
+	liveUDPBudget = 50 * time.Millisecond // one UDP fetch attempt, then TCP
+)
+
 // LiveConfig tunes one live client session.
 type LiveConfig struct {
 	// Speed is the replay-speed multiplier; ≤0 means real time.
 	Speed float64
-	// CacheBytes caps the frame cache; 0 means 512 MB as in the testbed.
-	CacheBytes int64
-	// Prefetch tunes the lookahead prefetcher; zero value uses defaults.
-	Prefetch prefetch.Config
-	// FITimeout bounds each UDP FI round trip; 0 means 250 ms. A lost
-	// datagram counts as a drop and the next frame syncs again.
-	FITimeout time.Duration
 	// DecodeFrames validates every fetched frame by decoding it. Decoded
 	// intra frames are retained in a reference store so the server can
 	// serve deltas; decoded delta frames are reconstructed against it.
@@ -57,16 +59,13 @@ type LiveConfig struct {
 	Obs *obs.Registry
 
 	// UDPFrames enables the datagram frame path: FI sync and frames share
-	// one UDP socket, fetches try UDP first (bounded by UDPBudget) and
+	// one UDP socket, fetches try UDP first (bounded by liveUDPBudget) and
 	// fall back to TCP, and reassembled pushes fill the frame cache ahead
 	// of the pipeline's lookups.
 	UDPFrames bool
 	// Push opts this session into trajectory-driven server push
 	// (meaningful only with UDPFrames; the server must run with -push).
 	Push bool
-	// UDPBudget bounds one UDP fetch attempt before the TCP fallback;
-	// 0 means 50 ms.
-	UDPBudget time.Duration
 	// LossRate injects receive-side datagram loss with a seeded generator
 	// (tests and A/B runs; loopback sockets do not lose on their own).
 	LossRate float64
@@ -118,16 +117,6 @@ func (r *LiveReport) LatencyQuantile(q float64) float64 {
 // similarity cache, FI sync over UDP. The returned report is valid even
 // when an error cut the session short.
 func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveConfig) (*LiveReport, error) {
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = 512 << 20
-	}
-	if cfg.Prefetch.LookaheadSec == 0 {
-		cfg.Prefetch = prefetch.DefaultConfig()
-	}
-	if cfg.FITimeout == 0 {
-		cfg.FITimeout = 250 * time.Millisecond
-	}
-
 	cl, err := Dial(addr, env.Game.Spec.Name, uint8(player))
 	if err != nil {
 		return nil, err
@@ -163,15 +152,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	if speed <= 0 {
 		speed = 1
 	}
-	src := &liveSource{clock: clock, cl: cl, decode: cfg.DecodeFrames, lat: &runtime.LatencyAcc{}, speed: speed}
-	if udp != nil {
-		src.udp = udp
-		src.udpBudget = cfg.UDPBudget
-		if src.udpBudget == 0 {
-			src.udpBudget = 50 * time.Millisecond
-		}
-	}
-	src.sink = cfg.FrameSink
+	src := &liveSource{clock: clock, cl: cl, udp: udp, decode: cfg.DecodeFrames, lat: &runtime.LatencyAcc{}, speed: speed, sink: cfg.FrameSink}
 	if cfg.DecodeFrames {
 		refBytes := cfg.RefBytes
 		if refBytes == 0 {
@@ -190,17 +171,17 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	if cfg.Obs != nil {
 		src.obsOffset = cfg.Obs.Gauge("client.clock_offset_us")
 	}
-	fiSync := &liveFISync{clock: clock, fi: fi, timeout: cfg.FITimeout}
+	fiSync := &liveFISync{clock: clock, fi: fi}
 	if cfg.Obs != nil {
 		fiSync.obsSyncs = cfg.Obs.Counter("fi.syncs")
 		fiSync.obsDrops = cfg.Obs.Counter("fi.drops")
 	}
 
 	ccfg, _ := cache.Version(3) // intra-player similar frames, as in the testbed
-	ccfg.CapacityBytes = cfg.CacheBytes
+	ccfg.CapacityBytes = liveCacheBytes
 	frameCache := cache.New(ccfg)
 	meta := env.MetaFor()
-	pf := prefetch.New(env.Game.Scene.Grid, meta, frameCache, src, player, cfg.Prefetch)
+	pf := prefetch.New(env.Game.Scene.Grid, meta, frameCache, src, player, prefetch.DefaultConfig())
 	if udp != nil {
 		// Server pushes land in the frame cache (via the clock, which owns
 		// it) so the pipeline's next lookup hits without a fetch. The
@@ -304,11 +285,10 @@ type liveSource struct {
 	bytes    atomic.Int64
 
 	// udp, when set, is tried before the TCP round trip: a pushed or
-	// UDP-replied frame within udpBudget skips the connection entirely.
-	udp       *UDPChannel
-	udpBudget time.Duration
-	udpHits   atomic.Int64
-	tcpFalls  atomic.Int64
+	// UDP-replied frame within liveUDPBudget skips the connection entirely.
+	udp      *UDPChannel
+	udpHits  atomic.Int64
+	tcpFalls atomic.Int64
 	// sink observes frames entering the pipeline (clock goroutine).
 	sink func(pt geom.GridPoint, data []byte, pushed bool)
 
@@ -360,7 +340,7 @@ func (s *liveSource) Fetch(player int, pt geom.GridPoint, done func(data []byte,
 		)
 		udpHit := false
 		if s.udp != nil {
-			if data, ok := s.udp.Fetch(pt, s.udpBudget); ok {
+			if data, ok := s.udp.Fetch(pt, liveUDPBudget); ok {
 				// The reassembler CRC-verified the payload; with decode
 				// validation on, a frame that fails to decode falls back
 				// to TCP rather than poisoning the pipeline. UDP frames
@@ -501,13 +481,11 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadlineMs float64) (transport
 	if s.err != nil {
 		return transport.FrameReply{}, 0, 0, s.err
 	}
-	if len(s.pendingEvicts) > 0 {
-		if err := s.cl.EvictNotice(s.pendingEvicts); err != nil {
-			s.err = err
-			return transport.FrameReply{}, 0, 0, err
-		}
-		s.pendingEvicts = s.pendingEvicts[:0]
+	if err := s.cl.EvictNotice(s.pendingEvicts); err != nil { // no-op when empty
+		s.err = err
+		return transport.FrameReply{}, 0, 0, err
 	}
+	s.pendingEvicts = s.pendingEvicts[:0]
 	reply, sentMs, doneMs, err := s.cl.FetchWithDeadline(pt, deadlineMs)
 	if err == nil && s.decode {
 		err = s.decodeReply(pt, reply)
@@ -579,9 +557,8 @@ type fiSyncer interface {
 // liveFISync synchronises FI over UDP each frame, like the paper's PUN
 // path. A lost datagram simply counts as a drop — the next frame resends.
 type liveFISync struct {
-	clock   *runtime.WallClock
-	fi      fiSyncer
-	timeout time.Duration
+	clock *runtime.WallClock
+	fi    fiSyncer
 
 	mu sync.Mutex // serialises the UDP socket
 
@@ -599,7 +576,7 @@ func (f *liveFISync) Sync(st fisync.State, nowMs float64, done func(readyAtMs fl
 	f.clock.IOStarted()
 	go func() {
 		f.mu.Lock()
-		others, err := f.fi.Sync(st, f.timeout)
+		others, err := f.fi.Sync(st, liveFITimeout)
 		f.mu.Unlock()
 		f.clock.Post(func() {
 			f.obsSyncs.Inc()

@@ -514,25 +514,37 @@ func TestSessionLoopRejectsMalformedInput(t *testing.T) {
 		nc.Write([]byte{0x7F, 0, 0, 0, 0})
 		expectSessionClose(t, nc)
 	})
-	t.Run("oversized length", func(t *testing.T) {
-		nc := dialRaw(t, addr)
-		nc.Write([]byte{byte(transport.MsgFrameRequest), 0xFF, 0xFF, 0xFF, 0xFF})
-		expectSessionClose(t, nc)
-	})
-	t.Run("truncated message", func(t *testing.T) {
-		nc := dialRaw(t, addr)
-		// Header promises 9 payload bytes; send 2 and half-close.
-		nc.Write([]byte{byte(transport.MsgFrameRequest), 0, 0, 0, 9, 1, 2})
-		if tc, ok := nc.(*net.TCPConn); ok {
-			tc.CloseWrite()
-		}
-		expectSessionClose(t, nc)
-	})
-	t.Run("bad frame request payload", func(t *testing.T) {
-		nc := dialRaw(t, addr)
-		nc.Write([]byte{byte(transport.MsgFrameRequest), 0, 0, 0, 1, 42})
-		expectSessionClose(t, nc)
-	})
+	// Both frame-request types take the one decode → serve arm, so each
+	// malformed row runs against the client request and the peer hop.
+	for name, typ := range map[string]transport.MsgType{"": transport.MsgFrameRequest, "peer ": transport.MsgPeerFrameRequest} {
+		t.Run(name+"oversized length", func(t *testing.T) {
+			nc := dialRaw(t, addr)
+			nc.Write([]byte{byte(typ), 0xFF, 0xFF, 0xFF, 0xFF})
+			expectSessionClose(t, nc)
+		})
+		t.Run(name+"truncated message", func(t *testing.T) {
+			nc := dialRaw(t, addr)
+			// Header promises 9 payload bytes; send 2 and half-close.
+			nc.Write([]byte{byte(typ), 0, 0, 0, 9, 1, 2})
+			if tc, ok := nc.(*net.TCPConn); ok {
+				tc.CloseWrite()
+			}
+			expectSessionClose(t, nc)
+		})
+		t.Run(name+"bad frame request payload", func(t *testing.T) {
+			nc := dialRaw(t, addr)
+			nc.Write([]byte{byte(typ), 0, 0, 0, 1, 42})
+			expectSessionClose(t, nc)
+		})
+		t.Run(name+"short frame request payload", func(t *testing.T) {
+			// One byte short of the fixed request size.
+			nc := dialRaw(t, addr)
+			payload := transport.EncodeFrameRequest(transport.FrameRequest{Player: 9, ReqID: 1})
+			payload = payload[:len(payload)-1]
+			nc.Write(append([]byte{byte(typ), 0, 0, 0, byte(len(payload))}, payload...))
+			expectSessionClose(t, nc)
+		})
+	}
 	t.Run("retired FI sync over TCP", func(t *testing.T) {
 		// FI sync is UDP-only; a well-formed MsgFISync (its wire number
 		// stays reserved) is an unexpected message and ends the session.

@@ -52,7 +52,7 @@ func (s *Server) PrerenderRegion(region geom.Rect, strideSteps, workers int) (Pr
 		points.Add(1)
 		if res.rendered {
 			rendered.Add(1)
-			bytes.Add(int64(len(res.data)))
+			bytes.Add(int64(len(res.Data)))
 		}
 		return nil
 	})

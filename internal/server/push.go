@@ -7,6 +7,7 @@ import (
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/lru"
+	"coterie/internal/obs"
 	"coterie/internal/transport"
 )
 
@@ -40,6 +41,10 @@ const (
 	// udpReqWorkers bounds concurrent UDP frame-request serves; overflow
 	// requests are dropped and the client falls back to TCP.
 	udpReqWorkers = 16
+	// maxUDPSessions bounds a listener's session table, which any source
+	// address enters with one Sub datagram. Overflow drops the session idle
+	// longest; a client still there re-subscribes on its next FI timeout.
+	maxUDPSessions = 1024
 )
 
 // stateSample is one FI state arrival: position plus server receive time.
@@ -59,7 +64,6 @@ type sentFrame struct {
 // udpSession is the server's per-address datagram frame-path state.
 type udpSession struct {
 	addr     net.Addr
-	player   uint8
 	wantPush bool
 
 	// Trajectory ring (constant-velocity predictor input).
@@ -83,28 +87,23 @@ type udpSession struct {
 }
 
 // udpServe is the state of one ServeFIUDP listener: the socket, the
-// subscribed sessions, and the bounded request-serving semaphore. It is
-// created per listener so two UDP sockets on one Server never share
-// session state.
+// subscribed sessions (least recently heard from dropped first), and the
+// bounded request-serving semaphore. It is created per listener so two UDP
+// sockets on one Server never share session state.
 type udpServe struct {
 	pc  net.PacketConn
 	mu  sync.Mutex
-	sub map[string]*udpSession
+	sub lru.Map[string, *udpSession]
 	sem chan struct{}
 }
 
-func newUDPServe(pc net.PacketConn) *udpServe {
-	return &udpServe{
-		pc:  pc,
-		sub: make(map[string]*udpSession),
-		sem: make(chan struct{}, udpReqWorkers),
-	}
-}
-
+// session returns addr's session (nil when it never subscribed or was
+// dropped) and marks it the most recently heard from.
 func (u *udpServe) session(addr net.Addr) *udpSession {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.sub[addr.String()]
+	sess, _ := u.sub.Get(addr.String())
+	return sess
 }
 
 // handleDgram dispatches one frame-path datagram (magic present, not an
@@ -119,8 +118,8 @@ func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64
 		}
 		u.mu.Lock()
 		key := addr.String()
-		sess := u.sub[key]
-		if sess == nil {
+		sess, ok := u.sub.Get(key)
+		if !ok {
 			sess = &udpSession{
 				addr: addr,
 				// Stream ids only need to differ between sessions the
@@ -128,9 +127,11 @@ func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64
 				streamID: uint32(sub.Player) + 1,
 				lastFill: nowMs / 1000,
 			}
-			u.sub[key] = sess
+			u.sub.Put(key, sess)
+			if u.sub.Len() > maxUDPSessions {
+				u.sub.RemoveOldest()
+			}
 		}
-		sess.player = sub.Player
 		sess.wantPush = sub.WantPush
 		u.mu.Unlock()
 	case transport.DgramReq:
@@ -237,10 +238,11 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 	}
 }
 
-// serveUDPReq answers a client's UDP frame request through frameFor on a
-// bounded worker pool. When the pool is full the request
-// is dropped: the client's short UDP budget expires and it falls back to
-// TCP, which is exactly the overload behaviour we want.
+// serveUDPReq answers a client's UDP frame request through serve on a
+// bounded worker pool. When the pool is full the request is dropped and
+// counted (server.udp.dropped_overflow): the client's short UDP budget
+// expires and it falls back to TCP, which is exactly the overload
+// behaviour we want. The datagram carries no deadline.
 func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 	sess := u.session(addr)
 	if sess == nil {
@@ -250,21 +252,17 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 	select {
 	case u.sem <- struct{}{}:
 	default:
+		s.obs.udpDroppedOverflow.Inc()
 		return
 	}
 	s.obs.udpFrameReqs.Inc()
 	go func() {
 		defer func() { <-u.sem }()
-		res, err := s.frameFor(frameReq{pt: req.Point})
+		res, err := s.serve(frameReq{pt: req.Point, traceID: obs.TraceID(req.Player, req.ReqID)})
 		if err != nil {
 			return // client falls back to TCP
 		}
-		// One served frame per request reply; chunks, retransmits and
-		// pushes (server.udp.push_frames) are not serves.
-		s.served.Add(1)
-		s.obs.framesServed.Inc()
-		s.obs.bytesSent.Add(int64(len(res.data)))
-		s.sendFrame(u, sess, req.Point, res.data, 0)
+		s.sendFrame(u, sess, req.Point, res.Data, 0)
 	}()
 }
 

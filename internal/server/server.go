@@ -109,9 +109,10 @@ type serverObs struct {
 	renderMs       *obs.Histogram
 	udpDatagrams   *obs.Counter
 	// Malformed / stale / overflow drops are split so the datagram frame
-	// path is debuggable from /metrics: a parse failure, a frame behind
-	// the delivery window, and a reassembly-cap eviction are three very
-	// different operator stories.
+	// path is debuggable from /metrics: a parse failure, a request or NACK
+	// with no session or sent frame behind it, and a frame request dropped
+	// because every UDP request worker was busy are three very different
+	// operator stories.
 	udpDroppedMalformed *obs.Counter
 	udpDroppedStale     *obs.Counter
 	udpDroppedOverflow  *obs.Counter
@@ -225,21 +226,6 @@ func (s *Server) logger() *slog.Logger {
 // maxSessionHistory bounds the retained per-session stats.
 const maxSessionHistory = 256
 
-// frameStages decomposes one server-side frame lookup for the reply's
-// trace context: how long the request waited on another request's
-// singleflight render (queue), and the render and encode spans when this
-// lookup did the work itself. A frame-store hit is all zeros.
-type frameStages struct {
-	QueueMs  float64
-	RenderMs float64
-	EncodeMs float64
-	// HopMs is the cluster proxy overhead of a peer-served lookup: this
-	// node's wall time around the peer fetch minus the owner's own stages
-	// (which pass through to QueueMs/RenderMs/EncodeMs). Zero for local
-	// serves, so the client-side stage identity holds on every origin.
-	HopMs float64
-}
-
 // SessionStats describes one completed client session.
 type SessionStats struct {
 	Remote       string
@@ -291,9 +277,9 @@ func (s *Server) SetPushEnabled(on bool) { s.pushOn.Store(on) }
 // decides whether to retry.
 var errOverloaded = errors.New("overloaded: render queue full")
 
-// frameReq is one frame lookup: the grid point plus the request context
-// the staged pipeline consumes. The zero context (prerender, UDP, tests)
-// is deadline-less and untraced.
+// frameReq is one frame request: the grid point plus the request context
+// serve and the staged pipeline consume. The zero context (prerender,
+// tests) is deadline-less and untraced.
 type frameReq struct {
 	pt geom.GridPoint
 	// deadlineMs is the request's absolute wall-clock deadline (<= 0: none).
@@ -308,32 +294,103 @@ type frameReq struct {
 	// served locally, so a membership disagreement between nodes can never
 	// chain proxy hops into a loop.
 	fromPeer bool
+	// refs is the requesting TCP client session's holdings; nil (peer hop,
+	// UDP, prerender) gets the exact intra frame — see serve.
+	refs *sessionRefs
 }
 
-// frameResult is what every serve path — TCP session, UDP request, peer
-// hop, prerender — gets back for a frameReq. frameFor fills data, origin,
-// rendered and stages; kind, ref and rung keep their zero values (intra,
-// none, exact) unless the session layer delta-coded the frame or served a
-// stale substitute.
+// frameResult is what every path — TCP session, UDP request, peer hop,
+// prerender — gets back for a frameReq: the reply about to go on the wire.
+// frameFor fills Data, Origin, the stage spans and rendered; serve adds
+// Point, the RecvMs / SendMs stamps and, off the ladder or the delta path,
+// Rung, Kind and Ref; frameReplyMsg echoes ReqID and ClientSentMs.
 type frameResult struct {
-	data     []byte
-	kind     transport.FrameEncoding
-	ref      geom.GridPoint
-	rung     transport.DegradeRung
-	origin   transport.FrameOrigin
+	transport.FrameReply
 	rendered bool // this call ray-cast and encoded the frame
-	stages   frameStages
 }
 
 // FrameFor returns the encoded far-BE panorama for a grid point,
 // rendering and encoding it on first use.
 func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
 	res, err := s.frameFor(frameReq{pt: pt})
-	return res.data, err
+	return res.Data, err
 }
 
-// frameFor is the one frame lookup: store hit, singleflight join, peer
-// fetch or local render. The stored frame is a pure function of the grid
+// serve answers one frame request and is the only place a served frame is
+// accounted: the TCP session loop (client and peer arm) and the UDP request
+// path are decode → serve → encode around it.
+//
+// A request that brings its session's holdings (req.refs, TCP clients only)
+// gets the degrade ladder and delta coding: a deadline the scheduler
+// projects as already at risk takes the stale rung when a calibrated
+// substitute is cached (a store hit needs no such rescue — it is the
+// substitute), the same fallback rescues a request shed by admission
+// control, and an exact frame is re-coded against the best reference the
+// client holds when that wins bytes. Without holdings the reply is always
+// the exact intra frame: a substitute or a delta would poison a peer's
+// store or the UDP client's by-point retained store.
+func (s *Server) serve(req frameReq) (frameResult, error) {
+	recvMs := sched.NowMs()
+	var res frameResult
+	ladder := req.refs != nil
+	atRisk := ladder && req.deadlineMs > 0 && s.sched.AtRisk(recvMs, req.deadlineMs)
+	if !atRisk || !s.staleRung(req.pt, &res) {
+		var err error
+		res, err = s.frameFor(req)
+		shed := ladder && errors.Is(err, errOverloaded)
+		if err != nil && !(shed && s.staleRung(req.pt, &res)) {
+			return res, err
+		}
+	}
+	if ladder && res.Rung == transport.RungExact {
+		// Intra serves become the session's next pending reference; delta
+		// and stale serves never do.
+		if d, refPt, ok := s.deltaFor(req.pt, res.Data, req.refs); ok {
+			s.obs.deltaFrames.Inc()
+			s.obs.deltaSaved.Add(int64(len(res.Data) - len(d)))
+			res.Data, res.Kind, res.Ref = d, transport.FrameDelta, refPt
+		} else {
+			req.refs.setPending(req.pt)
+		}
+	}
+	res.Point, res.RecvMs, res.SendMs = req.pt, recvMs, sched.NowMs()
+
+	if req.fromPeer {
+		// Not a client serve: the proxying node accounts the frame when it
+		// relays it. The serve span joins that node's hop span and the
+		// client's span on the forwarded trace id.
+		s.obs.peerFramesServed.Inc()
+		s.recordSpan(req.traceID, 2, res.RecvMs, res.SendMs, &res)
+		return res, nil
+	}
+	// One served frame per reply; UDP chunks, retransmits and pushes
+	// (server.udp.push_frames) are not serves.
+	s.served.Add(1)
+	s.obs.framesServed.Inc()
+	s.obs.bytesSent.Add(int64(len(res.Data)))
+	// Deadline accounting is against the reply's send stamp: network
+	// return time belongs to the client's RTT model, not the server's
+	// deadline compliance.
+	if req.deadlineMs > 0 {
+		if late := res.SendMs - req.deadlineMs; late > 0 {
+			s.obs.deadlineMisses.Inc()
+			s.obs.deadlineMissMs.Observe(late)
+		} else {
+			s.obs.deadlineMet.Inc()
+		}
+	}
+	// SLO accounting (a nil tracker ignores it): a frame spends error budget
+	// when it was slow server-side, quality-degraded, or a failover
+	// re-render — quality loss burns the budget exactly like lateness.
+	s.slo.Observe(res.SendMs-res.RecvMs <= s.slo.BudgetMs() &&
+		res.Rung == transport.RungExact &&
+		res.Origin != transport.OriginFailover)
+	return res, nil
+}
+
+// frameFor is the one frame lookup, shared by serve, FrameFor and
+// PrerenderRegion: store hit, singleflight join, peer fetch or local
+// render. The stored frame is a pure function of the grid
 // point — the exact ray-cast, encoded at the environment's CRF — whatever
 // the request order, worker count or node. Concurrent calls for the same
 // point share one render: the first caller renders (and reports
@@ -357,15 +414,15 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 		// originally peer-fetched: that is the read-through replication
 		// paying off, and Origin describes this serve, not the history.
 		s.obs.frameStoreHits.Inc()
-		res.data = data
+		res.Data = data
 		return res, nil
 	}
 	if !leader {
 		s.obs.renderShared.Inc()
 		waitStart := time.Now()
 		<-c.done
-		res.stages.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
-		res.data, res.origin = c.data, c.origin
+		res.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
+		res.Data, res.Origin = c.data, c.origin
 		return res, c.err
 	}
 
@@ -378,12 +435,12 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 		if owner := cl.Owner(pt); owner != cl.Self() {
 			if cl.Up(owner) && !s.sched.FetchAtRisk(sched.NowMs(), req.deadlineMs) {
 				if s.fetchFromOwner(req, &res) {
-					c.origin = res.origin
-					s.store.complete(pt, c, res.data, nil)
+					c.origin = res.Origin
+					s.store.complete(pt, c, res.Data, nil)
 					return res, nil
 				}
 			}
-			res.origin = transport.OriginFailover
+			res.Origin = transport.OriginFailover
 			s.obs.peerFailovers.Inc()
 		}
 	}
@@ -393,18 +450,18 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 		s.store.complete(pt, c, nil, errOverloaded)
 		return res, errOverloaded
 	}
-	res.stages.QueueMs += queueMs
+	res.QueueMs += queueMs
 	data, renderMs, encodeMs, err := s.render(pt)
 	s.sched.Release(renderMs + encodeMs) // zero (no observation) on error
-	res.stages.RenderMs, res.stages.EncodeMs = renderMs, encodeMs
+	res.RenderMs, res.EncodeMs = renderMs, encodeMs
 	s.obs.renderMs.Observe(renderMs + encodeMs)
 	if err == nil {
 		s.rendered.Add(1)
 		s.obs.framesRendered.Inc()
 	}
-	c.origin = res.origin
+	c.origin = res.Origin
 	s.store.complete(pt, c, data, err)
-	res.data, res.rendered = data, err == nil
+	res.Data, res.rendered = data, err == nil
 	return res, err
 }
 
@@ -425,31 +482,38 @@ func (s *Server) fetchFromOwner(req frameReq, res *frameResult) bool {
 	hopWallMs := sched.NowMs() - fetchStartMs
 	s.sched.ObserveFetchCost(hopWallMs)
 	s.obs.peerFrames.Inc()
-	stg := &res.stages
-	stg.QueueMs += reply.QueueMs
-	stg.RenderMs = reply.RenderMs
-	stg.EncodeMs = reply.EncodeMs
+	res.QueueMs += reply.QueueMs
+	res.RenderMs = reply.RenderMs
+	res.EncodeMs = reply.EncodeMs
 	// Clock jitter between the two nodes' stage clocks must never let the
 	// hop go negative, or the client-side identity would over-subtract
 	// from NetMs.
-	stg.HopMs = max(0, hopWallMs-(reply.QueueMs+reply.RenderMs+reply.EncodeMs))
-	if req.traceID != 0 {
-		s.obs.trace.Record(&obs.FrameSpan{
-			Player:    int(uint8(req.traceID >> 32)),
-			TraceID:   req.traceID,
-			Hop:       1,
-			StartMs:   fetchStartMs,
-			DisplayMs: fetchStartMs + hopWallMs,
-			FetchMs:   hopWallMs,
-			HopMs:     stg.HopMs,
-			QueueMs:   reply.QueueMs,
-			RenderMs:  reply.RenderMs,
-			EncodeMs:  reply.EncodeMs,
-			Origin:    uint8(transport.OriginPeer),
-		})
-	}
-	res.data, res.origin = reply.Data, transport.OriginPeer
+	res.HopMs = max(0, hopWallMs-(reply.QueueMs+reply.RenderMs+reply.EncodeMs))
+	res.Data, res.Origin = reply.Data, transport.OriginPeer
+	s.recordSpan(req.traceID, 1, fetchStartMs, fetchStartMs+hopWallMs, res)
 	return true
+}
+
+// recordSpan records one server-side span of a traced request (traceID 0 is
+// untraced): hop 1 around a proxying node's peer fetch, hop 2 around the
+// owner's serve of it.
+func (s *Server) recordSpan(traceID uint64, hop uint8, startMs, endMs float64, res *frameResult) {
+	if traceID == 0 {
+		return
+	}
+	s.obs.trace.Record(&obs.FrameSpan{
+		Player:    int(uint8(traceID >> 32)),
+		TraceID:   traceID,
+		Hop:       hop,
+		StartMs:   startMs,
+		DisplayMs: endMs,
+		FetchMs:   endMs - startMs,
+		HopMs:     res.HopMs,
+		QueueMs:   res.QueueMs,
+		RenderMs:  res.RenderMs,
+		EncodeMs:  res.EncodeMs,
+		Origin:    uint8(res.Origin),
+	})
 }
 
 // render ray-casts and encodes the far-BE panorama for an in-grid point,
@@ -646,95 +710,35 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 		}
 		sr.promote()
 		switch m.Type {
-		case transport.MsgFrameRequest:
-			recvMs := sched.NowMs()
+		case transport.MsgFrameRequest, transport.MsgPeerFrameRequest:
 			req, err := transport.DecodeFrameRequest(m.Payload)
 			if err != nil {
 				return err
 			}
-			res, err := s.frameForSession(frameReq{
+			// A peer forwards its client's player and request id verbatim, so
+			// this trace id matches the one on the proxy's hop span.
+			fr := frameReq{
 				pt:         req.Point,
 				deadlineMs: req.DeadlineMs,
 				traceID:    obs.TraceID(req.Player, req.ReqID),
-			}, sr)
+				refs:       sr,
+			}
+			reply := transport.MsgFrameReply
+			if m.Type == transport.MsgPeerFrameRequest {
+				// Node-to-node hop: no further hop, and no holdings — delta
+				// references and the stale rung do not cross nodes.
+				fr.fromPeer, fr.refs, reply = true, nil, transport.MsgPeerFrameReply
+			}
+			res, err := s.serve(fr)
 			if err != nil {
 				if err := c.Send(errMsg(err.Error())); err != nil {
 					return err
 				}
 				continue
 			}
-			s.served.Add(1)
-			s.obs.framesServed.Inc()
-			s.obs.bytesSent.Add(int64(len(res.data)))
 			st.FramesServed++
-			st.BytesSent += int64(len(res.data))
-			sendMs := sched.NowMs()
-			if err := c.Send(frameReplyMsg(transport.MsgFrameReply, req, res, recvMs, sendMs)); err != nil {
-				return err
-			}
-			// Deadline accounting is against the reply's send stamp: network
-			// return time belongs to the client's RTT model, not the server's
-			// deadline compliance.
-			if req.DeadlineMs > 0 {
-				if late := sendMs - req.DeadlineMs; late > 0 {
-					s.obs.deadlineMisses.Inc()
-					s.obs.deadlineMissMs.Observe(late)
-				} else {
-					s.obs.deadlineMet.Inc()
-				}
-			}
-			// SLO accounting: a frame spends error budget when it was slow
-			// server-side, quality-degraded, or a failover re-render —
-			// quality loss burns the budget exactly like lateness.
-			if s.slo != nil {
-				good := sendMs-recvMs <= s.slo.BudgetMs() &&
-					res.rung == transport.RungExact &&
-					res.origin != transport.OriginFailover
-				s.slo.Observe(good)
-			}
-		case transport.MsgPeerFrameRequest:
-			// Node-to-node hop: a peer that does not own req.Point proxies
-			// its client's request here. Served from the local pipeline
-			// with the peer hop disabled (fromPeer), so membership
-			// disagreement can never chain hops; the reply is always
-			// the exact intra frame — delta references and the stale rung
-			// are per client session and do not cross nodes — and carries
-			// this node's stage timings so they survive to the far
-			// client's trace.
-			recvMs := sched.NowMs()
-			req, err := transport.DecodeFrameRequest(m.Payload)
-			if err != nil {
-				return err
-			}
-			// The proxy forwards its client's request context verbatim, so
-			// the trace id computed here matches the one the proxy stamped
-			// on its hop span — the two nodes' rings join on it.
-			traceID := obs.TraceID(req.Player, req.ReqID)
-			res, err := s.frameFor(frameReq{pt: req.Point, deadlineMs: req.DeadlineMs, traceID: traceID, fromPeer: true})
-			if err != nil {
-				if err := c.Send(errMsg(err.Error())); err != nil {
-					return err
-				}
-				continue
-			}
-			s.obs.peerFramesServed.Inc()
-			st.FramesServed++
-			st.BytesSent += int64(len(res.data))
-			sendMs := sched.NowMs()
-			if traceID != 0 {
-				s.obs.trace.Record(&obs.FrameSpan{
-					Player:    int(req.Player),
-					TraceID:   traceID,
-					Hop:       2,
-					StartMs:   recvMs,
-					DisplayMs: sendMs,
-					FetchMs:   sendMs - recvMs,
-					QueueMs:   res.stages.QueueMs,
-					RenderMs:  res.stages.RenderMs,
-					EncodeMs:  res.stages.EncodeMs,
-				})
-			}
-			if err := c.Send(frameReplyMsg(transport.MsgPeerFrameReply, req, res, recvMs, sendMs)); err != nil {
+			st.BytesSent += int64(len(res.Data))
+			if err := c.Send(frameReplyMsg(reply, req, res)); err != nil {
 				return err
 			}
 		case transport.MsgEvictNotice:
@@ -751,65 +755,33 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 	}
 }
 
-// frameReplyMsg frames res as the reply (of the given message type) to req,
-// stamped with the server-side receive and send times.
-func frameReplyMsg(typ transport.MsgType, req transport.FrameRequest, res frameResult, recvMs, sendMs float64) transport.Message {
-	return transport.Message{Type: typ, Payload: transport.EncodeFrameReply(transport.FrameReply{
-		Point:        req.Point,
-		ReqID:        req.ReqID,
-		ClientSentMs: req.SentMs,
-		RecvMs:       recvMs,
-		SendMs:       sendMs,
-		QueueMs:      res.stages.QueueMs,
-		RenderMs:     res.stages.RenderMs,
-		EncodeMs:     res.stages.EncodeMs,
-		HopMs:        res.stages.HopMs,
-		Kind:         res.kind,
-		Rung:         res.rung,
-		Origin:       res.origin,
-		Ref:          res.ref,
-		Data:         res.data,
-	})}
+// frameReplyMsg frames res as the reply (of the given message type) to
+// req, echoing the request's trace context.
+func frameReplyMsg(typ transport.MsgType, req transport.FrameRequest, res frameResult) transport.Message {
+	res.ReqID, res.ClientSentMs = req.ReqID, req.SentMs
+	return transport.Message{Type: typ, Payload: transport.EncodeFrameReply(res.FrameReply)}
 }
 
 func errMsg(s string) transport.Message {
 	return transport.Message{Type: transport.MsgError, Payload: []byte(s)}
 }
 
-// Client is the synchronous client side of the protocol.
+// Client is the synchronous client side of the protocol: the shared
+// transport.Client exchange plus the player's request-id counter and the
+// NTP stamps around each round trip.
 type Client struct {
-	conn   *transport.Conn
-	closer func() error
+	conn   *transport.Client
 	Player uint8
 	reqID  uint32 // monotonic frame-request id (single-goroutine use)
 }
 
 // Dial connects and performs the hello exchange.
 func Dial(addr, game string, player uint8) (*Client, error) {
-	nc, err := transport.Dial(addr, 0)
+	conn, err := transport.DialClient(addr, 0, transport.Hello{Player: player, Game: game})
 	if err != nil {
 		return nil, err
 	}
-	c := transport.NewConn(nc)
-	hello := transport.EncodeHello(transport.Hello{Player: player, Game: game})
-	if err := c.Send(transport.Message{Type: transport.MsgHello, Payload: hello}); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	m, err := c.Recv()
-	if err != nil {
-		nc.Close()
-		return nil, err
-	}
-	if m.Type == transport.MsgError {
-		nc.Close()
-		return nil, fmt.Errorf("server rejected session: %s", m.Payload)
-	}
-	if m.Type != transport.MsgHello {
-		nc.Close()
-		return nil, fmt.Errorf("unexpected hello reply %d", m.Type)
-	}
-	return &Client{conn: c, closer: nc.Close, Player: player}, nil
+	return &Client{conn: conn, Player: player}, nil
 }
 
 // Instrument attaches per-message-type transport metrics to the client's
@@ -819,9 +791,7 @@ func (c *Client) Instrument(m *transport.Metrics) { c.conn.Instrument(m) }
 // ServerError is an application-level rejection delivered as MsgError on
 // a healthy connection (e.g. admission-control sheds). Unlike transport
 // errors, the session remains usable and the caller may retry.
-type ServerError struct{ Msg string }
-
-func (e *ServerError) Error() string { return "server error: " + e.Msg }
+type ServerError = transport.RemoteError
 
 // Fetch requests one far-BE frame.
 func (c *Client) Fetch(pt geom.GridPoint) ([]byte, error) {
@@ -842,34 +812,19 @@ func (c *Client) FetchTraced(pt geom.GridPoint) (reply transport.FrameReply, sen
 // FetchWithDeadline is FetchTraced carrying the request's absolute
 // deadline in *server* wall-clock milliseconds (0: none). The server
 // prioritises, degrades, or sheds against it; a shed surfaces as a
-// *ServerError with doneMs stamped, so callers can separate rejection
-// latency from success latency.
+// *ServerError, and doneMs is stamped on errors too, so callers can
+// separate rejection latency from success latency.
 func (c *Client) FetchWithDeadline(pt geom.GridPoint, deadlineMs float64) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
 	c.reqID++
 	sentMs = sched.NowMs()
-	req := transport.EncodeFrameRequest(transport.FrameRequest{
+	reply, err = c.conn.Do(transport.MsgFrameRequest, transport.FrameRequest{
 		Player:     c.Player,
 		Point:      pt,
 		ReqID:      c.reqID,
 		SentMs:     sentMs,
 		DeadlineMs: deadlineMs,
 	})
-	if err = c.conn.Send(transport.Message{Type: transport.MsgFrameRequest, Payload: req}); err != nil {
-		return transport.FrameReply{}, 0, 0, err
-	}
-	m, err := c.conn.Recv()
-	if err != nil {
-		return transport.FrameReply{}, 0, 0, err
-	}
-	if m.Type == transport.MsgError {
-		return transport.FrameReply{}, sentMs, sched.NowMs(), &ServerError{Msg: string(m.Payload)}
-	}
-	reply, err = transport.DecodeFrameReply(m.Payload)
-	if err != nil {
-		return transport.FrameReply{}, 0, 0, err
-	}
-	doneMs = sched.NowMs()
-	return reply, sentMs, doneMs, nil
+	return reply, sentMs, sched.NowMs(), err
 }
 
 // EvictNotice tells the server this client dropped the given grid-point
@@ -890,5 +845,5 @@ func (c *Client) EvictNotice(pts []geom.GridPoint) error {
 // teardown.
 func (c *Client) Close() error {
 	_ = c.conn.Send(transport.Message{Type: transport.MsgBye})
-	return c.closer()
+	return c.conn.Close()
 }

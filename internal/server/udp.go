@@ -30,7 +30,7 @@ import (
 func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 	buf := make([]byte, 64*1024)
 	var out []byte
-	u := newUDPServe(pc)
+	u := &udpServe{pc: pc, sem: make(chan struct{}, udpReqWorkers)}
 	for {
 		n, addr, err := pc.ReadFrom(buf)
 		if err != nil {

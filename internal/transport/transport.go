@@ -1,7 +1,7 @@
 // Package transport is the deployable network layer of Coterie: a
 // length-prefixed binary protocol over TCP for far-BE frame prefetching
-// (the paper serves frames over TCP, §5.1) plus the message types for FI
-// synchronisation. The simulated testbed (internal/netsim) models the
+// (the paper serves frames over TCP, §5.1), the client half of its exchange
+// (Client), and the datagram frame path. The simulated testbed (internal/netsim) models the
 // medium for deterministic experiments; this package runs the same request
 // flow over real sockets for cmd/coterie-server and cmd/coterie-client.
 package transport
