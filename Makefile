@@ -35,14 +35,15 @@ test:
 
 # Core-count matrix: frame bytes are a pure function of the grid point, so
 # the frame-serving packages (and transport, home of the client exchange
-# the peer hop runs on) must pass on 1, 2 and all cores. -count=1 because
-# the test cache does not key on GOMAXPROCS.
+# the peer hop runs on) must pass on 1, 2 and all cores, as must par, whose
+# render pool fans a call out by workers against calls in flight. -count=1
+# because the test cache does not key on GOMAXPROCS.
 test-procs:
 	@for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -un); do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/render/... \
 			./internal/sched/... ./internal/cluster/... ./internal/lru/... \
-			./internal/transport/... || exit 1; \
+			./internal/transport/... ./internal/par/... || exit 1; \
 	done
 
 race:
@@ -61,7 +62,8 @@ smoke:
 # Hot-path micro-benchmarks (ssim comparer, panorama ray-cast and its column
 # gather, codec kernels and frames, the server's cold miss and store hit).
 # The server package runs at -cpu 1,2: BenchmarkStoreHit/parallel is what
-# the frame store's one lock costs when two cores do nothing but look up.
+# the frame store's one lock costs when two cores do nothing but look up,
+# BenchmarkColdMiss/parallel is one miss per core through one render pool.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/ssim/... ./internal/render/... ./internal/world/... ./internal/codec/...
 	$(GO) test -bench . -benchmem -run '^$$' -cpu 1,2 ./internal/server/...

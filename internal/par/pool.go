@@ -22,15 +22,24 @@ type Job interface {
 // parallel Run and persist until Close; Run itself is allocation-free at
 // steady state.
 //
-// Run may be called from many goroutines at once: concurrent calls share
-// the same workers, which bounds the process's render parallelism to the
-// pool size no matter how many sessions render simultaneously. When every
-// worker is busy the submitting goroutine simply executes its whole call
-// inline — submission never blocks and never deadlocks.
+// Run may be called from many goroutines at once, and the policy is
+// parallelism across calls first: every caller works its own call, and a
+// call fans out only into idle capacity. Run queues helpers for the
+// workers the calls in flight leave free (size − calls in flight), and a
+// helper stops claiming indices once as many calls are in flight as the
+// pool has workers, leaving the rest of that call to its caller. So one
+// call on an idle pool spreads across every worker, while as many
+// concurrent calls as workers each run whole on their own goroutine
+// instead of splitting every call across every core. Submission never
+// blocks, and a Run whose indices are all claimed waits only for helpers
+// still running one of them, never for a helper that has not started.
 type Pool struct {
 	workers int
 	tickets chan *poolCall
 	closed  chan struct{}
+
+	// inFlight counts the parallel Runs that have not returned.
+	inFlight atomic.Int64
 
 	startOnce sync.Once
 	closeOnce sync.Once
@@ -42,24 +51,34 @@ type Pool struct {
 	free []*poolCall
 }
 
+// callClosed marks, in poolCall.state, a call whose caller has claimed
+// its last index: no helper may join it any more.
+const callClosed = 1 << 62
+
 // poolCall is the shared state of one Run: workers and the caller claim
 // indices from next until n is exhausted.
 type poolCall struct {
 	job  Job
 	n    int64
 	next atomic.Int64
-	wg   sync.WaitGroup
+	// state is callClosed or'ed with the number of helpers inside the call.
+	// A ticket can outlive its Run, and even reach this state after a later
+	// Run has recycled it. A helper joins only an open call: a closed one
+	// drops the ticket, an open one — whatever Run it now serves, its
+	// fields all written before it was opened — gets the help.
+	state atomic.Int64
+	// left receives one token when the last helper leaves a closed call.
+	left chan struct{}
 }
 
-// drain claims and runs indices until the call is exhausted.
-func (c *poolCall) drain() {
-	for {
-		i := c.next.Add(1) - 1
-		if i >= c.n {
-			return
-		}
-		c.job.Run(int(i))
+// runNext claims and runs one index; false once every index is claimed.
+func (c *poolCall) runNext() bool {
+	i := c.next.Add(1) - 1
+	if i >= c.n {
+		return false
 	}
+	c.job.Run(int(i))
+	return true
 }
 
 // NewPool creates a pool with the given number of workers (resolved via
@@ -87,10 +106,11 @@ func (p *Pool) Size() int {
 }
 
 // Run executes job.Run(i) for every i in [0, n) and returns when all calls
-// have finished. The caller's goroutine participates, so a Run on a busy
-// pool degrades to inline execution rather than queueing behind other
-// calls. With one worker (or a nil pool) the calls run inline in index
-// order — the deterministic sequential path.
+// have finished. The caller's goroutine works the call from start to end,
+// and helpers join it only while the pool has idle workers (see Pool), so
+// a Run on a busy pool degrades to inline execution rather than queueing
+// behind other calls. With one worker (or a nil pool) the calls run inline
+// in index order — the deterministic sequential path.
 func (p *Pool) Run(n int, job Job) {
 	if n <= 0 {
 		return
@@ -102,31 +122,52 @@ func (p *Pool) Run(n int, job Job) {
 		return
 	}
 	p.startOnce.Do(p.start)
+	inFlight := p.inFlight.Add(1)
+	defer p.inFlight.Add(-1)
 
 	c := p.getCall()
 	c.job = job
 	c.n = int64(n)
 	c.next.Store(0)
+	c.state.Store(0) // open: publishes the fields above to joining helpers
 
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
-	for i := 0; i < helpers; i++ {
-		c.wg.Add(1)
+	helpers := min(int64(p.workers)-inFlight, int64(n-1))
+	for i := int64(0); i < helpers; i++ {
 		select {
 		case p.tickets <- c:
 		default:
-			// Every worker is busy and the queue is full; absorb the
-			// helper's share inline below.
-			c.wg.Done()
+			// The queue is full of tickets for busy workers; the caller
+			// absorbs this helper's share.
 		}
 	}
-	c.drain()
-	c.wg.Wait()
+	for c.runNext() {
+	}
+	if c.state.Add(callClosed) != callClosed {
+		<-c.left // a helper is still running an index it claimed
+	}
 
 	c.job = nil
 	p.putCall(c)
+}
+
+// help works c for a worker until every index is claimed or the pool has
+// no idle capacity left for c: then as many calls are in flight as there
+// are workers, and each caller runs the rest of its own call.
+func (p *Pool) help(c *poolCall, workers int64) {
+	for {
+		s := c.state.Load()
+		if s&callClosed != 0 {
+			return // stale ticket: the call it was queued for is over
+		}
+		if c.state.CompareAndSwap(s, s+1) {
+			break
+		}
+	}
+	for p.inFlight.Load() < workers && c.runNext() {
+	}
+	if c.state.Add(-1) == callClosed {
+		c.left <- struct{}{}
+	}
 }
 
 // Close stops the pool's workers. It must not be called concurrently with
@@ -144,16 +185,15 @@ func (p *Pool) Close() {
 
 func (p *Pool) start() {
 	for i := 0; i < p.workers-1; i++ {
-		go p.worker()
+		go p.worker(int64(p.workers)) // Close rewrites p.workers
 	}
 }
 
-func (p *Pool) worker() {
+func (p *Pool) worker(workers int64) {
 	for {
 		select {
 		case c := <-p.tickets:
-			c.drain()
-			c.wg.Done()
+			p.help(c, workers)
 		case <-p.closed:
 			return
 		}
@@ -168,7 +208,7 @@ func (p *Pool) getCall() *poolCall {
 		p.free = p.free[:n-1]
 		return c
 	}
-	return &poolCall{}
+	return &poolCall{left: make(chan struct{}, 1)}
 }
 
 func (p *Pool) putCall(c *poolCall) {

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"coterie/internal/games"
@@ -30,6 +31,11 @@ var frameDigests = map[string]uint64{
 func framesDigest(g *games.Game, workers int) uint64 {
 	r := New(g.Scene, Config{W: 256, H: 128, Parallel: workers})
 	defer r.Close()
+	return rendererDigest(r, g)
+}
+
+// rendererDigest is framesDigest's render sequence on a given renderer.
+func rendererDigest(r *Renderer, g *games.Game) uint64 {
 	h := fnv.New64a()
 	maskBytes := make([]byte, 256*128)
 	rng := rand.New(rand.NewSource(22))
@@ -77,6 +83,40 @@ func TestFramesUnchanged(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				if got := framesDigest(g, workers); got != want {
 					t.Errorf("%s, %d workers: frame digest %#016x, pinned %#016x", name, workers, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFramesUnchangedUnderConcurrentRenders renders the pinned sequence
+// from two goroutines through one two-worker renderer at once, so calls
+// share the pool and its helpers join, leave and skip calls on whatever
+// schedule the two produce: bands write disjoint columns, so every frame
+// must still match the pin.
+func TestFramesUnchangedUnderConcurrentRenders(t *testing.T) {
+	for name, want := range frameDigests {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			g, err := games.BuildByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New(g.Scene, Config{W: 256, H: 128, Parallel: 2})
+			defer r.Close()
+			var got [2]uint64
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i] = rendererDigest(r, g)
+				}(i)
+			}
+			wg.Wait()
+			for i, d := range got {
+				if d != want {
+					t.Errorf("%s, renderer goroutine %d: frame digest %#016x, pinned %#016x", name, i, d, want)
 				}
 			}
 		})

@@ -55,9 +55,12 @@ type Renderer struct {
 
 	// pool fans column bands across persistent workers (tile-parallel
 	// rendering: bands write disjoint columns, so output is deterministic
-	// for any worker count). It is created lazily on the first render that
-	// resolves to more than one worker, so a bare-literal Renderer and a
-	// sequential config never own goroutines.
+	// for any worker count and any schedule). Concurrent renders share it,
+	// and it fans a render out only into idle cores: a lone render spreads
+	// over every worker, while as many renders in flight as workers each
+	// run whole on their caller's goroutine (par.Pool). It is created
+	// lazily on the first render that resolves to more than one worker, so
+	// a bare-literal Renderer and a sequential config never own goroutines.
 	poolOnce sync.Once
 	pool     *par.Pool
 

@@ -13,7 +13,10 @@ import (
 // FrameFor is a store miss — ray-cast, intra encode, store insert — on
 // viking at the default 256x128. The points are 16 scattered anchors and
 // the four grid steps after each; a fresh server every 80 iterations keeps
-// every one of them a miss.
+// every one of them a miss. serial is one miss at a time, the idle server
+// whose render fans out into every core; parallel is GOMAXPROCS goroutines
+// missing at once through the environment's one renderer, where the pool
+// has no idle core to fan into. Run with -cpu 1,2 (`make bench` does).
 func BenchmarkColdMiss(b *testing.B) {
 	spec, err := games.ByName("viking")
 	if err != nil {
@@ -32,17 +35,33 @@ func BenchmarkColdMiss(b *testing.B) {
 			pts = append(pts, geom.GridPoint{I: anchor.I + step, J: anchor.J})
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var srv *Server
-	for i := 0; i < b.N; i++ {
-		if i%len(pts) == 0 {
-			srv = New(env)
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		var srv *Server
+		for i := 0; i < b.N; i++ {
+			if i%len(pts) == 0 {
+				srv = New(env)
+			}
+			if _, err := srv.FrameFor(pts[i%len(pts)]); err != nil {
+				b.Fatal(err)
+			}
 		}
-		if _, err := srv.FrameFor(pts[i%len(pts)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			var srv *Server
+			for i := 0; pb.Next(); i++ {
+				if i%len(pts) == 0 {
+					srv = New(env)
+				}
+				if _, err := srv.FrameFor(pts[i%len(pts)]); err != nil {
+					b.Error(err) // Error, not Fatal: RunParallel calls this off the benchmark goroutine
+					return
+				}
+			}
+		})
+	})
 }
 
 // BenchmarkStoreHit is what the frame store's one lock costs: a lookup of
