@@ -50,7 +50,7 @@ race:
 	$(GO) test -race ./internal/eval/... ./internal/ssim/... ./internal/cutoff/... \
 		./internal/runtime/... ./internal/server/... ./internal/transport/... \
 		./internal/cache/... ./internal/prefetch/... ./internal/obs/... \
-		./internal/par/... ./internal/render/... ./internal/loadgen/... \
+		./internal/par/... ./internal/render/... \
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
 		./internal/netsim/... ./internal/world/... ./internal/lru/...
 
@@ -85,7 +85,7 @@ N ?= 10
 bench-pairs:
 	./scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
-# Non-test Go lines under internal/, total and per package: the headline
-# number of a simplicity PR.
+# Non-test Go lines under internal/ (total and per package) and cmd/: the
+# headline numbers of a simplicity PR.
 loc:
 	./scripts/loc.sh

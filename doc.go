@@ -18,7 +18,8 @@
 // table and figure of the paper's evaluation; the benchmarks in
 // bench_test.go wrap the same experiments. The frame service's own
 // performance record is the separate module under bench/ (BENCHMARK.json);
-// cmd/loadgen drives servers that are already running. See README.md for
-// a tour, DESIGN.md for the system inventory and substitutions, and
+// cmd/coterie-client plays one player against a server that is already
+// running, and several of them are the multi-player load. See README.md
+// for a tour, DESIGN.md for the system inventory and substitutions, and
 // EXPERIMENTS.md for measured-versus-published results.
 package coterie

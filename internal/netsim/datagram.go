@@ -1,14 +1,10 @@
 package netsim
 
-import (
-	"math/rand"
-	"sync"
-)
+import "math/rand"
 
 // Datagram medium: the sim-clock analogue of a lossy UDP path, so the
 // datagram frame path's reassembly/FEC/NACK machinery is exercised by the
-// same deterministic event loop as the rest of the testbed — and a
-// clockless Impairer that injects the same loss model into live sockets.
+// same deterministic event loop as the rest of the testbed.
 
 // DgramConfig shapes one direction of a datagram link.
 type DgramConfig struct {
@@ -73,49 +69,4 @@ func (l *DgramLink) Send(b []byte) {
 // Stats reports sent/dropped/reordered datagram counts.
 func (l *DgramLink) Stats() (sent, dropped, reordered int64) {
 	return l.sent, l.dropped, l.reordered
-}
-
-// Impairer is the live-socket counterpart of DgramLink's loss model: a
-// thread-safe per-datagram drop decision with a seeded generator, so live
-// loopback sessions inject reproducible loss without a sim clock. The zero
-// value never drops.
-type Impairer struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	loss float64
-
-	dropped, passed int64
-}
-
-// NewImpairer creates an impairer dropping datagrams with probability
-// loss, seeded for reproducibility. (Reordering is a sim-link concern:
-// live loopback sockets deliver in order, and the reassembler's reorder
-// handling is exercised by DgramLink and the property tests.)
-func NewImpairer(loss float64, seed int64) *Impairer {
-	return &Impairer{rng: rand.New(rand.NewSource(seed)), loss: loss}
-}
-
-// Drop decides the fate of one datagram.
-func (im *Impairer) Drop() bool {
-	if im == nil {
-		return false
-	}
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	if im.rng != nil && im.loss > 0 && im.rng.Float64() < im.loss {
-		im.dropped++
-		return true
-	}
-	im.passed++
-	return false
-}
-
-// Stats reports dropped/passed decisions.
-func (im *Impairer) Stats() (dropped, passed int64) {
-	if im == nil {
-		return 0, 0
-	}
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	return im.dropped, im.passed
 }

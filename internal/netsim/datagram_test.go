@@ -84,30 +84,3 @@ func TestDgramLinkStats(t *testing.T) {
 		t.Fatalf("50%% loss dropped %d of 1000", dropped)
 	}
 }
-
-// TestImpairerDeterminism pins the live-socket loss injector: same seed,
-// same drop sequence.
-func TestImpairerDeterminism(t *testing.T) {
-	seqOf := func() []bool {
-		im := NewImpairer(0.3, 11)
-		out := make([]bool, 200)
-		for i := range out {
-			out[i] = im.Drop()
-		}
-		return out
-	}
-	a, b := seqOf(), seqOf()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("drop decision %d diverged for the same seed", i)
-		}
-	}
-	var nilIm *Impairer
-	if nilIm.Drop() {
-		t.Fatal("nil impairer dropped")
-	}
-	dropped, passed := NewImpairer(0, 1).Stats()
-	if dropped != 0 || passed != 0 {
-		t.Fatal("fresh impairer has non-zero stats")
-	}
-}

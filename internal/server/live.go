@@ -13,7 +13,6 @@ import (
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/img"
-	"coterie/internal/netsim"
 	"coterie/internal/obs"
 	"coterie/internal/prefetch"
 	"coterie/internal/runtime"
@@ -25,8 +24,9 @@ import (
 // This file is the live backend of the shared client runtime: the same
 // pipeline that drives the deterministic testbed (internal/core) runs here
 // over real sockets — frames over TCP (liveSource), FI sync over UDP
-// (liveFISync), and a WallClock in place of the simulator. RunLive is the
-// entry point cmd/coterie-client and the loopback e2e test share.
+// (liveFISync on a UDPChannel), and a WallClock in place of the simulator.
+// RunLive is the entry point cmd/coterie-client and the loopback e2e test
+// share.
 
 // Fixed parameters of a live client session.
 const (
@@ -58,18 +58,14 @@ type LiveConfig struct {
 	// transport byte counts, FI sync drops). nil disables instrumentation.
 	Obs *obs.Registry
 
-	// UDPFrames enables the datagram frame path: FI sync and frames share
-	// one UDP socket, fetches try UDP first (bounded by liveUDPBudget) and
-	// fall back to TCP, and reassembled pushes fill the frame cache ahead
-	// of the pipeline's lookups.
+	// UDPFrames enables the datagram frame path on the FI sync socket:
+	// fetches try UDP first (bounded by liveUDPBudget) and fall back to
+	// TCP, and reassembled pushes fill the frame cache ahead of the
+	// pipeline's lookups.
 	UDPFrames bool
 	// Push opts this session into trajectory-driven server push
 	// (meaningful only with UDPFrames; the server must run with -push).
 	Push bool
-	// LossRate injects receive-side datagram loss with a seeded generator
-	// (tests and A/B runs; loopback sockets do not lose on their own).
-	LossRate float64
-	LossSeed int64
 	// FrameSink, when set, observes every frame entering the display
 	// pipeline: fetch completions (pushed=false) and absorbed server
 	// pushes (pushed=true). Runs on the clock goroutine; the byte-identity
@@ -123,26 +119,16 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	}
 	defer cl.Close()
 	cl.Instrument(transport.NewMetrics(cfg.Obs, "client.transport"))
-	// The FI syncer: the legacy FI-only socket, or the multiplexed
-	// datagram channel when the UDP frame path is on.
-	var fi fiSyncer
+	ch, err := DialUDP(addr, uint8(player), cfg.UDPFrames && cfg.Push, cfg.Obs)
+	if err != nil {
+		return nil, fmt.Errorf("udp: %w", err)
+	}
+	defer ch.Close()
+	// udp is the datagram frame path: nil keeps every fetch on TCP.
 	var udp *UDPChannel
 	if cfg.UDPFrames {
-		udp, err = DialUDP(addr, uint8(player), cfg.Push, cfg.Obs)
-		if err != nil {
-			return nil, fmt.Errorf("udp frames: %w", err)
-		}
-		if cfg.LossRate > 0 {
-			udp.SetImpairer(netsim.NewImpairer(cfg.LossRate, cfg.LossSeed))
-		}
-		fi = udp
-	} else {
-		fi, err = DialFI(addr)
-		if err != nil {
-			return nil, fmt.Errorf("fi sync: %w", err)
-		}
+		udp = ch
 	}
-	defer fi.Close()
 
 	clock := runtime.NewWallClock(cfg.Speed)
 	if cfg.IdleTimeout > 0 {
@@ -171,7 +157,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	if cfg.Obs != nil {
 		src.obsOffset = cfg.Obs.Gauge("client.clock_offset_us")
 	}
-	fiSync := &liveFISync{clock: clock, fi: fi}
+	fiSync := &liveFISync{clock: clock, fi: ch}
 	if cfg.Obs != nil {
 		fiSync.obsSyncs = cfg.Obs.Counter("fi.syncs")
 		fiSync.obsDrops = cfg.Obs.Counter("fi.drops")
@@ -547,18 +533,11 @@ func (s *liveSource) ActiveTransfers() int { return int(s.inflight.Load()) }
 // FlowBytes implements runtime.NetMonitor; the live client has one flow.
 func (s *liveSource) FlowBytes(int) int64 { return s.bytes.Load() }
 
-// fiSyncer abstracts the FI sync transport: the legacy FI-only socket
-// (FIClient) or the multiplexed datagram channel (UDPChannel).
-type fiSyncer interface {
-	Sync(st fisync.State, timeout time.Duration) ([]fisync.State, error)
-	Close() error
-}
-
 // liveFISync synchronises FI over UDP each frame, like the paper's PUN
 // path. A lost datagram simply counts as a drop — the next frame resends.
 type liveFISync struct {
 	clock *runtime.WallClock
-	fi    fiSyncer
+	fi    *UDPChannel
 
 	mu sync.Mutex // serialises the UDP socket
 

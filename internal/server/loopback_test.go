@@ -36,6 +36,13 @@ func startLiveServer(t *testing.T) (*Server, string) {
 // call this afterwards: Instrument must precede Serve.
 func serveLive(t *testing.T, srv *Server) string {
 	t.Helper()
+	return serveLiveWrapped(t, srv, nil)
+}
+
+// serveLiveWrapped is serveLive with the server's UDP socket passed
+// through wrap (nil serves it as is).
+func serveLiveWrapped(t *testing.T, srv *Server, wrap func(net.PacketConn) net.PacketConn) string {
+	t.Helper()
 	srv.DrainTimeout = 2 * time.Second
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -52,7 +59,11 @@ func serveLive(t *testing.T, srv *Server) string {
 		defer close(done)
 		srv.ServeContext(ctx, ln)
 	}()
-	go srv.ServeFIUDP(pc)
+	served := pc
+	if wrap != nil {
+		served = wrap(pc)
+	}
+	go srv.ServeFIUDP(served)
 	t.Cleanup(func() {
 		cancel()
 		pc.Close()

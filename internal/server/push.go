@@ -106,53 +106,6 @@ func (u *udpServe) session(addr net.Addr) *udpSession {
 	return sess
 }
 
-// handleDgram dispatches one frame-path datagram (magic present, not an
-// FI state). Malformed payloads count against dropped_malformed.
-func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64) {
-	switch transport.DgramType(b) {
-	case transport.DgramSub:
-		sub, err := transport.DecodeSub(b)
-		if err != nil {
-			s.obs.udpDroppedMalformed.Inc()
-			return
-		}
-		u.mu.Lock()
-		key := addr.String()
-		sess, ok := u.sub.Get(key)
-		if !ok {
-			sess = &udpSession{
-				addr: addr,
-				// Stream ids only need to differ between sessions the
-				// same client multiplexes; player+1 keeps 0 invalid.
-				streamID: uint32(sub.Player) + 1,
-				lastFill: nowMs / 1000,
-			}
-			u.sub.Put(key, sess)
-			if u.sub.Len() > maxUDPSessions {
-				u.sub.RemoveOldest()
-			}
-		}
-		sess.wantPush = sub.WantPush
-		u.mu.Unlock()
-	case transport.DgramReq:
-		req, err := transport.DecodeReq(b)
-		if err != nil {
-			s.obs.udpDroppedMalformed.Inc()
-			return
-		}
-		s.serveUDPReq(u, addr, req)
-	case transport.DgramNack:
-		nack, err := transport.DecodeNack(b)
-		if err != nil {
-			s.obs.udpDroppedMalformed.Inc()
-			return
-		}
-		s.serveNack(u, addr, nack)
-	default:
-		s.obs.udpDroppedMalformed.Inc()
-	}
-}
-
 // notePush updates the session's predictor with a fresh FI state and, when
 // push is enabled and the pacer allows, pushes the predicted point's
 // store-resident frame. Called from the ServeFIUDP read loop, so the push
@@ -239,11 +192,13 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 }
 
 // serveUDPReq answers a client's UDP frame request through serve on a
-// bounded worker pool. When the pool is full the request is dropped and
-// counted (server.udp.dropped_overflow): the client's short UDP budget
-// expires and it falls back to TCP, which is exactly the overload
-// behaviour we want. The datagram carries no deadline.
-func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
+// bounded worker pool. The request's deadline is its receive time plus the
+// budget it carries, so it queues by deadline and counts in
+// server.deadline_met / _misses like a TCP request. When the pool is full
+// the request is dropped and counted (server.udp.dropped_overflow): the
+// client's short UDP budget expires and it falls back to TCP, which is
+// exactly the overload behaviour we want.
+func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req, recvMs float64) {
 	sess := u.session(addr)
 	if sess == nil {
 		s.obs.udpDroppedStale.Inc() // request without a subscription
@@ -258,7 +213,11 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req) {
 	s.obs.udpFrameReqs.Inc()
 	go func() {
 		defer func() { <-u.sem }()
-		res, err := s.serve(frameReq{pt: req.Point, traceID: obs.TraceID(req.Player, req.ReqID)})
+		fr := frameReq{pt: req.Point, traceID: obs.TraceID(req.Player, req.ReqID)}
+		if req.BudgetUs > 0 {
+			fr.deadlineMs = recvMs + float64(req.BudgetUs)/1000
+		}
+		res, err := s.serve(fr)
 		if err != nil {
 			return // client falls back to TCP
 		}

@@ -8,19 +8,23 @@ import (
 	"time"
 
 	"coterie/internal/obs"
+	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
 // TestServeAccountingIdenticalAcrossTransports asks three fresh servers for
 // the same cold point, one over each way in — the TCP client arm, the peer
-// arm and a UDP request. All three go through serve, so each renders once,
+// arm and a UDP request — each with a 5 s deadline (the UDP request as the
+// budget it carries). All three go through serve, so each renders once,
 // returns the same exact intra bytes and books exactly one frame: as a
-// client serve (frames_served, frame_bytes_sent, one SLO observation) on
-// the client arm and over UDP, as peer_frames_served on the peer arm.
+// client serve (frames_served, frame_bytes_sent, one SLO observation, one
+// deadline met) on the client arm and over UDP, as peer_frames_served on
+// the peer arm.
 func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 	env := poolEnv(t)
 	game := env.Game.Spec.Name
 	pt := env.Game.Scene.Grid.Snap(env.Game.Spawn)
+	const budgetMs = 5000
 
 	fetchers := []struct {
 		name  string
@@ -33,7 +37,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 				return nil, err
 			}
 			defer c.Close()
-			reply, _, _, err := c.FetchTraced(pt)
+			reply, _, _, err := c.FetchWithDeadline(pt, sched.NowMs()+budgetMs)
 			if err == nil && reply.Kind != transport.FrameIntra {
 				err = fmt.Errorf("first fetch of a session served as kind %d, want intra", reply.Kind)
 			}
@@ -45,7 +49,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 				return nil, err
 			}
 			defer c.Close()
-			reply, err := c.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{Player: 3, Point: pt, ReqID: 1})
+			reply, err := c.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{Player: 3, Point: pt, ReqID: 1, DeadlineMs: sched.NowMs() + budgetMs})
 			return reply.Data, err
 		}},
 		{"udp request", false, func(addr string) ([]byte, error) {
@@ -54,7 +58,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 				return nil, err
 			}
 			defer ch.Close()
-			data, ok := ch.Fetch(pt, 5*time.Second)
+			data, ok := ch.Fetch(pt, budgetMs*time.Millisecond)
 			if !ok {
 				return nil, fmt.Errorf("no UDP reply within the budget")
 			}
@@ -86,11 +90,14 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 			"server.frames_served":      1,
 			"server.frame_bytes_sent":   int64(len(data)),
 			"server.peer_frames_served": 0,
+			"server.deadline_met":       1,
+			"server.deadline_misses":    0,
 		}
 		sloFrames := int64(1)
 		if f.peer {
 			want["server.frames_served"], want["server.frame_bytes_sent"], want["server.peer_frames_served"] = 0, 0, 1
-			sloFrames = 0 // the proxying node owns the client's SLO
+			want["server.deadline_met"] = 0
+			sloFrames = 0 // the proxying node owns the client's SLO and deadline
 		}
 		for name, n := range want {
 			if got := counters[name]; got != n {
@@ -108,7 +115,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 
 // countingPacketConn is a socket that reads nothing and counts its sends.
 type countingPacketConn struct {
-	failingPacketConn
+	scriptedPacketConn
 	sent atomic.Int64
 }
 

@@ -267,8 +267,8 @@ func (s *Server) SetSLO(t *obs.SLO) { s.slo = t }
 
 // SetPushEnabled toggles trajectory-driven frame push on the datagram
 // path (off by default). Pushes only reach UDP sessions that subscribed
-// with the want-push flag, so legacy FI-only clients never see one. Safe
-// to call at any time.
+// with the want-push flag, so a client that only syncs FI never sees one.
+// Safe to call at any time.
 func (s *Server) SetPushEnabled(on bool) { s.pushOn.Store(on) }
 
 // errOverloaded is the admission-control rejection: the render queue is

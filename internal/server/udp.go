@@ -2,9 +2,7 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net"
-	"time"
 
 	"coterie/internal/fisync"
 	"coterie/internal/sched"
@@ -17,19 +15,17 @@ import (
 // in a single datagram. Loss is tolerable — the next frame resends, and
 // the hub's sequence numbers drop reordered updates.
 //
-// The same socket also carries the datagram frame path (push.go). Demux
-// is by a wire invariant: a bare FI state upload is exactly
-// fisync.WireSize bytes and carries no magic, while every frame-path
-// datagram starts with transport.DgramMagic and is never exactly that
-// long (transport pads the one colliding length). Legacy FI-only clients
-// are therefore byte-compatible: they never send a subscription, so they
-// keep getting the raw concatenated-state reply.
+// The same socket also carries the datagram frame path (push.go). Every
+// datagram is typed (transport.DgramType): a client subscribes first, and
+// the server answers FI uploads, frame requests and NACKs only from
+// subscribed addresses.
 
 // ServeFIUDP answers FI sync and datagram frame-path traffic on the
-// connection until it closes.
+// connection until it closes. A failed send is counted in
+// server.udp_send_errors and the loop carries on; only a failed read ends
+// it (nil once the connection is closed).
 func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 	buf := make([]byte, 64*1024)
-	var out []byte
 	u := &udpServe{pc: pc, sem: make(chan struct{}, udpReqWorkers)}
 	for {
 		n, addr, err := pc.ReadFrom(buf)
@@ -41,80 +37,82 @@ func (s *Server) ServeFIUDP(pc net.PacketConn) error {
 		}
 		s.obs.udpDatagrams.Inc()
 		s.obs.udpBytesIn.Add(int64(n))
-		if n != fisync.WireSize {
-			if transport.DgramType(buf[:n]) != 0 {
-				s.handleDgram(u, addr, buf[:n], sched.NowMs())
-			} else {
-				s.obs.udpDroppedMalformed.Inc()
-			}
-			continue
-		}
-		st, _, err := fisync.DecodeState(buf[:n])
+		s.handleDgram(u, addr, buf[:n], sched.NowMs())
+	}
+}
+
+// handleDgram dispatches one datagram by type. Malformed payloads, and
+// anything without the magic prefix, count against dropped_malformed.
+func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64) {
+	switch transport.DgramType(b) {
+	case transport.DgramSub:
+		sub, err := transport.DecodeSub(b)
 		if err != nil {
 			s.obs.udpDroppedMalformed.Inc()
-			continue // malformed datagram: drop, like any UDP service
+			return
 		}
-		s.mu.Lock()
-		s.hub.Update(st)
-		others := s.hub.Snapshot(st.Player)
-		s.mu.Unlock()
-		out = out[:0]
-		sess := u.session(addr)
-		if sess != nil {
-			// Subscribed client: typed reply, so its receive loop can
-			// demux FI replies from frame chunks.
-			out = transport.EncodeFIReply(out, fisync.AppendStates(nil, others))
-		} else {
-			out = fisync.AppendStates(out, others)
-		}
-		s.obs.udpBytesOut.Add(int64(len(out)))
-		if _, err := pc.WriteTo(out, addr); err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
+		u.mu.Lock()
+		key := addr.String()
+		sess, ok := u.sub.Get(key)
+		if !ok {
+			sess = &udpSession{
+				addr: addr,
+				// Stream ids only need to differ between sessions the
+				// same client multiplexes; player+1 keeps 0 invalid.
+				streamID: uint32(sub.Player) + 1,
+				lastFill: nowMs / 1000,
 			}
-			// Counted before propagating: the caller typically tears the
-			// whole UDP path down on a send failure, and the counter is how
-			// an operator distinguishes "socket died" from "client left".
-			s.obs.udpSendErrors.Inc()
-			return err
+			u.sub.Put(key, sess)
+			if u.sub.Len() > maxUDPSessions {
+				u.sub.RemoveOldest()
+			}
 		}
-		if sess != nil {
-			s.notePush(u, sess, st, sched.NowMs())
+		sess.wantPush = sub.WantPush
+		u.mu.Unlock()
+	case transport.DgramFI:
+		st, err := transport.DecodeFI(b)
+		if err != nil {
+			s.obs.udpDroppedMalformed.Inc()
+			return
 		}
+		s.serveFI(u, addr, st, nowMs)
+	case transport.DgramReq:
+		req, err := transport.DecodeReq(b)
+		if err != nil {
+			s.obs.udpDroppedMalformed.Inc()
+			return
+		}
+		s.serveUDPReq(u, addr, req, nowMs)
+	case transport.DgramNack:
+		nack, err := transport.DecodeNack(b)
+		if err != nil {
+			s.obs.udpDroppedMalformed.Inc()
+			return
+		}
+		s.serveNack(u, addr, nack)
+	default:
+		s.obs.udpDroppedMalformed.Inc()
 	}
 }
 
-// FIClient is the client side of the UDP FI sync.
-type FIClient struct {
-	conn net.Conn
-	buf  []byte
+// serveFI folds a subscribed player's state into the hub, answers with
+// everyone else's latest states and feeds the session's push predictor.
+// An upload from an address that never subscribed (or was dropped) gets no
+// reply; its Sync times out and resubscribes.
+func (s *Server) serveFI(u *udpServe, addr net.Addr, st fisync.State, nowMs float64) {
+	sess := u.session(addr)
+	if sess == nil {
+		s.obs.udpDroppedStale.Inc()
+		return
+	}
+	s.mu.Lock()
+	s.hub.Update(st)
+	others := s.hub.Snapshot(st.Player)
+	s.mu.Unlock()
+	out := transport.EncodeFIReply(nil, fisync.AppendStates(nil, others))
+	s.obs.udpBytesOut.Add(int64(len(out)))
+	if _, err := u.pc.WriteTo(out, addr); err != nil {
+		s.obs.udpSendErrors.Inc()
+	}
+	s.notePush(u, sess, st, nowMs)
 }
-
-// DialFI connects the UDP FI sync endpoint.
-func DialFI(addr string) (*FIClient, error) {
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &FIClient{conn: conn, buf: make([]byte, 64*1024)}, nil
-}
-
-// Sync uploads the player's state and returns the other players' states.
-// A lost or late reply returns an error after the timeout; callers simply
-// sync again next frame.
-func (c *FIClient) Sync(st fisync.State, timeout time.Duration) ([]fisync.State, error) {
-	if _, err := c.conn.Write(st.Encode(nil)); err != nil {
-		return nil, err
-	}
-	if err := c.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	n, err := c.conn.Read(c.buf)
-	if err != nil {
-		return nil, fmt.Errorf("fisync over UDP: %w", err)
-	}
-	return fisync.DecodeStates(c.buf[:n])
-}
-
-// Close releases the socket.
-func (c *FIClient) Close() error { return c.conn.Close() }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/obs"
 	"coterie/internal/trace"
+	"coterie/internal/transport"
 )
 
 // TestUDPChannelCloseMidFIRound is the goroutine-leak regression test:
@@ -192,15 +195,57 @@ func TestLoopbackUDPByteIdentity(t *testing.T) {
 	}
 }
 
-// TestLoopbackUDPUnderLoss injects 1% receive-side datagram loss into
-// the UDP arm: the FEC/NACK machinery must deliver zero corrupt frames,
-// the session must complete, and every frame that reached the pipeline
-// must still be canonical.
+// lossyPacketConn drops a seeded share of the datagrams a server socket
+// receives and sends, so loss hits frame requests, NACKs and FI uploads
+// as well as frame chunks and FI replies.
+type lossyPacketConn struct {
+	net.PacketConn
+	rate float64
+	mu   sync.Mutex
+	rng  *rand.Rand
+	lost int
+}
+
+func (c *lossyPacketConn) drop() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rng.Float64() < c.rate {
+		c.lost++
+		return true
+	}
+	return false
+}
+
+func (c *lossyPacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+	for {
+		n, addr, err := c.PacketConn.ReadFrom(p)
+		if err != nil || !c.drop() {
+			return n, addr, err
+		}
+	}
+}
+
+func (c *lossyPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	if c.drop() {
+		return len(p), nil
+	}
+	return c.PacketConn.WriteTo(p, addr)
+}
+
+// TestLoopbackUDPUnderLoss runs the UDP arm through a server socket that
+// drops 5% of datagrams each way: the FEC/NACK machinery must deliver zero
+// corrupt frames, the session must complete, and every frame that reached
+// the pipeline must still be canonical.
 func TestLoopbackUDPUnderLoss(t *testing.T) {
 	env := poolEnv(t)
 	tr := trace.Generate(env.Game, 2, 7)
-	srv, addr := startLiveServer(t)
+	srv := New(env)
 	srv.SetPushEnabled(true)
+	lossy := &lossyPacketConn{rate: 0.05, rng: rand.New(rand.NewSource(1))}
+	addr := serveLiveWrapped(t, srv, func(pc net.PacketConn) net.PacketConn {
+		lossy.PacketConn = pc
+		return lossy
+	})
 	warmServer(t, srv, tr)
 
 	log := newFrameLog()
@@ -210,15 +255,13 @@ func TestLoopbackUDPUnderLoss(t *testing.T) {
 		IdleTimeout:  10 * time.Second,
 		UDPFrames:    true,
 		Push:         true,
-		LossRate:     0.01,
-		LossSeed:     1,
 		FrameSink:    log.sink,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live.Metrics.Frames == 0 {
-		t.Fatal("session displayed no frames under 1% loss")
+		t.Fatal("session displayed no frames under 5% loss")
 	}
 	if live.UDP == nil {
 		t.Fatal("no UDP stats")
@@ -227,18 +270,25 @@ func TestLoopbackUDPUnderLoss(t *testing.T) {
 		t.Fatalf("%d corrupt frames delivered under loss; CRC gate failed", live.UDP.Reassembly.Corrupt)
 	}
 	log.check(t, newCanonical(env))
+	lossy.mu.Lock()
+	defer lossy.mu.Unlock()
+	if lossy.lost == 0 {
+		t.Error("the lossy socket dropped nothing; loss asserted vacuously")
+	}
+	t.Logf("%d datagrams lost; client sent %d NACKs, %d FI rounds dropped", lossy.lost, live.UDP.NacksSent, live.FIDrops)
 }
 
-// TestServeFIUDPLegacyClientUnaffected pins wire compatibility: an
-// unsubscribed FIClient (the pre-datagram-path client) must keep getting
-// raw concatenated state replies from a server that also speaks the
-// frame path.
-func TestServeFIUDPLegacyClientUnaffected(t *testing.T) {
-	srv, addr := startLiveServer(t)
-	srv.SetPushEnabled(true)
+// TestServeFIUDPDropsUntypedAndUnsubscribedFI pins the one datagram wire:
+// an untyped 30-byte state (the old FI upload) is malformed, a typed FI
+// upload from an address that never subscribed is stale, neither gets a
+// reply or reaches the hub, and a subscribed channel keeps syncing.
+func TestServeFIUDPDropsUntypedAndUnsubscribedFI(t *testing.T) {
+	srv := New(poolEnv(t))
+	reg := obs.NewRegistry()
+	srv.Instrument(reg)
+	addr := serveLive(t, srv)
 
-	// Another player's state, via a subscribed channel.
-	ch, err := DialUDP(addr, 2, true, nil)
+	ch, err := DialUDP(addr, 2, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,16 +297,37 @@ func TestServeFIUDPLegacyClientUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, err := DialFI(addr)
+	raw, err := net.Dial("udp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	states, err := legacy.Sync(fisync.State{Player: 1, Seq: 1, Pos: geom.V2(2, 2)}, time.Second)
-	if err != nil {
-		t.Fatalf("legacy FI sync against a frame-path server: %v", err)
+	defer raw.Close()
+	st := fisync.State{Player: 1, Seq: 1, Pos: geom.V2(2, 2)}
+	if _, err := raw.Write(st.Encode(nil)); err != nil {
+		t.Fatal(err)
 	}
-	if len(states) != 1 || states[0].Player != 2 {
-		t.Fatalf("legacy client got states %+v, want player 2's", states)
+	if _, err := raw.Write(transport.EncodeFI(nil, st)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The server reads one socket in order, so once this round trip is
+	// answered both raw datagrams have been handled.
+	states, err := ch.Sync(fisync.State{Player: 2, Seq: 2, Pos: geom.V2(1, 2)}, time.Second)
+	if err != nil {
+		t.Fatalf("subscribed channel stopped syncing: %v", err)
+	}
+	if len(states) != 0 {
+		t.Errorf("subscribed channel sees %+v; the dropped uploads reached the hub", states)
+	}
+	counters := reg.Snapshot().Counters
+	if got := counters["server.udp.dropped_malformed"]; got != 1 {
+		t.Errorf("server.udp.dropped_malformed = %d, want 1 (the untyped state)", got)
+	}
+	if got := counters["server.udp.dropped_stale"]; got != 1 {
+		t.Errorf("server.udp.dropped_stale = %d, want 1 (the unsubscribed FI upload)", got)
+	}
+	raw.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if n, err := raw.Read(make([]byte, 64*1024)); err == nil {
+		t.Errorf("server answered a dropped upload with %d bytes", n)
 	}
 }

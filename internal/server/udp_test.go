@@ -9,6 +9,7 @@ import (
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/obs"
+	"coterie/internal/transport"
 )
 
 func startFIUDP(t *testing.T) string {
@@ -25,12 +26,12 @@ func startFIUDP(t *testing.T) string {
 
 func TestFIUDPRoundTrip(t *testing.T) {
 	addr := startFIUDP(t)
-	c1, err := DialFI(addr)
+	c1, err := DialUDP(addr, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := DialFI(addr)
+	c2, err := DialUDP(addr, 2, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFIUDPPerFrameRate(t *testing.T) {
 	// The sync must comfortably run at frame rate: 60 round trips well
 	// under a second on loopback.
 	addr := startFIUDP(t)
-	c, err := DialFI(addr)
+	c, err := DialUDP(addr, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +75,18 @@ func TestFIUDPPerFrameRate(t *testing.T) {
 	}
 }
 
-// failingPacketConn hands ServeFIUDP a fixed sequence of datagrams and
-// fails every reply send. Once the datagrams run out, ReadFrom reports
-// net.ErrClosed — so if the send error were swallowed instead of
-// propagated, ServeFIUDP would return nil and the test would catch it.
-type failingPacketConn struct {
+// scriptedPacketConn hands ServeFIUDP a fixed sequence of datagrams, all
+// from one address, and fails the first failSends sends with sendErr,
+// recording the rest. Once the datagrams run out, ReadFrom reports
+// net.ErrClosed.
+type scriptedPacketConn struct {
 	datagrams [][]byte
-	writeErr  error
+	failSends int
+	sendErr   error
+	sent      [][]byte
 }
 
-func (c *failingPacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
+func (c *scriptedPacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	if len(c.datagrams) == 0 {
 		return 0, nil, net.ErrClosed
 	}
@@ -93,28 +96,47 @@ func (c *failingPacketConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	return n, &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}, nil
 }
 
-func (c *failingPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) { return 0, c.writeErr }
-func (c *failingPacketConn) Close() error                                 { return nil }
-func (c *failingPacketConn) LocalAddr() net.Addr                          { return &net.UDPAddr{} }
-func (c *failingPacketConn) SetDeadline(t time.Time) error                { return nil }
-func (c *failingPacketConn) SetReadDeadline(t time.Time) error            { return nil }
-func (c *failingPacketConn) SetWriteDeadline(t time.Time) error           { return nil }
+func (c *scriptedPacketConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	if c.failSends > 0 {
+		c.failSends--
+		return 0, c.sendErr
+	}
+	c.sent = append(c.sent, append([]byte(nil), p...))
+	return len(p), nil
+}
 
-func TestFIUDPSendErrorPropagatesAndCounts(t *testing.T) {
+func (c *scriptedPacketConn) Close() error                       { return nil }
+func (c *scriptedPacketConn) LocalAddr() net.Addr                { return &net.UDPAddr{} }
+func (c *scriptedPacketConn) SetDeadline(t time.Time) error      { return nil }
+func (c *scriptedPacketConn) SetReadDeadline(t time.Time) error  { return nil }
+func (c *scriptedPacketConn) SetWriteDeadline(t time.Time) error { return nil }
+
+// TestFIUDPSendErrorCountedAndServingContinues: a failed FI reply (say,
+// sendto to a source port 0) is counted and the loop keeps serving — the
+// next upload is answered, and only the closed socket ends ServeFIUDP,
+// with nil.
+func TestFIUDPSendErrorCountedAndServingContinues(t *testing.T) {
 	srv := New(poolEnv(t))
 	reg := obs.NewRegistry()
 	srv.Instrument(reg)
-	sendErr := errors.New("socket wedged")
-	pc := &failingPacketConn{
-		datagrams: [][]byte{fisync.State{Player: 1, Seq: 1, Pos: geom.V2(1, 2)}.Encode(nil)},
-		writeErr:  sendErr,
+	st := fisync.State{Player: 1, Seq: 1, Pos: geom.V2(1, 2)}
+	pc := &scriptedPacketConn{
+		datagrams: [][]byte{
+			transport.EncodeSub(nil, transport.Sub{Player: 1}),
+			transport.EncodeFI(nil, st),
+			transport.EncodeFI(nil, fisync.State{Player: 1, Seq: 2, Pos: geom.V2(1, 3)}),
+		},
+		failSends: 1,
+		sendErr:   errors.New("sendto: invalid argument"),
 	}
-	err := srv.ServeFIUDP(pc)
-	if !errors.Is(err, sendErr) {
-		t.Fatalf("ServeFIUDP returned %v, want the send error", err)
+	if err := srv.ServeFIUDP(pc); err != nil {
+		t.Fatalf("ServeFIUDP returned %v, want nil at the closed socket", err)
 	}
 	if got := reg.Counter("server.udp_send_errors").Value(); got != 1 {
 		t.Fatalf("udp_send_errors = %d, want 1", got)
+	}
+	if len(pc.sent) != 1 || transport.DgramType(pc.sent[0]) != transport.DgramFIReply {
+		t.Fatalf("sent %d datagrams after the failed reply, want the second upload's FI reply", len(pc.sent))
 	}
 }
 
@@ -129,7 +151,7 @@ func TestFIUDPIgnoresGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The server must survive and keep answering valid requests.
-	c, err := DialFI(addr)
+	c, err := DialUDP(addr, 7, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -10,20 +11,18 @@ import (
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/lru"
-	"coterie/internal/netsim"
 	"coterie/internal/obs"
 	"coterie/internal/transport"
 )
 
-// UDPChannel is the client side of the datagram frame path: one dialed
-// UDP socket carrying FI sync, unsolicited server pushes, and short
-// request/reply frame fetches, multiplexed by the transport's magic+type
-// prefix. A single receive goroutine owns the socket's read side — it
-// reassembles chunked frames, answers loss with NACKs, and hands
-// completed frames to waiters (fetches in flight) or the pushed-frame
-// store (for the cache to absorb). Reads are deadline-bounded per
-// iteration, so Close always joins the goroutine promptly even when the
-// server has gone silent mid-round.
+// UDPChannel is the client's one UDP socket: FI sync, plus the datagram
+// frame path — unsolicited server pushes and short request/reply frame
+// fetches — multiplexed by the transport's magic+type prefix. A single
+// receive goroutine owns the socket's read side — it reassembles chunked
+// frames, answers loss with NACKs, and hands completed frames to waiters
+// (fetches in flight) or the pushed-frame store (for the cache to absorb).
+// Reads are deadline-bounded per iteration, so Close always joins the
+// goroutine promptly even when the server has gone silent mid-round.
 type UDPChannel struct {
 	conn     net.Conn
 	player   uint8
@@ -34,10 +33,6 @@ type UDPChannel struct {
 	// replies that outlived their budget). Called from the receive
 	// goroutine; implementations must not block.
 	OnFrame func(pt geom.GridPoint, data []byte, pushed bool)
-
-	// impair, when set, drops received datagrams (LiveConfig.LossRate's
-	// loss injection; loopback sockets do not lose packets on their own).
-	impair *netsim.Impairer
 
 	mu      sync.Mutex
 	reasm   *transport.Reassembler
@@ -109,7 +104,7 @@ type UDPStats struct {
 	Reassembly      transport.ReassemblerStats
 }
 
-// DialUDP connects the datagram frame path: it dials the server's UDP
+// DialUDP connects the client's UDP channel: it dials the server's UDP
 // socket, subscribes (with a push opt-in when wantPush), and starts the
 // receive loop. The registry, when non-nil, instruments the reassembler
 // under "client.udp.".
@@ -145,20 +140,15 @@ func (c *UDPChannel) subscribe(wantPush bool) error {
 	return err
 }
 
-// SetImpairer installs a receive-side loss injector. Call before the
-// first traffic.
-func (c *UDPChannel) SetImpairer(im *netsim.Impairer) { c.impair = im }
-
-// Sync uploads the player's FI state and waits for the server's typed
-// reply, like FIClient.Sync but multiplexed with frame traffic. A timeout
-// resubscribes (the Sub datagram may have been lost) and reports an
-// error; the caller syncs again next frame.
+// Sync uploads the player's FI state and waits for the server's reply of
+// the other players' states. A timeout resubscribes (the Sub datagram may
+// have been lost) and reports an error; the caller syncs again next frame.
 func (c *UDPChannel) Sync(st fisync.State, timeout time.Duration) ([]fisync.State, error) {
 	ch := make(chan []byte, 1)
 	c.mu.Lock()
 	c.fiCh = ch
 	c.mu.Unlock()
-	if _, err := c.conn.Write(st.Encode(nil)); err != nil {
+	if _, err := c.conn.Write(transport.EncodeFI(nil, st)); err != nil {
 		return nil, err
 	}
 	t := time.NewTimer(timeout)
@@ -178,8 +168,9 @@ func (c *UDPChannel) Sync(st fisync.State, timeout time.Duration) ([]fisync.Stat
 }
 
 // Fetch asks for one grid point's frame over UDP and waits up to budget
-// for it; ok=false means the caller should fall back to TCP. A frame the
-// server already pushed is returned immediately without a request.
+// for it; ok=false means the caller should fall back to TCP. The request
+// carries the budget, which the server turns into its deadline. A frame
+// the server already pushed is returned immediately without a request.
 func (c *UDPChannel) Fetch(pt geom.GridPoint, budget time.Duration) ([]byte, bool) {
 	c.mu.Lock()
 	if sf, ok := c.store.Peek(pt); ok {
@@ -192,7 +183,8 @@ func (c *UDPChannel) Fetch(pt geom.GridPoint, budget time.Duration) ([]byte, boo
 	c.waiters[pt] = ch
 	c.mu.Unlock()
 
-	req := transport.Req{Player: c.player, Point: pt, ReqID: c.reqID.Add(1)}
+	req := transport.Req{Player: c.player, Point: pt, ReqID: c.reqID.Add(1),
+		BudgetUs: uint32(min(max(budget.Microseconds(), 0), math.MaxUint32))}
 	if _, err := c.conn.Write(transport.EncodeReq(nil, req)); err != nil {
 		c.dropWaiter(pt)
 		c.fetchMisses.Add(1)
@@ -315,9 +307,6 @@ func (c *UDPChannel) recvLoop() {
 			continue
 		}
 		b := buf[:n]
-		if c.impair.Drop() {
-			continue
-		}
 		switch transport.DgramType(b) {
 		case transport.DgramFIReply:
 			payload, err := transport.DecodeFIReply(b)
@@ -334,10 +323,6 @@ func (c *UDPChannel) recvLoop() {
 			}
 		case transport.DgramChunk, transport.DgramParity:
 			c.offer(b)
-		default:
-			// Legacy raw FI replies (no magic) land here before the
-			// server processes the subscription; the next Sync timeout
-			// resubscribes.
 		}
 	}
 }

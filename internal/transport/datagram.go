@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/lru"
 	"coterie/internal/obs"
@@ -14,9 +15,8 @@ import (
 // UDP datagrams with one XOR-parity datagram per k-chunk FEC group, so a
 // single loss inside a group recovers without a round trip, and a
 // NACK-based retransmit message for the losses parity cannot cover. The
-// same socket carries FI sync; frame-path datagrams are distinguished by
-// a leading magic byte and are never exactly fisync.WireSize long (the
-// encoders pad), so the two wire formats cannot collide.
+// same socket carries FI sync. Every datagram in either direction is typed:
+// the magic byte, then a type byte (DgramType), then that type's body.
 //
 // Header layout of a chunk or parity datagram (dgramHdrLen bytes):
 //
@@ -37,16 +37,16 @@ import (
 // learn the frame's identity, size and checksum, so reassembly needs no
 // out-of-band setup and tolerates arbitrary loss of its siblings.
 
-// DgramMagic is the first byte of every frame-path datagram.
+// DgramMagic is the first byte of every datagram.
 const DgramMagic = 0xC7
 
-// Frame-path datagram types (second byte).
+// Datagram types (second byte).
 const (
-	// DgramSub subscribes the sender's address to the datagram frame
-	// path: replies to it are typed, and (with DgramFlagWantPush) the
-	// server may push predicted frames unsolicited.
+	// DgramSub subscribes the sender's address: the server answers its FI
+	// uploads and frame requests, and (with DgramFlagWantPush) may push
+	// predicted frames unsolicited.
 	DgramSub = 0x01
-	// DgramReq asks for one grid point's frame over UDP.
+	// DgramReq asks for one grid point's frame over UDP within a budget.
 	DgramReq = 0x02
 	// DgramChunk carries one slice of an encoded frame.
 	DgramChunk = 0x03
@@ -54,10 +54,11 @@ const (
 	DgramParity = 0x04
 	// DgramNack lists chunk indices the receiver is missing.
 	DgramNack = 0x05
-	// DgramFIReply wraps a concatenation of fisync states (the FI sync
-	// answer to a subscribed client, which must be demuxable from frame
-	// chunks on the shared socket).
+	// DgramFIReply wraps a concatenation of fisync states: the other
+	// players' latest states, the answer to a DgramFI.
 	DgramFIReply = 0x06
+	// DgramFI uploads one player's fisync state.
+	DgramFI = 0x07
 )
 
 // Chunk/parity flags.
@@ -89,10 +90,6 @@ const (
 	MaxFrameChunks = 16384
 	// MaxNackChunks bounds the missing-index list of one NACK.
 	MaxNackChunks = 64
-	// fiStateLen is fisync.WireSize: the one datagram length the encoders
-	// must avoid (see padDgram), because a bare FI state upload is exactly
-	// this long and carries no magic byte.
-	fiStateLen = 30
 )
 
 // DefaultFECGroup is the default k: one parity datagram per 8 chunks.
@@ -104,15 +101,6 @@ type FrameMeta struct {
 	FrameSeq uint32
 	Point    geom.GridPoint
 	Flags    byte
-}
-
-// padDgram keeps a frame-path datagram from being exactly fisync.WireSize
-// long; the decoder side ignores bytes past the encoded length.
-func padDgram(b []byte) []byte {
-	if len(b) == fiStateLen {
-		return append(b, 0)
-	}
-	return b
 }
 
 // chunkCount returns the number of data chunks an n-byte frame slices
@@ -167,7 +155,7 @@ func SliceFrame(dst [][]byte, m FrameMeta, data []byte, fecK int) [][]byte {
 		d := make([]byte, dgramHdrLen+len(payload))
 		putChunkHeader(d, DgramChunk, m.Flags, m, uint16(idx), uint16(cnt), len(data), crc, fecK)
 		copy(d[dgramHdrLen:], payload)
-		dst = append(dst, padDgram(d))
+		dst = append(dst, d)
 		if fecK > 0 {
 			if parity == nil {
 				parity = make([]byte, ChunkPayload)
@@ -183,7 +171,7 @@ func SliceFrame(dst [][]byte, m FrameMeta, data []byte, fecK int) [][]byte {
 				p := make([]byte, dgramHdrLen+parityLen)
 				putChunkHeader(p, DgramParity, m.Flags, m, uint16(group), uint16(cnt), len(data), crc, fecK)
 				copy(p[dgramHdrLen:], parity[:parityLen])
-				dst = append(dst, padDgram(p))
+				dst = append(dst, p)
 				parity, group = nil, group+1
 			}
 		}
@@ -203,7 +191,7 @@ func SliceChunk(m FrameMeta, data []byte, idx int) []byte {
 	d := make([]byte, dgramHdrLen+len(payload))
 	putChunkHeader(d, DgramChunk, m.Flags|DgramFlagRetransmit, m, uint16(idx), uint16(cnt), len(data), crc32.ChecksumIEEE(data), 0)
 	copy(d[dgramHdrLen:], payload)
-	return padDgram(d)
+	return d
 }
 
 // Nack asks the sender to retransmit the listed chunk indices of one
@@ -227,7 +215,7 @@ func EncodeNack(dst []byte, n Nack) []byte {
 	for _, idx := range miss {
 		dst = binary.BigEndian.AppendUint16(dst, idx)
 	}
-	return padDgram(dst)
+	return dst
 }
 
 // DecodeNack parses a NACK datagram (without re-checking magic/type).
@@ -264,7 +252,7 @@ func EncodeSub(dst []byte, s Sub) []byte {
 	if s.WantPush {
 		flags |= DgramFlagWantPush
 	}
-	return padDgram(append(dst, DgramMagic, DgramSub, s.Player, flags))
+	return append(dst, DgramMagic, DgramSub, s.Player, flags)
 }
 
 // DecodeSub parses a subscription datagram.
@@ -280,6 +268,10 @@ type Req struct {
 	Player uint8
 	Point  geom.GridPoint
 	ReqID  uint32
+	// BudgetUs is how long the client waits for the reply, in
+	// microseconds (0: no deadline). The server's deadline is its receive
+	// time plus the budget, so no clock offset is needed.
+	BudgetUs uint32
 }
 
 // EncodeReq appends the wire form to dst.
@@ -288,12 +280,12 @@ func EncodeReq(dst []byte, r Req) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Point.I)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Point.J)))
 	dst = binary.BigEndian.AppendUint32(dst, r.ReqID)
-	return padDgram(dst)
+	return binary.BigEndian.AppendUint32(dst, r.BudgetUs)
 }
 
 // DecodeReq parses a frame-request datagram.
 func DecodeReq(b []byte) (Req, error) {
-	if len(b) < 16 {
+	if len(b) < 20 {
 		return Req{}, fmt.Errorf("transport: short Req (%d bytes)", len(b))
 	}
 	return Req{
@@ -302,15 +294,29 @@ func DecodeReq(b []byte) (Req, error) {
 			I: int(int32(binary.BigEndian.Uint32(b[4:]))),
 			J: int(int32(binary.BigEndian.Uint32(b[8:]))),
 		},
-		ReqID: binary.BigEndian.Uint32(b[12:]),
+		ReqID:    binary.BigEndian.Uint32(b[12:]),
+		BudgetUs: binary.BigEndian.Uint32(b[16:]),
 	}, nil
 }
 
-// EncodeFIReply wraps already-encoded fisync states for a subscribed
-// client, so its receive loop can tell FI replies from frame chunks by
-// the shared magic + type prefix.
+// EncodeFI appends the FI upload of one player's state to dst.
+func EncodeFI(dst []byte, st fisync.State) []byte {
+	return st.Encode(append(dst, DgramMagic, DgramFI))
+}
+
+// DecodeFI parses an FI upload datagram.
+func DecodeFI(b []byte) (fisync.State, error) {
+	if len(b) < 2 {
+		return fisync.State{}, fmt.Errorf("transport: short FI (%d bytes)", len(b))
+	}
+	st, _, err := fisync.DecodeState(b[2:])
+	return st, err
+}
+
+// EncodeFIReply wraps already-encoded fisync states, the answer to an FI
+// upload.
 func EncodeFIReply(dst []byte, states []byte) []byte {
-	return padDgram(append(append(dst, DgramMagic, DgramFIReply), states...))
+	return append(append(dst, DgramMagic, DgramFIReply), states...)
 }
 
 // DecodeFIReply returns the wrapped state bytes.
@@ -321,11 +327,10 @@ func DecodeFIReply(b []byte) ([]byte, error) {
 	return b[2:], nil
 }
 
-// DgramType returns the frame-path type of a datagram, or 0 when the
-// datagram is not frame-path (no magic, too short, or exactly an FI state
-// upload — which shares the socket and carries no magic).
+// DgramType returns the type of a datagram, or 0 when it is too short or
+// does not start with DgramMagic.
 func DgramType(b []byte) byte {
-	if len(b) < 2 || b[0] != DgramMagic || len(b) == fiStateLen {
+	if len(b) < 2 || b[0] != DgramMagic {
 		return 0
 	}
 	return b[1]
@@ -614,8 +619,7 @@ func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
 			r.obs.dup.Inc()
 			return nil
 		}
-		// Parity length may carry the pad byte; keep at most a full
-		// chunk's worth.
+		// Keep at most a full chunk's worth: no data chunk is longer.
 		if len(payload) > ChunkPayload {
 			payload = payload[:ChunkPayload]
 		}

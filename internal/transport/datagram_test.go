@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"coterie/internal/fisync"
 	"coterie/internal/geom"
 )
 
@@ -38,9 +39,6 @@ func TestSliceFrameRoundTrip(t *testing.T) {
 		for _, d := range dgrams {
 			if len(d) > MaxDatagram {
 				t.Fatalf("n=%d: datagram of %d bytes exceeds MaxDatagram", n, len(d))
-			}
-			if len(d) == 30 {
-				t.Fatalf("n=%d: datagram is exactly an FI state long", n)
 			}
 			if typ := DgramType(d); typ != DgramChunk && typ != DgramParity {
 				t.Fatalf("n=%d: DgramType = %d", n, typ)
@@ -261,9 +259,28 @@ func TestSubReqRoundTrip(t *testing.T) {
 	if err != nil || s.Player != 7 || !s.WantPush {
 		t.Fatalf("Sub round trip: %+v, %v", s, err)
 	}
-	q, err := DecodeReq(EncodeReq(nil, Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88}))
-	if err != nil || q.Player != 3 || q.Point != (geom.GridPoint{I: -5, J: 11}) || q.ReqID != 88 {
+	want := Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88, BudgetUs: 50000}
+	if q, err := DecodeReq(EncodeReq(nil, want)); err != nil || q != want {
 		t.Fatalf("Req round trip: %+v, %v", q, err)
+	}
+}
+
+// TestFIRoundTrip: an FI upload is a typed datagram carrying one state,
+// and a bare state (the untyped upload this wire no longer has) is not.
+func TestFIRoundTrip(t *testing.T) {
+	st := fisync.State{Player: 4, Anim: 1, Seq: 9, Pos: geom.V2(1.5, -2), Heading: 0.25}
+	b := EncodeFI(nil, st)
+	if DgramType(b) != DgramFI {
+		t.Fatalf("DgramType = %d, want DgramFI", DgramType(b))
+	}
+	if got, err := DecodeFI(b); err != nil || got != st {
+		t.Fatalf("FI round trip: %+v, %v", got, err)
+	}
+	if _, err := DecodeFI(b[:len(b)-1]); err == nil {
+		t.Fatal("truncated FI upload decoded")
+	}
+	if typ := DgramType(st.Encode(nil)); typ != 0 {
+		t.Fatalf("an untyped state reads as type %d", typ)
 	}
 }
 

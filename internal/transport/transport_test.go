@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"coterie/internal/fisync"
 	"coterie/internal/geom"
 )
 
@@ -453,8 +454,9 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(EncodeEvictNotice([]geom.GridPoint{{I: 1, J: -2}, {I: 1 << 20, J: 0}}))
 	f.Add(EncodeNack(nil, Nack{StreamID: 1, FrameSeq: 1, Missing: []uint16{0, 1}}))
 	f.Add(EncodeSub(nil, Sub{Player: 7, WantPush: true}))
-	f.Add(EncodeReq(nil, Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88}))
-	f.Add(EncodeFIReply(nil, make([]byte, fiStateLen)))
+	f.Add(EncodeReq(nil, Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88, BudgetUs: 50000}))
+	f.Add(EncodeFI(nil, fisync.State{Player: 2, Seq: 5, Pos: geom.V2(3, -4), Heading: 1}))
+	f.Add(EncodeFIReply(nil, make([]byte, fisync.WireSize)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fuzzRoundTrip(t, "Hello", b, DecodeHello, EncodeHello)
@@ -464,6 +466,7 @@ func FuzzWireDecoders(f *testing.F) {
 		fuzzRoundTrip(t, "Nack", b, DecodeNack, func(n Nack) []byte { return EncodeNack(nil, n) })
 		fuzzRoundTrip(t, "Sub", b, DecodeSub, func(s Sub) []byte { return EncodeSub(nil, s) })
 		fuzzRoundTrip(t, "Req", b, DecodeReq, func(r Req) []byte { return EncodeReq(nil, r) })
+		fuzzRoundTrip(t, "FI", b, DecodeFI, func(s fisync.State) []byte { return EncodeFI(nil, s) })
 		fuzzRoundTrip(t, "FIReply", b, DecodeFIReply, func(s []byte) []byte { return EncodeFIReply(nil, s) })
 	})
 }

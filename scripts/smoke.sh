@@ -1,23 +1,23 @@
 #!/usr/bin/env bash
-# Smoke test for the live client/server path: build both binaries, host a
-# small game on a random localhost port, replay a 2-second movement trace
-# over real TCP/UDP, and check the client prints a session report. While
-# the session runs, the server's admin endpoint is scraped to assert the
-# observability pipeline reports real traffic (non-zero frames served),
-# and the client's admin endpoint is scraped for /qoe to assert the QoE
-# monitor publishes a sane window FPS and missed-vsync ratio mid-session;
-# the client's end-of-session metrics snapshot must show cache hits. This
-# is the out-of-process complement to the in-process loopback e2e test in
-# internal/server (which compares the live runtime against the simulator).
-# A second session runs the datagram frame path (-udp-frames -push) and
-# must consume at least one server-pushed frame with zero CRC-corrupt
-# drops. After the session, the multi-player load harness (cmd/loadgen) runs
-# against the same server and must report non-zero throughput, a sane p99
-# fetch latency, and zero request errors. The 2-process cluster case then
-# scrapes /cluster and /slo mid-session: the fleet view must show both
-# nodes live with sane burn rates, and the loadgen report must embed the
-# fleet section it scraped itself. Before any of that, `make test-procs`
-# runs the frame-serving packages' tests on 1, 2 and all cores.
+# Smoke test for the live client/server path, with the real binaries on
+# localhost. Only coterie-server and coterie-client run; every load is one
+# or more coterie-client processes. In order:
+#
+#   1. `make test-procs`: the frame-serving packages at GOMAXPROCS 1, 2, nproc.
+#   2. A 2-second TCP session against one server. Mid-session, the server's
+#      /metrics must show frames served and a delta-coded frame, and the
+#      client's /qoe a sane window FPS and missed-vsync ratio; the client's
+#      end-of-session metrics must show cache hits.
+#   3. A UDP session (-udp-frames -push) on the same server: datagram frames
+#      delivered, at least one pushed frame consumed, no CRC-corrupt drops.
+#   4. Three concurrent clients (distinct -player / -seed) on the same
+#      server: each exits 0, prints its pipeline report and a sane fetch p95.
+#   5. A 2-node cluster, one client per node: /cluster on node 0 shows both
+#      nodes up and /slo publishes sane burn rates mid-session, and node 0
+#      peer-fetched at least one frame.
+#   6. Failover: node 1 is killed, and a client with a fresh seed against
+#      node 0 must finish (any failed fetch fails the client) while node 0
+#      counts at least one failover re-render.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,9 +25,11 @@ cd "$(dirname "$0")/.."
 bin=$(mktemp -d)
 server_pid=
 client_pid=
+client_pids=()
 cleanup() {
     [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null
     [ -n "$client_pid" ] && kill "$client_pid" 2>/dev/null
+    for p in ${client_pids[@]+"${client_pids[@]}"}; do kill "$p" 2>/dev/null; done
     wait 2>/dev/null || true
     rm -rf "$bin"
 }
@@ -46,13 +48,67 @@ http_get() {
     printf '%s' "$out"
 }
 
+# start_clients LABEL SEED ADDR...: one 2-second coterie-client per
+# address, all at once, client i playing player i with movement seed
+# SEED+i; their pids land in client_pids, their output in LABEL-i.log.
+start_clients() {
+    local label=$1 seed=$2 i=0 a
+    shift 2
+    client_pids=()
+    for a in "$@"; do
+        i=$((i + 1))
+        "$bin/coterie-client" -game pool -addr "$a" -seconds 2 -speed 2 \
+            -width 64 -height 32 -player "$i" -seed "$((seed + i))" \
+            >"$bin/$label-$i.log" 2>&1 &
+        client_pids+=($!)
+    done
+}
+
+clients_running() {
+    local p
+    for p in "${client_pids[@]}"; do
+        kill -0 "$p" 2>/dev/null && return 0
+    done
+    return 1
+}
+
+# wait_clients LABEL: every client started by start_clients must exit 0
+# and report a pipeline, a non-zero fetch count and a sane fetch p95 (the
+# players mostly hit warm or nearby store points, so a seconds-long p95
+# means the serve path is broken, not just slow hardware).
+wait_clients() {
+    local label=$1 i=0 p log
+    for p in "${client_pids[@]}"; do
+        i=$((i + 1))
+        log="$bin/$label-$i.log"
+        wait "$p" || {
+            echo "smoke: $label client $i failed" >&2
+            cat "$log" >&2
+            exit 1
+        }
+        awk '
+            /^pipeline: /       { pipe = 1 }
+            /^fetched /         { fetched = $2 }
+            /^fetch latency /   { p95 = $7 }
+            END {
+                if (!pipe) { print "smoke: no pipeline report"; exit 1 }
+                if (fetched + 0 <= 0) { print "smoke: no frames fetched"; exit 1 }
+                if (p95 == "" || p95 + 0 < 0 || p95 + 0 > 5000) { print "smoke: fetch p95 insane: " p95; exit 1 }
+            }' "$log" || {
+            echo "smoke: $label client $i report failed sanity check" >&2
+            cat "$log" >&2
+            exit 1
+        }
+    done
+    client_pids=()
+}
+
 echo "smoke: frame-serving packages at GOMAXPROCS 1, 2 and nproc..."
 make test-procs
 
 echo "smoke: building binaries..."
 go build -o "$bin/coterie-server" ./cmd/coterie-server
 go build -o "$bin/coterie-client" ./cmd/coterie-client
-go build -o "$bin/loadgen" ./cmd/loadgen
 
 port=$((20000 + RANDOM % 20000))
 admin_port=$((port + 1))
@@ -210,31 +266,10 @@ if grep -Eq '"client\.udp\.corrupt": *[1-9]' "$bin/metrics-udp.json"; then
     exit 1
 fi
 
-# Multi-player load against the same live server: 4 synthetic players for
-# 2 seconds must sustain non-zero throughput with a sane p99 (the walkers
-# mostly hit warm store points, so seconds-long p99s mean the server hot
-# path is broken, not just slow hardware).
-echo "smoke: running loadgen against the live server..."
-"$bin/loadgen" -addr "$addr" -game pool -players 4 -duration 2s -json \
-    >"$bin/loadgen.json" 2>"$bin/loadgen.log" || {
-    echo "smoke: loadgen failed" >&2
-    cat "$bin/loadgen.log" >&2
-    exit 1
-}
-awk '
-    /"frames_per_sec":/ { v = $2; gsub(/[",]/, "", v); fps = v }
-    /"p99_ms":/         { v = $2; gsub(/[",]/, "", v); p99 = v }
-    /"errors":/         { v = $2; gsub(/[",]/, "", v); errs = v }
-    END {
-        if (fps == "" || p99 == "") { print "smoke: loadgen fields missing"; exit 1 }
-        if (fps + 0 <= 0) { print "smoke: loadgen throughput zero"; exit 1 }
-        if (p99 + 0 <= 0 || p99 + 0 > 5000) { print "smoke: loadgen p99 insane: " p99; exit 1 }
-        if (errs + 0 != 0) { print "smoke: loadgen saw " errs " request errors"; exit 1 }
-    }' "$bin/loadgen.json" || {
-    echo "smoke: loadgen report failed sanity check" >&2
-    cat "$bin/loadgen.json" >&2
-    exit 1
-}
+# Several players at once against the same live server.
+echo "smoke: running 3 concurrent clients against the live server..."
+start_clients multi 10 "$addr" "$addr" "$addr"
+wait_clients multi
 
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
@@ -242,10 +277,10 @@ server_pid=
 
 # --- 2-node cluster: peer fetch, then failover after killing one node ---
 # Two server processes share grid-point ownership by rendezvous hashing.
-# Players spread across both must trigger peer fetches (each node owns
-# ~half the points its sessions request); after one node is killed, load
-# against the survivor must finish with zero request errors — remote
-# points fail over to local re-renders, visible as failover_frames.
+# A client on each node must trigger peer fetches (each node owns ~half
+# the points its session requests); after one node is killed, a client on
+# the survivor must finish without a failed fetch — remote points fail
+# over to local re-renders, counted in server.peer_failovers.
 echo "smoke: starting 2-node cluster..."
 n0_port=$((port + 3)); n1_port=$((port + 4)); n0_admin=$((port + 5)); n1_admin=$((port + 6))
 n0_addr="127.0.0.1:$n0_port"; n1_addr="127.0.0.1:$n1_port"
@@ -277,18 +312,15 @@ for p in "$n0_port" "$n1_port"; do
     done
 done
 
-echo "smoke: loadgen across both cluster nodes..."
-"$bin/loadgen" -addr "$cluster" -game pool -players 4 -duration 2s -json \
-    -admin-addrs "$cluster_admin" \
-    >"$bin/cluster.json" 2>"$bin/cluster.log" &
-loadgen_pid=$!
+echo "smoke: one client on each cluster node..."
+start_clients cluster 20 "$n0_addr" "$n1_addr"
 
 # Mid-session fleet view: /cluster on node 0 must merge both nodes (live,
 # not stale) and /slo must publish the error-budget snapshot with sane
-# burn rates while the load is running.
+# burn rates while the clients are running.
 fleet_ok=
 slo_ok=
-while kill -0 "$loadgen_pid" 2>/dev/null; do
+while clients_running; do
     if [ -z "$fleet_ok" ] &&
         http_get 127.0.0.1 "$n0_admin" /cluster >"$bin/fleet.scrape" 2>/dev/null &&
         grep -Eq '"nodes_up": *2' "$bin/fleet.scrape" &&
@@ -305,12 +337,8 @@ while kill -0 "$loadgen_pid" 2>/dev/null; do
     fi
     sleep 0.2
 done
-wait "$loadgen_pid" || {
-    echo "smoke: cluster loadgen failed" >&2
-    cat "$bin/cluster.log" "$bin/node0.log" "$bin/node1.log" >&2
-    exit 1
-}
-# A 2-second load can race past the scrape loop; the fleet view is
+wait_clients cluster
+# A 2-second session can race past the scrape loop; the fleet view is
 # served on demand, so a post-hoc scrape carries the same counters.
 if [ -z "$fleet_ok" ]; then
     http_get 127.0.0.1 "$n0_admin" /cluster >"$bin/fleet.scrape" || true
@@ -349,23 +377,6 @@ awk '
     cat "$bin/slo.scrape" >&2
     exit 1
 }
-# The loadgen report carries the fleet view it scraped itself.
-grep -Eq '"fleet":' "$bin/cluster.json" || {
-    echo "smoke: loadgen report has no fleet section" >&2
-    cat "$bin/cluster.json" >&2
-    exit 1
-}
-awk '
-    /"frames_per_sec":/ { v = $2; gsub(/[",]/, "", v); fps = v }
-    /"errors":/         { v = $2; gsub(/[",]/, "", v); errs = v }
-    END {
-        if (fps + 0 <= 0) { print "smoke: cluster throughput zero"; exit 1 }
-        if (errs + 0 != 0) { print "smoke: cluster run saw " errs " request errors"; exit 1 }
-    }' "$bin/cluster.json" || {
-    echo "smoke: cluster loadgen report failed sanity check" >&2
-    cat "$bin/cluster.json" >&2
-    exit 1
-}
 http_get 127.0.0.1 "$n0_admin" /metrics >"$bin/cluster.scrape" || true
 grep -Eq '"cluster\.peer_fetches": *[1-9]' "$bin/cluster.scrape" || {
     echo "smoke: node 0 never peer-fetched a frame" >&2
@@ -373,27 +384,16 @@ grep -Eq '"cluster\.peer_fetches": *[1-9]' "$bin/cluster.scrape" || {
     exit 1
 }
 
-echo "smoke: killing node 1, loadgen against the survivor..."
+echo "smoke: killing node 1, a fresh client against the survivor..."
 kill "$node1_pid"
 wait "$node1_pid" 2>/dev/null || true
 node1_pid=
-"$bin/loadgen" -addr "$n0_addr" -game pool -players 4 -duration 2s -json \
-    >"$bin/failover.json" 2>"$bin/failover.log" || {
-    echo "smoke: failover loadgen failed" >&2
-    cat "$bin/failover.log" "$bin/node0.log" >&2
-    exit 1
-}
-awk '
-    /"frames_per_sec":/    { v = $2; gsub(/[",]/, "", v); fps = v }
-    /"errors":/            { v = $2; gsub(/[",]/, "", v); errs = v }
-    /"failover_frames":/   { v = $2; gsub(/[",]/, "", v); fo = v }
-    END {
-        if (fps + 0 <= 0) { print "smoke: failover throughput zero"; exit 1 }
-        if (errs + 0 != 0) { print "smoke: failover run saw " errs " request errors"; exit 1 }
-        if (fo + 0 <= 0) { print "smoke: no failover re-renders counted"; exit 1 }
-    }' "$bin/failover.json" || {
-    echo "smoke: failover report failed sanity check" >&2
-    cat "$bin/failover.json" >&2
+start_clients failover 30 "$n0_addr"
+wait_clients failover
+http_get 127.0.0.1 "$n0_admin" /metrics >"$bin/failover.scrape" || true
+grep -Eq '"server\.peer_failovers": *[1-9]' "$bin/failover.scrape" || {
+    echo "smoke: node 0 counted no failover re-renders" >&2
+    cat "$bin/failover.scrape" "$bin/node0.log" >&2
     exit 1
 }
 
