@@ -5,11 +5,13 @@
 # parallel cutoff preprocessing, and the live runtime stack: wall clock,
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
 # or share atomic state (the obs metrics registry, the cache and
-# prefetcher once instrumented into a shared registry).
+# prefetcher once instrumented into a shared registry). `make fuzz` runs
+# the five native fuzz targets for real; it is not part of `check`, where
+# `go test` only replays their seed corpora.
 
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test test-procs race bench bench-e2e bench-pairs smoke loc
+.PHONY: check fmt vet build bench-build test test-procs race fuzz bench bench-e2e bench-pairs smoke loc
 
 check: fmt vet build bench-build test-procs race
 
@@ -53,6 +55,20 @@ race:
 		./internal/par/... ./internal/render/... \
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
 		./internal/netsim/... ./internal/world/... ./internal/lru/...
+
+# Native fuzzing: each Fuzz* target in turn for FUZZTIME (five targets,
+# ~1 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is
+# written under the package's testdata/fuzz/ and replays in `go test` from
+# then on.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = codec:FuzzDecode codec:FuzzDeltaDecode trace:FuzzRead \
+	transport:FuzzWireDecoders transport:FuzzReassembler
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=./internal/$${t%%:*}; fn=$${t##*:}; \
+		echo "$$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done
 
 # End-to-end smoke: build both binaries, run a short live session over a
 # real socket on localhost, and check the client printed a report.

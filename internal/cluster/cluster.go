@@ -233,9 +233,10 @@ func (c *Cluster) Close() {
 // the reply so the non-owner can pass them through to its client). The
 // caller is the leader of the frame store's per-point singleflight, so at
 // most one fetch per point is in flight on a node. deadlineMs is the
-// client's absolute display deadline (wall ms, <=0 none) and propagates to
-// the owner, which schedules against it as if the client had connected
-// directly.
+// client request's deadline on this node's clock (sched.NowMs, <=0 none);
+// the hop carries the budget remaining until it, and the owner schedules
+// against its own receive time plus that budget, as if the client had
+// connected directly.
 //
 // traceID is the distributed trace id of the client request driving the
 // fetch (0 untraced): the hop forwards the id's request context verbatim

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"coterie/internal/geom"
+	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
@@ -20,8 +21,8 @@ type fakeOwner struct {
 	ln       net.Listener
 	game     string
 	requests atomic.Int64
-	lastDL   atomic.Value // float64: DeadlineMs of the last request
-	reject   atomic.Bool  // answer peer requests with MsgError
+	budget   atomic.Uint32 // BudgetUs of the last request
+	reject   atomic.Bool   // answer peer requests with MsgError
 	wg       sync.WaitGroup
 
 	mu    sync.Mutex
@@ -83,7 +84,7 @@ func (f *fakeOwner) serve() {
 							return
 						}
 						f.requests.Add(1)
-						f.lastDL.Store(req.DeadlineMs)
+						f.budget.Store(req.BudgetUs)
 						if f.reject.Load() {
 							c.Send(transport.Message{Type: transport.MsgError, Payload: []byte("overloaded")})
 							continue
@@ -174,7 +175,10 @@ func TestFetchRoundTripAndDeadlinePropagation(t *testing.T) {
 	defer f.close()
 	c, pt := twoNode(t, f)
 
-	const deadline = 123456.5
+	// The hop carries what is left of the deadline's budget when it leaves,
+	// never the deadline itself: the owner reads no clock but its own.
+	const budgetMs = 500
+	deadline := sched.NowMs() + budgetMs
 	reply, err := c.Fetch(pt, deadline, 0)
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
@@ -185,14 +189,17 @@ func TestFetchRoundTripAndDeadlinePropagation(t *testing.T) {
 	if reply.Point != pt {
 		t.Errorf("reply point %v, want %v", reply.Point, pt)
 	}
-	if got := f.lastDL.Load().(float64); got != deadline {
-		t.Errorf("deadline did not propagate: owner saw %v, want %v", got, deadline)
+	if got := f.budget.Load(); got == 0 || got > budgetMs*1000 {
+		t.Errorf("deadline did not propagate: owner saw a %d µs budget, want (0, %d]", got, budgetMs*1000)
 	}
 	// Second fetch reuses the pooled connection: the fake accepts once
 	// per connection, so a second dial would show up as a second
 	// session; request count alone proves reuse is at least functional.
 	if _, err := c.Fetch(pt, 0, 0); err != nil {
 		t.Fatalf("pooled Fetch: %v", err)
+	}
+	if got := f.budget.Load(); got != 0 {
+		t.Errorf("deadline-less fetch carried a %d µs budget, want 0", got)
 	}
 	if n := f.requests.Load(); n != 2 {
 		t.Errorf("owner saw %d requests, want 2", n)

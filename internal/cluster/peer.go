@@ -8,6 +8,7 @@ import (
 
 	"coterie/internal/geom"
 	"coterie/internal/obs"
+	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
@@ -118,7 +119,8 @@ func (p *peer) drain() {
 // timeout. Transport failures close the connection and mark the peer down
 // (passively — the health loop will bring it back); application-level
 // rejections (*transport.RemoteError) keep both the connection and the
-// peer's up state.
+// peer's up state. deadlineMs is on this node's clock (sched.NowMs, <= 0
+// none); the request carries the budget remaining until it.
 //
 // traceID, when non-zero, is the distributed trace id of the client
 // request being proxied; the hop forwards its request context (player
@@ -141,12 +143,15 @@ func (p *peer) fetch(pt geom.GridPoint, deadlineMs float64, traceID uint64) (tra
 	}
 	var reply transport.FrameReply
 	if err = pc.SetDeadline(time.Now().Add(p.cluster.cfg.FetchTimeout)); err == nil {
+		// What is left of the client's budget when the hop leaves: the owner
+		// adds it to its own receive time, so it never reads this node's
+		// clock.
+		left := time.Duration((deadlineMs - sched.NowMs()) * float64(time.Millisecond))
 		reply, err = pc.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{
-			Player:     player,
-			Point:      pt,
-			ReqID:      reqID,
-			SentMs:     float64(time.Now().UnixNano()) / 1e6,
-			DeadlineMs: deadlineMs,
+			Player:   player,
+			Point:    pt,
+			ReqID:    reqID,
+			BudgetUs: transport.BudgetUs(left, deadlineMs > 0),
 		})
 	}
 	var rejected *transport.RemoteError

@@ -301,20 +301,10 @@ type simSource struct {
 	// last is the stage decomposition of the most recent completed fetch
 	// (only touched on the simulator goroutine).
 	last obs.FetchStages
-	// nextDeadlineMs is the virtual time the next fetch's reply is needed
-	// by (runtime.DeadlineSetter). The testbed's modelled server has no
-	// render queue to prioritise, so the stamp is consumed for parity with
-	// the live backend (the pipeline exercises the same code path under
-	// both) but does not alter the medium model.
-	nextDeadlineMs float64
 }
-
-// SetFetchDeadline implements runtime.DeadlineSetter.
-func (s *simSource) SetFetchDeadline(virtualMs float64) { s.nextDeadlineMs = virtualMs }
 
 // Fetch implements runtime.FrameSource over the simulated medium.
 func (s *simSource) Fetch(player int, pt geom.GridPoint, done func([]byte, int, float64, float64)) {
-	s.nextDeadlineMs = 0 // consumed: each fetch-triggering call re-stamps
 	size := s.sizer.SizeFor(s.kind, pt)
 	issued := s.sim.Now()
 	s.sim.After(s.renderMs+s.encodeMs+s.serverMs, func() {
@@ -326,7 +316,6 @@ func (s *simSource) Fetch(player int, pt geom.GridPoint, done func([]byte, int, 
 				QueueMs:  s.serverMs,
 				RenderMs: s.renderMs,
 				EncodeMs: s.encodeMs,
-				RTTMs:    rtt,
 				Valid:    true,
 			}
 			if s.onDeliver != nil {

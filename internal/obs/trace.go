@@ -96,14 +96,14 @@ func TraceID(player uint8, reqID uint32) uint64 {
 }
 
 // FetchStages decomposes one BE-frame fetch round trip across the
-// client/server boundary (trace-context v2). Sources fill it when a fetch
-// completes; the pipeline copies it into the FrameSpan of the frame that
-// waited on the fetch. All durations are virtual session milliseconds.
+// client/server boundary. Sources fill it when a fetch completes; the
+// pipeline copies it into the FrameSpan of the frame that waited on the
+// fetch. All durations are virtual session milliseconds.
 type FetchStages struct {
 	// NetMs is everything the server did not account for: request and
-	// reply transit plus reply marshalling/write. It is derived as
-	// RTTMs minus the server-side stages, so the identity
-	// NetMs+QueueMs+RenderMs+EncodeMs == RTTMs holds exactly.
+	// reply transit plus reply marshalling/write. It is derived as the
+	// round trip the client measured minus the server-side stages, so
+	// NetMs+HopMs+QueueMs+RenderMs+EncodeMs is that round trip exactly.
 	NetMs float64
 	// QueueMs is the server-side wait before stage work began: connection
 	// queueing plus singleflight waiting on another request's render.
@@ -115,13 +115,6 @@ type FetchStages struct {
 	// HopMs is the cluster proxy overhead for peer-origin frames (see
 	// FrameSpan.HopMs); zero otherwise.
 	HopMs float64
-	// RTTMs is the full fetch round trip as the client measured it, from
-	// request issue to delivery.
-	RTTMs float64
-	// OffsetMs is the estimated server-minus-client clock offset
-	// (NTP-style, from the request/reply timestamps); 0 for backends that
-	// share one clock.
-	OffsetMs float64
 	// DeltaFrame reports whether the frame arrived delta-coded against a
 	// held reference instead of intra-coded.
 	DeltaFrame bool

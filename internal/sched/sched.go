@@ -276,9 +276,9 @@ func (s *Scheduler) Release(costMs float64) {
 	s.mu.Unlock()
 }
 
-// NowMs is the wall clock deadlines are expressed in: Unix milliseconds
-// as float, the same epoch and unit the transport's deadline field
-// carries. The server stamps request receipt and reply send with it too,
-// so a client can estimate the clock offset NTP-style from its own wall
-// clock.
+// NowMs is the clock deadlines are expressed in: this process's wall
+// clock, Unix milliseconds as float. A deadline is always on the clock of
+// the process that enforces it — the server sets it to its own receive
+// time plus the budget the request carries — so no reading of NowMs ever
+// crosses the wire or is compared with another host's.
 func NowMs() float64 { return float64(time.Now().UnixNano()) / 1e6 }

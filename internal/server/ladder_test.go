@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"coterie/internal/geom"
-	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
 // TestStaleRungServesCalibratedNeighbour drives the degrade ladder's one
-// rung over a real session. A request whose deadline is already past is
-// at risk by construction; what it is served depends only on what the
-// store holds:
+// rung over a real session. A request with a 1 µs budget — what
+// transport.BudgetUs sends for a deadline that has already passed — is at
+// risk by construction; what it is served depends only on what the store
+// holds:
 //
 //  1. nothing within the leaf's DistThresh resident: it renders, rung exact;
 //  2. a calibrated neighbour resident and the point itself absent: it is
@@ -36,10 +36,10 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	past := func() float64 { return sched.NowMs() - 1000 }
+	const late = 1 // µs
 	stale := reg.Counter("server.degrade_stale")
 
-	r1, _, _, err := cl.FetchWithDeadline(nb, past())
+	r1, _, _, err := cl.FetchWithBudget(nb, late)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 		t.Fatalf("cold store, past deadline: %d renders, %d stale serves, want 1 and 0", rendered, stale.Value())
 	}
 
-	r2, _, _, err := cl.FetchWithDeadline(pt, past())
+	r2, _, _, err := cl.FetchWithBudget(pt, late)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 		t.Errorf("stale serve: %d renders, %d stale serves, want 1 and 1", rendered, stale.Value())
 	}
 
-	r3, _, _, err := cl.FetchWithDeadline(pt, 0)
+	r3, _, _, err := cl.FetchWithBudget(pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"coterie/internal/obs"
 	"coterie/internal/prefetch"
 	"coterie/internal/runtime"
-	"coterie/internal/sched"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
@@ -154,9 +153,6 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 			}
 		})
 	}
-	if cfg.Obs != nil {
-		src.obsOffset = cfg.Obs.Gauge("client.clock_offset_us")
-	}
 	fiSync := &liveFISync{clock: clock, fi: ch}
 	if cfg.Obs != nil {
 		fiSync.obsSyncs = cfg.Obs.Counter("fi.syncs")
@@ -288,24 +284,17 @@ type liveSource struct {
 	refs          *cache.RefStore
 	pendingEvicts []geom.GridPoint
 
-	// wallMs, last, bestNetMs and offsetMs are only touched on the clock
+	// wallMs, nextDeadlineMs and last are only touched on the clock
 	// goroutine (Post callbacks and the post-run report, which share
 	// RunLive's goroutine).
 	wallMs []float64
 	// nextDeadlineMs is the virtual session time the next Fetch's reply is
 	// needed by (runtime.DeadlineSetter), consumed by that Fetch; 0 means
-	// none armed. Clock goroutine only, like the offset fields it is
-	// converted against.
+	// none armed.
 	nextDeadlineMs float64
 	// last is the stage decomposition of the most recent completed fetch
-	// (runtime.StageReporter). bestNetMs/offsetMs hold the NTP-style clock
-	// offset estimate, min-RTT filtered: the sample whose network-only
-	// round trip was shortest bounds the offset tightest.
-	last       obs.FetchStages
-	haveOffset bool
-	bestNetMs  float64
-	offsetMs   float64
-	obsOffset  *obs.Gauge
+	// (runtime.StageReporter).
+	last obs.FetchStages
 }
 
 // Fetch implements runtime.FrameSource: the blocking round trip runs on
@@ -314,15 +303,14 @@ type liveSource struct {
 // wedges; the error surfaces through firstError after the run.
 func (s *liveSource) Fetch(player int, pt geom.GridPoint, done func(data []byte, size int, startMs, endMs float64)) {
 	startVirtual := s.clock.Now()
-	deadlineMs := s.consumeDeadline(startVirtual)
+	deadline := s.consumeDeadline(startVirtual)
 	s.clock.IOStarted()
 	s.inflight.Add(1)
 	go func() {
 		t0 := time.Now()
 		var (
-			reply          transport.FrameReply
-			sentMs, doneMs float64
-			err            error
+			reply transport.FrameReply
+			err   error
 		)
 		udpHit := false
 		if s.udp != nil {
@@ -340,7 +328,7 @@ func (s *liveSource) Fetch(player int, pt geom.GridPoint, done func(data []byte,
 			}
 		}
 		if !udpHit {
-			reply, sentMs, doneMs, err = s.fetchOnce(pt, deadlineMs)
+			reply, err = s.fetchOnce(pt, deadline)
 		}
 		wall := time.Since(t0)
 		s.inflight.Add(-1)
@@ -358,16 +346,14 @@ func (s *liveSource) Fetch(player int, pt geom.GridPoint, done func(data []byte,
 			s.lat.Add(end - startVirtual)
 			if udpHit {
 				s.udpHits.Add(1)
-				// No server timestamps on the datagram path: the whole
-				// round trip is network time, and the NTP offset estimate
-				// is left to TCP fetches (reply.RecvMs > 0 guards it).
-				rtt := end - startVirtual
-				s.last = obs.FetchStages{NetMs: rtt, RTTMs: rtt, OffsetMs: s.offsetMs, Valid: true}
+				// No server stage spans on the datagram path: the whole
+				// round trip is network time.
+				s.last = obs.FetchStages{NetMs: end - startVirtual, Valid: true}
 			} else {
 				if s.udp != nil {
 					s.tcpFalls.Add(1)
 				}
-				s.recordStages(reply, sentMs, doneMs, end-startVirtual)
+				s.recordStages(reply, end-startVirtual)
 			}
 			done(data, len(data), startVirtual, end)
 			if s.sink != nil {
@@ -389,24 +375,22 @@ func (s *liveSource) validateUDPFrame(pt geom.GridPoint, data []byte) error {
 	return nil
 }
 
-// recordStages derives the trace-context v2 stage decomposition of one
-// completed fetch (clock goroutine only). Server-side wall durations are
-// converted to virtual session milliseconds via the replay speed; NetMs
-// absorbs the remainder of the pipeline-visible round trip so the identity
-// NetMs+HopMs+QueueMs+RenderMs+EncodeMs == RTTMs holds exactly (HopMs is
-// zero unless the contact node proxied the frame from its cluster owner).
-// The clock offset is estimated NTP-style from the request/reply stamps,
-// keeping the estimate from the sample with the smallest network-only
-// round trip.
-func (s *liveSource) recordStages(reply transport.FrameReply, sentMs, doneMs, rttVirtual float64) {
+// recordStages derives the stage decomposition of one completed fetch
+// (clock goroutine only) from durations alone: the server's stage spans,
+// converted to virtual session milliseconds via the replay speed, and the
+// round trip the pipeline saw. NetMs absorbs the remainder, so
+// NetMs+HopMs+QueueMs+RenderMs+EncodeMs equals the round trip exactly
+// (HopMs is zero unless the contact node proxied the frame from its
+// cluster owner). No timestamp from another host is read.
+func (s *liveSource) recordStages(reply transport.FrameReply, rttVirtual float64) {
 	queue := reply.QueueMs * s.speed
 	render := reply.RenderMs * s.speed
 	encode := reply.EncodeMs * s.speed
 	hop := reply.HopMs * s.speed
 	if sum := queue + render + encode + hop; sum > rttVirtual && sum > 0 {
-		// Clock skew between the two hosts can make the server-side span
-		// nominally exceed the measured round trip; scale it down so the
-		// decomposition still sums to the RTT.
+		// The replay-speed conversion and the two hosts' clock rates can
+		// make the server-side span nominally exceed the measured round
+		// trip; scale it down so the decomposition still sums to the RTT.
 		f := rttVirtual / sum
 		queue, render, encode, hop = queue*f, render*f, encode*f, hop*f
 	}
@@ -416,23 +400,12 @@ func (s *liveSource) recordStages(reply transport.FrameReply, sentMs, doneMs, rt
 		QueueMs:     queue,
 		RenderMs:    render,
 		EncodeMs:    encode,
-		RTTMs:       rttVirtual,
 		TraceID:     obs.TraceID(s.cl.Player, reply.ReqID),
 		DeltaFrame:  reply.Kind == transport.FrameDelta,
 		DegradeRung: uint8(reply.Rung),
 		Origin:      uint8(reply.Origin),
 		Valid:       true,
 	}
-	// NTP offset: t0=sentMs (client), t1=RecvMs, t2=SendMs (server),
-	// t3=doneMs (client). The network-only RTT excludes server hold time.
-	netRTT := (doneMs - sentMs) - (reply.SendMs - reply.RecvMs)
-	if reply.RecvMs > 0 && netRTT >= 0 && (!s.haveOffset || netRTT < s.bestNetMs) {
-		s.haveOffset = true
-		s.bestNetMs = netRTT
-		s.offsetMs = ((reply.RecvMs - sentMs) + (reply.SendMs - doneMs)) / 2
-		s.obsOffset.Set(int64(s.offsetMs * 1000))
-	}
-	s.last.OffsetMs = s.offsetMs
 }
 
 // LastFetchStages implements runtime.StageReporter.
@@ -442,50 +415,52 @@ func (s *liveSource) LastFetchStages() obs.FetchStages { return s.last }
 // reply is needed by this virtual session time. Clock goroutine only.
 func (s *liveSource) SetFetchDeadline(virtualMs float64) { s.nextDeadlineMs = virtualMs }
 
-// consumeDeadline converts the armed virtual deadline into the server's
-// absolute wall clock (unix ms) and clears it. The remaining virtual
-// budget shrinks to a wall budget through the replay speed, and the
-// NTP-estimated clock offset re-anchors it to the server's epoch; before
-// the first offset estimate the deadline is sent on the client's clock,
-// which loopback (offset ≈ 0) and same-host runs tolerate. Clock
-// goroutine only.
-func (s *liveSource) consumeDeadline(nowVirtual float64) float64 {
+// consumeDeadline converts the armed virtual deadline into this client's
+// wall clock and clears it (the zero Time: none armed). The remaining
+// virtual time shrinks to wall time through the replay speed; fetchOnce
+// sends what is left of it as the request's budget. Clock goroutine only.
+func (s *liveSource) consumeDeadline(nowVirtual float64) time.Time {
 	v := s.nextDeadlineMs
 	if v <= 0 {
-		return 0
+		return time.Time{}
 	}
 	s.nextDeadlineMs = 0
-	return sched.NowMs() + (v-nowVirtual)/s.speed + s.offsetMs
+	return time.Now().Add(time.Duration((v - nowVirtual) / s.speed * float64(time.Millisecond)))
 }
 
-// fetchOnce serialises one request/reply exchange on the connection.
+// fetchOnce serialises one request/reply exchange on the connection, with
+// the budget left until deadline at send time (the zero Time: none).
 // Queued reference evictions are reported first, so the server never
 // deltas against a frame this client has dropped.
-func (s *liveSource) fetchOnce(pt geom.GridPoint, deadlineMs float64) (transport.FrameReply, float64, float64, error) {
+func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport.FrameReply, error) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	if s.err != nil {
-		return transport.FrameReply{}, 0, 0, s.err
+		return transport.FrameReply{}, s.err
 	}
 	if err := s.cl.EvictNotice(s.pendingEvicts); err != nil { // no-op when empty
 		s.err = err
-		return transport.FrameReply{}, 0, 0, err
+		return transport.FrameReply{}, err
 	}
 	s.pendingEvicts = s.pendingEvicts[:0]
-	reply, sentMs, doneMs, err := s.cl.FetchWithDeadline(pt, deadlineMs)
+	reply, _, _, err := s.cl.FetchWithBudget(pt, transport.BudgetUs(time.Until(deadline), !deadline.IsZero()))
 	if err == nil && s.decode {
 		err = s.decodeReply(pt, reply)
 	}
 	if err != nil {
 		s.err = err
-		return transport.FrameReply{}, 0, 0, err
+		return transport.FrameReply{}, err
 	}
-	return reply, sentMs, doneMs, nil
+	return reply, nil
 }
 
 // decodeReply validates a fetched frame by reconstructing it: intra
-// frames decode standalone (and join the reference store), delta frames
-// decode against the referenced held frame. Caller holds connMu.
+// frames decode standalone, delta frames decode against the referenced
+// held frame. Only an exact intra frame joins the reference store — the
+// rule serve applies to the session's pending reference. A stale-rung
+// reply is a neighbour's frame standing in for pt; stored under pt it
+// would replace pt's exact raster, which the server still deltas against.
+// Caller holds connMu.
 func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) error {
 	switch reply.Kind {
 	case transport.FrameDelta:
@@ -508,7 +483,7 @@ func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) 
 		if err != nil {
 			return fmt.Errorf("frame %v does not decode: %w", pt, err)
 		}
-		if s.refs != nil {
+		if s.refs != nil && reply.Rung == transport.RungExact {
 			s.refs.Put(pt, g) // store owns it now; evictions queue notices
 		} else {
 			codec.ReleaseGray(g)

@@ -18,7 +18,6 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
-	"coterie/internal/sched"
 	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
@@ -715,8 +714,8 @@ func TestLoopbackStoreMetrics(t *testing.T) {
 // degrade ladder must be invisible — every reply is rung exact, nothing is
 // shed or served stale, and the bytes are canonical, judged against a
 // reference built from the renderer and codec alone (see canonical). The
-// sim backend (which stamps the same deadlines through the shared
-// pipeline) is checked for determinism, and the full live runtime pipeline
+// sim backend (the same pipeline, whose modelled server takes no
+// deadlines) is checked for determinism, and the full live runtime pipeline
 // is replayed against the server to assert it degrades no frame when
 // unloaded.
 func TestSchedulerByteIdentityUnloaded(t *testing.T) {
@@ -730,7 +729,7 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 	warmServer(t, srv, tr)
 
 	// Raw session: the trace's walk, alternating deadline-free and
-	// deadline-stamped fetches.
+	// budgeted fetches.
 	cl, err := Dial(addr, "pool", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -742,11 +741,11 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 	intra, delta := 0, 0
 	for i := 0; i < len(tr.Pos); i += stride {
 		pt := grid.Snap(tr.Pos[i])
-		var dl float64
+		var budget uint32
 		if i%2 == 0 {
-			dl = sched.NowMs() + 100
+			budget = 100_000 // µs
 		}
-		r, _, _, err := cl.FetchWithDeadline(pt, dl)
+		r, _, _, err := cl.FetchWithBudget(pt, budget)
 		if err != nil {
 			t.Fatalf("fetch %v: %v", pt, err)
 		}
@@ -772,8 +771,8 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 		t.Errorf("unloaded raw session took %d degrade/shed actions", n)
 	}
 
-	// Sim backend: the deadline-stamping pipeline must stay deterministic —
-	// two identical runs, identical results.
+	// Sim backend: the shared pipeline must stay deterministic — two
+	// identical runs, identical results.
 	runSim := func() *core.Result {
 		sim, err := core.RunSession(env, core.SessionConfig{
 			System:  core.Coterie,
@@ -790,7 +789,7 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 	if sim1.Per[0].Frames != sim2.Per[0].Frames ||
 		sim1.Per[0].CacheHitRatio != sim2.Per[0].CacheHitRatio ||
 		sim1.Per[0].PrefetchIssued != sim2.Per[0].PrefetchIssued {
-		t.Errorf("sim backend nondeterministic under deadline stamping: %+v vs %+v",
+		t.Errorf("sim backend nondeterministic: %+v vs %+v",
 			sim1.Per[0], sim2.Per[0])
 	}
 

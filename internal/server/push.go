@@ -7,7 +7,6 @@ import (
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/lru"
-	"coterie/internal/obs"
 	"coterie/internal/transport"
 )
 
@@ -193,12 +192,12 @@ func (s *Server) sendFrame(u *udpServe, sess *udpSession, pt geom.GridPoint, dat
 
 // serveUDPReq answers a client's UDP frame request through serve on a
 // bounded worker pool. The request's deadline is its receive time plus the
-// budget it carries, so it queues by deadline and counts in
+// budget it carries (newFrameReq, as on TCP), so it queues by deadline and counts in
 // server.deadline_met / _misses like a TCP request. When the pool is full
 // the request is dropped and counted (server.udp.dropped_overflow): the
 // client's short UDP budget expires and it falls back to TCP, which is
 // exactly the overload behaviour we want.
-func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req, recvMs float64) {
+func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.FrameRequest, recvMs float64) {
 	sess := u.session(addr)
 	if sess == nil {
 		s.obs.udpDroppedStale.Inc() // request without a subscription
@@ -213,11 +212,7 @@ func (s *Server) serveUDPReq(u *udpServe, addr net.Addr, req transport.Req, recv
 	s.obs.udpFrameReqs.Inc()
 	go func() {
 		defer func() { <-u.sem }()
-		fr := frameReq{pt: req.Point, traceID: obs.TraceID(req.Player, req.ReqID)}
-		if req.BudgetUs > 0 {
-			fr.deadlineMs = recvMs + float64(req.BudgetUs)/1000
-		}
-		res, err := s.serve(fr)
+		res, err := s.serve(newFrameReq(req, recvMs))
 		if err != nil {
 			return // client falls back to TCP
 		}

@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"coterie/internal/obs"
-	"coterie/internal/sched"
 	"coterie/internal/transport"
 )
 
 // TestServeAccountingIdenticalAcrossTransports asks three fresh servers for
 // the same cold point, one over each way in — the TCP client arm, the peer
-// arm and a UDP request — each with a 5 s deadline (the UDP request as the
-// budget it carries). All three go through serve, so each renders once,
+// arm and a UDP request — each carrying the same 5 s budget. All three go
+// through serve, so each renders once,
 // returns the same exact intra bytes and books exactly one frame: as a
 // client serve (frames_served, frame_bytes_sent, one SLO observation, one
 // deadline met) on the client arm and over UDP, as peer_frames_served on
@@ -24,7 +23,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 	env := poolEnv(t)
 	game := env.Game.Spec.Name
 	pt := env.Game.Scene.Grid.Snap(env.Game.Spawn)
-	const budgetMs = 5000
+	const budgetUs = 5_000_000
 
 	fetchers := []struct {
 		name  string
@@ -37,7 +36,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 				return nil, err
 			}
 			defer c.Close()
-			reply, _, _, err := c.FetchWithDeadline(pt, sched.NowMs()+budgetMs)
+			reply, _, _, err := c.FetchWithBudget(pt, budgetUs)
 			if err == nil && reply.Kind != transport.FrameIntra {
 				err = fmt.Errorf("first fetch of a session served as kind %d, want intra", reply.Kind)
 			}
@@ -49,7 +48,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 				return nil, err
 			}
 			defer c.Close()
-			reply, err := c.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{Player: 3, Point: pt, ReqID: 1, DeadlineMs: sched.NowMs() + budgetMs})
+			reply, err := c.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{Player: 3, Point: pt, ReqID: 1, BudgetUs: budgetUs})
 			return reply.Data, err
 		}},
 		{"udp request", false, func(addr string) ([]byte, error) {
@@ -58,7 +57,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 				return nil, err
 			}
 			defer ch.Close()
-			data, ok := ch.Fetch(pt, budgetMs*time.Millisecond)
+			data, ok := ch.Fetch(pt, budgetUs*time.Microsecond)
 			if !ok {
 				return nil, fmt.Errorf("no UDP reply within the budget")
 			}
@@ -176,7 +175,7 @@ func TestUDPRequestOverflowCounted(t *testing.T) {
 	}
 
 	pt := srv.env.Game.Scene.Grid.Snap(srv.env.Game.Spawn)
-	srv.handleDgram(u, addr, transport.EncodeReq(nil, transport.Req{Player: 1, Point: pt, ReqID: 1}), 0)
+	srv.handleDgram(u, addr, transport.EncodeDgramReq(nil, transport.FrameRequest{Player: 1, Point: pt, ReqID: 1}), 0)
 
 	counters := reg.Snapshot().Counters
 	if got := counters["server.udp.dropped_overflow"]; got != 1 {

@@ -282,7 +282,8 @@ var errOverloaded = errors.New("overloaded: render queue full")
 // tests) is deadline-less and untraced.
 type frameReq struct {
 	pt geom.GridPoint
-	// deadlineMs is the request's absolute wall-clock deadline (<= 0: none).
+	// deadlineMs is the request's absolute deadline on this server's clock
+	// (sched.NowMs; <= 0: none), set by newFrameReq.
 	deadlineMs float64
 	// traceID is the distributed trace id of the client request driving
 	// this lookup (obs.TraceID of the request's player and id; 0 untraced).
@@ -299,14 +300,30 @@ type frameReq struct {
 	refs *sessionRefs
 }
 
+// newFrameReq turns a decoded request, received at recvMs on this server's
+// clock, into a frameReq. It is the one place a wire budget becomes a
+// deadline — receive time plus budget, budget 0 none — for every way in:
+// the TCP client arm, the peer arm and the UDP request. No other host's
+// clock is read.
+func newFrameReq(r transport.FrameRequest, recvMs float64) frameReq {
+	fr := frameReq{pt: r.Point, traceID: obs.TraceID(r.Player, r.ReqID)}
+	if r.BudgetUs > 0 {
+		fr.deadlineMs = recvMs + float64(r.BudgetUs)/1000
+	}
+	return fr
+}
+
 // frameResult is what every path — TCP session, UDP request, peer hop,
 // prerender — gets back for a frameReq: the reply about to go on the wire.
 // frameFor fills Data, Origin, the stage spans and rendered; serve adds
-// Point, the RecvMs / SendMs stamps and, off the ladder or the delta path,
-// Rung, Kind and Ref; frameReplyMsg echoes ReqID and ClientSentMs.
+// Point, the recvMs / sendMs stamps and, off the ladder or the delta path,
+// Rung, Kind and Ref; frameReplyMsg echoes ReqID.
 type frameResult struct {
 	transport.FrameReply
 	rendered bool // this call ray-cast and encoded the frame
+	// recvMs and sendMs bracket serve on this server's clock: deadline, SLO
+	// and span accounting read them; they do not go on the wire.
+	recvMs, sendMs float64
 }
 
 // FrameFor returns the encoded far-BE panorama for a grid point,
@@ -353,14 +370,14 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 			req.refs.setPending(req.pt)
 		}
 	}
-	res.Point, res.RecvMs, res.SendMs = req.pt, recvMs, sched.NowMs()
+	res.Point, res.recvMs, res.sendMs = req.pt, recvMs, sched.NowMs()
 
 	if req.fromPeer {
 		// Not a client serve: the proxying node accounts the frame when it
 		// relays it. The serve span joins that node's hop span and the
 		// client's span on the forwarded trace id.
 		s.obs.peerFramesServed.Inc()
-		s.recordSpan(req.traceID, 2, res.RecvMs, res.SendMs, &res)
+		s.recordSpan(req.traceID, 2, res.recvMs, res.sendMs, &res)
 		return res, nil
 	}
 	// One served frame per reply; UDP chunks, retransmits and pushes
@@ -372,7 +389,7 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 	// return time belongs to the client's RTT model, not the server's
 	// deadline compliance.
 	if req.deadlineMs > 0 {
-		if late := res.SendMs - req.deadlineMs; late > 0 {
+		if late := res.sendMs - req.deadlineMs; late > 0 {
 			s.obs.deadlineMisses.Inc()
 			s.obs.deadlineMissMs.Observe(late)
 		} else {
@@ -382,7 +399,7 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 	// SLO accounting (a nil tracker ignores it): a frame spends error budget
 	// when it was slow server-side, quality-degraded, or a failover
 	// re-render — quality loss burns the budget exactly like lateness.
-	s.slo.Observe(res.SendMs-res.RecvMs <= s.slo.BudgetMs() &&
+	s.slo.Observe(res.sendMs-res.recvMs <= s.slo.BudgetMs() &&
 		res.Rung == transport.RungExact &&
 		res.Origin != transport.OriginFailover)
 	return res, nil
@@ -717,12 +734,8 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			}
 			// A peer forwards its client's player and request id verbatim, so
 			// this trace id matches the one on the proxy's hop span.
-			fr := frameReq{
-				pt:         req.Point,
-				deadlineMs: req.DeadlineMs,
-				traceID:    obs.TraceID(req.Player, req.ReqID),
-				refs:       sr,
-			}
+			fr := newFrameReq(req, sched.NowMs())
+			fr.refs = sr
 			reply := transport.MsgFrameReply
 			if m.Type == transport.MsgPeerFrameRequest {
 				// Node-to-node hop: no further hop, and no holdings — delta
@@ -756,9 +769,9 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 }
 
 // frameReplyMsg frames res as the reply (of the given message type) to
-// req, echoing the request's trace context.
+// req, echoing the request's id.
 func frameReplyMsg(typ transport.MsgType, req transport.FrameRequest, res frameResult) transport.Message {
-	res.ReqID, res.ClientSentMs = req.ReqID, req.SentMs
+	res.ReqID = req.ReqID
 	return transport.Message{Type: typ, Payload: transport.EncodeFrameReply(res.FrameReply)}
 }
 
@@ -768,7 +781,7 @@ func errMsg(s string) transport.Message {
 
 // Client is the synchronous client side of the protocol: the shared
 // transport.Client exchange plus the player's request-id counter and the
-// NTP stamps around each round trip.
+// client's own wall-clock stamps around each round trip.
 type Client struct {
 	conn   *transport.Client
 	Player uint8
@@ -799,30 +812,29 @@ func (c *Client) Fetch(pt geom.GridPoint) ([]byte, error) {
 	return reply.Data, err
 }
 
-// FetchTraced requests one far-BE frame and returns the full reply with
-// its server-side trace context, plus the client-side wall-clock stamps
-// (unix milliseconds) bracketing the round trip: sentMs just before the
-// request hit the socket (the NTP t0) and doneMs just after the reply was
-// decoded (t3). Not safe for concurrent use — like Fetch, it assumes the
+// FetchTraced requests one far-BE frame without a deadline and returns the
+// full reply with its server-side stage spans, plus the client's own
+// wall-clock stamps (unix milliseconds) bracketing the round trip: sentMs
+// just before the request hit the socket and doneMs just after the reply
+// was decoded. Not safe for concurrent use — like Fetch, it assumes the
 // connection carries one request at a time.
 func (c *Client) FetchTraced(pt geom.GridPoint) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
-	return c.FetchWithDeadline(pt, 0)
+	return c.FetchWithBudget(pt, 0)
 }
 
-// FetchWithDeadline is FetchTraced carrying the request's absolute
-// deadline in *server* wall-clock milliseconds (0: none). The server
-// prioritises, degrades, or sheds against it; a shed surfaces as a
-// *ServerError, and doneMs is stamped on errors too, so callers can
-// separate rejection latency from success latency.
-func (c *Client) FetchWithDeadline(pt geom.GridPoint, deadlineMs float64) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
+// FetchWithBudget is FetchTraced carrying the request's budget
+// (transport.BudgetUs; 0: no deadline). The server's deadline is its
+// receive time plus the budget; it prioritises, degrades, or sheds against
+// it. A shed surfaces as a *ServerError, and doneMs is stamped on errors
+// too, so callers can separate rejection latency from success latency.
+func (c *Client) FetchWithBudget(pt geom.GridPoint, budgetUs uint32) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
 	c.reqID++
 	sentMs = sched.NowMs()
 	reply, err = c.conn.Do(transport.MsgFrameRequest, transport.FrameRequest{
-		Player:     c.Player,
-		Point:      pt,
-		ReqID:      c.reqID,
-		SentMs:     sentMs,
-		DeadlineMs: deadlineMs,
+		Player:   c.Player,
+		Point:    pt,
+		ReqID:    c.reqID,
+		BudgetUs: budgetUs,
 	})
 	return reply, sentMs, sched.NowMs(), err
 }

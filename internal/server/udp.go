@@ -77,7 +77,7 @@ func (s *Server) handleDgram(u *udpServe, addr net.Addr, b []byte, nowMs float64
 		}
 		s.serveFI(u, addr, st, nowMs)
 	case transport.DgramReq:
-		req, err := transport.DecodeReq(b)
+		req, err := transport.DecodeFrameRequest(b[2:])
 		if err != nil {
 			s.obs.udpDroppedMalformed.Inc()
 			return

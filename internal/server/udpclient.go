@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -183,9 +182,9 @@ func (c *UDPChannel) Fetch(pt geom.GridPoint, budget time.Duration) ([]byte, boo
 	c.waiters[pt] = ch
 	c.mu.Unlock()
 
-	req := transport.Req{Player: c.player, Point: pt, ReqID: c.reqID.Add(1),
-		BudgetUs: uint32(min(max(budget.Microseconds(), 0), math.MaxUint32))}
-	if _, err := c.conn.Write(transport.EncodeReq(nil, req)); err != nil {
+	req := transport.FrameRequest{Player: c.player, Point: pt, ReqID: c.reqID.Add(1),
+		BudgetUs: transport.BudgetUs(budget, true)}
+	if _, err := c.conn.Write(transport.EncodeDgramReq(nil, req)); err != nil {
 		c.dropWaiter(pt)
 		c.fetchMisses.Add(1)
 		return nil, false

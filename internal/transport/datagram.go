@@ -46,7 +46,8 @@ const (
 	// uploads and frame requests, and (with DgramFlagWantPush) may push
 	// predicted frames unsolicited.
 	DgramSub = 0x01
-	// DgramReq asks for one grid point's frame over UDP within a budget.
+	// DgramReq asks for one grid point's frame over UDP: a FrameRequest
+	// body, the budget included.
 	DgramReq = 0x02
 	// DgramChunk carries one slice of an encoded frame.
 	DgramChunk = 0x03
@@ -263,40 +264,11 @@ func DecodeSub(b []byte) (Sub, error) {
 	return Sub{Player: b[2], WantPush: b[3]&DgramFlagWantPush != 0}, nil
 }
 
-// Req asks for one grid point's frame over the datagram path.
-type Req struct {
-	Player uint8
-	Point  geom.GridPoint
-	ReqID  uint32
-	// BudgetUs is how long the client waits for the reply, in
-	// microseconds (0: no deadline). The server's deadline is its receive
-	// time plus the budget, so no clock offset is needed.
-	BudgetUs uint32
-}
-
-// EncodeReq appends the wire form to dst.
-func EncodeReq(dst []byte, r Req) []byte {
-	dst = append(dst, DgramMagic, DgramReq, r.Player, 0)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Point.I)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Point.J)))
-	dst = binary.BigEndian.AppendUint32(dst, r.ReqID)
-	return binary.BigEndian.AppendUint32(dst, r.BudgetUs)
-}
-
-// DecodeReq parses a frame-request datagram.
-func DecodeReq(b []byte) (Req, error) {
-	if len(b) < 20 {
-		return Req{}, fmt.Errorf("transport: short Req (%d bytes)", len(b))
-	}
-	return Req{
-		Player: b[2],
-		Point: geom.GridPoint{
-			I: int(int32(binary.BigEndian.Uint32(b[4:]))),
-			J: int(int32(binary.BigEndian.Uint32(b[8:]))),
-		},
-		ReqID:    binary.BigEndian.Uint32(b[12:]),
-		BudgetUs: binary.BigEndian.Uint32(b[16:]),
-	}, nil
+// EncodeDgramReq appends a frame-request datagram to dst: the DgramReq
+// type prefix, then the same FrameRequest body a TCP MsgFrameRequest
+// carries. The receiver decodes it with DecodeFrameRequest(b[2:]).
+func EncodeDgramReq(dst []byte, r FrameRequest) []byte {
+	return appendFrameRequest(append(dst, DgramMagic, DgramReq), r)
 }
 
 // EncodeFI appends the FI upload of one player's state to dst.
@@ -662,10 +634,13 @@ func (r *Reassembler) recover(p *partial) {
 		if missing < 0 {
 			continue
 		}
-		want := chunkLen(p.total, p.cnt, missing)
-		if want > len(par) {
-			continue // parity shorter than the chunk it must restore
+		// A genuine parity is as long as its group's longest chunk, the
+		// first; a shorter one (forged or truncated) cannot restore the
+		// missing chunk nor absorb the XOR of the others.
+		if chunkLen(p.total, p.cnt, lo) > len(par) {
+			continue
 		}
+		want := chunkLen(p.total, p.cnt, missing)
 		rec := make([]byte, len(par))
 		copy(rec, par)
 		for i := lo; i < hi; i++ {

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -259,9 +260,33 @@ func TestSubReqRoundTrip(t *testing.T) {
 	if err != nil || s.Player != 7 || !s.WantPush {
 		t.Fatalf("Sub round trip: %+v, %v", s, err)
 	}
-	want := Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88, BudgetUs: 50000}
-	if q, err := DecodeReq(EncodeReq(nil, want)); err != nil || q != want {
-		t.Fatalf("Req round trip: %+v, %v", q, err)
+	want := FrameRequest{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88, BudgetUs: 50000}
+	b := EncodeDgramReq(nil, want)
+	if DgramType(b) != DgramReq {
+		t.Fatalf("DgramType = %d, want DgramReq", DgramType(b))
+	}
+	if q, err := DecodeFrameRequest(b[2:]); err != nil || q != want {
+		t.Fatalf("DgramReq round trip: %+v, %v", q, err)
+	}
+}
+
+// TestDgramReqIsFrameRequest: a frame-request datagram is exactly the
+// DgramReq type prefix followed by the TCP request body, so the two wires
+// carry one request with one codec.
+func TestDgramReqIsFrameRequest(t *testing.T) {
+	for _, r := range []FrameRequest{
+		{},
+		{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88, BudgetUs: 50000},
+		{Player: 0xFF, Point: geom.GridPoint{I: 1 << 20, J: -(1 << 20)}, ReqID: math.MaxUint32, BudgetUs: math.MaxUint32},
+	} {
+		want := append([]byte{DgramMagic, DgramReq}, EncodeFrameRequest(r)...)
+		if got := EncodeDgramReq(nil, r); !bytes.Equal(got, want) {
+			t.Errorf("%+v: datagram %x, want %x", r, got, want)
+		}
+		// Appends, like every datagram encoder.
+		if got := EncodeDgramReq([]byte{0xAA}, r); !bytes.Equal(got, append([]byte{0xAA}, want...)) {
+			t.Errorf("%+v: EncodeDgramReq does not append to dst: %x", r, got)
+		}
 	}
 }
 

@@ -61,12 +61,13 @@ const (
 	MsgEvictNotice
 	// MsgPeerFrameRequest is a node-to-node frame fetch inside a cluster:
 	// a non-owner node proxies a client's request to the grid point's
-	// rendezvous owner. The payload is a FrameRequest, so the deadline
-	// propagates across the hop.
+	// rendezvous owner. The payload is a FrameRequest carrying the
+	// remaining budget, so the deadline propagates across the hop without
+	// either node reading the other's clock.
 	MsgPeerFrameRequest
 	// MsgPeerFrameReply answers a peer fetch with a FrameReply (always
 	// intra-coded — delta references are per client session and do not
-	// cross nodes), carrying the owner's v2 stage timings end-to-end.
+	// cross nodes), carrying the owner's stage timings end-to-end.
 	MsgPeerFrameReply
 )
 
@@ -150,12 +151,11 @@ func DecodeHello(b []byte) (Hello, error) {
 }
 
 // frameRequestLen and frameReplyHdrLen are the fixed wire sizes of the
-// v2 frame messages: the v1 point fields plus the trace context (request
-// id and cross-node timestamps). Both are fixed-size headers so encoding
-// stays one buffer allocation and decoding is bounds-checked up front.
+// frame messages. Both are fixed-size headers so encoding stays one buffer
+// allocation and decoding is bounds-checked up front.
 const (
-	frameRequestLen  = 1 + 4 + 4 + 4 + 8 + 8                       // player, point, req id, sent ms, deadline ms
-	frameReplyHdrLen = 4 + 4 + 4 + 8 + 8 + 8 + 8*4 + 1 + 1 + 1 + 8 // point, req id, 3 stamps, 4 stage spans, kind, rung, origin, ref point
+	frameRequestLen  = 1 + 4 + 4 + 4 + 4               // player, point, req id, budget µs
+	frameReplyHdrLen = 4 + 4 + 4 + 8*4 + 1 + 1 + 1 + 8 // point, req id, 4 stage spans, kind, rung, origin, ref point
 )
 
 // FrameEncoding says how a FrameReply's Data payload is coded.
@@ -202,36 +202,46 @@ const (
 	OriginFailover
 )
 
-// FrameRequest asks for the encoded far-BE panorama of a grid point. The
-// request carries a per-connection request id and the client's send
-// timestamp (client clock, wall milliseconds) so the reply can close the
-// cross-node trace: the server echoes both, letting the client match the
-// reply to the request and estimate the clock offset NTP-style.
+// FrameRequest asks for the encoded far-BE panorama of a grid point. It
+// is the one frame request of every wire: a TCP client's MsgFrameRequest,
+// a cluster node's MsgPeerFrameRequest, and the body of a DgramReq
+// datagram.
 type FrameRequest struct {
 	Player uint8
 	Point  geom.GridPoint
 	// ReqID matches replies to requests (monotonic per connection).
 	ReqID uint32
-	// SentMs is the client's wall-clock send time in milliseconds.
-	SentMs float64
-	// DeadlineMs is the display deadline for this frame in *server*
-	// wall-clock milliseconds (the client translates its vsync schedule
-	// through the NTP-style clock offset it estimates from the reply
-	// stamps). Zero means no deadline: the request is never shed or
-	// degraded and sorts after all deadline traffic in the render queue.
-	DeadlineMs float64
+	// BudgetUs is how long the requester waits for the reply, in
+	// microseconds (BudgetUs builds it); 0 means no deadline: the request
+	// is never shed or degraded and sorts after all deadline traffic in
+	// the render queue. The server's deadline is its own receive time plus
+	// the budget, so no clock is ever compared across hosts.
+	BudgetUs uint32
+}
+
+// BudgetUs converts how long a requester will wait for its reply into a
+// FrameRequest's BudgetUs. A request with no deadline (armed false) carries
+// 0. An armed wait that has already run out is 1 µs, not 0: the request is
+// late, so the server must see it at risk, not deadline-less. Waits past
+// MaxUint32 µs (about 71 minutes) saturate.
+func BudgetUs(wait time.Duration, armed bool) uint32 {
+	if !armed {
+		return 0
+	}
+	return uint32(min(max(wait.Microseconds(), 1), math.MaxUint32))
 }
 
 // EncodeFrameRequest serialises a FrameRequest.
 func EncodeFrameRequest(r FrameRequest) []byte {
-	b := make([]byte, frameRequestLen)
-	b[0] = r.Player
-	binary.BigEndian.PutUint32(b[1:5], uint32(int32(r.Point.I)))
-	binary.BigEndian.PutUint32(b[5:9], uint32(int32(r.Point.J)))
-	binary.BigEndian.PutUint32(b[9:13], r.ReqID)
-	binary.BigEndian.PutUint64(b[13:21], math.Float64bits(r.SentMs))
-	binary.BigEndian.PutUint64(b[21:29], math.Float64bits(r.DeadlineMs))
-	return b
+	return appendFrameRequest(make([]byte, 0, frameRequestLen), r)
+}
+
+func appendFrameRequest(dst []byte, r FrameRequest) []byte {
+	dst = append(dst, r.Player)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Point.I)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Point.J)))
+	dst = binary.BigEndian.AppendUint32(dst, r.ReqID)
+	return binary.BigEndian.AppendUint32(dst, r.BudgetUs)
 }
 
 // DecodeFrameRequest parses a FrameRequest payload.
@@ -245,26 +255,19 @@ func DecodeFrameRequest(b []byte) (FrameRequest, error) {
 			I: int(int32(binary.BigEndian.Uint32(b[1:5]))),
 			J: int(int32(binary.BigEndian.Uint32(b[5:9]))),
 		},
-		ReqID:      binary.BigEndian.Uint32(b[9:13]),
-		SentMs:     math.Float64frombits(binary.BigEndian.Uint64(b[13:21])),
-		DeadlineMs: math.Float64frombits(binary.BigEndian.Uint64(b[21:29])),
+		ReqID:    binary.BigEndian.Uint32(b[9:13]),
+		BudgetUs: binary.BigEndian.Uint32(b[13:17]),
 	}, nil
 }
 
-// FrameReply carries the frame for a grid point plus the server-side leg
-// of the trace context: when the request was read and the reply written
-// (server clock, wall milliseconds — the NTP t1/t2 stamps), and how the
-// server-side span decomposes into queue wait, singleflight render, and
-// encode. The client derives network transit as its measured RTT minus
-// the server-side stages.
+// FrameReply carries the frame for a grid point plus how the server-side
+// span decomposes into queue wait, singleflight render, and encode (server
+// durations; no timestamps cross the wire). The client derives network
+// transit as its measured RTT minus the server-side stages.
 type FrameReply struct {
 	Point geom.GridPoint
-	// ReqID and ClientSentMs echo the request's trace context.
-	ReqID        uint32
-	ClientSentMs float64
-	// RecvMs and SendMs bracket the server-side span (server clock).
-	RecvMs float64
-	SendMs float64
+	// ReqID echoes the request's id.
+	ReqID uint32
 	// QueueMs is the wait before stage work began: connection queueing
 	// plus singleflight waiting on another request's render of the same
 	// point. RenderMs and EncodeMs are the render/encode spans, zero when
@@ -300,18 +303,15 @@ func EncodeFrameReply(r FrameReply) []byte {
 	binary.BigEndian.PutUint32(b[0:4], uint32(int32(r.Point.I)))
 	binary.BigEndian.PutUint32(b[4:8], uint32(int32(r.Point.J)))
 	binary.BigEndian.PutUint32(b[8:12], r.ReqID)
-	binary.BigEndian.PutUint64(b[12:20], math.Float64bits(r.ClientSentMs))
-	binary.BigEndian.PutUint64(b[20:28], math.Float64bits(r.RecvMs))
-	binary.BigEndian.PutUint64(b[28:36], math.Float64bits(r.SendMs))
-	binary.BigEndian.PutUint64(b[36:44], math.Float64bits(r.QueueMs))
-	binary.BigEndian.PutUint64(b[44:52], math.Float64bits(r.RenderMs))
-	binary.BigEndian.PutUint64(b[52:60], math.Float64bits(r.EncodeMs))
-	binary.BigEndian.PutUint64(b[60:68], math.Float64bits(r.HopMs))
-	b[68] = byte(r.Kind)
-	b[69] = byte(r.Rung)
-	b[70] = byte(r.Origin)
-	binary.BigEndian.PutUint32(b[71:75], uint32(int32(r.Ref.I)))
-	binary.BigEndian.PutUint32(b[75:79], uint32(int32(r.Ref.J)))
+	binary.BigEndian.PutUint64(b[12:20], math.Float64bits(r.QueueMs))
+	binary.BigEndian.PutUint64(b[20:28], math.Float64bits(r.RenderMs))
+	binary.BigEndian.PutUint64(b[28:36], math.Float64bits(r.EncodeMs))
+	binary.BigEndian.PutUint64(b[36:44], math.Float64bits(r.HopMs))
+	b[44] = byte(r.Kind)
+	b[45] = byte(r.Rung)
+	b[46] = byte(r.Origin)
+	binary.BigEndian.PutUint32(b[47:51], uint32(int32(r.Ref.I)))
+	binary.BigEndian.PutUint32(b[51:55], uint32(int32(r.Ref.J)))
 	return append(b, r.Data...)
 }
 
@@ -324,34 +324,31 @@ func DecodeFrameReply(b []byte) (FrameReply, error) {
 	if len(b) < frameReplyHdrLen {
 		return FrameReply{}, errors.New("transport: short frame reply")
 	}
-	if k := FrameEncoding(b[68]); k > FrameDelta {
-		return FrameReply{}, fmt.Errorf("transport: unknown frame kind %d", b[68])
+	if k := FrameEncoding(b[44]); k > FrameDelta {
+		return FrameReply{}, fmt.Errorf("transport: unknown frame kind %d", b[44])
 	}
-	if g := DegradeRung(b[69]); g > RungStale {
-		return FrameReply{}, fmt.Errorf("transport: unknown degrade rung %d", b[69])
+	if g := DegradeRung(b[45]); g > RungStale {
+		return FrameReply{}, fmt.Errorf("transport: unknown degrade rung %d", b[45])
 	}
-	if o := FrameOrigin(b[70]); o > OriginFailover {
-		return FrameReply{}, fmt.Errorf("transport: unknown frame origin %d", b[70])
+	if o := FrameOrigin(b[46]); o > OriginFailover {
+		return FrameReply{}, fmt.Errorf("transport: unknown frame origin %d", b[46])
 	}
 	return FrameReply{
 		Point: geom.GridPoint{
 			I: int(int32(binary.BigEndian.Uint32(b[0:4]))),
 			J: int(int32(binary.BigEndian.Uint32(b[4:8]))),
 		},
-		ReqID:        binary.BigEndian.Uint32(b[8:12]),
-		ClientSentMs: math.Float64frombits(binary.BigEndian.Uint64(b[12:20])),
-		RecvMs:       math.Float64frombits(binary.BigEndian.Uint64(b[20:28])),
-		SendMs:       math.Float64frombits(binary.BigEndian.Uint64(b[28:36])),
-		QueueMs:      math.Float64frombits(binary.BigEndian.Uint64(b[36:44])),
-		RenderMs:     math.Float64frombits(binary.BigEndian.Uint64(b[44:52])),
-		EncodeMs:     math.Float64frombits(binary.BigEndian.Uint64(b[52:60])),
-		HopMs:        math.Float64frombits(binary.BigEndian.Uint64(b[60:68])),
-		Kind:         FrameEncoding(b[68]),
-		Rung:         DegradeRung(b[69]),
-		Origin:       FrameOrigin(b[70]),
+		ReqID:    binary.BigEndian.Uint32(b[8:12]),
+		QueueMs:  math.Float64frombits(binary.BigEndian.Uint64(b[12:20])),
+		RenderMs: math.Float64frombits(binary.BigEndian.Uint64(b[20:28])),
+		EncodeMs: math.Float64frombits(binary.BigEndian.Uint64(b[28:36])),
+		HopMs:    math.Float64frombits(binary.BigEndian.Uint64(b[36:44])),
+		Kind:     FrameEncoding(b[44]),
+		Rung:     DegradeRung(b[45]),
+		Origin:   FrameOrigin(b[46]),
 		Ref: geom.GridPoint{
-			I: int(int32(binary.BigEndian.Uint32(b[71:75]))),
-			J: int(int32(binary.BigEndian.Uint32(b[75:79]))),
+			I: int(int32(binary.BigEndian.Uint32(b[47:51]))),
+			J: int(int32(binary.BigEndian.Uint32(b[51:55]))),
 		},
 		Data: b[frameReplyHdrLen:],
 	}, nil

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"net"
 	"testing"
 	"testing/quick"
@@ -109,13 +110,12 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestFrameRequestRoundTrip(t *testing.T) {
-	f := func(player uint8, i, j int32, reqID uint32, sentMs, deadlineMs float64) bool {
+	f := func(player uint8, i, j int32, reqID, budgetUs uint32) bool {
 		r := FrameRequest{
-			Player:     player,
-			Point:      geom.GridPoint{I: int(i), J: int(j)},
-			ReqID:      reqID,
-			SentMs:     sentMs,
-			DeadlineMs: deadlineMs,
+			Player:   player,
+			Point:    geom.GridPoint{I: int(i), J: int(j)},
+			ReqID:    reqID,
+			BudgetUs: budgetUs,
 		}
 		got, err := DecodeFrameRequest(EncodeFrameRequest(r))
 		return err == nil && got == r
@@ -126,7 +126,7 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 }
 
 func TestFrameRequestRejectsTruncated(t *testing.T) {
-	full := EncodeFrameRequest(FrameRequest{Player: 1, ReqID: 7, SentMs: 123.5})
+	full := EncodeFrameRequest(FrameRequest{Player: 1, ReqID: 7, BudgetUs: 16700})
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeFrameRequest(full[:n]); err == nil {
 			t.Fatalf("truncated request (%d of %d bytes) accepted", n, len(full))
@@ -138,29 +138,53 @@ func TestFrameRequestRejectsTruncated(t *testing.T) {
 	}
 }
 
+// TestBudgetUs pins the one client-side wait → budget conversion: no
+// deadline is 0, an armed deadline that has already passed is 1 µs (late,
+// not deadline-less), waits round down to whole microseconds, and a huge
+// wait saturates instead of wrapping.
+func TestBudgetUs(t *testing.T) {
+	for _, c := range []struct {
+		wait  time.Duration
+		armed bool
+		want  uint32
+	}{
+		{0, false, 0},
+		{time.Second, false, 0},
+		{-time.Second, false, 0},
+		{-time.Second, true, 1},
+		{0, true, 1},
+		{500 * time.Nanosecond, true, 1},
+		{16700 * time.Microsecond, true, 16700},
+		{16700*time.Microsecond + 999, true, 16700},
+		{time.Duration(math.MaxUint32) * time.Microsecond, true, math.MaxUint32},
+		{100 * time.Hour, true, math.MaxUint32},
+		{time.Duration(math.MaxInt64), true, math.MaxUint32},
+	} {
+		if got := BudgetUs(c.wait, c.armed); got != c.want {
+			t.Errorf("BudgetUs(%v, %v) = %d, want %d", c.wait, c.armed, got, c.want)
+		}
+	}
+}
+
 func TestFrameReplyRoundTrip(t *testing.T) {
 	r := FrameReply{
-		Point:        geom.GridPoint{I: -5, J: 1 << 20},
-		ReqID:        42,
-		ClientSentMs: 1000.25,
-		RecvMs:       2000.5,
-		SendMs:       2024.75,
-		QueueMs:      3.5,
-		RenderMs:     12.25,
-		EncodeMs:     9,
-		HopMs:        1.75,
-		Kind:         FrameDelta,
-		Rung:         RungStale,
-		Origin:       OriginPeer,
-		Ref:          geom.GridPoint{I: -6, J: 1<<20 - 1},
-		Data:         []byte{9, 8, 7},
+		Point:    geom.GridPoint{I: -5, J: 1 << 20},
+		ReqID:    42,
+		QueueMs:  3.5,
+		RenderMs: 12.25,
+		EncodeMs: 9,
+		HopMs:    1.75,
+		Kind:     FrameDelta,
+		Rung:     RungStale,
+		Origin:   OriginPeer,
+		Ref:      geom.GridPoint{I: -6, J: 1<<20 - 1},
+		Data:     []byte{9, 8, 7},
 	}
 	got, err := DecodeFrameReply(EncodeFrameReply(r))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Point != r.Point || got.ReqID != r.ReqID ||
-		got.ClientSentMs != r.ClientSentMs || got.RecvMs != r.RecvMs || got.SendMs != r.SendMs ||
 		got.QueueMs != r.QueueMs || got.RenderMs != r.RenderMs || got.EncodeMs != r.EncodeMs ||
 		got.HopMs != r.HopMs ||
 		got.Kind != r.Kind || got.Rung != r.Rung || got.Origin != r.Origin || got.Ref != r.Ref ||
@@ -176,7 +200,7 @@ func TestFrameReplyRejectsUnknownKind(t *testing.T) {
 	full := EncodeFrameReply(FrameReply{ReqID: 1, Data: []byte("frame")})
 	for _, kind := range []byte{byte(FrameDelta) + 1, 0x7F, 0xFF} {
 		forged := append([]byte(nil), full...)
-		forged[68] = kind
+		forged[44] = kind
 		if _, err := DecodeFrameReply(forged); err == nil {
 			t.Fatalf("unknown frame kind %d accepted", kind)
 		}
@@ -189,7 +213,7 @@ func TestFrameReplyRejectsUnknownRung(t *testing.T) {
 	full := EncodeFrameReply(FrameReply{ReqID: 1, Data: []byte("frame")})
 	for _, rung := range []byte{byte(RungStale) + 1, 0x7F, 0xFF} {
 		forged := append([]byte(nil), full...)
-		forged[69] = rung
+		forged[45] = rung
 		if _, err := DecodeFrameReply(forged); err == nil {
 			t.Fatalf("unknown degrade rung %d accepted", rung)
 		}
@@ -209,7 +233,7 @@ func TestFrameReplyRejectsUnknownOrigin(t *testing.T) {
 	full := EncodeFrameReply(FrameReply{ReqID: 1, Data: []byte("frame")})
 	for _, origin := range []byte{byte(OriginFailover) + 1, 0x7F, 0xFF} {
 		forged := append([]byte(nil), full...)
-		forged[70] = origin
+		forged[46] = origin
 		if _, err := DecodeFrameReply(forged); err == nil {
 			t.Fatalf("unknown frame origin %d accepted", origin)
 		}
@@ -224,9 +248,9 @@ func TestFrameReplyRejectsUnknownOrigin(t *testing.T) {
 
 func TestPeerMessageTypesFrame(t *testing.T) {
 	// The peer fetch rides the normal framing: both peer types round-trip
-	// through Write/ReadMessage and carry the v2 frame payloads verbatim.
+	// through Write/ReadMessage and carry the frame payloads verbatim.
 	var buf bytes.Buffer
-	req := EncodeFrameRequest(FrameRequest{Player: 1, Point: geom.GridPoint{I: 3, J: 4}, DeadlineMs: 99.5})
+	req := EncodeFrameRequest(FrameRequest{Player: 1, Point: geom.GridPoint{I: 3, J: 4}, BudgetUs: 16700})
 	reply := EncodeFrameReply(FrameReply{Point: geom.GridPoint{I: 3, J: 4}, Origin: OriginLocal, Data: []byte("f")})
 	for _, m := range []Message{
 		{Type: MsgPeerFrameRequest, Payload: req},
@@ -333,9 +357,8 @@ func TestFrameReplyRejectsTruncatedHeader(t *testing.T) {
 
 func TestFrameCodecAllocationFree(t *testing.T) {
 	// The frame hot path budgets one buffer allocation per encode and zero
-	// per decode (Data aliases the input); the v2 trace context must not
-	// add any.
-	req := FrameRequest{Player: 2, Point: geom.GridPoint{I: 4, J: 5}, ReqID: 9, SentMs: 77.5}
+	// per decode (Data aliases the input).
+	req := FrameRequest{Player: 2, Point: geom.GridPoint{I: 4, J: 5}, ReqID: 9, BudgetUs: 16700}
 	if allocs := testing.AllocsPerRun(100, func() {
 		EncodeFrameRequest(req)
 	}); allocs > 1 {
@@ -438,15 +461,18 @@ func TestConnStickyError(t *testing.T) {
 // control decoder: malformed input is an error, never a panic, and
 // whatever decodes survives the wire — re-encoded, it decodes again and
 // re-encodes to the same bytes. The encoders write every field verbatim,
-// so that fixed point is value equality, with NaN timestamps compared by
-// bits. The seed corpus is the round-trip tests' messages, so the property
-// runs inside go test.
+// so that fixed point is value equality, with NaN stage spans compared by
+// bits. The one FrameRequest decoder is fed from both of its carriers: the
+// TCP payload as is, and a DgramReq datagram past its type prefix. The
+// seed corpus is the round-trip tests' messages, so the property runs
+// inside go test.
 func FuzzWireDecoders(f *testing.F) {
 	f.Add(EncodeHello(Hello{Player: 3, Game: "viking"}))
-	f.Add(EncodeFrameRequest(FrameRequest{Player: 1, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 7, SentMs: 123.5, DeadlineMs: 140.2}))
+	req := FrameRequest{Player: 1, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 7, BudgetUs: 16700}
+	f.Add(EncodeFrameRequest(req))
+	f.Add(EncodeDgramReq(nil, req))
 	f.Add(EncodeFrameReply(FrameReply{
 		Point: geom.GridPoint{I: -5, J: 1 << 20}, ReqID: 42,
-		ClientSentMs: 1000.25, RecvMs: 2000.5, SendMs: 2024.75,
 		QueueMs: 3.5, RenderMs: 12.25, EncodeMs: 9, HopMs: 1.75,
 		Kind: FrameDelta, Rung: RungStale, Origin: OriginPeer,
 		Ref: geom.GridPoint{I: -6, J: 1<<20 - 1}, Data: []byte{9, 8, 7},
@@ -454,18 +480,19 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(EncodeEvictNotice([]geom.GridPoint{{I: 1, J: -2}, {I: 1 << 20, J: 0}}))
 	f.Add(EncodeNack(nil, Nack{StreamID: 1, FrameSeq: 1, Missing: []uint16{0, 1}}))
 	f.Add(EncodeSub(nil, Sub{Player: 7, WantPush: true}))
-	f.Add(EncodeReq(nil, Req{Player: 3, Point: geom.GridPoint{I: -5, J: 11}, ReqID: 88, BudgetUs: 50000}))
 	f.Add(EncodeFI(nil, fisync.State{Player: 2, Seq: 5, Pos: geom.V2(3, -4), Heading: 1}))
 	f.Add(EncodeFIReply(nil, make([]byte, fisync.WireSize)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fuzzRoundTrip(t, "Hello", b, DecodeHello, EncodeHello)
 		fuzzRoundTrip(t, "FrameRequest", b, DecodeFrameRequest, EncodeFrameRequest)
+		if DgramType(b) == DgramReq {
+			fuzzRoundTrip(t, "DgramReq body", b[2:], DecodeFrameRequest, EncodeFrameRequest)
+		}
 		fuzzRoundTrip(t, "FrameReply", b, DecodeFrameReply, EncodeFrameReply)
 		fuzzRoundTrip(t, "EvictNotice", b, DecodeEvictNotice, EncodeEvictNotice)
 		fuzzRoundTrip(t, "Nack", b, DecodeNack, func(n Nack) []byte { return EncodeNack(nil, n) })
 		fuzzRoundTrip(t, "Sub", b, DecodeSub, func(s Sub) []byte { return EncodeSub(nil, s) })
-		fuzzRoundTrip(t, "Req", b, DecodeReq, func(r Req) []byte { return EncodeReq(nil, r) })
 		fuzzRoundTrip(t, "FI", b, DecodeFI, func(s fisync.State) []byte { return EncodeFI(nil, s) })
 		fuzzRoundTrip(t, "FIReply", b, DecodeFIReply, func(s []byte) []byte { return EncodeFIReply(nil, s) })
 	})
