@@ -6,7 +6,7 @@
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
 # or share atomic state (the obs metrics registry, the cache and
 # prefetcher once instrumented into a shared registry). `make fuzz` runs
-# the five native fuzz targets for real; it is not part of `check`, where
+# the six native fuzz targets for real; it is not part of `check`, where
 # `go test` only replays their seed corpora.
 
 GO ?= go
@@ -56,13 +56,13 @@ race:
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
 		./internal/netsim/... ./internal/world/... ./internal/lru/...
 
-# Native fuzzing: each Fuzz* target in turn for FUZZTIME (five targets,
-# ~1 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is
+# Native fuzzing: each Fuzz* target in turn for FUZZTIME (six targets,
+# ~1.5 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is
 # written under the package's testdata/fuzz/ and replays in `go test` from
 # then on.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = codec:FuzzDecode codec:FuzzDeltaDecode trace:FuzzRead \
-	transport:FuzzWireDecoders transport:FuzzReassembler
+	transport:FuzzWireDecoders transport:FuzzReassembler cutoff:FuzzLoad
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=./internal/$${t%%:*}; fn=$${t##*:}; \

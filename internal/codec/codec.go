@@ -105,19 +105,25 @@ func Encode(g *img.Gray, crf int) []byte {
 	bh64 := blocksAcross(g.H)
 
 	var src, coef [64]float64
+	var zz [64]int32
 	prevDC := int32(0)
 	for by := 0; by < bh64; by++ {
 		for bx := 0; bx < bw64; bx++ {
-			loadBlock(g, bx*blockSize, by*blockSize, &src)
-			fdct8x8(&src, &coef)
-			// Quantise into zigzag order.
-			var zz [64]int32
-			for i := 0; i < 64; i++ {
-				c := coef[zigzag[i]] / q[zigzag[i]]
-				if c >= 0 {
-					zz[i] = int32(c + 0.5)
-				} else {
-					zz[i] = int32(c - 0.5)
+			x0, y0 := bx*blockSize, by*blockSize
+			// An interior block whose pixel rows repeat its left
+			// neighbour's has that block's coefficients, still in zz. Edge
+			// blocks replicate their border, so they are always transformed.
+			if bx == 0 || !interior(g.W, g.H, x0, y0) || !repeatsLeft(g, x0, y0) {
+				loadBlock(g, x0, y0, &src)
+				fdct8x8(&src, &coef)
+				// Quantise into zigzag order.
+				for i := 0; i < 64; i++ {
+					c := coef[zigzag[i]] / q[zigzag[i]]
+					if c >= 0 {
+						zz[i] = int32(c + 0.5)
+					} else {
+						zz[i] = int32(c - 0.5)
+					}
 				}
 			}
 			// DC prediction from the previous block in scan order.
@@ -193,6 +199,7 @@ func Decode(data []byte) (*img.Gray, error) {
 	}
 	g := getGray(w, h)
 	var coef, pix [64]float64
+	var prevZZ [64]int32
 	prevDC := int32(0)
 	for by := 0; by < bh64; by++ {
 		for bx := 0; bx < bw64; bx++ {
@@ -208,10 +215,15 @@ func Decode(data []byte) (*img.Gray, error) {
 				ReleaseGray(g)
 				return nil, err
 			}
-			for i := 0; i < 64; i++ {
-				coef[zigzag[i]] = float64(zz[i]) * q[zigzag[i]]
+			// The reconstruction is a pure function of the coefficients: a
+			// block that repeats the previous one's stores its pixels again.
+			if bx+by == 0 || zz != prevZZ {
+				for i := 0; i < 64; i++ {
+					coef[zigzag[i]] = float64(zz[i]) * q[zigzag[i]]
+				}
+				idct8x8(&coef, &pix)
+				prevZZ = zz
 			}
-			idct8x8(&coef, &pix)
 			storeBlock(g, bx*blockSize, by*blockSize, &pix)
 		}
 	}
@@ -253,6 +265,17 @@ func interior(w, h, x0, y0 int) bool { return x0+blockSize <= w && y0+blockSize 
 // blockRow returns row y of the interior 8x8 block at (x0,y0).
 func blockRow(g *img.Gray, x0, y0, y int) *[blockSize]uint8 {
 	return (*[blockSize]uint8)(g.Pix[(y0+y)*g.W+x0:])
+}
+
+// repeatsLeft reports whether the interior block at (x0,y0), x0 > 0, has
+// the pixel rows of the block to its left.
+func repeatsLeft(g *img.Gray, x0, y0 int) bool {
+	for y := 0; y < blockSize; y++ {
+		if *blockRow(g, x0, y0, y) != *blockRow(g, x0-blockSize, y0, y) {
+			return false
+		}
+	}
+	return true
 }
 
 // loadBlock copies an 8x8 block (level-shifted by -128) clamping reads at

@@ -3,9 +3,13 @@ package codec
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"coterie/internal/cutoff"
+	"coterie/internal/device"
 	"coterie/internal/games"
+	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/render"
 )
@@ -34,34 +38,80 @@ func benchImage(w, h int) *img.Gray {
 	return g
 }
 
-// vikingFarBE is the frame the server encodes on a cold miss: a 256x128
-// viking far-BE panorama (near cutoff 6 m) from the spawn point.
-func vikingFarBE(b *testing.B) *img.Gray {
-	g, err := games.BuildByName("viking")
-	if err != nil {
-		b.Fatal(err)
+// vikingMisses are the frames the server encodes on a cold miss, as
+// BenchmarkPanoramaFarGame (internal/render) casts them: 256x128 viking
+// far-BE panoramas from 16 eyes scattered over the map, each clipped at its
+// leaf's cutoff radius. The split keeps the eyes whose radius passes keep:
+// sparse (radius > 15 m: ~95 % sky, the median cold miss) or dense.
+func vikingMisses(b *testing.B, keep func(radius float64) bool) []*img.Gray {
+	vikingOnce.Do(func() {
+		if vikingGame, vikingErr = games.BuildByName("viking"); vikingErr == nil {
+			vikingMap, vikingErr = cutoff.Compute(vikingGame.Scene, device.Pixel2().NearBERenderMs, cutoff.DefaultParams())
+		}
+	})
+	if vikingErr != nil {
+		b.Fatal(vikingErr)
 	}
+	g := vikingGame
 	r := render.New(g.Scene, render.Config{W: 256, H: 128, Parallel: 1})
-	return r.Panorama(g.Scene.EyeAt(g.Spawn), 6, math.Inf(1), nil)
+	rng := rand.New(rand.NewSource(14))
+	var frames []*img.Gray
+	for len(frames) < 16 {
+		bd := g.Scene.Bounds
+		p := geom.V2(bd.MinX+rng.Float64()*bd.Width(), bd.MinZ+rng.Float64()*bd.Depth())
+		if radius := vikingMap.RadiusAt(p); keep(radius) {
+			frames = append(frames, r.Panorama(g.Scene.EyeAt(p), radius, math.Inf(1), nil))
+		}
+	}
+	return frames
 }
 
-func benchEncode(b *testing.B, src *img.Gray) {
-	b.ReportAllocs()
-	b.SetBytes(int64(src.W * src.H))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Encode(src, DefaultCRF)
+// The viking cutoff map takes seconds to compute: once per process, across
+// the testing package's b.N escalation and every codec benchmark.
+var (
+	vikingOnce sync.Once
+	vikingGame *games.Game
+	vikingMap  *cutoff.Map
+	vikingErr  error
+)
+
+// vikingSplits runs bench over the whole viking miss mix and its sparse and
+// dense halves, which differ in sky share and so in repeated blocks.
+func vikingSplits(b *testing.B, bench func(b *testing.B, frames []*img.Gray)) {
+	for _, sc := range []struct {
+		name string
+		keep func(radius float64) bool
+	}{
+		{"all", func(float64) bool { return true }},
+		{"sparse", func(r float64) bool { return r > 15 }},
+		{"dense", func(r float64) bool { return r <= 15 }},
+	} {
+		b.Run(sc.name, func(b *testing.B) { bench(b, vikingMisses(b, sc.keep)) })
 	}
 }
 
-// benchDecode releases every raster, like the server and client paths do:
-// the number is the decode, not a 32 KB allocation per frame.
-func benchDecode(b *testing.B, data []byte) {
+// benchEncode encodes the frames in turn; one op is one frame.
+func benchEncode(b *testing.B, frames []*img.Gray) {
 	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(frames[0].W * frames[0].H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := Decode(data)
+		Encode(frames[i%len(frames)], DefaultCRF)
+	}
+}
+
+// benchDecode decodes the frames' streams in turn and releases every
+// raster, like the server and client paths do: the number is the decode,
+// not a 32 KB allocation per frame.
+func benchDecode(b *testing.B, frames []*img.Gray) {
+	streams := make([][]byte, len(frames))
+	for i, f := range frames {
+		streams[i] = Encode(f, DefaultCRF)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := Decode(streams[i%len(streams)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,10 +119,10 @@ func benchDecode(b *testing.B, data []byte) {
 	}
 }
 
-func BenchmarkEncode256x128(b *testing.B) { benchEncode(b, benchImage(256, 128)) }
-func BenchmarkDecode256x128(b *testing.B) { benchDecode(b, Encode(benchImage(256, 128), DefaultCRF)) }
-func BenchmarkEncodeViking(b *testing.B)  { benchEncode(b, vikingFarBE(b)) }
-func BenchmarkDecodeViking(b *testing.B)  { benchDecode(b, Encode(vikingFarBE(b), DefaultCRF)) }
+func BenchmarkEncode256x128(b *testing.B) { benchEncode(b, []*img.Gray{benchImage(256, 128)}) }
+func BenchmarkDecode256x128(b *testing.B) { benchDecode(b, []*img.Gray{benchImage(256, 128)}) }
+func BenchmarkEncodeViking(b *testing.B)  { vikingSplits(b, benchEncode) }
+func BenchmarkDecodeViking(b *testing.B)  { vikingSplits(b, benchDecode) }
 
 // benchKernel times one transform over pixel-range blocks (fdct8x8's input
 // in Encode) or sparse dequantised coefficients (idct8x8's in Decode).

@@ -193,3 +193,72 @@ func TestStreamsUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// repeatFrames are the rasters at the edges of the repeated-block
+// shortcuts: Encode reuses an interior block's coefficients when its pixel
+// rows equal its left neighbour's, Decode reuses a reconstruction when a
+// block's coefficients equal the previous block's.
+//   - quad: 100x60, every pixel row A[x%4]. Every interior block repeats its
+//     left neighbour. At the right edge (x0 = 96) the four in-bounds pixels,
+//     and the raw 8-byte row slice that runs on into the next pixel row,
+//     equal the left neighbour's rows and block (0, by)'s, but the block the
+//     encoder loads replicates its border and equals neither.
+//   - period8: 100x60, B[x%8] plus a row ramp: interior blocks repeat, the
+//     edge block's valid four columns equal its left neighbour's first
+//     four, and every block row has its own DC.
+//   - wrap: 64x48 of distinct blocks, except that block (0, by) is a copy of
+//     block (7, by-1), the previous block in scan order.
+//   - steps: 64x16, B[x%8] plus a step per block column: neighbours share
+//     every AC coefficient and differ in DC.
+//   - flat: 100x60 of one value, edge blocks included.
+func repeatFrames() map[string]*img.Gray {
+	steps := img.NewGray(64, 16)
+	for y := 0; y < 16; y++ {
+		for x := 0; x < 64; x++ {
+			steps.Set(x, y, [8]uint8{10, 90, 30, 160, 190, 40, 130, 70}[x%8]+uint8(8*(x/8)))
+		}
+	}
+	quad := img.NewGray(100, 60)
+	period8 := img.NewGray(100, 60)
+	for y := 0; y < 60; y++ {
+		for x := 0; x < 100; x++ {
+			quad.Set(x, y, [4]uint8{20, 200, 60, 240}[x%4])
+			period8.Set(x, y, [8]uint8{10, 90, 30, 160, 190, 40, 130, 70}[x%8]+uint8(y))
+		}
+	}
+	wrap := noisyImage(rand.New(rand.NewSource(32)), 64, 48)
+	for y0 := 8; y0 < 48; y0 += 8 {
+		for y := 0; y < 8; y++ {
+			copy(wrap.Pix[(y0+y)*64:(y0+y)*64+8], wrap.Pix[(y0-8+y)*64+56:(y0-8+y)*64+64])
+		}
+	}
+	return map[string]*img.Gray{"quad": quad, "period8": period8, "wrap": wrap, "steps": steps, "flat": flatImage(100, 60, 77)}
+}
+
+// TestRepeatedBlockStreamsUnchanged pins Encode's bytes and Decode's pixels
+// of repeatFrames: FNV-64a digests computed at the commit before the
+// repeated-block shortcuts. A shortcut taken on an edge block, or across a
+// block row, moves one of them.
+func TestRepeatedBlockStreamsUnchanged(t *testing.T) {
+	want := map[string][2]uint64{
+		"quad":    {0x4759829d550fff63, 0x6c6be3634673598d},
+		"period8": {0x61b1dfafd42d796c, 0x5a762f0afb623117},
+		"wrap":    {0xc2de3928c804a462, 0xce9e401c7de2f7cb},
+		"steps":   {0x96641610ee77a3ff, 0xf334e00048930d45},
+		"flat":    {0x2a2fd18fabb36590, 0x4a6a2b9418d05f55},
+	}
+	for name, g := range repeatFrames() {
+		data := Encode(g, DefaultCRF)
+		rec, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, pix := fnv.New64a(), fnv.New64a()
+		stream.Write(data)
+		pix.Write(rec.Pix)
+		ReleaseGray(rec)
+		if got := [2]uint64{stream.Sum64(), pix.Sum64()}; got != want[name] {
+			t.Errorf("%s: stream, reconstruction digests %#x, pinned %#x", name, got, want[name])
+		}
+	}
+}

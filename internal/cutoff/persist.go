@@ -113,8 +113,20 @@ func Load(r io.Reader, scene *world.Scene) (*Map, error) {
 
 // rebuildTree reconstructs the quadtree from leaf rectangles: a node whose
 // bounds exactly match a single covering leaf is that leaf; otherwise the
-// node splits into quadrants.
+// node splits into quadrants. A well-formed map makes exactly one leaf node
+// per region. A region that is not a quadtree cell — a strip a millionth
+// of the width, say — splits every node along its edge down to the depth
+// cap, twice as many nodes per level, so the rebuild fails as soon as it
+// has made more leaf nodes than the file has regions: the tree it builds
+// is bounded by the file's size.
 func rebuildTree(bounds geom.Rect, regions []Region) (*node, error) {
+	leaves := 0
+	leaf := func(b geom.Rect, r *Region) (*node, error) {
+		if leaves++; leaves > len(regions) {
+			return nil, fmt.Errorf("cutoff: %d regions do not tile a quadtree (%+v is a leaf too many)", len(regions), b)
+		}
+		return &node{bounds: b, leaf: int32(r.ID)}, nil
+	}
 	// Index regions by containment of the node centre for recursion.
 	var build func(b geom.Rect, depth int) (*node, error)
 	build = func(b geom.Rect, depth int) (*node, error) {
@@ -134,7 +146,7 @@ func rebuildTree(bounds geom.Rect, regions []Region) (*node, error) {
 			return nil, fmt.Errorf("cutoff: no region covers %v", c)
 		}
 		if sameRect(covering.Bounds, b) {
-			return &node{bounds: b, leaf: int32(covering.ID)}, nil
+			return leaf(b, covering)
 		}
 		if !rectContains(covering.Bounds, b) {
 			// The covering leaf is smaller than this node: split.
@@ -150,7 +162,7 @@ func rebuildTree(bounds geom.Rect, regions []Region) (*node, error) {
 		}
 		// The leaf is larger than the node (should not happen for a
 		// well-formed quadtree, but tolerate it).
-		return &node{bounds: b, leaf: int32(covering.ID)}, nil
+		return leaf(b, covering)
 	}
 	return build(bounds, 0)
 }

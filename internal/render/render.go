@@ -234,12 +234,24 @@ func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, row
 // of the column is answered from them (world.GatherColumn). Only the live
 // rows — the hull of the candidates' rows and of the ground's — build a ray:
 // no other row can hit anything, so it shows the sky. Most of a far-BE
-// panorama is such rows.
+// panorama is such rows, and the sky depends on the row alone, so a luma
+// band first fills its columns of every row with the row's sky — one
+// contiguous segment per row, disjoint from every other band's — and the
+// columns then write only their hits.
 func (j *castJob) Run(b int) {
 	r, p, w := j.r, &j.r.proj, j.r.Cfg.W
-	q := r.getQuery()
+	x0, x1 := b*w/j.bands, (b+1)*w/j.bands
 	col := j.col
-	for x := b * w / j.bands; x < (b+1)*w/j.bands; x++ {
+	if j.rgb == nil {
+		for y := col.RowLo; y < col.RowHi; y++ {
+			sky, seg := p.sky[y], j.out.Pix[(y-col.RowLo)*w+x0:(y-col.RowLo)*w+x1]
+			for i := range seg {
+				seg[i] = sky
+			}
+		}
+	}
+	q := r.getQuery()
+	for x := x0; x < x1; x++ {
 		col.SinYaw, col.CosYaw = p.sinYaw[x], p.cosYaw[x]
 		lo, hi := r.Scene.GatherColumn(q, &col)
 		lo, hi = min(lo, j.groundLo), max(hi, j.groundHi)
@@ -247,39 +259,35 @@ func (j *castJob) Run(b int) {
 			// Dynamics are few and tested brute force: any row may see one.
 			lo, hi = col.RowLo, col.RowHi
 		}
-		for y := col.RowLo; y < col.RowHi; y++ {
-			var hit world.Hit
-			var dir geom.Vec3
-			ok := false
-			if y >= lo && y < hi {
-				cp := p.cos[y]
-				dir = geom.V3(cp*col.SinYaw, p.sin[y], cp*col.CosYaw)
-				ray := geom.Ray{Origin: col.Eye, Direction: dir}
+		if j.rgb != nil {
+			for y := col.RowLo; y < col.RowHi; y++ {
+				cr, cg, cb := skyRGB(p.sin[y])
+				j.rgb.Set(x, y, cr, cg, cb)
+			}
+		}
+		for y := lo; y < hi; y++ {
+			cp := p.cos[y]
+			dir := geom.V3(cp*col.SinYaw, p.sin[y], cp*col.CosYaw)
+			ray := geom.Ray{Origin: col.Eye, Direction: dir}
 
-				hit, ok = r.Scene.IntersectColumn(q, y, ray)
-				for di := range j.dynamics {
-					limit := col.TMax
-					if ok {
-						limit = hit.T
-					}
-					if t, dok := j.dynamics[di].IntersectFrom(ray, col.TMin); dok && t < limit {
-						hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
-						ok = true
-					}
+			hit, ok := r.Scene.IntersectColumn(q, y, ray)
+			for di := range j.dynamics {
+				limit := col.TMax
+				if ok {
+					limit = hit.T
+				}
+				if t, dok := j.dynamics[di].IntersectFrom(ray, col.TMin); dok && t < limit {
+					hit = world.Hit{T: t, Object: &j.dynamics[di], Point: ray.At(t)}
+					ok = true
 				}
 			}
-
-			idx := (y-col.RowLo)*w + x
 			switch {
-			case j.rgb != nil:
-				cr, cg, cb := skyRGB(p.sin[y])
-				if ok {
-					cr, cg, cb = shadeRGB(hit, dir, j.pixAngle)
-				}
-				j.rgb.Set(x, y, cr, cg, cb)
 			case !ok:
-				j.out.Pix[idx] = p.sky[y]
+			case j.rgb != nil:
+				cr, cg, cb := shadeRGB(hit, dir, j.pixAngle)
+				j.rgb.Set(x, y, cr, cg, cb)
 			default:
+				idx := (y-col.RowLo)*w + x
 				if j.mask != nil {
 					j.mask[idx] = true
 				}
