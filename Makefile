@@ -6,12 +6,12 @@
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
 # or share atomic state (the obs metrics registry, the cache and
 # prefetcher once instrumented into a shared registry). `make fuzz` runs
-# the six native fuzz targets for real; it is not part of `check`, where
+# the seven native fuzz targets for real; it is not part of `check`, where
 # `go test` only replays their seed corpora.
 
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test test-procs race fuzz bench bench-e2e bench-pairs smoke loc
+.PHONY: check fmt vet build bench-build test test-procs race fuzz bench bench-e2e bench-pairs micro-pairs smoke loc
 
 check: fmt vet build bench-build test-procs race
 
@@ -56,13 +56,14 @@ race:
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
 		./internal/netsim/... ./internal/world/... ./internal/lru/...
 
-# Native fuzzing: each Fuzz* target in turn for FUZZTIME (six targets,
+# Native fuzzing: each Fuzz* target in turn for FUZZTIME (seven targets,
 # ~1.5 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is
 # written under the package's testdata/fuzz/ and replays in `go test` from
 # then on.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = codec:FuzzDecode codec:FuzzDeltaDecode trace:FuzzRead \
-	transport:FuzzWireDecoders transport:FuzzReassembler cutoff:FuzzLoad
+	transport:FuzzWireDecoders transport:FuzzReassembler cutoff:FuzzLoad \
+	fisync:FuzzDecodeStates
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=./internal/$${t%%:*}; fn=$${t##*:}; \
@@ -75,7 +76,7 @@ fuzz:
 smoke:
 	./scripts/smoke.sh
 
-# Hot-path micro-benchmarks (ssim comparer, panorama ray-cast and its column
+# Hot-path micro-benchmarks (ssim comparer, panorama ray-cast and its frame
 # gather, codec kernels and frames, the server's cold miss and store hit).
 # The server package runs at -cpu 1,2: BenchmarkStoreHit/parallel is what
 # the frame store's one lock costs when two cores do nothing but look up,
@@ -100,6 +101,15 @@ SEED ?= 1
 N ?= 10
 bench-pairs:
 	./scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
+
+# Alternating parent / change pairs of one package's Go micro-benchmarks at
+# -cpu 1 and -cpu 2, with the same summary (medians, quartiles, pairs won),
+# e.g.
+#   make micro-pairs PARENT=HEAD~1 PKG=./internal/server BENCH=ColdMiss N=5
+PKG ?= ./internal/server
+BENCH ?= ColdMiss
+micro-pairs:
+	./scripts/micro-pairs.sh $(PARENT) $(PKG) $(BENCH) $(N)
 
 # Non-test Go lines under internal/ (total and per package) and cmd/: the
 # headline numbers of a simplicity PR.

@@ -199,3 +199,31 @@ func TestHubTrafficCounters(t *testing.T) {
 		t.Fatalf("download bytes %d", h.DownloadBytes)
 	}
 }
+
+// FuzzDecodeStates holds the FI reply decoder the UDP client runs on every
+// reply payload: any input either decodes, exactly when its length is a
+// whole number of states, into states that encode back to the same bytes,
+// or fails with ErrShort and no states.
+func FuzzDecodeStates(f *testing.F) {
+	f.Add(AppendStates(nil, []State{
+		{Player: 1, Anim: 2, Seq: 3, Pos: geom.V2(4.5, -6), Heading: 0.25},
+		{Player: 255, Seq: 1<<32 - 1, Pos: geom.V2(-1e300, 1e-300), Heading: -3},
+	}))
+	f.Add(make([]byte, WireSize-1))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		states, err := DecodeStates(b)
+		if len(b)%WireSize != 0 {
+			if err != ErrShort || states != nil {
+				t.Fatalf("%d bytes: %d states, err %v; want ErrShort", len(b), len(states), err)
+			}
+			return
+		}
+		if err != nil || len(states) != len(b)/WireSize {
+			t.Fatalf("%d bytes: %d states, err %v", len(b), len(states), err)
+		}
+		if re := AppendStates(nil, states); string(re) != string(b) {
+			t.Fatalf("re-encoded %x, decoded from %x", re, b)
+		}
+	})
+}

@@ -14,7 +14,7 @@ import (
 // pixel, a frame built one ray at a time on Scene.Intersect (the general
 // per-ray grid walk) and the same shaders. The renderer itself never calls
 // Scene.Intersect; it answers each ray from the candidates of one
-// column-wide walk (world.GatherColumn), and this test is what holds that
+// column-wide walk (world.Gather), and this test is what holds that
 // traversal to the per-ray result.
 
 const oracleW, oracleH = 128, 64

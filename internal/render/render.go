@@ -72,6 +72,7 @@ type Renderer struct {
 	freeMasks [][]bool
 	freeJobs  []*castJob
 	freeQs    []*world.Query
+	freeBins  []*world.Bins
 }
 
 // New creates a renderer for the scene.
@@ -194,7 +195,9 @@ type castJob struct {
 	// col is the column geometry every column of the cast shares (eye,
 	// row tables, row window, distance window). Row col.RowLo lands at
 	// out.Pix[0]: out holds only the rows of the window.
-	col      world.Column
+	col world.Column
+	// bins holds the scene's objects binned to the columns for col.
+	bins     *world.Bins
 	dynamics []world.Object
 	// groundLo, groundHi are the rows that see the ground inside the
 	// distance window (world.Column.GroundRows): the same for every column.
@@ -208,7 +211,9 @@ type castJob struct {
 	bands    int
 }
 
-// cast runs j over rows [rowLo, rowHi) of every column on the worker pool.
+// cast runs j over rows [rowLo, rowHi) of every column on the worker pool,
+// in two phases: the frame's objects are binned to its columns in one part
+// per worker (world.Bins), then the column bands are cast.
 func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, rowHi int) {
 	p := r.projection()
 	workers, bands := r.fanout(r.Cfg.W)
@@ -218,26 +223,31 @@ func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, row
 		RowLo: rowLo, RowHi: rowHi, TMin: tMin, TMax: tMax,
 	}
 	j.groundLo, j.groundHi = j.col.GroundRows()
+	j.bins = r.getBins()
+	r.Scene.Bin(j.bins, &j.col, workers)
 	// pixAngle is the angular width of one pixel; surface patterns are
 	// area-filtered against it (see shade).
 	j.pixAngle = 2 * math.Pi / float64(r.Cfg.W)
 
 	pj := r.getJob()
 	*pj = j
-	r.renderPool(workers).Run(bands, pj)
+	pool := r.renderPool(workers)
+	pool.Run(j.bins.Parts(), j.bins)
+	pool.Run(bands, pj)
 	*pj = castJob{} // drop references before pooling
 	r.putJob(pj)
+	r.putBins(j.bins)
 }
 
 // Run implements par.Job: cast the columns of band b. Each column gathers
-// its candidate objects with one walk of the scene index, then every row
-// of the column is answered from them (world.GatherColumn). Only the live
-// rows — the hull of the candidates' rows and of the ground's — build a ray:
-// no other row can hit anything, so it shows the sky. Most of a far-BE
-// panorama is such rows, and the sky depends on the row alone, so a luma
-// band first fills its columns of every row with the row's sky — one
-// contiguous segment per row, disjoint from every other band's — and the
-// columns then write only their hits.
+// its candidate objects from the frame's bins with one walk of the index
+// grid, then every row of the column is answered from them (world.Gather).
+// Only the live rows — the hull of the candidates' rows and of the
+// ground's — build a ray: no other row can hit anything, so it shows the
+// sky. Most of a far-BE panorama is such rows, and the sky depends on the
+// row alone, so a luma band first fills its columns of every row with the
+// row's sky — one contiguous segment per row, disjoint from every other
+// band's — and the columns then write only their hits.
 func (j *castJob) Run(b int) {
 	r, p, w := j.r, &j.r.proj, j.r.Cfg.W
 	x0, x1 := b*w/j.bands, (b+1)*w/j.bands
@@ -253,7 +263,7 @@ func (j *castJob) Run(b int) {
 	q := r.getQuery()
 	for x := x0; x < x1; x++ {
 		col.SinYaw, col.CosYaw = p.sinYaw[x], p.cosYaw[x]
-		lo, hi := r.Scene.GatherColumn(q, &col)
+		lo, hi := r.Scene.Gather(q, j.bins, x)
 		lo, hi = min(lo, j.groundLo), max(hi, j.groundHi)
 		if len(j.dynamics) > 0 {
 			// Dynamics are few and tested brute force: any row may see one.
@@ -305,7 +315,15 @@ func (r *Renderer) renderPool(workers int) *par.Pool {
 	if workers <= 1 {
 		return nil
 	}
-	r.poolOnce.Do(func() { r.pool = par.NewPool(workers) })
+	r.poolOnce.Do(func() {
+		r.pool = par.NewPool(workers)
+		// A call runs at most one band per worker at a time: with a query
+		// per worker up front, a render that happens to fan out wider than
+		// the ones before it finds its queries pooled.
+		for range workers {
+			r.putQuery(r.Scene.NewQuery())
+		}
+	})
 	return r.pool
 }
 
@@ -399,6 +417,27 @@ func (r *Renderer) getQuery() *world.Query {
 func (r *Renderer) putQuery(q *world.Query) {
 	r.mu.Lock()
 	r.freeQs = append(r.freeQs, q)
+	r.mu.Unlock()
+}
+
+// getBins checks bins for the renderer's projection out of the freelist, or
+// builds them.
+func (r *Renderer) getBins() *world.Bins {
+	r.mu.Lock()
+	if n := len(r.freeBins); n > 0 {
+		b := r.freeBins[n-1]
+		r.freeBins = r.freeBins[:n-1]
+		r.mu.Unlock()
+		return b
+	}
+	r.mu.Unlock()
+	p := r.projection()
+	return world.NewBins(p.sinYaw, p.cosYaw, p.tan)
+}
+
+func (r *Renderer) putBins(b *world.Bins) {
+	r.mu.Lock()
+	r.freeBins = append(r.freeBins, b)
 	r.mu.Unlock()
 }
 

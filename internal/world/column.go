@@ -2,15 +2,17 @@ package world
 
 import (
 	"math"
+	"slices"
 
 	"coterie/internal/geom"
 )
 
 // Column-coherent traversal. All rays of one equirectangular panorama column
 // share a yaw, so their XZ projections are one 2-D ray and the per-ray DDA of
-// index.intersect would walk the same cells for each of them. GatherColumn
-// walks those cells once and IntersectColumn answers each row from the
-// gathered candidates, returning what Scene.Intersect returns for that ray:
+// index.intersect would walk the same cells for each of them. Gather walks
+// those cells once, meeting only the objects the frame's Bins (bins.go) gave
+// the column, and IntersectColumn answers each row from the gathered
+// candidates, returning what Scene.Intersect returns for that ray:
 //
 //   - candidates are kept in the order the per-ray walk first meets them
 //     (cell order along the ray, list order inside a cell), so the strict
@@ -24,8 +26,8 @@ import (
 //     its best hit so far (or its window end), which is the per-cell rule of
 //     index.intersect expressed in horizontal distance.
 //
-// The traversal is also output-sensitive: GatherColumn returns the hull of
-// its candidates' row intervals and Column.GroundRows the rows that see the
+// The traversal is also output-sensitive: Gather returns the hull of its
+// candidates' row intervals and Column.GroundRows the rows that see the
 // ground plane. A row outside both is one for which IntersectColumn's loop
 // breaks before testing any object and whose ground test fails, so a caster
 // writes its sky without building the ray.
@@ -69,8 +71,8 @@ func (cd *candidate) intersectFrom(r geom.Ray, tMin float64) (float64, bool) {
 	return intersectBoxFrom(cd.box, r, tMin)
 }
 
-// Slack of the gather-time culls. Every bound is widened by it, so rounding
-// in the bounds can only keep a candidate that a ray then misses, never drop
+// Slack of consider's culls. Every bound is widened by it, so rounding in
+// the bounds can only keep a candidate that a ray then misses, never drop
 // one that a ray hits. spanEps is metres of horizontal distance, relEps is
 // relative.
 const (
@@ -96,55 +98,161 @@ func (col *Column) GroundRows() (lo, hi int) {
 	return lo, hi
 }
 
-// GatherColumn walks the index once along the column's horizontal direction
-// and leaves the column's candidates in q for IntersectColumn. It returns
-// the hull [lo, hi) of the candidates' row intervals: IntersectColumn tests
-// no object for a row outside it. Without a candidate it is (RowHi, RowLo),
-// so that min and max union either hull with another.
+// GatherColumn gathers a lone column into q for IntersectColumn: Gather
+// over bins of that one column. It returns Gather's row hull.
 func (s *Scene) GatherColumn(q *Query, col *Column) (lo, hi int) {
-	q.col = *col
+	q.loneSin[0], q.loneCos[0] = col.SinYaw, col.CosYaw
+	q.lone.setColumns(q.loneSin[:], q.loneCos[:])
+	q.lone.setRows(col.Tan)
+	s.Bin(&q.lone, col, 1)
+	q.lone.Run(0)
+	return s.Gather(q, &q.lone, 0)
+}
+
+// ddaStep is one cell of a column's walk and the horizontal distance at
+// which the walk enters it.
+type ddaStep struct {
+	c, r  int32
+	entry float64
+}
+
+// Gather leaves column x of the binned frame b in q for IntersectColumn. It
+// walks the column's cells as index.intersect would, recording only the
+// steps, and finds where the walk first meets each object binned to the
+// column from the object's cell rectangle: a straight walk is monotone in
+// both axes, so it enters a rectangle at most once, at the first step that
+// has reached the rectangle's near edge in both axes, and it is inside
+// then unless it has already passed a far edge. The candidates come out in
+// the order the cell-list walk first listed them — by that step, then by
+// index, since every cell lists its objects in ascending index — with the
+// entry distance the walk accumulated at that step. It returns the hull
+// [lo, hi) of the candidates' row intervals: IntersectColumn tests no
+// object for a row outside it. Without a candidate it is (RowHi, RowLo),
+// so that min and max union either hull with another.
+func (s *Scene) Gather(q *Query, b *Bins, x int) (lo, hi int) {
+	q.gatherScratch(s, b.peak())
+	q.col = b.col
+	col := &q.col
+	col.SinYaw, col.CosYaw = b.sinYaw[x], b.cosYaw[x]
 	q.cands = q.cands[:0]
-	if len(s.Objects) == 0 {
+	in := q.in[:0]
+	for i := range b.parts {
+		p := &b.parts[i]
+		in = append(in, p.entries[p.start[x]:p.start[x+1]]...)
+	}
+	q.in = in
+	if len(in) == 0 {
 		return col.RowHi, col.RowLo
 	}
 	ix := s.index
-	stamp := q.nextStamp()
 
 	// 2-D DDA as in index.intersect, with a unit direction: parameters are
-	// horizontal distances from the eye.
+	// horizontal distances from the eye. The walk ends, as the cell-list
+	// walk does, at TMax or the grid edge, or once it has passed the far
+	// edge of every binned rectangle in either axis.
 	ox := col.Eye.X - ix.bounds.MinX
 	oz := col.Eye.Z - ix.bounds.MinZ
 	c, rr := ix.cellOf(col.Eye.X, col.Eye.Z)
 	stepC, tMaxX, tDeltaX := ddaAxis(ox, col.SinYaw, c, ix.cellSize)
 	stepR, tMaxZ, tDeltaZ := ddaAxis(oz, col.CosYaw, rr, ix.cellSize)
-
-	entry := 0.0
-	for {
-		for _, oi := range ix.cells[rr*ix.cols+c] {
-			if q.visit[oi] == stamp {
-				continue
-			}
-			q.visit[oi] = stamp
-			q.consider(&s.Objects[oi], entry)
+	endC, endR := -stepC, -stepR
+	if stepC < 0 {
+		endC = ix.cols
+	}
+	if stepR < 0 {
+		endR = ix.rows
+	}
+	for _, e := range in {
+		rc := &ix.rects[e.obj]
+		if stepC > 0 {
+			endC = max(endC, int(rc.c1))
+		} else {
+			endC = min(endC, int(rc.c0))
 		}
-		// A cell entered at horizontal distance d is entered at ray distance
-		// d/cos(pitch) >= d, so past TMax every row's walk has ended.
-		entry = min(tMaxX, tMaxZ)
+		if stepR > 0 {
+			endR = max(endR, int(rc.r1))
+		} else {
+			endR = min(endR, int(rc.r0))
+		}
+	}
+	steps := append(q.steps[:0], ddaStep{int32(c), int32(rr), 0})
+	c0, r0 := c, rr
+	for {
+		// A cell entered at horizontal distance d is entered at ray
+		// distance d/cos(pitch) >= d, so past TMax every row's walk has
+		// ended.
+		entry := min(tMaxX, tMaxZ)
 		if entry >= col.TMax {
 			break
 		}
 		if tMaxX < tMaxZ {
 			tMaxX += tDeltaX
 			c += stepC
-			if c < 0 || c >= ix.cols {
+			if c < 0 || c >= ix.cols || (c-endC)*stepC > 0 {
 				break
 			}
+			q.firstC[c] = int32(len(steps))
 		} else {
 			tMaxZ += tDeltaZ
 			rr += stepR
-			if rr < 0 || rr >= ix.rows {
+			if rr < 0 || rr >= ix.rows || (rr-endR)*stepR > 0 {
 				break
 			}
+			q.firstR[rr] = int32(len(steps))
+		}
+		steps = append(steps, ddaStep{int32(c), int32(rr), entry})
+	}
+	q.steps = steps
+	last := steps[len(steps)-1]
+
+	// The first step of each binned object (-1 unvisited), then the
+	// objects counting-sorted by it, stable: ascending index within a step.
+	first := q.first[:0]
+	count := slices.Grow(q.count[:0], len(steps)+2)[:len(steps)+2]
+	clear(count)
+	for _, e := range in {
+		rc := &ix.rects[e.obj]
+		nearC, farC := int(rc.c0), int(rc.c1)
+		if stepC < 0 {
+			nearC, farC = farC, nearC
+		}
+		nearR, farR := int(rc.r0), int(rc.r1)
+		if stepR < 0 {
+			nearR, farR = farR, nearR
+		}
+		kc, okC := firstStep(q.firstC, nearC, stepC, c0, int(last.c))
+		kr, okR := firstStep(q.firstR, nearR, stepR, r0, int(last.r))
+		k := max(kc, kr)
+		if !okC || !okR {
+			k = -1
+		} else if st := &steps[k]; (farC-int(st.c))*stepC < 0 || (farR-int(st.r))*stepR < 0 {
+			k = -1 // past a far edge when it reached the other near one
+		}
+		first = append(first, k)
+		count[k+2]++
+	}
+	// Prefix sums make count[k+1] the first slot of step k.
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	order := slices.Grow(q.order[:0], len(in))[:len(in)]
+	for i, k := range first {
+		order[count[k+1]] = int32(i)
+		count[k+1]++
+	}
+	q.first, q.count, q.order = first, count, order
+
+	for _, i := range order[count[0]:] {
+		e := &in[i]
+		entry := steps[first[i]].entry
+		o := &s.Objects[e.obj]
+		if e.wide() {
+			q.consider(o, entry)
+			continue
+		}
+		q.cands = append(q.cands, candidate{obj: o, entry: entry, lo: e.lo, hi: e.hi})
+		if o.Kind != KindSphere {
+			q.cands[len(q.cands)-1].box = o.Bounds()
 		}
 	}
 
@@ -155,6 +263,20 @@ func (s *Scene) GatherColumn(q *Query, col *Column) (lo, hi int) {
 		cd.restLo, cd.restHi = restLo, restHi
 	}
 	return int(restLo), int(restHi) + 1
+}
+
+// firstStep returns the first step at which a walk moving step (+-1) per
+// move from index from to index to has reached near: 0 when it starts at
+// or past near, the step first[near] recorded when it moved there, and
+// false when it never gets there.
+func firstStep(first []int32, near, step, from, to int) (int32, bool) {
+	switch {
+	case (near-from)*step <= 0:
+		return 0, true
+	case (near-to)*step > 0:
+		return 0, false
+	}
+	return first[near], true
 }
 
 // consider appends o as a candidate unless no ray of the column can hit it

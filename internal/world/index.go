@@ -20,25 +20,64 @@ type index struct {
 	cellSize   float64
 	cols, rows int
 	cells      [][]int32 // object indices per cell
-	scene      *Scene
+	// rects[i] is the clamped rectangle of cells that lists object i.
+	rects []cellRect
+	scene *Scene
 }
 
+// cellRect is an inclusive rectangle of index cells: columns c0..c1, rows
+// r0..r1.
+type cellRect struct{ c0, r0, c1, r1 int32 }
+
 // Query carries the scratch state for spatial queries against one Scene.
-// A Query is cheap (one uint32 per object, plus the candidates of the last
-// gathered column) but not safe for concurrent use; create one per goroutine
-// with Scene.NewQuery.
+// A Query is cheap (one uint32 per object, plus the candidates of the
+// largest column it has gathered) but not safe for concurrent use; create
+// one per goroutine with Scene.NewQuery.
 type Query struct {
 	visit []uint32
 	stamp uint32
 
-	// State of the column last gathered by GatherColumn (column.go).
+	// State of the column last gathered by Gather (column.go).
 	col   Column
 	cands []candidate
+	// Scratch of Gather (gatherScratch): the column's binned objects, its
+	// DDA steps, the step at which the walk entered each index column
+	// (firstC) and row (firstR), each binned object's first step, and the
+	// counting sort by it.
+	in             []binEntry
+	steps          []ddaStep
+	firstC, firstR []int32
+	first          []int32
+	count, order   []int32
+	// lone bins the one column of GatherColumn.
+	lone             Bins
+	loneSin, loneCos [1]float64
 }
 
 // NewQuery returns scratch state for queries against this scene.
 func (s *Scene) NewQuery() *Query {
 	return &Query{visit: make([]uint32, len(s.Objects))}
+}
+
+// gatherScratch sizes q's Gather scratch for columns of up to n binned
+// objects and for a walk across the whole grid, in four allocations. n is
+// the peak of the bins being gathered, which only grows, so once the bins
+// have seen their largest frame a Query gathering from them never
+// allocates.
+func (q *Query) gatherScratch(s *Scene, n int) {
+	if q.firstC != nil && cap(q.in) >= n {
+		return
+	}
+	cols, rows := s.index.cols, s.index.rows
+	walk := cols + rows
+	buf := make([]int32, cols+rows+walk+2+2*n)
+	q.firstC, q.firstR = buf[:cols:cols], buf[cols:cols+rows:cols+rows]
+	buf = buf[cols+rows:]
+	q.count, buf = buf[:0:walk+2], buf[walk+2:]
+	q.first, q.order = buf[:0:n], buf[n:n:2*n]
+	q.steps = make([]ddaStep, 0, walk)
+	q.in = make([]binEntry, 0, n)
+	q.cands = make([]candidate, 0, n)
 }
 
 // nextStamp advances the visitation epoch, resetting lazily on wraparound.
@@ -71,10 +110,12 @@ func buildIndex(s *Scene) *index {
 		scene:    s,
 	}
 	ix.cells = make([][]int32, ix.cols*ix.rows)
+	ix.rects = make([]cellRect, len(s.Objects))
 	for i := range s.Objects {
 		b := s.Objects[i].Bounds()
 		c0, r0 := ix.cellOf(b.Min.X, b.Min.Z)
 		c1, r1 := ix.cellOf(b.Max.X, b.Max.Z)
+		ix.rects[i] = cellRect{int32(c0), int32(r0), int32(c1), int32(r1)}
 		for r := r0; r <= r1; r++ {
 			for c := c0; c <= c1; c++ {
 				k := r*ix.cols + c

@@ -73,27 +73,41 @@ func BenchmarkNearSetSignature(b *testing.B) {
 	}
 }
 
-// BenchmarkGatherColumn is the per-column cost of the panorama ray-cast's
-// one index walk: gather the candidates of a 128-row column over the whole
-// world, from scattered eyes and yaws. A 256-wide frame pays it 256 times.
-func BenchmarkGatherColumn(b *testing.B) {
+// BenchmarkGatherFrame is the panorama ray-cast's gather for one frame:
+// bin the world for an eye and a window, then gather all 256 columns of a
+// 256 x 128 panorama, from scattered eyes. far is a far-BE window (8 m to
+// infinity: every object is binned); near a near-BE one (0 to 8 m: only
+// the objects the index lists within reach). One op is one frame, one
+// part, serial.
+func BenchmarkGatherFrame(b *testing.B) {
 	s := benchWorld(2000)
 	q := s.NewQuery()
-	const rows = 128
-	tan, cos, _ := columnRows(rows)
+	const w, h = 256, 128
+	tan, cos, sin := columnRows(h)
+	sinYaw, cosYaw := panoramaColumns(w)
+	bins := NewBins(sinYaw, cosYaw, tan)
 	rng := rand.New(rand.NewSource(9))
-	cols := make([]Column, 256)
-	for i := range cols {
-		yaw := rng.Float64() * 2 * math.Pi
-		cols[i] = Column{
-			Eye:    geom.V3(rng.Float64()*200, EyeHeight, rng.Float64()*200),
-			SinYaw: math.Sin(yaw), CosYaw: math.Cos(yaw),
-			Tan: tan, Cos: cos, RowHi: rows, TMin: 8, TMax: math.Inf(1),
-		}
+	eyes := make([]geom.Vec3, 16)
+	for i := range eyes {
+		eyes[i] = geom.V3(rng.Float64()*200, EyeHeight, rng.Float64()*200)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.GatherColumn(q, &cols[i%len(cols)])
+	for _, bc := range []struct {
+		name       string
+		tMin, tMax float64
+	}{
+		{"far", 8, math.Inf(1)},
+		{"near", 0, 8},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col := Column{Eye: eyes[i%len(eyes)], Tan: tan, Cos: cos, Sin: sin, RowHi: h, TMin: bc.tMin, TMax: bc.tMax}
+				s.Bin(bins, &col, 1)
+				bins.Run(0)
+				for x := 0; x < w; x++ {
+					s.Gather(q, bins, x)
+				}
+			}
+		})
 	}
 }
