@@ -7,7 +7,7 @@
 //	benchtab -exp table1,fig11          # specific experiments
 //	benchtab -exp all                   # everything (minutes)
 //	benchtab -exp all -quick            # reduced sampling (tens of seconds)
-//	benchtab -parallel 4                # cap experiment fan-out at 4 workers
+//	GOMAXPROCS=4 benchtab               # cap every fan-out at 4 workers
 //
 // Experiments: table1 fig1 fig2 fig3 fig5 fig6 table3 fig7 fig8 table5
 // table6 table7 fig11 table8 table9 fig12 table10 ablations.
@@ -44,14 +44,12 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	quick := flag.Bool("quick", false, "reduced sampling for a fast pass")
 	seed := flag.Int64("seed", 1, "experiment seed")
-	parallel := flag.Int("parallel", 0, "workers per experiment (0 = GOMAXPROCS); results are identical for any value")
 	plotDir := flag.String("plots", "", "also write SVG figures into this directory (fig5, fig7, fig11, fig12)")
 	flag.Parse()
 
 	opts := eval.DefaultOptions()
 	opts.Quick = *quick
 	opts.Seed = *seed
-	opts.Parallel = *parallel
 	lab := eval.NewLab(opts)
 
 	want := map[string]bool{}

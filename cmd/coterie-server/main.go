@@ -44,7 +44,6 @@ func main() {
 	width := flag.Int("width", 256, "panorama width in pixels")
 	height := flag.Int("height", 128, "panorama height in pixels")
 	storeBudget := flag.Int64("store-budget", 0, "frame store byte budget with LRU eviction (0 = unbounded)")
-	renderWorkers := flag.Int("render-workers", 0, "tile-parallel render workers per frame (0 = GOMAXPROCS)")
 	prerender := flag.Float64("prerender", 0, "warm up frames within this radius (m) of the spawn before serving")
 	stride := flag.Int("prerender-stride", 16, "grid stride for prerendering (1 = every point)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown wait for in-flight sessions")
@@ -65,7 +64,7 @@ func main() {
 	log.Printf("preparing %s (offline preprocessing: adaptive cutoff + thresholds)...", spec.FullName)
 	start := time.Now()
 	env, err := core.PrepareEnv(spec, core.EnvOptions{
-		RenderCfg: render.Config{W: *width, H: *height, Parallel: *renderWorkers},
+		RenderCfg: render.Config{W: *width, H: *height},
 	})
 	if err != nil {
 		log.Fatalf("coterie-server: %v", err)
@@ -169,7 +168,7 @@ func main() {
 			MaxX: env.Game.Spawn.X + *prerender, MaxZ: env.Game.Spawn.Z + *prerender,
 		}
 		t0 := time.Now()
-		stats, err := srv.PrerenderRegion(region, *stride, 0)
+		stats, err := srv.PrerenderRegion(region, *stride)
 		if err != nil {
 			log.Fatalf("coterie-server: prerender: %v", err)
 		}

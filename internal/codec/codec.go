@@ -89,17 +89,54 @@ func ReleaseGray(g *img.Gray) {
 	grayMu.Unlock()
 }
 
+// writeHeader writes the header every stream starts with:
+// magic(16) / version(8) — the frame kind — / crf(8) / UE(W) / UE(H).
+func writeHeader(bw *bitWriter, ver uint64, crf, w, h int) {
+	bw.writeBits(magic, 16)
+	bw.writeBits(ver, 8)
+	bw.writeBits(uint64(uint8(clampCRF(crf))), 8)
+	bw.writeUE(uint32(w))
+	bw.writeUE(uint32(h))
+}
+
+// readHeader parses writeHeader's fields from a stream that must be of
+// version ver, refusing dimensions outside (0, 1<<15], and returns the
+// stream's quantisation table and dimensions.
+func readHeader(br *bitReader, ver uint64) (q *[64]float64, w, h int, err error) {
+	m, err := br.readBits(16)
+	if err != nil || m != magic {
+		return nil, 0, 0, errors.New("codec: bad magic")
+	}
+	v, err := br.readBits(8)
+	if err != nil || v != ver {
+		return nil, 0, 0, fmt.Errorf("codec: stream version %d, want %d", v, ver)
+	}
+	crfBits, err := br.readBits(8)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	w32, err := br.readUE()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	h32, err := br.readUE()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	w, h = int(w32), int(h32)
+	if w <= 0 || h <= 0 || w > 1<<15 || h > 1<<15 {
+		return nil, 0, 0, fmt.Errorf("codec: implausible dimensions %dx%d", w, h)
+	}
+	return quantTable(int(crfBits)), w, h, nil
+}
+
 // Encode compresses the luma frame at the given CRF (0 near-lossless .. 51
 // worst). The output is self-describing and decoded by Decode.
 func Encode(g *img.Gray, crf int) []byte {
 	q := quantTable(crf)
 	bw := writerPool.Get().(*bitWriter)
 	bw.reset(g.W * g.H / 8)
-	bw.writeBits(magic, 16)
-	bw.writeBits(version, 8)
-	bw.writeBits(uint64(uint8(clampCRF(crf))), 8)
-	bw.writeUE(uint32(g.W))
-	bw.writeUE(uint32(g.H))
+	writeHeader(bw, version, crf, g.W, g.H)
 
 	bw64 := blocksAcross(g.W)
 	bh64 := blocksAcross(g.H)
@@ -165,30 +202,9 @@ func encodeAC(bw *bitWriter, ac []int32) {
 // it indefinitely.
 func Decode(data []byte) (*img.Gray, error) {
 	br := &bitReader{buf: data}
-	m, err := br.readBits(16)
-	if err != nil || m != magic {
-		return nil, errors.New("codec: bad magic")
-	}
-	ver, err := br.readBits(8)
-	if err != nil || ver != version {
-		return nil, fmt.Errorf("codec: unsupported version %d", ver)
-	}
-	crfBits, err := br.readBits(8)
+	q, w, h, err := readHeader(br, version)
 	if err != nil {
 		return nil, err
-	}
-	q := quantTable(int(crfBits))
-	w32, err := br.readUE()
-	if err != nil {
-		return nil, err
-	}
-	h32, err := br.readUE()
-	if err != nil {
-		return nil, err
-	}
-	w, h := int(w32), int(h32)
-	if w <= 0 || h <= 0 || w > 1<<15 || h > 1<<15 {
-		return nil, fmt.Errorf("codec: implausible dimensions %dx%d", w, h)
 	}
 	bw64 := blocksAcross(w)
 	bh64 := blocksAcross(h)

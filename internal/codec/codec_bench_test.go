@@ -53,7 +53,7 @@ func vikingMisses(b *testing.B, keep func(radius float64) bool) []*img.Gray {
 		b.Fatal(vikingErr)
 	}
 	g := vikingGame
-	r := render.New(g.Scene, render.Config{W: 256, H: 128, Parallel: 1})
+	r := render.New(g.Scene, render.Config{W: 256, H: 128})
 	rng := rand.New(rand.NewSource(14))
 	var frames []*img.Gray
 	for len(frames) < 16 {

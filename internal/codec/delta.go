@@ -6,7 +6,8 @@
 // version byte, so any stream identifies its own kind (see Kind) and a
 // delta can never be mistaken for an intra frame by Decode.
 //
-// Layout after the shared magic(16)/version(8)/crf(8)/UE(W)/UE(H) header,
+// Layout after the shared magic(16)/version(8)/crf(8)/UE(W)/UE(H) header
+// (writeHeader),
 // per 8x8 block in raster order:
 //
 //	1 bit  skip flag — 1 means the quantised residual is all zero and the
@@ -65,11 +66,7 @@ func DeltaEncode(cur, ref *img.Gray, crf int) []byte {
 	q := quantTable(crf)
 	bw := writerPool.Get().(*bitWriter)
 	bw.reset(cur.W * cur.H / 16)
-	bw.writeBits(magic, 16)
-	bw.writeBits(versionDelta, 8)
-	bw.writeBits(uint64(uint8(clampCRF(crf))), 8)
-	bw.writeUE(uint32(cur.W))
-	bw.writeUE(uint32(cur.H))
+	writeHeader(bw, versionDelta, crf, cur.W, cur.H)
 
 	bw64 := blocksAcross(cur.W)
 	bh64 := blocksAcross(cur.H)
@@ -159,30 +156,9 @@ func DeltaDecode(data []byte, ref *img.Gray) (*img.Gray, error) {
 		return nil, errors.New("codec: delta decode without reference")
 	}
 	br := &bitReader{buf: data}
-	m, err := br.readBits(16)
-	if err != nil || m != magic {
-		return nil, errors.New("codec: bad magic")
-	}
-	ver, err := br.readBits(8)
-	if err != nil || ver != versionDelta {
-		return nil, fmt.Errorf("codec: not a delta stream (version %d)", ver)
-	}
-	crfBits, err := br.readBits(8)
+	q, w, h, err := readHeader(br, versionDelta)
 	if err != nil {
 		return nil, err
-	}
-	q := quantTable(int(crfBits))
-	w32, err := br.readUE()
-	if err != nil {
-		return nil, err
-	}
-	h32, err := br.readUE()
-	if err != nil {
-		return nil, err
-	}
-	w, h := int(w32), int(h32)
-	if w <= 0 || h <= 0 || w > 1<<15 || h > 1<<15 {
-		return nil, fmt.Errorf("codec: implausible dimensions %dx%d", w, h)
 	}
 	if w != ref.W || h != ref.H {
 		return nil, fmt.Errorf("codec: delta %dx%d against %dx%d reference", w, h, ref.W, ref.H)

@@ -184,7 +184,7 @@ func TestDeltaMatchesIntraQualityAcrossGames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := render.New(g.Scene, render.Config{W: 96, H: 48, Parallel: 1})
+			r := render.New(g.Scene, render.Config{W: 96, H: 48})
 			eyeA := g.Scene.EyeAt(g.Spawn)
 			eyeB := g.Scene.EyeAt(g.Spawn.Add(geom.V2(0.5, 0.25)))
 

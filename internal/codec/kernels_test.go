@@ -156,7 +156,7 @@ func TestStreamsUnchanged(t *testing.T) {
 		// 12.5 × 6.5 blocks: the edge-clamp paths.
 		{100, 52, streamHashes{0x972ab1df6e0c6c00, 0x31e67db1a8ac6636, 0x98bade2c9b4701bc, 0x72a525e3a945af74}},
 	} {
-		r := render.New(g.Scene, render.Config{W: tc.w, H: tc.h, Parallel: 1})
+		r := render.New(g.Scene, render.Config{W: tc.w, H: tc.h})
 		rng := rand.New(rand.NewSource(3))
 		b := g.Scene.Bounds
 		intra, intraPix, delta, deltaPix := fnv.New64a(), fnv.New64a(), fnv.New64a(), fnv.New64a()

@@ -66,10 +66,6 @@ type EnvOptions struct {
 	SizeSamples int
 	// CRF is the encoder quality; 0 means codec.DefaultCRF.
 	CRF int
-	// Parallel is the worker count for the parallelizable preprocessing
-	// stages (cutoff partitioning, threshold calibration); 0 means
-	// GOMAXPROCS. Results are identical for any value.
-	Parallel int
 }
 
 // Env is a prepared game environment shared by sessions: the built game,
@@ -94,9 +90,6 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	if opts.CutoffParams.K == 0 {
 		opts.CutoffParams = cutoff.DefaultParams()
 	}
-	if opts.CutoffParams.Parallel == 0 {
-		opts.CutoffParams.Parallel = opts.Parallel
-	}
 	if opts.ThresholdLeaves == 0 {
 		opts.ThresholdLeaves = 3
 	}
@@ -112,9 +105,7 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 		return nil, fmt.Errorf("core: cutoff scheme failed: %w", err)
 	}
 	r := render.New(g.Scene, opts.RenderCfg)
-	tc := cutoff.DefaultThresholdConfig()
-	tc.Parallel = opts.Parallel
-	if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, tc); err != nil {
+	if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, cutoff.DefaultThresholdConfig()); err != nil {
 		return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
 	}
 	sizer, err := NewFrameSizer(g, m, r, opts.CRF, opts.SizeSamples)

@@ -58,11 +58,6 @@ type Params struct {
 	MaxDepth int
 	// Seed makes sampling deterministic.
 	Seed int64
-	// Parallel is the number of workers used for the per-region radius and
-	// density sampling; 0 means GOMAXPROCS. Output is identical for any
-	// worker count: sample locations are drawn sequentially before the
-	// fan-out and results land in index-addressed slices.
-	Parallel int
 }
 
 // DefaultParams returns the paper's configuration.
@@ -136,19 +131,10 @@ func Compute(scene *world.Scene, rt RenderTimer, p Params) (*Map, error) {
 	}
 	start := time.Now()
 	m := &Map{Scene: scene, Params: p}
-	workers := par.Workers(p.Parallel)
-	if workers > p.K {
-		workers = p.K
-	}
 	b := builder{
-		m:       m,
-		rt:      rt,
-		rng:     rand.New(rand.NewSource(p.Seed)),
-		workers: workers,
-		queries: make([]*world.Query, workers),
-	}
-	for i := range b.queries {
-		b.queries[i] = scene.NewQuery()
+		m:   m,
+		rt:  rt,
+		rng: rand.New(rand.NewSource(p.Seed)),
 	}
 	m.root = b.partition(scene.Bounds, 0)
 	m.Stats.LeafCount = len(m.Regions)
@@ -172,8 +158,7 @@ type builder struct {
 	m       *Map
 	rt      RenderTimer
 	rng     *rand.Rand
-	workers int
-	queries []*world.Query // one per worker
+	queries []*world.Query // one per worker (par.ForWorker)
 	calcs   int
 }
 
@@ -198,8 +183,7 @@ func (b *builder) partition(region geom.Rect, depth int) node {
 	}
 	radii := make([]float64, k)
 	densities := make([]float64, k)
-	par.ForWorker(b.workers, k, func(worker, i int) {
-		q := b.queries[worker]
+	par.ForWorker(k, &b.queries, b.m.Scene.NewQuery, func(q *world.Query, i int) {
 		radii[i] = b.maxRadius(q, locs[i])
 		const densityProbe = 6.0
 		tris := b.m.Scene.TrianglesWithin(q, locs[i], densityProbe)

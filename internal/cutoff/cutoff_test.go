@@ -3,6 +3,7 @@ package cutoff
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coterie/internal/device"
@@ -250,14 +251,22 @@ func TestComputeDeterministic(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS — the fan-out width — to n for the rest of the
+// test. Tests that call it must not be parallel: a non-parallel test never
+// overlaps a parallel one.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestComputeParallelMatchesSequential(t *testing.T) {
 	// The partition must be byte-identical at any worker count: the rng
 	// prepass and index-addressed sample results make worker scheduling
 	// invisible.
 	run := func(workers int) *Map {
-		p := testParams()
-		p.Parallel = workers
-		m, err := Compute(twoZoneScene(), rt(), p)
+		setProcs(t, workers)
+		m, err := Compute(twoZoneScene(), rt(), testParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,16 +276,16 @@ func TestComputeParallelMatchesSequential(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		m := run(w)
 		if len(m.Regions) != len(base.Regions) {
-			t.Fatalf("Parallel=%d: %d regions, want %d", w, len(m.Regions), len(base.Regions))
+			t.Fatalf("%d workers: %d regions, want %d", w, len(m.Regions), len(base.Regions))
 		}
 		for i := range m.Regions {
 			a, b := base.Regions[i], m.Regions[i]
 			if a.Radius != b.Radius || a.TriDensity != b.TriDensity || a.Bounds != b.Bounds || a.Depth != b.Depth {
-				t.Fatalf("Parallel=%d: region %d differs: %+v vs %+v", w, i, a, b)
+				t.Fatalf("%d workers: region %d differs: %+v vs %+v", w, i, a, b)
 			}
 		}
 		if m.Stats.CutoffCalcs != base.Stats.CutoffCalcs {
-			t.Fatalf("Parallel=%d: calcs %d vs %d", w, m.Stats.CutoffCalcs, base.Stats.CutoffCalcs)
+			t.Fatalf("%d workers: calcs %d vs %d", w, m.Stats.CutoffCalcs, base.Stats.CutoffCalcs)
 		}
 	}
 }
@@ -287,14 +296,14 @@ func TestDeriveThresholdsParallelMatchesSequential(t *testing.T) {
 	p.K = 4
 	p.MinRegion = 2.5
 	run := func(workers int) *Map {
+		setProcs(t, workers)
 		m, err := Compute(g.Scene, rt(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := render.New(g.Scene, render.Config{W: 64, H: 32, Parallel: 1})
+		r := render.New(g.Scene, render.Config{W: 64, H: 32})
 		cfg := DefaultThresholdConfig()
 		cfg.Samples = 1
-		cfg.Parallel = workers
 		if err := DeriveThresholds(m, r, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +313,7 @@ func TestDeriveThresholdsParallelMatchesSequential(t *testing.T) {
 	m8 := run(8)
 	for i := range base.Regions {
 		if base.Regions[i].DistThresh != m8.Regions[i].DistThresh {
-			t.Fatalf("region %d: DistThresh %v (Parallel=1) vs %v (Parallel=8)",
+			t.Fatalf("region %d: DistThresh %v (1 worker) vs %v (8 workers)",
 				i, base.Regions[i].DistThresh, m8.Regions[i].DistThresh)
 		}
 	}

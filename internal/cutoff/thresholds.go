@@ -29,10 +29,6 @@ type ThresholdConfig struct {
 	SSIMTarget float64
 	// Seed makes sampling deterministic.
 	Seed int64
-	// Parallel is the number of workers deriving leaf thresholds; 0 means
-	// GOMAXPROCS. Each leaf gets its own rng derived from Seed and the leaf
-	// index, so the result is identical for any worker count.
-	Parallel int
 }
 
 // DefaultThresholdConfig mirrors the paper's settings with K samples.
@@ -120,7 +116,7 @@ func deriveSome(m *Map, r *render.Renderer, cfg ThresholdConfig, leaves []int) e
 	if cfg.MaxThresh <= cfg.MinThresh {
 		return fmt.Errorf("cutoff: bad threshold bounds [%v, %v]", cfg.MinThresh, cfg.MaxThresh)
 	}
-	par.For(cfg.Parallel, len(leaves), func(i int) {
+	par.For(len(leaves), func(i int) {
 		li := leaves[i]
 		reg := &m.Regions[li]
 		rng := rand.New(rand.NewSource(leafSeed(cfg.Seed, li)))

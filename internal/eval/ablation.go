@@ -33,7 +33,7 @@ func (l *Lab) ReplacementAblation(game string, cacheMB int64) (*AblationReplacem
 	// The two policy runs are independent sessions; run them concurrently.
 	policies := []cache.Policy{cache.LRU, cache.FLF}
 	hits := make([]float64, len(policies))
-	err = par.ForErr(l.Opts.workers(), len(policies), func(i int) error {
+	err = par.ForErr(len(policies), func(i int) error {
 		res, err := core.RunSession(env, core.SessionConfig{
 			System:      core.Coterie,
 			Players:     2,
@@ -265,7 +265,7 @@ func (l *Lab) OverhearAblation(game string) (*AblationOverhear, error) {
 	}
 	// Base and overhearing sessions are independent; run them concurrently.
 	results := make([]*core.Result, 2)
-	err = par.ForErr(l.Opts.workers(), 2, func(i int) error {
+	err = par.ForErr(2, func(i int) error {
 		res, err := core.RunSession(env, core.SessionConfig{
 			System:   core.Coterie,
 			Players:  4,
@@ -319,7 +319,7 @@ func (l *Lab) PrefetchAblation(game string) (*AblationPrefetch, error) {
 	}
 	lookaheads := []float64{0.05, 0.2, 0.4, 0.8}
 	fps := make([]float64, len(lookaheads))
-	err = par.ForErr(l.Opts.workers(), len(lookaheads), func(i int) error {
+	err = par.ForErr(len(lookaheads), func(i int) error {
 		cfg := prefetch.DefaultConfig()
 		cfg.LookaheadSec = lookaheads[i]
 		r, err := core.RunSession(env, core.SessionConfig{

@@ -61,14 +61,9 @@ func (l *Lab) Table5(game string) ([]Table5Row, error) {
 	// party trace from a fixed seed and mutates only its own caches, so the
 	// 20-cell grid fans out across workers. MetaFor closures memoize through
 	// a shared map, so each worker gets its own.
-	workers := l.Opts.workers()
-	metas := make([]func(geom.GridPoint) (int, uint64, float64), workers)
-	for i := range metas {
-		metas[i] = env.MetaFor()
-	}
-	par.ForWorker(workers, 5*4, func(worker, idx int) {
+	var metas []func(geom.GridPoint) (int, uint64, float64)
+	par.ForWorker(5*4, &metas, env.MetaFor, func(meta func(geom.GridPoint) (int, uint64, float64), idx int) {
 		vi, players := idx/4, idx%4+1
-		meta := metas[worker]
 		party := trace.GenerateParty(env.Game, players, seconds, l.Opts.Seed+11)
 		caches := make([]*cache.Cache, players)
 		for i := range caches {

@@ -111,7 +111,7 @@ func (l *Lab) Fig6() ([]Fig6Row, error) {
 		traces[gi] = trace.Generate(env.Game, 60, l.Opts.Seed+6)
 	}
 	rows := make([]Fig6Row, len(headlineNames)*len(ks))
-	err := par.ForErr(l.Opts.workers(), len(rows), func(idx int) error {
+	err := par.ForErr(len(rows), func(idx int) error {
 		gi, ki := idx/len(ks), idx%len(ks)
 		name, k := headlineNames[gi], ks[ki]
 		env, err := l.Env(name)
@@ -128,7 +128,6 @@ func (l *Lab) Fig6() ([]Fig6Row, error) {
 		p := cutoff.DefaultParams()
 		p.K = k
 		p.Seed = l.Opts.Seed + int64(k)
-		p.Parallel = 1 // the grid cells are already running in parallel
 		m, err := cutoff.Compute(scene, prof.NearBERenderMs, p)
 		if err != nil {
 			return err

@@ -27,16 +27,7 @@ type Options struct {
 	RenderW, RenderH int
 	// Seed fixes all sampled randomness.
 	Seed int64
-	// Parallel is the number of workers each experiment generator fans its
-	// independent units (trace positions, sessions, leaf regions) across;
-	// 0 means GOMAXPROCS. Results are deterministic for any value: units
-	// are enumerated sequentially up front and write into index-addressed
-	// slices.
-	Parallel int
 }
-
-// workers resolves the experiment fan-out width.
-func (o Options) workers() int { return par.Workers(o.Parallel) }
 
 // DefaultOptions returns the paper-grade configuration.
 func DefaultOptions() Options { return Options{Seed: 1} }
@@ -51,16 +42,6 @@ func (o Options) renderConfig() render.Config {
 		}
 	}
 	return render.Config{W: w, H: h}
-}
-
-// itemRenderConfig is renderConfig with one rendering goroutine per frame,
-// for renderers driven from item-parallel loops: when the experiment fans
-// frames out across workers, coarse-grained parallelism beats splitting each
-// small panorama's rows. Frame pixels are identical either way.
-func (o Options) itemRenderConfig() render.Config {
-	cfg := o.renderConfig()
-	cfg.Parallel = 1
-	return cfg
 }
 
 // sessionSeconds returns the session length for testbed experiments. The
@@ -115,7 +96,7 @@ func (l *Lab) buildEnv(name string) (*core.Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.EnvOptions{RenderCfg: l.Opts.renderConfig(), Parallel: l.Opts.Parallel}
+	opts := core.EnvOptions{RenderCfg: l.Opts.renderConfig()}
 	if l.Opts.Quick {
 		p := cutoff.DefaultParams()
 		p.K = 5
@@ -133,7 +114,7 @@ func (l *Lab) buildEnv(name string) (*core.Env, error) {
 // workers. Generators call it before fanning out so the parallel units find
 // every environment already cached.
 func (l *Lab) PrepareEnvs(names []string) error {
-	return par.ForErr(l.Opts.workers(), len(names), func(i int) error {
+	return par.ForErr(len(names), func(i int) error {
 		_, err := l.Env(names[i])
 		return err
 	})

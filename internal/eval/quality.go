@@ -30,7 +30,7 @@ import (
 // Coterie scores highest because the codec (and reuse distortion) touches
 // the smallest part of the frame — the paper's explanation for Table 7.
 func visualQuality(env *core.Env, opts Options) (map[core.SystemKind]float64, error) {
-	r := render.New(env.Game.Scene, opts.itemRenderConfig())
+	r := render.New(env.Game.Scene, opts.renderConfig())
 	rng := rand.New(rand.NewSource(opts.Seed + 70))
 	samples := 8
 	if opts.Quick {
@@ -68,7 +68,7 @@ func visualQuality(env *core.Env, opts Options) (map[core.SystemKind]float64, er
 
 	full := make([]float64, len(items))
 	coterie := make([]float64, len(items))
-	err := par.ForErr(opts.workers(), len(items), func(i int) error {
+	err := par.ForErr(len(items), func(i int) error {
 		pos, yaw, leaf := items[i].pos, items[i].yaw, items[i].leaf
 		eye := env.Game.Scene.EyeAt(pos)
 		truthPano := r.GroundTruth(eye, nil)

@@ -44,7 +44,7 @@ func (l *Lab) Fig1() ([]Fig1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := render.New(env.Game.Scene, l.Opts.itemRenderConfig())
+		r := render.New(env.Game.Scene, l.Opts.renderConfig())
 		tr := trace.Generate(env.Game, 120, l.Opts.Seed+int64(gi))
 
 		step := l.Opts.adjacentStep(env.Game.Scene.Grid.Step)
@@ -67,7 +67,7 @@ func (l *Lab) Fig1() ([]Fig1Row, error) {
 		}
 		whole := make([]float64, len(items))
 		far := make([]float64, len(items))
-		par.For(l.Opts.workers(), len(items), func(i int) {
+		par.For(len(items), func(i int) {
 			p1, p2 := items[i].p1, items[i].p2
 			e1, e2 := env.Game.Scene.EyeAt(p1), env.Game.Scene.EyeAt(p2)
 
@@ -152,7 +152,7 @@ func (l *Lab) Fig2() ([]Fig2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := render.New(env.Game.Scene, l.Opts.itemRenderConfig())
+		r := render.New(env.Game.Scene, l.Opts.renderConfig())
 		party := trace.GenerateParty(env.Game, 2, 120, l.Opts.Seed+77)
 		t1, t2 := party[0], party[1]
 
@@ -168,7 +168,7 @@ func (l *Lab) Fig2() ([]Fig2Row, error) {
 		}
 		whole := make([]float64, len(items))
 		far := make([]float64, len(items))
-		par.For(l.Opts.workers(), len(items), func(i int) {
+		par.For(len(items), func(i int) {
 			p1 := items[i]
 			// Closest viewpoints of player 2 (candidate best-case frames).
 			best := nearestK(t2, p1, candidates)
@@ -260,7 +260,7 @@ func (l *Lab) Fig3() (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := render.New(env.Game.Scene, l.Opts.itemRenderConfig())
+	r := render.New(env.Game.Scene, l.Opts.renderConfig())
 	rng := rand.New(rand.NewSource(l.Opts.Seed + 3))
 
 	trials := 40
@@ -313,11 +313,8 @@ func (l *Lab) Fig3() (*Fig3Result, error) {
 	// reduction below scans it in trial order and honours the original
 	// early exit. A chunk may compute a few trials past the stopping point;
 	// their results are discarded, so output is order-exact.
-	workers := l.Opts.workers()
-	queries := make([]*world.Query, par.Workers(workers))
-	for i := range queries {
-		queries[i] = env.Game.Scene.NewQuery()
-	}
+	workers := par.Workers()
+	var queries []*world.Query
 	var best *Fig3Result
 	bestGap := math.Inf(-1)
 	results := make([]trialResult, trials)
@@ -326,8 +323,8 @@ func (l *Lab) Fig3() (*Fig3Result, error) {
 		if end > trials {
 			end = trials
 		}
-		par.ForWorker(workers, end-chunk, func(worker, i int) {
-			results[chunk+i] = eval(queries[worker], locs[chunk+i])
+		par.ForWorker(end-chunk, &queries, env.Game.Scene.NewQuery, func(q *world.Query, i int) {
+			results[chunk+i] = eval(q, locs[chunk+i])
 		})
 		stop := false
 		for t := chunk; t < end; t++ {
@@ -378,7 +375,7 @@ func (l *Lab) Fig5() ([]Fig5Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := render.New(env.Game.Scene, l.Opts.itemRenderConfig())
+	r := render.New(env.Game.Scene, l.Opts.renderConfig())
 	rng := rand.New(rand.NewSource(l.Opts.Seed + 5))
 	q := env.Game.Scene.NewQuery()
 
@@ -403,7 +400,7 @@ func (l *Lab) Fig5() ([]Fig5Point, error) {
 		points[ri].Radius = rad
 	}
 	step := l.Opts.adjacentStep(env.Game.Scene.Grid.Step)
-	err = par.ForErr(l.Opts.workers(), len(radii)*len(locs), func(idx int) error {
+	err = par.ForErr(len(radii)*len(locs), func(idx int) error {
 		ri, li := idx/len(locs), idx%len(locs)
 		rad := radii[ri]
 		p1 := locs[li]

@@ -37,7 +37,7 @@ type sessionJob struct {
 // results in job order. Environments must already be prepared (PrepareEnvs).
 func (l *Lab) runSessions(jobs []sessionJob) ([]*core.Result, error) {
 	results := make([]*core.Result, len(jobs))
-	err := par.ForErr(l.Opts.workers(), len(jobs), func(i int) error {
+	err := par.ForErr(len(jobs), func(i int) error {
 		env, err := l.Env(jobs[i].game)
 		if err != nil {
 			return err

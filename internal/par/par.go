@@ -1,8 +1,12 @@
-// Package par provides the small worker-pool fan-out primitive used by the
-// experiment pipeline (internal/eval, internal/cutoff) and the offline
-// preprocessing stages to parallelize independent units of work — trace
-// positions, leaf regions, testbed sessions — while keeping output
-// deterministic.
+// Package par provides the small fan-out primitives used by the experiment
+// pipeline (internal/eval, internal/cutoff), the offline preprocessing
+// stages and the per-frame render path to parallelize independent units
+// of work — trace positions, leaf regions, testbed sessions, column bands
+// — while keeping output deterministic.
+//
+// GOMAXPROCS is the only width: every fan-out reads it when it starts, and
+// nothing else sets how many goroutines work a call. Output never depends
+// on it.
 //
 // The determinism contract: callers pass a closure that writes its result
 // into index i of a preallocated slice (never append-from-goroutine), so the
@@ -18,35 +22,41 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a parallelism setting: n > 0 means n workers, anything
-// else means one worker per available CPU (GOMAXPROCS).
-func Workers(n int) int {
-	if n > 0 {
-		return n
+// Workers returns the fan-out width: one worker per available CPU
+// (GOMAXPROCS), read at call time.
+func Workers() int { return runtime.GOMAXPROCS(0) }
+
+// For runs fn(i) for every i in [0, n) across Workers() goroutines and
+// returns when all calls have finished. With one worker the calls run
+// inline on the caller's goroutine in index order.
+//
+// For spawns its goroutines per call, so calls nest freely: an item may
+// itself call For (an experiment cell computing a cutoff map) at full
+// width. The render pool (Run), which counts calls in flight, is the other
+// mechanism and not meant for that.
+func For(n int, fn func(i int)) {
+	run(min(Workers(), n), n, func(_, i int) { fn(i) })
+}
+
+// ForWorker is For with per-worker scratch state (a world.Query, a memoized
+// lookup) allocated once rather than once per item: before any worker
+// starts, *scratch is grown with newScratch to one element per worker of
+// this call, and worker w passes (*scratch)[w] with every item it runs.
+// The caller keeps the slice, so later calls reuse it at any width.
+func ForWorker[S any](n int, scratch *[]S, newScratch func() S, fn func(s S, i int)) {
+	w := min(Workers(), n)
+	for len(*scratch) < w {
+		*scratch = append(*scratch, newScratch())
 	}
-	return runtime.GOMAXPROCS(0)
+	s := *scratch
+	run(w, n, func(worker, i int) { fn(s[worker], i) })
 }
 
-// For runs fn(i) for every i in [0, n) across the given number of workers
-// (resolved via Workers) and returns when all calls have finished. With one
-// worker the calls run inline on the caller's goroutine in index order —
-// the zero-overhead path sequential callers and the Parallel=1 determinism
-// tests rely on.
-func For(workers, n int, fn func(i int)) {
-	ForWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForWorker is For with the worker's index passed alongside the item index,
-// so callers can hand each worker its own scratch state (a world.Query, a
-// reusable ssim.Comparer) allocated once per worker rather than once per
-// item. Worker indices are in [0, Workers(workers)).
-func ForWorker(workers, n int, fn func(worker, i int)) {
+// run runs fn(worker, i) for every i in [0, n) across w goroutines, passing
+// each call its goroutine's index in [0, w).
+func run(w, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
@@ -77,12 +87,12 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 // nil if every call succeeded. All items run even when one fails; the
 // per-item work in this codebase is side-effect-free on error, so draining
 // is simpler and keeps the error choice deterministic.
-func ForErr(workers, n int, fn func(i int) error) error {
+func ForErr(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	For(workers, n, func(i int) { errs[i] = fn(i) })
+	For(n, func(i int) { errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Job is one fan-out unit for a Pool: Run is called once for every index
-// in [0, n), from whichever worker claims the index. Implementations must
+// Job is one fan-out unit for Run: Run is called once for every index in
+// [0, n), from whichever worker claims the index. Implementations must
 // tolerate concurrent Run calls for distinct indices.
 //
 // Job is an interface rather than a closure so hot-path callers can pool
@@ -16,35 +16,73 @@ type Job interface {
 	Run(i int)
 }
 
-// Pool is a reusable fixed-size worker pool for latency-sensitive fan-out
+// Run executes job.Run(i) for every i in [0, n) on the process's render
+// pool and returns when all calls have finished. There is one pool per
+// process, sized to GOMAXPROCS and rebuilt when GOMAXPROCS has changed
+// since it was built, so every renderer — and every game's renderer — fans
+// out into the same cores and the idle-only policy (see pool) counts the
+// renders of all of them. The caller's goroutine works its own call from
+// start to end; with one worker the calls run inline in index order.
+//
+// Run is allocation-free at steady state. A job that calls Run from inside
+// a Run would count as a second call in flight and stop the outer call's
+// helpers; nested fan-out belongs to For.
+func Run(n int, job Job) { shared().run(n, job) }
+
+// current is the process's pool; rebuild guards its replacement.
+var (
+	current atomic.Pointer[pool]
+	rebuild sync.Mutex
+)
+
+// shared returns the process's pool, building a new one (and stopping the
+// old one) when GOMAXPROCS differs from the width it was built for.
+func shared() *pool {
+	w := Workers()
+	if p := current.Load(); p != nil && p.workers == w {
+		return p
+	}
+	rebuild.Lock()
+	defer rebuild.Unlock()
+	p := current.Load()
+	if p == nil || p.workers != w {
+		old := p
+		p = newPool(w)
+		current.Store(p)
+		old.stop()
+	}
+	return p
+}
+
+// pool is a reusable fixed-size worker pool for latency-sensitive fan-out
 // (the per-frame render path), where For's spawn-per-call goroutines and
 // closure allocations are measurable. Workers start lazily on the first
-// parallel Run and persist until Close; Run itself is allocation-free at
+// parallel run and persist until stop; run itself is allocation-free at
 // steady state.
 //
-// Run may be called from many goroutines at once, and the policy is
+// run may be called from many goroutines at once, and the policy is
 // parallelism across calls first: every caller works its own call, and a
-// call fans out only into idle capacity. Run queues helpers for the
+// call fans out only into idle capacity. run queues helpers for the
 // workers the calls in flight leave free (size − calls in flight), and a
 // helper stops claiming indices once as many calls are in flight as the
 // pool has workers, leaving the rest of that call to its caller. So one
 // call on an idle pool spreads across every worker, while as many
 // concurrent calls as workers each run whole on their own goroutine
 // instead of splitting every call across every core. Submission never
-// blocks, and a Run whose indices are all claimed waits only for helpers
+// blocks, and a run whose indices are all claimed waits only for helpers
 // still running one of them, never for a helper that has not started.
-type Pool struct {
+type pool struct {
 	workers int
 	tickets chan *poolCall
-	closed  chan struct{}
+	stopped chan struct{}
 
-	// inFlight counts the parallel Runs that have not returned.
+	// inFlight counts the parallel runs that have not returned.
 	inFlight atomic.Int64
 
 	startOnce sync.Once
-	closeOnce sync.Once
+	stopOnce  sync.Once
 
-	// free is an explicit freelist (not sync.Pool) so steady-state Run stays
+	// free is an explicit freelist (not sync.Pool) so steady-state run stays
 	// allocation-free even across GC cycles — the render allocation-budget
 	// test depends on that determinism.
 	mu   sync.Mutex
@@ -55,16 +93,16 @@ type Pool struct {
 // its last index: no helper may join it any more.
 const callClosed = 1 << 62
 
-// poolCall is the shared state of one Run: workers and the caller claim
+// poolCall is the shared state of one run: workers and the caller claim
 // indices from next until n is exhausted.
 type poolCall struct {
 	job  Job
 	n    int64
 	next atomic.Int64
 	// state is callClosed or'ed with the number of helpers inside the call.
-	// A ticket can outlive its Run, and even reach this state after a later
-	// Run has recycled it. A helper joins only an open call: a closed one
-	// drops the ticket, an open one — whatever Run it now serves, its
+	// A ticket can outlive its run, and even reach this state after a later
+	// run has recycled it. A helper joins only an open call: a closed one
+	// drops the ticket, an open one — whatever run it now serves, its
 	// fields all written before it was opened — gets the help.
 	state atomic.Int64
 	// left receives one token when the last helper leaves a closed call.
@@ -81,41 +119,31 @@ func (c *poolCall) runNext() bool {
 	return true
 }
 
-// NewPool creates a pool with the given number of workers (resolved via
-// Workers; n <= 0 means GOMAXPROCS). A pool of one worker runs everything
-// inline and owns no goroutines. A nil *Pool is valid and also runs inline.
-func NewPool(workers int) *Pool {
-	w := Workers(workers)
-	p := &Pool{workers: w}
-	if w > 1 {
-		// Capacity bounds stale tickets under heavy concurrent Run load;
+// newPool creates a pool of the given number of workers, counting the
+// caller of each run as one of them. A pool of one worker runs everything
+// inline and owns no goroutines.
+func newPool(workers int) *pool {
+	p := &pool{workers: workers}
+	if p.workers > 1 {
+		// Capacity bounds stale tickets under heavy concurrent run load;
 		// submission falls back to inline work when full.
-		p.tickets = make(chan *poolCall, w*4)
-		p.closed = make(chan struct{})
+		p.tickets = make(chan *poolCall, p.workers*4)
+		p.stopped = make(chan struct{})
 	}
 	return p
 }
 
-// Size returns the worker count the pool resolves work across (1 for a nil
-// pool).
-func (p *Pool) Size() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// Run executes job.Run(i) for every i in [0, n) and returns when all calls
+// run executes job.Run(i) for every i in [0, n) and returns when all calls
 // have finished. The caller's goroutine works the call from start to end,
-// and helpers join it only while the pool has idle workers (see Pool), so
-// a Run on a busy pool degrades to inline execution rather than queueing
-// behind other calls. With one worker (or a nil pool) the calls run inline
-// in index order — the deterministic sequential path.
-func (p *Pool) Run(n int, job Job) {
+// and helpers join it only while the pool has idle workers (see pool), so
+// a run on a busy pool degrades to inline execution rather than queueing
+// behind other calls. With one worker the calls run inline in index order
+// — the deterministic sequential path.
+func (p *pool) run(n int, job Job) {
 	if n <= 0 {
 		return
 	}
-	if p == nil || p.workers <= 1 || n == 1 {
+	if p.workers <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			job.Run(i)
 		}
@@ -153,7 +181,7 @@ func (p *Pool) Run(n int, job Job) {
 // help works c for a worker until every index is claimed or the pool has
 // no idle capacity left for c: then as many calls are in flight as there
 // are workers, and each caller runs the rest of its own call.
-func (p *Pool) help(c *poolCall, workers int64) {
+func (p *pool) help(c *poolCall) {
 	for {
 		s := c.state.Load()
 		if s&callClosed != 0 {
@@ -163,44 +191,42 @@ func (p *Pool) help(c *poolCall, workers int64) {
 			break
 		}
 	}
-	for p.inFlight.Load() < workers && c.runNext() {
+	for p.inFlight.Load() < int64(p.workers) && c.runNext() {
 	}
 	if c.state.Add(-1) == callClosed {
 		c.left <- struct{}{}
 	}
 }
 
-// Close stops the pool's workers. It must not be called concurrently with
-// Run; after Close, Run executes everything inline. Close on a nil or
-// never-started pool is a no-op.
-func (p *Pool) Close() {
-	if p == nil || p.closed == nil {
+// stop ends the pool's workers once they finish what they are helping
+// with. It may race runs: a run in flight, or one that starts later, is
+// worked to the end by its caller, which never waits for a helper that
+// has not started. stop on a pool of one worker is a no-op.
+func (p *pool) stop() {
+	if p == nil || p.stopped == nil {
 		return
 	}
-	p.closeOnce.Do(func() {
-		p.workers = 1 // subsequent Runs go inline
-		close(p.closed)
-	})
+	p.stopOnce.Do(func() { close(p.stopped) })
 }
 
-func (p *Pool) start() {
+func (p *pool) start() {
 	for i := 0; i < p.workers-1; i++ {
-		go p.worker(int64(p.workers)) // Close rewrites p.workers
+		go p.worker()
 	}
 }
 
-func (p *Pool) worker(workers int64) {
+func (p *pool) worker() {
 	for {
 		select {
 		case c := <-p.tickets:
-			p.help(c, workers)
-		case <-p.closed:
+			p.help(c)
+		case <-p.stopped:
 			return
 		}
 	}
 }
 
-func (p *Pool) getCall() *poolCall {
+func (p *pool) getCall() *poolCall {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -211,7 +237,7 @@ func (p *Pool) getCall() *poolCall {
 	return &poolCall{left: make(chan struct{}, 1)}
 }
 
-func (p *Pool) putCall(c *poolCall) {
+func (p *pool) putCall(c *poolCall) {
 	p.mu.Lock()
 	p.free = append(p.free, c)
 	p.mu.Unlock()

@@ -27,26 +27,26 @@ func (j *countJob) Run(i int) { j.counts[i].Add(1) }
 func TestPoolMatchesInline(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		for _, n := range []int{0, 1, 3, 17, 128} {
-			p := NewPool(workers)
+			p := newPool(workers)
 			got := &fillJob{out: make([]int64, n)}
-			p.Run(n, got)
+			p.run(n, got)
 			for i := 0; i < n; i++ {
 				if got.out[i] != int64(i)*int64(i) {
 					t.Fatalf("workers=%d n=%d: slot %d = %d", workers, n, i, got.out[i])
 				}
 			}
-			p.Close()
+			p.stop()
 		}
 	}
 }
 
 func TestPoolRunsEachIndexOnce(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
+	p := newPool(4)
+	defer p.stop()
 	const n = 257
 	for round := 0; round < 20; round++ {
 		j := &countJob{counts: make([]atomic.Int64, n)}
-		p.Run(n, j)
+		p.run(n, j)
 		for i := range j.counts {
 			if c := j.counts[i].Load(); c != 1 {
 				t.Fatalf("round %d: index %d ran %d times", round, i, c)
@@ -59,8 +59,8 @@ func TestPoolConcurrentRuns(t *testing.T) {
 	// Many goroutines share one pool; every call must complete with every
 	// index executed exactly once, even when submissions outnumber workers
 	// and callers fall back to inline execution.
-	p := NewPool(3)
-	defer p.Close()
+	p := newPool(3)
+	defer p.stop()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -68,7 +68,7 @@ func TestPoolConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 10; round++ {
 				j := &countJob{counts: make([]atomic.Int64, 64)}
-				p.Run(64, j)
+				p.run(64, j)
 				for i := range j.counts {
 					if c := j.counts[i].Load(); c != 1 {
 						t.Errorf("index %d ran %d times", i, c)
@@ -81,24 +81,82 @@ func TestPoolConcurrentRuns(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPoolNilAndClosed(t *testing.T) {
-	var p *Pool
-	j := &fillJob{out: make([]int64, 8)}
-	p.Run(8, j) // nil pool runs inline
-	if j.out[7] != 49 {
-		t.Fatal("nil pool did not run inline")
-	}
-	p.Close() // no-op
-
-	q := NewPool(4)
-	q.Run(8, &fillJob{out: make([]int64, 8)})
-	q.Close()
-	q.Close() // idempotent
+func TestPoolStopped(t *testing.T) {
+	q := newPool(4)
+	q.run(8, &fillJob{out: make([]int64, 8)})
+	q.stop()
+	q.stop() // idempotent
 	after := &fillJob{out: make([]int64, 8)}
-	q.Run(8, after) // post-Close falls back to inline
+	q.run(8, after) // its caller works a run on a stopped pool to the end
 	if after.out[5] != 25 {
-		t.Fatal("closed pool did not run inline")
+		t.Fatal("stopped pool did not run the call")
 	}
+	newPool(1).stop() // no workers: a no-op
+}
+
+// TestRunFollowsGOMAXPROCS checks the process pool's one input: Run fans
+// out across GOMAXPROCS workers, and a change of GOMAXPROCS replaces the
+// pool and ends the old one's workers.
+func TestRunFollowsGOMAXPROCS(t *testing.T) {
+	setProcs(t, 3)
+	j := &countJob{counts: make([]atomic.Int64, 64)}
+	Run(64, j)
+	p3 := current.Load()
+	if p3.workers != 3 {
+		t.Fatalf("GOMAXPROCS 3: pool of %d workers", p3.workers)
+	}
+	Run(64, j)
+	if current.Load() != p3 {
+		t.Fatal("unchanged GOMAXPROCS rebuilt the pool")
+	}
+	base := runtime.NumGoroutine()
+	setProcs(t, 2)
+	Run(64, j)
+	if p := current.Load(); p == p3 || p.workers != 2 {
+		t.Fatalf("GOMAXPROCS 2: pool of %d workers, rebuilt %v", p.workers, p != p3)
+	}
+	for i := range j.counts {
+		if c := j.counts[i].Load(); c != 3 {
+			t.Fatalf("index %d ran %d times in three runs", i, c)
+		}
+	}
+	// The old pool's two workers exit; the new one started one.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base-2+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want at most %d: the replaced pool's workers did not exit", runtime.NumGoroutine(), base-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunAcrossRebuilds runs calls from several goroutines while
+// GOMAXPROCS keeps changing, so calls land on pools being replaced and
+// stopped under them: every call must still run each index exactly once.
+func TestRunAcrossRebuilds(t *testing.T) {
+	setProcs(t, 2)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				j := &countJob{counts: make([]atomic.Int64, 16)}
+				Run(16, j)
+				for i := range j.counts {
+					if c := j.counts[i].Load(); c != 1 {
+						t.Errorf("index %d ran %d times", i, c)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GOMAXPROCS(2 + i%2)
+		runtime.Gosched()
+	}
+	wg.Wait()
 }
 
 // gateJob holds its first `held` indices until release is closed, each
@@ -141,7 +199,7 @@ func onPoolWorker() bool {
 	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
 	for {
 		f, more := frames.Next()
-		if strings.HasSuffix(f.Function, ".(*Pool).help") {
+		if strings.HasSuffix(f.Function, ".(*pool).help") {
 			return true
 		}
 		if !more {
@@ -167,11 +225,11 @@ func TestPoolRunDoesNotWaitForBusyWorker(t *testing.T) {
 	// behind A, and B, whose own goroutine runs all of its indices, must
 	// return without waiting for a helper that has not started.
 	for _, workers := range []int{2, 3, 4} {
-		p := NewPool(workers)
+		p := newPool(workers)
 		a := newGateJob(workers)
 		aDone := make(chan struct{})
 		go func() {
-			p.Run(workers, a)
+			p.run(workers, a)
 			close(aDone)
 		}()
 		a.waitEntered()
@@ -179,7 +237,7 @@ func TestPoolRunDoesNotWaitForBusyWorker(t *testing.T) {
 		b := &countJob{counts: make([]atomic.Int64, 4)}
 		bDone := make(chan struct{})
 		go func() {
-			p.Run(4, b)
+			p.run(4, b)
 			close(bDone)
 		}()
 		returnsWithin(t, bDone, "call B, behind busy workers,")
@@ -196,14 +254,14 @@ func TestPoolRunDoesNotWaitForBusyWorker(t *testing.T) {
 		// twice nor stall a Run.
 		for round := 0; round < 20; round++ {
 			j := &countJob{counts: make([]atomic.Int64, 33)}
-			p.Run(33, j)
+			p.run(33, j)
 			for i := range j.counts {
 				if c := j.counts[i].Load(); c != 1 {
 					t.Fatalf("workers=%d round %d: index %d ran %d times", workers, round, i, c)
 				}
 			}
 		}
-		p.Close()
+		p.stop()
 	}
 }
 
@@ -213,12 +271,12 @@ func TestPoolHelpersYieldToNewCalls(t *testing.T) {
 	// flight as there are workers: once A's indices are released, the
 	// worker finishes the index it holds and leaves the other 62 to A's
 	// caller, and B, with no idle worker, queues no helper at all.
-	p := NewPool(2)
-	defer p.Close()
+	p := newPool(2)
+	defer p.stop()
 	a := newGateJob(2)
 	aDone := make(chan struct{})
 	go func() {
-		p.Run(64, a)
+		p.run(64, a)
 		close(aDone)
 	}()
 	a.waitEntered()
@@ -226,7 +284,7 @@ func TestPoolHelpersYieldToNewCalls(t *testing.T) {
 	b := newGateJob(1)
 	bDone := make(chan struct{})
 	go func() {
-		p.Run(2, b)
+		p.run(2, b)
 		close(bDone)
 	}()
 	b.waitEntered()
@@ -248,13 +306,13 @@ func TestPoolRunAllocationFree(t *testing.T) {
 	// state: the call state is freelisted and jobs are submitted through an
 	// interface, so only the first Run (worker spawn, freelist growth) may
 	// allocate.
-	p := NewPool(4)
-	defer p.Close()
+	p := newPool(4)
+	defer p.stop()
 	j := &countJob{counts: make([]atomic.Int64, 32)}
-	p.Run(32, j) // warm: spawn workers, seed freelist
+	p.run(32, j) // warm: spawn workers, seed freelist
 	if allocs := testing.AllocsPerRun(50, func() {
-		p.Run(32, j)
+		p.run(32, j)
 	}); allocs > 0 {
-		t.Errorf("Pool.Run allocates %.1f times per op, budget 0", allocs)
+		t.Errorf("pool.run allocates %.1f times per op, budget 0", allocs)
 	}
 }

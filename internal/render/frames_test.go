@@ -28,10 +28,8 @@ var frameDigests = map[string]uint64{
 // three fixed cutoffs (not cutoff.Compute: no map build), the whole BE, the
 // near BE with its mask, a horizon band, a colour frame and a far BE with
 // two avatars (one inside the window, one nearer than it).
-func framesDigest(g *games.Game, workers int) uint64 {
-	r := New(g.Scene, Config{W: 256, H: 128, Parallel: workers})
-	defer r.Close()
-	return rendererDigest(r, g)
+func framesDigest(g *games.Game) uint64 {
+	return rendererDigest(New(g.Scene, Config{W: 256, H: 128}), g)
 }
 
 // rendererDigest is framesDigest's render sequence on a given renderer.
@@ -75,13 +73,13 @@ func rendererDigest(r *Renderer, g *games.Game) uint64 {
 func TestFramesUnchanged(t *testing.T) {
 	for name, want := range frameDigests {
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			g, err := games.BuildByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2} {
-				if got := framesDigest(g, workers); got != want {
+				setProcs(t, workers)
+				if got := framesDigest(g); got != want {
 					t.Errorf("%s, %d workers: frame digest %#016x, pinned %#016x", name, workers, got, want)
 				}
 			}
@@ -90,20 +88,19 @@ func TestFramesUnchanged(t *testing.T) {
 }
 
 // TestFramesUnchangedUnderConcurrentRenders renders the pinned sequence
-// from two goroutines through one two-worker renderer at once, so calls
-// share the pool and its helpers join, leave and skip calls on whatever
-// schedule the two produce: bands write disjoint columns, so every frame
-// must still match the pin.
+// from two goroutines through one renderer at once on a two-worker pool,
+// so calls share the pool and its helpers join, leave and skip calls on
+// whatever schedule the two produce: bands write disjoint columns, so
+// every frame must still match the pin.
 func TestFramesUnchangedUnderConcurrentRenders(t *testing.T) {
+	setProcs(t, 2)
 	for name, want := range frameDigests {
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			g, err := games.BuildByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := New(g.Scene, Config{W: 256, H: 128, Parallel: 2})
-			defer r.Close()
+			r := New(g.Scene, Config{W: 256, H: 128})
 			var got [2]uint64
 			var wg sync.WaitGroup
 			for i := range got {

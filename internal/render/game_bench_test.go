@@ -59,7 +59,7 @@ func BenchmarkPanoramaFarGame(b *testing.B) {
 				maps[bc.game] = gm
 			}
 			g, m := gm.g, gm.m
-			r := render.New(g.Scene, render.Config{W: 256, H: 128, Parallel: 1})
+			r := render.New(g.Scene, render.Config{W: 256, H: 128})
 			rng := rand.New(rand.NewSource(14))
 			var eyes []geom.Vec3
 			var radii []float64

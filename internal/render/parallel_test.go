@@ -1,29 +1,38 @@
 package render
 
 import (
+	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"coterie/internal/games"
 	"coterie/internal/geom"
+	"coterie/internal/world"
 )
+
+// setProcs sets GOMAXPROCS — the render pool's width — to n for the rest
+// of the test. Tests that call it must not be parallel: a non-parallel test
+// never overlaps a parallel one.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // TestTileParallelMatchesSequentialAllGames is the determinism contract of
 // the tile-parallel fan-out: for every game in the catalog, a renderer
 // fanning bands across pool workers produces frames byte-identical to the
-// strictly sequential renderer — panorama pixels, near-frame pixels and
-// masks alike. Bands write disjoint rows, so worker count must be
-// unobservable in the output.
+// strictly sequential render — panorama pixels, near-frame pixels and
+// masks alike, and every other frame kind (far BE with dynamics, a
+// horizon band, colour) at 2 and 4 workers as well. Bands write disjoint
+// rows, so worker count must be unobservable in the output.
 func TestTileParallelMatchesSequentialAllGames(t *testing.T) {
 	for _, spec := range games.Catalog() {
 		t.Run(spec.Name, func(t *testing.T) {
 			g := games.Build(spec)
-			cfg := Config{W: 64, H: 32}
-			cfg.Parallel = 1
-			seq := New(g.Scene, cfg)
-			cfg.Parallel = 4 // forces the pool path even on one CPU
-			tiled := New(g.Scene, cfg)
-			defer tiled.Close()
+			seq := New(g.Scene, Config{W: 64, H: 32})
+			tiled := New(g.Scene, Config{W: 64, H: 32})
 
 			eyes := []geom.Vec2{
 				g.Spawn,
@@ -32,16 +41,18 @@ func TestTileParallelMatchesSequentialAllGames(t *testing.T) {
 			}
 			for _, p := range eyes {
 				eye := g.Scene.EyeAt(g.Scene.Bounds.ClampPoint(p))
+				setProcs(t, 1) // renders inline
 				a := seq.Panorama(eye, 0, math.Inf(1), nil)
+				fa := seq.NearFrame(eye, 6, nil)
+				setProcs(t, 4) // forces the pool path even on one CPU
 				b := tiled.Panorama(eye, 0, math.Inf(1), nil)
+				fb := tiled.NearFrame(eye, 6, nil)
 				for i := range a.Pix {
 					if a.Pix[i] != b.Pix[i] {
 						t.Fatalf("%s: parallel panorama differs at pixel %d: %d vs %d",
 							spec.Name, i, a.Pix[i], b.Pix[i])
 					}
 				}
-				fa := seq.NearFrame(eye, 6, nil)
-				fb := tiled.NearFrame(eye, 6, nil)
 				for i := range fa.Mask {
 					if fa.Mask[i] != fb.Mask[i] || fa.Gray.Pix[i] != fb.Gray.Pix[i] {
 						t.Fatalf("%s: parallel near frame differs at %d", spec.Name, i)
@@ -51,8 +62,45 @@ func TestTileParallelMatchesSequentialAllGames(t *testing.T) {
 				tiled.ReleaseGray(b)
 				seq.ReleaseFrame(fa)
 				tiled.ReleaseFrame(fb)
+
+				dyn := []world.Object{g.Avatar(geom.V2(p.X+2.1, p.Z+0.8), 1)}
+				kinds := func() [][]byte {
+					return [][]byte{
+						tiled.Panorama(eye, 6, math.Inf(1), dyn).Pix,
+						tiled.PanoramaBand(eye, 6, math.Inf(1), dyn, 10, 20).Pix,
+						tiled.PanoramaRGB(eye, 0, math.Inf(1), dyn).Pix,
+					}
+				}
+				setProcs(t, 1)
+				want := kinds()
+				for _, workers := range []int{2, 4} {
+					setProcs(t, workers)
+					for k, got := range kinds() {
+						if !bytes.Equal(got, want[k]) {
+							t.Fatalf("%s: frame kind %d differs at %d workers", spec.Name, k, workers)
+						}
+					}
+				}
 			}
 		})
+	}
+}
+
+// TestRenderersShareOnePool holds the process to one render pool: however
+// many renderers render, the goroutine count grows by at most the pool's
+// GOMAXPROCS − 1 workers. A pool per renderer would add that many per
+// renderer, and nothing would ever stop them.
+func TestRenderersShareOnePool(t *testing.T) {
+	setProcs(t, max(runtime.GOMAXPROCS(0), 2))
+	s := denseScene(13, 60)
+	eye := s.EyeAt(geom.V2(50, 50))
+	base := runtime.NumGoroutine()
+	for range 20 {
+		r := New(s, DefaultConfig())
+		r.ReleaseGray(r.Panorama(eye, 0, math.Inf(1), nil))
+	}
+	if grown, pool := runtime.NumGoroutine()-base, runtime.GOMAXPROCS(0)-1; grown > pool {
+		t.Errorf("20 renderers grew the goroutine count by %d, more than one pool of %d workers", grown, pool)
 	}
 }
 
@@ -63,8 +111,8 @@ func TestTileParallelMatchesSequentialAllGames(t *testing.T) {
 // regression this guards against.
 func TestPanoramaAllocationFree(t *testing.T) {
 	s := denseScene(11, 120)
-	r := New(s, Config{W: 96, H: 48, Parallel: 4})
-	defer r.Close()
+	setProcs(t, 4)
+	r := New(s, Config{W: 96, H: 48})
 	eye := s.EyeAt(geom.V2(55, 60))
 
 	// Warm: spawn pool workers, seed every freelist (buffers, job, queries).
@@ -92,7 +140,7 @@ func TestPanoramaAllocationFree(t *testing.T) {
 // than poisoning the pool.
 func TestReleaseGrayReusesBuffer(t *testing.T) {
 	s := denseScene(12, 40)
-	r := New(s, Config{W: 64, H: 32, Parallel: 1})
+	r := New(s, Config{W: 64, H: 32})
 	eye := s.EyeAt(geom.V2(50, 50))
 
 	a := r.Panorama(eye, 0, math.Inf(1), nil)
@@ -104,7 +152,7 @@ func TestReleaseGrayReusesBuffer(t *testing.T) {
 	}
 
 	// A frame of the wrong size must not enter the pool.
-	other := New(s, Config{W: 32, H: 16, Parallel: 1})
+	other := New(s, Config{W: 32, H: 16})
 	foreign := other.Panorama(eye, 0, math.Inf(1), nil)
 	r.ReleaseGray(foreign)
 	r.ReleaseGray(nil)

@@ -27,8 +27,6 @@ type Config struct {
 	// prefetches 3840x2160 panoramas; experiments here default to 256x128,
 	// which preserves similarity structure at laptop-scale cost.
 	W, H int
-	// Parallel is the number of rendering goroutines; 0 means GOMAXPROCS.
-	Parallel int
 }
 
 // DefaultConfig is the resolution used by the experiment harness.
@@ -43,6 +41,14 @@ func DefaultConfig() Config { return Config{W: 256, H: 128} }
 // masks, scene queries and the fan-out job state are all pooled on the
 // renderer. Callers that never release simply allocate a fresh frame per
 // call, exactly as before.
+//
+// A renderer owns no goroutines. Column bands fan out on the process's one
+// render pool (par.Run, tile-parallel rendering: bands write disjoint
+// columns, so output is deterministic for any worker count and any
+// schedule). Every renderer shares it, and it fans a render out only into
+// idle cores: a lone render spreads over GOMAXPROCS workers, while as many
+// renders in flight — of any renderers — as workers each run whole on
+// their caller's goroutine.
 type Renderer struct {
 	Scene *world.Scene
 	Cfg   Config
@@ -53,26 +59,17 @@ type Renderer struct {
 	projOnce sync.Once
 	proj     projection
 
-	// pool fans column bands across persistent workers (tile-parallel
-	// rendering: bands write disjoint columns, so output is deterministic
-	// for any worker count and any schedule). Concurrent renders share it,
-	// and it fans a render out only into idle cores: a lone render spreads
-	// over every worker, while as many renders in flight as workers each
-	// run whole on their caller's goroutine (par.Pool). It is created
-	// lazily on the first render that resolves to more than one worker, so
-	// a bare-literal Renderer and a sequential config never own goroutines.
-	poolOnce sync.Once
-	pool     *par.Pool
-
 	// Freelists for the per-call state. Explicit mutex-guarded freelists
 	// (not sync.Pool) keep the steady state deterministic across GC cycles,
-	// which the allocation-budget test relies on.
+	// which the allocation-budget test relies on. queries counts the scene
+	// queries made, pooled or checked out.
 	mu        sync.Mutex
 	freeGrays []*img.Gray
 	freeMasks [][]bool
 	freeJobs  []*castJob
 	freeQs    []*world.Query
 	freeBins  []*world.Bins
+	queries   int
 }
 
 // New creates a renderer for the scene.
@@ -179,10 +176,10 @@ func (r *Renderer) PanoramaBand(eye geom.Vec3, tMin, tMax float64, dynamics []wo
 // ray-casts against more of the scene than one facing a wall).
 const bandsPerWorker = 4
 
-// fanout resolves the configured parallelism for n independent strips
-// (columns of a ray-cast, rows of a warp) into a worker and a band count.
-func (r *Renderer) fanout(n int) (workers, bands int) {
-	workers = min(par.Workers(r.Cfg.Parallel), n)
+// fanout resolves GOMAXPROCS for n independent strips (columns of a
+// ray-cast, rows of a warp) into a worker and a band count.
+func fanout(n int) (workers, bands int) {
+	workers = min(par.Workers(), n)
 	return workers, min(workers*bandsPerWorker, n)
 }
 
@@ -211,12 +208,13 @@ type castJob struct {
 	bands    int
 }
 
-// cast runs j over rows [rowLo, rowHi) of every column on the worker pool,
+// cast runs j over rows [rowLo, rowHi) of every column on the render pool,
 // in two phases: the frame's objects are binned to its columns in one part
 // per worker (world.Bins), then the column bands are cast.
 func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, rowHi int) {
 	p := r.projection()
-	workers, bands := r.fanout(r.Cfg.W)
+	workers, bands := fanout(r.Cfg.W)
+	r.reserveQueries(workers)
 	j.r, j.bands = r, bands
 	j.col = world.Column{
 		Eye: eye, Tan: p.tan, Cos: p.cos, Sin: p.sin,
@@ -231,9 +229,8 @@ func (r *Renderer) cast(j castJob, eye geom.Vec3, tMin, tMax float64, rowLo, row
 
 	pj := r.getJob()
 	*pj = j
-	pool := r.renderPool(workers)
-	pool.Run(j.bins.Parts(), j.bins)
-	pool.Run(bands, pj)
+	par.Run(j.bins.Parts(), j.bins)
+	par.Run(bands, pj)
 	*pj = castJob{} // drop references before pooling
 	r.putJob(pj)
 	r.putBins(j.bins)
@@ -307,30 +304,6 @@ func (j *castJob) Run(b int) {
 	}
 	r.putQuery(q)
 }
-
-// renderPool returns the renderer's worker pool, creating it on first use
-// when the configured parallelism exceeds one worker. A nil pool runs
-// inline, so sequential renderers never own goroutines.
-func (r *Renderer) renderPool(workers int) *par.Pool {
-	if workers <= 1 {
-		return nil
-	}
-	r.poolOnce.Do(func() {
-		r.pool = par.NewPool(workers)
-		// A call runs at most one band per worker at a time: with a query
-		// per worker up front, a render that happens to fan out wider than
-		// the ones before it finds its queries pooled.
-		for range workers {
-			r.putQuery(r.Scene.NewQuery())
-		}
-	})
-	return r.pool
-}
-
-// Close stops the renderer's worker pool, if one was started. The
-// renderer remains usable afterwards — renders simply run sequentially.
-// Close must not race in-flight renders.
-func (r *Renderer) Close() { r.pool.Close() }
 
 // getGray checks an output buffer out of the freelist, or allocates one.
 // Every pixel of a render is written (sky or shade), so reused buffers
@@ -411,7 +384,20 @@ func (r *Renderer) getQuery() *world.Query {
 		r.freeQs = r.freeQs[:n-1]
 		return q
 	}
+	r.queries++
 	return r.Scene.NewQuery()
+}
+
+// reserveQueries makes sure the renderer has made at least n scene
+// queries. A cast runs at most one band per worker at a time: with a query
+// per worker up front, a render that fans out wider than the ones before
+// it finds its queries pooled.
+func (r *Renderer) reserveQueries(n int) {
+	r.mu.Lock()
+	for ; r.queries < n; r.queries++ {
+		r.freeQs = append(r.freeQs, r.Scene.NewQuery())
+	}
+	r.mu.Unlock()
 }
 
 func (r *Renderer) putQuery(q *world.Query) {

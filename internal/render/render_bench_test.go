@@ -19,20 +19,6 @@ func BenchmarkPanoramaWhole(b *testing.B) {
 	}
 }
 
-// BenchmarkPanoramaParallel is the tile-parallel variant: bands fan out
-// across the renderer-owned worker pool. On a multi-core box this is the
-// headline scaling number; on one core it measures pool overhead.
-func BenchmarkPanoramaParallel(b *testing.B) {
-	r := New(denseScene(99, 300), Config{W: 256, H: 128, Parallel: 0})
-	defer r.Close()
-	eye := r.Scene.EyeAt(r.Scene.Bounds.Center())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ReleaseGray(r.Panorama(eye, 0, math.Inf(1), nil))
-	}
-}
-
 func BenchmarkPanoramaFar(b *testing.B) {
 	r := benchScene(300)
 	eye := r.Scene.EyeAt(r.Scene.Bounds.Center())

@@ -99,8 +99,8 @@ func TestPanoramaDeterministic(t *testing.T) {
 		}
 	}
 	// Independent of worker count.
-	r1 := New(s, Config{W: 96, H: 48, Parallel: 1})
-	c := r1.Panorama(eye, 0, math.Inf(1), nil)
+	setProcs(t, 1)
+	c := r.Panorama(eye, 0, math.Inf(1), nil)
 	for i := range a.Pix {
 		if a.Pix[i] != c.Pix[i] {
 			t.Fatalf("parallelism changed output at pixel %d", i)

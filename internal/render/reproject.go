@@ -17,10 +17,11 @@ import (
 
 	"coterie/internal/geom"
 	"coterie/internal/img"
+	"coterie/internal/par"
 )
 
 // reprojectJob warps row bands of the output panorama in parallel on the
-// renderer's worker pool. Bands write disjoint rows, so the result is
+// render pool. Bands write disjoint rows, so the result is
 // byte-identical for any worker count.
 type reprojectJob struct {
 	r       *Renderer
@@ -108,8 +109,8 @@ func clampY(y, h int) int {
 
 // Reproject synthesizes the panorama at toEye from pano, a panorama of
 // the same resolution rendered at fromEye, assuming all content sits at
-// the given depth from the source eye. The warp runs on the renderer's
-// tile-parallel pool and is deterministic for any worker count. The
+// the given depth from the source eye. The warp runs on the render pool
+// (par.Run) and is deterministic for any worker count. The
 // returned frame comes from the renderer's buffer pool (ReleaseGray).
 //
 // The approximation degrades as |toEye-fromEye|/depth grows; callers are
@@ -122,12 +123,12 @@ func (r *Renderer) Reproject(pano *img.Gray, fromEye, toEye geom.Vec3, depth flo
 	}
 	out := r.getGray()
 
-	workers, bands := r.fanout(h)
+	_, bands := fanout(h)
 	j := &reprojectJob{
 		r: r, src: pano, out: out,
 		fromEye: fromEye, toEye: toEye, depth: depth,
 		bands: bands,
 	}
-	r.renderPool(workers).Run(bands, j)
+	par.Run(bands, j)
 	return out
 }

@@ -66,7 +66,8 @@ func TestReprojectDeterministicAcrossWorkers(t *testing.T) {
 	to := s.EyeAt(geom.V2(56, 58.5))
 	var want []uint8
 	for _, workers := range []int{1, 2, 7} {
-		r := New(s, Config{W: 96, H: 48, Parallel: workers})
+		setProcs(t, workers)
+		r := New(s, Config{W: 96, H: 48})
 		pano := r.Panorama(eye, 0, math.Inf(1), nil)
 		rp := r.Reproject(pano, eye, to, 60)
 		if want == nil {
@@ -74,11 +75,10 @@ func TestReprojectDeterministicAcrossWorkers(t *testing.T) {
 		} else {
 			for i := range want {
 				if rp.Pix[i] != want[i] {
-					t.Fatalf("Parallel=%d changed reprojection at pixel %d", workers, i)
+					t.Fatalf("%d workers changed reprojection at pixel %d", workers, i)
 				}
 			}
 		}
-		r.Close()
 	}
 }
 

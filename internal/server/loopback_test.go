@@ -181,7 +181,7 @@ func warmServer(t *testing.T, srv *Server, tr *trace.Trace) {
 	bounds.MinZ -= 0.25
 	bounds.MaxX += 0.25
 	bounds.MaxZ += 0.25
-	if _, err := srv.PrerenderRegion(bounds, 1, 0); err != nil {
+	if _, err := srv.PrerenderRegion(bounds, 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,8 +25,8 @@ type PrerenderStats struct {
 
 // PrerenderRegion renders and encodes the far-BE frames for the grid
 // points inside the rectangle, sampling every strideSteps-th grid index in
-// each axis (stride 1 = every point). workers <= 0 selects GOMAXPROCS.
-func (s *Server) PrerenderRegion(region geom.Rect, strideSteps, workers int) (PrerenderStats, error) {
+// each axis (stride 1 = every point), on GOMAXPROCS workers.
+func (s *Server) PrerenderRegion(region geom.Rect, strideSteps int) (PrerenderStats, error) {
 	if strideSteps < 1 {
 		strideSteps = 1
 	}
@@ -40,7 +40,7 @@ func (s *Server) PrerenderRegion(region geom.Rect, strideSteps, workers int) (Pr
 	rows := (hi.J-lo.J)/strideSteps + 1
 
 	var rendered, points, bytes atomic.Int64
-	err := par.ForErr(workers, cols*rows, func(k int) error {
+	err := par.ForErr(cols*rows, func(k int) error {
 		pt := geom.GridPoint{
 			I: lo.I + (k%cols)*strideSteps,
 			J: lo.J + (k/cols)*strideSteps,

@@ -3,6 +3,7 @@ package server
 import (
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coterie/internal/geom"
@@ -13,8 +14,8 @@ import (
 // are a function of its grid point alone. One region is rendered on fresh
 // servers under several random request orders — half the points requested
 // one by one in shuffled order, the rest filled in by a parallel
-// PrerenderRegion — at 1, 2 and 4 prerender workers, and every point must
-// hash identically on every server.
+// PrerenderRegion — at GOMAXPROCS 1, 2 and 4 (prerender and render pool
+// workers), and every point must hash identically on every server.
 func TestFrameBytesIndependentOfRequestOrder(t *testing.T) {
 	env := poolEnv(t)
 	grid := env.Game.Scene.Grid
@@ -33,6 +34,7 @@ func TestFrameBytesIndependentOfRequestOrder(t *testing.T) {
 	const orders = 6
 	for k := 0; k < orders; k++ {
 		for _, workers := range []int{1, 2, 4} {
+			setProcs(t, workers)
 			srv := New(env)
 			order := append([]geom.GridPoint(nil), pts...)
 			rand.New(rand.NewSource(int64(k))).Shuffle(len(order), func(i, j int) {
@@ -43,7 +45,7 @@ func TestFrameBytesIndependentOfRequestOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			stats, err := srv.PrerenderRegion(region, 1, workers)
+			stats, err := srv.PrerenderRegion(region, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,4 +72,13 @@ func TestFrameBytesIndependentOfRequestOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// setProcs sets GOMAXPROCS — every fan-out's width — to n for the rest of
+// the test. Tests that call it must not be parallel: a non-parallel test
+// never overlaps a parallel one.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }

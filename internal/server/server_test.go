@@ -157,7 +157,7 @@ func TestConcurrentClients(t *testing.T) {
 func TestPrerenderRegion(t *testing.T) {
 	srv := New(poolEnv(t))
 	region := geom.Rect{MinX: 2, MinZ: 2, MaxX: 3, MaxZ: 3}
-	stats, err := srv.PrerenderRegion(region, 8, 4)
+	stats, err := srv.PrerenderRegion(region, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPrerenderRegion(t *testing.T) {
 		t.Fatalf("stats %+v", stats)
 	}
 	// A second pass renders nothing new.
-	again, err := srv.PrerenderRegion(region, 8, 4)
+	again, err := srv.PrerenderRegion(region, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestPrerenderRegion(t *testing.T) {
 func TestPrerenderEmptyRegion(t *testing.T) {
 	srv := New(poolEnv(t))
 	// Degenerate rectangle still covers its snapped corner point.
-	stats, err := srv.PrerenderRegion(geom.Rect{MinX: 5, MinZ: 5, MaxX: 5, MaxZ: 5}, 1, 2)
+	stats, err := srv.PrerenderRegion(geom.Rect{MinX: 5, MinZ: 5, MaxX: 5, MaxZ: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

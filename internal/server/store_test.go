@@ -194,7 +194,7 @@ func TestPrerenderRespectsBudget(t *testing.T) {
 		MinX: srv.env.Game.Spawn.X, MaxX: srv.env.Game.Spawn.X + 5*step,
 		MinZ: srv.env.Game.Spawn.Z, MaxZ: srv.env.Game.Spawn.Z + 5*step,
 	}
-	stats, err := srv.PrerenderRegion(region, 1, 2)
+	stats, err := srv.PrerenderRegion(region, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
