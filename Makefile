@@ -6,7 +6,7 @@
 # server lifecycle, transport framing, and the sim-vs-live loopback e2e)
 # or share atomic state (the obs metrics registry, the cache and
 # prefetcher once instrumented into a shared registry). `make fuzz` runs
-# the seven native fuzz targets for real; it is not part of `check`, where
+# the six native fuzz targets for real; it is not part of `check`, where
 # `go test` only replays their seed corpora.
 
 GO ?= go
@@ -60,14 +60,13 @@ race:
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
 		./internal/netsim/... ./internal/world/... ./internal/lru/...
 
-# Native fuzzing: each Fuzz* target in turn for FUZZTIME (seven targets,
-# ~1.5 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is
+# Native fuzzing: each Fuzz* target in turn for FUZZTIME (six targets,
+# ~1 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is
 # written under the package's testdata/fuzz/ and replays in `go test` from
 # then on.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = codec:FuzzDecode codec:FuzzDeltaDecode trace:FuzzRead \
-	transport:FuzzWireDecoders transport:FuzzReassembler cutoff:FuzzLoad \
-	fisync:FuzzDecodeStates
+	transport:FuzzWireDecoders transport:FuzzReassembler fisync:FuzzDecodeStates
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=./internal/$${t%%:*}; fn=$${t##*:}; \
@@ -115,8 +114,9 @@ BENCH ?= ColdMiss
 micro-pairs:
 	./scripts/micro-pairs.sh $(PARENT) $(PKG) $(BENCH) $(N)
 
-# Non-test Go lines under internal/ (total and per package) and cmd/, and
-# the flags each cmd/ binary defines: the headline numbers (lines and
-# knobs) of a simplicity PR.
+# Non-test Go lines under internal/ (total and per package) and cmd/, the
+# flags each cmd/ binary defines, and the exported fields of the config
+# structs (*Config, *Options, *Params, server.Server): the headline numbers
+# (lines, knobs and settable values) of a simplicity PR.
 loc:
 	./scripts/loc.sh

@@ -54,7 +54,6 @@ func main() {
 	clusterAdmin := flag.String("cluster-admin", "", "comma-separated admin addresses of every cluster node (same order as -cluster); enables the /cluster fleet view on the admin endpoint")
 	push := flag.Bool("push", false, "push predicted frames unsolicited over UDP to subscribed clients")
 	sloObjective := flag.Float64("slo-objective", obs.DefaultSLOObjective, "SLO: fraction of frames that must be served within the frame budget at full quality")
-	sloWindow := flag.Duration("slo-window", time.Minute, "SLO: short burn-rate window (the long window is 5x this)")
 	flag.Parse()
 
 	spec, err := games.ByName(*game)
@@ -93,11 +92,7 @@ func main() {
 
 	// SLO burn-rate monitor: every served frame counts against the error
 	// budget (late, degraded or failover frames are budget spend).
-	slo := obs.NewSLO(obs.SLOConfig{
-		Objective:   *sloObjective,
-		ShortWindow: *sloWindow,
-		LongWindow:  5 * *sloWindow,
-	})
+	slo := obs.NewSLO(obs.SLOConfig{Objective: *sloObjective})
 	reg.SetSLO(slo)
 	srv.SetSLO(slo)
 

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 	"time"
 
@@ -29,7 +28,6 @@ func main() {
 	k := flag.Int("k", 10, "locations sampled per region (paper: 10)")
 	dump := flag.Bool("dump", false, "print every leaf region")
 	thresholds := flag.Bool("thresholds", true, "derive cache distance thresholds (needs rendering)")
-	out := flag.String("o", "", "write the preprocessing output (JSON) to this file")
 	flag.Parse()
 
 	spec, err := games.ByName(*game)
@@ -70,20 +68,6 @@ func main() {
 	sort.Float64s(radii)
 	q := func(p float64) float64 { return radii[int(p*float64(len(radii)-1))] }
 	fmt.Printf("cutoff radii: min %.1f, p50 %.1f, max %.1f m\n", radii[0], q(0.5), radii[len(radii)-1])
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatalf("cutoffgen: %v", err)
-		}
-		if err := m.Save(f); err != nil {
-			log.Fatalf("cutoffgen: writing %s: %v", *out, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("cutoffgen: %v", err)
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 
 	if *dump {
 		fmt.Printf("%6s %8s %8s %10s %10s %12s\n", "id", "depth", "radius", "thresh", "density", "bounds")

@@ -156,9 +156,6 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // handle a down owner by rendering locally (failover).
 func (c *Cluster) Owner(pt geom.GridPoint) string { return Owner(c.nodes, pt) }
 
-// OwnsSelf reports whether this node owns pt.
-func (c *Cluster) OwnsSelf(pt geom.GridPoint) bool { return c.Owner(pt) == c.cfg.Self }
-
 // Up reports whether addr is believed reachable: true for self and for
 // peers whose last probe or fetch succeeded (peers start optimistic
 // until the first failure).

@@ -50,8 +50,6 @@ const (
 
 // EnvOptions controls environment preparation.
 type EnvOptions struct {
-	// Device is the client hardware model; zero value means Pixel2.
-	Device device.Profile
 	// RenderCfg sets the panoramic frame resolution for size sampling and
 	// threshold calibration.
 	RenderCfg render.Config
@@ -64,8 +62,6 @@ type EnvOptions struct {
 	// SizeSamples is the number of locations sampled for the frame-size
 	// model; 0 means 12.
 	SizeSamples int
-	// CRF is the encoder quality; 0 means codec.DefaultCRF.
-	CRF int
 }
 
 // Env is a prepared game environment shared by sessions: the built game,
@@ -84,9 +80,6 @@ type Env struct {
 // sampling. This corresponds to the paper's per-app installation step
 // (§4.3, §6).
 func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
-	if opts.Device.Name == "" {
-		opts.Device = device.Pixel2()
-	}
 	if opts.CutoffParams.K == 0 {
 		opts.CutoffParams = cutoff.DefaultParams()
 	}
@@ -96,11 +89,9 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	if opts.SizeSamples == 0 {
 		opts.SizeSamples = 12
 	}
-	if opts.CRF == 0 {
-		opts.CRF = codec.DefaultCRF
-	}
+	dev := device.Pixel2()
 	g := games.Build(spec)
-	m, err := cutoff.Compute(g.Scene, opts.Device.NearBERenderMs, opts.CutoffParams)
+	m, err := cutoff.Compute(g.Scene, dev.NearBERenderMs, opts.CutoffParams)
 	if err != nil {
 		return nil, fmt.Errorf("core: cutoff scheme failed: %w", err)
 	}
@@ -108,17 +99,17 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, cutoff.DefaultThresholdConfig()); err != nil {
 		return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
 	}
-	sizer, err := NewFrameSizer(g, m, r, opts.CRF, opts.SizeSamples)
+	sizer, err := NewFrameSizer(g, m, r, codec.DefaultCRF, opts.SizeSamples)
 	if err != nil {
 		return nil, fmt.Errorf("core: frame sizing failed: %w", err)
 	}
 	return &Env{
 		Game:     g,
-		Device:   opts.Device,
+		Device:   dev,
 		Map:      m,
 		Renderer: r,
 		Sizer:    sizer,
-		CRF:      opts.CRF,
+		CRF:      codec.DefaultCRF,
 	}, nil
 }
 

@@ -38,7 +38,7 @@ type Params struct {
 	// violations below 0.25%.
 	K int
 	// BudgetMs is the near-BE render-time budget from Constraint 1
-	// (device.Profile.NearBEBudgetMs(), 12.7 ms minus margin on Pixel 2).
+	// (16.7 ms vsync minus the 4 ms FI bound, Eq. 1).
 	BudgetMs float64
 	// Tolerance is the allowed max/min ratio of sampled radii within a
 	// region before it is split.

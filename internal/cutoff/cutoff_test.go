@@ -179,6 +179,26 @@ func TestLeafAtCoversWholeWorld(t *testing.T) {
 	}
 }
 
+// TestLeafAtReturnsContainingRegion checks that a lookup answers with the
+// leaf whose bounds hold the queried point, not merely some leaf.
+func TestLeafAtReturnsContainingRegion(t *testing.T) {
+	m, err := Compute(twoZoneScene(), rt(), testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		p := geom.V2(rng.Float64()*128, rng.Float64()*64)
+		leaf := m.LeafAt(p)
+		if leaf == nil {
+			t.Fatalf("no leaf at %v", p)
+		}
+		if !leaf.Bounds.ContainsClosed(p) {
+			t.Fatalf("lookup at %v returned leaf %v", p, leaf.Bounds)
+		}
+	}
+}
+
 func TestDensityRadiusCorrelation(t *testing.T) {
 	// Fig 8: the higher the object density of a leaf region, the smaller
 	// its generated cutoff radius. Check rank correlation over leaves.

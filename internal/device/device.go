@@ -102,11 +102,6 @@ func Pixel2() Profile {
 	}
 }
 
-// NearBEBudgetMs returns the render-time budget for near BE under
-// Constraint 1 of the paper: 16.7 ms minus the FI bound (= 12.7 ms on the
-// Pixel 2 profile, Eq. 1).
-func (p Profile) NearBEBudgetMs() float64 { return p.VsyncMs - p.FIRenderMs }
-
 // RenderMs returns the time to render the given triangle count with the
 // local engine (no culling — the caller passes the triangles actually
 // drawn).
@@ -201,6 +196,3 @@ func (th *Thermal) Step(powerW, dtSeconds float64) float64 {
 
 // Temperature returns the current SoC temperature.
 func (th *Thermal) Temperature() float64 { return th.t }
-
-// Throttled reports whether the SoC exceeded the vendor thermal limit.
-func (th *Thermal) Throttled() bool { return th.t >= th.p.ThermalCapC }

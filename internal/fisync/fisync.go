@@ -132,23 +132,3 @@ func (h *Hub) Snapshot(requester uint8) []State {
 	}
 	return out
 }
-
-// Players returns the number of players with state at the hub.
-func (h *Hub) Players() int { return len(h.states) }
-
-// TickBytes returns the total FI bytes exchanged through the server in one
-// frame tick for n players: n uploads plus n downloads of n-1 states. Used
-// by the network-usage accounting (Table 9).
-func TickBytes(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	up := n * (WireSize + headerSize)
-	var down int
-	if n == 1 {
-		down = 2 * n // heartbeat only
-	} else {
-		down = n * ((n-1)*WireSize + headerSize)
-	}
-	return up + down
-}

@@ -72,8 +72,8 @@ func TestHubUpdateAndSnapshot(t *testing.T) {
 	if snap[0].Player != 0 || snap[1].Player != 2 {
 		t.Fatalf("snapshot order: %v", snap)
 	}
-	if h.Players() != 3 {
-		t.Fatalf("players = %d", h.Players())
+	if n := len(h.Snapshot(9)); n != 3 {
+		t.Fatalf("players = %d", n)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestHubSeqEdgeCases(t *testing.T) {
 	h = NewHub()
 	h.Update(State{Player: 0, Seq: 0, Anim: 1})
 	h.Update(State{Player: 1, Seq: 0xFFFFFFFF, Anim: 2})
-	if h.Players() != 2 {
-		t.Fatalf("players = %d", h.Players())
+	if n := len(h.Snapshot(9)); n != 2 {
+		t.Fatalf("players = %d", n)
 	}
 
 	// Sequences advancing across the boundary one step at a time.
@@ -165,8 +165,19 @@ func TestHubSeqEdgeCases(t *testing.T) {
 
 func TestTickBytesMatchesTable9Scaling(t *testing.T) {
 	// Table 9: FI bandwidth is ~1 Kbps at 1 player and 260-275 Kbps at 4.
-	// At 60 Hz the per-tick byte budget implies those rates.
-	kbps := func(n int) float64 { return float64(TickBytes(n)*60*8) / 1000 }
+	// At 60 Hz the hub's per-tick traffic (n uploads, n snapshots) implies
+	// those rates.
+	tickBytes := func(n int) int64 {
+		h := NewHub()
+		for p := 0; p < n; p++ {
+			h.Update(State{Player: uint8(p), Seq: 1})
+		}
+		for p := 0; p < n; p++ {
+			h.Snapshot(uint8(p))
+		}
+		return h.UploadBytes + h.DownloadBytes
+	}
+	kbps := func(n int) float64 { return float64(tickBytes(n)*60*8) / 1000 }
 	if k := kbps(1); k > 25 {
 		t.Fatalf("1P FI bandwidth %.1f Kbps, want tiny", k)
 	}
@@ -178,7 +189,7 @@ func TestTickBytesMatchesTable9Scaling(t *testing.T) {
 	if !(kbps(2) < kbps(3) && kbps(3) < k4) {
 		t.Fatal("FI bandwidth should grow with players")
 	}
-	if TickBytes(0) != 0 {
+	if tickBytes(0) != 0 {
 		t.Fatal("no players, no traffic")
 	}
 }

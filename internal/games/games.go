@@ -165,20 +165,6 @@ func ByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("games: unknown game %q", name)
 }
 
-// Headline returns the three apps of the testbed evaluation (§7): one from
-// each outdoor genre, the largest and most challenging of the nine.
-func Headline() []Spec {
-	out := make([]Spec, 0, 3)
-	for _, n := range []string{"viking", "cts", "racing"} {
-		s, err := ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // Build generates the scene for a spec. Generation is deterministic in
 // Spec.Seed.
 func Build(spec Spec) *Game {

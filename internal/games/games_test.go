@@ -47,19 +47,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestHeadline(t *testing.T) {
-	h := Headline()
-	if len(h) != 3 {
-		t.Fatalf("headline count %d", len(h))
-	}
-	want := []string{"viking", "cts", "racing"}
-	for i, s := range h {
-		if s.Name != want[i] {
-			t.Fatalf("headline[%d] = %s", i, s.Name)
-		}
-	}
-}
-
 func TestAllGamesBuildAndValidate(t *testing.T) {
 	for _, s := range Catalog() {
 		g := Build(s)
@@ -100,7 +87,8 @@ func TestHeadlineMobileRenderTimes(t *testing.T) {
 		"cts":    {33, 55},
 		"racing": {33, 50},
 	}
-	for _, s := range Headline() {
+	for name := range want {
+		s := mustSpec(t, name)
 		g := Build(s)
 		total := g.Scene.TotalTriangles()
 		ms := p.FullSceneRenderMs(int(float64(total) / s.LODFactor()))

@@ -28,20 +28,6 @@ func (b AABB) Center() Vec3 {
 	return Vec3{(b.Min.X + b.Max.X) / 2, (b.Min.Y + b.Max.Y) / 2, (b.Min.Z + b.Max.Z) / 2}
 }
 
-// IntersectRay returns the entry parameter t of the ray into the box and
-// whether the ray hits the box at t >= 0. If the ray starts inside the box
-// the entry parameter is 0.
-func (b AABB) IntersectRay(r Ray) (float64, bool) {
-	t0, _, ok := b.IntersectRaySpan(r)
-	if !ok {
-		return 0, false
-	}
-	if t0 < 0 {
-		t0 = 0
-	}
-	return t0, true
-}
-
 // IntersectRaySpan returns the full parametric span [tEntry, tExit] of the
 // ray inside the box (tEntry may be negative when the origin is inside),
 // and whether the ray intersects the box at all with tExit >= 0. Both
@@ -81,12 +67,6 @@ func (b AABB) IntersectRaySpan(r Ray) (float64, float64, bool) {
 		return 0, 0, false
 	}
 	return tMin, tMax, true
-}
-
-// IntersectSphere returns the nearest non-negative hit parameter of the ray
-// against a sphere, and whether there is one.
-func IntersectSphere(r Ray, center Vec3, radius float64) (float64, bool) {
-	return IntersectSphereFrom(r, center, radius, 0)
 }
 
 // IntersectSphereFrom returns the nearest hit parameter >= tMin of the ray

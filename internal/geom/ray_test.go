@@ -9,7 +9,7 @@ import (
 func TestAABBIntersectRayThrough(t *testing.T) {
 	box := AABB{Min: V3(-1, -1, -1), Max: V3(1, 1, 1)}
 	r := Ray{Origin: V3(-5, 0, 0), Direction: V3(1, 0, 0)}
-	tHit, ok := box.IntersectRay(r)
+	tHit, _, ok := box.IntersectRaySpan(r)
 	if !ok || !almostEq(tHit, 4) {
 		t.Fatalf("hit = %v,%v want 4,true", tHit, ok)
 	}
@@ -18,12 +18,12 @@ func TestAABBIntersectRayThrough(t *testing.T) {
 func TestAABBIntersectRayMiss(t *testing.T) {
 	box := AABB{Min: V3(-1, -1, -1), Max: V3(1, 1, 1)}
 	r := Ray{Origin: V3(-5, 3, 0), Direction: V3(1, 0, 0)}
-	if _, ok := box.IntersectRay(r); ok {
+	if _, _, ok := box.IntersectRaySpan(r); ok {
 		t.Fatal("expected miss")
 	}
 	// Behind the origin.
 	r = Ray{Origin: V3(5, 0, 0), Direction: V3(1, 0, 0)}
-	if _, ok := box.IntersectRay(r); ok {
+	if _, _, ok := box.IntersectRaySpan(r); ok {
 		t.Fatal("expected miss behind origin")
 	}
 }
@@ -31,9 +31,9 @@ func TestAABBIntersectRayMiss(t *testing.T) {
 func TestAABBIntersectRayInside(t *testing.T) {
 	box := AABB{Min: V3(-1, -1, -1), Max: V3(1, 1, 1)}
 	r := Ray{Origin: V3(0, 0, 0), Direction: V3(0, 1, 0)}
-	tHit, ok := box.IntersectRay(r)
-	if !ok || tHit != 0 {
-		t.Fatalf("inside hit = %v,%v want 0,true", tHit, ok)
+	tIn, tOut, ok := box.IntersectRaySpan(r)
+	if !ok || tIn > 0 || !almostEq(tOut, 1) {
+		t.Fatalf("inside span = %v,%v,%v want entry <= 0, exit 1", tIn, tOut, ok)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestAABBContains(t *testing.T) {
 
 func TestIntersectSphereHeadOn(t *testing.T) {
 	r := Ray{Origin: V3(0, 0, -10), Direction: V3(0, 0, 1)}
-	tHit, ok := IntersectSphere(r, V3(0, 0, 0), 2)
+	tHit, ok := IntersectSphereFrom(r, V3(0, 0, 0), 2, 0)
 	if !ok || !almostEq(tHit, 8) {
 		t.Fatalf("hit = %v,%v want 8,true", tHit, ok)
 	}
@@ -60,7 +60,7 @@ func TestIntersectSphereHeadOn(t *testing.T) {
 
 func TestIntersectSphereInside(t *testing.T) {
 	r := Ray{Origin: V3(0, 0, 0), Direction: V3(0, 0, 1)}
-	tHit, ok := IntersectSphere(r, V3(0, 0, 0), 2)
+	tHit, ok := IntersectSphereFrom(r, V3(0, 0, 0), 2, 0)
 	if !ok || !almostEq(tHit, 2) {
 		t.Fatalf("inside hit = %v,%v want 2,true", tHit, ok)
 	}
@@ -68,12 +68,12 @@ func TestIntersectSphereInside(t *testing.T) {
 
 func TestIntersectSphereMiss(t *testing.T) {
 	r := Ray{Origin: V3(0, 5, -10), Direction: V3(0, 0, 1)}
-	if _, ok := IntersectSphere(r, V3(0, 0, 0), 2); ok {
+	if _, ok := IntersectSphereFrom(r, V3(0, 0, 0), 2, 0); ok {
 		t.Fatal("expected miss")
 	}
 	// Sphere fully behind origin.
 	r = Ray{Origin: V3(0, 0, 10), Direction: V3(0, 0, 1)}
-	if _, ok := IntersectSphere(r, V3(0, 0, 0), 2); ok {
+	if _, ok := IntersectSphereFrom(r, V3(0, 0, 0), 2, 0); ok {
 		t.Fatal("expected miss behind")
 	}
 }
@@ -94,7 +94,7 @@ func TestIntersectSphereHitOnSurface(t *testing.T) {
 		o = V3(math.Mod(o.X, 100), math.Mod(o.Y, 100), math.Mod(o.Z, 100))
 		c = V3(math.Mod(c.X, 100), math.Mod(c.Y, 100), math.Mod(c.Z, 100))
 		r := Ray{Origin: o, Direction: d.Norm()}
-		tHit, ok := IntersectSphere(r, c, rad)
+		tHit, ok := IntersectSphereFrom(r, c, rad, 0)
 		if !ok {
 			return true
 		}

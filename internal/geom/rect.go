@@ -54,8 +54,3 @@ func (r Rect) Quadrants() [4]Rect {
 func (r Rect) ClampPoint(p Vec2) Vec2 {
 	return Vec2{Clamp(p.X, r.MinX, r.MaxX), Clamp(p.Z, r.MinZ, r.MaxZ)}
 }
-
-// Intersects reports whether two rectangles overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinX < o.MaxX && o.MinX < r.MaxX && r.MinZ < o.MaxZ && o.MinZ < r.MaxZ
-}

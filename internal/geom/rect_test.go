@@ -65,19 +65,6 @@ func TestRectClampPoint(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := Rect{0, 0, 10, 10}
-	if !a.Intersects(Rect{5, 5, 15, 15}) {
-		t.Error("expected overlap")
-	}
-	if a.Intersects(Rect{10, 0, 20, 10}) {
-		t.Error("touching edges should not count as overlap")
-	}
-	if a.Intersects(Rect{11, 11, 20, 20}) {
-		t.Error("expected disjoint")
-	}
-}
-
 // mod maps any float (including infinities and NaN) into [0, m).
 func mod(x, m float64) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {

@@ -27,15 +27,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
-// Cross returns the cross product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
-
 // Len returns the Euclidean length of v.
 func (v Vec3) Len() float64 { return math.Sqrt(v.Dot(v)) }
 
@@ -45,14 +36,6 @@ func (v Vec3) LenSq() float64 { return v.Dot(v) }
 // Dist returns the distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Len() }
 
-// DistXZ returns the horizontal (ground-plane) distance between v and w.
-// Cutoff radii and cache distance thresholds are defined in the XZ plane
-// because players move in 2-D in the virtual world (§4.3 of the paper).
-func (v Vec3) DistXZ(w Vec3) float64 {
-	dx, dz := v.X-w.X, v.Z-w.Z
-	return math.Sqrt(dx*dx + dz*dz)
-}
-
 // Norm returns v normalised to unit length. The zero vector is returned
 // unchanged.
 func (v Vec3) Norm() Vec3 {
@@ -61,15 +44,6 @@ func (v Vec3) Norm() Vec3 {
 		return v
 	}
 	return v.Scale(1 / l)
-}
-
-// Lerp linearly interpolates from v to w by t in [0,1].
-func (v Vec3) Lerp(w Vec3, t float64) Vec3 {
-	return Vec3{
-		v.X + (w.X-v.X)*t,
-		v.Y + (w.Y-v.Y)*t,
-		v.Z + (w.Z-v.Z)*t,
-	}
 }
 
 // Vec2 is a point in the ground (XZ) plane.

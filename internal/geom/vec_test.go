@@ -23,9 +23,6 @@ func TestVec3Basics(t *testing.T) {
 	if got := a.Dot(b); !almostEq(got, -4+10+1.5) {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := V3(1, 0, 0).Cross(V3(0, 1, 0)); got != V3(0, 0, 1) {
-		t.Errorf("Cross = %v", got)
-	}
 	if got := V3(3, 4, 0).Len(); !almostEq(got, 5) {
 		t.Errorf("Len = %v", got)
 	}
@@ -52,58 +49,15 @@ func TestVec3NormZero(t *testing.T) {
 	}
 }
 
-func TestDistXZIgnoresY(t *testing.T) {
-	a := V3(0, 100, 0)
-	b := V3(3, -7, 4)
-	if got := a.DistXZ(b); !almostEq(got, 5) {
-		t.Errorf("DistXZ = %v, want 5", got)
-	}
-}
-
-func TestLerpEndpoints(t *testing.T) {
-	a, b := V3(1, 2, 3), V3(-5, 0, 10)
-	if got := a.Lerp(b, 0); got != a {
-		t.Errorf("Lerp 0 = %v", got)
-	}
-	if got := a.Lerp(b, 1); got != b {
-		t.Errorf("Lerp 1 = %v", got)
-	}
-	mid := a.Lerp(b, 0.5)
-	if !almostEq(mid.X, -2) || !almostEq(mid.Y, 1) || !almostEq(mid.Z, 6.5) {
-		t.Errorf("Lerp 0.5 = %v", mid)
-	}
-}
-
-func TestDotCommutesAndCrossAnticommutes(t *testing.T) {
+func TestDotCommutes(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz float64) bool {
 		a, b := V3(ax, ay, az), V3(bx, by, bz)
 		if !isFinite(a) || !isFinite(b) {
 			return true
 		}
-		if a.Dot(b) != b.Dot(a) {
-			return false
-		}
-		c1, c2 := a.Cross(b), b.Cross(a).Scale(-1)
-		return c1 == c2
+		return a.Dot(b) == b.Dot(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCrossOrthogonal(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a, b := V3(ax, ay, az), V3(bx, by, bz)
-		if !isFinite(a) || !isFinite(b) {
-			return true
-		}
-		c := a.Cross(b)
-		// Orthogonality within a tolerance that scales with magnitudes.
-		tol := 1e-9 * (1 + a.Len()*b.Len()*(a.Len()+b.Len()))
-		return math.Abs(c.Dot(a)) <= tol && math.Abs(c.Dot(b)) <= tol
-	}
-	cfg := &quick.Config{MaxCount: 300}
-	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,6 +1,6 @@
 // Package img provides the minimal frame-buffer types shared by the
 // renderer, codec and SSIM metric: 8-bit grayscale (luma) and RGB images,
-// plus crop/downsample helpers and PGM/PPM export for inspection.
+// plus the wrap-around FoV crop and PGM/PPM export for inspection.
 //
 // Coterie frames are carried as luma planes: SSIM (the paper's similarity
 // metric) is defined on luminance, and the codec compresses the luma plane.
@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Gray is an 8-bit single-channel (luma) image with row-major Pix of length
@@ -44,23 +43,11 @@ func (g *Gray) Clone() *Gray {
 // SameSize reports whether two images have identical dimensions.
 func (g *Gray) SameSize(o *Gray) bool { return g.W == o.W && g.H == o.H }
 
-// Crop returns the sub-image [x0,x0+w) x [y0,y0+h) as a new image. The
-// rectangle must lie inside the source. Coterie uses this to crop a
-// Field-of-View frame out of a panoramic frame at almost no cost (§2.2).
-func (g *Gray) Crop(x0, y0, w, h int) (*Gray, error) {
-	if x0 < 0 || y0 < 0 || w <= 0 || h <= 0 || x0+w > g.W || y0+h > g.H {
-		return nil, fmt.Errorf("img: crop %d,%d %dx%d outside %dx%d", x0, y0, w, h, g.W, g.H)
-	}
-	c := NewGray(w, h)
-	for y := 0; y < h; y++ {
-		copy(c.Pix[y*w:(y+1)*w], g.Pix[(y0+y)*g.W+x0:(y0+y)*g.W+x0+w])
-	}
-	return c, nil
-}
-
-// CropWrapX is like Crop but wraps horizontally, which is what cropping a
-// FoV out of a 360-degree equirectangular panorama requires when the view
-// straddles the +/-180 degree seam. x0 may be any integer.
+// CropWrapX returns the sub-image [x0,x0+w) x [y0,y0+h) as a new image,
+// wrapping horizontally: Coterie crops a Field-of-View frame out of a
+// 360-degree equirectangular panorama at almost no cost (§2.2), and the
+// view may straddle the +/-180 degree seam. x0 may be any integer; the
+// rows must lie inside the source.
 func (g *Gray) CropWrapX(x0, y0, w, h int) (*Gray, error) {
 	if y0 < 0 || w <= 0 || h <= 0 || y0+h > g.H || w > g.W {
 		return nil, fmt.Errorf("img: wrap-crop %d,%d %dx%d outside %dx%d", x0, y0, w, h, g.W, g.H)
@@ -73,40 +60,6 @@ func (g *Gray) CropWrapX(x0, y0, w, h int) (*Gray, error) {
 		}
 	}
 	return c, nil
-}
-
-// Downsample2 returns the image box-filtered to half resolution (rounding
-// odd dimensions down). It is used to build fast similarity pre-checks.
-func (g *Gray) Downsample2() *Gray {
-	w, h := g.W/2, g.H/2
-	if w == 0 {
-		w = 1
-	}
-	if h == 0 {
-		h = 1
-	}
-	d := NewGray(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			sx, sy := x*2, y*2
-			sum := int(g.At(sx, sy))
-			n := 1
-			if sx+1 < g.W {
-				sum += int(g.At(sx+1, sy))
-				n++
-			}
-			if sy+1 < g.H {
-				sum += int(g.At(sx, sy+1))
-				n++
-			}
-			if sx+1 < g.W && sy+1 < g.H {
-				sum += int(g.At(sx+1, sy+1))
-				n++
-			}
-			d.Set(x, y, uint8((sum+n/2)/n))
-		}
-	}
-	return d
 }
 
 // MeanAbsDiff returns the mean absolute pixel difference between two
@@ -180,22 +133,4 @@ func (m *RGB) WritePPM(w io.Writer) error {
 	}
 	_, err := w.Write(m.Pix)
 	return err
-}
-
-// PSNR returns the peak signal-to-noise ratio between two same-sized luma
-// images in decibels; identical images return +Inf.
-func PSNR(a, b *Gray) (float64, error) {
-	if !a.SameSize(b) {
-		return 0, errors.New("img: size mismatch")
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += d * d
-	}
-	mse := sum / float64(len(a.Pix))
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255*255/mse), nil
 }

@@ -2,7 +2,6 @@ package img
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,7 +64,7 @@ func TestCrop(t *testing.T) {
 			g.Set(x, y, uint8(y*10+x))
 		}
 	}
-	c, err := g.Crop(2, 3, 4, 2)
+	c, err := g.CropWrapX(2, 3, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +74,10 @@ func TestCrop(t *testing.T) {
 	if c.At(0, 0) != 32 || c.At(3, 1) != 45 {
 		t.Fatalf("crop content wrong: %d %d", c.At(0, 0), c.At(3, 1))
 	}
-	if _, err := g.Crop(8, 0, 4, 2); err == nil {
+	if _, err := g.CropWrapX(0, 7, 4, 2); err == nil {
 		t.Fatal("expected out-of-bounds error")
 	}
-	if _, err := g.Crop(0, 0, 0, 2); err == nil {
+	if _, err := g.CropWrapX(0, 0, 0, 2); err == nil {
 		t.Fatal("expected zero-width error")
 	}
 }
@@ -107,22 +106,6 @@ func TestCropWrapXSeam(t *testing.T) {
 	}
 	if c.At(0, 0) != 6 || c.At(2, 0) != 0 {
 		t.Fatalf("negative wrap crop wrong: %v", c.Pix)
-	}
-}
-
-func TestDownsample2(t *testing.T) {
-	g := NewGray(4, 4)
-	for i := range g.Pix {
-		g.Pix[i] = 100
-	}
-	d := g.Downsample2()
-	if d.W != 2 || d.H != 2 {
-		t.Fatalf("downsample dims %dx%d", d.W, d.H)
-	}
-	for _, p := range d.Pix {
-		if p != 100 {
-			t.Fatalf("constant image should stay constant, got %d", p)
-		}
 	}
 }
 
@@ -205,31 +188,5 @@ func TestWritePPM(t *testing.T) {
 	want := append([]byte("P6\n1 1\n255\n"), 9, 8, 7)
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("PPM = %q", buf.Bytes())
-	}
-}
-
-func TestPSNR(t *testing.T) {
-	a := NewGray(16, 16)
-	b := a.Clone()
-	p, err := PSNR(a, b)
-	if err != nil || !math.IsInf(p, 1) {
-		t.Fatalf("identical PSNR = %v, %v", p, err)
-	}
-	b.Pix[0] = 255
-	p, err = PSNR(a, b)
-	if err != nil || p <= 0 || math.IsInf(p, 1) {
-		t.Fatalf("PSNR = %v, %v", p, err)
-	}
-	// More noise, lower PSNR.
-	c := a.Clone()
-	for i := range c.Pix {
-		c.Pix[i] = uint8(i % 97)
-	}
-	p2, _ := PSNR(a, c)
-	if p2 >= p {
-		t.Fatalf("noisier image should have lower PSNR: %v vs %v", p2, p)
-	}
-	if _, err := PSNR(a, NewGray(8, 8)); err == nil {
-		t.Fatal("size mismatch accepted")
 	}
 }

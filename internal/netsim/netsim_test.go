@@ -129,9 +129,6 @@ func TestStaggeredTransfersAccounting(t *testing.T) {
 	if !sort.Float64sAreSorted(ends) {
 		t.Fatalf("completion order not monotone: %v", ends)
 	}
-	if w.TotalBytes() != 4*200*1024 {
-		t.Fatalf("total bytes = %d", w.TotalBytes())
-	}
 	for i := 0; i < 4; i++ {
 		if w.FlowBytes(i) != 200*1024 {
 			t.Fatalf("flow %d bytes = %d", i, w.FlowBytes(i))
@@ -218,9 +215,6 @@ func TestConservationAndWorkBounds(t *testing.T) {
 		})
 	}
 	s.Run(1e9)
-	if w.TotalBytes() != total {
-		t.Fatalf("delivered %d bytes, offered %d", w.TotalBytes(), total)
-	}
 	var perFlow int64
 	for i := range sizes {
 		perFlow += w.FlowBytes(i)

@@ -32,7 +32,6 @@ type WiFi struct {
 	epoch  uint64
 
 	// Stats
-	totalBytes   int64
 	perFlowBytes map[int]int64
 
 	// Observability (nil instruments when not wired to a registry).
@@ -92,9 +91,6 @@ func (w *WiFi) bytesPerMs() float64 { return w.cfg.GoodputMbps * 1e6 / 8 / 1000 
 
 // ActiveTransfers returns the number of in-flight transfers.
 func (w *WiFi) ActiveTransfers() int { return len(w.active) }
-
-// TotalBytes returns the bytes delivered since construction.
-func (w *WiFi) TotalBytes() int64 { return w.totalBytes }
 
 // FlowBytes returns the bytes delivered to one flow tag.
 func (w *WiFi) FlowBytes(flow int) int64 { return w.perFlowBytes[flow] }
@@ -198,7 +194,6 @@ func (w *WiFi) completeFinished() {
 	now := w.sim.Now()
 	for _, t := range finished {
 		w.perFlowBytes[t.flow] += int64(t.origin)
-		w.totalBytes += int64(t.origin)
 		w.obsBytes.Add(int64(t.origin))
 		w.obsLatency.Observe(now - t.start)
 		// Attribute the latency: serialisation is what the bytes would take

@@ -23,8 +23,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -342,37 +340,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = v.Snapshot()
 	}
 	return s
-}
-
-// Dump writes a deterministic, human-scannable text rendering of the
-// snapshot (sorted by name), for logs and test failure messages.
-func (s Snapshot) Dump() string {
-	var out []byte
-	names := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		out = fmt.Appendf(out, "counter %-36s %d\n", k, s.Counters[k])
-	}
-	names = names[:0]
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		out = fmt.Appendf(out, "gauge   %-36s %d\n", k, s.Gauges[k])
-	}
-	names = names[:0]
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		h := s.Histograms[k]
-		out = fmt.Appendf(out, "hist    %-36s n=%d mean=%.2f p50=%.2f p95=%.2f p99=%.2f\n",
-			k, h.Count, h.Mean, h.P50, h.P95, h.P99)
-	}
-	return string(out)
 }

@@ -408,16 +408,3 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	var nilReg *Registry
 	nilReg.PublishExpvar("coterie-test-nil") // nil-safe
 }
-
-func TestSnapshotDumpIsDeterministic(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Inc()
-	r.Counter("a").Add(2)
-	r.Gauge("g").Set(9)
-	r.Histogram("h").Observe(1)
-	d1 := r.Snapshot().Dump()
-	d2 := r.Snapshot().Dump()
-	if d1 != d2 || d1 == "" {
-		t.Fatalf("dump not deterministic:\n%s\n%s", d1, d2)
-	}
-}

@@ -7,15 +7,16 @@ import (
 )
 
 // SLO is a windowed error-budget tracker for the frame-serving objective
-// ("99% of frames within the 16.7 ms budget"). Observations land in
-// per-second buckets on a fixed ring sized to the long window, so the
-// tracker's memory is constant and old seconds expire by being
-// overwritten — there is no background goroutine. Burn rate is the
-// classic SRE ratio: the observed error rate over a window divided by
-// the error budget the objective allows (1 − objective). Burn 1.0 means
-// the budget is being consumed exactly as provisioned; a fast burn
-// (both windows well above 1) means the budget will be gone long before
-// the window ends and is worth waking someone for.
+// ("99% of frames within the 16.7 ms budget") over a 1 m and a 5 m
+// window. Observations land in per-second buckets on a fixed ring sized
+// to the long window, so the tracker's memory is constant and old
+// seconds expire by being overwritten — there is no background
+// goroutine. Burn rate is the classic SRE ratio: the observed error rate
+// over a window divided by the error budget the objective allows
+// (1 − objective). Burn 1.0 means the budget is being consumed exactly
+// as provisioned; a fast burn (both windows well above 1) means the
+// budget will be gone long before the window ends and is worth waking
+// someone for.
 //
 // What counts against the budget is the caller's choice: the server
 // marks a frame bad when it blew its deadline budget, was served off a
@@ -29,11 +30,8 @@ type SLO struct {
 
 	objective float64 // fraction of frames that must be good
 	budgetMs  float64 // latency budget a good frame must meet
-	shortS    int64   // short window, seconds
-	longS     int64   // long window, seconds
-	fastBurn  float64 // burn-rate threshold for fast-burn warnings
 
-	buckets []sloBucket // ring over the long window, one bucket per second
+	buckets [sloLongS]sloBucket // ring over the long window, one bucket per second
 
 	totalFrames int64
 	totalBad    int64
@@ -67,27 +65,22 @@ type SLOConfig struct {
 	// FrameBudgetMs). Informational: callers decide goodness, the budget
 	// is echoed in snapshots so dashboards show what was asked.
 	BudgetMs float64
-	// ShortWindow and LongWindow are the two burn-rate windows (defaults
-	// 1 m and 5 m). The ring is sized to LongWindow.
-	ShortWindow time.Duration
-	LongWindow  time.Duration
-	// FastBurnThreshold is the burn rate above which — on both windows at
-	// once — the tracker logs a warning (default 10: the 1% budget gone
-	// in a tenth of the window).
-	FastBurnThreshold float64
 	// Logger receives fast-burn warnings (default slog.Default()).
 	Logger *slog.Logger
 }
 
-// Defaults for SLOConfig's zero fields.
-const (
-	DefaultSLOObjective = 0.99
-	DefaultSLOFastBurn  = 10.0
-)
+// DefaultSLOObjective is the objective a zero SLOConfig.Objective takes.
+const DefaultSLOObjective = 0.99
 
 const (
-	defaultSLOShortWindow = time.Minute
-	defaultSLOLongWindow  = 5 * time.Minute
+	// The burn-rate windows in seconds: the 1 m and 5 m the gauge names
+	// state.
+	sloShortS = 60
+	sloLongS  = 300
+	// sloFastBurn is the burn rate above which — on both windows at once —
+	// the tracker logs a warning: the 1% budget gone in a tenth of the
+	// window.
+	sloFastBurn = 10.0
 )
 
 // NewSLO creates a tracker. The zero-value config gives a 99%-within-
@@ -99,36 +92,12 @@ func NewSLO(cfg SLOConfig) *SLO {
 	if cfg.BudgetMs <= 0 {
 		cfg.BudgetMs = FrameBudgetMs
 	}
-	if cfg.ShortWindow <= 0 {
-		cfg.ShortWindow = defaultSLOShortWindow
-	}
-	if cfg.LongWindow <= 0 {
-		cfg.LongWindow = defaultSLOLongWindow
-	}
-	if cfg.LongWindow < cfg.ShortWindow {
-		cfg.LongWindow = cfg.ShortWindow
-	}
-	if cfg.FastBurnThreshold <= 0 {
-		cfg.FastBurnThreshold = DefaultSLOFastBurn
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
-	}
-	longS := int64(cfg.LongWindow / time.Second)
-	if longS < 1 {
-		longS = 1
-	}
-	shortS := int64(cfg.ShortWindow / time.Second)
-	if shortS < 1 {
-		shortS = 1
 	}
 	return &SLO{
 		objective: cfg.Objective,
 		budgetMs:  cfg.BudgetMs,
-		shortS:    shortS,
-		longS:     longS,
-		fastBurn:  cfg.FastBurnThreshold,
-		buckets:   make([]sloBucket, longS),
 		lastSec:   -1,
 		lastWarnS: -1,
 		nowMs:     func() float64 { return float64(time.Now().UnixNano()) / 1e6 },
@@ -177,7 +146,7 @@ func (s *SLO) ObserveAt(wallMs float64, good bool) {
 	}
 	sec := int64(wallMs / 1000)
 	s.mu.Lock()
-	b := &s.buckets[((sec%s.longS)+s.longS)%s.longS]
+	b := &s.buckets[((sec%sloLongS)+sloLongS)%sloLongS]
 	if b.sec != sec {
 		b.sec, b.frames, b.bad = sec, 0, 0
 	}
@@ -191,8 +160,8 @@ func (s *SLO) ObserveAt(wallMs float64, good bool) {
 	s.lastSec = sec
 	var short, long sloWindowTally
 	if rolled {
-		short = s.tallyLocked(sec, s.shortS)
-		long = s.tallyLocked(sec, s.longS)
+		short = s.tallyLocked(sec, sloShortS)
+		long = s.tallyLocked(sec, sloLongS)
 	}
 	s.mu.Unlock()
 
@@ -217,7 +186,7 @@ func (s *SLO) tallyLocked(sec, window int64) sloWindowTally {
 	var t sloWindowTally
 	for i := int64(0); i < window; i++ {
 		at := sec - i
-		b := &s.buckets[((at%s.longS)+s.longS)%s.longS]
+		b := &s.buckets[((at%sloLongS)+sloLongS)%sloLongS]
 		if b.sec != at {
 			continue // bucket holds another second (expired or future)
 		}
@@ -242,9 +211,9 @@ func (s *SLO) publish(sec int64, short, long sloWindowTally) {
 	bs, bl := s.burnRate(short), s.burnRate(long)
 	s.burnShort.Set(int64(bs * 1000))
 	s.burnLong.Set(int64(bl * 1000))
-	if bs >= s.fastBurn && bl >= s.fastBurn && sec-s.lastWarnS >= s.shortS {
+	if bs >= sloFastBurn && bl >= sloFastBurn && sec-s.lastWarnS >= sloShortS {
 		s.mu.Lock()
-		warn := sec-s.lastWarnS >= s.shortS
+		warn := sec-s.lastWarnS >= sloShortS
 		if warn {
 			s.lastWarnS = sec
 		}
@@ -279,7 +248,7 @@ type SLOSnapshot struct {
 	Short       SLOWindow `json:"short"`
 	Long        SLOWindow `json:"long"`
 	// FastBurn reports that both windows currently burn at or above the
-	// configured fast-burn threshold.
+	// fast-burn threshold (10).
 	FastBurn bool `json:"fast_burn"`
 }
 
@@ -299,8 +268,8 @@ func (s *SLO) SnapshotAt(wallMs float64) SLOSnapshot {
 	}
 	sec := int64(wallMs / 1000)
 	s.mu.Lock()
-	short := s.tallyLocked(sec, s.shortS)
-	long := s.tallyLocked(sec, s.longS)
+	short := s.tallyLocked(sec, sloShortS)
+	long := s.tallyLocked(sec, sloLongS)
 	snap := SLOSnapshot{
 		Objective:   s.objective,
 		BudgetMs:    s.budgetMs,
@@ -308,9 +277,9 @@ func (s *SLO) SnapshotAt(wallMs float64) SLOSnapshot {
 		TotalBad:    s.totalBad,
 	}
 	s.mu.Unlock()
-	snap.Short = s.window(s.shortS, short)
-	snap.Long = s.window(s.longS, long)
-	snap.FastBurn = snap.Short.BurnRate >= s.fastBurn && snap.Long.BurnRate >= s.fastBurn
+	snap.Short = s.window(sloShortS, short)
+	snap.Long = s.window(sloLongS, long)
+	snap.FastBurn = snap.Short.BurnRate >= sloFastBurn && snap.Long.BurnRate >= sloFastBurn
 	return snap
 }
 

@@ -4,17 +4,14 @@ import (
 	"io"
 	"log/slog"
 	"testing"
-	"time"
 )
 
-// sloAt builds a tracker with a 10 s short / 30 s long window and a 90%
+// sloForTest builds a tracker (60 s short / 300 s long window) with a 90%
 // objective (10% error budget), quiet logger.
 func sloForTest() *SLO {
 	return NewSLO(SLOConfig{
-		Objective:   0.9,
-		ShortWindow: 10 * time.Second,
-		LongWindow:  30 * time.Second,
-		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Objective: 0.9,
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 }
 
@@ -29,6 +26,10 @@ func TestSLOBurnRateMath(t *testing.T) {
 	s.ObserveAt(base, false)
 
 	snap := s.SnapshotAt(base)
+	// The windows are the 1 m and 5 m the burn-rate gauge names state.
+	if snap.Short.Seconds != 60 || snap.Long.Seconds != 300 {
+		t.Fatalf("windows = %d s / %d s, want 60 / 300", snap.Short.Seconds, snap.Long.Seconds)
+	}
 	if snap.Short.Frames != 10 || snap.Short.BadFrames != 1 {
 		t.Fatalf("short tally = %d/%d, want 1/10", snap.Short.BadFrames, snap.Short.Frames)
 	}
@@ -50,8 +51,8 @@ func TestSLOBurnRateMath(t *testing.T) {
 }
 
 // TestSLOWindowRollAtBucketEdge: observations at second S stay in the
-// short window through its last covered second (S+9 for a 10 s window)
-// and vanish exactly at S+10; the long window holds them until S+30.
+// short window through its last covered second (S+59 for the 60 s window)
+// and vanish exactly at S+60; the long window holds them until S+300.
 func TestSLOWindowRollAtBucketEdge(t *testing.T) {
 	s := sloForTest()
 	sec := func(n int64) float64 { return float64(n) * 1000 }
@@ -59,37 +60,37 @@ func TestSLOWindowRollAtBucketEdge(t *testing.T) {
 		s.ObserveAt(sec(100), false)
 	}
 
-	if got := s.SnapshotAt(sec(109)).Short.Frames; got != 5 {
-		t.Errorf("short frames at edge second 109 = %d, want 5", got)
+	if got := s.SnapshotAt(sec(159)).Short.Frames; got != 5 {
+		t.Errorf("short frames at edge second 159 = %d, want 5", got)
 	}
-	if got := s.SnapshotAt(sec(110)).Short.Frames; got != 0 {
-		t.Errorf("short frames past edge second 110 = %d, want 0", got)
+	if got := s.SnapshotAt(sec(160)).Short.Frames; got != 0 {
+		t.Errorf("short frames past edge second 160 = %d, want 0", got)
 	}
-	if got := s.SnapshotAt(sec(110)).Long.Frames; got != 5 {
-		t.Errorf("long frames at second 110 = %d, want 5", got)
+	if got := s.SnapshotAt(sec(160)).Long.Frames; got != 5 {
+		t.Errorf("long frames at second 160 = %d, want 5", got)
 	}
-	if got := s.SnapshotAt(sec(129)).Long.Frames; got != 5 {
-		t.Errorf("long frames at edge second 129 = %d, want 5", got)
+	if got := s.SnapshotAt(sec(399)).Long.Frames; got != 5 {
+		t.Errorf("long frames at edge second 399 = %d, want 5", got)
 	}
-	if got := s.SnapshotAt(sec(130)).Long.Frames; got != 0 {
-		t.Errorf("long frames past edge second 130 = %d, want 0", got)
+	if got := s.SnapshotAt(sec(400)).Long.Frames; got != 0 {
+		t.Errorf("long frames past edge second 400 = %d, want 0", got)
 	}
 	// Totals never expire with the windows.
-	if snap := s.SnapshotAt(sec(130)); snap.TotalFrames != 5 || snap.TotalBad != 5 {
+	if snap := s.SnapshotAt(sec(400)); snap.TotalFrames != 5 || snap.TotalBad != 5 {
 		t.Errorf("totals = %d/%d, want 5/5", snap.TotalBad, snap.TotalFrames)
 	}
 }
 
 // TestSLORingReclaim: a second that maps onto the same ring slot as an
-// expired one (sec + longWindow) reclaims the bucket rather than merging
+// expired one (sec + long window) reclaims the bucket rather than merging
 // with the stale tally.
 func TestSLORingReclaim(t *testing.T) {
 	s := sloForTest()
 	s.ObserveAt(100_000, false) // sec 100
 	s.ObserveAt(100_000, false)
-	s.ObserveAt(130_000, true) // sec 130: same slot in a 30-bucket ring
+	s.ObserveAt(400_000, true) // sec 400: same slot in the 300-bucket ring
 
-	snap := s.SnapshotAt(130_000)
+	snap := s.SnapshotAt(400_000)
 	if snap.Long.Frames != 1 || snap.Long.BadFrames != 0 {
 		t.Errorf("long tally after reclaim = %d bad / %d frames, want 0/1", snap.Long.BadFrames, snap.Long.Frames)
 	}
@@ -109,7 +110,7 @@ func TestSLOGaugesAndFastBurn(t *testing.T) {
 
 	// Fill both windows with all-bad seconds: burn = (1/1)/0.1 = 10 on
 	// both, at and above the default fast-burn threshold.
-	for sec := int64(100); sec < 140; sec++ {
+	for sec := int64(100); sec < 340; sec++ {
 		s.ObserveAt(float64(sec)*1000, false)
 	}
 	snap := r.Snapshot()
@@ -119,24 +120,24 @@ func TestSLOGaugesAndFastBurn(t *testing.T) {
 	if got := snap.Gauges["slo.burn_rate_5m_milli"]; got != 10_000 {
 		t.Errorf("long burn gauge = %d, want 10000", got)
 	}
-	if got := snap.Counters["slo.frames"]; got != 40 {
-		t.Errorf("slo.frames = %d, want 40", got)
+	if got := snap.Counters["slo.frames"]; got != 240 {
+		t.Errorf("slo.frames = %d, want 240", got)
 	}
-	if got := snap.Counters["slo.bad_frames"]; got != 40 {
-		t.Errorf("slo.bad_frames = %d, want 40", got)
+	if got := snap.Counters["slo.bad_frames"]; got != 240 {
+		t.Errorf("slo.bad_frames = %d, want 240", got)
 	}
-	// 40 all-bad seconds with a 10 s short window: warnings at most once
-	// per window → 4 expected (seconds 100, 110, 120, 130).
+	// 240 all-bad seconds with a 60 s short window: warnings at most once
+	// per window → 4 expected (seconds 100, 160, 220, 280).
 	if got := snap.Counters["slo.fast_burn_warnings"]; got != 4 {
 		t.Errorf("slo.fast_burn_warnings = %d, want 4", got)
 	}
-	if !s.SnapshotAt(139_000).FastBurn {
+	if !s.SnapshotAt(339_000).FastBurn {
 		t.Error("snapshot does not report fast burn")
 	}
 
 	// Recovery: a full short window of good frames drops the short gauge
 	// to zero.
-	for sec := int64(140); sec < 151; sec++ {
+	for sec := int64(340); sec < 401; sec++ {
 		s.ObserveAt(float64(sec)*1000, true)
 	}
 	if got := r.Snapshot().Gauges["slo.burn_rate_1m_milli"]; got != 0 {

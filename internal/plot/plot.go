@@ -1,13 +1,12 @@
 // Package plot renders minimal, dependency-free SVG charts for the
-// experiment harness: line charts for the scalability and resource figures
-// and CDF-style charts for the similarity and radius distributions.
+// experiment harness: line charts for the similarity, distribution and
+// resource figures.
 // cmd/benchtab uses it to write figure files next to the printed tables.
 package plot
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -133,19 +132,6 @@ func (c Chart) SVG() (string, error) {
 	}
 	b.WriteString(`</svg>`)
 	return b.String(), nil
-}
-
-// CDF builds the empirical CDF of samples as a Series.
-func CDF(name string, samples []float64) Series {
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	s := Series{Name: name}
-	n := len(sorted)
-	for i, v := range sorted {
-		s.X = append(s.X, v)
-		s.Y = append(s.Y, float64(i+1)/float64(n))
-	}
-	return s
 }
 
 func tick(v float64) string {

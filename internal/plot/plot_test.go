@@ -56,22 +56,6 @@ func TestChartDegenerateRanges(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	s := CDF("test", []float64{0.3, 0.1, 0.2})
-	if len(s.X) != 3 {
-		t.Fatalf("len %d", len(s.X))
-	}
-	if s.X[0] != 0.1 || s.X[2] != 0.3 {
-		t.Fatalf("not sorted: %v", s.X)
-	}
-	if s.Y[2] != 1 {
-		t.Fatalf("CDF does not reach 1: %v", s.Y)
-	}
-	if s.Y[0] <= 0 || s.Y[0] >= s.Y[1] {
-		t.Fatalf("CDF not increasing: %v", s.Y)
-	}
-}
-
 func TestEscape(t *testing.T) {
 	c := Chart{
 		Title:  `a<b>&"c"`,

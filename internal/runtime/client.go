@@ -177,9 +177,6 @@ func (c *Client) Start() { c.frame() }
 // Cache returns the client's frame cache (nil for non-caching systems).
 func (c *Client) Cache() *cache.Cache { return c.cache }
 
-// Prefetcher returns the client's prefetcher (nil unless BE-prefetching).
-func (c *Client) Prefetcher() *prefetch.Prefetcher { return c.pf }
-
 // frame starts one per-frame pipeline iteration for the client (§5.1): it
 // samples the pose, synchronises FI, runs the system-specific rendering
 // path, and schedules the display completion, which in turn starts the

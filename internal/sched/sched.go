@@ -43,7 +43,7 @@ type Config struct {
 	// once it is reached. 0 means DefaultMaxQueue.
 	MaxQueue int
 	// CostMs seeds the full-render cost estimate before the first
-	// ObserveCost. 0 means DefaultCostMs.
+	// Release observes one. 0 means DefaultCostMs.
 	CostMs float64
 }
 
@@ -149,17 +149,6 @@ func (s *Scheduler) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.waiters.Len()
-}
-
-// ObserveCost folds one measured full-render cost (ms) into the EWMA
-// that backs AtRisk.
-func (s *Scheduler) ObserveCost(ms float64) {
-	if ms <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.costMs += costEWMAWeight * (ms - s.costMs)
-	s.mu.Unlock()
 }
 
 // CostMs returns the current full-render cost estimate.

@@ -174,18 +174,24 @@ func TestAtRisk(t *testing.T) {
 	wg.Wait()
 }
 
-// TestObserveCostEWMA: observations move the estimate toward the
-// sample, seeded from Config.CostMs.
+// TestObserveCostEWMA: the costs Release observes move the estimate
+// toward the sample, seeded from Config.CostMs.
 func TestObserveCostEWMA(t *testing.T) {
 	s := New(Config{Workers: 1, CostMs: 10})
+	render := func(costMs float64) {
+		if _, ok := s.Acquire(0); !ok {
+			t.Fatal("idle scheduler refused a slot")
+		}
+		s.Release(costMs)
+	}
 	for i := 0; i < 50; i++ {
-		s.ObserveCost(20)
+		render(20)
 	}
 	if c := s.CostMs(); c < 19 || c > 20 {
 		t.Fatalf("EWMA %.2f after 50×20ms observations, want ≈20", c)
 	}
-	s.ObserveCost(0) // ignored
-	s.ObserveCost(-5)
+	render(0) // ignored
+	render(-5)
 	if c := s.CostMs(); c < 19 {
 		t.Fatalf("non-positive observations moved the EWMA: %.2f", c)
 	}

@@ -33,9 +33,6 @@ import (
 type Server struct {
 	env *core.Env
 
-	// IdleTimeout bounds how long a session may sit between messages;
-	// 0 means no limit. Set before Serve.
-	IdleTimeout time.Duration
 	// DrainTimeout bounds the graceful-shutdown wait for in-flight
 	// sessions once the listener closes; after it, open connections are
 	// force-closed. 0 means wait indefinitely. Set before Serve.
@@ -684,21 +681,11 @@ func (s *Server) handle(nc net.Conn) SessionStats {
 	return st
 }
 
-// recv reads the next message, applying the idle timeout.
-func (s *Server) recv(nc net.Conn, c *transport.Conn) (transport.Message, error) {
-	if s.IdleTimeout > 0 {
-		if err := nc.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
-			return transport.Message{}, err
-		}
-	}
-	return c.Recv()
-}
-
 func (s *Server) session(nc net.Conn, st *SessionStats) error {
 	c := transport.NewConn(nc)
 	c.Instrument(s.tm)
 
-	m, err := s.recv(nc, c)
+	m, err := c.Recv()
 	if err != nil {
 		return err
 	}
@@ -725,7 +712,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 	// so an immediately evicted reference is promoted then dropped).
 	sr := newSessionRefs()
 	for {
-		m, err := s.recv(nc, c)
+		m, err := c.Recv()
 		if err != nil {
 			return err
 		}

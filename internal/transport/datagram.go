@@ -382,8 +382,8 @@ type partial struct {
 
 // Reassembler rebuilds frames from chunk/parity datagrams. It is not
 // safe for concurrent use; the owning receive loop drives it. Time is
-// injected by the caller (wall ms live, virtual ms in the simulator), so
-// its stale/expiry behaviour is deterministic under netsim.
+// injected by the caller in ms, so tests can drive stale/expiry
+// behaviour with explicit times.
 type Reassembler struct {
 	cfg     ReassemblerConfig
 	frames  lru.Map[frameKey, *partial] // in arrival order of each frame's first datagram

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Non-test Go lines under internal/ (in total and per package) and under
 # cmd/, plus their combined total, then the command-line flags each cmd/
-# binary defines: the numbers a simplicity PR quotes in CHANGES.md (lines
-# and knobs), so they are counted the same way each time — a deleted
-# command shows up in the cmd/ line, not nowhere.
+# binary defines, then the settable values: the exported fields of every
+# config struct. These are the numbers a simplicity PR quotes in
+# CHANGES.md (lines, knobs and settable values), so they are counted the
+# same way each time — a deleted command shows up in the cmd/ line, not
+# nowhere.
 #
 #   scripts/loc.sh          # the working tree
 #   scripts/loc.sh DIR      # another checkout, e.g. a clone of the parent
@@ -39,3 +41,39 @@ for bin in cmd/*/; do
 done
 printf '%7d  cmd/ (flags)\n' "$total"
 
+# A settable value is one exported field of a struct type under internal/
+# whose name ends in Config, Options or Params, or of server.Server (set
+# before Serve). Every name counts on a line such as
+# `MinRadius, MaxRadius float64`; comments are ignored.
+fields() {
+    find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_struct = 0 }
+        !in_struct && ($0 ~ /^type [A-Za-z0-9_]*(Config|Options|Params) struct \{/ ||
+                       (FILENAME ~ /^internal\/server\// && $0 ~ /^type Server struct \{/)) {
+            name = $2; n = 0; in_struct = 1; depth = 1; next
+        }
+        in_struct {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (depth == 1) {
+                # "A, B int" -> "A,B int": the first word lists the names.
+                list = line
+                gsub(/[ \t]*,[ \t]*/, ",", list)
+                split(list, words, /[ \t]+/)
+                w = words[1] == "" ? 2 : 1
+                if (words[w] ~ /^[A-Za-z_][A-Za-z0-9_,]*$/ && words[w + 1] != "") {
+                    k = split(words[w], parts, ",")
+                    for (i = 1; i <= k; i++) if (parts[i] ~ /^[A-Z]/) n++
+                }
+            }
+            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+            if (depth == 0) {
+                printf "%7d  %s.%s\n", n, FILENAME, name
+                in_struct = 0
+            }
+        }'
+}
+
+out=$(fields | sed -E 's#internal/([^/]+)/[^ ]*\.go\.#\1.#')
+printf '%s\n' "$out"
+printf '%7d  settable values (exported config fields)\n' "$(printf '%s\n' "$out" | awk '{ s += $1 } END { print s }')"
