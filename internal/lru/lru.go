@@ -5,9 +5,9 @@
 // other end.
 //
 // It has no budget, no eviction callback and no lock on purpose: what
-// "full" means (bytes plus cached deltas, a count, bytes with an evict
-// notice) and who locks differ per owner, so each owner keeps its own
-// `for over { m.RemoveOldest() }` loop and its own mutex.
+// "full" means (bytes plus cached deltas, a count) and who locks differ per
+// owner, so each owner keeps its own `for over { m.RemoveOldest() }` loop
+// and its own mutex.
 package lru
 
 // Map is a map from K to V that remembers recency order. The zero value

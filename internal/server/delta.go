@@ -7,6 +7,7 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/lru"
+	"coterie/internal/transport"
 )
 
 // This file is the server side of the similarity-aware frame path: delta
@@ -19,69 +20,17 @@ import (
 //
 // Reference identity is the grid point: a frame's bytes are a pure
 // function of its point, so the point names exactly the bytes the client
-// decoded, however often the store evicted and re-rendered it since. Only
-// intra-served frames become references (the client's reconstruction of a
-// delta frame is one quantisation step removed from the server's, and
-// chaining deltas would compound that drift).
-
-// maxHeldRefs bounds the per-session holdings set. Forgetting a held
-// reference is always safe — the server just loses a delta opportunity —
-// so overflow drops the oldest.
-const maxHeldRefs = 64
-
-// sessionRefs tracks which grid points' frames one client provably holds.
-// Single-goroutine use by the session loop; no locking.
-type sessionRefs struct {
-	held lru.Map[geom.GridPoint, struct{}] // in promotion order
-
-	// pending is the intra frame sent in the latest reply. It is promoted
-	// to held when the next client message arrives: the protocol is
-	// synchronous request/reply, so message N+1 proves reply N was read.
-	pending    geom.GridPoint
-	hasPending bool
-}
-
-func newSessionRefs() *sessionRefs { return &sessionRefs{} }
-
-// setPending records the intra frame just served; it overwrites any
-// unpromoted predecessor (one reply is outstanding at a time).
-func (sr *sessionRefs) setPending(pt geom.GridPoint) {
-	sr.pending, sr.hasPending = pt, true
-}
-
-// promote moves the pending frame into the holdings. Called on every
-// message arrival, before the message is processed.
-func (sr *sessionRefs) promote() {
-	if !sr.hasPending {
-		return
-	}
-	sr.hasPending = false
-	// Promotion order, not recency: a point promoted again keeps its place.
-	if _, held := sr.held.Peek(sr.pending); !held {
-		sr.held.Put(sr.pending, struct{}{})
-	}
-	for sr.held.Len() > maxHeldRefs {
-		sr.held.RemoveOldest()
-	}
-}
-
-// drop removes client-evicted points from the holdings.
-func (sr *sessionRefs) drop(pts []geom.GridPoint) {
-	for _, pt := range pts {
-		sr.held.Remove(pt)
-		if sr.hasPending && pt == sr.pending {
-			sr.hasPending = false
-		}
-	}
-}
+// decoded, however often the store evicted and re-rendered it since. Which
+// replies become references, and for how long, is transport.HeldRefs' one
+// rule, which the live client applies to the same replies.
 
 // deltaFor tries to produce a delta encoding of pt's frame against the
 // session's best held reference: the nearest held point in the same
 // cutoff leaf within the leaf's SSIM-calibrated distance threshold. It
 // reports ok=false when no reference qualifies, the reference bytes are
 // no longer reconstructible, or the delta does not beat the intra size.
-func (s *Server) deltaFor(pt geom.GridPoint, intra []byte, sr *sessionRefs) ([]byte, geom.GridPoint, bool) {
-	if sr.held.Len() == 0 {
+func (s *Server) deltaFor(pt geom.GridPoint, intra []byte, refs *transport.HeldRefs[struct{}]) ([]byte, geom.GridPoint, bool) {
+	if refs.Len() == 0 {
 		return nil, geom.GridPoint{}, false
 	}
 	grid := s.env.Game.Scene.Grid
@@ -97,7 +46,7 @@ func (s *Server) deltaFor(pt geom.GridPoint, intra []byte, sr *sessionRefs) ([]b
 	// kind and bytes do not depend on the order the holdings are visited in.
 	var refPt geom.GridPoint
 	bestDist := leaf.DistThresh + 1
-	sr.held.Each(func(hp geom.GridPoint, _ struct{}) {
+	refs.Each(func(hp geom.GridPoint, _ struct{}) {
 		d := grid.Dist(pt, hp)
 		if d > leaf.DistThresh || d > bestDist {
 			return

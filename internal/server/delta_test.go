@@ -6,14 +6,12 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"coterie/internal/codec"
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
 	"coterie/internal/sched"
-	"coterie/internal/trace"
 	"coterie/internal/transport"
 )
 
@@ -37,15 +35,15 @@ func startInstrumentedServer(t *testing.T) (*Server, *obs.Registry, string) {
 // a real TCP session, playing the client side by hand:
 //
 //  1. first fetch of a point is intra-coded (no holdings yet);
-//  2. re-fetching it is served as a delta against itself — the reference
-//     was promoted by the second request's arrival — and the client's
+//  2. re-fetching it is served as a delta against itself — the first
+//     reply made it a reference on both ends — and the client's
 //     DeltaDecode against its retained reference reproduces the frame
 //     exactly (identical reconstructions: every block skips);
 //  3. a nearby point may be served as a delta against the held reference,
 //     and decoding it tracks the point's own intra reconstruction;
-//  4. after the client reports its references evicted, the same point
-//     falls back to intra coding — the server never deltas against a
-//     frame the client says it no longer holds.
+//  4. after MaxHeldRefs newer references both ends have dropped the first
+//     point, so a re-fetch of it is intra or a delta against a point still
+//     held — never against the dropped point.
 func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	srv, reg, addr := startInstrumentedServer(t)
 	cl, err := Dial(addr, "pool", 5)
@@ -68,6 +66,9 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// held is this hand-played client's side of the reference rule.
+	var held transport.HeldRefs[struct{}]
+	held.Hold(ptA, struct{}{})
 
 	r2, _, _, err := cl.FetchTraced(ptA)
 	if err != nil {
@@ -99,6 +100,9 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r3.IsReference() {
+		held.Hold(ptB, struct{}{})
+	}
 	intraB, err := srv.FrameFor(ptB)
 	if err != nil {
 		t.Fatal(err)
@@ -129,19 +133,42 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	codec.ReleaseGray(decB)
 	codec.ReleaseGray(reconB)
 
-	// Client drops everything it holds: the server must fall back to intra.
-	if err := cl.EvictNotice([]geom.GridPoint{ptA, ptB}); err != nil {
-		t.Fatal(err)
+	// MaxHeldRefs newer references push ptA out on both ends.
+	newer := 0
+	for k := 0; newer < transport.MaxHeldRefs; k++ {
+		// 18 steps apart: farther than any leaf's DistThresh on this grid,
+		// so most of these are intra references.
+		pt := geom.GridPoint{I: ptA.I - 64 + 18*(k%16), J: ptA.J + 18*(1+k/16)}
+		if !grid.In(pt) {
+			t.Fatalf("%d newer references after %d fetches; the walk needs %d", newer, k, transport.MaxHeldRefs)
+		}
+		r, _, _, err := cl.FetchTraced(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := held.Get(pt); !ok && r.IsReference() {
+			held.Hold(pt, struct{}{})
+			newer++
+		}
+	}
+	if _, ok := held.Get(ptA); ok {
+		t.Fatalf("%v still held after %d newer references", ptA, newer)
 	}
 	r4, _, _, err := cl.FetchTraced(ptA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r4.Kind != transport.FrameIntra {
-		t.Fatalf("fetch after evict notice kind = %d, want intra", r4.Kind)
-	}
-	if !bytes.Equal(r4.Data, r1.Data) {
-		t.Fatal("intra bytes changed across the session for an unevicted store entry")
+	switch r4.Kind {
+	case transport.FrameIntra:
+		if !bytes.Equal(r4.Data, r1.Data) {
+			t.Fatal("intra bytes changed across the session for an unevicted store entry")
+		}
+	case transport.FrameDelta:
+		if _, ok := held.Get(r4.Ref); !ok || r4.Ref == ptA {
+			t.Fatalf("re-fetch of dropped %v is a delta against %v, which the client does not hold", ptA, r4.Ref)
+		}
+	default:
+		t.Fatalf("unexpected frame kind %d", r4.Kind)
 	}
 
 	snap := reg.Snapshot()
@@ -152,48 +179,6 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 		t.Errorf("server.delta_bytes_saved = %d, want > 0", c)
 	}
 	codec.ReleaseGray(ref)
-}
-
-// TestSessionRefsBoundedUnderEvictChurn pins the holdings set against the
-// two defects of its map-plus-order-slice predecessor, whose drop left the
-// point in the order slice: (1) a client whose reference store evicts on
-// every fetch grew that slice by one entry per round for ever — the
-// holdings are now one structure, so an empty set holds nothing; (2) a
-// dropped and re-promoted point kept its old place in line, so the next
-// overflow evicted the session's newest reference ahead of its oldest.
-func TestSessionRefsBoundedUnderEvictChurn(t *testing.T) {
-	sr := newSessionRefs()
-	for i := 0; i < 100000; i++ {
-		pt := geom.GridPoint{I: i % 8}
-		sr.setPending(pt)
-		sr.promote()
-		sr.drop([]geom.GridPoint{pt})
-		if n := sr.held.Len(); n != 0 {
-			t.Fatalf("round %d: %d points held after the client dropped its only reference", i, n)
-		}
-	}
-
-	holds := func(i int) bool {
-		_, ok := sr.held.Peek(geom.GridPoint{I: i})
-		return ok
-	}
-	promote := func(i int) {
-		sr.setPending(geom.GridPoint{I: i})
-		sr.promote()
-	}
-	for i := 0; i < maxHeldRefs; i++ {
-		promote(i)
-	}
-	sr.drop([]geom.GridPoint{{I: 0}})
-	promote(0)           // point 0 is now the newest reference
-	promote(maxHeldRefs) // overflow: the oldest, point 1, must go
-	if sr.held.Len() != maxHeldRefs {
-		t.Fatalf("%d points held, want %d", sr.held.Len(), maxHeldRefs)
-	}
-	if !holds(0) || holds(1) || !holds(2) || !holds(maxHeldRefs) {
-		t.Errorf("overflow after a drop and re-promotion: holds 0 %v, 1 %v, 2 %v, %d %v; want the oldest (1) gone and the rest kept",
-			holds(0), holds(1), holds(2), maxHeldRefs, holds(maxHeldRefs))
-	}
 }
 
 // TestStoreDeltaCache covers the encoded-delta cache riding on store
@@ -256,39 +241,6 @@ func TestStoreDeltaCache(t *testing.T) {
 	}
 }
 
-// TestRunLiveTinyRefBudget runs a live session whose reference store holds
-// barely two frames, forcing continuous evictions and MsgEvictNotice
-// traffic interleaved with frame requests. The session must stay clean:
-// every delta the server sends must decode against a reference the client
-// still holds (a single failed DeltaDecode aborts the run).
-func TestRunLiveTinyRefBudget(t *testing.T) {
-	env := poolEnv(t)
-	srv, addr := startLiveServer(t)
-	tr := trace.Generate(env.Game, 2, 7)
-	warmServer(t, srv, tr)
-
-	live, err := RunLive(env, addr, tr, 0, LiveConfig{
-		Speed:        4,
-		DecodeFrames: true,
-		RefBytes:     int64(2*env.Renderer.Cfg.W*env.Renderer.Cfg.H + 1),
-		IdleTimeout:  10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Metrics.Frames == 0 || live.Fetches == 0 {
-		t.Fatalf("live session did nothing: %+v", live)
-	}
-	waitFor(t, 2*time.Second, func() bool {
-		_, completed := srv.Sessions()
-		return len(completed) == 1
-	})
-	_, completed := srv.Sessions()
-	if st := completed[0]; st.Err != "" {
-		t.Errorf("session under ref-budget pressure ended with error: %s", st.Err)
-	}
-}
-
 // TestFrameForSessionRacesEviction hammers the staged serve path from two
 // concurrent sessions over neighbouring points while a third goroutine
 // churns the store budget, so LRU eviction races the in-flight delta
@@ -326,15 +278,14 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 		sessions.Add(1)
 		go func(p int) {
 			defer sessions.Done()
-			sr := newSessionRefs()
+			refs := &transport.HeldRefs[struct{}]{}
 			for i := 0; i < iters; i++ {
 				pt := geom.GridPoint{I: spawn.I + (i+p)%3, J: spawn.J + i%2}
 				var dl float64
 				if i%3 == 0 {
 					dl = sched.NowMs() + 16.7
 				}
-				sr.promote()
-				res, err := srv.serve(frameReq{pt: pt, deadlineMs: dl, refs: sr})
+				res, err := srv.serve(frameReq{pt: pt, deadlineMs: dl, refs: refs})
 				if err != nil {
 					if errors.Is(err, errOverloaded) {
 						continue
@@ -378,12 +329,11 @@ func TestDeltaReferenceTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		sr := newSessionRefs()
+		refs := &transport.HeldRefs[struct{}]{}
 		for _, ref := range []geom.GridPoint{hi, lo} {
-			sr.setPending(ref)
-			sr.promote()
+			refs.Hold(ref, struct{}{})
 		}
-		_, ref, ok := srv.deltaFor(pt, intra, sr)
+		_, ref, ok := srv.deltaFor(pt, intra, refs)
 		if !ok {
 			t.Fatal("no delta against an adjacent held reference: the tie-break is untested")
 		}
@@ -418,13 +368,12 @@ func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
 	// the reference, the second is a miss served as a delta against it.
 	ptA := geom.GridPoint{I: spawn.I, J: spawn.J + 5}
 	ptB := geom.GridPoint{I: spawn.I + 1, J: spawn.J + 5}
-	sr := newSessionRefs()
-	first, err := srv.serve(frameReq{pt: ptA, refs: sr})
+	refs := &transport.HeldRefs[struct{}]{}
+	first, err := srv.serve(frameReq{pt: ptA, refs: refs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr.promote()
-	second, err := srv.serve(frameReq{pt: ptB, refs: sr})
+	second, err := srv.serve(frameReq{pt: ptB, refs: refs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,14 +41,10 @@ type LiveConfig struct {
 	// Speed is the replay-speed multiplier; ≤0 means real time.
 	Speed float64
 	// DecodeFrames validates every fetched frame by decoding it. Decoded
-	// intra frames are retained in a reference store so the server can
-	// serve deltas; decoded delta frames are reconstructed against it.
+	// exact intra frames are held as delta references by the rule the
+	// server applies (transport.HeldRefs); decoded delta frames are
+	// reconstructed against them.
 	DecodeFrames bool
-	// RefBytes caps the decoded-reference store used by the delta path;
-	// 0 means 32 MB. Only meaningful with DecodeFrames. Evictions are
-	// reported to the server before the next request, so a tiny budget
-	// degrades to all-intra service rather than decode failures.
-	RefBytes int64
 	// IdleTimeout bounds how long the clock waits on a wedged fetch
 	// before giving up; 0 means the WallClock default.
 	IdleTimeout time.Duration
@@ -139,19 +135,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	}
 	src := &liveSource{clock: clock, cl: cl, udp: udp, decode: cfg.DecodeFrames, lat: &runtime.LatencyAcc{}, speed: speed, sink: cfg.FrameSink}
 	if cfg.DecodeFrames {
-		refBytes := cfg.RefBytes
-		if refBytes == 0 {
-			refBytes = 32 << 20
-		}
-		// The reference store's evictions queue notices; both are only
-		// touched under connMu (Put happens inside fetchOnce, and the
-		// queue drains there before the next request goes out).
-		src.refs = cache.NewRefStore(refBytes, func(pt geom.GridPoint, g *img.Gray, evicted bool) {
-			codec.ReleaseGray(g)
-			if evicted {
-				src.pendingEvicts = append(src.pendingEvicts, pt)
-			}
-		})
+		src.refs = &transport.HeldRefs[*img.Gray]{}
 	}
 	fiSync := &liveFISync{clock: clock, fi: ch}
 	if cfg.Obs != nil {
@@ -274,15 +258,13 @@ type liveSource struct {
 	// sink observes frames entering the pipeline (clock goroutine).
 	sink func(pt geom.GridPoint, data []byte, pushed bool)
 
-	// connMu serialises the request/reply connection and guards err, refs
-	// and pendingEvicts.
+	// connMu serialises the request/reply connection and guards err and
+	// refs.
 	connMu sync.Mutex
 	err    error
-	// refs retains decoded intra frames as delta references (nil when
-	// frames are not decoded). pendingEvicts queues its evictions for the
-	// notice that precedes the next request.
-	refs          *cache.RefStore
-	pendingEvicts []geom.GridPoint
+	// refs holds the decoded delta references (nil when frames are not
+	// decoded).
+	refs *transport.HeldRefs[*img.Gray]
 
 	// wallMs, nextDeadlineMs and last are only touched on the clock
 	// goroutine (Post callbacks and the post-run report, which share
@@ -318,9 +300,9 @@ func (s *liveSource) Fetch(player int, pt geom.GridPoint, done func(data []byte,
 				// The reassembler CRC-verified the payload; with decode
 				// validation on, a frame that fails to decode falls back
 				// to TCP rather than poisoning the pipeline. UDP frames
-				// are always intra-coded store bytes, and they never join
-				// the delta reference store: the server does not track
-				// them as client-held references.
+				// are always intra-coded store bytes, and they never become
+				// delta references: the server holds only what its TCP
+				// session served.
 				if !s.decode || s.validateUDPFrame(pt, data) == nil {
 					reply = transport.FrameReply{Point: pt, Data: data}
 					udpHit = true
@@ -430,19 +412,12 @@ func (s *liveSource) consumeDeadline(nowVirtual float64) time.Time {
 
 // fetchOnce serialises one request/reply exchange on the connection, with
 // the budget left until deadline at send time (the zero Time: none).
-// Queued reference evictions are reported first, so the server never
-// deltas against a frame this client has dropped.
 func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport.FrameReply, error) {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	if s.err != nil {
 		return transport.FrameReply{}, s.err
 	}
-	if err := s.cl.EvictNotice(s.pendingEvicts); err != nil { // no-op when empty
-		s.err = err
-		return transport.FrameReply{}, err
-	}
-	s.pendingEvicts = s.pendingEvicts[:0]
 	reply, _, _, err := s.cl.FetchWithBudget(pt, transport.BudgetUs(time.Until(deadline), !deadline.IsZero()))
 	if err == nil && s.decode {
 		err = s.decodeReply(pt, reply)
@@ -456,16 +431,16 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport
 
 // decodeReply validates a fetched frame by reconstructing it: intra
 // frames decode standalone, delta frames decode against the referenced
-// held frame. Only an exact intra frame joins the reference store — the
-// rule serve applies to the session's pending reference. A stale-rung
-// reply is a neighbour's frame standing in for pt; stored under pt it
-// would replace pt's exact raster, which the server still deltas against.
-// Caller holds connMu.
+// held frame. A reference reply (FrameReply.IsReference) is held by the
+// rule serve applies to the same reply, so this client holds exactly the
+// points the server deltas against. A stale-rung reply is a neighbour's
+// frame standing in for pt; held under pt it would replace pt's exact
+// raster, which the server still deltas against. Caller holds connMu.
 func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) error {
 	switch reply.Kind {
 	case transport.FrameDelta:
 		if s.refs == nil {
-			return fmt.Errorf("frame %v: delta reply but reference store disabled", pt)
+			return fmt.Errorf("frame %v: delta reply but references are not held", pt)
 		}
 		ref, ok := s.refs.Get(reply.Ref)
 		if !ok {
@@ -483,10 +458,10 @@ func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) 
 		if err != nil {
 			return fmt.Errorf("frame %v does not decode: %w", pt, err)
 		}
-		if s.refs != nil && reply.Rung == transport.RungExact {
-			s.refs.Put(pt, g) // store owns it now; evictions queue notices
-		} else {
+		if s.refs == nil || !reply.IsReference() {
 			codec.ReleaseGray(g)
+		} else if dropped, ok := s.refs.Hold(pt, g); ok {
+			codec.ReleaseGray(dropped) // g again, or the oldest reference
 		}
 	}
 	return nil
@@ -516,8 +491,7 @@ type liveFISync struct {
 
 	mu sync.Mutex // serialises the UDP socket
 
-	// peers and drops are only touched on the clock goroutine.
-	peers []fisync.State
+	// drops is only touched on the clock goroutine.
 	drops int64
 
 	// Observability (nil when not instrumented).
@@ -530,15 +504,13 @@ func (f *liveFISync) Sync(st fisync.State, nowMs float64, done func(readyAtMs fl
 	f.clock.IOStarted()
 	go func() {
 		f.mu.Lock()
-		others, err := f.fi.Sync(st, liveFITimeout)
+		_, err := f.fi.Sync(st, liveFITimeout)
 		f.mu.Unlock()
 		f.clock.Post(func() {
 			f.obsSyncs.Inc()
 			if err != nil {
 				f.drops++
 				f.obsDrops.Inc()
-			} else {
-				f.peers = others
 			}
 			if done != nil {
 				done(f.clock.Now())

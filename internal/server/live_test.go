@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"coterie/internal/cache"
 	"coterie/internal/codec"
 	"coterie/internal/geom"
+	"coterie/internal/img"
 	"coterie/internal/transport"
 )
 
@@ -40,7 +40,7 @@ func TestStaleReplyNeverBecomesReference(t *testing.T) {
 		t.Fatalf("%v and %v decode identically; the test needs two different frames", pt, nb)
 	}
 
-	src := &liveSource{decode: true, refs: cache.NewRefStore(32<<20, nil)}
+	src := &liveSource{decode: true, refs: &transport.HeldRefs[*img.Gray]{}}
 	if err := src.decodeReply(pt, transport.FrameReply{Point: pt, Data: exact}); err != nil {
 		t.Fatal(err)
 	}
@@ -57,4 +57,90 @@ func TestStaleReplyNeverBecomesReference(t *testing.T) {
 	if src.refs.Len() != 1 {
 		t.Errorf("reference store holds %d frames, want 1", src.refs.Len())
 	}
+}
+
+// TestHeldRefsAgreeAcrossEnds drives one session through the real serve
+// and feeds every reply to the real liveSource.decodeReply, so the server's
+// and the client's halves of the reference rule see the same replies. The
+// walk holds more than 2×MaxHeldRefs intra references around the pool
+// spawn: an anchor (a reference), its neighbour (a delta against it), and
+// then the oldest point the server holds (a delta against itself, the
+// reference about to be dropped). A second lap returns to anchors both
+// ends have dropped. A delta naming a point the client dropped fails
+// decodeReply; the two ends must also hold the same points in the same
+// order after every reply.
+func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
+	srv := New(poolEnv(t))
+	grid := srv.env.Game.Scene.Grid
+	spawn := grid.Snap(srv.env.Game.Spawn)
+	server := &transport.HeldRefs[struct{}]{}
+	client := &liveSource{decode: true, refs: &transport.HeldRefs[*img.Gray]{}}
+
+	var refs, deltas, deltasAfterEvict, revisits int
+	evicted := false
+	everHeld := make(map[geom.GridPoint]bool)
+	fetch := func(pt geom.GridPoint) {
+		t.Helper()
+		_, wasHeld := server.Get(pt)
+		res, err := srv.serve(frameReq{pt: pt, refs: server})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.decodeReply(pt, res.FrameReply); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case res.Kind == transport.FrameDelta:
+			deltas++
+			if evicted {
+				deltasAfterEvict++
+			}
+		case res.IsReference() && !wasHeld:
+			if everHeld[pt] {
+				revisits++
+			}
+			everHeld[pt] = true
+			refs++
+			evicted = evicted || refs > transport.MaxHeldRefs
+		}
+		var held []geom.GridPoint
+		server.Each(func(p geom.GridPoint, _ struct{}) { held = append(held, p) })
+		k := 0
+		client.refs.Each(func(p geom.GridPoint, _ *img.Gray) {
+			if k >= len(held) || held[k] != p {
+				t.Fatalf("after %v: client holds %v at %d, server %v", pt, p, k, held)
+			}
+			k++
+		})
+		if k != len(held) {
+			t.Fatalf("after %v: client holds %d references, server %d", pt, k, len(held))
+		}
+	}
+
+	const anchors = 80 // more than MaxHeldRefs, so a lap drops the first
+	for lap := 0; lap < 2; lap++ {
+		for a := 0; a < anchors; a++ {
+			// 18 steps apart: farther than any leaf's DistThresh here.
+			anchor := geom.GridPoint{I: spawn.I - 63 + 18*(a%10), J: spawn.J - 72 + 18*(a/10)}
+			fetch(anchor)
+			fetch(geom.GridPoint{I: anchor.I + 1, J: anchor.J})
+			var oldest geom.GridPoint
+			first := true
+			server.Each(func(p geom.GridPoint, _ struct{}) {
+				if first {
+					oldest, first = p, false
+				}
+			})
+			fetch(oldest)
+		}
+	}
+	if refs < 2*transport.MaxHeldRefs || revisits == 0 {
+		t.Fatalf("walk held %d references (%d of them dropped and held again); want ≥ %d and some",
+			refs, revisits, 2*transport.MaxHeldRefs)
+	}
+	if deltasAfterEvict == 0 {
+		t.Fatalf("no delta after the first eviction (%d deltas in all)", deltas)
+	}
+	t.Logf("%d references (%d held again after a drop), %d deltas (%d after the first eviction)",
+		refs, revisits, deltas, deltasAfterEvict)
 }

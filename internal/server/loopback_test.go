@@ -563,6 +563,14 @@ func TestSessionLoopRejectsMalformedInput(t *testing.T) {
 		nc.Write(append([]byte{byte(transport.MsgFISync), 0, 0, 0, byte(len(state))}, state...))
 		expectSessionClose(t, nc)
 	})
+	t.Run("retired evict notice over TCP", func(t *testing.T) {
+		// Both ends hold delta references by one rule, so nothing reports
+		// an eviction; a MsgEvictNotice naming one point (its wire number
+		// stays reserved) is an unexpected message and ends the session.
+		nc := dialRaw(t, addr)
+		nc.Write([]byte{byte(transport.MsgEvictNotice), 0, 0, 0, 8, 0, 0, 0, 1, 0, 0, 0, 2})
+		expectSessionClose(t, nc)
+	})
 }
 
 func TestServeContextDrainsOnCancel(t *testing.T) {

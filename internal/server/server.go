@@ -298,7 +298,7 @@ type frameReq struct {
 	fromPeer bool
 	// refs is the requesting TCP client session's holdings; nil (peer hop,
 	// UDP, prerender) gets the exact intra frame — see serve.
-	refs *sessionRefs
+	refs *transport.HeldRefs[struct{}]
 }
 
 // newFrameReq turns a decoded request, received at recvMs on this server's
@@ -361,15 +361,16 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 		}
 	}
 	if ladder && res.Rung == transport.RungExact {
-		// Intra serves become the session's next pending reference; delta
-		// and stale serves never do.
 		if d, refPt, ok := s.deltaFor(req.pt, res.Data, req.refs); ok {
 			s.obs.deltaFrames.Inc()
 			s.obs.deltaSaved.Add(int64(len(res.Data) - len(d)))
 			res.Data, res.Kind, res.Ref = d, transport.FrameDelta, refPt
-		} else {
-			req.refs.setPending(req.pt)
 		}
+	}
+	// The client holds what this reply makes a reference by the same rule
+	// once it reads it, and it reads it before it sends its next request.
+	if ladder && res.IsReference() {
+		req.refs.Hold(req.pt, struct{}{})
 	}
 	res.Point, res.recvMs, res.sendMs = req.pt, recvMs, sched.NowMs()
 
@@ -704,19 +705,14 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 		return err
 	}
 
-	// sr tracks which frames this client provably holds, the foundation of
-	// the delta path. The protocol is synchronous request/reply on one
-	// connection, so the arrival of any message proves the client read the
-	// previous reply — the pending reference promotes to held before the
-	// message is processed (in particular before evict notices are applied,
-	// so an immediately evicted reference is promoted then dropped).
-	sr := newSessionRefs()
+	// refs is the set of frames this client holds, the foundation of the
+	// delta path: serve and the client apply one rule to the same replies.
+	refs := &transport.HeldRefs[struct{}]{}
 	for {
 		m, err := c.Recv()
 		if err != nil {
 			return err
 		}
-		sr.promote()
 		switch m.Type {
 		case transport.MsgFrameRequest, transport.MsgPeerFrameRequest:
 			req, err := transport.DecodeFrameRequest(m.Payload)
@@ -726,7 +722,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			// A peer forwards its client's player and request id verbatim, so
 			// this trace id matches the one on the proxy's hop span.
 			fr := newFrameReq(req, sched.NowMs())
-			fr.refs = sr
+			fr.refs = refs
 			reply := transport.MsgFrameReply
 			if m.Type == transport.MsgPeerFrameRequest {
 				// Node-to-node hop: no further hop, and no holdings — delta
@@ -745,12 +741,6 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			if err := c.Send(frameReplyMsg(reply, req, res)); err != nil {
 				return err
 			}
-		case transport.MsgEvictNotice:
-			pts, err := transport.DecodeEvictNotice(m.Payload)
-			if err != nil {
-				return err
-			}
-			sr.drop(pts) // fire-and-forget: no reply
 		case transport.MsgBye:
 			return nil
 		default:
@@ -828,20 +818,6 @@ func (c *Client) FetchWithBudget(pt geom.GridPoint, budgetUs uint32) (reply tran
 		BudgetUs: budgetUs,
 	})
 	return reply, sentMs, sched.NowMs(), err
-}
-
-// EvictNotice tells the server this client dropped the given grid-point
-// frames from its reference cache, so the server stops delta-coding
-// against them. Fire-and-forget (the server sends no reply); an empty
-// list is a no-op. Like Fetch, not safe for concurrent use.
-func (c *Client) EvictNotice(pts []geom.GridPoint) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	return c.conn.Send(transport.Message{
-		Type:    transport.MsgEvictNotice,
-		Payload: transport.EncodeEvictNotice(pts),
-	})
 }
 
 // Close ends the session with MsgBye so the server records a clean

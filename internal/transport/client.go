@@ -16,8 +16,8 @@ func (e *RemoteError) Error() string { return "server error: " + e.Msg }
 
 // Client is the client half of the TCP protocol — hello handshake, then
 // synchronous frame request/reply — shared by server.Client and the
-// cluster's peer hop. The embedded Conn carries the fire-and-forget sends
-// (evict notice, bye). Not safe for concurrent use.
+// cluster's peer hop. The embedded Conn carries the fire-and-forget bye.
+// Not safe for concurrent use.
 type Client struct {
 	*Conn
 	nc net.Conn

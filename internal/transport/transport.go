@@ -55,9 +55,9 @@ const (
 	MsgError
 	// MsgBye closes the session.
 	MsgBye
-	// MsgEvictNotice tells the server which grid-point frames the client
-	// has dropped from its reference cache, so the server stops encoding
-	// deltas against them. Fire-and-forget: no reply.
+	// MsgEvictNotice is retired: both ends of a session hold delta
+	// references by one rule (HeldRefs), so no eviction is reported, and a
+	// session that sends it is closed. The wire number stays reserved.
 	MsgEvictNotice
 	// MsgPeerFrameRequest is a node-to-node frame fetch inside a cluster:
 	// a non-owner node proxies a client's request to the grid point's
@@ -352,32 +352,6 @@ func DecodeFrameReply(b []byte) (FrameReply, error) {
 		},
 		Data: b[frameReplyHdrLen:],
 	}, nil
-}
-
-// EncodeEvictNotice serialises the grid points of a MsgEvictNotice: a
-// flat array of (I, J) int32 pairs, 8 bytes per point.
-func EncodeEvictNotice(pts []geom.GridPoint) []byte {
-	b := make([]byte, 8*len(pts))
-	for k, p := range pts {
-		binary.BigEndian.PutUint32(b[8*k:], uint32(int32(p.I)))
-		binary.BigEndian.PutUint32(b[8*k+4:], uint32(int32(p.J)))
-	}
-	return b
-}
-
-// DecodeEvictNotice parses a MsgEvictNotice payload.
-func DecodeEvictNotice(b []byte) ([]geom.GridPoint, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("transport: evict notice length %d not a multiple of 8", len(b))
-	}
-	pts := make([]geom.GridPoint, len(b)/8)
-	for k := range pts {
-		pts[k] = geom.GridPoint{
-			I: int(int32(binary.BigEndian.Uint32(b[8*k:]))),
-			J: int(int32(binary.BigEndian.Uint32(b[8*k+4:]))),
-		}
-	}
-	return pts, nil
 }
 
 // msgName returns the metric label of a message type.

@@ -5,7 +5,8 @@
 # config struct. These are the numbers a simplicity PR quotes in
 # CHANGES.md (lines, knobs and settable values), so they are counted the
 # same way each time — a deleted command shows up in the cmd/ line, not
-# nowhere.
+# nowhere. Last come the exported wire decoders, the surface `make fuzz`
+# must cover, so a protocol deletion is quoted the same way too.
 #
 #   scripts/loc.sh          # the working tree
 #   scripts/loc.sh DIR      # another checkout, e.g. a clone of the parent
@@ -77,3 +78,12 @@ fields() {
 out=$(fields | sed -E 's#internal/([^/]+)/[^ ]*\.go\.#\1.#')
 printf '%s\n' "$out"
 printf '%7d  settable values (exported config fields)\n' "$(printf '%s\n' "$out" | awk '{ s += $1 } END { print s }')"
+
+# An exported decoder is a package-level function under internal/ that
+# parses bytes from the wire or a file: every `func Decode…` plus
+# codec.DeltaDecode (methods such as device.Profile.DecodeMs are not).
+decoders=$(find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z |
+    xargs -0 grep -HoE '^func (Decode[A-Za-z0-9_]*|DeltaDecode)\(' |
+    sed -E 's#^internal/([^/]+)/[^:]*:func ([A-Za-z0-9_]+)\($#\1.\2#')
+printf '         %s\n' $decoders
+printf '%7d  exported decoders (func Decode…, codec.DeltaDecode)\n' "$(printf '%s\n' "$decoders" | grep -c .)"
