@@ -98,11 +98,10 @@ func run() error {
 	}
 
 	report, err := server.RunLive(env, *addr, tr, *player, server.LiveConfig{
-		Speed:        *speed,
-		DecodeFrames: true,
-		Obs:          reg,
-		UDPFrames:    *udpFrames,
-		Push:         *push,
+		Speed:     *speed,
+		Obs:       reg,
+		UDPFrames: *udpFrames,
+		Push:      *push,
 	})
 	if report != nil {
 		printReport(report, tr.Seconds())

@@ -38,11 +38,9 @@ type Config struct {
 	// Game is the game name sent in the hello of peer connections; peers
 	// reject mismatches exactly like clients.
 	Game string
-	// DialTimeout bounds peer connection establishment (0: the
-	// transport default). FetchTimeout caps a fetch round trip,
-	// HealthInterval the probe cadence; zero selects the package defaults
-	// above.
-	DialTimeout    time.Duration
+	// FetchTimeout caps a fetch round trip, HealthInterval the probe
+	// cadence; zero selects the package defaults above. Peer dials are
+	// bounded by transport.DefaultDialTimeout.
 	FetchTimeout   time.Duration
 	HealthInterval time.Duration
 }

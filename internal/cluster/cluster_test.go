@@ -277,7 +277,6 @@ func TestHealthLoopMarksDownPeer(t *testing.T) {
 		Nodes:          []string{"127.0.0.1:1", f.addr()},
 		Game:           "viking",
 		HealthInterval: 10 * time.Millisecond,
-		DialTimeout:    200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

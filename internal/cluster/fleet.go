@@ -30,8 +30,6 @@ type FleetConfig struct {
 	Self string
 	// Admins is every node's admin address, including Self's.
 	Admins []string
-	// Timeout bounds one node's scrape (0: DefaultScrapeTimeout).
-	Timeout time.Duration
 }
 
 // FleetNode is one node's slice of the fleet view. Stale nodes carry
@@ -97,17 +95,13 @@ type FleetView struct {
 // concurrently under the per-node timeout, failures are stale-marked,
 // and the totals merge only live nodes. Node order follows cfg.Admins.
 func Scrape(cfg FleetConfig) FleetView {
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = DefaultScrapeTimeout
-	}
 	view := FleetView{Self: cfg.Self, Nodes: make([]FleetNode, len(cfg.Admins))}
 	var wg sync.WaitGroup
 	for i, addr := range cfg.Admins {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			view.Nodes[i] = scrapeNode(addr, addr == cfg.Self, timeout)
+			view.Nodes[i] = scrapeNode(addr, addr == cfg.Self)
 		}(i, addr)
 	}
 	wg.Wait()
@@ -153,9 +147,9 @@ func Scrape(cfg FleetConfig) FleetView {
 // failure stale-marks the node; /qoe and /slo tolerate absence on older
 // nodes only insofar as a missing endpoint still answers 200 from the
 // admin mux — a transport failure is a real failure.
-func scrapeNode(addr string, self bool, timeout time.Duration) FleetNode {
+func scrapeNode(addr string, self bool) FleetNode {
 	n := FleetNode{Addr: addr, Self: self, DeadlineCompliance: -1}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultScrapeTimeout)
 	defer cancel()
 
 	var snap obs.Snapshot

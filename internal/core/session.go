@@ -33,8 +33,6 @@ type SessionConfig struct {
 	Players int
 	Seconds float64
 	Seed    int64
-	// WiFi is the shared medium; zero value uses the 802.11ac defaults.
-	WiFi netsim.WiFiConfig
 	// CachePolicy is the replacement policy (LRU default).
 	CachePolicy cache.Policy
 	// CacheBytes caps the frame cache; 0 means 512 MB (a Pixel 2 can
@@ -57,14 +55,6 @@ type SessionConfig struct {
 	// the shared pipeline instruments (aggregated across players) plus the
 	// simulated medium's counters. nil disables instrumentation.
 	Obs *obs.Registry
-}
-
-// WiFiGoodput returns the configured medium goodput in Mbps.
-func (cfg SessionConfig) WiFiGoodput() float64 {
-	if cfg.WiFi.GoodputMbps > 0 {
-		return cfg.WiFi.GoodputMbps
-	}
-	return 500
 }
 
 // PlayerMetrics aggregates one client's session, matching the columns of
@@ -108,7 +98,7 @@ func RunSession(env *Env, cfg SessionConfig) (*Result, error) {
 	}
 
 	sim := netsim.NewSim()
-	wifi := netsim.NewWiFi(sim, cfg.WiFi)
+	wifi := netsim.NewWiFi(sim)
 	wifi.Instrument(cfg.Obs)
 	hub := fisync.NewHub()
 	traces := cfg.Traces
@@ -208,7 +198,6 @@ func runtimeConfig(env *Env, cfg SessionConfig, endMs float64) runtime.Config {
 		Device:         env.Device,
 		Grid:           scene.Grid,
 		EndMs:          endMs,
-		GoodputMbps:    cfg.WiFiGoodput(),
 		TotalTriangles: scene.TotalTriangles(),
 		LODFactor:      env.Game.Spec.LODFactor(),
 		RadiusAt:       env.Map.RadiusAt,

@@ -246,9 +246,9 @@ func TestComputeRejectsBadParams(t *testing.T) {
 		t.Fatal("expected error for K=0")
 	}
 	p = testParams()
-	p.MaxRadius = p.MinRadius
+	p.BudgetMs = 0
 	if _, err := Compute(s, rt(), p); err == nil {
-		t.Fatal("expected error for empty radius range")
+		t.Fatal("expected error for BudgetMs=0")
 	}
 }
 
@@ -355,8 +355,8 @@ func TestDeriveThresholds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, reg := range m.Regions {
-		if reg.DistThresh < cfg.MinThresh-1e-12 || reg.DistThresh > cfg.MaxThresh {
-			t.Fatalf("region %d threshold %v outside [%v, %v]", reg.ID, reg.DistThresh, cfg.MinThresh, cfg.MaxThresh)
+		if reg.DistThresh < minThresh-1e-12 || reg.DistThresh > maxThresh {
+			t.Fatalf("region %d threshold %v outside [%v, %v]", reg.ID, reg.DistThresh, minThresh, maxThresh)
 		}
 	}
 }

@@ -23,7 +23,7 @@ func BenchmarkWiFiContention(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := NewSim()
-		w := NewWiFi(s, DefaultWiFi())
+		w := NewWiFi(s)
 		// 4 players x 50 staggered transfers through the shared medium.
 		for p := 0; p < 4; p++ {
 			p := p

@@ -64,14 +64,14 @@ func TestSimPastSchedulingClamps(t *testing.T) {
 
 func TestSingleTransferLatency(t *testing.T) {
 	s := NewSim()
-	w := NewWiFi(s, WiFiConfig{GoodputMbps: 500, BaseLatencyMs: 2})
+	w := NewWiFi(s)
 	// 550 KB at 500 Mbps: serialisation = 550*1024*8 / 500e6 s = 9.01 ms;
 	// plus 2 ms base = ~11 ms. This matches the paper's ~9 ms 1-player
 	// net delay for ~550 KB frames (Table 1).
 	var gotMs float64
 	w.Transfer(0, 550*1024, func(start, end float64) { gotMs = end - start })
 	s.Run(1e6)
-	want := 2 + 550*1024*8/500e6*1000
+	want := BaseLatencyMs + 550*1024*8/(GoodputMbps*1e6)*1000
 	if math.Abs(gotMs-want) > 0.01 {
 		t.Fatalf("latency = %.3f ms, want %.3f", gotMs, want)
 	}
@@ -80,14 +80,14 @@ func TestSingleTransferLatency(t *testing.T) {
 func TestTwoConcurrentTransfersHalveRate(t *testing.T) {
 	// The §3 scaling result: two players double each other's transfer
 	// latency. Two equal transfers starting together should each take
-	// about twice the solo serialisation time.
+	// about twice the solo serialisation time after the base latency.
 	s := NewSim()
-	w := NewWiFi(s, WiFiConfig{GoodputMbps: 500, BaseLatencyMs: 0})
+	w := NewWiFi(s)
 	const bytes = 500 * 1024
-	solo := float64(bytes) * 8 / 500e6 * 1000
+	solo := float64(bytes) * 8 / (GoodputMbps * 1e6) * 1000
 	var l1, l2 float64
-	w.Transfer(1, bytes, func(a, b float64) { l1 = b - a })
-	w.Transfer(2, bytes, func(a, b float64) { l2 = b - a })
+	w.Transfer(1, bytes, func(a, b float64) { l1 = b - a - BaseLatencyMs })
+	w.Transfer(2, bytes, func(a, b float64) { l2 = b - a - BaseLatencyMs })
 	s.Run(1e6)
 	if math.Abs(l1-2*solo) > 0.05*solo || math.Abs(l2-2*solo) > 0.05*solo {
 		t.Fatalf("latencies %.2f/%.2f ms, want ~%.2f (2x solo)", l1, l2, 2*solo)
@@ -96,7 +96,7 @@ func TestTwoConcurrentTransfersHalveRate(t *testing.T) {
 
 func TestShortTransferFinishesFirstUnderSharing(t *testing.T) {
 	s := NewSim()
-	w := NewWiFi(s, WiFiConfig{GoodputMbps: 100, BaseLatencyMs: 0})
+	w := NewWiFi(s)
 	var endSmall, endBig float64
 	w.Transfer(1, 10_000, func(a, b float64) { endSmall = b })
 	w.Transfer(2, 1_000_000, func(a, b float64) { endBig = b })
@@ -104,9 +104,9 @@ func TestShortTransferFinishesFirstUnderSharing(t *testing.T) {
 	if endSmall >= endBig {
 		t.Fatalf("small ended at %.3f, big at %.3f", endSmall, endBig)
 	}
-	// Big transfer total time: shares medium while small alive.
-	// small takes 2*10k bytes at 100Mbps... verify big > solo time.
-	soloBig := 1_000_000 * 8 / 100e6 * 1000
+	// Big transfer total time: shares medium while small alive, so it
+	// must exceed base latency plus its solo serialisation.
+	soloBig := BaseLatencyMs + 1_000_000*8/(GoodputMbps*1e6)*1000
 	if endBig <= soloBig {
 		t.Fatalf("big transfer unaffected by contention: %.2f <= %.2f", endBig, soloBig)
 	}
@@ -114,7 +114,7 @@ func TestShortTransferFinishesFirstUnderSharing(t *testing.T) {
 
 func TestStaggeredTransfersAccounting(t *testing.T) {
 	s := NewSim()
-	w := NewWiFi(s, WiFiConfig{GoodputMbps: 500, BaseLatencyMs: 1})
+	w := NewWiFi(s)
 	var ends []float64
 	for i := 0; i < 4; i++ {
 		i := i
@@ -144,7 +144,7 @@ func TestLatencyGrowsWithPlayers(t *testing.T) {
 	// the number of concurrent streams.
 	meanLatency := func(players int) float64 {
 		s := NewSim()
-		w := NewWiFi(s, WiFiConfig{GoodputMbps: 500, BaseLatencyMs: 2})
+		w := NewWiFi(s)
 		var total float64
 		var count int
 		// Each player fetches a 550 KB frame every 16.7 ms slot for 60
@@ -177,7 +177,7 @@ func TestLatencyGrowsWithPlayers(t *testing.T) {
 
 func TestZeroByteTransfer(t *testing.T) {
 	s := NewSim()
-	w := NewWiFi(s, DefaultWiFi())
+	w := NewWiFi(s)
 	doneAt := -1.0
 	w.Transfer(0, 0, func(a, b float64) { doneAt = b })
 	s.Run(1e6)
@@ -186,20 +186,11 @@ func TestZeroByteTransfer(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigOnZeroValue(t *testing.T) {
-	s := NewSim()
-	w := NewWiFi(s, WiFiConfig{})
-	if w.cfg.GoodputMbps != 500 {
-		t.Fatalf("zero config should default: %+v", w.cfg)
-	}
-}
-
 func TestConservationAndWorkBounds(t *testing.T) {
 	// Property: every byte offered is delivered exactly once, and no
 	// transfer completes faster than base latency + solo serialisation.
 	s := NewSim()
-	cfg := WiFiConfig{GoodputMbps: 300, BaseLatencyMs: 1.5}
-	w := NewWiFi(s, cfg)
+	w := NewWiFi(s)
 	sizes := []int{10_000, 250_000, 90_000, 400_000, 33_000, 610_000}
 	var total int64
 	for i, sz := range sizes {
@@ -207,7 +198,7 @@ func TestConservationAndWorkBounds(t *testing.T) {
 		total += int64(sz)
 		s.At(float64(i%3)*4, func() {
 			w.Transfer(i, sz, func(start, end float64) {
-				solo := cfg.BaseLatencyMs + float64(sz)*8/(cfg.GoodputMbps*1e6)*1000
+				solo := BaseLatencyMs + float64(sz)*8/(GoodputMbps*1e6)*1000
 				if end-start < solo-1e-6 {
 					t.Errorf("transfer %d faster than physics: %.3f < %.3f", i, end-start, solo)
 				}

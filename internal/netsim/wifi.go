@@ -6,28 +6,22 @@ import (
 	"coterie/internal/obs"
 )
 
-// WiFiConfig describes the shared medium.
-type WiFiConfig struct {
-	// GoodputMbps is the measured TCP goodput of the medium. The paper
+// The testbed's medium.
+const (
+	// GoodputMbps is the measured TCP goodput of the medium: the paper
 	// measures ~500 Mbps from the server to a phone over 802.11ac with
 	// iperf (§3).
-	GoodputMbps float64
+	GoodputMbps = 500
 	// BaseLatencyMs is the fixed per-transfer latency (request RTT, AP
 	// queueing, TCP ramp) added on top of serialisation time.
-	BaseLatencyMs float64
-}
-
-// DefaultWiFi returns the testbed's medium.
-func DefaultWiFi() WiFiConfig {
-	return WiFiConfig{GoodputMbps: 500, BaseLatencyMs: 2.0}
-}
+	BaseLatencyMs = 2.0
+)
 
 // WiFi is a processor-sharing model of one wireless collision domain: the
 // instantaneous rate of each active transfer is goodput divided by the
 // number of active transfers.
 type WiFi struct {
 	sim    *Sim
-	cfg    WiFiConfig
 	active map[*transfer]struct{}
 	epoch  uint64
 
@@ -74,20 +68,16 @@ type transfer struct {
 }
 
 // NewWiFi creates a medium attached to the simulation clock.
-func NewWiFi(sim *Sim, cfg WiFiConfig) *WiFi {
-	if cfg.GoodputMbps <= 0 {
-		cfg = DefaultWiFi()
-	}
+func NewWiFi(sim *Sim) *WiFi {
 	return &WiFi{
 		sim:          sim,
-		cfg:          cfg,
 		active:       make(map[*transfer]struct{}),
 		perFlowBytes: make(map[int]int64),
 	}
 }
 
 // bytesPerMs is the full-medium rate.
-func (w *WiFi) bytesPerMs() float64 { return w.cfg.GoodputMbps * 1e6 / 8 / 1000 }
+func (w *WiFi) bytesPerMs() float64 { return GoodputMbps * 1e6 / 8 / 1000 }
 
 // ActiveTransfers returns the number of in-flight transfers.
 func (w *WiFi) ActiveTransfers() int { return len(w.active) }
@@ -106,7 +96,7 @@ func (w *WiFi) Transfer(flow int, bytes int, done func(start, end float64)) {
 	start := w.sim.Now()
 	// The base latency precedes medium occupancy (request + server turn
 	// around); the payload then shares the medium.
-	w.sim.After(w.cfg.BaseLatencyMs, func() {
+	w.sim.After(BaseLatencyMs, func() {
 		t := &transfer{
 			flow:      flow,
 			origin:    bytes,
@@ -201,7 +191,7 @@ func (w *WiFi) completeFinished() {
 		// latency + serialisation (clamped — quantum rounding can leave a
 		// tiny negative residue).
 		serialise := float64(t.origin) / w.bytesPerMs()
-		contention := (now - t.start) - w.cfg.BaseLatencyMs - serialise
+		contention := (now - t.start) - BaseLatencyMs - serialise
 		if contention < 0 {
 			contention = 0
 		}

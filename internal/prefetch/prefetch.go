@@ -35,8 +35,6 @@ type Config struct {
 	// prefetcher aims. The cache-enabled reuse window means this can be
 	// generous without tight deadlines (§5.2).
 	LookaheadSec float64
-	// MaxInflight bounds concurrent fetches per client.
-	MaxInflight int
 	// NeighborHops adds the neighbours of the predicted point as
 	// candidates (the paper prefetches "the neighbors of the next grid
 	// point").
@@ -45,8 +43,11 @@ type Config struct {
 
 // DefaultConfig matches the testbed behaviour.
 func DefaultConfig() Config {
-	return Config{LookaheadSec: 0.4, MaxInflight: 2, NeighborHops: 1}
+	return Config{LookaheadSec: 0.4, NeighborHops: 1}
 }
+
+// maxInflight bounds concurrent fetches per client.
+const maxInflight = 2
 
 // Stats counts prefetcher activity.
 type Stats struct {
@@ -106,9 +107,6 @@ type Waiter func(size int, readyMs float64)
 
 // New creates a prefetcher bound to one client's cache and frame source.
 func New(grid geom.Grid, meta Meta, c *cache.Cache, src Source, player int, cfg Config) *Prefetcher {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 1
-	}
 	return &Prefetcher{
 		Grid:     grid,
 		Meta:     meta,
@@ -249,7 +247,7 @@ func (p *Prefetcher) Tick(pos, vel geom.Vec2) {
 		if p.inflight[cand] {
 			continue
 		}
-		if len(p.inflight) >= p.Cfg.MaxInflight {
+		if len(p.inflight) >= maxInflight {
 			p.stats.SkippedBusy++
 			p.obs.skippedBusy.Inc()
 			return

@@ -58,8 +58,8 @@ func TestInflightBudgetRespected(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Tick(geom.V2(50+float64(i), 50), geom.V2(2, 0))
 	}
-	if len(src.pending) > p.Cfg.MaxInflight {
-		t.Fatalf("%d concurrent fetches exceed budget %d", len(src.pending), p.Cfg.MaxInflight)
+	if len(src.pending) > maxInflight {
+		t.Fatalf("%d concurrent fetches exceed budget %d", len(src.pending), maxInflight)
 	}
 	if p.Stats().SkippedBusy == 0 {
 		t.Fatal("expected busy skips when the budget is exhausted")

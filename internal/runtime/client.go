@@ -8,6 +8,7 @@ import (
 	"coterie/internal/device"
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
+	"coterie/internal/netsim"
 	"coterie/internal/obs"
 	"coterie/internal/prefetch"
 	"coterie/internal/trace"
@@ -454,14 +455,7 @@ func (c *Client) currentNetMbps() float64 {
 	}
 	// This client's flows get an equal share; approximate by assuming it
 	// owns one of the active transfers.
-	return c.goodputMbps() / float64(active)
-}
-
-func (c *Client) goodputMbps() float64 {
-	if c.cfg.GoodputMbps > 0 {
-		return c.cfg.GoodputMbps
-	}
-	return 500
+	return netsim.GoodputMbps / float64(active)
 }
 
 // bucket accumulates per-second resource series samples (Fig 12).

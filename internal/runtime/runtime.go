@@ -170,9 +170,6 @@ type Config struct {
 	// EndMs is the session length; the pipeline stops scheduling frames
 	// at this time.
 	EndMs float64
-	// GoodputMbps is the medium goodput assumed by the CPU/power network
-	// model; 0 means the 802.11ac default of 500.
-	GoodputMbps float64
 	// TotalTriangles and LODFactor size the Mobile baseline's full-scene
 	// render.
 	TotalTriangles int

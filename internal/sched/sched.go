@@ -1,16 +1,16 @@
 // Package sched is the server's deadline-aware render scheduler: an
 // EDF (earliest-deadline-first) admission gate in front of the render
 // path. Render leaders Acquire a slot before touching the renderer and
-// Release it after; at most Workers slots run concurrently (the
-// concurrency knee — past it, added concurrency only inflates every
+// Release it after; at most one slot per schedulable core runs at a time
+// (the concurrency knee — past it, added concurrency only inflates every
 // request's latency on a fixed core budget), and waiters are granted
 // slots in deadline order rather than arrival order, so a request whose
 // vsync is imminent overtakes prerender and deadline-less traffic.
 //
-// Admission control bounds the queue: once MaxQueue waiters are parked,
-// Acquire sheds (returns ok=false without blocking) and the caller
-// degrades or rejects instead of joining a queue it cannot clear in
-// time. The scheduler also keeps an EWMA of the full-render cost so
+// Admission control bounds the queue: once DefaultMaxQueue waiters are
+// parked, Acquire sheds (returns ok=false without blocking) and the
+// caller degrades or rejects instead of joining a queue it cannot clear
+// in time. The scheduler also keeps an EWMA of the full-render cost so
 // callers can ask, before committing to a render, whether a deadline is
 // already at risk (AtRisk) — the trigger for the server's quality
 // degrade ladder.
@@ -29,29 +29,17 @@ import (
 	"coterie/internal/obs"
 )
 
-// defaultWorkers is the knee when Config.Workers is 0: one render slot
-// per schedulable core.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Config sizes the scheduler.
-type Config struct {
-	// Workers is the concurrency knee: the number of render slots that
-	// may run at once. 0 means one slot per schedulable core
-	// (GOMAXPROCS at construction).
-	Workers int
-	// MaxQueue bounds the waiters parked behind the knee; Acquire sheds
-	// once it is reached. 0 means DefaultMaxQueue.
-	MaxQueue int
-	// CostMs seeds the full-render cost estimate before the first
-	// Release observes one. 0 means DefaultCostMs.
-	CostMs float64
-}
+// Config has no fields: the knee is one slot per schedulable core
+// (GOMAXPROCS when New runs), the queue bound DefaultMaxQueue and the cost
+// seed DefaultCostMs. It stays because callers outside this module
+// construct a scheduler with New(Config{}).
+type Config struct{}
 
 const (
-	// DefaultMaxQueue bounds the EDF queue when Config.MaxQueue is 0. At
-	// ~10 ms per queued render on one core, a full default queue already
-	// represents multiple seconds of backlog — far past any vsync
-	// deadline — so a larger bound would only delay the inevitable shed.
+	// DefaultMaxQueue bounds the EDF queue. At ~10 ms per queued render
+	// on one core, a full queue already represents multiple seconds of
+	// backlog — far past any vsync deadline — so a larger bound would
+	// only delay the inevitable shed.
 	DefaultMaxQueue = 256
 	// DefaultCostMs seeds the render-cost EWMA before any observation
 	// (roughly one 256×128 panorama + encode on the reference core).
@@ -68,8 +56,7 @@ const (
 // Scheduler is an EDF slot gate. The zero value is not usable; call New.
 type Scheduler struct {
 	mu      sync.Mutex
-	workers int
-	maxQ    int
+	workers int // the knee: GOMAXPROCS at New
 	running int
 	waiters waiterHeap
 	seq     uint64
@@ -115,21 +102,9 @@ func (h *waiterHeap) Pop() any {
 	return w
 }
 
-// New creates a scheduler with cfg's knee and queue bound.
-func New(cfg Config) *Scheduler {
-	w := cfg.Workers
-	if w <= 0 {
-		w = defaultWorkers()
-	}
-	q := cfg.MaxQueue
-	if q <= 0 {
-		q = DefaultMaxQueue
-	}
-	c := cfg.CostMs
-	if c <= 0 {
-		c = DefaultCostMs
-	}
-	return &Scheduler{workers: w, maxQ: q, costMs: c, fetchMs: DefaultFetchCostMs}
+// New creates a scheduler with one render slot per schedulable core.
+func New(Config) *Scheduler {
+	return &Scheduler{workers: runtime.GOMAXPROCS(0), costMs: DefaultCostMs, fetchMs: DefaultFetchCostMs}
 }
 
 // Instrument resolves the scheduler's instruments from r under the given
@@ -228,7 +203,7 @@ func (s *Scheduler) Acquire(deadlineMs float64) (queueMs float64, ok bool) {
 		s.mu.Unlock()
 		return 0, true
 	}
-	if s.waiters.Len() >= s.maxQ {
+	if s.waiters.Len() >= DefaultMaxQueue {
 		s.mu.Unlock()
 		s.sheds.Inc()
 		return 0, false

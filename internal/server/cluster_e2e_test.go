@@ -50,7 +50,6 @@ func startCluster(t *testing.T, n int) []*clusterNode {
 			Self:         addrs[i],
 			Nodes:        addrs,
 			Game:         env.Game.Spec.Name,
-			DialTimeout:  500 * time.Millisecond,
 			FetchTimeout: 2 * time.Second,
 		})
 		if err != nil {

@@ -40,10 +40,11 @@ const (
 type LiveConfig struct {
 	// Speed is the replay-speed multiplier; ≤0 means real time.
 	Speed float64
-	// DecodeFrames validates every fetched frame by decoding it. Decoded
-	// exact intra frames are held as delta references by the rule the
-	// server applies (transport.HeldRefs); decoded delta frames are
-	// reconstructed against them.
+	// DecodeFrames is ignored: every fetched frame is validated by
+	// decoding it, decoded exact intra frames are held as delta references
+	// by the rule the server applies (transport.HeldRefs), and decoded
+	// delta frames are reconstructed against them. The field stays because
+	// callers outside this module still set it.
 	DecodeFrames bool
 	// IdleTimeout bounds how long the clock waits on a wedged fetch
 	// before giving up; 0 means the WallClock default.
@@ -133,9 +134,9 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	if speed <= 0 {
 		speed = 1
 	}
-	src := &liveSource{clock: clock, cl: cl, udp: udp, decode: cfg.DecodeFrames, lat: &runtime.LatencyAcc{}, speed: speed, sink: cfg.FrameSink}
-	if cfg.DecodeFrames {
-		src.refs = &transport.HeldRefs[*img.Gray]{}
+	src := &liveSource{
+		clock: clock, cl: cl, udp: udp, lat: &runtime.LatencyAcc{}, speed: speed, sink: cfg.FrameSink,
+		refs: &transport.HeldRefs[*img.Gray]{},
 	}
 	fiSync := &liveFISync{clock: clock, fi: ch}
 	if cfg.Obs != nil {
@@ -236,12 +237,11 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 // liveSource fetches far-BE frames over the TCP protocol. It implements
 // both runtime.FrameSource (and prefetch.Source) and runtime.NetMonitor.
 // The protocol is synchronous request/reply on one connection, so fetches
-// serialise on a mutex; the pipeline's MaxInflight bounds queueing.
+// serialise on a mutex; the prefetcher's in-flight cap bounds queueing.
 type liveSource struct {
-	clock  *runtime.WallClock
-	cl     *Client
-	decode bool
-	lat    *runtime.LatencyAcc
+	clock *runtime.WallClock
+	cl    *Client
+	lat   *runtime.LatencyAcc
 	// speed converts wall-clock durations to virtual session milliseconds
 	// (the WallClock multiplier; 1 in real time).
 	speed float64
@@ -262,8 +262,7 @@ type liveSource struct {
 	// refs.
 	connMu sync.Mutex
 	err    error
-	// refs holds the decoded delta references (nil when frames are not
-	// decoded).
+	// refs holds the decoded delta references.
 	refs *transport.HeldRefs[*img.Gray]
 
 	// wallMs, nextDeadlineMs and last are only touched on the clock
@@ -297,13 +296,12 @@ func (s *liveSource) Fetch(player int, pt geom.GridPoint, done func(data []byte,
 		udpHit := false
 		if s.udp != nil {
 			if data, ok := s.udp.Fetch(pt, liveUDPBudget); ok {
-				// The reassembler CRC-verified the payload; with decode
-				// validation on, a frame that fails to decode falls back
-				// to TCP rather than poisoning the pipeline. UDP frames
-				// are always intra-coded store bytes, and they never become
-				// delta references: the server holds only what its TCP
-				// session served.
-				if !s.decode || s.validateUDPFrame(pt, data) == nil {
+				// The reassembler CRC-verified the payload; a frame that
+				// fails to decode falls back to TCP rather than poisoning
+				// the pipeline. UDP frames are always intra-coded store
+				// bytes, and they never become delta references: the
+				// server holds only what its TCP session served.
+				if s.validateUDPFrame(pt, data) == nil {
 					reply = transport.FrameReply{Point: pt, Data: data}
 					udpHit = true
 				}
@@ -419,7 +417,7 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport
 		return transport.FrameReply{}, s.err
 	}
 	reply, _, _, err := s.cl.FetchWithBudget(pt, transport.BudgetUs(time.Until(deadline), !deadline.IsZero()))
-	if err == nil && s.decode {
+	if err == nil {
 		err = s.decodeReply(pt, reply)
 	}
 	if err != nil {
@@ -439,9 +437,6 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport
 func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) error {
 	switch reply.Kind {
 	case transport.FrameDelta:
-		if s.refs == nil {
-			return fmt.Errorf("frame %v: delta reply but references are not held", pt)
-		}
 		ref, ok := s.refs.Get(reply.Ref)
 		if !ok {
 			return fmt.Errorf("frame %v: delta against %v, which this client does not hold", pt, reply.Ref)
@@ -458,7 +453,7 @@ func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) 
 		if err != nil {
 			return fmt.Errorf("frame %v does not decode: %w", pt, err)
 		}
-		if s.refs == nil || !reply.IsReference() {
+		if !reply.IsReference() {
 			codec.ReleaseGray(g)
 		} else if dropped, ok := s.refs.Hold(pt, g); ok {
 			codec.ReleaseGray(dropped) // g again, or the oldest reference

@@ -40,7 +40,7 @@ func TestStaleReplyNeverBecomesReference(t *testing.T) {
 		t.Fatalf("%v and %v decode identically; the test needs two different frames", pt, nb)
 	}
 
-	src := &liveSource{decode: true, refs: &transport.HeldRefs[*img.Gray]{}}
+	src := &liveSource{refs: &transport.HeldRefs[*img.Gray]{}}
 	if err := src.decodeReply(pt, transport.FrameReply{Point: pt, Data: exact}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 	grid := srv.env.Game.Scene.Grid
 	spawn := grid.Snap(srv.env.Game.Spawn)
 	server := &transport.HeldRefs[struct{}]{}
-	client := &liveSource{decode: true, refs: &transport.HeldRefs[*img.Gray]{}}
+	client := &liveSource{refs: &transport.HeldRefs[*img.Gray]{}}
 
 	var refs, deltas, deltasAfterEvict, revisits int
 	evicted := false

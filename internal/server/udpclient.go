@@ -87,7 +87,10 @@ const udpNackRetries = 3
 
 // udpNackAgeSec is how long a partial may sit without progress before the
 // stale sweep NACKs it (tail-triggered NACKs fire immediately, so this
-// only covers tail loss).
+// only covers tail loss). The sweep runs only when a read has waited
+// 50 ms for any datagram or has failed, so on a socket that hears FI
+// replies every frame a partial whose tail chunk was lost is not NACKed:
+// it waits for the reassembler's partial-frame cap to drop it.
 const udpNackAgeSec = 0.02
 
 // UDPStats is a snapshot of the channel's frame-path accounting.
@@ -277,8 +280,9 @@ func (c *UDPChannel) Close() error {
 
 // recvLoop owns the socket's read side. Each iteration arms a fresh read
 // deadline, so a silent server never wedges the goroutine: deadline
-// expiries double as the stale-partial sweep tick, and Close's socket
-// close aborts a blocked read immediately.
+// expiries (50 ms without any datagram) and read errors are the only
+// stale-partial sweep ticks, and Close's socket close aborts a blocked
+// read immediately.
 func (c *UDPChannel) recvLoop() {
 	defer close(c.recvDone)
 	buf := make([]byte, 64*1024)
@@ -331,15 +335,15 @@ func (c *UDPChannel) recvLoop() {
 // beyond FEC repair, the retransmit request goes out immediately instead
 // of waiting for the stale sweep.
 func (c *UDPChannel) offer(b []byte) {
-	now := float64(time.Now().UnixNano()) / 1e9
+	nowSec := float64(time.Now().UnixNano()) / 1e9
 	c.mu.Lock()
-	f := c.reasm.Offer(b, now)
+	f := c.reasm.Offer(b, nowSec)
 	var nack []byte
 	if f == nil {
 		if h, err := transport.PeekChunk(b); err == nil && c.reasm.HasTail(h.StreamID, h.FrameSeq) {
 			if missing := c.reasm.Missing(h.StreamID, h.FrameSeq); len(missing) > 0 {
 				nack = transport.EncodeNack(nil, transport.Nack{StreamID: h.StreamID, FrameSeq: h.FrameSeq, Missing: missing})
-				c.reasm.NoteNack(h.StreamID, h.FrameSeq, now)
+				c.reasm.NoteNack(h.StreamID, h.FrameSeq, nowSec)
 			}
 		}
 	}
@@ -355,10 +359,10 @@ func (c *UDPChannel) offer(b []byte) {
 
 // sweep NACKs stalled partials and abandons the hopeless ones.
 func (c *UDPChannel) sweep() {
-	now := float64(time.Now().UnixNano()) / 1e9
+	nowSec := float64(time.Now().UnixNano()) / 1e9
 	var nacks [][]byte
 	c.mu.Lock()
-	for _, p := range c.reasm.Stale(now, udpNackAgeSec) {
+	for _, p := range c.reasm.Stale(nowSec, udpNackAgeSec) {
 		if p.Nacks >= udpNackRetries {
 			c.reasm.Abandon(p.StreamID, p.FrameSeq)
 			continue
@@ -368,7 +372,7 @@ func (c *UDPChannel) sweep() {
 			continue
 		}
 		nacks = append(nacks, transport.EncodeNack(nil, transport.Nack{StreamID: p.StreamID, FrameSeq: p.FrameSeq, Missing: missing}))
-		c.reasm.NoteNack(p.StreamID, p.FrameSeq, now)
+		c.reasm.NoteNack(p.StreamID, p.FrameSeq, nowSec)
 	}
 	c.mu.Unlock()
 	for _, n := range nacks {

@@ -334,18 +334,22 @@ type ReassembledFrame struct {
 	Data     []byte
 }
 
-// ReassemblerConfig bounds the Reassembler's memory.
-type ReassemblerConfig struct {
-	// MaxFrames caps concurrent partial frames; beyond it the oldest
-	// partial is abandoned (an overflow drop). Default 16.
-	MaxFrames int
-	// MaxFrameBytes caps one frame's claimed length; larger claims are
-	// dropped as overflow. Default 8 MB.
-	MaxFrameBytes int
-	// StaleWindow is how far behind a stream's newest delivered frame a
-	// chunk may arrive before it is dropped as stale. Default 16.
-	ReorderWindow uint32
-}
+// ReassemblerConfig has no fields: the Reassembler's bounds are the
+// constants below. It stays because callers outside this module construct
+// one with NewReassembler(ReassemblerConfig{}).
+type ReassemblerConfig struct{}
+
+const (
+	// maxPartialFrames caps concurrent partial frames; beyond it the
+	// oldest partial is abandoned (an overflow drop).
+	maxPartialFrames = 16
+	// maxFrameBytes caps one frame's claimed length; larger claims are
+	// dropped as overflow.
+	maxFrameBytes = 8 << 20
+	// reorderWindow is how far behind a stream's newest delivered frame a
+	// chunk may arrive before it is dropped as stale.
+	reorderWindow = 16
+)
 
 // ReassemblerStats counts reassembly activity; all drop reasons are
 // split so the path is debuggable from /metrics.
@@ -367,25 +371,23 @@ type frameKey struct {
 
 // partial is one frame mid-reassembly.
 type partial struct {
-	meta    FrameMeta
-	total   int
-	cnt     int
-	crc     uint32
-	fecK    int      // sender's FEC group size (0 = none seen yet)
-	chunks  [][]byte // by index; nil = missing
-	have    int
-	parity  map[uint16][]byte // by FEC group index
-	firstAt float64
-	lastAt  float64
-	nacks   int // NACKs the owner has sent for this frame (engine use)
+	meta   FrameMeta
+	total  int
+	cnt    int
+	crc    uint32
+	fecK   int      // sender's FEC group size (0 = none seen yet)
+	chunks [][]byte // by index; nil = missing
+	have   int
+	parity map[uint16][]byte // by FEC group index
+	lastAt float64           // time of the last datagram or NACK, in s
+	nacks  int               // NACKs the owner has sent for this frame (engine use)
 }
 
 // Reassembler rebuilds frames from chunk/parity datagrams. It is not
 // safe for concurrent use; the owning receive loop drives it. Time is
-// injected by the caller in ms, so tests can drive stale/expiry
+// injected by the caller in seconds, so tests can drive stale/expiry
 // behaviour with explicit times.
 type Reassembler struct {
-	cfg     ReassemblerConfig
 	frames  lru.Map[frameKey, *partial] // in arrival order of each frame's first datagram
 	streams map[uint32]*streamState
 	stats   ReassemblerStats
@@ -410,21 +412,10 @@ type reasmObs struct {
 	pending              *obs.Gauge
 }
 
-// NewReassembler creates a bounded reassembler.
-func NewReassembler(cfg ReassemblerConfig) *Reassembler {
-	if cfg.MaxFrames <= 0 {
-		cfg.MaxFrames = 16
-	}
-	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = 8 << 20
-	}
-	if cfg.ReorderWindow == 0 {
-		cfg.ReorderWindow = 16
-	}
-	return &Reassembler{
-		cfg:     cfg,
-		streams: make(map[uint32]*streamState),
-	}
+// NewReassembler creates a reassembler bounded by maxPartialFrames,
+// maxFrameBytes and reorderWindow.
+func NewReassembler(ReassemblerConfig) *Reassembler {
+	return &Reassembler{streams: make(map[uint32]*streamState)}
 }
 
 // Instrument mirrors the reassembler's counters into a registry under
@@ -508,9 +499,10 @@ func parseChunkHeader(b []byte) (dgramHdr, error) {
 }
 
 // Offer feeds one received datagram (must be DgramChunk or DgramParity by
-// DgramType) into reassembly at time now (ms). It returns the completed,
-// checksum-verified frame when this datagram finished one, else nil.
-func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
+// DgramType) into reassembly at time nowSec (seconds). It returns the
+// completed, checksum-verified frame when this datagram finished one,
+// else nil.
+func (r *Reassembler) Offer(b []byte, nowSec float64) *ReassembledFrame {
 	h, err := parseChunkHeader(b)
 	if err != nil {
 		r.dropMalformed()
@@ -518,13 +510,13 @@ func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
 	}
 	key := frameKey{h.meta.StreamID, h.meta.FrameSeq}
 	if st := r.streams[h.meta.StreamID]; st != nil && st.any {
-		if seen, late := st.seen(h.meta.FrameSeq, r.cfg.ReorderWindow); seen || late {
+		if seen, late := st.seen(h.meta.FrameSeq); seen || late {
 			r.stats.DroppedStale++
 			r.obs.stale.Inc()
 			return nil
 		}
 	}
-	if h.total > r.cfg.MaxFrameBytes {
+	if h.total > maxFrameBytes {
 		r.stats.DroppedOverflow++
 		r.obs.overflow.Inc()
 		return nil
@@ -532,21 +524,20 @@ func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
 
 	p, _ := r.frames.Peek(key)
 	if p == nil {
-		for r.frames.Len() >= r.cfg.MaxFrames {
-			// Abandon the oldest partial to stay within MaxFrames.
+		for r.frames.Len() >= maxPartialFrames {
+			// Abandon the oldest partial to stay within the cap.
 			r.frames.RemoveOldest()
 			r.stats.DroppedOverflow++
 			r.obs.overflow.Inc()
 		}
 		p = &partial{
-			meta:    h.meta,
-			total:   h.total,
-			cnt:     int(h.cnt),
-			crc:     h.crc,
-			fecK:    h.fecK,
-			chunks:  make([][]byte, h.cnt),
-			parity:  make(map[uint16][]byte),
-			firstAt: now,
+			meta:   h.meta,
+			total:  h.total,
+			cnt:    int(h.cnt),
+			crc:    h.crc,
+			fecK:   h.fecK,
+			chunks: make([][]byte, h.cnt),
+			parity: make(map[uint16][]byte),
 		}
 		r.frames.Put(key, p)
 		r.obs.pending.Set(int64(r.frames.Len()))
@@ -556,7 +547,7 @@ func (r *Reassembler) Offer(b []byte, now float64) *ReassembledFrame {
 		r.dropMalformed()
 		return nil
 	}
-	p.lastAt = now
+	p.lastAt = nowSec
 	// A push/retransmit flag anywhere on the frame sticks so the consumer
 	// can classify it.
 	p.meta.Flags |= h.flags
@@ -712,35 +703,30 @@ func (r *Reassembler) Missing(streamID, frameSeq uint32) []uint16 {
 type PendingFrame struct {
 	StreamID uint32
 	FrameSeq uint32
-	Point    geom.GridPoint
-	FirstAt  float64
-	LastAt   float64
 	Nacks    int
 }
 
-// Stale returns the partial frames whose last datagram arrived more than
-// age ms before now, oldest first — the candidates for a NACK or an
-// abandon.
-func (r *Reassembler) Stale(now, age float64) []PendingFrame {
+// Stale returns the partial frames whose last datagram or NACK came more
+// than ageSec seconds before nowSec, oldest first — the candidates for a
+// NACK or an abandon.
+func (r *Reassembler) Stale(nowSec, ageSec float64) []PendingFrame {
 	var out []PendingFrame
 	r.frames.Each(func(key frameKey, p *partial) {
-		if now-p.lastAt < age {
+		if nowSec-p.lastAt < ageSec {
 			return
 		}
-		out = append(out, PendingFrame{
-			StreamID: key.stream, FrameSeq: key.seq,
-			Point: p.meta.Point, FirstAt: p.firstAt, LastAt: p.lastAt, Nacks: p.nacks,
-		})
+		out = append(out, PendingFrame{StreamID: key.stream, FrameSeq: key.seq, Nacks: p.nacks})
 	})
 	return out
 }
 
-// NoteNack records that the engine sent a NACK for a partial frame and
-// refreshes its activity time so the next sweep waits a full round trip.
-func (r *Reassembler) NoteNack(streamID, frameSeq uint32, now float64) {
+// NoteNack records that the engine sent a NACK for a partial frame at
+// nowSec and refreshes its activity time so the next sweep waits a full
+// round trip.
+func (r *Reassembler) NoteNack(streamID, frameSeq uint32, nowSec float64) {
 	if p, _ := r.frames.Peek(frameKey{streamID, frameSeq}); p != nil {
 		p.nacks++
-		p.lastAt = now
+		p.lastAt = nowSec
 	}
 }
 
@@ -787,7 +773,7 @@ func (r *Reassembler) markDelivered(stream, seq uint32) {
 
 // seen reports whether seq was already delivered (late duplicate) or
 // fell behind the reorder window (stale).
-func (st *streamState) seen(seq, window uint32) (delivered, stale bool) {
+func (st *streamState) seen(seq uint32) (delivered, stale bool) {
 	if !st.any {
 		return false, false
 	}
@@ -795,7 +781,7 @@ func (st *streamState) seen(seq, window uint32) (delivered, stale bool) {
 	if d < 0 {
 		return false, false // ahead of anything delivered
 	}
-	if uint32(d) > window || d > 63 {
+	if d > reorderWindow {
 		return false, true
 	}
 	return st.delivered&(1<<uint(d)) != 0, false

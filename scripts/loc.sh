@@ -8,11 +8,60 @@
 # nowhere. Last come the exported wire decoders, the surface `make fuzz`
 # must cover, so a protocol deletion is quoted the same way too.
 #
-#   scripts/loc.sh          # the working tree
-#   scripts/loc.sh DIR      # another checkout, e.g. a clone of the parent
+#   scripts/loc.sh              # the working tree
+#   scripts/loc.sh DIR          # another checkout, e.g. a clone of the parent
+#   scripts/loc.sh --fields DIR # only the settable values, one per line:
+#                               # file, struct and field name (scripts/knobs.sh)
 set -euo pipefail
 
+only_fields=false
+if [ "${1:-}" = --fields ]; then
+    only_fields=true
+    shift
+fi
 cd "${1:-$(dirname "$0")/..}"
+
+# A settable value is one exported field of a struct type under internal/
+# whose name ends in Config, Options or Params, or of server.Server (set
+# before Serve). Every name counts on a line such as
+# `MinRadius, MaxRadius float64`; comments are ignored. Each field prints
+# as "F file struct field", each struct as "S file struct count".
+fields() {
+    find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_struct = 0 }
+        !in_struct && ($0 ~ /^type [A-Za-z0-9_]*(Config|Options|Params) struct \{/ ||
+                       (FILENAME ~ /^internal\/server\// && $0 ~ /^type Server struct \{/)) {
+            name = $2; n = 0; in_struct = 1; depth = 1; next
+        }
+        in_struct {
+            line = $0
+            sub(/\/\/.*/, "", line)
+            if (depth == 1) {
+                # "A, B int" -> "A,B int": the first word lists the names.
+                list = line
+                gsub(/[ \t]*,[ \t]*/, ",", list)
+                split(list, words, /[ \t]+/)
+                w = words[1] == "" ? 2 : 1
+                if (words[w] ~ /^[A-Za-z_][A-Za-z0-9_,]*$/ && words[w + 1] != "") {
+                    k = split(words[w], parts, ",")
+                    for (i = 1; i <= k; i++) if (parts[i] ~ /^[A-Z]/) {
+                        n++
+                        printf "F %s %s %s\n", FILENAME, name, parts[i]
+                    }
+                }
+            }
+            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
+            if (depth == 0) {
+                printf "S %s %s %d\n", FILENAME, name, n
+                in_struct = 0
+            }
+        }'
+}
+
+if $only_fields; then
+    fields | awk '$1 == "F" { print $2, $3, $4 }'
+    exit 0
+fi
 
 count() { find "$1" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }
 
@@ -42,40 +91,8 @@ for bin in cmd/*/; do
 done
 printf '%7d  cmd/ (flags)\n' "$total"
 
-# A settable value is one exported field of a struct type under internal/
-# whose name ends in Config, Options or Params, or of server.Server (set
-# before Serve). Every name counts on a line such as
-# `MinRadius, MaxRadius float64`; comments are ignored.
-fields() {
-    find internal -name '*.go' ! -name '*_test.go' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { in_struct = 0 }
-        !in_struct && ($0 ~ /^type [A-Za-z0-9_]*(Config|Options|Params) struct \{/ ||
-                       (FILENAME ~ /^internal\/server\// && $0 ~ /^type Server struct \{/)) {
-            name = $2; n = 0; in_struct = 1; depth = 1; next
-        }
-        in_struct {
-            line = $0
-            sub(/\/\/.*/, "", line)
-            if (depth == 1) {
-                # "A, B int" -> "A,B int": the first word lists the names.
-                list = line
-                gsub(/[ \t]*,[ \t]*/, ",", list)
-                split(list, words, /[ \t]+/)
-                w = words[1] == "" ? 2 : 1
-                if (words[w] ~ /^[A-Za-z_][A-Za-z0-9_,]*$/ && words[w + 1] != "") {
-                    k = split(words[w], parts, ",")
-                    for (i = 1; i <= k; i++) if (parts[i] ~ /^[A-Z]/) n++
-                }
-            }
-            depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
-            if (depth == 0) {
-                printf "%7d  %s.%s\n", n, FILENAME, name
-                in_struct = 0
-            }
-        }'
-}
-
-out=$(fields | sed -E 's#internal/([^/]+)/[^ ]*\.go\.#\1.#')
+out=$(fields | awk '$1 == "S" { printf "%7d  %s.%s\n", $4, $2, $3 }' |
+    sed -E 's#internal/([^/]+)/[^ ]*\.go\.#\1.#')
 printf '%s\n' "$out"
 printf '%7d  settable values (exported config fields)\n' "$(printf '%s\n' "$out" | awk '{ s += $1 } END { print s }')"
 
