@@ -1,7 +1,10 @@
 // Cutoffgen is the offline preprocessing tool (§6, the paper's 1200-line
 // C# module): it runs the adaptive cutoff scheme over a game's virtual
 // world, derives the per-leaf cache distance thresholds, and prints the
-// resulting partition.
+// resulting partition. The map is built by core.PrepareEnv, the same step
+// coterie-server, coterie-client and the benchmark run, so the regions and
+// thresholds it prints are the ones they use at their default 256x128
+// panorama.
 //
 // Usage:
 //
@@ -17,49 +20,42 @@ import (
 	"sort"
 	"time"
 
+	"coterie/internal/core"
 	"coterie/internal/cutoff"
-	"coterie/internal/device"
 	"coterie/internal/games"
-	"coterie/internal/render"
 )
 
 func main() {
 	game := flag.String("game", "viking", "game to preprocess")
 	k := flag.Int("k", 10, "locations sampled per region (paper: 10)")
 	dump := flag.Bool("dump", false, "print every leaf region")
-	thresholds := flag.Bool("thresholds", true, "derive cache distance thresholds (needs rendering)")
 	flag.Parse()
 
 	spec, err := games.ByName(*game)
 	if err != nil {
 		log.Fatalf("cutoffgen: %v", err)
 	}
-	g := games.Build(spec)
-	prof := device.Pixel2()
-
+	// PrepareEnv reads K == 0 as "use the defaults", so reject it here.
+	if *k < 1 {
+		log.Fatalf("cutoffgen: -k must be >= 1, got %d", *k)
+	}
 	params := cutoff.DefaultParams()
 	params.K = *k
 	start := time.Now()
-	m, err := cutoff.Compute(g.Scene, prof.NearBERenderMs, params)
+	env, err := core.PrepareEnv(spec, core.EnvOptions{CutoffParams: params})
 	if err != nil {
 		log.Fatalf("cutoffgen: %v", err)
 	}
+	m := env.Map
 	fmt.Printf("%s: %.0fx%.0f m, %.2fM grid points\n",
-		spec.FullName, spec.Width, spec.Depth, float64(g.Scene.Grid.Points())/1e6)
+		spec.FullName, spec.Width, spec.Depth, float64(env.Game.Scene.Grid.Points())/1e6)
 	fmt.Printf("quadtree: %d leaf regions, depth %.2f avg / %d max, %d cutoff calculations, %v\n",
 		m.Stats.LeafCount, m.Stats.DepthAvg, m.Stats.DepthMax, m.Stats.CutoffCalcs,
-		time.Since(start).Round(time.Millisecond))
+		m.Stats.ProcTime.Round(time.Millisecond))
 	fmt.Printf("paper (Table 3): %d leaves, depth %.2f/%d\n",
 		spec.Paper.LeafRegions, spec.Paper.DepthAvg, spec.Paper.DepthMax)
-
-	if *thresholds {
-		r := render.New(g.Scene, render.DefaultConfig())
-		tstart := time.Now()
-		if err := cutoff.CalibrateThresholds(m, r, 4, cutoff.DefaultThresholdConfig()); err != nil {
-			log.Fatalf("cutoffgen: thresholds: %v", err)
-		}
-		fmt.Printf("distance thresholds derived in %v\n", time.Since(tstart).Round(time.Millisecond))
-	}
+	fmt.Printf("prepared (cutoff map, distance thresholds, frame sizes) in %v\n",
+		time.Since(start).Round(time.Millisecond))
 
 	radii := make([]float64, 0, len(m.Regions))
 	for _, reg := range m.Regions {

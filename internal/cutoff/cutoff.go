@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"time"
 
 	"coterie/internal/geom"
@@ -28,7 +29,10 @@ import (
 
 // RenderTimer estimates the on-device render time in milliseconds for a
 // near BE containing the given triangle count. Use
-// device.Profile.NearBERenderMs.
+// device.Profile.NearBERenderMs. It must be non-decreasing in tris: Compute
+// turns the budget into the largest triangle count that fits, once, and
+// that count answers "does this near BE fit?" exactly only for a timer
+// that never gets faster with more triangles.
 type RenderTimer func(tris int) float64
 
 // Params controls the partitioning.
@@ -131,9 +135,9 @@ func Compute(scene *world.Scene, rt RenderTimer, p Params) (*Map, error) {
 	start := time.Now()
 	m := &Map{Scene: scene, Params: p}
 	b := builder{
-		m:   m,
-		rt:  rt,
-		rng: rand.New(rand.NewSource(p.Seed)),
+		m:     m,
+		limit: nearBELimit(rt, p.BudgetMs, scene.TotalTriangles()),
+		rng:   rand.New(rand.NewSource(p.Seed)),
 	}
 	m.root = b.partition(scene.Bounds, 0)
 	m.Stats.LeafCount = len(m.Regions)
@@ -153,9 +157,17 @@ func Compute(scene *world.Scene, rt RenderTimer, p Params) (*Map, error) {
 	return m, nil
 }
 
+// nearBELimit returns the largest triangle count in [0, total] whose near
+// BE renders within budgetMs, or -1 when none does. No disc holds more than
+// the whole scene's total, so for a non-decreasing rt a disc fits the
+// budget exactly when its count is at most this limit.
+func nearBELimit(rt RenderTimer, budgetMs float64, total int) int {
+	return sort.Search(total+1, func(n int) bool { return rt(n) > budgetMs }) - 1
+}
+
 type builder struct {
 	m       *Map
-	rt      RenderTimer
+	limit   int // most triangles a near BE may hold (nearBELimit)
 	rng     *rand.Rand
 	queries []*world.Query // one per worker (par.ForWorker)
 	calcs   int
@@ -227,11 +239,13 @@ func (b *builder) partition(region geom.Rect, depth int) node {
 
 // maxRadius binary-searches the largest cutoff radius at loc whose near-BE
 // render time stays within the budget. Triangle count is monotone in the
-// radius, so bisection applies. q is the calling worker's query scratch.
+// radius, so bisection applies. A radius fits when its disc holds at most
+// b.limit triangles; the count stops as soon as it passes the limit, so a
+// step on a wide disc costs what the near BE's own objects cost, not the
+// whole disc. q is the calling worker's query scratch.
 func (b *builder) maxRadius(q *world.Query, loc geom.Vec2) float64 {
-	p := b.m.Params
 	fits := func(r float64) bool {
-		return b.rt(b.m.Scene.TrianglesWithin(q, loc, r)) <= p.BudgetMs
+		return !b.m.Scene.TrianglesWithinExceeds(q, loc, r, b.limit)
 	}
 	if !fits(radiusLo) {
 		return radiusLo

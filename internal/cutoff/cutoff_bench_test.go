@@ -7,20 +7,24 @@ import (
 	"coterie/internal/geom"
 )
 
-func BenchmarkComputeFPSWorld(b *testing.B) {
-	spec, err := games.ByName("fps")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := games.Build(spec)
-	p := DefaultParams()
-	p.K = 10
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Compute(g.Scene, rt(), p); err != nil {
+// BenchmarkCompute is the whole adaptive cutoff search at the paper's
+// parameters, as core.PrepareEnv runs it, on viking (the world of the
+// benchmark's cold workloads), pool (its warm ones) and fps.
+func BenchmarkCompute(b *testing.B) {
+	for _, name := range []string{"viking", "pool", "fps"} {
+		spec, err := games.ByName(name)
+		if err != nil {
 			b.Fatal(err)
 		}
+		g := games.Build(spec)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compute(g.Scene, rt(), DefaultParams()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -229,8 +229,9 @@ func ddaAxis(o, d float64, cell int, size float64) (step int, tMax, tDelta float
 }
 
 // forEachInDisc calls fn once per object whose XZ footprint intersects the
-// disc (p, radius).
-func (ix *index) forEachInDisc(q *Query, p geom.Vec2, radius float64, fn func(oi int32, o *Object)) {
+// disc (p, radius), until fn returns true. It reports whether fn stopped
+// the walk.
+func (ix *index) forEachInDisc(q *Query, p geom.Vec2, radius float64, fn func(o *Object) (stop bool)) bool {
 	stamp := q.nextStamp()
 	c0, r0 := ix.cellOf(p.X-radius, p.Z-radius)
 	c1, r1 := ix.cellOf(p.X+radius, p.Z+radius)
@@ -242,12 +243,13 @@ func (ix *index) forEachInDisc(q *Query, p geom.Vec2, radius float64, fn func(oi
 				}
 				q.visit[oi] = stamp
 				o := &ix.scene.Objects[oi]
-				if footprintIntersectsDisc(o, p, radius) {
-					fn(oi, o)
+				if footprintIntersectsDisc(o, p, radius) && fn(o) {
+					return true
 				}
 			}
 		}
 	}
+	return false
 }
 
 // footprintIntersectsDisc tests the object's XZ footprint against a disc.

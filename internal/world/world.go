@@ -176,15 +176,38 @@ func (s *Scene) Intersect(q *Query, r geom.Ray, tMin, tMax float64) (Hit, bool) 
 // intersects the disc (counted fully, as a renderer must process the whole
 // mesh) plus terrain triangles over the disc area clipped to the world.
 func (s *Scene) TrianglesWithin(q *Query, p geom.Vec2, radius float64) int {
-	tris := 0
-	s.index.forEachInDisc(q, p, radius, func(_ int32, o *Object) { tris += o.Triangles })
-	// Terrain contribution over the visible disc, clipped to world bounds.
+	tris := s.terrainWithin(radius)
+	s.index.forEachInDisc(q, p, radius, func(o *Object) bool {
+		tris += o.Triangles
+		return false
+	})
+	return tris
+}
+
+// TrianglesWithinExceeds reports whether TrianglesWithin(q, p, radius)
+// exceeds limit. It counts the terrain first and stops walking the objects
+// as soon as the running count passes limit. That answers the same because
+// every object's triangle count is positive (Validate): the count only
+// grows as the walk goes on.
+func (s *Scene) TrianglesWithinExceeds(q *Query, p geom.Vec2, radius float64, limit int) bool {
+	tris := s.terrainWithin(radius)
+	if tris > limit {
+		return true
+	}
+	return s.index.forEachInDisc(q, p, radius, func(o *Object) bool {
+		tris += o.Triangles
+		return tris > limit
+	})
+}
+
+// terrainWithin is the terrain's triangle count over the disc area of the
+// given radius, clipped to the world's area.
+func (s *Scene) terrainWithin(radius float64) int {
 	area := math.Pi * radius * radius
 	if max := s.Bounds.Area(); area > max {
 		area = max
 	}
-	tris += int(area * s.GroundTris)
-	return tris
+	return int(area * s.GroundTris)
 }
 
 // ObjectsWithin appends the IDs of objects whose footprint intersects the
@@ -192,7 +215,10 @@ func (s *Scene) TrianglesWithin(q *Query, p geom.Vec2, radius float64) int {
 // near-BE object set to validate that a cached far-BE frame merges cleanly
 // (§5.3, criterion 3).
 func (s *Scene) ObjectsWithin(q *Query, dst []int, p geom.Vec2, radius float64) []int {
-	s.index.forEachInDisc(q, p, radius, func(_ int32, o *Object) { dst = append(dst, o.ID) })
+	s.index.forEachInDisc(q, p, radius, func(o *Object) bool {
+		dst = append(dst, o.ID)
+		return false
+	})
 	return dst
 }
 

@@ -214,6 +214,55 @@ func TestTrianglesWithinMonotoneInRadius(t *testing.T) {
 	}
 }
 
+// TestTrianglesWithinExceedsMatchesCount checks the capped count against
+// the full one: TrianglesWithinExceeds(q, p, r, limit) must equal
+// TrianglesWithin(q, p, r) > limit on random scenes, points and radii, at
+// the limits where an off-by-one or a missing term shows (the exact count,
+// one either side of it, the terrain's own count, -1 and 0), on discs that
+// hold no object and discs wider than the world.
+func TestTrianglesWithinExceedsMatchesCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for sc := 0; sc < 30; sc++ {
+		w, d := 10+rng.Float64()*90, 10+rng.Float64()*90
+		var objs []Object
+		n := rng.Intn(200) // some scenes hold no object at all
+		if sc%5 == 0 {
+			n = 0
+		}
+		for i := 0; i < n; i++ {
+			o := Object{
+				ID: i, Kind: KindSphere,
+				Center:    geom.V3(rng.Float64()*w, 1, rng.Float64()*d),
+				Radius:    0.2 + rng.Float64()*2,
+				Triangles: 1 + rng.Intn(5000),
+			}
+			if rng.Intn(2) == 0 {
+				o.Kind = KindBox
+				o.Half = geom.V3(0.2+rng.Float64()*3, 1, 0.2+rng.Float64()*3)
+			}
+			objs = append(objs, o)
+		}
+		ground := []float64{0, 0.3, 5, 40}[rng.Intn(4)]
+		s := New("exceeds", geom.NewRect(w, d), 0.5, objs, ground)
+		q := s.NewQuery()
+		diag := math.Hypot(w, d)
+		for i := 0; i < 40; i++ {
+			p := geom.V2(rng.Float64()*w, rng.Float64()*d)
+			radii := []float64{0, rng.Float64(), rng.Float64() * diag / 2, diag * (1 + rng.Float64())}
+			for _, r := range radii {
+				count := s.TrianglesWithin(q, p, r)
+				terrain := s.terrainWithin(r)
+				for _, limit := range []int{-1, 0, count - 1, count, count + 1, terrain - 1, terrain, rng.Intn(count + 1)} {
+					if got, want := s.TrianglesWithinExceeds(q, p, r, limit), count > limit; got != want {
+						t.Fatalf("scene %d (%d objects, ground %v), p %v, r %v: Exceeds(limit %d) = %v, want %v (count %d, terrain %d)",
+							sc, len(objs), ground, p, r, limit, got, want, count, terrain)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestObjectsWithinAndSignature(t *testing.T) {
 	s := testScene()
 	q := s.NewQuery()
