@@ -1,9 +1,10 @@
 # Developer entry points. `make check` is the pre-commit gate: gofmt, vet,
-# build, the core-count matrix over the frame-serving packages, and the
+# build, the client's dependency check, the core-count matrix over the frame-serving packages, and the
 # race-detector suite over the packages that fan work across
 # goroutines (eval experiment generators, the pooled SSIM comparer, the
 # parallel cutoff preprocessing, and the live runtime stack: wall clock,
-# server lifecycle, transport framing, and the sim-vs-live loopback e2e)
+# server lifecycle, the live client, transport framing, and the
+# sim-vs-live loopback e2e)
 # or share atomic state (the obs metrics registry, the cache and
 # prefetcher once instrumented into a shared registry). `make fuzz` runs
 # the six native fuzz targets for real; it is not part of `check`, where
@@ -11,9 +12,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build bench-build test test-procs race fuzz bench bench-e2e bench-pairs micro-pairs smoke loc knobs
+.PHONY: check fmt vet build deps bench-build test test-procs race fuzz bench bench-e2e bench-pairs micro-pairs smoke loc knobs
 
-check: fmt vet build bench-build test-procs race
+check: fmt vet build deps bench-build test-procs race
 
 # Fails, listing the files, when any Go file is not gofmt-clean.
 fmt:
@@ -24,6 +25,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# The client is the phone's half: it links none of the server, its render
+# scheduler or the cluster. Fails, naming the package, when it does.
+deps:
+	@for p in ./internal/client ./cmd/coterie-client; do \
+		bad="$$($(GO) list -deps $$p | grep -E '^coterie/internal/(server|sched|cluster)$$')"; \
+		if [ -n "$$bad" ]; then echo "$$p links $$bad"; exit 1; fi; \
+	done
 
 # The benchmark harness is its own module and imports this one's packages
 # by name (server.Dial, render.Reproject, ...): vet and build it, without
@@ -37,15 +46,16 @@ test:
 
 # Core-count matrix: frame bytes are a pure function of the grid point, so
 # the frame-serving packages (and transport, home of the client exchange
-# the peer hop runs on) must pass on 1, 2 and all cores, as must par, whose
+# the peer hop runs on, and the client that decodes those frames) must pass
+# on 1, 2 and all cores, as must par, whose
 # render pool fans a call out by workers against calls in flight. -count=1
 # because the test cache does not key on GOMAXPROCS.
 test-procs:
 	@for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -un); do \
 		echo "GOMAXPROCS=$$p"; \
-		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/render/... \
-			./internal/sched/... ./internal/cluster/... ./internal/lru/... \
-			./internal/transport/... ./internal/par/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/client/... \
+			./internal/render/... ./internal/sched/... ./internal/cluster/... \
+			./internal/lru/... ./internal/transport/... ./internal/par/... || exit 1; \
 	done
 
 # internal/eval runs alone: its determinism test renders at GOMAXPROCS 8,
@@ -54,9 +64,9 @@ test-procs:
 race:
 	$(GO) test -race ./internal/eval/...
 	$(GO) test -race ./internal/ssim/... ./internal/cutoff/... \
-		./internal/runtime/... ./internal/server/... ./internal/transport/... \
-		./internal/cache/... ./internal/prefetch/... ./internal/obs/... \
-		./internal/par/... ./internal/render/... \
+		./internal/runtime/... ./internal/server/... ./internal/client/... \
+		./internal/transport/... ./internal/cache/... ./internal/prefetch/... \
+		./internal/obs/... ./internal/par/... ./internal/render/... \
 		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
 		./internal/netsim/... ./internal/world/... ./internal/lru/...
 

@@ -22,11 +22,11 @@ import (
 	"os"
 	"time"
 
+	"coterie/internal/client"
 	"coterie/internal/core"
 	"coterie/internal/games"
 	"coterie/internal/obs"
 	"coterie/internal/render"
-	"coterie/internal/server"
 	"coterie/internal/trace"
 )
 
@@ -37,7 +37,7 @@ func main() {
 }
 
 // run keeps all failure paths as error returns so the deferred teardown
-// in server.RunLive always sends MsgBye — the server sees a clean close,
+// in client.RunLive always sends MsgBye — the server sees a clean close,
 // not a dead socket.
 func run() error {
 	game := flag.String("game", "viking", "game to play")
@@ -97,7 +97,7 @@ func run() error {
 		log.Printf("admin endpoint on http://%s (/metrics, /trace, /qoe, /debug/pprof)", aln.Addr())
 	}
 
-	report, err := server.RunLive(env, *addr, tr, *player, server.LiveConfig{
+	report, err := client.RunLive(env, *addr, tr, *player, client.LiveConfig{
 		Speed:     *speed,
 		Obs:       reg,
 		UDPFrames: *udpFrames,
@@ -178,7 +178,7 @@ func loadTrace(env *core.Env, replay, record string, seconds float64, seed int64
 	return tr, nil
 }
 
-func printReport(r *server.LiveReport, seconds float64) {
+func printReport(r *client.LiveReport, seconds float64) {
 	fmt.Printf("replayed %.0fs of movement in %v\n", seconds, r.Wall.Round(time.Millisecond))
 	fmt.Printf("pipeline: %d frames, %.1f fps, inter-frame %.1f ms (p99 %.1f ms)\n",
 		r.Metrics.Frames, r.Metrics.FPS, r.Metrics.InterFrameMs, r.Metrics.P99InterFrameMs)

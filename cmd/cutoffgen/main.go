@@ -35,10 +35,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("cutoffgen: %v", err)
 	}
-	// PrepareEnv reads K == 0 as "use the defaults", so reject it here.
-	if *k < 1 {
-		log.Fatalf("cutoffgen: -k must be >= 1, got %d", *k)
-	}
 	params := cutoff.DefaultParams()
 	params.K = *k
 	start := time.Now()

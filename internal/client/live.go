@@ -1,4 +1,4 @@
-package server
+package client
 
 import (
 	"fmt"
@@ -114,7 +114,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 		return nil, err
 	}
 	defer cl.Close()
-	cl.Instrument(transport.NewMetrics(cfg.Obs, "client.transport"))
+	cl.conn.Instrument(transport.NewMetrics(cfg.Obs, "client.transport"))
 	ch, err := DialUDP(addr, uint8(player), cfg.UDPFrames && cfg.Push, cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("udp: %w", err)
@@ -136,7 +136,6 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	}
 	src := &liveSource{
 		clock: clock, cl: cl, udp: udp, lat: &runtime.LatencyAcc{}, speed: speed, sink: cfg.FrameSink,
-		refs: &transport.HeldRefs[*img.Gray]{},
 	}
 	fiSync := &liveFISync{clock: clock, fi: ch}
 	if cfg.Obs != nil {
@@ -156,10 +155,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 		// Pushed makes the consumption visible as cache.pushed_hits.
 		grid := env.Game.Scene.Grid
 		sink := cfg.FrameSink
-		udp.OnFrame = func(pt geom.GridPoint, data []byte, pushed bool) {
-			if !pushed {
-				return // late fetch replies stay in the channel's store
-			}
+		udp.onPush = func(pt geom.GridPoint, data []byte) {
 			clock.IOStarted()
 			clock.Post(func() {
 				leaf, sig, _ := meta(pt)
@@ -217,7 +213,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 		Prefetch:         pf.Stats(),
 		Fetches:          src.fetches.Load(),
 		BytesFetched:     src.bytes.Load(),
-		FetchLatenciesMs: src.latencies(),
+		FetchLatenciesMs: src.wallMs,
 		FIDrops:          fiSync.drops,
 		Wall:             time.Since(start),
 	}
@@ -262,8 +258,7 @@ type liveSource struct {
 	// refs.
 	connMu sync.Mutex
 	err    error
-	// refs holds the decoded delta references.
-	refs *transport.HeldRefs[*img.Gray]
+	refs   Refs
 
 	// wallMs, nextDeadlineMs and last are only touched on the clock
 	// goroutine (Post callbacks and the post-run report, which share
@@ -416,9 +411,9 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport
 	if s.err != nil {
 		return transport.FrameReply{}, s.err
 	}
-	reply, _, _, err := s.cl.FetchWithBudget(pt, transport.BudgetUs(time.Until(deadline), !deadline.IsZero()))
+	reply, err := s.cl.Fetch(pt, transport.BudgetUs(time.Until(deadline), !deadline.IsZero()))
 	if err == nil {
-		err = s.decodeReply(pt, reply)
+		err = s.refs.Decode(pt, reply)
 	}
 	if err != nil {
 		s.err = err
@@ -427,17 +422,25 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport
 	return reply, nil
 }
 
-// decodeReply validates a fetched frame by reconstructing it: intra
-// frames decode standalone, delta frames decode against the referenced
-// held frame. A reference reply (FrameReply.IsReference) is held by the
-// rule serve applies to the same reply, so this client holds exactly the
-// points the server deltas against. A stale-rung reply is a neighbour's
-// frame standing in for pt; held under pt it would replace pt's exact
-// raster, which the server still deltas against. Caller holds connMu.
-func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) error {
+// Refs is the client's half of the delta-reference rule: the decoded
+// rasters of the points it holds as references (transport.HeldRefs), and
+// Decode, which validates each TCP reply against them. The zero value is
+// empty and ready to use; a Refs is not safe for concurrent use.
+type Refs struct {
+	transport.HeldRefs[*img.Gray]
+}
+
+// Decode validates a fetched frame by reconstructing it: intra frames
+// decode standalone, delta frames decode against the referenced held
+// frame. A reference reply (FrameReply.IsReference) is held by the rule
+// the server's session applies to the same reply, so this client holds
+// exactly the points the server deltas against. A stale-rung reply is a
+// neighbour's frame standing in for pt; held under pt it would replace
+// pt's exact raster, which the server still deltas against.
+func (r *Refs) Decode(pt geom.GridPoint, reply transport.FrameReply) error {
 	switch reply.Kind {
 	case transport.FrameDelta:
-		ref, ok := s.refs.Get(reply.Ref)
+		ref, ok := r.Get(reply.Ref)
 		if !ok {
 			return fmt.Errorf("frame %v: delta against %v, which this client does not hold", pt, reply.Ref)
 		}
@@ -455,7 +458,7 @@ func (s *liveSource) decodeReply(pt geom.GridPoint, reply transport.FrameReply) 
 		}
 		if !reply.IsReference() {
 			codec.ReleaseGray(g)
-		} else if dropped, ok := s.refs.Hold(pt, g); ok {
+		} else if dropped, ok := r.Hold(pt, g); ok {
 			codec.ReleaseGray(dropped) // g again, or the oldest reference
 		}
 	}
@@ -466,10 +469,6 @@ func (s *liveSource) firstError() error {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	return s.err
-}
-
-func (s *liveSource) latencies() []float64 {
-	return append([]float64(nil), s.wallMs...)
 }
 
 // ActiveTransfers implements runtime.NetMonitor.

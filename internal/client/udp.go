@@ -1,4 +1,4 @@
-package server
+package client
 
 import (
 	"fmt"
@@ -27,11 +27,10 @@ type UDPChannel struct {
 	player   uint8
 	wantPush bool
 
-	// OnFrame, when set before the first Sync/Fetch, receives every
-	// reassembled frame that no fetch was waiting for (pushed frames and
-	// replies that outlived their budget). Called from the receive
-	// goroutine; implementations must not block.
-	OnFrame func(pt geom.GridPoint, data []byte, pushed bool)
+	// onPush, when set before the first Sync/Fetch, receives every
+	// reassembled pushed frame that no fetch was waiting for. Called from
+	// the receive goroutine; it must not block.
+	onPush func(pt geom.GridPoint, data []byte)
 
 	mu      sync.Mutex
 	reasm   *transport.Reassembler
@@ -53,14 +52,11 @@ type UDPChannel struct {
 	reqID atomic.Uint32
 
 	// Stats (atomics: read by reporters while the loop runs).
-	pushedRecv      atomic.Int64
-	pushedBytes     atomic.Int64
-	pushedUsed      atomic.Int64
-	pushedUsedBytes atomic.Int64
-	nacksSent       atomic.Int64
-	fetchHits       atomic.Int64
-	fetchMisses     atomic.Int64
-	pushServes      atomic.Int64
+	pushedRecv atomic.Int64
+	pushedUsed atomic.Int64
+	nacksSent  atomic.Int64
+	fetchHits  atomic.Int64
+	pushServes atomic.Int64
 
 	// Registry instruments (nil without a registry; Counter.Add is
 	// nil-safe), so the push economy is scrapable from /metrics.
@@ -95,15 +91,12 @@ const udpNackAgeSec = 0.02
 
 // UDPStats is a snapshot of the channel's frame-path accounting.
 type UDPStats struct {
-	PushedRecv      int64 // pushed frames reassembled
-	PushedBytes     int64
-	PushedUsed      int64 // distinct pushed frames a fetch consumed (waste accounting)
-	PushedUsedBytes int64
-	PushServes      int64 // fetches served by a pushed frame (one push can serve many)
-	NacksSent       int64
-	FetchHits       int64 // Fetch calls satisfied over UDP
-	FetchMisses     int64 // Fetch calls that timed out (TCP fallback)
-	Reassembly      transport.ReassemblerStats
+	PushedRecv int64 // pushed frames reassembled
+	PushedUsed int64 // distinct pushed frames a fetch consumed (waste accounting)
+	PushServes int64 // fetches served by a pushed frame (one push can serve many)
+	NacksSent  int64
+	FetchHits  int64 // Fetch calls satisfied over UDP
+	Reassembly transport.ReassemblerStats
 }
 
 // DialUDP connects the client's UDP channel: it dials the server's UDP
@@ -189,7 +182,6 @@ func (c *UDPChannel) Fetch(pt geom.GridPoint, budget time.Duration) ([]byte, boo
 		BudgetUs: transport.BudgetUs(budget, true)}
 	if _, err := c.conn.Write(transport.EncodeDgramReq(nil, req)); err != nil {
 		c.dropWaiter(pt)
-		c.fetchMisses.Add(1)
 		return nil, false
 	}
 	t := time.NewTimer(budget)
@@ -210,7 +202,6 @@ func (c *UDPChannel) Fetch(pt geom.GridPoint, budget time.Duration) ([]byte, boo
 		return data, true
 	default:
 	}
-	c.fetchMisses.Add(1)
 	return nil, false
 }
 
@@ -245,7 +236,6 @@ func (c *UDPChannel) noteStoredHitLocked(sf *storedFrame) {
 	if !sf.credited {
 		sf.credited = true
 		c.pushedUsed.Add(1)
-		c.pushedUsedBytes.Add(int64(len(sf.data)))
 	}
 }
 
@@ -255,15 +245,12 @@ func (c *UDPChannel) Stats() UDPStats {
 	rs := c.reasm.Stats()
 	c.mu.Unlock()
 	return UDPStats{
-		PushedRecv:      c.pushedRecv.Load(),
-		PushedBytes:     c.pushedBytes.Load(),
-		PushedUsed:      c.pushedUsed.Load(),
-		PushedUsedBytes: c.pushedUsedBytes.Load(),
-		PushServes:      c.pushServes.Load(),
-		NacksSent:       c.nacksSent.Load(),
-		FetchHits:       c.fetchHits.Load(),
-		FetchMisses:     c.fetchMisses.Load(),
-		Reassembly:      rs,
+		PushedRecv: c.pushedRecv.Load(),
+		PushedUsed: c.pushedUsed.Load(),
+		PushServes: c.pushServes.Load(),
+		NacksSent:  c.nacksSent.Load(),
+		FetchHits:  c.fetchHits.Load(),
+		Reassembly: rs,
 	}
 }
 
@@ -382,13 +369,12 @@ func (c *UDPChannel) sweep() {
 }
 
 // deliver routes a reassembled frame: a waiting fetch gets it directly;
-// otherwise it enters the bounded store and OnFrame fires so the cache
-// layer can absorb pushes.
+// otherwise it enters the bounded store, and a pushed frame goes to onPush
+// so the cache layer can absorb it.
 func (c *UDPChannel) deliver(f *transport.ReassembledFrame) {
 	pushed := f.Flags&transport.DgramFlagPushed != 0
 	if pushed {
 		c.pushedRecv.Add(1)
-		c.pushedBytes.Add(int64(len(f.Data)))
 		c.pushedRecvC.Add(1)
 	}
 	c.mu.Lock()
@@ -400,7 +386,6 @@ func (c *UDPChannel) deliver(f *transport.ReassembledFrame) {
 		c.mu.Unlock()
 		if pushed {
 			c.pushedUsed.Add(1)
-			c.pushedUsedBytes.Add(int64(len(f.Data)))
 			c.pushServes.Add(1)
 			c.pushServesC.Add(1)
 		}
@@ -412,7 +397,7 @@ func (c *UDPChannel) deliver(f *transport.ReassembledFrame) {
 	}
 	c.storeLocked(f.Point, f.Data, pushed, false)
 	c.mu.Unlock()
-	if c.OnFrame != nil {
-		c.OnFrame(f.Point, f.Data, pushed)
+	if pushed && c.onPush != nil {
+		c.onPush(f.Point, f.Data)
 	}
 }

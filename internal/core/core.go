@@ -53,8 +53,9 @@ type EnvOptions struct {
 	// RenderCfg sets the panoramic frame resolution for size sampling and
 	// threshold calibration.
 	RenderCfg render.Config
-	// CutoffParams configures the adaptive cutoff scheme; zero value
-	// means cutoff.DefaultParams.
+	// CutoffParams configures the adaptive cutoff scheme; the zero value
+	// means cutoff.DefaultParams. Any other value goes to cutoff.Compute
+	// as set, which rejects an invalid one.
 	CutoffParams cutoff.Params
 	// ThresholdLeaves is the number of leaves sampled by
 	// cutoff.CalibrateThresholds; 0 means 3.
@@ -80,7 +81,7 @@ type Env struct {
 // sampling. This corresponds to the paper's per-app installation step
 // (§4.3, §6).
 func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
-	if opts.CutoffParams.K == 0 {
+	if opts.CutoffParams == (cutoff.Params{}) {
 		opts.CutoffParams = cutoff.DefaultParams()
 	}
 	if opts.ThresholdLeaves == 0 {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
 	"coterie/internal/cache"
+	"coterie/internal/cutoff"
 	"coterie/internal/games"
 	"coterie/internal/geom"
 )
@@ -49,6 +51,25 @@ func TestPrepareEnv(t *testing.T) {
 	}
 	if s.FarBE >= s.WholeBE {
 		t.Fatalf("far-BE frames (%d) must be smaller than whole-BE (%d)", s.FarBE, s.WholeBE)
+	}
+}
+
+// TestPrepareEnvCutoffParams: only the zero CutoffParams means the
+// defaults; a half-set value reaches cutoff.Compute and its error.
+func TestPrepareEnvCutoffParams(t *testing.T) {
+	got := testEnv(t).Map.Params
+	want := cutoff.DefaultParams()
+	want.MinRegion = got.MinRegion // 0 in the defaults: Compute derives it
+	if got != want {
+		t.Errorf("zero CutoffParams prepared with %+v, want the defaults %+v", got, want)
+	}
+	spec, err := games.ByName("fps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = PrepareEnv(spec, EnvOptions{CutoffParams: cutoff.Params{K: 0, BudgetMs: 12.7}})
+	if err == nil || !strings.Contains(err.Error(), "K must be >= 1") {
+		t.Fatalf("CutoffParams{K: 0, BudgetMs: 12.7}: err %v, want Compute's K error", err)
 	}
 }
 

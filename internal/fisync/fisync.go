@@ -11,9 +11,11 @@
 package fisync
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 
 	"coterie/internal/geom"
 )
@@ -116,14 +118,12 @@ func newerSeq(a, b uint32) bool { return int32(a-b) > 0 }
 // ascending player order, and accounts the download.
 func (h *Hub) Snapshot(requester uint8) []State {
 	out := make([]State, 0, len(h.states))
-	for p := 0; p < 256; p++ {
-		if uint8(p) == requester {
-			continue
-		}
-		if s, ok := h.states[uint8(p)]; ok {
+	for p, s := range h.states {
+		if p != requester {
 			out = append(out, s)
 		}
 	}
+	slices.SortFunc(out, func(a, b State) int { return cmp.Compare(a.Player, b.Player) })
 	if len(out) > 0 {
 		h.DownloadBytes += int64(len(out)*WireSize + headerSize)
 	} else {

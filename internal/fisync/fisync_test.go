@@ -1,6 +1,7 @@
 package fisync
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,22 @@ func TestHubUpdateAndSnapshot(t *testing.T) {
 	}
 	if n := len(h.Snapshot(9)); n != 3 {
 		t.Fatalf("players = %d", n)
+	}
+}
+
+// TestHubSnapshotOrderIndependentOfArrival: states come back in ascending
+// player order whatever order the players first uploaded in.
+func TestHubSnapshotOrderIndependentOfArrival(t *testing.T) {
+	h := NewHub()
+	for _, p := range []uint8{200, 3, 255, 0, 7, 3} {
+		h.Update(State{Player: p, Seq: 1})
+	}
+	var got []uint8
+	for _, s := range h.Snapshot(7) {
+		got = append(got, s.Player)
+	}
+	if want := []uint8{0, 3, 200, 255}; !slices.Equal(got, want) {
+		t.Fatalf("snapshot players %v, want %v", got, want)
 	}
 }
 

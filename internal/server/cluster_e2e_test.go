@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"coterie/internal/client"
 	"coterie/internal/cluster"
 	"coterie/internal/geom"
 	"coterie/internal/obs"
@@ -122,12 +123,12 @@ func TestClusterPeerFetchByteIdentical(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 
 	game := poolEnv(t).Game.Spec.Name
-	ca, err := Dial(a.addr, game, 1)
+	ca, err := client.Dial(a.addr, game, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ca.Close()
-	cb, err := Dial(b.addr, game, 2)
+	cb, err := client.Dial(b.addr, game, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestClusterPeerFetchByteIdentical(t *testing.T) {
 
 	for _, pt := range pointsOwnedBy(t, a.cl, b.addr, 3) {
 		// Non-owner serve: A proxies to B.
-		ra, _, _, err := ca.FetchTraced(pt)
+		ra, err := ca.Fetch(pt, 0)
 		if err != nil {
 			t.Fatalf("fetch %v via non-owner: %v", pt, err)
 		}
@@ -143,7 +144,7 @@ func TestClusterPeerFetchByteIdentical(t *testing.T) {
 			t.Errorf("point %v: origin %d, want OriginPeer", pt, ra.Origin)
 		}
 		// Owner serve of the same point (store hit on B now).
-		rb, _, _, err := cb.FetchTraced(pt)
+		rb, err := cb.Fetch(pt, 0)
 		if err != nil {
 			t.Fatalf("fetch %v via owner: %v", pt, err)
 		}
@@ -163,7 +164,7 @@ func TestClusterPeerFetchByteIdentical(t *testing.T) {
 		}
 		// Read-through replication: the same request on A is now a local
 		// store hit with the same bytes.
-		ra2, _, _, err := ca.FetchTraced(pt)
+		ra2, err := ca.Fetch(pt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +207,11 @@ func TestClusterFailoverSurvivesNodeStop(t *testing.T) {
 
 	// The owner renders warm pre-stop: its bytes are the reference the
 	// failover render must reproduce.
-	cb, err := Dial(b.addr, game, 2)
+	cb, err := client.Dial(b.addr, game, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _, _, err := cb.FetchTraced(warm)
+	rb, err := cb.Fetch(warm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestClusterFailoverSurvivesNodeStop(t *testing.T) {
 
 	b.stop()
 
-	ca, err := Dial(a.addr, game, 1)
+	ca, err := client.Dial(a.addr, game, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestClusterFailoverSurvivesNodeStop(t *testing.T) {
 
 	// First post-stop fetch: the hop fails (dead peer), A re-renders
 	// locally and the session survives.
-	ra, _, _, err := ca.FetchTraced(warm)
+	ra, err := ca.Fetch(warm, 0)
 	if err != nil {
 		t.Fatalf("session did not survive owner stop: %v", err)
 	}
@@ -239,7 +240,7 @@ func TestClusterFailoverSurvivesNodeStop(t *testing.T) {
 	}
 	// Second remotely-owned point: the peer is now marked down, so the
 	// hop is skipped outright — still a failover serve, still counted.
-	ra2, _, _, err := ca.FetchTraced(cold)
+	ra2, err := ca.Fetch(cold, 0)
 	if err != nil {
 		t.Fatalf("second post-stop fetch: %v", err)
 	}
@@ -262,14 +263,14 @@ func TestClusterTraceIDPropagation(t *testing.T) {
 	a, b := nodes[0], nodes[1]
 	game := poolEnv(t).Game.Spec.Name
 
-	ca, err := Dial(a.addr, game, 7)
+	ca, err := client.Dial(a.addr, game, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ca.Close()
 
 	pt := pointsOwnedBy(t, a.cl, b.addr, 1)[0]
-	reply, _, _, err := ca.FetchTraced(pt)
+	reply, err := ca.Fetch(pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestClusterTraceIDPropagation(t *testing.T) {
 	// are not hops).
 	before := len(a.reg.Trace().Recent(a.reg.Trace().Len()))
 	local := pointsOwnedBy(t, a.cl, a.addr, 1)[0]
-	if _, _, _, err := ca.FetchTraced(local); err != nil {
+	if _, err := ca.Fetch(local, 0); err != nil {
 		t.Fatal(err)
 	}
 	if after := len(a.reg.Trace().Recent(a.reg.Trace().Len())); after != before {
@@ -360,9 +361,9 @@ func TestClusterConcurrentRemoteRequestsOneHop(t *testing.T) {
 	pt := pointsOwnedBy(t, a.cl, b.addr, 1)[0]
 
 	const clients = 8
-	conns := make([]*Client, clients)
+	conns := make([]*client.Client, clients)
 	for i := range conns {
-		c, err := Dial(a.addr, game, uint8(i+1))
+		c, err := client.Dial(a.addr, game, uint8(i+1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +379,8 @@ func TestClusterConcurrentRemoteRequestsOneHop(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			datas[i], errs[i] = c.Fetch(pt)
+			reply, err := c.Fetch(pt, 0)
+			datas[i], errs[i] = reply.Data, err
 		}()
 	}
 	close(start)
@@ -413,7 +415,7 @@ func TestClusterUDPRequestCarriesTraceID(t *testing.T) {
 	defer pc.Close()
 	go a.srv.ServeFIUDP(pc)
 
-	ch, err := DialUDP(pc.LocalAddr().String(), 5, false, nil)
+	ch, err := client.DialUDP(pc.LocalAddr().String(), 5, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"coterie/internal/client"
 	"coterie/internal/codec"
 	"coterie/internal/geom"
 	"coterie/internal/img"
@@ -46,7 +47,7 @@ func startInstrumentedServer(t *testing.T) (*Server, *obs.Registry, string) {
 //     held — never against the dropped point.
 func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	srv, reg, addr := startInstrumentedServer(t)
-	cl, err := Dial(addr, "pool", 5)
+	cl, err := client.Dial(addr, "pool", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	grid := srv.env.Game.Scene.Grid
 	ptA := grid.Snap(srv.env.Game.Spawn)
 
-	r1, _, _, err := cl.FetchTraced(ptA)
+	r1, err := cl.Fetch(ptA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	var held transport.HeldRefs[struct{}]
 	held.Hold(ptA, struct{}{})
 
-	r2, _, _, err := cl.FetchTraced(ptA)
+	r2, err := cl.Fetch(ptA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	// coding against the held reference. Whichever way the size race goes,
 	// the reply must be decodable and match the point's intra reconstruction.
 	ptB := geom.GridPoint{I: ptA.I + 1, J: ptA.J}
-	r3, _, _, err := cl.FetchTraced(ptB)
+	r3, err := cl.Fetch(ptB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 		if !grid.In(pt) {
 			t.Fatalf("%d newer references after %d fetches; the walk needs %d", newer, k, transport.MaxHeldRefs)
 		}
-		r, _, _, err := cl.FetchTraced(pt)
+		r, err := cl.Fetch(pt, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	if _, ok := held.Get(ptA); ok {
 		t.Fatalf("%v still held after %d newer references", ptA, newer)
 	}
-	r4, _, _, err := cl.FetchTraced(ptA)
+	r4, err := cl.Fetch(ptA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"testing"
 
+	"coterie/internal/client"
 	"coterie/internal/geom"
 	"coterie/internal/transport"
 )
@@ -51,7 +52,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 				t.Fatalf("%v must share %v's leaf and be within its DistThresh, same near set %v (leaf %d, signature %x vs %x)", nb, pt, tc.sameSig, leaf, sig, nbSig)
 			}
 			canon := newCanonical(env)
-			cl, err := Dial(addr, "pool", 3)
+			cl, err := client.Dial(addr, "pool", 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 			const late = 1 // µs
 			stale := reg.Counter("server.degrade_stale")
 
-			r1, _, _, err := cl.FetchWithBudget(nb, late)
+			r1, err := cl.Fetch(nb, late)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,7 +72,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 				t.Fatalf("cold store, past deadline: %d renders, %d stale serves, want 1 and 0", rendered, stale.Value())
 			}
 
-			r2, _, _, err := cl.FetchWithBudget(pt, late)
+			r2, err := cl.Fetch(pt, late)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +98,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 				t.Errorf("stale serve of %v is not the stored bytes of its neighbour %v", pt, nb)
 			}
 
-			r3, _, _, err := cl.FetchWithBudget(pt, 0)
+			r3, err := cl.Fetch(pt, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"coterie/internal/client"
 	"coterie/internal/codec"
 	"coterie/internal/geom"
 	"coterie/internal/img"
@@ -40,41 +41,41 @@ func TestStaleReplyNeverBecomesReference(t *testing.T) {
 		t.Fatalf("%v and %v decode identically; the test needs two different frames", pt, nb)
 	}
 
-	src := &liveSource{refs: &transport.HeldRefs[*img.Gray]{}}
-	if err := src.decodeReply(pt, transport.FrameReply{Point: pt, Data: exact}); err != nil {
+	src := &client.Refs{}
+	if err := src.Decode(pt, transport.FrameReply{Point: pt, Data: exact}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.decodeReply(pt, transport.FrameReply{Point: pt, Rung: transport.RungStale, Data: substitute}); err != nil {
+	if err := src.Decode(pt, transport.FrameReply{Point: pt, Rung: transport.RungStale, Data: substitute}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := src.refs.Get(pt)
+	got, ok := src.Get(pt)
 	if !ok {
 		t.Fatalf("reference for %v gone after a stale reply", pt)
 	}
 	if !bytes.Equal(got.Pix, want.Pix) {
 		t.Errorf("reference for %v is no longer its exact reconstruction after a stale reply", pt)
 	}
-	if src.refs.Len() != 1 {
-		t.Errorf("reference store holds %d frames, want 1", src.refs.Len())
+	if src.Len() != 1 {
+		t.Errorf("reference store holds %d frames, want 1", src.Len())
 	}
 }
 
 // TestHeldRefsAgreeAcrossEnds drives one session through the real serve
-// and feeds every reply to the real liveSource.decodeReply, so the server's
+// and feeds every reply to the real client.Refs.Decode, so the server's
 // and the client's halves of the reference rule see the same replies. The
 // walk holds more than 2×MaxHeldRefs intra references around the pool
 // spawn: an anchor (a reference), its neighbour (a delta against it), and
 // then the oldest point the server holds (a delta against itself, the
 // reference about to be dropped). A second lap returns to anchors both
 // ends have dropped. A delta naming a point the client dropped fails
-// decodeReply; the two ends must also hold the same points in the same
+// Decode; the two ends must also hold the same points in the same
 // order after every reply.
 func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 	srv := New(poolEnv(t))
 	grid := srv.env.Game.Scene.Grid
 	spawn := grid.Snap(srv.env.Game.Spawn)
 	server := &transport.HeldRefs[struct{}]{}
-	client := &liveSource{refs: &transport.HeldRefs[*img.Gray]{}}
+	cl := &client.Refs{}
 
 	var refs, deltas, deltasAfterEvict, revisits int
 	evicted := false
@@ -86,7 +87,7 @@ func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.decodeReply(pt, res.FrameReply); err != nil {
+		if err := cl.Decode(pt, res.FrameReply); err != nil {
 			t.Fatal(err)
 		}
 		switch {
@@ -106,7 +107,7 @@ func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 		var held []geom.GridPoint
 		server.Each(func(p geom.GridPoint, _ struct{}) { held = append(held, p) })
 		k := 0
-		client.refs.Each(func(p geom.GridPoint, _ *img.Gray) {
+		cl.Each(func(p geom.GridPoint, _ *img.Gray) {
 			if k >= len(held) || held[k] != p {
 				t.Fatalf("after %v: client holds %v at %d, server %v", pt, p, k, held)
 			}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"coterie/internal/client"
 	"coterie/internal/codec"
 	"coterie/internal/core"
 	"coterie/internal/fisync"
@@ -109,7 +110,7 @@ func TestLoopbackMatchesSim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live, err := RunLive(env, addr, tr, 0, LiveConfig{
+	live, err := client.RunLive(env, addr, tr, 0, client.LiveConfig{
 		Speed:        4,
 		DecodeFrames: true,
 		IdleTimeout:  10 * time.Second,
@@ -236,7 +237,7 @@ func TestLoopbackObsCountersMatchSim(t *testing.T) {
 	const attempts = 3
 	for attempt := 1; ; attempt++ {
 		liveReg := obs.NewRegistry()
-		live, err := RunLive(env, addr, tr, 0, LiveConfig{
+		live, err := client.RunLive(env, addr, tr, 0, client.LiveConfig{
 			Speed:        1, // real time: virtual latencies closest to the modelled medium
 			DecodeFrames: true,
 			IdleTimeout:  10 * time.Second,
@@ -407,7 +408,7 @@ func TestLoopbackTraceDecompositionAndQoE(t *testing.T) {
 	const attempts = 3
 	for attempt := 1; ; attempt++ {
 		liveReg := obs.NewRegistry()
-		if _, err := RunLive(env, addr, tr, 0, LiveConfig{
+		if _, err := client.RunLive(env, addr, tr, 0, client.LiveConfig{
 			Speed:        4,
 			DecodeFrames: true,
 			IdleTimeout:  10 * time.Second,
@@ -584,13 +585,13 @@ func TestServeContextDrainsOnCancel(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.ServeContext(ctx, ln) }()
 
-	cl, err := Dial(ln.Addr().String(), "pool", 1)
+	cl, err := client.Dial(ln.Addr().String(), "pool", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	pt := srv.env.Game.Scene.Grid.Snap(srv.env.Game.Spawn)
-	if _, err := cl.Fetch(pt); err != nil {
+	if _, err := cl.Fetch(pt, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -604,20 +605,20 @@ func TestServeContextDrainsOnCancel(t *testing.T) {
 		t.Fatal("ServeContext did not drain after cancel")
 	}
 	// The idle session was force-closed by the drain timeout.
-	if _, err := cl.Fetch(pt); err == nil {
+	if _, err := cl.Fetch(pt, 0); err == nil {
 		t.Fatal("session survived shutdown")
 	}
 }
 
 func TestSessionStatsRecorded(t *testing.T) {
 	srv, addr := startLiveServer(t)
-	cl, err := Dial(addr, "pool", 3)
+	cl, err := client.Dial(addr, "pool", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := srv.env.Game.Scene.Grid
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Fetch(grid.Snap(geom.V2(2, float64(2+i)))); err != nil {
+		if _, err := cl.Fetch(grid.Snap(geom.V2(2, float64(2+i))), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -661,7 +662,7 @@ func TestLoopbackStoreMetrics(t *testing.T) {
 	t.Cleanup(func() { ln.Close() })
 	go srv.Serve(ln)
 
-	cl, err := Dial(ln.Addr().String(), "pool", 1)
+	cl, err := client.Dial(ln.Addr().String(), "pool", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,19 +672,19 @@ func TestLoopbackStoreMetrics(t *testing.T) {
 	// must evict, and re-fetch the last point so the hit path (LRU touch
 	// under the store lock) runs too.
 	spawn := env.Game.Scene.Grid.Snap(env.Game.Spawn)
-	first, err := cl.Fetch(spawn)
+	first, err := cl.Fetch(spawn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetStoreBudget(int64(2*len(first) + len(first)/2))
+	srv.SetStoreBudget(int64(2*len(first.Data) + len(first.Data)/2))
 	last := spawn
 	for i := 1; i <= 6; i++ {
 		last = geom.GridPoint{I: spawn.I + i, J: spawn.J}
-		if _, err := cl.Fetch(last); err != nil {
+		if _, err := cl.Fetch(last, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := cl.Fetch(last); err != nil {
+	if _, err := cl.Fetch(last, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -738,7 +739,7 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 
 	// Raw session: the trace's walk, alternating deadline-free and
 	// budgeted fetches.
-	cl, err := Dial(addr, "pool", 1)
+	cl, err := client.Dial(addr, "pool", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +754,7 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 		if i%2 == 0 {
 			budget = 100_000 // µs
 		}
-		r, _, _, err := cl.FetchWithBudget(pt, budget)
+		r, err := cl.Fetch(pt, budget)
 		if err != nil {
 			t.Fatalf("fetch %v: %v", pt, err)
 		}
@@ -803,7 +804,7 @@ func TestSchedulerByteIdentityUnloaded(t *testing.T) {
 
 	// Full live pipeline: same trace, and a warmed, unloaded server may not
 	// degrade a frame.
-	live, err := RunLive(env, addr, tr, 0, LiveConfig{
+	live, err := client.RunLive(env, addr, tr, 0, client.LiveConfig{
 		Speed:        4,
 		DecodeFrames: true,
 		IdleTimeout:  10 * time.Second,
@@ -903,7 +904,7 @@ func (c *canonical) checkDelta(t *testing.T, pt, ref geom.GridPoint, data []byte
 	}
 }
 
-// checkSink judges a frame a LiveConfig.FrameSink observed, which carries
+// checkSink judges a frame a client.LiveConfig.FrameSink observed, which carries
 // no reply context: intra frames as checkIntra, delta frames as checkDelta
 // against whichever of the points in held (those the session received
 // intra) the delta was coded from.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"coterie/internal/client"
 	"coterie/internal/obs"
 	"coterie/internal/transport"
 )
@@ -31,12 +32,12 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 		fetch func(addr string) ([]byte, error)
 	}{
 		{"tcp client", false, func(addr string) ([]byte, error) {
-			c, err := Dial(addr, game, 3)
+			c, err := client.Dial(addr, game, 3)
 			if err != nil {
 				return nil, err
 			}
 			defer c.Close()
-			reply, _, _, err := c.FetchWithBudget(pt, budgetUs)
+			reply, err := c.Fetch(pt, budgetUs)
 			if err == nil && reply.Kind != transport.FrameIntra {
 				err = fmt.Errorf("first fetch of a session served as kind %d, want intra", reply.Kind)
 			}
@@ -52,7 +53,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 			return reply.Data, err
 		}},
 		{"udp request", false, func(addr string) ([]byte, error) {
-			ch, err := DialUDP(addr, 3, false, nil)
+			ch, err := client.DialUDP(addr, 3, false, nil)
 			if err != nil {
 				return nil, err
 			}

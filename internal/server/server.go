@@ -2,9 +2,8 @@
 // pre-renders and pre-encodes panoramic far-BE frames for grid points
 // (memoised on first request — the paper renders offline; lazy
 // memoisation computes the identical frames on demand) and synchronises
-// foreground interactions between connected clients (§5.1). It also hosts
-// the live backend of the shared client runtime (live.go): the TCP/UDP
-// implementations of runtime.FrameSource and runtime.FISync.
+// foreground interactions between connected clients (§5.1). The client
+// side of the protocol is internal/client.
 package server
 
 import (
@@ -758,71 +757,4 @@ func frameReplyMsg(typ transport.MsgType, req transport.FrameRequest, res frameR
 
 func errMsg(s string) transport.Message {
 	return transport.Message{Type: transport.MsgError, Payload: []byte(s)}
-}
-
-// Client is the synchronous client side of the protocol: the shared
-// transport.Client exchange plus the player's request-id counter and the
-// client's own wall-clock stamps around each round trip.
-type Client struct {
-	conn   *transport.Client
-	Player uint8
-	reqID  uint32 // monotonic frame-request id (single-goroutine use)
-}
-
-// Dial connects and performs the hello exchange.
-func Dial(addr, game string, player uint8) (*Client, error) {
-	conn, err := transport.DialClient(addr, 0, transport.Hello{Player: player, Game: game})
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, Player: player}, nil
-}
-
-// Instrument attaches per-message-type transport metrics to the client's
-// connection (nil detaches). Call before concurrent use.
-func (c *Client) Instrument(m *transport.Metrics) { c.conn.Instrument(m) }
-
-// ServerError is an application-level rejection delivered as MsgError on
-// a healthy connection (e.g. admission-control sheds). Unlike transport
-// errors, the session remains usable and the caller may retry.
-type ServerError = transport.RemoteError
-
-// Fetch requests one far-BE frame.
-func (c *Client) Fetch(pt geom.GridPoint) ([]byte, error) {
-	reply, _, _, err := c.FetchTraced(pt)
-	return reply.Data, err
-}
-
-// FetchTraced requests one far-BE frame without a deadline and returns the
-// full reply with its server-side stage spans, plus the client's own
-// wall-clock stamps (unix milliseconds) bracketing the round trip: sentMs
-// just before the request hit the socket and doneMs just after the reply
-// was decoded. Not safe for concurrent use — like Fetch, it assumes the
-// connection carries one request at a time.
-func (c *Client) FetchTraced(pt geom.GridPoint) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
-	return c.FetchWithBudget(pt, 0)
-}
-
-// FetchWithBudget is FetchTraced carrying the request's budget
-// (transport.BudgetUs; 0: no deadline). The server's deadline is its
-// receive time plus the budget; it prioritises, degrades, or sheds against
-// it. A shed surfaces as a *ServerError, and doneMs is stamped on errors
-// too, so callers can separate rejection latency from success latency.
-func (c *Client) FetchWithBudget(pt geom.GridPoint, budgetUs uint32) (reply transport.FrameReply, sentMs, doneMs float64, err error) {
-	c.reqID++
-	sentMs = sched.NowMs()
-	reply, err = c.conn.Do(transport.MsgFrameRequest, transport.FrameRequest{
-		Player:   c.Player,
-		Point:    pt,
-		ReqID:    c.reqID,
-		BudgetUs: budgetUs,
-	})
-	return reply, sentMs, sched.NowMs(), err
-}
-
-// Close ends the session with MsgBye so the server records a clean
-// teardown.
-func (c *Client) Close() error {
-	_ = c.conn.Send(transport.Message{Type: transport.MsgBye})
-	return c.conn.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"coterie/internal/client"
 	"coterie/internal/codec"
 	"coterie/internal/core"
 	"coterie/internal/games"
@@ -85,36 +86,36 @@ func TestFrameForRejectsOutside(t *testing.T) {
 
 func TestEndToEndFetch(t *testing.T) {
 	srv, addr := startServer(t)
-	cl, err := Dial(addr, "pool", 1)
+	cl, err := client.Dial(addr, "pool", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
 	pt := srv.env.Game.Scene.Grid.Snap(srv.env.Game.Spawn)
-	data, err := cl.Fetch(pt)
+	reply, err := cl.Fetch(pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := codec.Decode(data); err != nil {
+	if _, err := codec.Decode(reply.Data); err != nil {
 		t.Fatalf("fetched frame does not decode: %v", err)
 	}
 	served, _ := srv.Stats()
 	if served != 1 {
 		t.Fatalf("served = %d", served)
 	}
-	if _, err := cl.Fetch(geom.GridPoint{I: -9, J: -9}); err == nil {
+	if _, err := cl.Fetch(geom.GridPoint{I: -9, J: -9}, 0); err == nil {
 		t.Fatal("invalid point should return a server error")
 	}
 	// The connection survives server-side errors.
-	if _, err := cl.Fetch(pt); err != nil {
+	if _, err := cl.Fetch(pt, 0); err != nil {
 		t.Fatalf("fetch after error: %v", err)
 	}
 }
 
 func TestDialWrongGame(t *testing.T) {
 	_, addr := startServer(t)
-	if _, err := Dial(addr, "viking", 1); err == nil {
+	if _, err := client.Dial(addr, "viking", 1); err == nil {
 		t.Fatal("wrong game accepted")
 	}
 }
@@ -128,7 +129,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			cl, err := Dial(addr, "pool", uint8(p))
+			cl, err := client.Dial(addr, "pool", uint8(p))
 			if err != nil {
 				errs <- err
 				return
@@ -136,7 +137,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer cl.Close()
 			for i := 0; i < 5; i++ {
 				pt := grid.Snap(geom.V2(float64(2+p), float64(2+i)))
-				if _, err := cl.Fetch(pt); err != nil {
+				if _, err := cl.Fetch(pt, 0); err != nil {
 					errs <- err
 					return
 				}

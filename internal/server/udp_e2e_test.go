@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"coterie/internal/client"
 	"coterie/internal/codec"
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
@@ -36,7 +37,7 @@ func TestUDPChannelCloseMidFIRound(t *testing.T) {
 		}
 	}()
 
-	ch, err := DialUDP(pc.LocalAddr().String(), 1, true, nil)
+	ch, err := client.DialUDP(pc.LocalAddr().String(), 1, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestUDPChannelCloseMidFIRound(t *testing.T) {
 	}
 }
 
-// frameLog collects what a LiveConfig.FrameSink observed, for judging
+// frameLog collects what a client.LiveConfig.FrameSink observed, for judging
 // against the canonical reference after the session: every distinct byte
 // string per point, and which points arrived intra (the frames a delta may
 // have been coded against).
@@ -86,7 +87,7 @@ func newFrameLog() *frameLog {
 	return &frameLog{seen: make(map[geom.GridPoint][][]byte), held: make(map[geom.GridPoint]bool)}
 }
 
-// sink is the LiveConfig.FrameSink; it runs on the clock goroutine.
+// sink is the client.LiveConfig.FrameSink; it runs on the clock goroutine.
 func (l *frameLog) sink(pt geom.GridPoint, data []byte, pushed bool) {
 	for _, prev := range l.seen[pt] {
 		if bytesEqual(prev, data) {
@@ -125,14 +126,14 @@ func TestLoopbackUDPByteIdentity(t *testing.T) {
 
 	type arm struct {
 		name  string
-		cfg   LiveConfig
+		cfg   client.LiveConfig
 		log   *frameLog
-		live  *LiveReport
+		live  *client.LiveReport
 		srvRg *obs.Registry
 	}
 	arms := []*arm{
-		{name: "tcp", cfg: LiveConfig{Speed: 4, DecodeFrames: true, IdleTimeout: 10 * time.Second}},
-		{name: "udp", cfg: LiveConfig{Speed: 4, DecodeFrames: true, IdleTimeout: 10 * time.Second,
+		{name: "tcp", cfg: client.LiveConfig{Speed: 4, DecodeFrames: true, IdleTimeout: 10 * time.Second}},
+		{name: "udp", cfg: client.LiveConfig{Speed: 4, DecodeFrames: true, IdleTimeout: 10 * time.Second,
 			UDPFrames: true, Push: true}},
 	}
 	for _, a := range arms {
@@ -145,7 +146,7 @@ func TestLoopbackUDPByteIdentity(t *testing.T) {
 
 		a.log = newFrameLog()
 		a.cfg.FrameSink = a.log.sink
-		live, err := RunLive(env, addr, tr, 0, a.cfg)
+		live, err := client.RunLive(env, addr, tr, 0, a.cfg)
 		if err != nil {
 			t.Fatalf("%s arm: %v", a.name, err)
 		}
@@ -249,7 +250,7 @@ func TestLoopbackUDPUnderLoss(t *testing.T) {
 	warmServer(t, srv, tr)
 
 	log := newFrameLog()
-	live, err := RunLive(env, addr, tr, 0, LiveConfig{
+	live, err := client.RunLive(env, addr, tr, 0, client.LiveConfig{
 		Speed:        4,
 		DecodeFrames: true,
 		IdleTimeout:  10 * time.Second,
@@ -288,7 +289,7 @@ func TestServeFIUDPDropsUntypedAndUnsubscribedFI(t *testing.T) {
 	srv.Instrument(reg)
 	addr := serveLive(t, srv)
 
-	ch, err := DialUDP(addr, 2, false, nil)
+	ch, err := client.DialUDP(addr, 2, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"coterie/internal/client"
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/obs"
@@ -26,12 +27,12 @@ func startFIUDP(t *testing.T) string {
 
 func TestFIUDPRoundTrip(t *testing.T) {
 	addr := startFIUDP(t)
-	c1, err := DialUDP(addr, 1, false, nil)
+	c1, err := client.DialUDP(addr, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	c2, err := DialUDP(addr, 2, false, nil)
+	c2, err := client.DialUDP(addr, 2, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFIUDPPerFrameRate(t *testing.T) {
 	// The sync must comfortably run at frame rate: 60 round trips well
 	// under a second on loopback.
 	addr := startFIUDP(t)
-	c, err := DialUDP(addr, 1, false, nil)
+	c, err := client.DialUDP(addr, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestFIUDPIgnoresGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The server must survive and keep answering valid requests.
-	c, err := DialUDP(addr, 7, false, nil)
+	c, err := client.DialUDP(addr, 7, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
