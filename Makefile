@@ -5,10 +5,10 @@
 # parallel cutoff preprocessing, and the live runtime stack: wall clock,
 # server lifecycle, the live client, transport framing, and the
 # sim-vs-live loopback e2e)
-# or share atomic state (the obs metrics registry, the cache and
-# prefetcher once instrumented into a shared registry). `make fuzz` runs
-# the six native fuzz targets for real; it is not part of `check`, where
-# `go test` only replays their seed corpora.
+# or share state (the obs metrics registry, the cache and prefetcher once
+# instrumented into a shared registry, core.Env's point-metadata memo).
+# `make fuzz` runs the six native fuzz targets for real; it is not part of
+# `check`, where `go test` only replays their seed corpora.
 
 GO ?= go
 
@@ -63,7 +63,7 @@ test-procs:
 # sessions on a small host make those sessions miss their vsyncs.
 race:
 	$(GO) test -race ./internal/eval/...
-	$(GO) test -race ./internal/ssim/... ./internal/cutoff/... \
+	$(GO) test -race ./internal/ssim/... ./internal/cutoff/... ./internal/core/... \
 		./internal/runtime/... ./internal/server/... ./internal/client/... \
 		./internal/transport/... ./internal/cache/... ./internal/prefetch/... \
 		./internal/obs/... ./internal/par/... ./internal/render/... \

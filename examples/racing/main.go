@@ -30,7 +30,6 @@ func main() {
 
 	const players = 4
 	party := trace.GenerateParty(env.Game, players, 90, 11)
-	meta := env.MetaFor()
 	grid := env.Game.Scene.Grid
 
 	fmt.Printf("\n%d cars, 90 s race; infinite cache, overheard replies cached by all:\n", players)
@@ -55,7 +54,7 @@ func main() {
 					continue
 				}
 				last[p] = pt
-				leaf, sig, thresh := meta(pt)
+				leaf, sig, thresh := env.Meta(pt)
 				req := cache.Request{
 					Point: pt, Pos: grid.Pos(pt), LeafID: leaf,
 					NearSig: sig, DistThresh: thresh, Player: p,

@@ -146,8 +146,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 	ccfg, _ := cache.Version(3) // intra-player similar frames, as in the testbed
 	ccfg.CapacityBytes = liveCacheBytes
 	frameCache := cache.New(ccfg)
-	meta := env.MetaFor()
-	pf := prefetch.New(env.Game.Scene.Grid, meta, frameCache, src, player, prefetch.DefaultConfig())
+	pf := prefetch.New(env.Game.Scene.Grid, env.Meta, frameCache, src, player, prefetch.DefaultConfig())
 	if udp != nil {
 		// Server pushes land in the frame cache (via the clock, which owns
 		// it) so the pipeline's next lookup hits without a fetch. The
@@ -158,7 +157,7 @@ func RunLive(env *core.Env, addr string, tr *trace.Trace, player int, cfg LiveCo
 		udp.onPush = func(pt geom.GridPoint, data []byte) {
 			clock.IOStarted()
 			clock.Post(func() {
-				leaf, sig, _ := meta(pt)
+				leaf, sig, _ := env.Meta(pt)
 				frameCache.Insert(cache.Entry{
 					Point:   pt,
 					Pos:     grid.Pos(pt),

@@ -21,6 +21,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"coterie/internal/cache"
 	"coterie/internal/codec"
@@ -32,6 +34,7 @@ import (
 	"coterie/internal/obs"
 	"coterie/internal/render"
 	"coterie/internal/runtime"
+	"coterie/internal/world"
 )
 
 // SystemKind identifies one of the evaluated system designs. The type and
@@ -74,7 +77,21 @@ type Env struct {
 	Renderer *render.Renderer
 	Sizer    *FrameSizer
 	CRF      int
+
+	meta      sync.Map // geom.GridPoint → pointMeta (Meta's memo)
+	metaCount atomic.Int64
+	queries   sync.Pool // *world.Query for Meta's near-set queries
 }
+
+// pointMeta is one memoized Meta result.
+type pointMeta struct {
+	leaf   int
+	sig    uint64
+	thresh float64
+}
+
+// metaCap bounds Meta's memo: past it, points are computed but not kept.
+const metaCap = 1 << 20
 
 // PrepareEnv builds a game and runs the offline preprocessing: the
 // adaptive cutoff scheme, the cache distance thresholds, and frame-size
@@ -114,35 +131,39 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	}, nil
 }
 
-// MetaFor builds the prefetch.Meta function for this environment: leaf
-// region, near-set signature and distance threshold of a grid point. The
-// near-set signature uses the leaf's cutoff radius, since that radius
-// defines which objects belong to the near BE.
-func (e *Env) MetaFor() func(pt geom.GridPoint) (int, uint64, float64) {
-	q := e.Game.Scene.NewQuery()
-	type meta struct {
-		leaf   int
-		sig    uint64
-		thresh float64
-	}
-	memo := make(map[geom.GridPoint]meta)
-	return func(pt geom.GridPoint) (int, uint64, float64) {
-		if m, ok := memo[pt]; ok {
-			return m.leaf, m.sig, m.thresh
-		}
-		pos := e.Game.Scene.Grid.Pos(pt)
-		leaf := e.Map.LeafAt(pos)
-		if leaf == nil {
-			return -1, 0, 0
-		}
-		sig := e.Game.Scene.NearSetSignature(q, pos, leaf.Radius)
-		m := meta{leaf: leaf.ID, sig: sig, thresh: leaf.DistThresh}
-		if len(memo) < 1<<20 {
-			memo[pt] = m
-		}
+// Meta returns the §5.3 lookup keys of a grid point: its leaf, the
+// signature of its near-BE object set under the leaf's cutoff radius, and
+// the leaf's distance threshold; -1, 0, 0 outside the map. Safe for
+// concurrent callers, it memoizes up to metaCap points per Env, so each
+// point's near-set walk runs once whoever asks.
+func (e *Env) Meta(pt geom.GridPoint) (leaf int, sig uint64, thresh float64) {
+	if m, ok := e.meta.Load(pt); ok {
+		m := m.(pointMeta)
 		return m.leaf, m.sig, m.thresh
 	}
+	scene := e.Game.Scene
+	pos := scene.Grid.Pos(pt)
+	region := e.Map.LeafAt(pos)
+	if region == nil {
+		return -1, 0, 0
+	}
+	q, _ := e.queries.Get().(*world.Query)
+	if q == nil {
+		q = scene.NewQuery()
+	}
+	m := pointMeta{leaf: region.ID, sig: scene.NearSetSignature(q, pos, region.Radius), thresh: region.DistThresh}
+	e.queries.Put(q)
+	if e.metaCount.Load() < metaCap {
+		if _, loaded := e.meta.LoadOrStore(pt, m); !loaded {
+			e.metaCount.Add(1)
+		}
+	}
+	return m.leaf, m.sig, m.thresh
 }
+
+// MetaFor returns Meta as a function value. Only the benchmark harness
+// still calls it.
+func (e *Env) MetaFor() func(pt geom.GridPoint) (int, uint64, float64) { return e.Meta }
 
 // display4KPixels is the panoramic frame resolution the paper prefetches
 // (3840x2160); sampled sizes are scaled to it.

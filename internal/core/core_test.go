@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -102,17 +103,81 @@ func TestSystemKindPredicates(t *testing.T) {
 	}
 }
 
-func TestMetaForConsistency(t *testing.T) {
-	env := testEnv(t)
-	meta := env.MetaFor()
-	pt := env.Game.Scene.Grid.Snap(env.Game.Spawn)
-	l1, s1, t1 := meta(pt)
-	l2, s2, t2 := meta(pt) // memoised second call
-	if l1 != l2 || s1 != s2 || t1 != t2 {
-		t.Fatal("meta not deterministic")
+// TestMetaConcurrentMatchesSerial: Meta is the §5.3 lookup key of a point
+// whoever asks. Eight goroutines walk the same points in different orders
+// through one fresh memo, and every answer, first or memoized, equals a
+// near-set query of its own at the leaf's radius; off the map it is
+// -1, 0, 0 and is not memoized.
+func TestMetaConcurrentMatchesSerial(t *testing.T) {
+	prepared := testEnv(t)
+	env := &Env{Game: prepared.Game, Map: prepared.Map} // an empty memo
+	scene := env.Game.Scene
+	grid := scene.Grid
+	spawn := grid.Snap(env.Game.Spawn)
+
+	// A 16×16 block around the spawn point at a 7-step stride (several
+	// leaves), plus one point off the map.
+	var pts []geom.GridPoint
+	want := map[geom.GridPoint]pointMeta{}
+	for di := -8; di < 8; di++ {
+		for dj := -8; dj < 8; dj++ {
+			pt := geom.GridPoint{I: spawn.I + 7*di, J: spawn.J + 7*dj}
+			pos := grid.Pos(pt)
+			leaf := env.Map.LeafAt(pos)
+			if leaf == nil {
+				t.Fatalf("%v is off the map", pt)
+			}
+			pts = append(pts, pt)
+			want[pt] = pointMeta{leaf.ID, scene.NearSetSignature(scene.NewQuery(), pos, leaf.Radius), leaf.DistThresh}
+		}
 	}
-	if l1 < 0 || t1 <= 0 {
-		t.Fatalf("implausible meta: leaf %d thresh %v", l1, t1)
+	off := geom.GridPoint{I: -10, J: -10}
+	pts = append(pts, off)
+	want[off] = pointMeta{-1, 0, 0}
+	leaves := map[int]bool{}
+	for _, k := range want {
+		leaves[k.leaf] = true
+	}
+	if len(pts) < 200 || len(leaves) < 3 {
+		t.Fatalf("%d points in %d leaves: too few to test", len(pts), len(leaves))
+	}
+
+	const goroutines = 8
+	errs := make(chan string, goroutines*len(pts))
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Goroutine g starts at a different point; odd ones walk backwards.
+			for n := range pts {
+				i := (n + g*len(pts)/goroutines) % len(pts)
+				if g%2 == 1 {
+					i = len(pts) - 1 - i
+				}
+				pt := pts[i]
+				if l, s, th := env.Meta(pt); (pointMeta{l, s, th}) != want[pt] {
+					errs <- fmt.Sprintf("goroutine %d: Meta(%v) = %d, %x, %v, want %+v", g, pt, l, s, th, want[pt])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	for _, pt := range pts {
+		if l, s, th := env.Meta(pt); (pointMeta{l, s, th}) != want[pt] {
+			t.Errorf("memoized Meta(%v) = %d, %x, %v, want %+v", pt, l, s, th, want[pt])
+		}
+	}
+	if n := env.metaCount.Load(); n != int64(len(pts)-1) {
+		t.Errorf("memo holds %d points, want the %d on the map", n, len(pts)-1)
+	}
+	if l, _, th := env.Meta(spawn); l < 0 || th <= 0 {
+		t.Errorf("implausible meta at spawn: leaf %d thresh %v", l, th)
 	}
 }
 

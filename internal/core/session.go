@@ -139,7 +139,7 @@ func RunSession(env *Env, cfg SessionConfig) (*Result, error) {
 			}
 			deps.Source = src
 			deps.Cache = ca
-			deps.Prefetcher = prefetch.New(env.Game.Scene.Grid, env.MetaFor(), ca, src, i, pfCfg)
+			deps.Prefetcher = prefetch.New(env.Game.Scene.Grid, env.Meta, ca, src, i, pfCfg)
 			deps.Net = wifi
 			deps.Latencies = src.latencies
 			srcs[i] = src
@@ -211,12 +211,11 @@ func runtimeConfig(env *Env, cfg SessionConfig, endMs float64) runtime.Config {
 // cache (the §4.6 emulation assumption: "the reply from the server is
 // overheard and cached by all the players").
 func wireOverhearing(env *Env, clients []*runtime.Client, srcs []*simSource) {
-	meta := env.MetaFor()
 	grid := env.Game.Scene.Grid
 	for i, src := range srcs {
 		i := i
 		src.onDeliver = func(pt geom.GridPoint, size int) {
-			leaf, sig, _ := meta(pt)
+			leaf, sig, _ := env.Meta(pt)
 			e := cache.Entry{
 				Point: pt, Pos: grid.Pos(pt),
 				LeafID: leaf, NearSig: sig,

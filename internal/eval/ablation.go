@@ -110,7 +110,6 @@ func (l *Lab) CutoffAblation(game string) (*AblationCutoff, error) {
 	// Hit ratios from a replayed request stream: the reuse threshold
 	// scales with the radius (the calibrated thresh/radius ratio), so the
 	// global radius directly shrinks the reuse distance.
-	meta := env.MetaFor()
 	hit := func(radiusAt func(geom.Vec2) float64) float64 {
 		cfg, _ := cache.Version(3)
 		c := cache.New(cfg)
@@ -125,7 +124,7 @@ func (l *Lab) CutoffAblation(game string) (*AblationCutoff, error) {
 			last = pt
 			pos := grid.Pos(pt)
 			rad := radiusAt(pos)
-			leaf, _, _ := meta(pt)
+			leaf, _, _ := env.Meta(pt)
 			sig := env.Game.Scene.NearSetSignature(q, pos, rad)
 			req := cache.Request{
 				Point: pt, Pos: pos, LeafID: leaf, NearSig: sig,
@@ -171,7 +170,6 @@ func (l *Lab) LookupAblation(game string) (*AblationLookup, error) {
 		return nil, err
 	}
 	tr := trace.Generate(env.Game, 60, l.Opts.Seed+13)
-	meta := env.MetaFor()
 	grid := env.Game.Scene.Grid
 
 	type probe struct {
@@ -188,7 +186,7 @@ func (l *Lab) LookupAblation(game string) (*AblationLookup, error) {
 				continue
 			}
 			last = pt
-			leaf, sig, thresh := meta(pt)
+			leaf, sig, thresh := env.Meta(pt)
 			reqLeaf, reqSig := leaf, sig
 			if p.dropLeaf {
 				reqLeaf = 0 // all entries stored with leaf 0: criterion off
@@ -204,7 +202,7 @@ func (l *Lab) LookupAblation(game string) (*AblationLookup, error) {
 			if e, ok := c.Lookup(req); ok {
 				hits++
 				// The hit is unsafe when the true metadata differs.
-				trueLeaf, trueSig, _ := meta(e.Point)
+				trueLeaf, trueSig, _ := env.Meta(e.Point)
 				if trueLeaf != leaf || trueSig != sig {
 					unsafeHits++
 				}

@@ -59,10 +59,8 @@ func (l *Lab) Table5(game string) ([]Table5Row, error) {
 
 	// Each (version, players) replay is self-contained: it generates its own
 	// party trace from a fixed seed and mutates only its own caches, so the
-	// 20-cell grid fans out across workers. MetaFor closures memoize through
-	// a shared map, so each worker gets its own.
-	var metas []func(geom.GridPoint) (int, uint64, float64)
-	par.ForWorker(5*4, &metas, env.MetaFor, func(meta func(geom.GridPoint) (int, uint64, float64), idx int) {
+	// 20-cell grid fans out across workers, sharing env.Meta's memo.
+	par.For(5*4, func(idx int) {
 		vi, players := idx/4, idx%4+1
 		party := trace.GenerateParty(env.Game, players, seconds, l.Opts.Seed+11)
 		caches := make([]*cache.Cache, players)
@@ -83,7 +81,7 @@ func (l *Lab) Table5(game string) ([]Table5Row, error) {
 					continue // no new frame needed while stationary
 				}
 				lastPt[p] = pt
-				leaf, sig, thresh := meta(pt)
+				leaf, sig, thresh := env.Meta(pt)
 				req := cache.Request{
 					Point: pt, Pos: grid.Pos(pt),
 					LeafID: leaf, NearSig: sig,

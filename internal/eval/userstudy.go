@@ -45,7 +45,6 @@ func (l *Lab) Table10() (*Table10Result, error) {
 		}
 		r := render.New(env.Game.Scene, l.Opts.renderConfig())
 		tr := trace.Generate(env.Game, 20, l.Opts.Seed+10)
-		meta := env.MetaFor()
 		grid := env.Game.Scene.Grid
 
 		// Walk the replay; at each point where the cache would switch to
@@ -55,7 +54,7 @@ func (l *Lab) Table10() (*Table10Result, error) {
 		// as seen from the current viewpoint's leaf radius.
 		lastSrc := tr.Pos[0]
 		lastPt := grid.Snap(tr.Pos[0])
-		lastLeaf, lastSig, _ := meta(lastPt)
+		lastLeaf, lastSig, _ := env.Meta(lastPt)
 		scored := 0
 		for i := 1; i < tr.Len() && scored < perGame; i++ {
 			pt := grid.Snap(tr.Pos[i])
@@ -63,7 +62,7 @@ func (l *Lab) Table10() (*Table10Result, error) {
 				continue
 			}
 			lastPt = pt
-			leaf, sig, thresh := meta(pt)
+			leaf, sig, thresh := env.Meta(pt)
 			switched := leaf != lastLeaf || sig != lastSig || tr.Pos[i].Dist(lastSrc) > thresh
 			lastLeaf, lastSig = leaf, sig
 			if !switched {

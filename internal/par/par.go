@@ -38,11 +38,11 @@ func For(n int, fn func(i int)) {
 	run(min(Workers(), n), n, func(_, i int) { fn(i) })
 }
 
-// ForWorker is For with per-worker scratch state (a world.Query, a memoized
-// lookup) allocated once rather than once per item: before any worker
-// starts, *scratch is grown with newScratch to one element per worker of
-// this call, and worker w passes (*scratch)[w] with every item it runs.
-// The caller keeps the slice, so later calls reuse it at any width.
+// ForWorker is For with per-worker scratch state (a world.Query) allocated
+// once rather than once per item: before any worker starts, *scratch is
+// grown with newScratch to one element per worker of this call, and worker
+// w passes (*scratch)[w] with every item it runs. The caller keeps the
+// slice, so later calls reuse it at any width.
 func ForWorker[S any](n int, scratch *[]S, newScratch func() S, fn func(s S, i int)) {
 	w := min(Workers(), n)
 	for len(*scratch) < w {

@@ -19,8 +19,8 @@ import (
 
 // Meta computes the cache lookup metadata of a grid point: its leaf
 // region, near-BE object-set signature, and leaf distance threshold. It is
-// built from the offline cutoff map (see core.NewMetaFunc).
-type Meta func(pt geom.GridPoint) (leafID int, nearSig uint64, distThresh float64)
+// built from the offline cutoff map (see core.Env.Meta).
+type Meta func(pt geom.GridPoint) (leaf int, sig uint64, thresh float64)
 
 // Source delivers encoded far-BE frames, either over the simulated WiFi or
 // a real TCP connection. done is invoked when the payload arrives, with

@@ -3,10 +3,8 @@ package server
 import (
 	"math"
 
-	"coterie/internal/cutoff"
 	"coterie/internal/geom"
 	"coterie/internal/transport"
-	"coterie/internal/world"
 )
 
 // This file is the quality-degrade ladder: the frame the server serves
@@ -22,9 +20,11 @@ import (
 // exact render of some grid point.
 
 // maxStaleRadius bounds the ring scan for a stale substitute, in grid
-// steps. DistThresh rarely exceeds a few steps in calibrated maps; the
-// cap keeps a pathological threshold from turning the fallback into a
-// store sweep.
+// steps: in the walking games (1/32 m steps) the rung scans at most
+// 0.19 m, narrower than the client cache's reach. Calibrated thresholds
+// are wider: 481 of viking's 697 leaves and all 40 of pool's exceed 6
+// steps (medians 15.5 and 9.1 steps). The cap keeps the fallback from
+// turning into a store sweep.
 const maxStaleRadius = 6
 
 // staleRung serves pt off the stale rung when a cached frame the
@@ -48,7 +48,7 @@ func (s *Server) staleRung(pt geom.GridPoint, res *frameResult) bool {
 		return false
 	}
 	maxR := min(int(math.Ceil(leaf.DistThresh/grid.Step)), maxStaleRadius)
-	// pt's signature is computed at the first resident candidate: a late
+	// pt's signature is looked up at the first resident candidate: a late
 	// request with no neighbour resident pays no near-set query.
 	var sig uint64
 	haveSig := false
@@ -68,9 +68,10 @@ func (s *Server) staleRung(pt geom.GridPoint, res *frameResult) bool {
 				continue
 			}
 			if !haveSig {
-				sig, haveSig = s.nearSig(pt, leaf), true
+				_, sig, _ = s.env.Meta(pt)
+				haveSig = true
 			}
-			if s.nearSig(cand, leaf) == sig {
+			if _, candSig, _ := s.env.Meta(cand); candSig == sig {
 				best, bestDist = data, d
 			}
 		}
@@ -81,20 +82,6 @@ func (s *Server) staleRung(pt geom.GridPoint, res *frameResult) bool {
 		}
 	}
 	return false
-}
-
-// nearSig is the signature of pt's near-BE object set under leaf's cutoff
-// radius: the key of the cache's third criterion (core.Env.MetaFor, whose
-// memoized closure is not safe for serve's concurrent callers). The scene
-// query comes from a pool.
-func (s *Server) nearSig(pt geom.GridPoint, leaf *cutoff.Region) uint64 {
-	scene := s.env.Game.Scene
-	q, _ := s.sigQueries.Get().(*world.Query)
-	if q == nil {
-		q = scene.NewQuery()
-	}
-	defer s.sigQueries.Put(q)
-	return scene.NearSetSignature(q, scene.Grid.Pos(pt), leaf.Radius)
 }
 
 // chebyshevRing returns the grid points at Chebyshev distance r >= 1 from

@@ -46,7 +46,7 @@ func TestStaleRungServesCalibratedNeighbour(t *testing.T) {
 			spawn := grid.Snap(env.Game.Spawn)
 			pt := geom.GridPoint{I: spawn.I + tc.east, J: spawn.J}
 			nb := geom.GridPoint{I: pt.I + 1, J: pt.J}
-			meta := env.MetaFor()
+			meta := env.Meta
 			leaf, sig, thresh := meta(pt)
 			if nbLeaf, nbSig, _ := meta(nb); leaf < 0 || nbLeaf != leaf || (nbSig == sig) != tc.sameSig || grid.Dist(pt, nb) > thresh {
 				t.Fatalf("%v must share %v's leaf and be within its DistThresh, same near set %v (leaf %d, signature %x vs %x)", nb, pt, tc.sameSig, leaf, sig, nbSig)

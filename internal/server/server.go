@@ -73,10 +73,6 @@ type Server struct {
 	mu  sync.Mutex // guards hub
 	hub *fisync.Hub
 
-	// sigQueries pools the scene queries of the stale rung's near-set
-	// signatures (nearSig).
-	sigQueries sync.Pool
-
 	// Stats
 	served   atomic.Int64
 	rendered atomic.Int64
