@@ -53,7 +53,6 @@ func main() {
 	peerFetchTO := flag.Duration("peer-fetch-timeout", cluster.DefaultFetchTimeout, "cluster peer frame-fetch timeout")
 	clusterAdmin := flag.String("cluster-admin", "", "comma-separated admin addresses of every cluster node (same order as -cluster); enables the /cluster fleet view on the admin endpoint")
 	push := flag.Bool("push", false, "push predicted frames unsolicited over UDP to subscribed clients")
-	sloObjective := flag.Float64("slo-objective", obs.DefaultSLOObjective, "SLO: fraction of frames that must be served within the frame budget at full quality")
 	flag.Parse()
 
 	spec, err := games.ByName(*game)
@@ -90,12 +89,6 @@ func main() {
 	reg.PublishExpvar("coterie")
 	srv.Instrument(reg)
 
-	// SLO burn-rate monitor: every served frame counts against the error
-	// budget (late, degraded or failover frames are budget spend).
-	slo := obs.NewSLO(obs.SLOConfig{Objective: *sloObjective})
-	reg.SetSLO(slo)
-	srv.SetSLO(slo)
-
 	if *clusterList != "" {
 		var nodes []string
 		for _, a := range strings.Split(*clusterList, ",") {
@@ -131,9 +124,9 @@ func main() {
 			log.Fatalf("coterie-server: admin: %v", err)
 		}
 		mux := obs.AdminMux(reg)
-		// /cluster merges the whole fleet's /metrics, /slo and /qoe into
-		// one view. -cluster-admin names every node's admin address; a
-		// single node falls back to scraping only itself.
+		// /cluster merges the whole fleet's /metrics into one view.
+		// -cluster-admin names every node's admin address; a single node
+		// falls back to scraping only itself.
 		admins := []string{*admin}
 		if *clusterAdmin != "" {
 			admins = admins[:0]
@@ -154,7 +147,7 @@ func main() {
 				slog.Warn("admin listener failed", "err", err)
 			}
 		}()
-		log.Printf("admin endpoint on http://%s (/metrics, /trace, /slo, /cluster, /debug/vars, /debug/pprof)", aln.Addr())
+		log.Printf("admin endpoint on http://%s (/metrics, /trace, /cluster, /debug/vars, /debug/pprof)", aln.Addr())
 	}
 
 	if *prerender > 0 {

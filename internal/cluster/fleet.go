@@ -12,15 +12,15 @@ import (
 )
 
 // This file is the fleet-aggregation side of cluster observability: each
-// node can scrape its peers' admin endpoints (/metrics, /qoe, /slo) and
-// serve the merged view at /cluster, so any node answers "is the fleet
-// meeting its SLO right now?" without an external collector. Scrapes are
-// bounded by a per-node timeout and a failed node is stale-marked in the
-// output rather than hanging or hiding the rest of the fleet.
+// node can scrape its peers' /metrics and serve the merged view at
+// /cluster, so any node answers "is the fleet meeting its frame budget
+// right now?" without an external collector. Scrapes are bounded by a
+// per-node timeout and a failed node is stale-marked in the output rather
+// than hanging or hiding the rest of the fleet.
 
-// DefaultScrapeTimeout bounds one node's scrape (all three endpoints
-// together). A node slower than this is reported stale; the fleet view
-// must come back fast enough to be a live dashboard.
+// DefaultScrapeTimeout bounds one node's /metrics scrape. A node slower
+// than this is reported stale; the fleet view must come back fast enough
+// to be a live dashboard.
 const DefaultScrapeTimeout = 2 * time.Second
 
 // FleetConfig names the admin endpoints of the whole fleet.
@@ -57,14 +57,6 @@ type FleetNode struct {
 	// DeadlineCompliance is deadline_met over all deadline-tracked
 	// serves; -1 when the node saw no deadline traffic.
 	DeadlineCompliance float64 `json:"deadline_compliance"`
-
-	// From /slo: the node's error-budget burn.
-	SLO obs.SLOSnapshot `json:"slo"`
-
-	// From /qoe: the node's windowed QoE over its recorded spans (server
-	// nodes record hop spans only, so this is mostly interesting on
-	// client admin endpoints; kept raw for obsreport).
-	QoE *obs.QoESnapshot `json:"qoe,omitempty"`
 }
 
 // FleetView is the merged fleet state served at /cluster.
@@ -82,13 +74,9 @@ type FleetView struct {
 	DeadlineMet    int64 `json:"deadline_met"`
 	DeadlineMisses int64 `json:"deadline_misses"`
 
-	// DeadlineCompliance and BurnRate1m/5m summarise the fleet: the
-	// compliance ratio over all live nodes' deadline-tracked serves, and
-	// the frame-weighted mean burn rates. Compliance is -1 with no
-	// deadline traffic.
+	// DeadlineCompliance summarises the fleet: deadline_met over all live
+	// nodes' deadline-tracked serves; -1 with no deadline traffic.
 	DeadlineCompliance float64 `json:"deadline_compliance"`
-	BurnRate1m         float64 `json:"burn_rate_1m"`
-	BurnRate5m         float64 `json:"burn_rate_5m"`
 }
 
 // Scrape collects the fleet view: every admin endpoint is scraped
@@ -106,8 +94,6 @@ func Scrape(cfg FleetConfig) FleetView {
 	}
 	wg.Wait()
 
-	var sloFrames1m, sloBad1m, sloFrames5m, sloBad5m int64
-	var budget1m, budget5m float64
 	for _, n := range view.Nodes {
 		if n.Stale {
 			view.NodesStale++
@@ -120,33 +106,21 @@ func Scrape(cfg FleetConfig) FleetView {
 		view.PeerFailovers += n.PeerFailovers
 		view.DeadlineMet += n.DeadlineMet
 		view.DeadlineMisses += n.DeadlineMisses
-		sloFrames1m += n.SLO.Short.Frames
-		sloBad1m += n.SLO.Short.BadFrames
-		sloFrames5m += n.SLO.Long.Frames
-		sloBad5m += n.SLO.Long.BadFrames
-		if n.SLO.Objective > 0 && n.SLO.Objective < 1 {
-			budget1m = 1 - n.SLO.Objective
-			budget5m = budget1m
-		}
 	}
-	if total := view.DeadlineMet + view.DeadlineMisses; total > 0 {
-		view.DeadlineCompliance = float64(view.DeadlineMet) / float64(total)
-	} else {
-		view.DeadlineCompliance = -1
-	}
-	if sloFrames1m > 0 && budget1m > 0 {
-		view.BurnRate1m = (float64(sloBad1m) / float64(sloFrames1m)) / budget1m
-	}
-	if sloFrames5m > 0 && budget5m > 0 {
-		view.BurnRate5m = (float64(sloBad5m) / float64(sloFrames5m)) / budget5m
-	}
+	view.DeadlineCompliance = compliance(view.DeadlineMet, view.DeadlineMisses)
 	return view
 }
 
-// scrapeNode fetches one node's /metrics, /slo and /qoe. The first
-// failure stale-marks the node; /qoe and /slo tolerate absence on older
-// nodes only insofar as a missing endpoint still answers 200 from the
-// admin mux — a transport failure is a real failure.
+// compliance is met over all deadline-tracked serves; -1 when there were
+// none.
+func compliance(met, misses int64) float64 {
+	if total := met + misses; total > 0 {
+		return float64(met) / float64(total)
+	}
+	return -1
+}
+
+// scrapeNode fetches one node's /metrics; a failure stale-marks the node.
 func scrapeNode(addr string, self bool) FleetNode {
 	n := FleetNode{Addr: addr, Self: self, DeadlineCompliance: -1}
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultScrapeTimeout)
@@ -167,22 +141,7 @@ func scrapeNode(addr string, self bool) FleetNode {
 	n.StoreBytes = snap.Gauges["server.store_bytes"]
 	n.SessionsActive = snap.Gauges["server.sessions_active"]
 	n.PeersUp = snap.Gauges["cluster.peers_up"]
-	if total := n.DeadlineMet + n.DeadlineMisses; total > 0 {
-		n.DeadlineCompliance = float64(n.DeadlineMet) / float64(total)
-	}
-
-	if err := getJSON(ctx, addr, "/slo", &n.SLO); err != nil {
-		n.Stale, n.Err = true, err.Error()
-		return n
-	}
-	var qoe obs.QoESnapshot
-	if err := getJSON(ctx, addr, "/qoe", &qoe); err != nil {
-		n.Stale, n.Err = true, err.Error()
-		return n
-	}
-	if qoe.Spans > 0 {
-		n.QoE = &qoe
-	}
+	n.DeadlineCompliance = compliance(n.DeadlineMet, n.DeadlineMisses)
 	return n
 }
 

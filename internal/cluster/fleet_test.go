@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,22 +13,16 @@ import (
 )
 
 // adminNode serves a real obs.AdminMux over a registry with some serving
-// history (frames total, good of them meeting the SLO), returning its
-// host:port address.
-func adminNode(t *testing.T, frames, good int64) string {
+// history (frames total, met of them within their deadline, the rest
+// late), returning its host:port address.
+func adminNode(t *testing.T, frames, met int64) string {
 	t.Helper()
 	r := obs.NewRegistry()
-	slo := obs.NewSLO(obs.SLOConfig{
-		Objective: 0.9,
-		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
-	})
-	r.SetSLO(slo)
 	r.Counter("server.frames_served").Add(frames)
 	r.Counter("server.frames_rendered").Add(frames)
+	r.Counter("server.deadline_met").Add(met)
+	r.Counter("server.deadline_misses").Add(frames - met)
 	r.Gauge("server.store_bytes").Set(frames * 1000)
-	for i := int64(0); i < frames; i++ {
-		slo.Observe(i < good)
-	}
 	ts := httptest.NewServer(obs.AdminMux(r))
 	t.Cleanup(ts.Close)
 	return strings.TrimPrefix(ts.URL, "http://")
@@ -40,8 +32,8 @@ func adminNode(t *testing.T, frames, good int64) string {
 // hanging the scrape, and the fleet totals cover exactly the live nodes —
 // the merged frame count is the sum of the per-node /metrics counters.
 func TestFleetScrapeWithDeadPeer(t *testing.T) {
-	a := adminNode(t, 10, 10) // all good
-	b := adminNode(t, 5, 0)   // all bad: burns the whole budget
+	a := adminNode(t, 10, 10) // every deadline met
+	b := adminNode(t, 5, 0)   // every deadline missed
 
 	// A listener that is already closed: connection refused, promptly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -86,16 +78,25 @@ func TestFleetScrapeWithDeadPeer(t *testing.T) {
 		}
 	}
 
-	// Burn rates are frame-weighted over the live nodes: 5 bad of 15
-	// frames at a 10% budget burns (5/15)/0.1 ≈ 3.33.
-	want := (5.0 / 15.0) / 0.1
-	if diff := view.BurnRate1m - want; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("fleet 1m burn rate = %v, want %v", view.BurnRate1m, want)
+	// Deadline compliance merges the live nodes' counters only: 10 met of
+	// 15 deadline-tracked serves. The stale node reads -1, not 0.
+	if view.DeadlineMet != 10 || view.DeadlineMisses != 5 {
+		t.Errorf("fleet deadlines met/missed = %d/%d, want 10/5", view.DeadlineMet, view.DeadlineMisses)
+	}
+	if got, want := view.DeadlineCompliance, 10.0/15.0; got != want {
+		t.Errorf("fleet deadline compliance = %v, want %v", got, want)
+	}
+	for i, want := range []float64{1, -1, 0} {
+		if got := view.Nodes[i].DeadlineCompliance; got != want {
+			t.Errorf("node %d deadline compliance = %v, want %v", i, got, want)
+		}
 	}
 
-	// Per-node SLO rode along.
-	if got := view.Nodes[2].SLO.Short.BadFrames; got != 5 {
-		t.Errorf("node b short-window bad frames = %d, want 5", got)
+	// No deadline traffic at all: compliance is -1, not a ratio of zeros.
+	idle := Scrape(FleetConfig{Admins: []string{adminNode(t, 0, 0)}})
+	if idle.NodesUp != 1 || idle.DeadlineCompliance != -1 || idle.Nodes[0].DeadlineCompliance != -1 {
+		t.Errorf("no deadline traffic: nodes up %d, fleet compliance %v, node compliance %v; want 1, -1, -1",
+			idle.NodesUp, idle.DeadlineCompliance, idle.Nodes[0].DeadlineCompliance)
 	}
 }
 

@@ -117,7 +117,7 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, cutoff.DefaultThresholdConfig()); err != nil {
 		return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
 	}
-	sizer, err := NewFrameSizer(g, m, r, codec.DefaultCRF, opts.SizeSamples)
+	sizer, err := NewFrameSizer(g, m, codec.DefaultCRF, opts.SizeSamples)
 	if err != nil {
 		return nil, fmt.Errorf("core: frame sizing failed: %w", err)
 	}
@@ -200,9 +200,9 @@ type FrameSizer struct {
 // on an unrelated knob).
 var sizerConfig = render.Config{W: 192, H: 96}
 
-// NewFrameSizer samples frame sizes across the world. The passed renderer
-// selects the scene; sampling happens at the fixed sizer resolution.
-func NewFrameSizer(g *games.Game, m *cutoff.Map, _ *render.Renderer, crf, samples int) (*FrameSizer, error) {
+// NewFrameSizer samples frame sizes across the world at the fixed sizer
+// resolution.
+func NewFrameSizer(g *games.Game, m *cutoff.Map, crf, samples int) (*FrameSizer, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("core: need at least one size sample")
 	}

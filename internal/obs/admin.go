@@ -17,9 +17,6 @@ import (
 //	              ?trace= every span of one distributed trace id)
 //	/qoe          sliding-window QoE summary derived from the spans
 //	              (?window= ms, ?budget= ms, ?player=)
-//	/slo          error-budget snapshot of the registry's SLO tracker
-//	              (burn rates over the short/long windows; zero-valued
-//	              when no tracker is attached)
 //	/debug/vars   expvar (includes the registry once PublishExpvar ran)
 //	/debug/pprof  the standard Go profiling endpoints
 //
@@ -91,9 +88,6 @@ func AdminMux(r *Registry) *http.ServeMux {
 		}
 		cfg.Player = player
 		writeJSON(w, r.QoE(cfg))
-	})
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, r.SLO().Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -203,7 +203,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	trace    *TraceRing
-	slo      *SLO
 }
 
 // NewRegistry creates an empty registry with a trace ring of the default
@@ -271,29 +270,6 @@ func (r *Registry) Trace() *TraceRing {
 		return nil
 	}
 	return r.trace
-}
-
-// SetSLO attaches an SLO tracker, resolving its gauges and counters in
-// this registry and serving it at the admin mux's /slo endpoint.
-func (r *Registry) SetSLO(s *SLO) {
-	if r == nil {
-		return
-	}
-	s.Instrument(r)
-	r.mu.Lock()
-	r.slo = s
-	r.mu.Unlock()
-}
-
-// SLO returns the attached SLO tracker (nil when none is attached; a nil
-// tracker's methods no-op and snapshot to zero values).
-func (r *Registry) SLO() *SLO {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slo
 }
 
 // Snapshot is a point-in-time copy of every instrument, shaped for JSON.

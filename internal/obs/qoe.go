@@ -2,7 +2,7 @@ package obs
 
 import "sort"
 
-// QoE/SLO monitoring on top of the per-frame trace ring: sliding-window
+// QoE monitoring on top of the per-frame trace ring: sliding-window
 // FPS, missed-vsync ratio, and frame-budget compliance against the
 // 16.7 ms/frame budget the paper's QoE evaluation (Table 7) is built on,
 // plus per-player cache-hit rate. Everything here is a cold path — QoE is

@@ -84,11 +84,6 @@ type Server struct {
 	// Observability (zero values when not instrumented).
 	obs serverObs
 	tm  *transport.Metrics
-	// slo, when set, tracks every served client frame against the
-	// error-budget objective: a frame spends budget when it exceeded the
-	// latency budget server-side, was served off a degrade rung, or was a
-	// failover re-render. Set before Serve via SetSLO.
-	slo *obs.SLO
 }
 
 // serverObs holds the server's registry instruments; all fields are
@@ -255,12 +250,6 @@ func New(env *core.Env) *Server {
 // cluster's lifecycle (Start/Close).
 func (s *Server) SetCluster(c *cluster.Cluster) { s.cluster = c }
 
-// SetSLO attaches an error-budget tracker fed by every served client
-// frame: lateness against the tracker's latency budget, degrade-rung
-// serves, and failover re-renders all count against the budget. nil (the
-// default) disables tracking. Call before Serve.
-func (s *Server) SetSLO(t *obs.SLO) { s.slo = t }
-
 // SetPushEnabled toggles trajectory-driven frame push on the datagram
 // path (off by default). Pushes only reach UDP sessions that subscribed
 // with the want-push flag, so a client that only syncs FI never sees one.
@@ -317,8 +306,8 @@ func newFrameReq(r transport.FrameRequest, recvMs float64) frameReq {
 type frameResult struct {
 	transport.FrameReply
 	rendered bool // this call ray-cast and encoded the frame
-	// recvMs and sendMs bracket serve on this server's clock: deadline, SLO
-	// and span accounting read them; they do not go on the wire.
+	// recvMs and sendMs bracket serve on this server's clock: deadline and
+	// span accounting read them; they do not go on the wire.
 	recvMs, sendMs float64
 }
 
@@ -393,12 +382,6 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 			s.obs.deadlineMet.Inc()
 		}
 	}
-	// SLO accounting (a nil tracker ignores it): a frame spends error budget
-	// when it was slow server-side, quality-degraded, or a failover
-	// re-render — quality loss burns the budget exactly like lateness.
-	s.slo.Observe(res.sendMs-res.recvMs <= s.slo.BudgetMs() &&
-		res.Rung == transport.RungExact &&
-		res.Origin != transport.OriginFailover)
 	return res, nil
 }
 

@@ -6,11 +6,14 @@
 #   scripts/pairs.sh PARENT_REF WORKLOAD SEED N
 #   scripts/pairs.sh HEAD~1 cold_scatter 3 10
 #
-# PARENT_REF is exported with `git archive` into .bench_build/parent/ (its
-# own tree, its own bench/ and build cache); the change is the working
-# tree. Each pair runs `bash bench/run.sh --workload WORKLOAD --seed SEED
-# --seconds 10 --trace 0` once on each side, the side that goes first
-# alternating from pair to pair. Every run is printed, then per end-to-end
+# PARENT_REF is exported with `git archive` into .bench_build/parent/ and
+# the working tree — uncommitted edits and untracked, not ignored files
+# included — the same way into .bench_build/change/, so the two sides
+# differ in nothing but their source: each a fresh tree with its own
+# bench/ build and build cache, neither the checkout's. Each pair runs
+# `bash bench/run.sh --workload WORKLOAD --seed SEED --seconds 10
+# --trace 0` once on each side, the side that goes first alternating from
+# pair to pair. Every run is printed, then per end-to-end
 # metric: each side's median and quartiles, the pairs the change won (ties
 # count for neither) and the parent's own quartile distance — claim a gain
 # only at >= 9/10 pairs won and medians further apart than that distance.
@@ -20,7 +23,8 @@
 # host, CPU per frame hardly at all, so it is the steady witness of a
 # compute change.
 # Nothing under bench/ is touched; everything written lands in
-# .bench_build/ (git-ignored).
+# .bench_build/ (git-ignored), apart from the blobs of the working-tree
+# snapshot, which git stores as ordinary unreferenced objects.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -31,10 +35,18 @@ ref=$1 workload=$2 seed=$3 n=$4
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 parent="$root/.bench_build/parent"
+change="$root/.bench_build/change"
 runs="$root/.bench_build/pairs.$workload.$seed.txt"
-rm -rf "$parent"
-mkdir -p "$parent"
+rm -rf "$parent" "$change"
+mkdir -p "$parent" "$change"
 git -C "$root" archive "$ref" | tar -x -C "$parent"
+# The working tree as a tree object: a scratch index staged with `add -A`
+# (the real index is untouched), then archived like the parent.
+index="$root/.bench_build/change.index"
+rm -f "$index"
+GIT_INDEX_FILE="$index" git -C "$root" add -A
+git -C "$root" archive "$(GIT_INDEX_FILE="$index" git -C "$root" write-tree)" | tar -x -C "$change"
+rm -f "$index"
 : > "$runs"
 
 # run SIDE TREE PAIR: one benchmark run; the metrics of its result object
@@ -59,9 +71,9 @@ echo "parent $(git -C "$root" rev-parse --short "$ref") vs working tree: $worklo
 for i in $(seq 1 "$n"); do
     if [ $((i % 2)) -eq 1 ]; then
         run parent "$parent" "$i"
-        run change "$root" "$i"
+        run change "$change" "$i"
     else
-        run change "$root" "$i"
+        run change "$change" "$i"
         run parent "$parent" "$i"
     fi
 done
