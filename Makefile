@@ -26,11 +26,11 @@ vet:
 build:
 	$(GO) build ./...
 
-# The client is the phone's half: it links none of the server, its render
-# scheduler or the cluster. Fails, naming the package, when it does.
+# The client is the phone's half: it links neither the server nor its
+# render scheduler. Fails, naming the package, when it does.
 deps:
 	@for p in ./internal/client ./cmd/coterie-client; do \
-		bad="$$($(GO) list -deps $$p | grep -E '^coterie/internal/(server|sched|cluster)$$')"; \
+		bad="$$($(GO) list -deps $$p | grep -E '^coterie/internal/(server|sched)$$')"; \
 		if [ -n "$$bad" ]; then echo "$$p links $$bad"; exit 1; fi; \
 	done
 
@@ -45,17 +45,16 @@ test:
 	$(GO) test ./...
 
 # Core-count matrix: frame bytes are a pure function of the grid point, so
-# the frame-serving packages (and transport, home of the client exchange
-# the peer hop runs on, and the client that decodes those frames) must pass
-# on 1, 2 and all cores, as must par, whose
-# render pool fans a call out by workers against calls in flight. -count=1
-# because the test cache does not key on GOMAXPROCS.
+# the frame-serving packages (and transport, the wire they speak, and the
+# client that decodes those frames) must pass on 1, 2 and all cores, as
+# must par, whose render pool fans a call out by workers against calls in
+# flight. -count=1 because the test cache does not key on GOMAXPROCS.
 test-procs:
 	@for p in $$(printf '%s\n' 1 2 $$(nproc) | sort -un); do \
 		echo "GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/server/... ./internal/client/... \
-			./internal/render/... ./internal/sched/... ./internal/cluster/... \
-			./internal/lru/... ./internal/transport/... ./internal/par/... || exit 1; \
+			./internal/render/... ./internal/sched/... ./internal/lru/... \
+			./internal/transport/... ./internal/par/... || exit 1; \
 	done
 
 # internal/eval runs alone: its determinism test renders at GOMAXPROCS 8,
@@ -67,8 +66,8 @@ race:
 		./internal/runtime/... ./internal/server/... ./internal/client/... \
 		./internal/transport/... ./internal/cache/... ./internal/prefetch/... \
 		./internal/obs/... ./internal/par/... ./internal/render/... \
-		./internal/codec/... ./internal/sched/... ./internal/cluster/... \
-		./internal/netsim/... ./internal/world/... ./internal/lru/...
+		./internal/codec/... ./internal/sched/... ./internal/netsim/... \
+		./internal/world/... ./internal/lru/...
 
 # Native fuzzing: each Fuzz* target in turn for FUZZTIME (six targets,
 # ~1 min at the default), e.g. `make fuzz FUZZTIME=2m`. A failing input is

@@ -9,8 +9,8 @@
 //	coterie-client -game viking -addr localhost:7368
 //
 // With -admin, an HTTP listener exposes /metrics (JSON registry
-// snapshot), /trace (recent frame spans), /debug/vars (expvar) and
-// /debug/pprof for live inspection:
+// snapshot), /debug/vars (expvar) and /debug/pprof for live inspection
+// (frame spans are recorded by the client, on its own -admin /trace):
 //
 //	coterie-server -game viking -addr :7368 -admin :6060
 package main
@@ -24,11 +24,9 @@ import (
 	"net"
 	"net/http"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"coterie/internal/cluster"
 	"coterie/internal/core"
 	"coterie/internal/games"
 	"coterie/internal/geom"
@@ -40,18 +38,13 @@ import (
 func main() {
 	game := flag.String("game", "viking", "game to host (see games catalog)")
 	addr := flag.String("addr", ":7368", "listen address")
-	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, /trace, expvar and pprof (empty = disabled)")
+	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, expvar and pprof (empty = disabled)")
 	width := flag.Int("width", 256, "panorama width in pixels")
 	height := flag.Int("height", 128, "panorama height in pixels")
 	storeBudget := flag.Int64("store-budget", 0, "frame store byte budget with LRU eviction (0 = unbounded)")
 	prerender := flag.Float64("prerender", 0, "warm up frames within this radius (m) of the spawn before serving")
 	stride := flag.Int("prerender-stride", 16, "grid stride for prerendering (1 = every point)")
 	drain := flag.Duration("drain", 5*time.Second, "graceful-shutdown wait for in-flight sessions")
-	clusterList := flag.String("cluster", "", "comma-separated node addresses forming a static cluster; grid-point ownership is rendezvous-hashed across them (empty = single node)")
-	nodeID := flag.Int("node-id", 0, "this node's index into the -cluster address list")
-	peerHealth := flag.Duration("peer-health-interval", cluster.DefaultHealthInterval, "cluster peer health-probe period")
-	peerFetchTO := flag.Duration("peer-fetch-timeout", cluster.DefaultFetchTimeout, "cluster peer frame-fetch timeout")
-	clusterAdmin := flag.String("cluster-admin", "", "comma-separated admin addresses of every cluster node (same order as -cluster); enables the /cluster fleet view on the admin endpoint")
 	push := flag.Bool("push", false, "push predicted frames unsolicited over UDP to subscribed clients")
 	flag.Parse()
 
@@ -89,34 +82,6 @@ func main() {
 	reg.PublishExpvar("coterie")
 	srv.Instrument(reg)
 
-	if *clusterList != "" {
-		var nodes []string
-		for _, a := range strings.Split(*clusterList, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				nodes = append(nodes, a)
-			}
-		}
-		if *nodeID < 0 || *nodeID >= len(nodes) {
-			log.Fatalf("coterie-server: -node-id %d out of range for %d-node cluster", *nodeID, len(nodes))
-		}
-		cl, err := cluster.New(cluster.Config{
-			Self:           nodes[*nodeID],
-			Nodes:          nodes,
-			Game:           spec.Name,
-			HealthInterval: *peerHealth,
-			FetchTimeout:   *peerFetchTO,
-		})
-		if err != nil {
-			log.Fatalf("coterie-server: %v", err)
-		}
-		cl.Instrument(reg)
-		srv.SetCluster(cl)
-		cl.Start()
-		defer cl.Close()
-		log.Printf("cluster node %d/%d (%s): ownership rendezvous-hashed across %v",
-			*nodeID, cl.Size(), cl.Self(), cl.Nodes())
-	}
-
 	var adminSrv *http.Server
 	if *admin != "" {
 		aln, err := net.Listen("tcp", *admin)
@@ -124,30 +89,13 @@ func main() {
 			log.Fatalf("coterie-server: admin: %v", err)
 		}
 		mux := obs.AdminMux(reg)
-		// /cluster merges the whole fleet's /metrics into one view.
-		// -cluster-admin names every node's admin address; a single node
-		// falls back to scraping only itself.
-		admins := []string{*admin}
-		if *clusterAdmin != "" {
-			admins = admins[:0]
-			for _, a := range strings.Split(*clusterAdmin, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					admins = append(admins, a)
-				}
-			}
-		}
-		self := *admin
-		if *clusterAdmin != "" && *nodeID >= 0 && *nodeID < len(admins) {
-			self = admins[*nodeID]
-		}
-		mux.Handle("/cluster", cluster.FleetHandler(cluster.FleetConfig{Self: self, Admins: admins}))
 		adminSrv = &http.Server{Handler: mux}
 		go func() {
 			if err := adminSrv.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				slog.Warn("admin listener failed", "err", err)
 			}
 		}()
-		log.Printf("admin endpoint on http://%s (/metrics, /trace, /cluster, /debug/vars, /debug/pprof)", aln.Addr())
+		log.Printf("admin endpoint on http://%s (/metrics, /debug/vars, /debug/pprof)", aln.Addr())
 	}
 
 	if *prerender > 0 {

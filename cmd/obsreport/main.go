@@ -1,24 +1,22 @@
 // Obsreport renders a frame-attribution report from /trace JSON: a
-// per-frame stage waterfall (span schema v2 — network, cluster hop,
-// server queue, render, encode, decode, slack) plus a QoE summary table
+// per-frame stage waterfall (span schema v2 — network, server queue,
+// render, encode, decode, slack) plus a QoE summary table
 // (window FPS, missed-vsync ratio, frame-budget compliance, cache-hit
 // rate) per player.
 //
 // The input is the JSON array served by the client's /trace admin
 // endpoint, read from files, stdin ("-"), or fetched live from http(s)
-// URLs. Several inputs merge — hand it every node's /trace to follow
-// cluster traffic:
+// URLs. Several inputs merge — hand it every client's /trace to see the
+// whole party:
 //
 //	obsreport trace.json
 //	curl -s localhost:7369/trace?n=512 | obsreport -
 //	obsreport -n 30 http://localhost:7369/trace?n=512
 //
-// With -trace, the report is the multi-hop waterfall of one distributed
-// trace id instead: the client display span, the proxying node's hop
-// span, and the owner's serve span, one row per hop. Feed it the client
-// trace plus both nodes' /trace?trace=<id>:
+// With -trace, the report covers only the span of one trace id (the
+// fetch that delivered a frame; obs.TraceID of its player and request id):
 //
-//	obsreport -trace 4295032833 http://client:7369/trace http://node0:6060/trace http://node1:6061/trace
+//	obsreport -trace 4295032833 http://localhost:7369/trace
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 
 	"coterie/internal/obs"
@@ -47,7 +44,7 @@ func run() error {
 	window := flag.Float64("window", 0, "QoE window in ms (0 = default)")
 	budget := flag.Float64("budget", 0, "frame budget in ms (0 = 16.7)")
 	barWidth := flag.Int("bar", 48, "waterfall bar width in characters")
-	traceID := flag.Uint64("trace", 0, "render the multi-hop waterfall of one distributed trace id instead of the frame report (0 = off)")
+	traceID := flag.Uint64("trace", 0, "restrict to the span of one trace id (0 = all)")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		return fmt.Errorf("usage: obsreport [flags] <trace.json | - | http://host/trace> ...")
@@ -61,14 +58,9 @@ func run() error {
 		}
 		spans = append(spans, s...)
 	}
-	if *traceID != 0 {
-		return printTrace(spans, *traceID, *barWidth)
-	}
-	// The frame report covers client display spans only; server-side hop
-	// spans (Hop != 0) belong to the -trace view.
 	kept := spans[:0]
 	for _, sp := range spans {
-		if sp.Hop == 0 && (*player < 0 || sp.Player == *player) {
+		if (*player < 0 || sp.Player == *player) && (*traceID == 0 || sp.TraceID == *traceID) {
 			kept = append(kept, sp)
 		}
 	}
@@ -125,12 +117,11 @@ func loadSpans(src string) ([]obs.FrameSpan, error) {
 }
 
 // waterfall segment glyphs, in pipeline order. The fetch decomposition is
-// rendered sequentially (net, cluster hop, queue, render, encode), then
+// rendered sequentially (net, queue, render, encode), then
 // decode, then whatever pipeline time the stages do not account for
 // (local render, merge), then display slack.
 const (
 	glyphNet    = 'n'
-	glyphHop    = 'h'
 	glyphQueue  = 'q'
 	glyphRender = 'r'
 	glyphEncode = 'e'
@@ -153,14 +144,14 @@ func printWaterfall(spans []obs.FrameSpan, width int) {
 		maxMs = 1
 	}
 	fmt.Printf("stage waterfall (last %d frames, %.1f ms full scale)\n", len(spans), maxMs)
-	fmt.Printf("segments: %c net  %c hop  %c queue  %c render  %c encode  %c decode  %c other  %c slack\n",
-		glyphNet, glyphHop, glyphQueue, glyphRender, glyphEncode, glyphDecode, glyphOther, glyphSlack)
-	fmt.Printf("%3s %6s %9s %7s %6s %6s %6s %6s %6s %6s %4s  bar\n",
-		"ply", "frame", "start", "total", "net", "hop", "queue", "rendr", "encod", "decod", "hit")
+	fmt.Printf("segments: %c net  %c queue  %c render  %c encode  %c decode  %c other  %c slack\n",
+		glyphNet, glyphQueue, glyphRender, glyphEncode, glyphDecode, glyphOther, glyphSlack)
+	fmt.Printf("%3s %6s %9s %7s %6s %6s %6s %6s %6s %4s  bar\n",
+		"ply", "frame", "start", "total", "net", "queue", "rendr", "encod", "decod", "hit")
 	for _, sp := range spans {
 		total := sp.DisplayMs - sp.StartMs
 		pipeline := total - sp.SlackMs
-		other := pipeline - sp.NetMs - sp.HopMs - sp.QueueMs - sp.RenderMs - sp.EncodeMs - sp.DecodeMs
+		other := pipeline - sp.NetMs - sp.QueueMs - sp.RenderMs - sp.EncodeMs - sp.DecodeMs
 		if other < 0 {
 			other = 0
 		}
@@ -172,7 +163,6 @@ func printWaterfall(spans []obs.FrameSpan, width int) {
 			}
 		}
 		seg(sp.NetMs, glyphNet)
-		seg(sp.HopMs, glyphHop)
 		seg(sp.QueueMs, glyphQueue)
 		seg(sp.RenderMs, glyphRender)
 		seg(sp.EncodeMs, glyphEncode)
@@ -183,91 +173,10 @@ func printWaterfall(spans []obs.FrameSpan, width int) {
 		if sp.CacheHit {
 			hit = "*"
 		}
-		fmt.Printf("%3d %6d %9.1f %7.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f %4s  %s\n",
+		fmt.Printf("%3d %6d %9.1f %7.2f %6.2f %6.2f %6.2f %6.2f %6.2f %4s  %s\n",
 			sp.Player, sp.Frame, sp.StartMs, total,
-			sp.NetMs, sp.HopMs, sp.QueueMs, sp.RenderMs, sp.EncodeMs, sp.DecodeMs, hit, bar.String())
+			sp.NetMs, sp.QueueMs, sp.RenderMs, sp.EncodeMs, sp.DecodeMs, hit, bar.String())
 	}
-}
-
-// hopLabel names a span's position in a distributed trace.
-func hopLabel(hop uint8) string {
-	switch hop {
-	case 0:
-		return "client"
-	case 1:
-		return "hop"
-	case 2:
-		return "owner"
-	default:
-		return fmt.Sprintf("hop%d", hop)
-	}
-}
-
-// printTrace renders the multi-hop waterfall of one distributed trace:
-// every span carrying the id, ordered client → proxy hop → owner. Each
-// hop's row is scaled to the client's total (hops run on different
-// clocks, so rows are not aligned in absolute time — each shows its own
-// duration and stage mix).
-func printTrace(spans []obs.FrameSpan, id uint64, width int) error {
-	if width < 8 {
-		width = 8
-	}
-	var hops []obs.FrameSpan
-	for _, sp := range spans {
-		if sp.TraceID == id {
-			hops = append(hops, sp)
-		}
-	}
-	if len(hops) == 0 {
-		return fmt.Errorf("no spans carry trace id %d", id)
-	}
-	sort.SliceStable(hops, func(i, j int) bool { return hops[i].Hop < hops[j].Hop })
-	maxMs := 0.0
-	for _, sp := range hops {
-		if d := sp.DisplayMs - sp.StartMs; d > maxMs {
-			maxMs = d
-		}
-	}
-	if maxMs <= 0 {
-		maxMs = 1
-	}
-	fmt.Printf("trace %d (player %d, %d hops, %.1f ms full scale)\n", id, hops[0].Player, len(hops), maxMs)
-	fmt.Printf("segments: %c net  %c hop  %c queue  %c render  %c encode  %c decode  %c other  %c slack\n",
-		glyphNet, glyphHop, glyphQueue, glyphRender, glyphEncode, glyphDecode, glyphOther, glyphSlack)
-	fmt.Printf("%-7s %7s %6s %6s %6s %6s %6s %6s  bar\n",
-		"span", "total", "net", "hop", "queue", "rendr", "encod", "decod")
-	for _, sp := range hops {
-		total := sp.DisplayMs - sp.StartMs
-		other := total - sp.SlackMs - sp.NetMs - sp.HopMs - sp.QueueMs - sp.RenderMs - sp.EncodeMs - sp.DecodeMs
-		if other < 0 {
-			other = 0
-		}
-		var bar strings.Builder
-		scale := float64(width) / maxMs
-		seg := func(ms float64, glyph rune) {
-			for i := 0; i < int(ms*scale+0.5); i++ {
-				bar.WriteRune(glyph)
-			}
-		}
-		net := sp.NetMs
-		if sp.Hop != 0 {
-			// Server-side spans have no client network leg; FetchMs is the
-			// hop's wall duration and the stages cover it.
-			net = 0
-		}
-		seg(net, glyphNet)
-		seg(sp.HopMs, glyphHop)
-		seg(sp.QueueMs, glyphQueue)
-		seg(sp.RenderMs, glyphRender)
-		seg(sp.EncodeMs, glyphEncode)
-		seg(sp.DecodeMs, glyphDecode)
-		seg(other, glyphOther)
-		seg(sp.SlackMs, glyphSlack)
-		fmt.Printf("%-7s %7.2f %6.2f %6.2f %6.2f %6.2f %6.2f %6.2f  %s\n",
-			hopLabel(sp.Hop), total,
-			net, sp.HopMs, sp.QueueMs, sp.RenderMs, sp.EncodeMs, sp.DecodeMs, bar.String())
-	}
-	return nil
 }
 
 func printQoE(q obs.QoESnapshot) {

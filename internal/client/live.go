@@ -353,31 +353,27 @@ func (s *liveSource) validateUDPFrame(pt geom.GridPoint, data []byte) error {
 // (clock goroutine only) from durations alone: the server's stage spans,
 // converted to virtual session milliseconds via the replay speed, and the
 // round trip the pipeline saw. NetMs absorbs the remainder, so
-// NetMs+HopMs+QueueMs+RenderMs+EncodeMs equals the round trip exactly
-// (HopMs is zero unless the contact node proxied the frame from its
-// cluster owner). No timestamp from another host is read.
+// NetMs+QueueMs+RenderMs+EncodeMs equals the round trip exactly. No
+// timestamp from another host is read.
 func (s *liveSource) recordStages(reply transport.FrameReply, rttVirtual float64) {
 	queue := reply.QueueMs * s.speed
 	render := reply.RenderMs * s.speed
 	encode := reply.EncodeMs * s.speed
-	hop := reply.HopMs * s.speed
-	if sum := queue + render + encode + hop; sum > rttVirtual && sum > 0 {
+	if sum := queue + render + encode; sum > rttVirtual && sum > 0 {
 		// The replay-speed conversion and the two hosts' clock rates can
 		// make the server-side span nominally exceed the measured round
 		// trip; scale it down so the decomposition still sums to the RTT.
 		f := rttVirtual / sum
-		queue, render, encode, hop = queue*f, render*f, encode*f, hop*f
+		queue, render, encode = queue*f, render*f, encode*f
 	}
 	s.last = obs.FetchStages{
-		NetMs:       rttVirtual - queue - render - encode - hop,
-		HopMs:       hop,
+		NetMs:       rttVirtual - queue - render - encode,
 		QueueMs:     queue,
 		RenderMs:    render,
 		EncodeMs:    encode,
 		TraceID:     obs.TraceID(s.cl.Player, reply.ReqID),
 		DeltaFrame:  reply.Kind == transport.FrameDelta,
 		DegradeRung: uint8(reply.Rung),
-		Origin:      uint8(reply.Origin),
 		Valid:       true,
 	}
 }

@@ -14,7 +14,7 @@ import (
 //	/metrics      JSON registry snapshot (counters, gauges, histograms)
 //	/trace        recent per-frame stage spans from the trace ring
 //	              (?n= recent count, ?player= one player's spans only,
-//	              ?trace= every span of one distributed trace id)
+//	              ?trace= the span of one trace id)
 //	/qoe          sliding-window QoE summary derived from the spans
 //	              (?window= ms, ?budget= ms, ?player=)
 //	/debug/vars   expvar (includes the registry once PublishExpvar ran)

@@ -313,36 +313,6 @@ func TestComputeQoE(t *testing.T) {
 	}
 }
 
-func TestComputeQoEPeerBreakdown(t *testing.T) {
-	// Ten frames: 4 served locally, 4 via a cluster peer fetch, 2 by
-	// failover re-render; the breakdown must count origins exactly and
-	// PeerServedRatio only the origin-1 frames.
-	var spans []FrameSpan
-	for i := 0; i < 10; i++ {
-		at := float64(i) * 20
-		var origin uint8
-		switch {
-		case i < 4:
-			origin = 0
-		case i < 8:
-			origin = 1
-		default:
-			origin = 2
-		}
-		spans = append(spans, FrameSpan{
-			Player: 0, Frame: int64(i + 1), StartMs: at,
-			DisplayMs: at + 16.7, SlackMs: 6.7, Origin: origin,
-		})
-	}
-	q := ComputeQoE(spans, QoEConfig{WindowMs: 1000, Player: -1})
-	if q.All.PeerFrames != 4 || q.All.FailoverFrames != 2 {
-		t.Errorf("origin counts = peer %d failover %d, want 4/2", q.All.PeerFrames, q.All.FailoverFrames)
-	}
-	if want := 0.4; q.All.PeerServedRatio != want {
-		t.Errorf("peer-served ratio = %.2f, want %.2f", q.All.PeerServedRatio, want)
-	}
-}
-
 func TestAdminTracePlayerFilterAndQoE(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 6; i++ {

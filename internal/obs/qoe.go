@@ -67,13 +67,6 @@ type PlayerQoE struct {
 	// not visible quality loss.
 	DegradedRatio float64 `json:"degraded_ratio"`
 	RungStale     int     `json:"rung_stale"`
-	// PeerServedRatio is the fraction of window frames whose delivering
-	// fetch was answered from a cluster peer (origin 1); PeerFrames and
-	// FailoverFrames count the origin-1 and origin-2 frames. All zero
-	// outside cluster deployments.
-	PeerServedRatio float64 `json:"peer_served_ratio"`
-	PeerFrames      int     `json:"peer_frames"`
-	FailoverFrames  int     `json:"failover_frames"`
 }
 
 // QoESnapshot is a point-in-time QoE summary over the recorded spans.
@@ -93,9 +86,6 @@ type QoESnapshot struct {
 
 // ComputeQoE derives a QoE snapshot from recorded frame spans (any order;
 // they are grouped per player and ordered by display time internally).
-// Server-side trace spans (Hop != 0 — cluster hop and owner-serve records)
-// are skipped: QoE is a display-side metric, and counting hop spans would
-// double-count frames on nodes that both proxy and serve.
 func ComputeQoE(spans []FrameSpan, cfg QoEConfig) QoESnapshot {
 	if cfg.WindowMs <= 0 {
 		cfg.WindowMs = DefaultQoEWindowMs
@@ -108,9 +98,6 @@ func ComputeQoE(spans []FrameSpan, cfg QoEConfig) QoESnapshot {
 
 	var end float64
 	for i := range spans {
-		if spans[i].Hop != 0 {
-			continue
-		}
 		if cfg.Player >= 0 && spans[i].Player != cfg.Player {
 			continue
 		}
@@ -126,9 +113,6 @@ func ComputeQoE(spans []FrameSpan, cfg QoEConfig) QoESnapshot {
 	// handled by the per-player sort below being insertion-friendly).
 	perPlayer := map[int][]FrameSpan{}
 	for _, sp := range spans {
-		if sp.Hop != 0 {
-			continue
-		}
 		if cfg.Player >= 0 && sp.Player != cfg.Player {
 			continue
 		}
@@ -165,8 +149,6 @@ type accQoE struct {
 	compliant  int
 	hits       int
 	rungStale  int
-	peer       int
-	failover   int
 	frameSum   float64
 	frameMax   float64
 	firstMs    float64
@@ -192,12 +174,6 @@ func (a *accQoE) add(ps []FrameSpan, budget float64) {
 		}
 		if sp.DegradeRung == 1 {
 			a.rungStale++
-		}
-		switch sp.Origin {
-		case 1:
-			a.peer++
-		case 2:
-			a.failover++
 		}
 		if i > 0 {
 			if inter := sp.DisplayMs - ps[i-1].DisplayMs; inter > budget*missedVsyncFactor {
@@ -225,8 +201,6 @@ func (a *accQoE) finish(player int) PlayerQoE {
 	q.CacheHitRate = float64(a.hits) / float64(a.frames)
 	q.RungStale = a.rungStale
 	q.DegradedRatio = float64(a.rungStale) / float64(a.frames)
-	q.PeerFrames, q.FailoverFrames = a.peer, a.failover
-	q.PeerServedRatio = float64(a.peer) / float64(a.frames)
 	if a.frames > 1 && a.lastMs > a.firstMs {
 		q.WindowFPS = float64(a.frames-1) / (a.lastMs - a.firstMs) * 1000
 	}

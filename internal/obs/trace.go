@@ -38,12 +38,6 @@ type FrameSpan struct {
 	QueueMs  float64 `json:"queue_ms"`
 	RenderMs float64 `json:"render_ms"`
 	EncodeMs float64 `json:"encode_ms"`
-	// HopMs is the cluster proxy overhead when the delivering fetch was
-	// peer-served: the proxying node's wall time around the peer hop
-	// (dial/pool wait plus hop transit) minus the owner's echoed stages.
-	// Zero for local and failover frames, so the v2 identity extends to
-	// Net+Hop+Queue+Render+Encode across every origin.
-	HopMs float64 `json:"hop_ms,omitempty"`
 	// PrefetchMs is the span of the tracked prefetch for the *next* grid
 	// point (the T_prefetch term); 0 when the prefetch request hit the
 	// cache and no transfer was needed.
@@ -68,29 +62,16 @@ type FrameSpan struct {
 	// (transport.DegradeRung values: 0 exact, 1 stale-similar). Always 0
 	// on cache hits and on backends without a deadline scheduler.
 	DegradeRung uint8 `json:"degrade_rung"`
-	// Origin is where the serving node got the delivering fetch's bytes
-	// (transport.FrameOrigin values: 0 local, 1 fetched from the grid
-	// point's cluster owner, 2 failover re-render of a remotely owned
-	// point). Always 0 on cache hits and outside cluster deployments.
-	Origin uint8 `json:"origin"`
-	// TraceID names the distributed trace the delivering fetch belongs to.
-	// It is derived from the v2 request context (player and request id, see
-	// TraceID()), forwarded verbatim across MsgPeerFrameRequest hops, and
-	// recorded on every node that touched the request — so the client span,
-	// the proxy's hop span, and the owner's serve span of one peer-served
-	// frame all carry the same id. Zero when no fetch backed the frame.
+	// TraceID names the fetch that delivered the frame, derived from its
+	// request context (player and request id, see TraceID()). Spans are
+	// recorded on the client only; the id picks one out of the ring
+	// (/trace?trace=, obsreport -trace). Zero when no fetch backed the
+	// frame.
 	TraceID uint64 `json:"trace_id,omitempty"`
-	// Hop marks server-side spans: 0 is a client display span, 1 a span
-	// recorded by the node that served (or proxied) the fetch, 2 a span
-	// recorded by the rendezvous owner answering a peer hop.
-	Hop uint8 `json:"hop,omitempty"`
 }
 
-// TraceID composes the distributed trace id of one v2 frame request from
-// its wire context: the requesting player and the per-connection request
-// id. Every node deriving the id from the same forwarded request context
-// computes the same value, which is what makes cross-node span joins
-// work without any extra wire field.
+// TraceID composes the trace id of one frame request from its wire
+// context: the requesting player and the per-connection request id.
 func TraceID(player uint8, reqID uint32) uint64 {
 	return uint64(player)<<32 | uint64(reqID)
 }
@@ -103,7 +84,7 @@ type FetchStages struct {
 	// NetMs is everything the server did not account for: request and
 	// reply transit plus reply marshalling/write. It is derived as the
 	// round trip the client measured minus the server-side stages, so
-	// NetMs+HopMs+QueueMs+RenderMs+EncodeMs is that round trip exactly.
+	// NetMs+QueueMs+RenderMs+EncodeMs is that round trip exactly.
 	NetMs float64
 	// QueueMs is the server-side wait before stage work began: connection
 	// queueing plus singleflight waiting on another request's render.
@@ -112,20 +93,14 @@ type FetchStages struct {
 	// zero when the frame came out of the server's frame store.
 	RenderMs float64
 	EncodeMs float64
-	// HopMs is the cluster proxy overhead for peer-origin frames (see
-	// FrameSpan.HopMs); zero otherwise.
-	HopMs float64
 	// DeltaFrame reports whether the frame arrived delta-coded against a
 	// held reference instead of intra-coded.
 	DeltaFrame bool
 	// DegradeRung is the server's quality-degrade rung for the frame
 	// (transport.DegradeRung values); 0 when the frame is exact.
 	DegradeRung uint8
-	// Origin is where the serving node got the frame's bytes
-	// (transport.FrameOrigin values); 0 outside cluster deployments.
-	Origin uint8
-	// TraceID is the distributed trace id of the fetch (see
-	// FrameSpan.TraceID); 0 when the source does not trace.
+	// TraceID is the trace id of the fetch (see FrameSpan.TraceID); 0
+	// when the source does not trace.
 	TraceID uint64
 	// Valid marks stages actually populated by the source.
 	Valid bool
@@ -214,8 +189,8 @@ func (t *TraceRing) RecentFor(n, player int) []FrameSpan {
 }
 
 // ForTrace returns every span in the ring carrying the given non-zero
-// trace id, oldest first. This is the cold path behind /trace?trace= and
-// the cross-node join tests; it allocates a fresh copy.
+// trace id, oldest first. This is the cold path behind /trace?trace=; it
+// allocates a fresh copy.
 func (t *TraceRing) ForTrace(id uint64) []FrameSpan {
 	if t == nil || id == 0 {
 		return nil

@@ -52,7 +52,7 @@ type Client struct {
 	cache *cache.Cache
 	pf    *prefetch.Prefetcher
 	src   FrameSource
-	// stages is the source's optional cross-node trace capability (span
+	// stages is the source's optional client/server trace capability (span
 	// schema v2); nil when the source does not report stage decompositions.
 	stages StageReporter
 	// deadlines is the source's optional deadline capability: when non-nil,
@@ -109,10 +109,9 @@ type pipelineObs struct {
 	slackMs   *obs.Histogram
 	cacheMiss *obs.Counter
 	cacheHit  *obs.Counter
-	// Cross-node fetch decomposition (span schema v2), observed once per
-	// delivering fetch rather than per frame.
+	// Client/server fetch decomposition (span schema v2), observed once
+	// per delivering fetch rather than per frame.
 	netMs          *obs.Histogram
-	hopMs          *obs.Histogram
 	queueMs        *obs.Histogram
 	serverRenderMs *obs.Histogram
 	serverEncodeMs *obs.Histogram
@@ -132,7 +131,6 @@ func instrumentPipeline(r *obs.Registry) pipelineObs {
 		cacheMiss: r.Counter("frames.display_cache_misses"),
 
 		netMs:          r.Histogram("frame.net_ms"),
-		hopMs:          r.Histogram("frame.hop_ms"),
 		queueMs:        r.Histogram("frame.queue_ms"),
 		serverRenderMs: r.Histogram("frame.server_render_ms"),
 		serverEncodeMs: r.Histogram("frame.server_encode_ms"),
@@ -340,7 +338,7 @@ func (c *Client) velocity(tick int) geom.Vec2 {
 	return d.Scale(trace.TickHz / float64(j-tick))
 }
 
-// fillFetchStages copies the delivering fetch's cross-node stage
+// fillFetchStages copies the delivering fetch's client/server stage
 // decomposition into this frame's span (span schema v2). It must be called
 // inside the fetch's done callback: completion waiters fire synchronously
 // there on the clock goroutine, so the source's "last completed fetch" is
@@ -354,14 +352,12 @@ func (c *Client) fillFetchStages() {
 		return
 	}
 	c.span.NetMs = st.NetMs
-	c.span.HopMs = st.HopMs
 	c.span.TraceID = st.TraceID
 	c.span.QueueMs = st.QueueMs
 	c.span.RenderMs = st.RenderMs
 	c.span.EncodeMs = st.EncodeMs
 	c.span.DeltaFrame = st.DeltaFrame
 	c.span.DegradeRung = st.DegradeRung
-	c.span.Origin = st.Origin
 }
 
 // setDeadline stamps the source's next fetch with the virtual time its
@@ -412,9 +408,8 @@ func (c *Client) display(start, readyAt float64, renderMs float64, decoding bool
 		c.obs.decodeMs.Observe(c.span.DecodeMs)
 		c.obs.joinMs.Observe(c.span.JoinMs)
 		c.obs.slackMs.Observe(c.span.SlackMs)
-		if c.span.NetMs+c.span.HopMs+c.span.QueueMs+c.span.RenderMs+c.span.EncodeMs > 0 {
+		if c.span.NetMs+c.span.QueueMs+c.span.RenderMs+c.span.EncodeMs > 0 {
 			c.obs.netMs.Observe(c.span.NetMs)
-			c.obs.hopMs.Observe(c.span.HopMs)
 			c.obs.queueMs.Observe(c.span.QueueMs)
 			c.obs.serverRenderMs.Observe(c.span.RenderMs)
 			c.obs.serverEncodeMs.Observe(c.span.EncodeMs)

@@ -46,7 +46,7 @@ type FrameSource interface {
 }
 
 // StageReporter is an optional FrameSource capability: sources that carry
-// the cross-node trace context (span schema v2) expose the stage
+// the client/server trace context (span schema v2) expose the stage
 // decomposition of their most recently completed fetch. The pipeline
 // type-asserts it from Deps.Source and reads it inside the fetch's done
 // callback — safe because callbacks run on the clock goroutine and

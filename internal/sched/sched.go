@@ -44,9 +44,6 @@ const (
 	// DefaultCostMs seeds the render-cost EWMA before any observation
 	// (roughly one 256×128 panorama + encode on the reference core).
 	DefaultCostMs = 10
-	// DefaultFetchCostMs seeds the peer-fetch cost EWMA: a LAN round
-	// trip to a warm peer store, far below a render.
-	DefaultFetchCostMs = 2
 	// costEWMAWeight is the weight of a new observation in the cost
 	// EWMA; renders are frequent, so a light weight smooths scene- and
 	// resolution-dependent jitter without lagging load shifts.
@@ -61,7 +58,6 @@ type Scheduler struct {
 	waiters waiterHeap
 	seq     uint64
 	costMs  float64
-	fetchMs float64
 
 	sheds *obs.Counter
 	depth *obs.Gauge
@@ -104,7 +100,7 @@ func (h *waiterHeap) Pop() any {
 
 // New creates a scheduler with one render slot per schedulable core.
 func New(Config) *Scheduler {
-	return &Scheduler{workers: runtime.GOMAXPROCS(0), costMs: DefaultCostMs, fetchMs: DefaultFetchCostMs}
+	return &Scheduler{workers: runtime.GOMAXPROCS(0), costMs: DefaultCostMs}
 }
 
 // Instrument resolves the scheduler's instruments from r under the given
@@ -131,42 +127,6 @@ func (s *Scheduler) CostMs() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.costMs
-}
-
-// ObserveFetchCost folds one measured peer-fetch round trip (ms) into
-// the fetch-cost EWMA that backs FetchAtRisk. Tracked separately from
-// the render cost: a fetch is a network hop to a node with the frame
-// (usually) cached, so the two estimates differ by an order of
-// magnitude and conflating them would make every hop look at risk.
-func (s *Scheduler) ObserveFetchCost(ms float64) {
-	if ms <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.fetchMs += costEWMAWeight * (ms - s.fetchMs)
-	s.mu.Unlock()
-}
-
-// FetchCostMs returns the current peer-fetch cost estimate.
-func (s *Scheduler) FetchCostMs() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fetchMs
-}
-
-// FetchAtRisk reports whether a peer fetch for a request due at
-// deadlineMs (absolute wall ms; <=0 means no deadline) is projected to
-// miss: now plus the estimated hop no longer fits. A true return is the
-// cue to skip the hop and render locally — the local path can still
-// degrade its way under the deadline, which a remote hop cannot.
-func (s *Scheduler) FetchAtRisk(nowMs, deadlineMs float64) bool {
-	if deadlineMs <= 0 {
-		return false
-	}
-	s.mu.Lock()
-	eta := nowMs + s.fetchMs
-	s.mu.Unlock()
-	return eta > deadlineMs
 }
 
 // AtRisk reports whether a request due at deadlineMs (absolute wall ms;

@@ -209,46 +209,6 @@ func TestObserveCostEWMA(t *testing.T) {
 	}
 }
 
-func TestObserveFetchCostEWMA(t *testing.T) {
-	s := New(Config{})
-	if c := s.FetchCostMs(); c != DefaultFetchCostMs {
-		t.Fatalf("fetch EWMA seed %.2f, want %v", c, DefaultFetchCostMs)
-	}
-	for i := 0; i < 50; i++ {
-		s.ObserveFetchCost(8)
-	}
-	if c := s.FetchCostMs(); c < 7.5 || c > 8 {
-		t.Fatalf("fetch EWMA %.2f after 50×8ms observations, want ≈8", c)
-	}
-	s.ObserveFetchCost(0) // ignored
-	s.ObserveFetchCost(-1)
-	if c := s.FetchCostMs(); c < 7.5 {
-		t.Fatalf("non-positive observations moved the fetch EWMA: %.2f", c)
-	}
-	// The two EWMAs are independent: fetch observations must not move
-	// the render-cost estimate.
-	if c := s.CostMs(); c != DefaultCostMs {
-		t.Fatalf("fetch observations moved the render EWMA: %.2f", c)
-	}
-}
-
-func TestFetchAtRisk(t *testing.T) {
-	s := New(Config{})
-	for i := 0; i < 50; i++ {
-		s.ObserveFetchCost(10)
-	}
-	now := NowMs()
-	if s.FetchAtRisk(now, 0) {
-		t.Error("deadline-less request reported at risk")
-	}
-	if s.FetchAtRisk(now, now+100) {
-		t.Error("ample deadline reported at risk for a ~10ms hop")
-	}
-	if !s.FetchAtRisk(now, now+1) {
-		t.Error("1ms budget not at risk for a ~10ms hop")
-	}
-}
-
 // TestConcurrentChurn hammers Acquire/Release from more goroutines than
 // the queue admits (run under -race) and checks that every call is either
 // served or shed, that the shed counter matches what callers saw, and that

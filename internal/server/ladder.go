@@ -77,7 +77,7 @@ func (s *Server) staleRung(pt geom.GridPoint, res *frameResult) bool {
 		}
 		if best != nil {
 			s.obs.degradeStale.Inc()
-			res.Data, res.Rung, res.Origin = best, transport.RungStale, transport.OriginLocal
+			res.Data, res.Rung = best, transport.RungStale
 			return true
 		}
 	}

@@ -288,8 +288,8 @@ func itoa(v int64) string { return fmt.Sprintf("%d", v) }
 
 // TestLoopbackTraceDecompositionAndQoE is the end-to-end check of span
 // schema v2: both backends replay the same trace with a registry attached,
-// and every recorded miss span's cross-node decomposition
-// (NetMs+HopMs+QueueMs+RenderMs+EncodeMs) must account for the FetchMs the
+// and every recorded miss span's decomposition
+// (NetMs+QueueMs+RenderMs+EncodeMs) must account for the FetchMs the
 // display waited. The stage sum is the delivering fetch's full round
 // trip; FetchMs clocks from the frame start, but the display path only
 // demands the frame (pf.Ensure) once the frame's parallel tasks join, at
@@ -327,20 +327,15 @@ func TestLoopbackTraceDecompositionAndQoE(t *testing.T) {
 			t.Fatalf("%s: no spans recorded", name)
 		}
 		for _, sp := range spans {
-			sum := sp.NetMs + sp.HopMs + sp.QueueMs + sp.RenderMs + sp.EncodeMs
+			sum := sp.NetMs + sp.QueueMs + sp.RenderMs + sp.EncodeMs
 			if sp.CacheHit {
 				if sum != 0 {
 					t.Errorf("%s: cache-hit span %d carries stages: %+v", name, sp.Frame, sp)
 				}
 				continue
 			}
-			if sp.NetMs < 0 || sp.HopMs < 0 || sp.QueueMs < 0 || sp.RenderMs < 0 || sp.EncodeMs < 0 {
+			if sp.NetMs < 0 || sp.QueueMs < 0 || sp.RenderMs < 0 || sp.EncodeMs < 0 {
 				t.Errorf("%s: negative stage in span %d: %+v", name, sp.Frame, sp)
-			}
-			// Single-node loopback: no cluster hop may appear in the
-			// decomposition (HopMs is reserved for peer-proxied frames).
-			if sp.HopMs != 0 {
-				t.Errorf("%s: span %d carries HopMs %.3f without a cluster", name, sp.Frame, sp.HopMs)
 			}
 			if sum == 0 {
 				continue // miss delivered before instrumented stages existed
@@ -521,41 +516,43 @@ func TestSessionLoopRejectsMalformedInput(t *testing.T) {
 	_, addr := startLiveServer(t)
 
 	t.Run("unknown type", func(t *testing.T) {
+		// 8 and 9 were the removed cluster's peer frame request and reply;
+		// a well-formed frame request under any unknown type ends the session.
+		payload := transport.EncodeFrameRequest(transport.FrameRequest{Player: 9, ReqID: 1})
+		for _, typ := range []byte{8, 9, 0x7F} {
+			nc := dialRaw(t, addr)
+			nc.Write(append([]byte{typ, 0, 0, 0, byte(len(payload))}, payload...))
+			expectSessionClose(t, nc)
+		}
+	})
+	typ := transport.MsgFrameRequest
+	t.Run("oversized length", func(t *testing.T) {
 		nc := dialRaw(t, addr)
-		nc.Write([]byte{0x7F, 0, 0, 0, 0})
+		nc.Write([]byte{byte(typ), 0xFF, 0xFF, 0xFF, 0xFF})
 		expectSessionClose(t, nc)
 	})
-	// Both frame-request types take the one decode → serve arm, so each
-	// malformed row runs against the client request and the peer hop.
-	for name, typ := range map[string]transport.MsgType{"": transport.MsgFrameRequest, "peer ": transport.MsgPeerFrameRequest} {
-		t.Run(name+"oversized length", func(t *testing.T) {
-			nc := dialRaw(t, addr)
-			nc.Write([]byte{byte(typ), 0xFF, 0xFF, 0xFF, 0xFF})
-			expectSessionClose(t, nc)
-		})
-		t.Run(name+"truncated message", func(t *testing.T) {
-			nc := dialRaw(t, addr)
-			// Header promises 9 payload bytes; send 2 and half-close.
-			nc.Write([]byte{byte(typ), 0, 0, 0, 9, 1, 2})
-			if tc, ok := nc.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-			expectSessionClose(t, nc)
-		})
-		t.Run(name+"bad frame request payload", func(t *testing.T) {
-			nc := dialRaw(t, addr)
-			nc.Write([]byte{byte(typ), 0, 0, 0, 1, 42})
-			expectSessionClose(t, nc)
-		})
-		t.Run(name+"short frame request payload", func(t *testing.T) {
-			// One byte short of the fixed request size.
-			nc := dialRaw(t, addr)
-			payload := transport.EncodeFrameRequest(transport.FrameRequest{Player: 9, ReqID: 1})
-			payload = payload[:len(payload)-1]
-			nc.Write(append([]byte{byte(typ), 0, 0, 0, byte(len(payload))}, payload...))
-			expectSessionClose(t, nc)
-		})
-	}
+	t.Run("truncated message", func(t *testing.T) {
+		nc := dialRaw(t, addr)
+		// Header promises 9 payload bytes; send 2 and half-close.
+		nc.Write([]byte{byte(typ), 0, 0, 0, 9, 1, 2})
+		if tc, ok := nc.(*net.TCPConn); ok {
+			tc.CloseWrite()
+		}
+		expectSessionClose(t, nc)
+	})
+	t.Run("bad frame request payload", func(t *testing.T) {
+		nc := dialRaw(t, addr)
+		nc.Write([]byte{byte(typ), 0, 0, 0, 1, 42})
+		expectSessionClose(t, nc)
+	})
+	t.Run("short frame request payload", func(t *testing.T) {
+		// One byte short of the fixed request size.
+		nc := dialRaw(t, addr)
+		payload := transport.EncodeFrameRequest(transport.FrameRequest{Player: 9, ReqID: 1})
+		payload = payload[:len(payload)-1]
+		nc.Write(append([]byte{byte(typ), 0, 0, 0, byte(len(payload))}, payload...))
+		expectSessionClose(t, nc)
+	})
 	t.Run("retired FI sync over TCP", func(t *testing.T) {
 		// FI sync is UDP-only; a well-formed MsgFISync (its wire number
 		// stays reserved) is an unexpected message and ends the session.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestFrameBytesIndependentOfRequestOrder is the property the store,
-// overhearing, peer replication and failover all lean on: a frame's bytes
+// overhearing and delta references all lean on: a frame's bytes
 // are a function of its grid point alone. One region is rendered on fresh
 // servers under several random request orders — half the points requested
 // one by one in shuffled order, the rest filled in by a parallel

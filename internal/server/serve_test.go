@@ -12,13 +12,11 @@ import (
 	"coterie/internal/transport"
 )
 
-// TestServeAccountingIdenticalAcrossTransports asks three fresh servers for
-// the same cold point, one over each way in — the TCP client arm, the peer
-// arm and a UDP request — each carrying the same 5 s budget. All three go
-// through serve, so each renders once,
-// returns the same exact intra bytes and books exactly one frame: as a
-// client serve (frames_served, frame_bytes_sent, one deadline met) on the
-// client arm and over UDP, as peer_frames_served on the peer arm.
+// TestServeAccountingIdenticalAcrossTransports asks two fresh servers for
+// the same cold point, one over each way in — a TCP session and a UDP
+// request — each carrying the same 5 s budget. Both go through serve, so
+// each renders once, returns the same exact intra bytes and books exactly
+// one served frame (frames_served, frame_bytes_sent, one deadline met).
 func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 	env := poolEnv(t)
 	game := env.Game.Spec.Name
@@ -27,10 +25,9 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 
 	fetchers := []struct {
 		name  string
-		peer  bool
 		fetch func(addr string) ([]byte, error)
 	}{
-		{"tcp client", false, func(addr string) ([]byte, error) {
+		{"tcp client", func(addr string) ([]byte, error) {
 			c, err := client.Dial(addr, game, 3)
 			if err != nil {
 				return nil, err
@@ -42,16 +39,7 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 			}
 			return reply.Data, err
 		}},
-		{"peer hop", true, func(addr string) ([]byte, error) {
-			c, err := transport.DialClient(addr, 0, transport.Hello{Player: 0xFF, Game: game})
-			if err != nil {
-				return nil, err
-			}
-			defer c.Close()
-			reply, err := c.Do(transport.MsgPeerFrameRequest, transport.FrameRequest{Player: 3, Point: pt, ReqID: 1, BudgetUs: budgetUs})
-			return reply.Data, err
-		}},
-		{"udp request", false, func(addr string) ([]byte, error) {
+		{"udp request", func(addr string) ([]byte, error) {
 			ch, err := client.DialUDP(addr, 3, false, nil)
 			if err != nil {
 				return nil, err
@@ -83,24 +71,19 @@ func TestServeAccountingIdenticalAcrossTransports(t *testing.T) {
 
 		counters := reg.Snapshot().Counters
 		want := map[string]int64{
-			"server.frames_rendered":    1,
-			"server.frames_served":      1,
-			"server.frame_bytes_sent":   int64(len(data)),
-			"server.peer_frames_served": 0,
-			"server.deadline_met":       1,
-			"server.deadline_misses":    0,
-		}
-		if f.peer {
-			want["server.frames_served"], want["server.frame_bytes_sent"], want["server.peer_frames_served"] = 0, 0, 1
-			want["server.deadline_met"] = 0 // the proxying node owns the client's deadline
+			"server.frames_rendered":  1,
+			"server.frames_served":    1,
+			"server.frame_bytes_sent": int64(len(data)),
+			"server.deadline_met":     1,
+			"server.deadline_misses":  0,
 		}
 		for name, n := range want {
 			if got := counters[name]; got != n {
 				t.Errorf("%s: %s = %d, want %d", f.name, name, got, n)
 			}
 		}
-		if served, rendered := srv.Stats(); served != want["server.frames_served"] || rendered != 1 {
-			t.Errorf("%s: Stats() = served %d rendered %d, want %d and 1", f.name, served, rendered, want["server.frames_served"])
+		if served, rendered := srv.Stats(); served != 1 || rendered != 1 {
+			t.Errorf("%s: Stats() = served %d rendered %d, want 1 and 1", f.name, served, rendered)
 		}
 	}
 }

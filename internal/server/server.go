@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"coterie/internal/cluster"
 	"coterie/internal/codec"
 	"coterie/internal/core"
 	"coterie/internal/fisync"
@@ -56,14 +55,6 @@ type Server struct {
 	// request whose vsync deadline is imminent overtakes prerender and
 	// deadline-less traffic instead of queueing FIFO behind it.
 	sched *sched.Scheduler
-
-	// cluster, when set, shards grid-point ownership across nodes: the
-	// staged pipeline proxies requests for remotely owned points to
-	// their rendezvous owner (caching the reply — read-through
-	// replication) and falls back to rendering locally when the owner
-	// is down or the hop does not fit the deadline. nil (the default)
-	// is standalone serving. Set before Serve via SetCluster.
-	cluster *cluster.Cluster
 
 	// pushOn enables trajectory-driven server push on the datagram frame
 	// path (off by default: pushes are opt-in via -push, and only reach
@@ -127,19 +118,6 @@ type serverObs struct {
 	deadlineMisses *obs.Counter
 	deadlineMissMs *obs.Histogram
 	udpSendErrors  *obs.Counter
-
-	// Cluster serving: frames obtained via a peer fetch, local renders
-	// of remotely owned points (owner down, hop at deadline risk, or
-	// fetch failed), and peer requests this node answered.
-	peerFrames       *obs.Counter
-	peerFailovers    *obs.Counter
-	peerFramesServed *obs.Counter
-
-	// trace receives the server-side spans of distributed traces: the
-	// hop span a proxying node records around its peer fetch, and the
-	// serve span the owner records answering one. Local client serves are
-	// not recorded here — the client's own ring has their display spans.
-	trace *obs.TraceRing
 }
 
 // SetStoreBudget bounds the frame store to the given number of encoded
@@ -190,12 +168,6 @@ func (s *Server) Instrument(r *obs.Registry) {
 		deadlineMisses:      r.Counter("server.deadline_misses"),
 		deadlineMissMs:      r.Histogram("server.deadline_miss_ms"),
 		udpSendErrors:       r.Counter("server.udp_send_errors"),
-
-		peerFrames:       r.Counter("server.peer_frames"),
-		peerFailovers:    r.Counter("server.peer_failovers"),
-		peerFramesServed: r.Counter("server.peer_frames_served"),
-
-		trace: r.Trace(),
 	}
 	s.store.instrument(
 		r.Gauge("server.store_bytes"),
@@ -242,14 +214,6 @@ func New(env *core.Env) *Server {
 	}
 }
 
-// SetCluster joins the server to a cluster membership view (nil leaves
-// it standalone). Requests for grid points owned by a peer are proxied
-// to the owner and the replies cached locally under the normal store
-// budget; a down owner or a hop that no longer fits the deadline falls
-// back to a local render. Call before Serve; the caller owns the
-// cluster's lifecycle (Start/Close).
-func (s *Server) SetCluster(c *cluster.Cluster) { s.cluster = c }
-
 // SetPushEnabled toggles trajectory-driven frame push on the datagram
 // path (off by default). Pushes only reach UDP sessions that subscribed
 // with the want-push flag, so a client that only syncs FI never sees one.
@@ -263,52 +227,37 @@ func (s *Server) SetPushEnabled(on bool) { s.pushOn.Store(on) }
 var errOverloaded = errors.New("overloaded: render queue full")
 
 // frameReq is one frame request: the grid point plus the request context
-// serve and the staged pipeline consume. The zero context (prerender,
-// tests) is deadline-less and untraced.
+// serve and frameFor consume. The zero context (prerender, tests) is
+// deadline-less.
 type frameReq struct {
 	pt geom.GridPoint
 	// deadlineMs is the request's absolute deadline on this server's clock
 	// (sched.NowMs; <= 0: none), set by newFrameReq.
 	deadlineMs float64
-	// traceID is the distributed trace id of the client request driving
-	// this lookup (obs.TraceID of the request's player and id; 0 untraced).
-	// It is forwarded verbatim across the peer hop and stamped on the hop
-	// span this node records, so the client span, this node's hop span,
-	// and the owner's serve span join on one id.
-	traceID uint64
-	// fromPeer marks a request that already crossed the peer hop; it is
-	// served locally, so a membership disagreement between nodes can never
-	// chain proxy hops into a loop.
-	fromPeer bool
-	// refs is the requesting TCP client session's holdings; nil (peer hop,
-	// UDP, prerender) gets the exact intra frame — see serve.
+	// refs is the requesting TCP client session's holdings; nil (UDP,
+	// prerender) gets the exact intra frame — see serve.
 	refs *transport.HeldRefs[struct{}]
 }
 
 // newFrameReq turns a decoded request, received at recvMs on this server's
 // clock, into a frameReq. It is the one place a wire budget becomes a
-// deadline — receive time plus budget, budget 0 none — for every way in:
-// the TCP client arm, the peer arm and the UDP request. No other host's
-// clock is read.
+// deadline — receive time plus budget, budget 0 none — for both ways in:
+// the TCP session and the UDP request. No other host's clock is read.
 func newFrameReq(r transport.FrameRequest, recvMs float64) frameReq {
-	fr := frameReq{pt: r.Point, traceID: obs.TraceID(r.Player, r.ReqID)}
+	fr := frameReq{pt: r.Point}
 	if r.BudgetUs > 0 {
 		fr.deadlineMs = recvMs + float64(r.BudgetUs)/1000
 	}
 	return fr
 }
 
-// frameResult is what every path — TCP session, UDP request, peer hop,
-// prerender — gets back for a frameReq: the reply about to go on the wire.
-// frameFor fills Data, Origin, the stage spans and rendered; serve adds
-// Point, the recvMs / sendMs stamps and, off the ladder or the delta path,
-// Rung, Kind and Ref; frameReplyMsg echoes ReqID.
+// frameResult is what every path — TCP session, UDP request, prerender —
+// gets back for a frameReq: the reply about to go on the wire. frameFor
+// fills Data, the stage spans and rendered; serve adds Point and, off the
+// ladder or the delta path, Rung, Kind and Ref; frameReplyMsg echoes ReqID.
 type frameResult struct {
 	transport.FrameReply
 	rendered bool // this call ray-cast and encoded the frame
-	// recvMs and sendMs bracket serve on this server's clock: deadline and
-	// span accounting read them; they do not go on the wire.
-	recvMs, sendMs float64
 }
 
 // FrameFor returns the encoded far-BE panorama for a grid point,
@@ -319,8 +268,8 @@ func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
 }
 
 // serve answers one frame request and is the only place a served frame is
-// accounted: the TCP session loop (client and peer arm) and the UDP request
-// path are decode → serve → encode around it.
+// accounted: the TCP session loop and the UDP request path are decode →
+// serve → encode around it.
 //
 // A request that brings its session's holdings (req.refs, TCP clients only)
 // gets the degrade ladder and delta coding: a deadline the scheduler
@@ -329,8 +278,8 @@ func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
 // substitute), the same fallback rescues a request shed by admission
 // control, and an exact frame is re-coded against the best reference the
 // client holds when that wins bytes. Without holdings the reply is always
-// the exact intra frame: a substitute or a delta would poison a peer's
-// store or the UDP client's by-point retained store.
+// the exact intra frame: a substitute or a delta would poison the UDP
+// client's by-point retained store.
 func (s *Server) serve(req frameReq) (frameResult, error) {
 	recvMs := sched.NowMs()
 	var res frameResult
@@ -356,26 +305,18 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 	if ladder && res.IsReference() {
 		req.refs.Hold(req.pt, struct{}{})
 	}
-	res.Point, res.recvMs, res.sendMs = req.pt, recvMs, sched.NowMs()
+	res.Point = req.pt
 
-	if req.fromPeer {
-		// Not a client serve: the proxying node accounts the frame when it
-		// relays it. The serve span joins that node's hop span and the
-		// client's span on the forwarded trace id.
-		s.obs.peerFramesServed.Inc()
-		s.recordSpan(req.traceID, 2, res.recvMs, res.sendMs, &res)
-		return res, nil
-	}
 	// One served frame per reply; UDP chunks, retransmits and pushes
 	// (server.udp.push_frames) are not serves.
 	s.served.Add(1)
 	s.obs.framesServed.Inc()
 	s.obs.bytesSent.Add(int64(len(res.Data)))
-	// Deadline accounting is against the reply's send stamp: network
+	// Deadline accounting is against the reply's send time: network
 	// return time belongs to the client's RTT model, not the server's
 	// deadline compliance.
 	if req.deadlineMs > 0 {
-		if late := res.sendMs - req.deadlineMs; late > 0 {
+		if late := sched.NowMs() - req.deadlineMs; late > 0 {
 			s.obs.deadlineMisses.Inc()
 			s.obs.deadlineMissMs.Observe(late)
 		} else {
@@ -386,14 +327,13 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 }
 
 // frameFor is the one frame lookup, shared by serve, FrameFor and
-// PrerenderRegion: store hit, singleflight join, peer fetch or local
-// render. The stored frame is a pure function of the grid
-// point — the exact ray-cast, encoded at the environment's CRF — whatever
-// the request order, worker count or node. Concurrent calls for the same
-// point share one render: the first caller renders (and reports
-// render/encode spans), the rest block on its result (and report the wait
-// as queue time), so rendered counts are exact and all callers share one
-// buffer.
+// PrerenderRegion: store hit, singleflight join or render. The stored
+// frame is a pure function of the grid point — the exact ray-cast, encoded
+// at the environment's CRF — whatever the request order or worker count.
+// Concurrent calls for the same point share one render: the first caller
+// renders (and reports render/encode spans), the rest block on its result
+// (and report the wait as queue time), so rendered counts are exact and
+// all callers share one buffer.
 //
 // Render leaders pass through the EDF scheduler: they wait for a slot in
 // deadline order (the wait lands in QueueMs) and are shed with
@@ -407,9 +347,6 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 	}
 	data, ok, c, leader := s.store.lookup(pt)
 	if ok {
-		// A store hit is a local serve even when the bytes were
-		// originally peer-fetched: that is the read-through replication
-		// paying off, and Origin describes this serve, not the history.
 		s.obs.frameStoreHits.Inc()
 		res.Data = data
 		return res, nil
@@ -419,27 +356,8 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 		waitStart := time.Now()
 		<-c.done
 		res.QueueMs = float64(time.Since(waitStart)) / float64(time.Millisecond)
-		res.Data, res.Origin = c.data, c.origin
+		res.Data = c.data
 		return res, c.err
-	}
-
-	// Cluster ownership gate: a leader for a remotely owned point
-	// proxies the request to its owner instead of rendering, unless the
-	// owner is down or the hop itself is projected past the deadline —
-	// then this node re-renders locally (byte-identical output, counted
-	// as a failover).
-	if cl := s.cluster; cl != nil && !req.fromPeer {
-		if owner := cl.Owner(pt); owner != cl.Self() {
-			if cl.Up(owner) && !s.sched.FetchAtRisk(sched.NowMs(), req.deadlineMs) {
-				if s.fetchFromOwner(req, &res) {
-					c.origin = res.Origin
-					s.store.complete(pt, c, res.Data, nil)
-					return res, nil
-				}
-			}
-			res.Origin = transport.OriginFailover
-			s.obs.peerFailovers.Inc()
-		}
 	}
 
 	queueMs, admitted := s.sched.Acquire(req.deadlineMs)
@@ -456,61 +374,9 @@ func (s *Server) frameFor(req frameReq) (frameResult, error) {
 		s.rendered.Add(1)
 		s.obs.framesRendered.Inc()
 	}
-	c.origin = res.Origin
 	s.store.complete(pt, c, data, err)
 	res.Data, res.rendered = data, err == nil
 	return res, err
-}
-
-// fetchFromOwner proxies req to the grid point's rendezvous owner and, on
-// success, fills res with the owner's bytes and stage timings (origin
-// peer) and reports true; the caller stores the bytes — read-through
-// replication under the normal budget, so the next request for the point
-// is a local hit. The owner's stage timings pass through; what they do not
-// cover — dial/pool wait plus hop network transit — is this node's proxy
-// overhead and is split out as HopMs, so the client's NetMs stays pure
-// client↔proxy transit.
-func (s *Server) fetchFromOwner(req frameReq, res *frameResult) bool {
-	fetchStartMs := sched.NowMs()
-	reply, err := s.cluster.Fetch(req.pt, req.deadlineMs, req.traceID)
-	if err != nil {
-		return false
-	}
-	hopWallMs := sched.NowMs() - fetchStartMs
-	s.sched.ObserveFetchCost(hopWallMs)
-	s.obs.peerFrames.Inc()
-	res.QueueMs += reply.QueueMs
-	res.RenderMs = reply.RenderMs
-	res.EncodeMs = reply.EncodeMs
-	// Clock jitter between the two nodes' stage clocks must never let the
-	// hop go negative, or the client-side identity would over-subtract
-	// from NetMs.
-	res.HopMs = max(0, hopWallMs-(reply.QueueMs+reply.RenderMs+reply.EncodeMs))
-	res.Data, res.Origin = reply.Data, transport.OriginPeer
-	s.recordSpan(req.traceID, 1, fetchStartMs, fetchStartMs+hopWallMs, res)
-	return true
-}
-
-// recordSpan records one server-side span of a traced request (traceID 0 is
-// untraced): hop 1 around a proxying node's peer fetch, hop 2 around the
-// owner's serve of it.
-func (s *Server) recordSpan(traceID uint64, hop uint8, startMs, endMs float64, res *frameResult) {
-	if traceID == 0 {
-		return
-	}
-	s.obs.trace.Record(&obs.FrameSpan{
-		Player:    int(uint8(traceID >> 32)),
-		TraceID:   traceID,
-		Hop:       hop,
-		StartMs:   startMs,
-		DisplayMs: endMs,
-		FetchMs:   endMs - startMs,
-		HopMs:     res.HopMs,
-		QueueMs:   res.QueueMs,
-		RenderMs:  res.RenderMs,
-		EncodeMs:  res.EncodeMs,
-		Origin:    uint8(res.Origin),
-	})
 }
 
 // render ray-casts and encodes the far-BE panorama for an in-grid point,
@@ -692,21 +558,13 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			return err
 		}
 		switch m.Type {
-		case transport.MsgFrameRequest, transport.MsgPeerFrameRequest:
+		case transport.MsgFrameRequest:
 			req, err := transport.DecodeFrameRequest(m.Payload)
 			if err != nil {
 				return err
 			}
-			// A peer forwards its client's player and request id verbatim, so
-			// this trace id matches the one on the proxy's hop span.
 			fr := newFrameReq(req, sched.NowMs())
 			fr.refs = refs
-			reply := transport.MsgFrameReply
-			if m.Type == transport.MsgPeerFrameRequest {
-				// Node-to-node hop: no further hop, and no holdings — delta
-				// references and the stale rung do not cross nodes.
-				fr.fromPeer, fr.refs, reply = true, nil, transport.MsgPeerFrameReply
-			}
 			res, err := s.serve(fr)
 			if err != nil {
 				if err := c.Send(errMsg(err.Error())); err != nil {
@@ -716,7 +574,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 			}
 			st.FramesServed++
 			st.BytesSent += int64(len(res.Data))
-			if err := c.Send(frameReplyMsg(reply, req, res)); err != nil {
+			if err := c.Send(frameReplyMsg(req, res)); err != nil {
 				return err
 			}
 		case transport.MsgBye:
@@ -727,11 +585,10 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 	}
 }
 
-// frameReplyMsg frames res as the reply (of the given message type) to
-// req, echoing the request's id.
-func frameReplyMsg(typ transport.MsgType, req transport.FrameRequest, res frameResult) transport.Message {
+// frameReplyMsg frames res as the reply to req, echoing the request's id.
+func frameReplyMsg(req transport.FrameRequest, res frameResult) transport.Message {
 	res.ReqID = req.ReqID
-	return transport.Message{Type: typ, Payload: transport.EncodeFrameReply(res.FrameReply)}
+	return transport.Message{Type: transport.MsgFrameReply, Payload: transport.EncodeFrameReply(res.FrameReply)}
 }
 
 func errMsg(s string) transport.Message {

@@ -6,7 +6,6 @@ import (
 	"coterie/internal/geom"
 	"coterie/internal/lru"
 	"coterie/internal/obs"
-	"coterie/internal/transport"
 )
 
 // The frame store is the server's hot shared structure: every frame
@@ -21,12 +20,11 @@ import (
 
 // frameCall is one in-flight render shared by concurrent requesters
 // (singleflight). The leader renders, stores the result, then closes done;
-// joiners block on done and read data/origin/err.
+// joiners block on done and read data/err.
 type frameCall struct {
-	done   chan struct{}
-	data   []byte
-	origin transport.FrameOrigin
-	err    error
+	done chan struct{}
+	data []byte
+	err  error
 }
 
 // deltaRec is one cached delta encoding of an entry's frame against a

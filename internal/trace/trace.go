@@ -258,6 +258,11 @@ func genWander(g *games.Game, t *Trace, ticks int, rng *rand.Rand, wp wanderPara
 	for i := 0; i < 40 && blocked(pos); i++ {
 		pos = jitter(rng, wp.start, 3+float64(i))
 	}
+	if blocked(pos) {
+		// From a blocked start every step is blocked too, and the player
+		// would never leave its first grid cell.
+		pos = nearestFree(g.Scene.Bounds, wp.start, blocked)
+	}
 
 	if follow != nil {
 		// Pursuit mode: walk the leader's trail a few seconds behind with
@@ -355,4 +360,25 @@ func genWander(g *games.Game, t *Trace, ticks int, rng *rand.Rand, wp wanderPara
 		}
 		t.Pos = append(t.Pos, pos)
 	}
+}
+
+// nearestFree returns the first unblocked point of c clamped to bounds and
+// then of rings of growing radius (0.25 m apart) around c, each point
+// clamped, scanning each ring at about 0.25 m spacing. It draws no random numbers, so a trace that needs it
+// leaves every other trace's draws alone. When nothing in bounds is free it
+// returns c clamped.
+func nearestFree(bounds geom.Rect, c geom.Vec2, blocked func(geom.Vec2) bool) geom.Vec2 {
+	const step = 0.25
+	maxR := math.Hypot(bounds.Width(), bounds.Depth())
+	for r := 0.0; r <= maxR; r += step {
+		n := max(1, int(math.Ceil(2*math.Pi*r/step)))
+		for k := 0; k < n; k++ {
+			a := 2 * math.Pi * float64(k) / float64(n)
+			p := bounds.ClampPoint(geom.V2(c.X+r*math.Cos(a), c.Z+r*math.Sin(a)))
+			if !blocked(p) {
+				return p
+			}
+		}
+	}
+	return bounds.ClampPoint(c)
 }

@@ -67,6 +67,21 @@ func TestPlayerActuallyMoves(t *testing.T) {
 	}
 }
 
+// TestBlockedStartStillWalks: pool's player 1 at seed 37 draws a start
+// position that every re-draw leaves blocked; it must start on a free
+// point instead of standing in its first grid cell for the whole trace.
+func TestBlockedStartStillWalks(t *testing.T) {
+	g := build(t, "pool")
+	tr := GenerateParty(g, 2, 10, 37)[1]
+	pts := tr.Points(g.Scene.Grid)
+	for _, p := range pts {
+		if p != pts[0] {
+			return
+		}
+	}
+	t.Fatalf("player 1 never left grid point %v in %d ticks", pts[0], len(pts))
+}
+
 func TestDeterministic(t *testing.T) {
 	g := build(t, "viking")
 	a := Generate(g, 5, 42)

@@ -1,7 +1,6 @@
 // Package transport is the deployable network layer of Coterie: a
 // length-prefixed binary protocol over TCP for far-BE frame prefetching
-// (the paper serves frames over TCP, §5.1), the client half of its exchange
-// (Client), and the datagram frame path. The simulated testbed (internal/netsim) models the
+// (the paper serves frames over TCP, §5.1) and the datagram frame path. The simulated testbed (internal/netsim) models the
 // medium for deterministic experiments; this package runs the same request
 // flow over real sockets for cmd/coterie-server and cmd/coterie-client.
 package transport
@@ -59,21 +58,11 @@ const (
 	// references by one rule (HeldRefs), so no eviction is reported, and a
 	// session that sends it is closed. The wire number stays reserved.
 	MsgEvictNotice
-	// MsgPeerFrameRequest is a node-to-node frame fetch inside a cluster:
-	// a non-owner node proxies a client's request to the grid point's
-	// rendezvous owner. The payload is a FrameRequest carrying the
-	// remaining budget, so the deadline propagates across the hop without
-	// either node reading the other's clock.
-	MsgPeerFrameRequest
-	// MsgPeerFrameReply answers a peer fetch with a FrameReply (always
-	// intra-coded — delta references are per client session and do not
-	// cross nodes), carrying the owner's stage timings end-to-end.
-	MsgPeerFrameReply
 )
 
 // maxMsgType is the highest known message type; ReadMessage and the
 // metrics tables reject/ignore anything past it.
-const maxMsgType = MsgPeerFrameReply
+const maxMsgType = MsgEvictNotice
 
 // MaxPayload bounds message payloads (a 4K panoramic frame fits well
 // within this).
@@ -84,6 +73,14 @@ type Message struct {
 	Type    MsgType
 	Payload []byte
 }
+
+// RemoteError is an application-level rejection the far side delivered as
+// MsgError (a wrong-game hello, an admission-control shed, a point outside
+// the world). Unlike a transport error it leaves a handshaken session
+// usable: the caller may retry or fall back.
+type RemoteError struct{ Msg string }
+
+func (e *RemoteError) Error() string { return "server error: " + e.Msg }
 
 // WriteMessage frames and writes a message: 1-byte type, 4-byte big-endian
 // length, payload.
@@ -184,28 +181,18 @@ const (
 	RungStale
 )
 
-// FrameOrigin tags which node produced a reply's frame bytes inside a
-// cluster. Single-node servers always report OriginLocal; the other
-// values let clients and QoE accounting see where cluster work landed.
+// FrameOrigin is the reply header byte that named the node a frame came
+// from when the server could shard points across nodes. The server is one
+// node: it always writes OriginLocal, and DecodeFrameReply rejects any
+// other value.
 type FrameOrigin uint8
 
-const (
-	// OriginLocal: the serving node owned the point (or runs standalone)
-	// and served from its own store or renderer.
-	OriginLocal FrameOrigin = iota
-	// OriginPeer: the serving node proxied the request to the point's
-	// rendezvous owner and relayed (and cached) the owner's frame.
-	OriginPeer
-	// OriginFailover: the point is owned by a peer, but the peer was down
-	// or the hop did not fit the deadline, so the serving node re-rendered
-	// locally (byte-identical output, at local render cost).
-	OriginFailover
-)
+// OriginLocal is the only origin: the serving process produced the frame.
+const OriginLocal FrameOrigin = 0
 
 // FrameRequest asks for the encoded far-BE panorama of a grid point. It
-// is the one frame request of every wire: a TCP client's MsgFrameRequest,
-// a cluster node's MsgPeerFrameRequest, and the body of a DgramReq
-// datagram.
+// is the one frame request of both wires: a TCP client's MsgFrameRequest
+// and the body of a DgramReq datagram.
 type FrameRequest struct {
 	Player uint8
 	Point  geom.GridPoint
@@ -275,12 +262,9 @@ type FrameReply struct {
 	QueueMs  float64
 	RenderMs float64
 	EncodeMs float64
-	// HopMs is the cluster proxy overhead for peer-origin frames: the
-	// proxying node's wall time around its peer fetch (dial/pool wait plus
-	// hop network transit) minus the owner's own stages, which are echoed
-	// in QueueMs/RenderMs/EncodeMs. Zero for locally served frames, so the
-	// client-side identity Net+Hop+Queue+Render+Encode = RTT holds on
-	// every origin.
+	// HopMs is always zero: it held the proxy overhead of the removed
+	// multi-node cluster. The field and its wire bytes stay until the
+	// benchmark harness, which reads them, stops doing so.
 	HopMs float64
 	// Kind says how Data is coded (intra or delta); Ref names the delta's
 	// reference grid point and is meaningful only when Kind is FrameDelta.
@@ -289,8 +273,8 @@ type FrameReply struct {
 	// frame, so clients and QoE accounting see deadline-driven
 	// degradation explicitly rather than inferring it from latency.
 	Rung DegradeRung
-	// Origin tags which node produced the bytes (local, peer fetch, or
-	// failover re-render) so cluster serving is visible end-to-end.
+	// Origin is always OriginLocal; like HopMs it stays for the benchmark
+	// harness.
 	Origin FrameOrigin
 	Ref    geom.GridPoint
 	Data   []byte
@@ -330,7 +314,7 @@ func DecodeFrameReply(b []byte) (FrameReply, error) {
 	if g := DegradeRung(b[45]); g > RungStale {
 		return FrameReply{}, fmt.Errorf("transport: unknown degrade rung %d", b[45])
 	}
-	if o := FrameOrigin(b[46]); o > OriginFailover {
+	if o := FrameOrigin(b[46]); o != OriginLocal {
 		return FrameReply{}, fmt.Errorf("transport: unknown frame origin %d", b[46])
 	}
 	return FrameReply{
@@ -371,10 +355,6 @@ func msgName(t MsgType) string {
 		return "bye"
 	case MsgEvictNotice:
 		return "evict_notice"
-	case MsgPeerFrameRequest:
-		return "peer_frame_request"
-	case MsgPeerFrameReply:
-		return "peer_frame_reply"
 	default:
 		return "unknown"
 	}

@@ -176,7 +176,7 @@ func TestFrameReplyRoundTrip(t *testing.T) {
 		HopMs:    1.75,
 		Kind:     FrameDelta,
 		Rung:     RungStale,
-		Origin:   OriginPeer,
+		Origin:   OriginLocal,
 		Ref:      geom.GridPoint{I: -6, J: 1<<20 - 1},
 		Data:     []byte{9, 8, 7},
 	}
@@ -228,44 +228,20 @@ func TestFrameReplyRejectsUnknownRung(t *testing.T) {
 }
 
 func TestFrameReplyRejectsUnknownOrigin(t *testing.T) {
-	// Same pre-payload guard for the frame-origin byte: a node speaking a
-	// newer cluster protocol must fail loudly at the transport layer.
+	// Same pre-payload guard for the frame-origin byte: the server is one
+	// node and writes only OriginLocal, so every other value (1 and 2 were
+	// the removed cluster's peer and failover origins) fails loudly at the
+	// transport layer.
 	full := EncodeFrameReply(FrameReply{ReqID: 1, Data: []byte("frame")})
-	for _, origin := range []byte{byte(OriginFailover) + 1, 0x7F, 0xFF} {
+	for _, origin := range []byte{1, 2, 0x7F, 0xFF} {
 		forged := append([]byte(nil), full...)
 		forged[46] = origin
 		if _, err := DecodeFrameReply(forged); err == nil {
 			t.Fatalf("unknown frame origin %d accepted", origin)
 		}
 	}
-	for _, origin := range []FrameOrigin{OriginLocal, OriginPeer, OriginFailover} {
-		got, err := DecodeFrameReply(EncodeFrameReply(FrameReply{Origin: origin}))
-		if err != nil || got.Origin != origin {
-			t.Fatalf("origin %d: got %d, err %v", origin, got.Origin, err)
-		}
-	}
-}
-
-func TestPeerMessageTypesFrame(t *testing.T) {
-	// The peer fetch rides the normal framing: both peer types round-trip
-	// through Write/ReadMessage and carry the frame payloads verbatim.
-	var buf bytes.Buffer
-	req := EncodeFrameRequest(FrameRequest{Player: 1, Point: geom.GridPoint{I: 3, J: 4}, BudgetUs: 16700})
-	reply := EncodeFrameReply(FrameReply{Point: geom.GridPoint{I: 3, J: 4}, Origin: OriginLocal, Data: []byte("f")})
-	for _, m := range []Message{
-		{Type: MsgPeerFrameRequest, Payload: req},
-		{Type: MsgPeerFrameReply, Payload: reply},
-	} {
-		if err := WriteMessage(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Type != m.Type || !bytes.Equal(got.Payload, m.Payload) {
-			t.Fatalf("got %+v want %+v", got, m)
-		}
+	if got, err := DecodeFrameReply(full); err != nil || got.Origin != OriginLocal {
+		t.Fatalf("origin %d: got %d, err %v", OriginLocal, got.Origin, err)
 	}
 }
 
@@ -283,8 +259,8 @@ func TestDialBounded(t *testing.T) {
 	conn.Close()
 
 	// Dial against a dead address must return (not hang) within the
-	// configured timeout plus slack — the staged pipeline sits behind this
-	// call during peer fetches.
+	// configured timeout plus slack — a client's dial sits behind this
+	// call.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +413,7 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(EncodeFrameReply(FrameReply{
 		Point: geom.GridPoint{I: -5, J: 1 << 20}, ReqID: 42,
 		QueueMs: 3.5, RenderMs: 12.25, EncodeMs: 9, HopMs: 1.75,
-		Kind: FrameDelta, Rung: RungStale, Origin: OriginPeer,
+		Kind: FrameDelta, Rung: RungStale, Origin: OriginLocal,
 		Ref: geom.GridPoint{I: -6, J: 1<<20 - 1}, Data: []byte{9, 8, 7},
 	}))
 	// Non-finite stage spans go through verbatim: the fixed point holds by bits.

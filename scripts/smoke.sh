@@ -12,12 +12,6 @@
 #      delivered, at least one pushed frame consumed, no CRC-corrupt drops.
 #   4. Three concurrent clients (distinct -player / -seed) on the same
 #      server: each exits 0, prints its pipeline report and a sane fetch p95.
-#   5. A 2-node cluster, one client per node: /cluster on node 0 shows both
-#      nodes up with a sane fleet deadline compliance, and node 0
-#      peer-fetched at least one frame.
-#   6. Failover: node 1 is killed, and a client with a fresh seed against
-#      node 0 must finish (any failed fetch fails the client) while node 0
-#      counts at least one failover re-render.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,14 +56,6 @@ start_clients() {
             >"$bin/$label-$i.log" 2>&1 &
         client_pids+=($!)
     done
-}
-
-clients_running() {
-    local p
-    for p in "${client_pids[@]}"; do
-        kill -0 "$p" 2>/dev/null && return 0
-    done
-    return 1
 }
 
 # wait_clients LABEL: every client started by start_clients must exit 0
@@ -275,104 +261,4 @@ kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=
 
-# --- 2-node cluster: peer fetch, then failover after killing one node ---
-# Two server processes share grid-point ownership by rendezvous hashing.
-# A client on each node must trigger peer fetches (each node owns ~half
-# the points its session requests); after one node is killed, a client on
-# the survivor must finish without a failed fetch — remote points fail
-# over to local re-renders, counted in server.peer_failovers.
-echo "smoke: starting 2-node cluster..."
-n0_port=$((port + 3)); n1_port=$((port + 4)); n0_admin=$((port + 5)); n1_admin=$((port + 6))
-n0_addr="127.0.0.1:$n0_port"; n1_addr="127.0.0.1:$n1_port"
-cluster="$n0_addr,$n1_addr"
-cluster_admin="127.0.0.1:$n0_admin,127.0.0.1:$n1_admin"
-"$bin/coterie-server" -game pool -addr "$n0_addr" -width 64 -height 32 \
-    -cluster "$cluster" -node-id 0 -admin "127.0.0.1:$n0_admin" \
-    -cluster-admin "$cluster_admin" -drain 2s \
-    >"$bin/node0.log" 2>&1 &
-node0_pid=$!
-"$bin/coterie-server" -game pool -addr "$n1_addr" -width 64 -height 32 \
-    -cluster "$cluster" -node-id 1 -admin "127.0.0.1:$n1_admin" \
-    -cluster-admin "$cluster_admin" -drain 2s >"$bin/node1.log" 2>&1 &
-node1_pid=$!
-cleanup_cluster() {
-    [ -n "${node0_pid:-}" ] && kill "$node0_pid" 2>/dev/null
-    [ -n "${node1_pid:-}" ] && kill "$node1_pid" 2>/dev/null
-    wait 2>/dev/null || true
-}
-trap 'cleanup_cluster; cleanup' EXIT INT TERM
-
-for p in "$n0_port" "$n1_port"; do
-    for _ in $(seq 1 240); do
-        if (exec 3<>"/dev/tcp/127.0.0.1/$p") 2>/dev/null; then
-            exec 3>&- 3<&-
-            break
-        fi
-        sleep 0.5
-    done
-done
-
-echo "smoke: one client on each cluster node..."
-start_clients cluster 20 "$n0_addr" "$n1_addr"
-
-# Mid-session fleet view: /cluster on node 0 must merge both nodes (live,
-# not stale) and carry the deadline compliance merged from their /metrics
-# while the clients are running.
-fleet_ok() {
-    grep -Eq '"nodes_up": *2' "$bin/fleet.scrape" &&
-        grep -q "127.0.0.1:$n1_admin" "$bin/fleet.scrape" &&
-        grep -q '"deadline_compliance":' "$bin/fleet.scrape"
-}
-fleet_seen=
-while clients_running; do
-    if http_get 127.0.0.1 "$n0_admin" /cluster >"$bin/fleet.scrape" 2>/dev/null && fleet_ok; then
-        fleet_seen=1
-        break
-    fi
-    sleep 0.2
-done
-wait_clients cluster
-# A 2-second session can race past the scrape loop; the fleet view is
-# served on demand, so a post-hoc scrape carries the same counters.
-if [ -z "$fleet_seen" ]; then
-    http_get 127.0.0.1 "$n0_admin" /cluster >"$bin/fleet.scrape" || true
-    fleet_ok || {
-        echo "smoke: /cluster never showed both nodes up with a deadline compliance" >&2
-        cat "$bin/fleet.scrape" >&2
-        exit 1
-    }
-fi
-# Every compliance in the view, per node and fleet-wide, is a share in
-# [0, 1] or -1 for no deadline traffic.
-awk '
-    /"deadline_compliance":/ { v = $2; gsub(/[",]/, "", v); if (v + 0 != -1 && (v + 0 < 0 || v + 0 > 1)) bad = v }
-    END { if (bad != "") { print "smoke: /cluster deadline compliance insane: " bad; exit 1 } }
-    ' "$bin/fleet.scrape" || {
-    echo "smoke: fleet deadline-compliance sanity check failed" >&2
-    cat "$bin/fleet.scrape" >&2
-    exit 1
-}
-http_get 127.0.0.1 "$n0_admin" /metrics >"$bin/cluster.scrape" || true
-grep -Eq '"cluster\.peer_fetches": *[1-9]' "$bin/cluster.scrape" || {
-    echo "smoke: node 0 never peer-fetched a frame" >&2
-    cat "$bin/cluster.scrape" >&2
-    exit 1
-}
-
-echo "smoke: killing node 1, a fresh client against the survivor..."
-kill "$node1_pid"
-wait "$node1_pid" 2>/dev/null || true
-node1_pid=
-start_clients failover 30 "$n0_addr"
-wait_clients failover
-http_get 127.0.0.1 "$n0_admin" /metrics >"$bin/failover.scrape" || true
-grep -Eq '"server\.peer_failovers": *[1-9]' "$bin/failover.scrape" || {
-    echo "smoke: node 0 counted no failover re-renders" >&2
-    cat "$bin/failover.scrape" "$bin/node0.log" >&2
-    exit 1
-}
-
-kill "$node0_pid"
-wait "$node0_pid" 2>/dev/null || true
-node0_pid=
 echo "smoke: OK"
