@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build deps bench-build test test-procs race fuzz bench bench-e2e bench-pairs micro-pairs smoke loc knobs
+.PHONY: check fmt vet build deps bench-build test test-procs race fuzz bench bench-e2e bench-pairs micro-pairs smoke loc knobs thresholds
 
 check: fmt vet build deps bench-build test-procs race
 
@@ -122,6 +122,13 @@ PKG ?= ./internal/server
 BENCH ?= ColdMiss
 micro-pairs:
 	./scripts/micro-pairs.sh $(PARENT) $(PKG) $(BENCH) $(N)
+
+# Rewrite the stored per-leaf distance thresholds (internal/cutoff/thresholds/,
+# embedded and loaded by core.PrepareEnv) from a fresh calibration of every
+# catalog game's map. Run it when a change moves a map digest or a threshold
+# and commit the files with it; TestDefaultMapsUnchanged fails until then.
+thresholds:
+	$(GO) test -count=1 ./internal/cutoff -run TestDefaultMapsUnchanged -update
 
 # Non-test Go lines under internal/ (total and per package) and cmd/, the
 # flags each cmd/ binary defines, and the exported fields of the config

@@ -60,9 +60,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The client runs the same offline preprocessing the server did so
-	// its cache lookups use identical leaf regions and thresholds (the
-	// paper ships the preprocessing output with the app).
+	// The client prepares the same environment the server did, so its
+	// cache lookups use identical leaf regions and thresholds: at the
+	// default resolution the thresholds are the table the offline step
+	// stored (the paper ships the preprocessing output with the app); at
+	// another one PrepareEnv calibrates them, as the server does when run
+	// at that resolution.
 	log.Printf("preparing %s client state...", spec.FullName)
 	env, err := core.PrepareEnv(spec, core.EnvOptions{
 		RenderCfg: render.Config{W: *width, H: *height},

@@ -1,7 +1,8 @@
 // Coterie-server hosts the far-BE frame server for one game over real
-// TCP: it runs the offline preprocessing (adaptive cutoff scheme and cache
-// distance thresholds), then serves pre-rendered, pre-encoded panoramic
-// far-BE frames and FI synchronisation to clients (§5.1).
+// TCP: it prepares the game's environment (the adaptive cutoff map and the
+// cache distance thresholds the offline step stored for it), then serves
+// pre-rendered, pre-encoded panoramic far-BE frames and FI synchronisation
+// to clients (§5.1).
 //
 // Usage:
 //
@@ -52,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("coterie-server: %v", err)
 	}
-	log.Printf("preparing %s (offline preprocessing: adaptive cutoff + thresholds)...", spec.FullName)
+	log.Printf("preparing %s (adaptive cutoff map, stored distance thresholds, frame sizes)...", spec.FullName)
 	start := time.Now()
 	env, err := core.PrepareEnv(spec, core.EnvOptions{
 		RenderCfg: render.Config{W: *width, H: *height},

@@ -1,10 +1,13 @@
 // Cutoffgen is the offline preprocessing tool (§6, the paper's 1200-line
 // C# module): it runs the adaptive cutoff scheme over a game's virtual
-// world, derives the per-leaf cache distance thresholds, and prints the
-// resulting partition. The map is built by core.PrepareEnv, the same step
+// world and prints the resulting partition with each leaf's cache distance
+// threshold. The map is built by core.PrepareEnv, the same step
 // coterie-server, coterie-client and the benchmark run, so the regions and
 // thresholds it prints are the ones they use at their default 256x128
-// panorama.
+// panorama. At the default -k those thresholds are the per-leaf table
+// stored in internal/cutoff/thresholds/ (derived once, offline: `make
+// thresholds`); any other -k changes the map, and PrepareEnv calibrates
+// its thresholds afresh.
 //
 // Usage:
 //

@@ -25,8 +25,9 @@ func main() {
 	}
 	fmt.Printf("porting %s to Coterie...\n\n", spec.FullName)
 
-	// Step 1+2: run the offline preprocessing (cutoff radii, thresholds,
-	// frame sizes).
+	// Step 1: prepare the environment: the cutoff map (computed here), the
+	// per-leaf distance thresholds (loaded from the table the offline step
+	// stored for this map, `make thresholds`) and the frame-size model.
 	env, err := core.PrepareEnv(spec, core.EnvOptions{})
 	if err != nil {
 		log.Fatal(err)
@@ -36,7 +37,7 @@ func main() {
 		env.Map.Stats.LeafCount, env.Map.Stats.DepthAvg, env.Map.Stats.DepthMax,
 		env.Map.Stats.ProcTime.Round(1e6))
 
-	// Step 3: inspect one viewpoint's near/far split.
+	// Step 2: inspect one viewpoint's near/far split.
 	pos := env.Game.Spawn
 	leaf := env.Map.LeafAt(pos)
 	fmt.Printf("\nstep 2: the split at the spawn point (%.0f, %.0f)\n", pos.X, pos.Z)
@@ -57,7 +58,7 @@ func main() {
 	fmt.Printf("  encoded whole BE %d bytes vs far BE %d bytes (%.0f%% smaller)\n",
 		wholeBytes, farBytes, 100*(1-float64(farBytes)/float64(wholeBytes)))
 
-	// Step 4: drop the rendered panoramas to disk for inspection,
+	// Step 3: drop the rendered panoramas to disk for inspection,
 	// including a colour version of the whole scene.
 	if err := writePGM("whole_be.pgm", whole); err != nil {
 		log.Fatal(err)

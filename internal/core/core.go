@@ -53,15 +53,18 @@ const (
 
 // EnvOptions controls environment preparation.
 type EnvOptions struct {
-	// RenderCfg sets the panoramic frame resolution for size sampling and
-	// threshold calibration.
+	// RenderCfg sets the panoramic frame resolution of the renderer and of
+	// threshold calibration (the frame-size model samples at its own).
 	RenderCfg render.Config
 	// CutoffParams configures the adaptive cutoff scheme; the zero value
 	// means cutoff.DefaultParams. Any other value goes to cutoff.Compute
 	// as set, which rejects an invalid one.
 	CutoffParams cutoff.Params
 	// ThresholdLeaves is the number of leaves sampled by
-	// cutoff.CalibrateThresholds; 0 means 3.
+	// cutoff.CalibrateThresholds; 0 means cutoff.DefaultSampleLeaves (3).
+	// A catalog game at that count, the default resolution and the default
+	// CutoffParams loads its thresholds from the table the offline step
+	// stored (cutoff.LoadThresholds) instead of calibrating them.
 	ThresholdLeaves int
 	// SizeSamples is the number of locations sampled for the frame-size
 	// model; 0 means 12.
@@ -93,16 +96,19 @@ type pointMeta struct {
 // metaCap bounds Meta's memo: past it, points are computed but not kept.
 const metaCap = 1 << 20
 
-// PrepareEnv builds a game and runs the offline preprocessing: the
-// adaptive cutoff scheme, the cache distance thresholds, and frame-size
-// sampling. This corresponds to the paper's per-app installation step
-// (§4.3, §6).
+// PrepareEnv builds a game and assembles the offline preprocessing's
+// output: the adaptive cutoff scheme, the cache distance thresholds, and
+// frame-size sampling. This corresponds to the paper's per-app
+// installation step (§4.3, §6). The thresholds come from the table
+// internal/cutoff stores for the game when it was derived for exactly this
+// map and these options, and are calibrated otherwise; either way they are
+// the same bits.
 func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	if opts.CutoffParams == (cutoff.Params{}) {
 		opts.CutoffParams = cutoff.DefaultParams()
 	}
 	if opts.ThresholdLeaves == 0 {
-		opts.ThresholdLeaves = 3
+		opts.ThresholdLeaves = cutoff.DefaultSampleLeaves
 	}
 	if opts.SizeSamples == 0 {
 		opts.SizeSamples = 12
@@ -114,8 +120,19 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 		return nil, fmt.Errorf("core: cutoff scheme failed: %w", err)
 	}
 	r := render.New(g.Scene, opts.RenderCfg)
-	if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, cutoff.DefaultThresholdConfig()); err != nil {
-		return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
+	tc := cutoff.DefaultThresholdConfig()
+	// The stored table pins the map, not the scene: a spec that is not the
+	// catalog's own calibrates, whatever its name.
+	stored := false
+	if cat, err := games.ByName(spec.Name); err == nil && cat == spec {
+		if stored, err = cutoff.LoadThresholds(spec.Name, m, r.Cfg, opts.ThresholdLeaves, tc); err != nil {
+			return nil, fmt.Errorf("core: stored thresholds: %w", err)
+		}
+	}
+	if !stored {
+		if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, tc); err != nil {
+			return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
+		}
 	}
 	sizer, err := NewFrameSizer(g, m, codec.DefaultCRF, opts.SizeSamples)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"coterie/internal/cutoff"
 	"coterie/internal/games"
 	"coterie/internal/geom"
+	"coterie/internal/render"
 )
 
 // The FPS arena is the smallest outdoor world; sessions on it exercise the
@@ -71,6 +73,49 @@ func TestPrepareEnvCutoffParams(t *testing.T) {
 	_, err = PrepareEnv(spec, EnvOptions{CutoffParams: cutoff.Params{K: 0, BudgetMs: 12.7}})
 	if err == nil || !strings.Contains(err.Error(), "K must be >= 1") {
 		t.Fatalf("CutoffParams{K: 0, BudgetMs: 12.7}: err %v, want Compute's K error", err)
+	}
+}
+
+// TestPrepareEnvThresholdSource: at the defaults a catalog game's
+// thresholds are its stored table; at other options (the benchmark's small
+// mode) PrepareEnv calibrates, to the bits of a direct CalibrateThresholds
+// call, and the table is not used.
+func TestPrepareEnvThresholdSource(t *testing.T) {
+	def := testEnv(t)
+	small := render.Config{W: 64, H: 32}
+	env, err := PrepareEnv(def.Game.Spec, EnvOptions{RenderCfg: small, ThresholdLeaves: 1, SizeSamples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Compute's map, before any thresholds: both environments' maps without
+	// them.
+	bare := func() *cutoff.Map {
+		m := *def.Map
+		m.Regions = append([]cutoff.Region(nil), m.Regions...)
+		for i := range m.Regions {
+			m.Regions[i].DistThresh = 0
+		}
+		return &m
+	}
+	table, direct := bare(), bare()
+	if ok, err := cutoff.LoadThresholds("fps", table, render.DefaultConfig(), cutoff.DefaultSampleLeaves, cutoff.DefaultThresholdConfig()); !ok || err != nil {
+		t.Fatalf("fps's stored table: accepted %v, err %v", ok, err)
+	}
+	if err := cutoff.CalibrateThresholds(direct, render.New(def.Game.Scene, small), 1, cutoff.DefaultThresholdConfig()); err != nil {
+		t.Fatal(err)
+	}
+	same := true
+	for i, r := range table.Regions {
+		if got := def.Map.Regions[i].DistThresh; math.Float64bits(got) != math.Float64bits(r.DistThresh) {
+			t.Fatalf("defaults: leaf %d threshold %v, stored %v", i, got, r.DistThresh)
+		}
+		if got, want := env.Map.Regions[i].DistThresh, direct.Regions[i].DistThresh; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("64x32, 1 leaf: leaf %d threshold %v, calibration %v", i, got, want)
+		}
+		same = same && direct.Regions[i].DistThresh == r.DistThresh
+	}
+	if same {
+		t.Fatal("the 64x32 calibration equals the stored table: the test cannot tell them apart")
 	}
 }
 

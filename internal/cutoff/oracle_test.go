@@ -1,9 +1,6 @@
 package cutoff
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -29,30 +26,9 @@ var mapDigests = map[string]uint64{
 	"corridor": 0x31840f3292aa8b3f, // 49 leaves
 }
 
-// mapDigest hashes the bits of every field of every region, in order.
-func mapDigest(m *Map) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	putF := func(f float64) { put(math.Float64bits(f)) }
-	put(uint64(len(m.Regions)))
-	for _, r := range m.Regions {
-		put(uint64(r.ID))
-		putF(r.Bounds.MinX)
-		putF(r.Bounds.MinZ)
-		putF(r.Bounds.MaxX)
-		putF(r.Bounds.MaxZ)
-		put(uint64(r.Depth))
-		putF(r.Radius)
-		putF(r.DistThresh)
-		putF(r.TriDensity)
-	}
-	return h.Sum64()
-}
-
+// TestDefaultMapsUnchanged also holds each game's stored thresholds to a
+// fresh CalibrateThresholds run on its map, bit for bit; -update rewrites
+// them from that run instead.
 func TestDefaultMapsUnchanged(t *testing.T) {
 	prof := device.Pixel2()
 	for _, spec := range games.Catalog() {
@@ -64,6 +40,7 @@ func TestDefaultMapsUnchanged(t *testing.T) {
 		if got, want := mapDigest(m), mapDigests[spec.Name]; got != want {
 			t.Errorf("%s: map digest %#x, want %#x", spec.Name, got, want)
 		}
+		checkTable(t, spec.Name, m)
 	}
 }
 

@@ -256,8 +256,8 @@ func (ix *index) forEachInDisc(q *Query, p geom.Vec2, radius float64, fn func(o 
 func footprintIntersectsDisc(o *Object, p geom.Vec2, radius float64) bool {
 	switch o.Kind {
 	case KindSphere:
-		d := math.Hypot(o.Center.X-p.X, o.Center.Z-p.Z)
-		return d <= radius+o.Radius
+		dx, dz, r := o.Center.X-p.X, o.Center.Z-p.Z, radius+o.Radius
+		return dx*dx+dz*dz <= r*r
 	default:
 		// Distance from disc centre to the box footprint rectangle.
 		dx := math.Max(0, math.Max(o.Center.X-o.Half.X-p.X, p.X-(o.Center.X+o.Half.X)))
