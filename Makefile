@@ -123,10 +123,11 @@ BENCH ?= ColdMiss
 micro-pairs:
 	./scripts/micro-pairs.sh $(PARENT) $(PKG) $(BENCH) $(N)
 
-# Rewrite the stored per-leaf distance thresholds (internal/cutoff/thresholds/,
-# embedded and loaded by core.PrepareEnv) from a fresh calibration of every
-# catalog game's map. Run it when a change moves a map digest or a threshold
-# and commit the files with it; TestDefaultMapsUnchanged fails until then.
+# Rewrite the stored offline output (internal/cutoff/thresholds/, embedded
+# and loaded by core.PrepareEnv): every catalog game's cutoff map from a
+# fresh cutoff.Compute and its per-leaf distance thresholds from a fresh
+# calibration. Run it when a change moves a scene, a map or a threshold and
+# commit the files with it; TestDefaultMapsUnchanged fails until then.
 thresholds:
 	$(GO) test -count=1 ./internal/cutoff -run TestDefaultMapsUnchanged -update
 

@@ -61,11 +61,11 @@ func run() error {
 		return err
 	}
 	// The client prepares the same environment the server did, so its
-	// cache lookups use identical leaf regions and thresholds: at the
-	// default resolution the thresholds are the table the offline step
-	// stored (the paper ships the preprocessing output with the app); at
-	// another one PrepareEnv calibrates them, as the server does when run
-	// at that resolution.
+	// cache lookups use identical leaf regions and thresholds: the map is
+	// the table the offline step stored (the paper ships the preprocessing
+	// output with the app), and so are the thresholds at the default
+	// resolution; at another one PrepareEnv calibrates them, as the server
+	// does when run at that resolution.
 	log.Printf("preparing %s client state...", spec.FullName)
 	env, err := core.PrepareEnv(spec, core.EnvOptions{
 		RenderCfg: render.Config{W: *width, H: *height},

@@ -1,8 +1,9 @@
 // Coterie-server hosts the far-BE frame server for one game over real
-// TCP: it prepares the game's environment (the adaptive cutoff map and the
-// cache distance thresholds the offline step stored for it), then serves
-// pre-rendered, pre-encoded panoramic far-BE frames and FI synchronisation
-// to clients (§5.1).
+// TCP: it prepares the game's environment (it loads the adaptive cutoff map
+// and the cache distance thresholds the offline step stored for it, and
+// calibrates the thresholds afresh at another -width or -height), then
+// serves pre-rendered, pre-encoded panoramic far-BE frames and FI
+// synchronisation to clients (§5.1).
 //
 // Usage:
 //
@@ -53,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("coterie-server: %v", err)
 	}
-	log.Printf("preparing %s (adaptive cutoff map, stored distance thresholds, frame sizes)...", spec.FullName)
+	log.Printf("preparing %s (loading the adaptive cutoff map and distance thresholds the offline step stored)...", spec.FullName)
 	start := time.Now()
 	env, err := core.PrepareEnv(spec, core.EnvOptions{
 		RenderCfg: render.Config{W: *width, H: *height},
@@ -61,9 +62,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("coterie-server: %v", err)
 	}
-	log.Printf("ready in %v: %d leaf regions, far-BE frames ~%d KB",
-		time.Since(start).Round(time.Millisecond),
-		env.Map.Stats.LeafCount, env.Sizer.FarBE/1024)
+	log.Printf("ready in %v: %d leaf regions",
+		time.Since(start).Round(time.Millisecond), env.Map.Stats.LeafCount)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -1,13 +1,13 @@
 // Cutoffgen is the offline preprocessing tool (§6, the paper's 1200-line
 // C# module): it runs the adaptive cutoff scheme over a game's virtual
-// world and prints the resulting partition with each leaf's cache distance
-// threshold. The map is built by core.PrepareEnv, the same step
-// coterie-server, coterie-client and the benchmark run, so the regions and
-// thresholds it prints are the ones they use at their default 256x128
-// panorama. At the default -k those thresholds are the per-leaf table
-// stored in internal/cutoff/thresholds/ (derived once, offline: `make
-// thresholds`); any other -k changes the map, and PrepareEnv calibrates
-// its thresholds afresh.
+// world (cutoff.Compute), derives each leaf's cache distance threshold as
+// servers use them (3 sampled leaves at 256x128), and prints the partition.
+// coterie-server, coterie-client and the benchmark do not run this step:
+// core.PrepareEnv loads its output from the table stored for the game in
+// internal/cutoff/thresholds/. Cutoffgen says whether that table still holds
+// what it just computed, and names `make thresholds`, which rewrites the
+// tables, when it does not. Any -k other than 10 is another map than the
+// stored one.
 //
 // Usage:
 //
@@ -23,9 +23,10 @@ import (
 	"sort"
 	"time"
 
-	"coterie/internal/core"
 	"coterie/internal/cutoff"
+	"coterie/internal/device"
 	"coterie/internal/games"
+	"coterie/internal/render"
 )
 
 func main() {
@@ -40,21 +41,44 @@ func main() {
 	}
 	params := cutoff.DefaultParams()
 	params.K = *k
-	start := time.Now()
-	env, err := core.PrepareEnv(spec, core.EnvOptions{CutoffParams: params})
+	g := games.Build(spec)
+	rt := device.Pixel2().NearBERenderMs
+	m, err := cutoff.Compute(g.Scene, rt, params)
 	if err != nil {
 		log.Fatalf("cutoffgen: %v", err)
 	}
-	m := env.Map
+	start := time.Now()
+	cfg, tc := render.DefaultConfig(), cutoff.DefaultThresholdConfig()
+	if err := cutoff.CalibrateThresholds(m, render.New(g.Scene, cfg), cutoff.DefaultSampleLeaves, tc); err != nil {
+		log.Fatalf("cutoffgen: %v", err)
+	}
 	fmt.Printf("%s: %.0fx%.0f m, %.2fM grid points\n",
-		spec.FullName, spec.Width, spec.Depth, float64(env.Game.Scene.Grid.Points())/1e6)
+		spec.FullName, spec.Width, spec.Depth, float64(g.Scene.Grid.Points())/1e6)
 	fmt.Printf("quadtree: %d leaf regions, depth %.2f avg / %d max, %d cutoff calculations, %v\n",
 		m.Stats.LeafCount, m.Stats.DepthAvg, m.Stats.DepthMax, m.Stats.CutoffCalcs,
 		m.Stats.ProcTime.Round(time.Millisecond))
 	fmt.Printf("paper (Table 3): %d leaves, depth %.2f/%d\n",
 		spec.Paper.LeafRegions, spec.Paper.DepthAvg, spec.Paper.DepthMax)
-	fmt.Printf("prepared (cutoff map, distance thresholds, frame sizes) in %v\n",
-		time.Since(start).Round(time.Millisecond))
+	fmt.Printf("distance thresholds calibrated at %dx%d in %v\n", cfg.W, cfg.H, time.Since(start).Round(time.Millisecond))
+
+	// What PrepareEnv would load instead of this run.
+	stored, err := cutoff.Load(spec.Name, g.Scene, rt, params)
+	if stored != nil {
+		var ok bool
+		if ok, err = cutoff.LoadThresholds(spec.Name, stored, cfg, cutoff.DefaultSampleLeaves, tc); !ok {
+			stored = nil
+		}
+	}
+	switch {
+	case err != nil:
+		fmt.Printf("stored table: %v; run `make thresholds`\n", err)
+	case stored == nil && params != cutoff.DefaultParams():
+		fmt.Printf("stored table: holds the map at -k %d, not this one\n", cutoff.DefaultParams().K)
+	case stored == nil || !stored.Equal(m):
+		fmt.Printf("stored table: stale, it does not hold this output; run `make thresholds`\n")
+	default:
+		fmt.Printf("stored table: holds this output; servers and clients load it instead of running this step\n")
+	}
 
 	radii := make([]float64, 0, len(m.Regions))
 	for _, reg := range m.Regions {

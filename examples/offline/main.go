@@ -1,7 +1,8 @@
 // Offline walks through the per-app offline preprocessing a developer
 // runs to port a game to Coterie (§6): the adaptive cutoff scheme, the
-// cache distance thresholds, and a look at how the near/far split behaves
-// at a concrete viewpoint.
+// cache distance thresholds, the stored copy of both that servers and
+// clients load, and a look at how the near/far split behaves at a concrete
+// viewpoint.
 package main
 
 import (
@@ -12,6 +13,8 @@ import (
 
 	"coterie/internal/codec"
 	"coterie/internal/core"
+	"coterie/internal/cutoff"
+	"coterie/internal/device"
 	"coterie/internal/games"
 	"coterie/internal/img"
 	"coterie/internal/render"
@@ -25,22 +28,37 @@ func main() {
 	}
 	fmt.Printf("porting %s to Coterie...\n\n", spec.FullName)
 
-	// Step 1: prepare the environment: the cutoff map (computed here), the
-	// per-leaf distance thresholds (loaded from the table the offline step
-	// stored for this map, `make thresholds`) and the frame-size model.
+	// Step 1: the offline step itself, as cmd/cutoffgen runs it: the
+	// adaptive cutoff scheme and each leaf's cache distance threshold.
+	g := games.Build(spec)
+	m, err := cutoff.Compute(g.Scene, device.Pixel2().NearBERenderMs, cutoff.DefaultParams())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := cutoff.CalibrateThresholds(m, render.New(g.Scene, render.DefaultConfig()),
+		cutoff.DefaultSampleLeaves, cutoff.DefaultThresholdConfig()); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("step 1: adaptive cutoff scheme\n")
+	fmt.Printf("  %d leaf regions (quadtree depth %.1f avg / %d max) computed in %v\n",
+		m.Stats.LeafCount, m.Stats.DepthAvg, m.Stats.DepthMax, m.Stats.ProcTime.Round(1e6))
+
+	// Step 2: what a server or client runs instead: PrepareEnv loads the
+	// map and thresholds from the table the offline step stored for the
+	// game (`make thresholds` rewrites it). A loaded map's ProcTime is its
+	// load time.
 	env, err := core.PrepareEnv(spec, core.EnvOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("step 1: adaptive cutoff scheme\n")
-	fmt.Printf("  %d leaf regions (quadtree depth %.1f avg / %d max) in %v\n",
-		env.Map.Stats.LeafCount, env.Map.Stats.DepthAvg, env.Map.Stats.DepthMax,
-		env.Map.Stats.ProcTime.Round(1e6))
+	fmt.Printf("\nstep 2: the stored output\n")
+	fmt.Printf("  PrepareEnv loaded the map in %v; equal to step 1's map and thresholds: %v\n",
+		env.Map.Stats.ProcTime.Round(1e3), env.Map.Equal(m))
 
-	// Step 2: inspect one viewpoint's near/far split.
+	// Step 3: inspect one viewpoint's near/far split.
 	pos := env.Game.Spawn
 	leaf := env.Map.LeafAt(pos)
-	fmt.Printf("\nstep 2: the split at the spawn point (%.0f, %.0f)\n", pos.X, pos.Z)
+	fmt.Printf("\nstep 3: the split at the spawn point (%.0f, %.0f)\n", pos.X, pos.Z)
 	fmt.Printf("  leaf region %d: cutoff radius %.1f m, cache distance threshold %.2f m\n",
 		leaf.ID, leaf.Radius, leaf.DistThresh)
 
@@ -58,7 +76,7 @@ func main() {
 	fmt.Printf("  encoded whole BE %d bytes vs far BE %d bytes (%.0f%% smaller)\n",
 		wholeBytes, farBytes, 100*(1-float64(farBytes)/float64(wholeBytes)))
 
-	// Step 3: drop the rendered panoramas to disk for inspection,
+	// Step 4: drop the rendered panoramas to disk for inspection,
 	// including a colour version of the whole scene.
 	if err := writePGM("whole_be.pgm", whole); err != nil {
 		log.Fatal(err)

@@ -19,9 +19,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Offline preprocessing (§4.3, §6): build the world, partition it
-	// with the adaptive cutoff scheme, derive cache distance thresholds,
-	// and sample frame sizes. This is the per-app installation step.
+	// 2. Offline preprocessing (§4.3, §6): build the world and load the
+	// output of the per-app offline step stored for it, the adaptive
+	// cutoff partition and the cache distance thresholds. The frame-size
+	// model is sampled on first use, below.
 	fmt.Printf("preparing %s...\n", spec.FullName)
 	env, err := core.PrepareEnv(spec, core.EnvOptions{})
 	if err != nil {
@@ -29,8 +30,12 @@ func main() {
 	}
 	fmt.Printf("world: %.0fx%.0f m, %d objects, %d leaf regions\n",
 		spec.Width, spec.Depth, len(env.Game.Scene.Objects), env.Map.Stats.LeafCount)
+	sizes, err := env.Sizes()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("frames at 4K: whole BE ~%d KB, far BE ~%d KB\n\n",
-		env.Sizer.WholeBE/1024, env.Sizer.FarBE/1024)
+		sizes.WholeBE/1024, sizes.FarBE/1024)
 
 	// 3. Run a Coterie session on the simulated Pixel 2 + 802.11ac
 	// testbed.

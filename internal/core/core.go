@@ -57,29 +57,39 @@ type EnvOptions struct {
 	// threshold calibration (the frame-size model samples at its own).
 	RenderCfg render.Config
 	// CutoffParams configures the adaptive cutoff scheme; the zero value
-	// means cutoff.DefaultParams. Any other value goes to cutoff.Compute
-	// as set, which rejects an invalid one.
+	// means cutoff.DefaultParams. A catalog game at the defaults loads its
+	// map from the table the offline step stored (cutoff.Load); any other
+	// value goes to cutoff.Compute as set, which rejects an invalid one.
 	CutoffParams cutoff.Params
 	// ThresholdLeaves is the number of leaves sampled by
 	// cutoff.CalibrateThresholds; 0 means cutoff.DefaultSampleLeaves (3).
-	// A catalog game at that count, the default resolution and the default
-	// CutoffParams loads its thresholds from the table the offline step
-	// stored (cutoff.LoadThresholds) instead of calibrating them.
+	// A catalog game at that count, the default resolution and the stored
+	// map loads its thresholds from the same table
+	// (cutoff.LoadThresholds) instead of calibrating them.
 	ThresholdLeaves int
-	// SizeSamples is the number of locations sampled for the frame-size
-	// model; 0 means 12.
+	// SizeSamples is the number of locations the frame-size model samples
+	// when Env.Sizes first builds it; 0 means 12.
 	SizeSamples int
 }
 
 // Env is a prepared game environment shared by sessions: the built game,
-// its offline preprocessing output, and the frame-size model.
+// its offline preprocessing output, and the frame-size model, built on
+// first use (Sizes).
 type Env struct {
 	Game     *games.Game
 	Device   device.Profile
 	Map      *cutoff.Map
 	Renderer *render.Renderer
-	Sizer    *FrameSizer
 	CRF      int
+
+	// mapStored and threshStored record which offline outputs came from
+	// the stored table rather than Compute and calibration.
+	mapStored, threshStored bool
+
+	sizeSamples int
+	sizerOnce   sync.Once
+	sizer       *FrameSizer
+	sizerErr    error
 
 	meta      sync.Map // geom.GridPoint → pointMeta (Meta's memo)
 	metaCount atomic.Int64
@@ -97,12 +107,13 @@ type pointMeta struct {
 const metaCap = 1 << 20
 
 // PrepareEnv builds a game and assembles the offline preprocessing's
-// output: the adaptive cutoff scheme, the cache distance thresholds, and
-// frame-size sampling. This corresponds to the paper's per-app
-// installation step (§4.3, §6). The thresholds come from the table
-// internal/cutoff stores for the game when it was derived for exactly this
-// map and these options, and are calibrated otherwise; either way they are
-// the same bits.
+// output: the adaptive cutoff map and the cache distance thresholds. This
+// corresponds to the paper's per-app installation step (§4.3, §6). Both
+// come from the table internal/cutoff stores for the game when it was
+// computed from exactly this scene and these options, and are computed
+// (cutoff.Compute, cutoff.CalibrateThresholds) otherwise; either way they
+// are the same bits. The frame-size model waits for its first caller
+// (Sizes).
 func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	if opts.CutoffParams == (cutoff.Params{}) {
 		opts.CutoffParams = cutoff.DefaultParams()
@@ -115,37 +126,45 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 	}
 	dev := device.Pixel2()
 	g := games.Build(spec)
-	m, err := cutoff.Compute(g.Scene, dev.NearBERenderMs, opts.CutoffParams)
+	m, err := cutoff.Load(spec.Name, g.Scene, dev.NearBERenderMs, opts.CutoffParams)
 	if err != nil {
-		return nil, fmt.Errorf("core: cutoff scheme failed: %w", err)
+		return nil, fmt.Errorf("core: stored cutoff map: %w", err)
+	}
+	mapStored := m != nil
+	if !mapStored {
+		if m, err = cutoff.Compute(g.Scene, dev.NearBERenderMs, opts.CutoffParams); err != nil {
+			return nil, fmt.Errorf("core: cutoff scheme failed: %w", err)
+		}
 	}
 	r := render.New(g.Scene, opts.RenderCfg)
 	tc := cutoff.DefaultThresholdConfig()
-	// The stored table pins the map, not the scene: a spec that is not the
-	// catalog's own calibrates, whatever its name.
-	stored := false
-	if cat, err := games.ByName(spec.Name); err == nil && cat == spec {
-		if stored, err = cutoff.LoadThresholds(spec.Name, m, r.Cfg, opts.ThresholdLeaves, tc); err != nil {
-			return nil, fmt.Errorf("core: stored thresholds: %w", err)
-		}
+	threshStored, err := cutoff.LoadThresholds(spec.Name, m, r.Cfg, opts.ThresholdLeaves, tc)
+	if err != nil {
+		return nil, fmt.Errorf("core: stored thresholds: %w", err)
 	}
-	if !stored {
+	if !threshStored {
 		if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, tc); err != nil {
 			return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
 		}
 	}
-	sizer, err := NewFrameSizer(g, m, codec.DefaultCRF, opts.SizeSamples)
-	if err != nil {
-		return nil, fmt.Errorf("core: frame sizing failed: %w", err)
-	}
 	return &Env{
-		Game:     g,
-		Device:   dev,
-		Map:      m,
-		Renderer: r,
-		Sizer:    sizer,
-		CRF:      codec.DefaultCRF,
+		Game:         g,
+		Device:       dev,
+		Map:          m,
+		Renderer:     r,
+		CRF:          codec.DefaultCRF,
+		mapStored:    mapStored,
+		threshStored: threshStored,
+		sizeSamples:  opts.SizeSamples,
 	}, nil
+}
+
+// Sizes returns the frame-size model: NewFrameSizer at the environment's
+// SizeSamples, built on the first call, which returns its error too. Only
+// the simulated sessions read it. Safe for concurrent callers.
+func (e *Env) Sizes() (*FrameSizer, error) {
+	e.sizerOnce.Do(func() { e.sizer, e.sizerErr = NewFrameSizer(e.Game, e.Map, e.CRF, e.sizeSamples) })
+	return e.sizer, e.sizerErr
 }
 
 // Meta returns the §5.3 lookup keys of a grid point: its leaf, the

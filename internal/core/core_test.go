@@ -48,7 +48,10 @@ func TestPrepareEnv(t *testing.T) {
 			t.Fatalf("region %d missing distance threshold", r.ID)
 		}
 	}
-	s := env.Sizer
+	s, err := env.Sizes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.WholeBE <= 0 || s.FarBE <= 0 || s.Thin <= 0 {
 		t.Fatalf("sizer incomplete: %+v", s)
 	}
@@ -76,16 +79,32 @@ func TestPrepareEnvCutoffParams(t *testing.T) {
 	}
 }
 
-// TestPrepareEnvThresholdSource: at the defaults a catalog game's
-// thresholds are its stored table; at other options (the benchmark's small
-// mode) PrepareEnv calibrates, to the bits of a direct CalibrateThresholds
-// call, and the table is not used.
+// TestPrepareEnvThresholdSource: at the defaults a catalog game's map and
+// thresholds are its stored table; at other CutoffParams (eval's Quick K)
+// PrepareEnv computes both; at another resolution (the benchmark's small
+// mode) it loads the map and calibrates the thresholds, to the bits of a
+// direct CalibrateThresholds call, and the table's thresholds are not used.
 func TestPrepareEnvThresholdSource(t *testing.T) {
 	def := testEnv(t)
+	if !def.mapStored || !def.threshStored {
+		t.Errorf("defaults: map stored %v, thresholds stored %v; want both", def.mapStored, def.threshStored)
+	}
 	small := render.Config{W: 64, H: 32}
-	env, err := PrepareEnv(def.Game.Spec, EnvOptions{RenderCfg: small, ThresholdLeaves: 1, SizeSamples: 1})
+	quick := cutoff.DefaultParams()
+	quick.K = 5
+	env, err := PrepareEnv(def.Game.Spec, EnvOptions{CutoffParams: quick, RenderCfg: small, ThresholdLeaves: 1, SizeSamples: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if env.mapStored || env.threshStored || env.Map.Params.K != 5 {
+		t.Errorf("K = 5: map stored %v, thresholds stored %v, K %d; want both computed at K 5", env.mapStored, env.threshStored, env.Map.Params.K)
+	}
+	env, err = PrepareEnv(def.Game.Spec, EnvOptions{RenderCfg: small, ThresholdLeaves: 1, SizeSamples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !env.mapStored || env.threshStored {
+		t.Errorf("64x32: map stored %v, thresholds stored %v; want the stored map, calibrated thresholds", env.mapStored, env.threshStored)
 	}
 	// Compute's map, before any thresholds: both environments' maps without
 	// them.
@@ -116,6 +135,42 @@ func TestPrepareEnvThresholdSource(t *testing.T) {
 	}
 	if same {
 		t.Fatal("the 64x32 calibration equals the stored table: the test cannot tell them apart")
+	}
+}
+
+// TestSizesBuiltOnce: concurrent first callers of Env.Sizes all get the one
+// model, equal to NewFrameSizer's (run under -race by make race).
+func TestSizesBuiltOnce(t *testing.T) {
+	spec, err := games.ByName("fps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := PrepareEnv(spec, EnvOptions{SizeSamples: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewFrameSizer(env.Game, env.Map, env.CRF, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*FrameSizer, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = env.Sizes()
+		}()
+	}
+	wg.Wait()
+	for i, s := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if s != got[0] || *s != *want {
+			t.Fatalf("caller %d: %p %+v, caller 0 %p, NewFrameSizer %+v", i, s, *s, got[0], *want)
+		}
 	}
 }
 
@@ -227,19 +282,22 @@ func TestMetaConcurrentMatchesSerial(t *testing.T) {
 }
 
 func TestFrameSizerJitterDeterministic(t *testing.T) {
-	env := testEnv(t)
+	sizer, err := testEnv(t).Sizes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pt := geom.GridPoint{I: 100, J: 200}
-	a := env.Sizer.SizeFor(Coterie, pt)
-	b := env.Sizer.SizeFor(Coterie, pt)
+	a := sizer.SizeFor(Coterie, pt)
+	b := sizer.SizeFor(Coterie, pt)
 	if a != b {
 		t.Fatal("size jitter not deterministic")
 	}
 	// Jitter stays within +-8%.
-	base := env.Sizer.FarBE
+	base := sizer.FarBE
 	if a < int(float64(base)*0.9) || a > int(float64(base)*1.1) {
 		t.Fatalf("size %d too far from base %d", a, base)
 	}
-	if env.Sizer.SizeFor(MultiFurion, pt) <= a {
+	if sizer.SizeFor(MultiFurion, pt) <= a {
 		t.Fatal("whole-BE transfer should exceed far-BE")
 	}
 }

@@ -97,6 +97,14 @@ func RunSession(env *Env, cfg SessionConfig) (*Result, error) {
 		cfg.Prefetch = prefetch.DefaultConfig()
 	}
 
+	var sizer *FrameSizer
+	if cfg.System.UsesBEPrefetch() || cfg.System == ThinClient {
+		var err error
+		if sizer, err = env.Sizes(); err != nil {
+			return nil, fmt.Errorf("core: frame sizing failed: %w", err)
+		}
+	}
+
 	sim := netsim.NewSim()
 	wifi := netsim.NewWiFi(sim)
 	wifi.Instrument(cfg.Obs)
@@ -116,7 +124,7 @@ func RunSession(env *Env, cfg SessionConfig) (*Result, error) {
 			src := &simSource{
 				sim:       sim,
 				wifi:      wifi,
-				sizer:     env.Sizer,
+				sizer:     sizer,
 				kind:      cfg.System,
 				serverMs:  serverLookupMs,
 				latencies: &runtime.LatencyAcc{},
@@ -147,7 +155,7 @@ func RunSession(env *Env, cfg SessionConfig) (*Result, error) {
 			src := &simSource{
 				sim:   sim,
 				wifi:  wifi,
-				sizer: env.Sizer,
+				sizer: sizer,
 				kind:  ThinClient,
 				// On-demand render + encode precede the transfer; the
 				// reported latency covers the transfer only.

@@ -108,7 +108,9 @@ type Stats struct {
 	DepthAvg    float64
 	DepthMax    int
 	CutoffCalcs int // number of per-location maximal-radius computations
-	ProcTime    time.Duration
+	// ProcTime is the time Compute took, or for a map Load read from its
+	// stored table, the time loading took.
+	ProcTime time.Duration
 }
 
 // Map is the offline preprocessing output for one game world.
@@ -128,10 +130,7 @@ func Compute(scene *world.Scene, rt RenderTimer, p Params) (*Map, error) {
 	if p.BudgetMs <= 0 {
 		return nil, fmt.Errorf("cutoff: invalid params %+v", p)
 	}
-	if p.MinRegion <= 0 {
-		longer := math.Max(scene.Bounds.Width(), scene.Bounds.Depth())
-		p.MinRegion = math.Min(math.Max(longer/64, 1), 20)
-	}
+	p = p.resolved(scene)
 	start := time.Now()
 	m := &Map{Scene: scene, Params: p}
 	b := builder{
@@ -140,6 +139,24 @@ func Compute(scene *world.Scene, rt RenderTimer, p Params) (*Map, error) {
 		rng:   rand.New(rand.NewSource(p.Seed)),
 	}
 	m.root = b.partition(scene.Bounds, 0)
+	m.setStats(b.nodes)
+	m.Stats.ProcTime = time.Since(start)
+	return m, nil
+}
+
+// resolved returns p with an automatic MinRegion replaced by the value
+// Compute uses for the scene.
+func (p Params) resolved(scene *world.Scene) Params {
+	if p.MinRegion <= 0 {
+		longer := math.Max(scene.Bounds.Width(), scene.Bounds.Depth())
+		p.MinRegion = math.Min(math.Max(longer/64, 1), 20)
+	}
+	return p
+}
+
+// setStats fills the Stats of a partition of the given number of quadtree
+// nodes, each of which sampled K locations; ProcTime is the caller's.
+func (m *Map) setStats(nodes int) {
 	m.Stats.LeafCount = len(m.Regions)
 	var depthSum int
 	for i := range m.Regions {
@@ -152,9 +169,23 @@ func Compute(scene *world.Scene, rt RenderTimer, p Params) (*Map, error) {
 	if len(m.Regions) > 0 {
 		m.Stats.DepthAvg = float64(depthSum) / float64(len(m.Regions))
 	}
-	m.Stats.CutoffCalcs = b.calcs
-	m.Stats.ProcTime = time.Since(start)
-	return m, nil
+	m.Stats.CutoffCalcs = m.Params.K * nodes
+}
+
+// Equal reports whether m and o are the same partition: the same Params,
+// Stats other than ProcTime, and every field of every region.
+func (m *Map) Equal(o *Map) bool {
+	a, b := m.Stats, o.Stats
+	a.ProcTime, b.ProcTime = 0, 0
+	if m.Params != o.Params || a != b || len(m.Regions) != len(o.Regions) {
+		return false
+	}
+	for i := range m.Regions {
+		if m.Regions[i] != o.Regions[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // nearBELimit returns the largest triangle count in [0, total] whose near
@@ -170,7 +201,7 @@ type builder struct {
 	limit   int // most triangles a near BE may hold (nearBELimit)
 	rng     *rand.Rand
 	queries []*world.Query // one per worker (par.ForWorker)
-	calcs   int
+	nodes   int
 }
 
 // partition implements the recursive procedure of §4.3: sample K random
@@ -200,7 +231,7 @@ func (b *builder) partition(region geom.Rect, depth int) node {
 		tris := b.m.Scene.TrianglesWithin(q, locs[i], densityProbe)
 		densities[i] = float64(tris) / (math.Pi * densityProbe * densityProbe)
 	})
-	b.calcs += k
+	b.nodes++
 	var densitySum float64
 	minR, maxR := math.Inf(1), 0.0
 	for i := range radii {

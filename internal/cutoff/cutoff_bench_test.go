@@ -8,8 +8,9 @@ import (
 )
 
 // BenchmarkCompute is the whole adaptive cutoff search at the paper's
-// parameters, as core.PrepareEnv runs it, on viking (the world of the
-// benchmark's cold workloads), pool (its warm ones) and fps.
+// parameters, as cmd/cutoffgen runs it (core.PrepareEnv loads its stored
+// output instead), on viking (the world of the benchmark's cold
+// workloads), pool (its warm ones) and fps.
 func BenchmarkCompute(b *testing.B) {
 	for _, name := range []string{"viking", "pool", "fps"} {
 		spec, err := games.ByName(name)

@@ -26,9 +26,10 @@ var mapDigests = map[string]uint64{
 	"corridor": 0x31840f3292aa8b3f, // 49 leaves
 }
 
-// TestDefaultMapsUnchanged also holds each game's stored thresholds to a
-// fresh CalibrateThresholds run on its map, bit for bit; -update rewrites
-// them from that run instead.
+// TestDefaultMapsUnchanged also holds each game's stored table to Compute's
+// map (the loaded map must equal it) and to a fresh CalibrateThresholds run
+// on it, bit for bit; -update (make thresholds) rewrites the tables from
+// those runs instead.
 func TestDefaultMapsUnchanged(t *testing.T) {
 	prof := device.Pixel2()
 	for _, spec := range games.Catalog() {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"coterie/internal/core"
 	"coterie/internal/cutoff"
 	"coterie/internal/device"
 	"coterie/internal/games"
@@ -29,32 +30,41 @@ type Table3Row struct {
 // Table3 runs the adaptive cutoff scheme over all nine games and reports
 // world stats, quadtree shape and processing time alongside the paper's
 // numbers. The headline claim: CTS's 268M grid points reduce to a few
-// hundred leaf regions.
+// hundred leaf regions. A prepared environment may have loaded its map
+// from the stored table (its ProcTime is then the load time), so each
+// game's cutoff.Compute runs here, at the environment's parameters, and
+// its time is the "calc time" column.
 func (l *Lab) Table3() ([]Table3Row, error) {
-	// The work is the per-game environment builds; fan those out and then
-	// assemble rows from the cached stats.
-	if err := l.PrepareEnvs(allGameNames()); err != nil {
+	names := allGameNames()
+	envs := make([]*core.Env, len(names))
+	maps := make([]*cutoff.Map, len(names))
+	err := par.ForErr(len(names), func(i int) error {
+		env, err := l.Env(names[i])
+		if err != nil {
+			return err
+		}
+		envs[i] = env
+		maps[i], err = cutoff.Compute(env.Game.Scene, env.Device.NearBERenderMs, env.Map.Params)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	var rows []Table3Row
-	for _, name := range allGameNames() {
-		env, err := l.Env(name)
-		if err != nil {
-			return nil, err
-		}
-		spec := env.Game.Spec
-		rows = append(rows, Table3Row{
-			Game:        name,
+	rows := make([]Table3Row, len(names))
+	for i, env := range envs {
+		spec, st := env.Game.Spec, maps[i].Stats
+		rows[i] = Table3Row{
+			Game:        names[i],
 			DimW:        spec.Width,
 			DimD:        spec.Depth,
 			GridPointsM: float64(env.Game.Scene.Grid.Points()) / 1e6,
-			DepthAvg:    env.Map.Stats.DepthAvg,
-			DepthMax:    env.Map.Stats.DepthMax,
-			LeafRegions: env.Map.Stats.LeafCount,
-			ProcTime:    env.Map.Stats.ProcTime,
-			CutoffCalcs: env.Map.Stats.CutoffCalcs,
+			DepthAvg:    st.DepthAvg,
+			DepthMax:    st.DepthMax,
+			LeafRegions: st.LeafCount,
+			ProcTime:    st.ProcTime,
+			CutoffCalcs: st.CutoffCalcs,
 			Paper:       spec.Paper,
-		})
+		}
 	}
 	return rows, nil
 }
