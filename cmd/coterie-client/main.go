@@ -26,7 +26,6 @@ import (
 	"coterie/internal/core"
 	"coterie/internal/games"
 	"coterie/internal/obs"
-	"coterie/internal/render"
 	"coterie/internal/trace"
 )
 
@@ -46,8 +45,6 @@ func run() error {
 	player := flag.Int("player", 0, "player id")
 	seed := flag.Int64("seed", 42, "movement seed")
 	speed := flag.Float64("speed", 1, "replay speed multiplier (1 = real time)")
-	width := flag.Int("width", 0, "panorama width for local preprocessing (0 = default)")
-	height := flag.Int("height", 0, "panorama height for local preprocessing (0 = default)")
 	record := flag.String("record", "", "save the generated movement trace to this file")
 	replay := flag.String("replay", "", "replay a previously recorded trace instead of generating one")
 	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, /trace, expvar and pprof (empty = disabled)")
@@ -60,16 +57,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The client prepares the same environment the server did, so its
-	// cache lookups use identical leaf regions and thresholds: the map is
-	// the table the offline step stored (the paper ships the preprocessing
-	// output with the app), and so are the thresholds at the default
-	// resolution; at another one PrepareEnv calibrates them, as the server
-	// does when run at that resolution.
+	// The client's cache lookups use the leaf regions and thresholds the
+	// server uses: PrepareEnv gives every process of a game the one offline
+	// output, the table the offline step stored (the paper ships the
+	// preprocessing output with the app). The client renders nothing, so
+	// it needs no frame size.
 	log.Printf("preparing %s client state...", spec.FullName)
-	env, err := core.PrepareEnv(spec, core.EnvOptions{
-		RenderCfg: render.Config{W: *width, H: *height},
-	})
+	env, err := core.PrepareEnv(spec, core.EnvOptions{})
 	if err != nil {
 		return err
 	}

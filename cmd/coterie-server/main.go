@@ -1,8 +1,8 @@
 // Coterie-server hosts the far-BE frame server for one game over real
 // TCP: it prepares the game's environment (it loads the adaptive cutoff map
-// and the cache distance thresholds the offline step stored for it, and
-// calibrates the thresholds afresh at another -width or -height), then
-// serves pre-rendered, pre-encoded panoramic far-BE frames and FI
+// and the cache distance thresholds the offline step stored for it, the
+// same at any -width and -height, which set only the frames it renders),
+// then serves pre-rendered, pre-encoded panoramic far-BE frames and FI
 // synchronisation to clients (§5.1).
 //
 // Usage:
@@ -41,8 +41,8 @@ func main() {
 	game := flag.String("game", "viking", "game to host (see games catalog)")
 	addr := flag.String("addr", ":7368", "listen address")
 	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, expvar and pprof (empty = disabled)")
-	width := flag.Int("width", 256, "panorama width in pixels")
-	height := flag.Int("height", 128, "panorama height in pixels")
+	width := flag.Int("width", 256, "width in pixels of the panoramas the server renders")
+	height := flag.Int("height", 128, "height in pixels of the panoramas the server renders")
 	storeBudget := flag.Int64("store-budget", 0, "frame store byte budget with LRU eviction (0 = unbounded)")
 	prerender := flag.Float64("prerender", 0, "warm up frames within this radius (m) of the spawn before serving")
 	stride := flag.Int("prerender-stride", 16, "grid stride for prerendering (1 = every point)")

@@ -48,8 +48,7 @@ func main() {
 		log.Fatalf("cutoffgen: %v", err)
 	}
 	start := time.Now()
-	cfg, tc := render.DefaultConfig(), cutoff.DefaultThresholdConfig()
-	if err := cutoff.CalibrateThresholds(m, render.New(g.Scene, cfg), cutoff.DefaultSampleLeaves, tc); err != nil {
+	if err := cutoff.CalibrateDefault(m); err != nil {
 		log.Fatalf("cutoffgen: %v", err)
 	}
 	fmt.Printf("%s: %.0fx%.0f m, %.2fM grid points\n",
@@ -59,13 +58,14 @@ func main() {
 		m.Stats.ProcTime.Round(time.Millisecond))
 	fmt.Printf("paper (Table 3): %d leaves, depth %.2f/%d\n",
 		spec.Paper.LeafRegions, spec.Paper.DepthAvg, spec.Paper.DepthMax)
+	cfg := render.DefaultConfig()
 	fmt.Printf("distance thresholds calibrated at %dx%d in %v\n", cfg.W, cfg.H, time.Since(start).Round(time.Millisecond))
 
 	// What PrepareEnv would load instead of this run.
 	stored, err := cutoff.Load(spec.Name, g.Scene, rt, params)
 	if stored != nil {
 		var ok bool
-		if ok, err = cutoff.LoadThresholds(spec.Name, stored, cfg, cutoff.DefaultSampleLeaves, tc); !ok {
+		if ok, err = cutoff.LoadThresholds(spec.Name, stored); !ok {
 			stored = nil
 		}
 	}

@@ -35,8 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cutoff.CalibrateThresholds(m, render.New(g.Scene, render.DefaultConfig()),
-		cutoff.DefaultSampleLeaves, cutoff.DefaultThresholdConfig()); err != nil {
+	if err := cutoff.CalibrateDefault(m); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("step 1: adaptive cutoff scheme\n")

@@ -51,21 +51,14 @@ const (
 	Coterie          = runtime.Coterie
 )
 
-// EnvOptions controls environment preparation.
+// EnvOptions controls environment preparation. The offline output (map and
+// thresholds) depends on the game alone, never on these.
 type EnvOptions struct {
-	// RenderCfg sets the panoramic frame resolution of the renderer and of
-	// threshold calibration (the frame-size model samples at its own).
+	// RenderCfg sets the panoramic frame size of the environment's renderer
+	// (Env.Renderer), the size a server renders and serves at. The
+	// thresholds are metres derived at 256x128 and serve every size.
 	RenderCfg render.Config
-	// CutoffParams configures the adaptive cutoff scheme; the zero value
-	// means cutoff.DefaultParams. A catalog game at the defaults loads its
-	// map from the table the offline step stored (cutoff.Load); any other
-	// value goes to cutoff.Compute as set, which rejects an invalid one.
-	CutoffParams cutoff.Params
-	// ThresholdLeaves is the number of leaves sampled by
-	// cutoff.CalibrateThresholds; 0 means cutoff.DefaultSampleLeaves (3).
-	// A catalog game at that count, the default resolution and the stored
-	// map loads its thresholds from the same table
-	// (cutoff.LoadThresholds) instead of calibrating them.
+	// ThresholdLeaves is ignored. The benchmark harness still sets it.
 	ThresholdLeaves int
 	// SizeSamples is the number of locations the frame-size model samples
 	// when Env.Sizes first builds it; 0 means 12.
@@ -108,42 +101,35 @@ const metaCap = 1 << 20
 
 // PrepareEnv builds a game and assembles the offline preprocessing's
 // output: the adaptive cutoff map and the cache distance thresholds. This
-// corresponds to the paper's per-app installation step (§4.3, §6). Both
-// come from the table internal/cutoff stores for the game when it was
-// computed from exactly this scene and these options, and are computed
-// (cutoff.Compute, cutoff.CalibrateThresholds) otherwise; either way they
-// are the same bits. The frame-size model waits for its first caller
-// (Sizes).
+// corresponds to the paper's per-app installation step (§4.3, §6), which
+// runs once per game and ships to phone and server alike: both halves come
+// from the table internal/cutoff stores for the game when it was computed
+// from exactly this scene, and are otherwise computed at the same defaults
+// (cutoff.Compute at DefaultParams, cutoff.CalibrateDefault); either way
+// they are the same bits whatever opts says. The frame-size model waits
+// for its first caller (Sizes).
 func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
-	if opts.CutoffParams == (cutoff.Params{}) {
-		opts.CutoffParams = cutoff.DefaultParams()
-	}
-	if opts.ThresholdLeaves == 0 {
-		opts.ThresholdLeaves = cutoff.DefaultSampleLeaves
-	}
 	if opts.SizeSamples == 0 {
 		opts.SizeSamples = 12
 	}
 	dev := device.Pixel2()
 	g := games.Build(spec)
-	m, err := cutoff.Load(spec.Name, g.Scene, dev.NearBERenderMs, opts.CutoffParams)
+	m, err := cutoff.Load(spec.Name, g.Scene, dev.NearBERenderMs, cutoff.DefaultParams())
 	if err != nil {
 		return nil, fmt.Errorf("core: stored cutoff map: %w", err)
 	}
 	mapStored := m != nil
 	if !mapStored {
-		if m, err = cutoff.Compute(g.Scene, dev.NearBERenderMs, opts.CutoffParams); err != nil {
+		if m, err = cutoff.Compute(g.Scene, dev.NearBERenderMs, cutoff.DefaultParams()); err != nil {
 			return nil, fmt.Errorf("core: cutoff scheme failed: %w", err)
 		}
 	}
-	r := render.New(g.Scene, opts.RenderCfg)
-	tc := cutoff.DefaultThresholdConfig()
-	threshStored, err := cutoff.LoadThresholds(spec.Name, m, r.Cfg, opts.ThresholdLeaves, tc)
+	threshStored, err := cutoff.LoadThresholds(spec.Name, m)
 	if err != nil {
 		return nil, fmt.Errorf("core: stored thresholds: %w", err)
 	}
 	if !threshStored {
-		if err := cutoff.CalibrateThresholds(m, r, opts.ThresholdLeaves, tc); err != nil {
+		if err := cutoff.CalibrateDefault(m); err != nil {
 			return nil, fmt.Errorf("core: threshold calibration failed: %w", err)
 		}
 	}
@@ -151,7 +137,7 @@ func PrepareEnv(spec games.Spec, opts EnvOptions) (*Env, error) {
 		Game:         g,
 		Device:       dev,
 		Map:          m,
-		Renderer:     r,
+		Renderer:     render.New(g.Scene, opts.RenderCfg),
 		CRF:          codec.DefaultCRF,
 		mapStored:    mapStored,
 		threshStored: threshStored,

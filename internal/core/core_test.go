@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -60,81 +60,117 @@ func TestPrepareEnv(t *testing.T) {
 	}
 }
 
-// TestPrepareEnvCutoffParams: only the zero CutoffParams means the
-// defaults; a half-set value reaches cutoff.Compute and its error.
-func TestPrepareEnvCutoffParams(t *testing.T) {
-	got := testEnv(t).Map.Params
-	want := cutoff.DefaultParams()
-	want.MinRegion = got.MinRegion // 0 in the defaults: Compute derives it
-	if got != want {
-		t.Errorf("zero CutoffParams prepared with %+v, want the defaults %+v", got, want)
-	}
-	spec, err := games.ByName("fps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = PrepareEnv(spec, EnvOptions{CutoffParams: cutoff.Params{K: 0, BudgetMs: 12.7}})
-	if err == nil || !strings.Contains(err.Error(), "K must be >= 1") {
-		t.Fatalf("CutoffParams{K: 0, BudgetMs: 12.7}: err %v, want Compute's K error", err)
-	}
-}
-
-// TestPrepareEnvThresholdSource: at the defaults a catalog game's map and
-// thresholds are its stored table; at other CutoffParams (eval's Quick K)
-// PrepareEnv computes both; at another resolution (the benchmark's small
-// mode) it loads the map and calibrates the thresholds, to the bits of a
-// direct CalibrateThresholds call, and the table's thresholds are not used.
+// TestPrepareEnvThresholdSource: a catalog game's map and thresholds are
+// its stored table at any render size, bit for bit the default
+// environment's; a spec with no table (a custom scene) computes the map
+// at DefaultParams and calibrates at 256x128 whatever RenderCfg says.
 func TestPrepareEnvThresholdSource(t *testing.T) {
-	def := testEnv(t)
-	if !def.mapStored || !def.threshStored {
-		t.Errorf("defaults: map stored %v, thresholds stored %v; want both", def.mapStored, def.threshStored)
+	viking, err := games.ByName("viking")
+	if err != nil {
+		t.Fatal(err)
 	}
+	def, err := PrepareEnv(viking, EnvOptions{SizeSamples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []render.Config{{}, {W: 64, H: 32}, {W: 512, H: 256}} {
+		env, err := PrepareEnv(viking, EnvOptions{RenderCfg: cfg, SizeSamples: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !env.mapStored || !env.threshStored {
+			t.Errorf("viking at %+v: map stored %v, thresholds stored %v; want both", cfg, env.mapStored, env.threshStored)
+		}
+		if !env.Map.Equal(def.Map) {
+			t.Errorf("viking at %+v: map differs from the default environment's", cfg)
+		}
+		sameThresholds(t, fmt.Sprintf("viking at %+v", cfg), env.Map, def.Map)
+		if want := render.New(env.Game.Scene, cfg).Cfg; env.Renderer.Cfg != want {
+			t.Errorf("viking at %+v: renderer at %+v, want %+v", cfg, env.Renderer.Cfg, want)
+		}
+	}
+
+	custom, err := games.ByName("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another world, which no stored table holds. At Seed+1 the sampled
+	// leaves calibrate alike at 64x32 and 256x128, so the check below
+	// could not tell the sizes apart.
+	custom.Seed += 2
 	small := render.Config{W: 64, H: 32}
-	quick := cutoff.DefaultParams()
-	quick.K = 5
-	env, err := PrepareEnv(def.Game.Spec, EnvOptions{CutoffParams: quick, RenderCfg: small, ThresholdLeaves: 1, SizeSamples: 1})
+	env, err := PrepareEnv(custom, EnvOptions{RenderCfg: small, SizeSamples: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.mapStored || env.threshStored || env.Map.Params.K != 5 {
-		t.Errorf("K = 5: map stored %v, thresholds stored %v, K %d; want both computed at K 5", env.mapStored, env.threshStored, env.Map.Params.K)
+	if env.mapStored || env.threshStored {
+		t.Errorf("custom ds: map stored %v, thresholds stored %v; want both computed", env.mapStored, env.threshStored)
 	}
-	env, err = PrepareEnv(def.Game.Spec, EnvOptions{RenderCfg: small, ThresholdLeaves: 1, SizeSamples: 1})
-	if err != nil {
-		t.Fatal(err)
+	want := cutoff.DefaultParams()
+	want.MinRegion = env.Map.Params.MinRegion // 0 in the defaults: Compute derives it
+	if env.Map.Params != want {
+		t.Errorf("custom ds: map computed at %+v, want the defaults %+v", env.Map.Params, want)
 	}
-	if !env.mapStored || env.threshStored {
-		t.Errorf("64x32: map stored %v, thresholds stored %v; want the stored map, calibrated thresholds", env.mapStored, env.threshStored)
-	}
-	// Compute's map, before any thresholds: both environments' maps without
-	// them.
+	// The thresholds CalibrateDefault derives on the same map, and those a
+	// 64x32 calibration would.
 	bare := func() *cutoff.Map {
-		m := *def.Map
+		m := *env.Map
 		m.Regions = append([]cutoff.Region(nil), m.Regions...)
 		for i := range m.Regions {
 			m.Regions[i].DistThresh = 0
 		}
 		return &m
 	}
-	table, direct := bare(), bare()
-	if ok, err := cutoff.LoadThresholds("fps", table, render.DefaultConfig(), cutoff.DefaultSampleLeaves, cutoff.DefaultThresholdConfig()); !ok || err != nil {
-		t.Fatalf("fps's stored table: accepted %v, err %v", ok, err)
-	}
-	if err := cutoff.CalibrateThresholds(direct, render.New(def.Game.Scene, small), 1, cutoff.DefaultThresholdConfig()); err != nil {
+	atDefault, atSmall := bare(), bare()
+	if err := cutoff.CalibrateDefault(atDefault); err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for i, r := range table.Regions {
-		if got := def.Map.Regions[i].DistThresh; math.Float64bits(got) != math.Float64bits(r.DistThresh) {
-			t.Fatalf("defaults: leaf %d threshold %v, stored %v", i, got, r.DistThresh)
-		}
-		if got, want := env.Map.Regions[i].DistThresh, direct.Regions[i].DistThresh; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("64x32, 1 leaf: leaf %d threshold %v, calibration %v", i, got, want)
-		}
-		same = same && direct.Regions[i].DistThresh == r.DistThresh
+	sameThresholds(t, "custom ds", env.Map, atDefault)
+	if err := cutoff.CalibrateThresholds(atSmall, render.New(env.Game.Scene, small), cutoff.DefaultSampleLeaves, cutoff.DefaultThresholdConfig()); err != nil {
+		t.Fatal(err)
 	}
-	if same {
-		t.Fatal("the 64x32 calibration equals the stored table: the test cannot tell them apart")
+	if atSmall.Equal(atDefault) {
+		t.Fatal("custom ds: the 64x32 calibration equals the 256x128 one; the test cannot tell them apart")
+	}
+}
+
+// sameThresholds fails unless got's leaf thresholds are want's bit for bit.
+func sameThresholds(t *testing.T, name string, got, want *cutoff.Map) {
+	t.Helper()
+	for i, r := range want.Regions {
+		if g := got.Regions[i].DistThresh; math.Float64bits(g) != math.Float64bits(r.DistThresh) {
+			t.Fatalf("%s: leaf %d threshold %v, want %v", name, i, g, r.DistThresh)
+		}
+	}
+}
+
+// TestMetaIndependentOfRenderSize: two environments of one game at
+// different render sizes give every grid point the same §5.3 lookup keys
+// (leaf, near-set signature, threshold bits), so a server and a client of
+// the game agree on them whatever size the server serves.
+func TestMetaIndependentOfRenderSize(t *testing.T) {
+	spec, err := games.ByName("viking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := PrepareEnv(spec, EnvOptions{SizeSamples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := PrepareEnv(spec, EnvOptions{RenderCfg: render.Config{W: 64, H: 32}, SizeSamples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := a.Game.Scene.Grid
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		pt := geom.GridPoint{I: rng.Intn(grid.Cols()), J: rng.Intn(grid.Rows())}
+		la, sa, ta := a.Meta(pt)
+		lb, sb, tb := b.Meta(pt)
+		if la != lb || sa != sb || math.Float64bits(ta) != math.Float64bits(tb) {
+			t.Fatalf("point %v: 256x128 leaf %d sig %#x thresh %v, 64x32 leaf %d sig %#x thresh %v",
+				pt, la, sa, ta, lb, sb, tb)
+		}
 	}
 }
 

@@ -22,28 +22,34 @@ import (
 
 // The offline step's output (§4.3, §6): for each catalog game, the map
 // Compute builds at DefaultParams, with every leaf's DistThresh as
-// CalibrateThresholds derives it at the default resolution. One text file
-// per game, thresholds/<game>.txt: '#' comment lines, two header lines
-// naming what the table was computed from (tableKey), then one line per
-// leaf in region order: its depth, then Radius, TriDensity and DistThresh
-// as hex floats. `make thresholds` (TestDefaultMapsUnchanged -update)
-// rewrites them.
+// CalibrateDefault derives it. One text file per game,
+// thresholds/<game>.txt: '#' comment lines, two header lines naming what
+// the table was computed from (tableKey), then one line per leaf in region
+// order: its depth, then Radius, TriDensity and DistThresh as hex floats.
+// `make thresholds` (TestDefaultMapsUnchanged -update) rewrites them.
 //
 //go:embed thresholds/*.txt
 var tables embed.FS
 
-// DefaultSampleLeaves is the number of leaves whose thresholds are derived
-// exactly, the rest extrapolated, unless a caller of CalibrateThresholds
-// chooses another; the stored tables were derived with it.
+// DefaultSampleLeaves is the number of leaves whose thresholds
+// CalibrateDefault derives exactly, the rest extrapolated.
 const DefaultSampleLeaves = 3
+
+// CalibrateDefault is the threshold step of the stored tables:
+// CalibrateThresholds at the served resolution (render.DefaultConfig,
+// 256x128), DefaultSampleLeaves and DefaultThresholdConfig. Thresholds are
+// metres, so one table serves every render size.
+func CalibrateDefault(m *Map) error {
+	return CalibrateThresholds(m, render.New(m.Scene, render.DefaultConfig()), DefaultSampleLeaves, DefaultThresholdConfig())
+}
 
 // tableKey is what a stored table was computed from. Its map half is all
 // Compute reads: the scene (sceneDigest), the resolved Params and the
 // near-BE triangle limit Compute derives from the render timer. Its
 // thresholds half is all CalibrateThresholds reads: the same scene (the
 // renderer reads object fields the map does not), the map (its digest and
-// leaf count, thresholds unset), the renderer's resolution, sampleLeaves
-// and the ThresholdConfig.
+// leaf count, thresholds unset) and CalibrateDefault's constants: the
+// resolution, sample leaves and ThresholdConfig.
 type tableKey struct {
 	scene     uint64
 	limit     int
@@ -112,18 +118,17 @@ func Load(game string, scene *world.Scene, rt RenderTimer, p Params) (*Map, erro
 }
 
 // LoadThresholds fills every leaf's DistThresh from the game's stored table
-// when that table was derived from this map with these arguments, that is
-// when it holds what CalibrateThresholds(m, render.New(m.Scene, cfg),
-// sampleLeaves, tc) would compute, and reports whether it did. m's
-// thresholds must be unset (Compute's or Load's output). Another scene, map,
-// resolution or argument is not a table's key and leaves m untouched; a
-// malformed table is an error.
-func LoadThresholds(game string, m *Map, cfg render.Config, sampleLeaves int, tc ThresholdConfig) (bool, error) {
+// when that table was derived from this map, that is when it holds what
+// CalibrateDefault(m) would compute, and reports whether it did. m's
+// thresholds must be unset (Compute's or Load's output). Another scene or
+// map is not a table's key and leaves m untouched; a malformed table is an
+// error.
+func LoadThresholds(game string, m *Map) (bool, error) {
 	data, err := tableData(game)
 	if data == nil {
 		return false, err
 	}
-	ok, err := applyThresholds(data, m, keyFor(m, cfg, sampleLeaves, tc))
+	ok, err := applyThresholds(data, m, keyFor(m))
 	if err != nil {
 		return false, fmt.Errorf("cutoff: thresholds/%s.txt: %w", game, err)
 	}
@@ -139,13 +144,13 @@ func tableData(game string) ([]byte, error) {
 	return data, err
 }
 
-// keyFor is the thresholds half of the key of the table
-// CalibrateThresholds(m, render.New(m.Scene, cfg), sampleLeaves, tc) would
-// produce.
-func keyFor(m *Map, cfg render.Config, sampleLeaves int, tc ThresholdConfig) tableKey {
+// keyFor is the thresholds half of the key of the table CalibrateDefault(m)
+// would produce.
+func keyFor(m *Map) tableKey {
+	cfg, tc := render.DefaultConfig(), DefaultThresholdConfig()
 	return tableKey{
 		scene: sceneDigest(m.Scene), digest: mapDigest(m), leaves: len(m.Regions),
-		w: cfg.W, h: cfg.H, calibrate: sampleLeaves, samples: tc.Samples, seed: tc.Seed,
+		w: cfg.W, h: cfg.H, calibrate: DefaultSampleLeaves, samples: tc.Samples, seed: tc.Seed,
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"coterie/internal/games"
 	"coterie/internal/geom"
-	"coterie/internal/render"
 	"coterie/internal/world"
 )
 
@@ -42,10 +41,10 @@ func rowsOf(m *Map) []leafRow {
 }
 
 // tableKeyOf is the whole key of the table holding m, Compute's map with
-// its thresholds still unset, and the thresholds CalibrateThresholds(m,
-// render.New(m.Scene, cfg), sampleLeaves, tc) derives.
-func tableKeyOf(m *Map, rt RenderTimer, cfg render.Config, sampleLeaves int, tc ThresholdConfig) tableKey {
-	k := keyFor(m, cfg, sampleLeaves, tc)
+// its thresholds still unset, and the thresholds CalibrateDefault(m)
+// derives.
+func tableKeyOf(m *Map, rt RenderTimer) tableKey {
+	k := keyFor(m)
 	k.limit = nearBELimit(rt, m.Params.BudgetMs, m.Scene.TotalTriangles())
 	k.params = m.Params
 	return k
@@ -101,18 +100,17 @@ func sameMap(t *testing.T, name string, got, want *Map) {
 }
 
 // checkTable holds the game's stored table to m, Compute's map for the
-// game, and to CalibrateThresholds at the defaults on it: Load must return
-// m (sameMap) and LoadThresholds the calibration bit for bit. With -update
-// it writes m and the calibration to the table instead.
+// game, and to CalibrateDefault on it: Load must return m (sameMap) and
+// LoadThresholds the calibration bit for bit. With -update it writes m and
+// the calibration to the table instead.
 func checkTable(t *testing.T, game string, m *Map) {
 	t.Helper()
-	cfg, tc := render.DefaultConfig(), DefaultThresholdConfig()
 	want := withRegions(m)
-	if err := CalibrateThresholds(want, render.New(m.Scene, cfg), DefaultSampleLeaves, tc); err != nil {
+	if err := CalibrateDefault(want); err != nil {
 		t.Fatal(err)
 	}
 	if *update {
-		k := tableKeyOf(m, rt(), cfg, DefaultSampleLeaves, tc)
+		k := tableKeyOf(m, rt())
 		if err := os.WriteFile(filepath.Join("thresholds", game+".txt"), formatTable(k, rowsOf(want)), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +125,7 @@ func checkTable(t *testing.T, game string, m *Map) {
 		return
 	}
 	sameMap(t, game, got, m)
-	ok, err := LoadThresholds(game, got, cfg, DefaultSampleLeaves, tc)
+	ok, err := LoadThresholds(game, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +156,7 @@ func loaderFixture(t *testing.T) (m *Map, key tableKey, table []byte) {
 		t.Fatal(fixture.err)
 	}
 	m = withRegions(fixture.m)
-	key = tableKeyOf(m, rt(), render.Config{W: 32, H: 16}, 1, DefaultThresholdConfig())
+	key = tableKeyOf(m, rt())
 	return m, key, formatTable(key, fixtureRows(m))
 }
 
@@ -198,8 +196,9 @@ func TestApplyTableFillsEveryLeaf(t *testing.T) {
 
 // TestApplyTableRefusesOtherKey: a well-formed table of other parameters, of
 // another scene or timer, is not this map's, and neither are its thresholds
-// the thresholds of another map (digest) or of a map with one leaf more;
-// a refused table leaves the map untouched.
+// the thresholds of another map (digest), of a map with one leaf more or
+// of another calibration than CalibrateDefault's; a refused table leaves
+// the map untouched.
 func TestApplyTableRefusesOtherKey(t *testing.T) {
 	m, key, _ := loaderFixture(t)
 	k5 := testParams()
@@ -220,6 +219,8 @@ func TestApplyTableRefusesOtherKey(t *testing.T) {
 		"scene digest": func(k *tableKey) { k.scene++ },
 		"map digest":   func(k *tableKey) { k.digest++ },
 		"leaf count":   func(k *tableKey) { k.leaves++ },
+		"render size":  func(k *tableKey) { k.w, k.h = 64, 32 },
+		"calibration":  func(k *tableKey) { k.calibrate++ },
 	}
 	for name, edit := range threshCases {
 		k := key
@@ -315,7 +316,7 @@ func TestApplyTableRejectsMalformed(t *testing.T) {
 func TestLoadThresholdsUnknownGame(t *testing.T) {
 	m, _, _ := loaderFixture(t)
 	for _, game := range []string{"no-such-game", "", "../cutoff"} {
-		if ok, err := LoadThresholds(game, m, render.DefaultConfig(), DefaultSampleLeaves, DefaultThresholdConfig()); ok || err != nil {
+		if ok, err := LoadThresholds(game, m); ok || err != nil {
 			t.Errorf("%q: thresholds accepted %v, err %v; want no table", game, ok, err)
 		}
 		if got, err := Load(game, m.Scene, rt(), testParams()); got != nil || err != nil {
@@ -344,12 +345,11 @@ func TestStoredTableRefusesChangedShade(t *testing.T) {
 		t.Errorf("changed Shade: map %v, err %v; want refused", got, err)
 	}
 	m.Scene = shaded
-	cfg, tc := render.DefaultConfig(), DefaultThresholdConfig()
-	if ok, err := LoadThresholds("pool", m, cfg, DefaultSampleLeaves, tc); ok || err != nil {
+	if ok, err := LoadThresholds("pool", m); ok || err != nil {
 		t.Errorf("changed Shade: thresholds accepted %v, err %v; want refused", ok, err)
 	}
 	m.Scene = scene
-	if ok, err := LoadThresholds("pool", m, cfg, DefaultSampleLeaves, tc); !ok || err != nil {
+	if ok, err := LoadThresholds("pool", m); !ok || err != nil {
 		t.Errorf("pool's own scene: thresholds accepted %v, err %v", ok, err)
 	}
 }

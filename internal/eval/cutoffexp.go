@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"coterie/internal/core"
 	"coterie/internal/cutoff"
 	"coterie/internal/device"
 	"coterie/internal/games"
@@ -27,43 +26,42 @@ type Table3Row struct {
 	Paper       games.PaperStats
 }
 
-// Table3 runs the adaptive cutoff scheme over all nine games and reports
-// world stats, quadtree shape and processing time alongside the paper's
-// numbers. The headline claim: CTS's 268M grid points reduce to a few
-// hundred leaf regions. A prepared environment may have loaded its map
-// from the stored table (its ProcTime is then the load time), so each
-// game's cutoff.Compute runs here, at the environment's parameters, and
-// its time is the "calc time" column.
+// Table3 reports each game's served cutoff map (world stats and quadtree
+// shape, from the prepared environment) alongside the paper's numbers. The
+// headline claim: CTS's 268M grid points reduce to a few hundred leaf
+// regions. The "calc time" column is one cutoff.Compute per game, run one
+// game after another so each has the cores to itself (its own fan-out
+// included), as the paper times one app's processing; Quick skips it and
+// leaves the column zero.
 func (l *Lab) Table3() ([]Table3Row, error) {
 	names := allGameNames()
-	envs := make([]*core.Env, len(names))
-	maps := make([]*cutoff.Map, len(names))
-	err := par.ForErr(len(names), func(i int) error {
-		env, err := l.Env(names[i])
-		if err != nil {
-			return err
-		}
-		envs[i] = env
-		maps[i], err = cutoff.Compute(env.Game.Scene, env.Device.NearBERenderMs, env.Map.Params)
-		return err
-	})
-	if err != nil {
+	if err := l.PrepareEnvs(names); err != nil {
 		return nil, err
 	}
 	rows := make([]Table3Row, len(names))
-	for i, env := range envs {
-		spec, st := env.Game.Spec, maps[i].Stats
+	for i, name := range names {
+		env, err := l.Env(name)
+		if err != nil {
+			return nil, err
+		}
+		spec, st := env.Game.Spec, env.Map.Stats
 		rows[i] = Table3Row{
-			Game:        names[i],
+			Game:        name,
 			DimW:        spec.Width,
 			DimD:        spec.Depth,
 			GridPointsM: float64(env.Game.Scene.Grid.Points()) / 1e6,
 			DepthAvg:    st.DepthAvg,
 			DepthMax:    st.DepthMax,
 			LeafRegions: st.LeafCount,
-			ProcTime:    st.ProcTime,
 			CutoffCalcs: st.CutoffCalcs,
 			Paper:       spec.Paper,
+		}
+		if !l.Opts.Quick {
+			m, err := cutoff.Compute(env.Game.Scene, env.Device.NearBERenderMs, env.Map.Params)
+			if err != nil {
+				return nil, err
+			}
+			rows[i].ProcTime = m.Stats.ProcTime
 		}
 	}
 	return rows, nil

@@ -27,24 +27,24 @@ var update = flag.Bool("update", false, "print the table for sectionDigests inst
 // prints the new table. A byte-identical renderer, codec or cache change
 // moves none of them.
 var sectionDigests = []sectionDigest{
-	{"fig1", 0x58ed7f68233f993d},
-	{"fig2", 0xc07e00b33889f5fa},
-	{"fig3", 0xc7a2e5892fabcb23},
+	{"fig1", 0xa9961c35ff1390a7},
+	{"fig2", 0x2455020795a8c1bc},
+	{"fig3", 0xcc480dcc10323491},
 	{"fig5", 0xcd9413f5b87d6c62},
-	{"table3", 0x61da6ed27a29e852},
+	{"table3", 0xe97df944d8ad51da},
 	{"fig6", 0x2aec58143fea1092},
-	{"fig7", 0x42672201c3ec8e38},
-	{"table5", 0x409c2227700eec6d},
-	{"table6", 0xce842eae09acd775},
+	{"fig7", 0x65c9ea1876fd5a2a},
+	{"table5", 0xfbfb5be48dafb333},
+	{"table6", 0xf07d4fbbac9d0c84},
 	{"table1", 0xb88a80888f029b4d},
-	{"table7", 0x39dd63a11fbe4f8a},
-	{"fig11", 0x6ad3094d4fa69d09},
-	{"table8", 0xfa17b28f3fa38f80},
-	{"table9", 0x4051ee3e32b2193f},
-	{"fig12", 0xad06b4d8516e1143},
-	{"ablation-replacement", 0x52f5097a5dbb6d0e},
-	{"ablation-overhear", 0xc081223d083a5e62},
-	{"ablation-prefetch", 0xcc563be1593e0717},
+	{"table7", 0x7bf302d9db3c64ba},
+	{"fig11", 0x3339e586155b2174},
+	{"table8", 0x80396cc892db1340},
+	{"table9", 0x0e5e7fa05478603c},
+	{"fig12", 0x9e103c9ba4494fb3},
+	{"ablation-replacement", 0x03e3e97a24d608be},
+	{"ablation-overhear", 0x17eabdc7b333822d},
+	{"ablation-prefetch", 0xf918f1e401735084},
 }
 
 // generateAll runs every parallelized experiment generator on a fresh lab

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"coterie/internal/core"
-	"coterie/internal/cutoff"
 	"coterie/internal/games"
 	"coterie/internal/par"
 	"coterie/internal/render"
@@ -23,7 +22,8 @@ type Options struct {
 	// used by tests and -quick runs.
 	Quick bool
 	// RenderW/RenderH set the panorama resolution for experiments that
-	// render frames; zero means 192x96 (quick) or 256x128.
+	// render frames; zero means 160x80 (quick) or 256x128. Every
+	// environment loads the same map and thresholds whatever these are.
 	RenderW, RenderH int
 	// Seed fixes all sampled randomness.
 	Seed int64
@@ -98,9 +98,6 @@ func (l *Lab) buildEnv(name string) (*core.Env, error) {
 	}
 	opts := core.EnvOptions{RenderCfg: l.Opts.renderConfig()}
 	if l.Opts.Quick {
-		p := cutoff.DefaultParams()
-		p.K = 5
-		opts.CutoffParams = p
 		opts.SizeSamples = 6
 	}
 	env, err := core.PrepareEnv(spec, opts)

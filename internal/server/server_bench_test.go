@@ -22,7 +22,7 @@ func BenchmarkColdMiss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env, err := core.PrepareEnv(spec, core.EnvOptions{ThresholdLeaves: 1, SizeSamples: 1})
+	env, err := core.PrepareEnv(spec, core.EnvOptions{SizeSamples: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -52,7 +52,7 @@ start_clients() {
     for a in "$@"; do
         i=$((i + 1))
         "$bin/coterie-client" -game pool -addr "$a" -seconds 2 -speed 2 \
-            -width 64 -height 32 -player "$i" -seed "$((seed + i))" \
+            -player "$i" -seed "$((seed + i))" \
             >"$bin/$label-$i.log" 2>&1 &
         client_pids+=($!)
     done
@@ -125,7 +125,7 @@ done
 
 echo "smoke: running 2-second live session..."
 "$bin/coterie-client" -game pool -addr "$addr" -seconds 2 -speed 2 \
-    -width 64 -height 32 -metrics-json "$bin/metrics.json" \
+    -metrics-json "$bin/metrics.json" \
     -admin "$client_admin_addr" \
     >"$bin/client.log" 2>&1 &
 client_pid=$!
@@ -224,7 +224,7 @@ grep -Eq '"cache\.hits": *[1-9]' "$bin/metrics.json" || {
 # (cache.pushed_hits) — and must drop zero frames to CRC corruption.
 echo "smoke: running 2-second UDP session with push..."
 "$bin/coterie-client" -game pool -addr "$addr" -seconds 2 -speed 2 \
-    -width 64 -height 32 -udp-frames -push \
+    -udp-frames -push \
     -metrics-json "$bin/metrics-udp.json" \
     >"$bin/client-udp.log" 2>&1 || {
     echo "smoke: UDP client session failed" >&2
