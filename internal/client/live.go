@@ -13,6 +13,7 @@ import (
 	"coterie/internal/fisync"
 	"coterie/internal/geom"
 	"coterie/internal/img"
+	"coterie/internal/lru"
 	"coterie/internal/obs"
 	"coterie/internal/prefetch"
 	"coterie/internal/runtime"
@@ -417,13 +418,26 @@ func (s *liveSource) fetchOnce(pt geom.GridPoint, deadline time.Time) (transport
 	return reply, nil
 }
 
-// Refs is the client's half of the delta-reference rule: the decoded
-// rasters of the points it holds as references (transport.HeldRefs), and
-// Decode, which validates each TCP reply against them. The zero value is
-// empty and ready to use; a Refs is not safe for concurrent use.
+// Refs is the client's half of the delta-reference rule: the encoded
+// intra bytes of the points it holds as references (transport.HeldRefs),
+// and Decode, which validates each TCP reply against them. Decoded rasters
+// are kept only for the maxDecodedRefs most recently used references; a
+// delta against any other held reference decodes that reference's bytes
+// first. At 256×128 a held reference costs ≈ 1–3 KB instead of a 32 KB
+// raster (64 panoramas would be ≈ 0.5 GB at the paper's 4K). The zero
+// value is empty and ready to use; a Refs is not safe for concurrent use.
 type Refs struct {
-	transport.HeldRefs[*img.Gray]
+	transport.HeldRefs[[]byte]
+	// decoded holds rasters of recently used points. An entry may outlive
+	// its point's hold (a drop does not say which point went); raster
+	// checks the hold first, so it is never used for an unheld point.
+	decoded lru.Map[geom.GridPoint, *img.Gray]
 }
+
+// maxDecodedRefs bounds the decoded rasters a Refs keeps. On the recorded
+// walks ≈ 83 / 92 / 99 % of deltas named one of the last 1 / 2 / 8
+// references used.
+const maxDecodedRefs = 8
 
 // Decode validates a fetched frame by reconstructing it: intra frames
 // decode standalone, delta frames decode against the referenced held
@@ -431,13 +445,13 @@ type Refs struct {
 // the server's session applies to the same reply, so this client holds
 // exactly the points the server deltas against. A stale-rung reply is a
 // neighbour's frame standing in for pt; held under pt it would replace
-// pt's exact raster, which the server still deltas against.
+// pt's exact bytes, which the server still deltas against.
 func (r *Refs) Decode(pt geom.GridPoint, reply transport.FrameReply) error {
 	switch reply.Kind {
 	case transport.FrameDelta:
-		ref, ok := r.Get(reply.Ref)
-		if !ok {
-			return fmt.Errorf("frame %v: delta against %v, which this client does not hold", pt, reply.Ref)
+		ref, err := r.raster(reply.Ref)
+		if err != nil {
+			return fmt.Errorf("frame %v: delta against %v: %w", pt, reply.Ref, err)
 		}
 		g, err := codec.DeltaDecode(reply.Data, ref)
 		if err != nil {
@@ -451,13 +465,44 @@ func (r *Refs) Decode(pt geom.GridPoint, reply transport.FrameReply) error {
 		if err != nil {
 			return fmt.Errorf("frame %v does not decode: %w", pt, err)
 		}
-		if !reply.IsReference() {
+		if _, held := r.Get(pt); held || !reply.IsReference() {
 			codec.ReleaseGray(g)
-		} else if dropped, ok := r.Hold(pt, g); ok {
-			codec.ReleaseGray(dropped) // g again, or the oldest reference
+			return nil
 		}
+		r.Hold(pt, reply.Data) // ReadMessage allocates every payload afresh
+		r.keep(pt, g)
 	}
 	return nil
+}
+
+// raster returns the decoded raster of held point pt, decoding its bytes
+// when it is not among the recently used. The raster stays owned by r.
+func (r *Refs) raster(pt geom.GridPoint) (*img.Gray, error) {
+	data, ok := r.Get(pt)
+	if !ok {
+		return nil, fmt.Errorf("this client does not hold %v", pt)
+	}
+	if g, ok := r.decoded.Get(pt); ok {
+		return g, nil
+	}
+	g, err := codec.Decode(data)
+	if err != nil {
+		return nil, err // held bytes decoded when they were held
+	}
+	r.keep(pt, g)
+	return g, nil
+}
+
+// keep adds pt's raster as the most recently used, releasing what it
+// replaces and what falls past maxDecodedRefs.
+func (r *Refs) keep(pt geom.GridPoint, g *img.Gray) {
+	if old, ok := r.decoded.Put(pt, g); ok {
+		codec.ReleaseGray(old)
+	}
+	for r.decoded.Len() > maxDecodedRefs {
+		_, old, _ := r.decoded.RemoveOldest()
+		codec.ReleaseGray(old)
+	}
 }
 
 func (s *liveSource) firstError() error {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -85,5 +86,63 @@ func TestRefsDecodeRejectsUndecodablePayload(t *testing.T) {
 				t.Errorf("%d points held after a failed decode, want 0", r.Len())
 			}
 		})
+	}
+}
+
+// TestRefsDeltaAgainstEvictedRaster: a Refs keeps the bytes of every held
+// reference but only maxDecodedRefs rasters. After more keyframes than
+// that, the oldest reference's raster is gone; a delta against it decodes
+// the held bytes again, to a raster bit-equal to the one decoded when the
+// reference was held, and reconstructs the delta frame exactly as that
+// raster would.
+func TestRefsDeltaAgainstEvictedRaster(t *testing.T) {
+	var r Refs
+	const n = maxDecodedRefs + 3
+	atHold := make([]*img.Gray, n)
+	for k := range atHold {
+		data := codec.Encode(testRaster(3*k), codec.DefaultCRF)
+		reply := transport.FrameReply{Kind: transport.FrameIntra, Rung: transport.RungExact, Data: data}
+		if err := r.Decode(geom.GridPoint{I: k}, reply); err != nil {
+			t.Fatal(err)
+		}
+		g, err := codec.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		atHold[k] = g
+	}
+	if r.Len() != n || r.decoded.Len() != maxDecodedRefs {
+		t.Fatalf("after %d keyframes: %d held, %d decoded; want %d and %d", n, r.Len(), r.decoded.Len(), n, maxDecodedRefs)
+	}
+	oldest := geom.GridPoint{I: 0}
+	if _, ok := r.decoded.Peek(oldest); ok {
+		t.Fatalf("%v still decoded after %d newer keyframes", oldest, n-1)
+	}
+
+	data := codec.DeltaEncode(testRaster(1), atHold[0], codec.DefaultCRF)
+	delta := transport.FrameReply{Kind: transport.FrameDelta, Rung: transport.RungExact, Ref: oldest, Data: data}
+	if err := r.Decode(geom.GridPoint{I: 100}, delta); err != nil {
+		t.Fatal(err)
+	}
+	if r.decoded.Len() != maxDecodedRefs {
+		t.Errorf("%d rasters decoded after the delta, want %d", r.decoded.Len(), maxDecodedRefs)
+	}
+	got, err := r.raster(oldest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Pix, atHold[0].Pix) {
+		t.Fatalf("%v decoded again from its held bytes differs from its raster at hold time", oldest)
+	}
+	want, err := codec.DeltaDecode(data, atHold[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := codec.DeltaDecode(data, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dec.Pix, want.Pix) {
+		t.Error("the delta against the re-decoded reference reconstructs differently")
 	}
 }

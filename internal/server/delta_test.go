@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
 
 	"coterie/internal/client"
 	"coterie/internal/codec"
+	"coterie/internal/core"
+	"coterie/internal/cutoff"
 	"coterie/internal/geom"
 	"coterie/internal/img"
 	"coterie/internal/obs"
@@ -93,7 +96,7 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	}
 	codec.ReleaseGray(dec)
 
-	// A nearby point: within the leaf's DistThresh it is eligible for delta
+	// A nearby point: within the parallax gate it is eligible for delta
 	// coding against the held reference. Whichever way the size race goes,
 	// the reply must be decodable and match the point's intra reconstruction.
 	ptB := geom.GridPoint{I: ptA.I + 1, J: ptA.J}
@@ -137,8 +140,9 @@ func TestSessionDeltaFlowAndEvictFallback(t *testing.T) {
 	// MaxHeldRefs newer references push ptA out on both ends.
 	newer := 0
 	for k := 0; newer < transport.MaxHeldRefs; k++ {
-		// 18 steps apart: farther than any leaf's DistThresh on this grid,
-		// so most of these are intra references.
+		// 18 steps apart: near or past the parallax gate (Radius/10 is
+		// 16–28 steps on this grid), where a delta seldom costs under 3/5
+		// of the intra frame, so most of these are intra references.
 		pt := geom.GridPoint{I: ptA.I - 64 + 18*(k%16), J: ptA.J + 18*(1+k/16)}
 		if !grid.In(pt) {
 			t.Fatalf("%d newer references after %d fetches; the walk needs %d", newer, k, transport.MaxHeldRefs)
@@ -279,7 +283,7 @@ func TestFrameForSessionRacesEviction(t *testing.T) {
 		sessions.Add(1)
 		go func(p int) {
 			defer sessions.Done()
-			refs := &transport.HeldRefs[struct{}]{}
+			refs := &sessionRefs{}
 			for i := 0; i < iters; i++ {
 				pt := geom.GridPoint{I: spawn.I + (i+p)%3, J: spawn.J + i%2}
 				var dl float64
@@ -318,8 +322,8 @@ func TestDeltaReferenceTieBreak(t *testing.T) {
 	lo, hi := geom.GridPoint{I: pt.I - 1, J: pt.J}, geom.GridPoint{I: pt.I + 1, J: pt.J}
 	leaf := srv.env.Map.LeafAt(grid.Pos(pt))
 	for _, ref := range []geom.GridPoint{lo, hi} {
-		if d := grid.Dist(pt, ref); d > leaf.DistThresh || srv.env.Map.LeafAt(grid.Pos(ref)) != leaf {
-			t.Fatalf("reference %v does not qualify (dist %v, thresh %v): pick another fixture", ref, d, leaf.DistThresh)
+		if d, gate := grid.Dist(pt, ref), leaf.Radius/parallaxGateDiv; d > gate || srv.env.Map.LeafAt(grid.Pos(ref)) != leaf {
+			t.Fatalf("reference %v does not qualify (dist %v, gate %v): pick another fixture", ref, d, gate)
 		}
 		if _, err := srv.FrameFor(ref); err != nil {
 			t.Fatal(err)
@@ -330,9 +334,9 @@ func TestDeltaReferenceTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		refs := &transport.HeldRefs[struct{}]{}
+		refs := &sessionRefs{}
 		for _, ref := range []geom.GridPoint{hi, lo} {
-			refs.Hold(ref, struct{}{})
+			srv.hold(refs, ref)
 		}
 		_, ref, ok := srv.deltaFor(pt, intra, refs)
 		if !ok {
@@ -369,7 +373,7 @@ func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
 	// the reference, the second is a miss served as a delta against it.
 	ptA := geom.GridPoint{I: spawn.I, J: spawn.J + 5}
 	ptB := geom.GridPoint{I: spawn.I + 1, J: spawn.J + 5}
-	refs := &transport.HeldRefs[struct{}]{}
+	refs := &sessionRefs{}
 	first, err := srv.serve(frameReq{pt: ptA, refs: refs})
 	if err != nil {
 		t.Fatal(err)
@@ -386,4 +390,165 @@ func TestReconstructionDecodedOnFirstDeltaUse(t *testing.T) {
 	if n := srv.panos.entries.Len(); n != 2 {
 		t.Fatalf("%d reconstructions cached after one delta serve, want the 2 it coded between", n)
 	}
+}
+
+// storeFrame puts data into srv's store as pt's frame, as a render would.
+func storeFrame(t *testing.T, srv *Server, pt geom.GridPoint, data []byte) {
+	t.Helper()
+	_, hit, c, leader := srv.store.lookup(pt)
+	if hit || !leader {
+		t.Fatalf("%v already in the store", pt)
+	}
+	srv.store.complete(pt, c, data, nil)
+}
+
+// TestDeltaKeyframeRule pins the keyframe rule at its edge: a session
+// holding an adjacent reference is served a delta when it costs just
+// under 3/5 of the intra frame and the intra frame at or over it, both
+// when the delta is encoded fresh and when a second session finds it
+// cached on the store entry. The frames are synthetic streams, and the
+// intra stream is padded with trailing bytes the decoder ignores, so the
+// intra length can be set on either side of 5/3 of the delta's.
+func TestDeltaKeyframeRule(t *testing.T) {
+	env := poolEnv(t)
+	grid := env.Game.Scene.Grid
+	pt := grid.Snap(env.Game.Spawn)
+	ref := geom.GridPoint{I: pt.I + 1, J: pt.J}
+
+	// The reference is a smooth ramp, pt's frame unrelated noise: the delta
+	// carries nearly the whole frame, more than 3/5 of its intra stream.
+	const w, h = 96, 48
+	refRaster, curRaster := img.NewGray(w, h), img.NewGray(w, h)
+	for i := range refRaster.Pix {
+		refRaster.Pix[i] = uint8(i % w * 2)
+		curRaster.Pix[i] = uint8((i*7919 + i/w*104729) % 251)
+	}
+	refData, curData := codec.Encode(refRaster, env.CRF), codec.Encode(curRaster, env.CRF)
+	curRecon, err := codec.Decode(curData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRecon, err := codec.Decode(refData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := codec.DeltaEncode(curRecon, refRecon, env.CRF)
+	edge := 5 * len(delta) / 3 // the longest intra a delta of this size does not beat
+	if len(curData) > edge {
+		t.Fatalf("fixture: intra %d bytes, delta %d: the delta already pays unpadded", len(curData), len(delta))
+	}
+
+	for _, tc := range []struct {
+		intraLen  int
+		wantDelta bool
+	}{
+		{edge + 1, true}, // 5·delta < 3·intra
+		{edge, false},    // 5·delta ≥ 3·intra
+	} {
+		srv := New(env)
+		reg := obs.NewRegistry()
+		srv.Instrument(reg)
+		intra := append(append([]byte(nil), curData...), make([]byte, tc.intraLen-len(curData))...)
+		storeFrame(t, srv, pt, intra)
+		storeFrame(t, srv, ref, refData)
+		for session, how := range []string{"fresh encode", "cached delta"} {
+			if _, cached := srv.store.delta(pt, ref); cached != (session == 1) {
+				t.Fatalf("intra %d B, %s: delta cached = %v", tc.intraLen, how, cached)
+			}
+			refs := &sessionRefs{}
+			srv.hold(refs, ref)
+			res, err := srv.serve(frameReq{pt: pt, refs: refs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.wantDelta && (res.Kind != transport.FrameDelta || res.Ref != ref || !bytes.Equal(res.Data, delta)):
+				t.Errorf("intra %d B, delta %d B, %s: kind %d ref %v (%d B), want the delta against %v",
+					tc.intraLen, len(delta), how, res.Kind, res.Ref, len(res.Data), ref)
+			case !tc.wantDelta && (res.Kind != transport.FrameIntra || !bytes.Equal(res.Data, intra)):
+				t.Errorf("intra %d B, delta %d B, %s: kind %d (%d B), want the intra frame",
+					tc.intraLen, len(delta), how, res.Kind, len(res.Data))
+			}
+			if _, held := refs.Get(pt); held == tc.wantDelta {
+				t.Errorf("intra %d B, %s: %v held = %v after the reply", tc.intraLen, how, pt, held)
+			}
+		}
+		want := int64(0)
+		if !tc.wantDelta {
+			want = 2
+		}
+		if got := reg.Snapshot().Counters["server.keyframe_refreshes"]; got != want {
+			t.Errorf("intra %d B: server.keyframe_refreshes = %d, want %d", tc.intraLen, got, want)
+		}
+	}
+	codec.ReleaseGray(curRecon)
+	codec.ReleaseGray(refRecon)
+}
+
+// threshScaledEnv is base with every leaf's DistThresh multiplied by f:
+// the same scene, map geometry, renderer and quality.
+func threshScaledEnv(base *core.Env, f float64) *core.Env {
+	m := *base.Map
+	m.Regions = append([]cutoff.Region(nil), base.Map.Regions...)
+	for i := range m.Regions {
+		m.Regions[i].DistThresh *= f
+	}
+	return &core.Env{Game: base.Game, Device: base.Device, Map: &m, Renderer: base.Renderer, CRF: base.CRF}
+}
+
+// TestDeltaRuleIgnoresDistThresh: the delta path's choices do not read the
+// cache's quality threshold. One fixed walk — a seeded random walk of unit
+// steps around the pool spawn, then the same points again — is served
+// through one session on two environments whose maps differ only in every
+// leaf's DistThresh (×0.1 and ×10); every reply's kind, reference and
+// bytes must be equal.
+func TestDeltaRuleIgnoresDistThresh(t *testing.T) {
+	base := poolEnv(t)
+	walk := randomWalk(base, 120, 1, 7)
+	walk = append(walk, walk...)
+
+	serveWalk := func(env *core.Env) []transport.FrameReply {
+		srv := New(env)
+		refs := &sessionRefs{}
+		out := make([]transport.FrameReply, len(walk))
+		for i, pt := range walk {
+			res, err := srv.serve(frameReq{pt: pt, refs: refs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = res.FrameReply
+		}
+		return out
+	}
+	low, high := serveWalk(threshScaledEnv(base, 0.1)), serveWalk(threshScaledEnv(base, 10))
+	deltas := 0
+	for i, pt := range walk {
+		a, b := low[i], high[i]
+		if a.Kind != b.Kind || a.Ref != b.Ref || !bytes.Equal(a.Data, b.Data) {
+			t.Fatalf("step %d (%v): DistThresh ×0.1 served kind %d ref %v (%d B), ×10 kind %d ref %v (%d B)",
+				i, pt, a.Kind, a.Ref, len(a.Data), b.Kind, b.Ref, len(b.Data))
+		}
+		if a.Kind == transport.FrameDelta && a.Ref != pt {
+			deltas++
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("no delta against another point on the walk: the rule is untested")
+	}
+}
+
+// randomWalk is n grid points from env's spawn, each a seeded random step
+// of up to stride grid steps along each axis from the one before.
+func randomWalk(env *core.Env, n, stride int, seed int64) []geom.GridPoint {
+	grid := env.Game.Scene.Grid
+	rng := rand.New(rand.NewSource(seed))
+	walk := []geom.GridPoint{grid.Snap(env.Game.Spawn)}
+	for len(walk) < n {
+		p := walk[len(walk)-1]
+		q := geom.GridPoint{I: p.I + rng.Intn(2*stride+1) - stride, J: p.J + rng.Intn(2*stride+1) - stride}
+		if grid.In(q) {
+			walk = append(walk, q)
+		}
+	}
+	return walk
 }

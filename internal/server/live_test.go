@@ -6,8 +6,8 @@ import (
 
 	"coterie/internal/client"
 	"coterie/internal/codec"
+	"coterie/internal/cutoff"
 	"coterie/internal/geom"
-	"coterie/internal/img"
 	"coterie/internal/transport"
 )
 
@@ -48,9 +48,13 @@ func TestStaleReplyNeverBecomesReference(t *testing.T) {
 	if err := src.Decode(pt, transport.FrameReply{Point: pt, Rung: transport.RungStale, Data: substitute}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := src.Get(pt)
+	held, ok := src.Get(pt)
 	if !ok {
 		t.Fatalf("reference for %v gone after a stale reply", pt)
+	}
+	got, err := codec.Decode(held)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Pix, want.Pix) {
 		t.Errorf("reference for %v is no longer its exact reconstruction after a stale reply", pt)
@@ -74,7 +78,7 @@ func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 	srv := New(poolEnv(t))
 	grid := srv.env.Game.Scene.Grid
 	spawn := grid.Snap(srv.env.Game.Spawn)
-	server := &transport.HeldRefs[struct{}]{}
+	server := &sessionRefs{}
 	cl := &client.Refs{}
 
 	var refs, deltas, deltasAfterEvict, revisits int
@@ -104,30 +108,20 @@ func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 			refs++
 			evicted = evicted || refs > transport.MaxHeldRefs
 		}
-		var held []geom.GridPoint
-		server.Each(func(p geom.GridPoint, _ struct{}) { held = append(held, p) })
-		k := 0
-		cl.Each(func(p geom.GridPoint, _ *img.Gray) {
-			if k >= len(held) || held[k] != p {
-				t.Fatalf("after %v: client holds %v at %d, server %v", pt, p, k, held)
-			}
-			k++
-		})
-		if k != len(held) {
-			t.Fatalf("after %v: client holds %d references, server %d", pt, k, len(held))
-		}
+		sameHoldings(t, pt, server, cl)
 	}
 
 	const anchors = 80 // more than MaxHeldRefs, so a lap drops the first
 	for lap := 0; lap < 2; lap++ {
 		for a := 0; a < anchors; a++ {
-			// 18 steps apart: farther than any leaf's DistThresh here.
+			// 18 steps apart: near or past the parallax gate here, where
+			// a delta seldom pays, so most anchors are references.
 			anchor := geom.GridPoint{I: spawn.I - 63 + 18*(a%10), J: spawn.J - 72 + 18*(a/10)}
 			fetch(anchor)
 			fetch(geom.GridPoint{I: anchor.I + 1, J: anchor.J})
 			var oldest geom.GridPoint
 			first := true
-			server.Each(func(p geom.GridPoint, _ struct{}) {
+			server.Each(func(p geom.GridPoint, _ *cutoff.Region) {
 				if first {
 					oldest, first = p, false
 				}
@@ -144,4 +138,58 @@ func TestHeldRefsAgreeAcrossEnds(t *testing.T) {
 	}
 	t.Logf("%d references (%d held again after a drop), %d deltas (%d after the first eviction)",
 		refs, revisits, deltas, deltasAfterEvict)
+}
+
+// TestHeldRefsAgreeOnWalk: one session walks 200 points of a seeded random
+// walk through the real serve, twice, and the real client.Refs decodes
+// every reply. The walk is served mostly as deltas with a keyframe
+// wherever the delta does not pay, so it holds more references than the
+// client keeps decoded; both ends must hold the same points, in the same
+// order, after every reply.
+func TestHeldRefsAgreeOnWalk(t *testing.T) {
+	srv := New(poolEnv(t))
+	server := &sessionRefs{}
+	cl := &client.Refs{}
+	walk := randomWalk(srv.env, 200, 4, 11)
+	var deltas, keyframes int
+	for lap := 0; lap < 2; lap++ {
+		for _, pt := range walk {
+			_, wasHeld := server.Get(pt)
+			res, err := srv.serve(frameReq{pt: pt, refs: server})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Decode(pt, res.FrameReply); err != nil {
+				t.Fatal(err)
+			}
+			if res.Kind == transport.FrameDelta {
+				deltas++
+			} else if !wasHeld {
+				keyframes++
+			}
+			sameHoldings(t, pt, server, cl)
+		}
+	}
+	if keyframes <= 8 || deltas < len(walk) {
+		t.Fatalf("walk served %d keyframes and %d deltas; want more than 8 and at least %d", keyframes, deltas, len(walk))
+	}
+	t.Logf("%d keyframes, %d deltas, %d references held", keyframes, deltas, server.Len())
+}
+
+// sameHoldings fails the test unless the server session and the client
+// hold the same points in the same order after the reply for pt.
+func sameHoldings(t *testing.T, pt geom.GridPoint, server *sessionRefs, cl *client.Refs) {
+	t.Helper()
+	var held []geom.GridPoint
+	server.Each(func(p geom.GridPoint, _ *cutoff.Region) { held = append(held, p) })
+	k := 0
+	cl.Each(func(p geom.GridPoint, _ []byte) {
+		if k >= len(held) || held[k] != p {
+			t.Fatalf("after %v: client holds %v at %d, server %v", pt, p, k, held)
+		}
+		k++
+	})
+	if k != len(held) {
+		t.Fatalf("after %v: client holds %d references, server %d", pt, k, len(held))
+	}
 }

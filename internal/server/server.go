@@ -111,6 +111,9 @@ type serverObs struct {
 	udpNacks       *obs.Counter
 	deltaFrames    *obs.Counter
 	deltaSaved     *obs.Counter
+	// keyframeRefreshes counts deltas found and declined for cost
+	// (deltaPays): the reply went intra and became a reference.
+	keyframeRefreshes *obs.Counter
 
 	// Deadline scheduling and the quality-degrade ladder.
 	degradeStale   *obs.Counter
@@ -163,6 +166,7 @@ func (s *Server) Instrument(r *obs.Registry) {
 		udpNacks:            r.Counter("server.udp.nacks"),
 		deltaFrames:         r.Counter("server.delta_frames"),
 		deltaSaved:          r.Counter("server.delta_bytes_saved"),
+		keyframeRefreshes:   r.Counter("server.keyframe_refreshes"),
 		degradeStale:        r.Counter("server.degrade_stale"),
 		deadlineMet:         r.Counter("server.deadline_met"),
 		deadlineMisses:      r.Counter("server.deadline_misses"),
@@ -236,7 +240,7 @@ type frameReq struct {
 	deadlineMs float64
 	// refs is the requesting TCP client session's holdings; nil (UDP,
 	// prerender) gets the exact intra frame — see serve.
-	refs *transport.HeldRefs[struct{}]
+	refs *sessionRefs
 }
 
 // newFrameReq turns a decoded request, received at recvMs on this server's
@@ -276,10 +280,11 @@ func (s *Server) FrameFor(pt geom.GridPoint) ([]byte, error) {
 // projects as already at risk takes the stale rung when a calibrated
 // substitute is cached (a store hit needs no such rescue — it is the
 // substitute), the same fallback rescues a request shed by admission
-// control, and an exact frame is re-coded against the best reference the
-// client holds when that wins bytes. Without holdings the reply is always
-// the exact intra frame: a substitute or a delta would poison the UDP
-// client's by-point retained store.
+// control, and an exact frame is re-coded against the client's nearest
+// held reference when the delta costs under 3/5 of it (deltaFor).
+// Without holdings the reply is always the exact intra frame: a
+// substitute or a delta would poison the UDP client's by-point retained
+// store.
 func (s *Server) serve(req frameReq) (frameResult, error) {
 	recvMs := sched.NowMs()
 	var res frameResult
@@ -303,7 +308,7 @@ func (s *Server) serve(req frameReq) (frameResult, error) {
 	// The client holds what this reply makes a reference by the same rule
 	// once it reads it, and it reads it before it sends its next request.
 	if ladder && res.IsReference() {
-		req.refs.Hold(req.pt, struct{}{})
+		s.hold(req.refs, req.pt)
 	}
 	res.Point = req.pt
 
@@ -551,7 +556,7 @@ func (s *Server) session(nc net.Conn, st *SessionStats) error {
 
 	// refs is the set of frames this client holds, the foundation of the
 	// delta path: serve and the client apply one rule to the same replies.
-	refs := &transport.HeldRefs[struct{}]{}
+	refs := &sessionRefs{}
 	for {
 		m, err := c.Recv()
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"coterie/internal/core"
 	"coterie/internal/games"
 	"coterie/internal/geom"
+	"coterie/internal/transport"
 )
 
 // BenchmarkColdMiss is the cold_scatter serve path without the wire: every
@@ -97,4 +98,52 @@ func BenchmarkStoreHit(b *testing.B) {
 			}
 		})
 	})
+}
+
+// BenchmarkSessionHit is warm_walk's serve without the wire, with a full
+// held set: one session holds MaxHeldRefs references (an 8×8 lattice two
+// grid steps apart in the pool spawn's leaf) and asks for the 15×15
+// points the lattice spans, each a store hit answered by a cached delta —
+// a held point against itself, any other against its nearest held
+// neighbour. What the reference rule costs per hit is nearestRef's scan.
+func BenchmarkSessionHit(b *testing.B) {
+	spec, err := games.ByName("pool")
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := core.PrepareEnv(spec, core.EnvOptions{SizeSamples: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(env)
+	spawn := env.Game.Scene.Grid.Snap(env.Game.Spawn)
+	refs := &sessionRefs{}
+	var pts []geom.GridPoint
+	for dj := 0; dj < 15; dj++ {
+		for di := 0; di < 15; di++ {
+			pt := geom.GridPoint{I: spawn.I - 14 + di, J: spawn.J + 4 + dj}
+			if _, err := srv.FrameFor(pt); err != nil {
+				b.Fatal(err)
+			}
+			if di%2 == 0 && dj%2 == 0 {
+				srv.hold(refs, pt)
+			}
+			pts = append(pts, pt)
+		}
+	}
+	for _, pt := range pts { // warm the delta cache
+		if res, err := srv.serve(frameReq{pt: pt, refs: refs}); err != nil || res.Kind != transport.FrameDelta {
+			b.Fatalf("%v: kind %d, %v; every point must be a delta (pick another lattice)", pt, res.Kind, err)
+		}
+	}
+	if refs.Len() != transport.MaxHeldRefs {
+		b.Fatalf("%d references held, want %d", refs.Len(), transport.MaxHeldRefs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.serve(frameReq{pt: pts[i%len(pts)], refs: refs}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

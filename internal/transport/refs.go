@@ -8,7 +8,9 @@ import (
 // MaxHeldRefs bounds the delta references one TCP session holds. Both ends
 // apply the same cap to the same replies, so they agree on the held set
 // without a message between them; forgetting a reference only costs a
-// delta opportunity.
+// delta opportunity. The client holds each reference as its encoded intra
+// bytes (≈ 1–3 KB at 256×128) and keeps only a few decoded, so the cap
+// costs it ≈ 64 compressed frames, not 64 rasters.
 const MaxHeldRefs = 64
 
 // IsReference reports whether the reply makes its point a delta reference:
@@ -21,13 +23,13 @@ func (r FrameReply) IsReference() bool {
 }
 
 // HeldRefs is the reference rule of the delta path, kept by the server
-// session (V struct{}) and the live client (V the decoded raster): each
-// holds the point of every reply for which IsReference is true, in
-// order of first hold, and drops the oldest past MaxHeldRefs. The protocol
-// is one reply per request, so both ends see the same replies in the same
-// order and hold the same points (the sliding-window reference marking
-// of H.264). The zero value is empty and ready to use; a HeldRefs is not
-// safe for concurrent use.
+// session (V the point's cutoff leaf) and the live client (V the encoded
+// intra bytes): each holds the point of every reply for which
+// IsReference is true, in order of first hold, and drops the oldest past
+// MaxHeldRefs. The protocol is one reply per request, so both ends see
+// the same replies in the same order and hold the same points (the
+// sliding-window reference marking of H.264). The zero value is empty and
+// ready to use; a HeldRefs is not safe for concurrent use.
 type HeldRefs[V any] struct {
 	m lru.Map[geom.GridPoint, V]
 }
